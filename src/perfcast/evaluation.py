@@ -194,7 +194,7 @@ def _predictions_for(train: PCMatrix, cells, needed, cfg: EvalConfig,
             model = svd_fit(train, cfg.svd_k, cfg.svd_max_outer)
             preds[Algorithm.SVD] = [factorization.predict(model, c.row, c.col)
                                     for c in cells]
-        except (UnfactorableError, ValueError):
+        except UnfactorableError:
             preds[Algorithm.SVD] = [None] * len(cells)
     return preds
 

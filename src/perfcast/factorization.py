@@ -2,10 +2,11 @@
 
 Alternating least squares is the workhorse: holding one side fixed, each
 program (then each machine) factor is the exact solution of a small ridge
-problem over that row's (column's) observed cells. Rank 1 is the default
-and has a useful side effect: positive scalar embeddings put a total
-performance order on machines. A simpler impute-and-decompose SVD variant
-is included for comparison.
+problem over that row's (column's) observed cells, and one batched solve
+answers all of them, for every K. Rank 1 is the default and has a useful
+side effect: positive scalar embeddings put a total performance order on
+machines. A simpler impute-and-decompose SVD variant is included for
+comparison.
 """
 
 from __future__ import annotations
@@ -79,11 +80,30 @@ def _sign_normalize(U, V):
             U[:, k] *= -1.0
 
 
+def _half_step(F, M, X0, lam):
+    """Exact regularized least-squares solve for every row at once.
+
+    With F (K x cols) held fixed, row i of the result minimizes
+    sum_j M[i, j] * (X0[i, j] - u . F[:, j])**2 + lam * |u|**2. All rows'
+    K x K Gram matrices come from one matmul against the stacked outer
+    products of F's columns. With lam == 0 a row observed fewer than K
+    times is singular; the pseudo-inverse gives its minimum-norm solution.
+    """
+    k = len(F)
+    FF = (F[:, None, :] * F[None, :, :]).reshape(k * k, -1)
+    A = (M @ FF.T).reshape(-1, k, k) + lam * np.eye(k)
+    b = X0 @ F.T
+    if lam > 0:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    return (np.linalg.pinv(A) @ b[..., None])[..., 0]
+
+
 def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     """Factor the observed cells of the matrix into rank-K embeddings.
 
-    Alternates exact regularized solves (rows, then columns) until the
-    relative change in training RMSE drops below tol or max_iters is hit.
+    Alternates exact regularized solves (rows, then columns), each
+    half-step one batched solve shared by every K, until the relative
+    change in training RMSE drops below tol or max_iters is hit.
     Initialization is seeded uniform noise in (0.5, 1.5) scaled so initial
     predictions land near the mean observed time.
     """
@@ -93,46 +113,23 @@ def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     n, mm = values.shape
     k = cfg.k
 
+    # same cells and order as values[mask], far cheaper to gather
+    observed = np.flatnonzero(mask)
+    targets = values.ravel()[observed]
+    X0 = np.where(mask, values, 0.0)
+    M = mask.astype(np.float64)
+
     rng = np.random.default_rng(cfg.seed)
-    scale = np.sqrt(values[mask].mean() / k)
+    scale = np.sqrt(targets.mean() / k)
     U = rng.uniform(0.5, 1.5, (n, k)) * scale
     V = rng.uniform(0.5, 1.5, (k, mm)) * scale
-    X0 = np.where(mask, values, 0.0)
 
-    eye = cfg.lam * np.eye(k)
     history: list[float] = []
     prev = None
     for _ in range(cfg.max_iters):
-        if k == 1:
-            v = V[0]
-            denom = mask @ (v * v) + cfg.lam
-            denom[denom == 0] = 1.0
-            U[:, 0] = (X0 @ v) / denom
-            u = U[:, 0]
-            denom = (u * u) @ mask + cfg.lam
-            denom[denom == 0] = 1.0
-            V[0] = (u @ X0) / denom
-        else:
-            for i in range(n):
-                obs = np.flatnonzero(mask[i])
-                Vo = V[:, obs]
-                A = Vo @ Vo.T + eye
-                b = Vo @ values[i, obs]
-                if cfg.lam > 0:
-                    U[i] = np.linalg.solve(A, b)
-                else:
-                    U[i] = np.linalg.lstsq(A, b, rcond=None)[0]
-            for j in range(mm):
-                obs = np.flatnonzero(mask[:, j])
-                Uo = U[obs]
-                A = Uo.T @ Uo + eye
-                b = Uo.T @ values[obs, j]
-                if cfg.lam > 0:
-                    V[:, j] = np.linalg.solve(A, b)
-                else:
-                    V[:, j] = np.linalg.lstsq(A, b, rcond=None)[0]
-
-        resid = (U @ V)[mask] - values[mask]
+        U = _half_step(V, M, X0, cfg.lam)
+        V = _half_step(U.T, M.T, X0.T, cfg.lam).T
+        resid = (U @ V).ravel()[observed] - targets
         rmse = float(np.sqrt(np.mean(resid * resid)))
         history.append(rmse)
         if prev is not None and (prev == 0.0 or abs(prev - rmse) / prev < cfg.tol):

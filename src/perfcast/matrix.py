@@ -40,6 +40,16 @@ class Observation:
                 f"observation has an empty id: "
                 f"({self.program_id!r}, {self.arg_label!r}, {self.machine_id!r})"
             )
+        if ROW_KEY_SEP in self.program_id:
+            raise ValueError(
+                f"program id {self.program_id!r} contains {ROW_KEY_SEP!r}, "
+                f"which separates program from args in matrix row keys"
+            )
+        if not math.isfinite(self.time):
+            raise ValueError(
+                f"non-finite time {self.time!r} for program {self.program_id!r} "
+                f"args {self.arg_label!r} on machine {self.machine_id!r}"
+            )
         if not (self.time > 0):
             raise ValueError(
                 f"non-positive time {self.time!r} for program {self.program_id!r} "
@@ -266,7 +276,8 @@ def read_observations_csv(path) -> list[Observation]:
     """Read the observation log format: header program,args,machine,seconds.
 
     Extra columns (resource counters and the like) are ignored. Raises with
-    the offending line number on malformed input.
+    the offending line number on malformed input, including non-finite
+    times and program ids containing ``::``.
     """
     observations = []
     with open(path, newline="", encoding="utf-8") as f:
@@ -316,7 +327,8 @@ def read_matrix_csv(path) -> PCMatrix:
     """Read a matrix written by write_matrix_csv.
 
     Row keys are split on the first ``::``, so program ids must not
-    contain that separator.
+    contain that separator. Missing cells are empty; a non-finite value is
+    an error.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -349,12 +361,16 @@ def read_matrix_csv(path) -> PCMatrix:
             for cell in rec[1:]:
                 if cell == "":
                     vals.append(np.nan)
-                else:
-                    try:
-                        vals.append(float(cell))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{line}: cannot parse cell value {cell!r}"
-                        ) from None
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{line}: cannot parse cell value {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{line}: non-finite cell value "
+                                     f"{cell!r}; leave missing cells empty")
+                vals.append(value)
             rows.append(vals)
     return PCMatrix(tuple(row_keys), col_keys, np.array(rows))

@@ -1,0 +1,89 @@
+"""The batched ALS kernel against the per-row/per-column reference loop."""
+
+import numpy as np
+from als_reference import reference_als_fit
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from perfcast import ALSConfig, PCMatrix, als_fit
+from perfcast.factorization import _half_step, predict_all
+
+ranks = st.integers(1, 4)
+lams = st.sampled_from([0.0, 1e-8, 1e-2])
+shapes = st.tuples(st.integers(1, 12), st.integers(1, 10))
+densities = st.floats(0.0, 1.0)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def sparse_matrix(shape, density, seed):
+    """Positive matrix with every row and column observed at least once and
+    each other cell kept with probability `density`, so low densities give
+    rows and columns with fewer observations than the rank."""
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    keep = rng.random((n, m)) < density
+    keep[np.arange(n), rng.integers(0, m, n)] = True
+    keep[rng.integers(0, n, m), np.arange(m)] = True
+    vals = np.where(keep, rng.uniform(0.5, 5.0, (n, m)), np.nan)
+    rows = tuple((f"p{i}", "a") for i in range(n))
+    cols = tuple(f"c{j}" for j in range(m))
+    return PCMatrix(rows, cols, vals)
+
+
+@given(k=ranks, lam=lams, shape=shapes, density=densities, seed=seeds,
+       max_iters=st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_fit_matches_reference(k, lam, shape, density, seed, max_iters):
+    mat = sparse_matrix(shape, density, seed)
+    mask = mat.present_mask
+    # With lam <= 1e-8 a row or column seen at most K times has a (nearly)
+    # singular system: its factor is fixed only to about cond * eps, and
+    # rounding differences steer the two fits to different solutions.
+    # test_half_step_solves_normal_equations covers those draws.
+    assume(k == 1 or lam == 1e-2
+           or min(mask.sum(axis=1).min(), mask.sum(axis=0).min()) > k)
+    cfg = ALSConfig(k=k, lam=lam, max_iters=max_iters, seed=seed % 1000)
+    got, want = als_fit(mat, cfg), reference_als_fit(mat, cfg)
+
+    scale = float(np.nanmean(mat.values))
+    # The atol covers rank-K inner products that land near zero.
+    np.testing.assert_allclose(predict_all(got), predict_all(want),
+                               rtol=1e-9, atol=1e-9 * scale)
+    # Once the training RMSE is at rounding level, the relative-change stop
+    # compares rounding noise and may end either fit an iteration earlier.
+    if want.train_rmse_history[-1] > 1e-12 * scale:
+        assert len(got.train_rmse_history) == len(want.train_rmse_history)
+    if k == 1 and lam > 0:
+        assert got.train_rmse_history == want.train_rmse_history
+        assert np.array_equal(got.row_factors, want.row_factors)
+        assert np.array_equal(got.col_factors, want.col_factors)
+
+
+@given(k=ranks, lam=lams, shape=shapes, density=densities, seed=seeds)
+@settings(max_examples=300, deadline=None)
+def test_half_step_solves_normal_equations(k, lam, shape, density, seed):
+    # Every draw, singular systems included: each row's factor solves that
+    # row's normal equations (Vo Vo^T + lam I) u = Vo y to rounding.
+    mat = sparse_matrix(shape, density, seed)
+    mask = mat.present_mask
+    V = np.random.default_rng(seed).uniform(0.5, 1.5, (k, shape[1]))
+    X0 = np.where(mask, mat.values, 0.0)
+    U = _half_step(V, mask.astype(float), X0, lam)
+    eps = np.finfo(float).eps
+    for i, u in enumerate(U):
+        obs = np.flatnonzero(mask[i])
+        Vo = V[:, obs]
+        A = Vo @ Vo.T + lam * np.eye(k)
+        b = Vo @ mat.values[i, obs]
+        resid = np.linalg.norm(A @ u - b) / (
+            np.linalg.norm(A) * np.linalg.norm(u) + np.linalg.norm(b))
+        if lam > 0:
+            assert resid <= 16 * eps
+            continue
+        # The pseudo-inverse is accurate to its condition number, over the
+        # singular values it keeps, and gives the minimum-norm solution:
+        # nothing outside the span of Vo.
+        s = np.linalg.svd(A, compute_uv=False)
+        assert resid <= 16 * eps * s[0] / s[s > 1e-15 * s[0]][-1]
+        off_span = u - Vo @ np.linalg.lstsq(Vo, u, rcond=None)[0]
+        assert np.linalg.norm(off_span) <= 1e-9 * np.linalg.norm(u)

@@ -55,6 +55,16 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "error" in err and "program,args,machine,seconds" in err
 
+    def test_separator_in_program_id_is_error(self, tmp_path, capsys):
+        # Both rows would be written as p::x::a, which the matrix reader
+        # rejects as a duplicate row key.
+        src = tmp_path / "obs.csv"
+        write_obs(src, ["p::x,a,C1,1", "p,x::a,C1,2"])
+        out = tmp_path / "m.csv"
+        assert main(["ingest", str(src), "--out", str(out)]) == 1
+        assert "obs.csv:2: program id 'p::x'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestComplete:
     def test_full_matrix_roundtrip_identity(self, tmp_path, capsys):

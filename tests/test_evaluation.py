@@ -145,6 +145,12 @@ class TestLeaveOneOut:
 
 
 class TestMaskingSweep:
+    def test_bad_svd_rank_raises(self):
+        m = proportional_matrix(6, 4, seed=2)
+        with pytest.raises(ValueError, match="rank must be in"):
+            masking_sweep(m, [0.3], [Algorithm.SVD], repeats=1, seed=1,
+                          cfg=small_cfg(svd_k=5))
+
     def test_fraction_zero_flagged(self):
         m = proportional_matrix(6, 4, seed=2)
         (report,) = masking_sweep(m, [0.0], [Algorithm.RIDGE], repeats=2,

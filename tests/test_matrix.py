@@ -240,6 +240,15 @@ class TestObservationsCsv:
         with pytest.raises(ValueError, match=":3"):
             read_observations_csv(p)
 
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "-inf"])
+    def test_non_finite_time_reports_line_number(self, tmp_path, seconds):
+        p = tmp_path / "obs.csv"
+        p.write_text("program,args,machine,seconds\n"
+                     "P1,a1,C1,5\n"
+                     f"P1,a1,C2,{seconds}\n")
+        with pytest.raises(ValueError, match=r"obs\.csv:3: non-finite time"):
+            read_observations_csv(p)
+
 
 class TestMatrixCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -267,4 +276,11 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text("rowkey,C1\nP1::a1,2.0\n")
         with pytest.raises(ValueError, match="program::args"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line_number(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"program::args,C1,C2\nP1::a1,2.0,\nP2::a1,{cell},1.0\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: non-finite cell"):
             read_matrix_csv(path)
