@@ -49,12 +49,13 @@ def main(argv=None) -> int:
                         help="mask percentages, e.g. 5,10,20")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--outlier-fraction", type=float, default=0.10)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--outlier-fraction", default="10",
+                        type=lambda s: parse_percent_list(s)[0],
+                        help="percentage of training cells to corrupt")
     args = parser.parse_args(argv)
 
     m = read_matrix_csv(args.matrix)
-    cfg = EvalConfig(threads=args.threads)
+    cfg = EvalConfig()
     algorithms = [Algorithm(name) for name in args.algorithms]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

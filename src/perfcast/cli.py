@@ -76,7 +76,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config(args) -> RunConfig:
     file_overrides = read_config_file(args.config) if args.config else {}
     flag_overrides = {k: getattr(args, k, None) for k in _PARSERS}
-    return make_run_config(file_overrides, flag_overrides)
+    cfg = make_run_config(file_overrides, flag_overrides)
+    if cfg.threads != 1:
+        _warn("threads is ignored; predictions run serially")
+    return cfg
 
 
 def _echo(cfg: RunConfig, **paths) -> dict:

@@ -159,14 +159,10 @@ def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
     for mate in grouping.mates(col):
         if not pm[row, mate]:
             continue
-        both = pm[:, mate] & pm[:, col]
-        both = both.copy()
-        both[row] = False
-        if not both.any():
+        try:
+            slope = scaling_coefficient(m, mate, col, exclude_row=row)
+        except ValueError:  # no co-observed row besides this one
             continue
-        x = m.values[both, mate]
-        y = m.values[both, col]
-        slope = float(x @ y) / float(x @ x)
         estimates.append(float(m.values[row, mate]) * slope)
     return estimates
 

@@ -36,11 +36,13 @@ class RunConfig:
     outlier_fraction: float = 0.10
     outlier_lo: float = 0.0
     outlier_hi: float = 4.0
-    threads: int = 1
+    threads: int = 1  # accepted for old configs; predictions run serially
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def to_eval_config(self) -> EvalConfig:
         return EvalConfig(
@@ -54,7 +56,6 @@ class RunConfig:
             svd_k=self.svd_k,
             svd_max_outer=self.svd_max_outer,
             ensemble=tuple(Algorithm(name) for name in self.ensemble),
-            threads=self.threads,
         )
 
     def to_dict(self) -> dict:

@@ -68,8 +68,9 @@ class PCMatrix:
     """Immutable N x M timing matrix with NaN marking missing cells.
 
     ``row_keys`` are (program_id, arg_label) pairs, ``col_keys`` machine ids.
-    The value array is float64 and write-protected; operations that "change"
-    the matrix return a new instance.
+    The value array is float64 and write-protected, and so is the
+    ``present_mask`` computed from it once; operations that "change" the
+    matrix return a new instance.
     """
 
     row_keys: tuple[tuple[str, str], ...]
@@ -95,7 +96,9 @@ class PCMatrix:
         if np.any(vals[present] <= 0):
             raise ValueError("execution times must be positive")
         vals.flags.writeable = False
+        present.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_present", present)
 
     @property
     def n_rows(self) -> int:
@@ -107,7 +110,7 @@ class PCMatrix:
 
     @property
     def present_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
+        return self._present
 
     @property
     def count_present(self) -> int:

@@ -1,0 +1,125 @@
+"""Reference leave-one-out: every algorithm refit on a per-cell copy.
+
+This is the earlier `leave_one_out` of perfcast.evaluation, kept verbatim
+(serial instead of a thread pool) as the oracle for the driver that fits
+ridge and cliques once on the full matrix. Every base algorithm here sees
+`with_cell_missing`, and the `in_groups` mean is `sum / len`.
+"""
+
+import numpy as np
+
+from perfcast import factorization
+from perfcast.cliques import (ColdRowError, build_graph, clique_predict,
+                              find_cliques, group_estimates)
+from perfcast.evaluation import (Algorithm, AlgorithmResult, CellPrediction,
+                                 CliqueProtocol, EvalConfig, EvalReport,
+                                 ensemble_predict, prediction_error)
+from perfcast.factorization import UnfactorableError, als_fit, svd_fit
+from perfcast.matrix import HeldOutCell
+from perfcast.ridge import NoBasisError, ridge_predict
+
+
+def _base_algorithms(algorithms, cfg: EvalConfig) -> set[Algorithm]:
+    needed = set()
+    for alg in algorithms:
+        if alg is Algorithm.ENSEMBLE:
+            needed.update(cfg.ensemble)
+        else:
+            needed.add(alg)
+    return needed
+
+
+def _assemble(algorithms, cells, preds, cfg: EvalConfig):
+    """Fold raw per-cell predictions into per-algorithm scored rows."""
+    rows: dict[Algorithm, list[CellPrediction]] = {a: [] for a in algorithms}
+    uncovered = {a: 0 for a in algorithms}
+    for i, cell in enumerate(cells):
+        for alg in algorithms:
+            excluded: tuple[str, ...] = ()
+            if alg is Algorithm.ENSEMBLE:
+                avail = [preds[mem][i] for mem in cfg.ensemble
+                         if preds[mem][i] is not None]
+                excluded = tuple(mem.value for mem in cfg.ensemble
+                                 if preds[mem][i] is None)
+                value = ensemble_predict(avail) if avail else None
+            else:
+                value = preds[alg][i]
+            if value is None:
+                uncovered[alg] += 1
+                continue
+            rows[alg].append(CellPrediction(
+                cell.row, cell.col, value, cell.true_time,
+                prediction_error(value, cell.true_time), alg.value, excluded))
+    return rows, uncovered
+
+
+def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
+    out = []
+    for alg in algorithms:
+        cells = tuple(rows[alg])
+        total = (sum(c.error for c in cells) / len(cells)) if cells else None
+        out.append(AlgorithmResult(alg.value, cells, total, uncovered[alg]))
+    return tuple(out)
+
+
+def leave_one_out(
+    m,
+    algorithm: Algorithm,
+    cfg: EvalConfig = EvalConfig(),
+    protocol: CliqueProtocol = CliqueProtocol.IN_GROUPS_PLUS_REGRESSION,
+    dataset: str = "",
+) -> EvalReport:
+    """Score every present cell by removing it alone and predicting it back.
+
+    The machine grouping is computed once on the full matrix (one cell out
+    of thousands does not move the correlation structure); everything that
+    consumes cell values sees only the matrix with the target cell removed.
+    """
+    mask = m.present_mask
+    cells = [HeldOutCell(int(r), int(c), float(m.values[r, c]))
+             for r, c in np.argwhere(mask)]
+    algorithms = [algorithm]
+    needed = _base_algorithms(algorithms, cfg)
+
+    grouping = None
+    if Algorithm.CLIQUES in needed:
+        grouping = find_cliques(build_graph(m, cfg.clique_threshold,
+                                            cfg.clique_min_overlap))
+
+    def predict_one(cell):
+        train = m.with_cell_missing(cell.row, cell.col)
+        out = {}
+        for alg in needed:
+            try:
+                if alg is Algorithm.RIDGE:
+                    out[alg] = ridge_predict(train, cell.row, cell.col,
+                                             cfg.ridge)
+                elif alg is Algorithm.CLIQUES:
+                    if protocol is CliqueProtocol.REGRESSION:
+                        out[alg] = ridge_predict(train, cell.row, cell.col,
+                                                 cfg.ridge)
+                    elif protocol is CliqueProtocol.IN_GROUPS:
+                        ests = group_estimates(train, grouping, cell.row,
+                                               cell.col)
+                        out[alg] = sum(ests) / len(ests) if ests else None
+                    else:
+                        out[alg] = clique_predict(train, grouping, cell.row,
+                                                  cell.col, cfg.ridge)
+                elif alg is Algorithm.ALS:
+                    model = als_fit(train, cfg.als)
+                    out[alg] = factorization.predict(model, cell.row, cell.col)
+                elif alg is Algorithm.SVD:
+                    model = svd_fit(train, cfg.svd_k, cfg.svd_max_outer)
+                    out[alg] = factorization.predict(model, cell.row, cell.col)
+            except (NoBasisError, ColdRowError, UnfactorableError):
+                out[alg] = None
+        return out
+
+    per_cell = [predict_one(cell) for cell in cells]
+    preds = {alg: [pc[alg] for pc in per_cell] for alg in needed}
+    rows, uncovered = _assemble(algorithms, cells, preds, cfg)
+    results = _finish(algorithms, rows, uncovered)
+    config = cfg.echo()
+    config["protocol"] = protocol.value
+    return EvalReport(dataset, 0.0, 0, 1, results, config,
+                      note="leave-one-out")

@@ -98,7 +98,7 @@ def test_c3_proportional_machines_form_one_clique():
 def test_c4_dataset_group_structure_and_errors():
     name = "dataset grouping and leave-one-out error bands"
     m = _load_dataset(4, name)
-    cfg = EvalConfig(threads=4)
+    cfg = EvalConfig()
 
     grouping = find_cliques(build_graph(m, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
@@ -126,7 +126,7 @@ def test_c4_dataset_group_structure_and_errors():
 def test_c5_dataset_sparse_regime():
     name = "dataset sparse regime: factorization vs regression"
     m = _load_dataset(5, name)
-    cfg = EvalConfig(threads=4)
+    cfg = EvalConfig()
     fractions = (0.15, 0.30, 0.50, 0.80)
     reports = masking_sweep(m, fractions, [Algorithm.ALS, Algorithm.RIDGE],
                             repeats=3, seed=0, cfg=cfg)

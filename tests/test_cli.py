@@ -163,6 +163,30 @@ class TestSweep:
 
         assert run("a") == run("b")
 
+    def test_threads_is_a_warned_no_op(self, matrix_csv, tmp_path, capsys):
+        def run(threads):
+            oj = tmp_path / f"t{threads}.json"
+            oc = tmp_path / f"t{threads}.csv"
+            rc = main(["sweep", str(matrix_csv), "--fractions", "20",
+                       "--repeats", "1", "--algorithms", "ridge,cliques",
+                       "--threads", threads,
+                       "--out-json", str(oj), "--out-csv", str(oc)])
+            return rc, capsys.readouterr().err, oj, oc
+
+        rc1, err1, oj1, oc1 = run("1")
+        rc2, err2, oj2, oc2 = run("2")
+        assert (rc1, rc2) == (0, 0)
+        assert err1 == ""
+        assert "warning: threads is ignored; predictions run serially" in err2
+        assert oc1.read_bytes() == oc2.read_bytes()
+        d1, d2 = json.loads(oj1.read_text()), json.loads(oj2.read_text())
+        # the run_config echo still records the value that was given
+        assert (d1["run_config"]["threads"], d2["run_config"]["threads"]) \
+            == (1, 2)
+        assert d1["reports"] == d2["reports"]
+        rc0, err0, _, _ = run("0")
+        assert rc0 == 1 and "threads must be >= 1" in err0
+
     def test_infeasible_fraction_warns_but_succeeds(self, tmp_path, capsys):
         m = grid([[1, 2], [3, 4]])
         src = tmp_path / "tiny.csv"

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import (Algorithm, ALSConfig, CliqueProtocol, EvalConfig,
-                      MaskSpec, RidgeConfig, complete_matrix,
-                      ensemble_predict, leave_one_out, mask_random,
-                      masking_sweep, outlier_sweep, prediction_error,
-                      report_to_json, write_reports_csv, write_reports_json)
+                      MaskSpec, RidgeConfig, als_fit, complete_matrix,
+                      ensemble_predict, factorization, leave_one_out,
+                      mask_random, masking_sweep, outlier_sweep,
+                      prediction_error, report_to_json, ridge_predict,
+                      write_reports_csv, write_reports_json)
 
 
 def small_cfg(**kw):
@@ -201,20 +202,6 @@ class TestMaskingSweep:
         assert res.total_error == pytest.approx(
             sum(c.error for c in res.cells) / len(res.cells))
 
-    def test_threads_do_not_change_results(self):
-        m, _, _ = planted_rank1(8, 6, seed=8)
-        serial = masking_sweep(m, [0.3], [Algorithm.RIDGE, Algorithm.CLIQUES],
-                               repeats=2, seed=6, cfg=small_cfg(threads=1))
-        threaded = masking_sweep(m, [0.3],
-                                 [Algorithm.RIDGE, Algorithm.CLIQUES],
-                                 repeats=2, seed=6, cfg=small_cfg(threads=4))
-        a = [report_to_json(r) for r in serial]
-        b = [report_to_json(r) for r in threaded]
-        for ra, rb in zip(a, b):  # configs differ in the threads echo only
-            ra["config"].pop("threads")
-            rb["config"].pop("threads")
-        assert a == b
-
 
 class TestOutlierSweep:
     def test_zero_fraction_matches_masking_sweep(self):
@@ -284,6 +271,56 @@ class TestCompleteMatrix:
                                               small_cfg())
         (fill,) = fills
         assert fill.algorithm == "cliques"
+
+    # Rows p0..p4 (args "a") on proportional machines C1..C3. EMPTY_COLUMN
+    # has never run anything on C3; COLD_ROW has never run p2::a anywhere.
+    EMPTY_COLUMN = [[1.0, 2.0, None], [2.0, 4.0, None], [3.0, 6.0, None],
+                    [4.0, 8.0, None], [5.0, 10.0, None]]
+    COLD_ROW = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [None, None, None],
+                [4.0, 8.0, 12.0], [5.0, 10.0, 15.0]]
+
+    @pytest.mark.parametrize("values,algorithm,expected", [
+        (EMPTY_COLUMN, Algorithm.RIDGE,
+         "raise:no basis for prediction: column 'C3'"),
+        (EMPTY_COLUMN, Algorithm.CLIQUES,
+         "raise:no basis for prediction: column 'C3'"),
+        (EMPTY_COLUMN, Algorithm.ALS, "raise:unfactorable matrix: a column"),
+        (EMPTY_COLUMN, Algorithm.SVD, "raise:unfactorable matrix: a column"),
+        (EMPTY_COLUMN, Algorithm.ENSEMBLE,
+         "raise:no ensemble member could predict cell (p0::a, C3)"),
+        (COLD_ROW, Algorithm.RIDGE, "fill:ridge"),
+        (COLD_ROW, Algorithm.CLIQUES, "raise:cold row: p2::a"),
+        (COLD_ROW, Algorithm.ALS, "raise:unfactorable matrix: a row"),
+        (COLD_ROW, Algorithm.SVD, "raise:unfactorable matrix: a row"),
+        (COLD_ROW, Algorithm.ENSEMBLE, "fill:ensemble:ridge"),
+    ])
+    def test_outcome_on_empty_column_and_cold_row(self, values, algorithm,
+                                                  expected):
+        m = grid(values, row_keys=[(f"p{i}", "a") for i in range(5)])
+        kind, _, detail = expected.partition(":")
+        if kind == "raise":
+            with pytest.raises(ValueError) as exc:
+                complete_matrix(m, algorithm, small_cfg())
+            assert str(exc.value).startswith(detail)
+        else:
+            completed, fills, _ = complete_matrix(m, algorithm, small_cfg())
+            assert completed.present_mask.all()
+            assert {f.algorithm for f in fills} == {detail}
+
+    def test_ensemble_counts_clique_fallback_as_a_member(self):
+        # C3 is in no clique, so the clique member falls back to ridge and
+        # ridge's value enters the mean twice; the log still names all three
+        base = [1.0, 2.0, 3.0, 4.0, 5.0]
+        noise = [3.0, 1.0, 3.5, None, 2.5]
+        m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
+        cfg = small_cfg()
+        _, fills, _ = complete_matrix(m, Algorithm.ENSEMBLE, cfg)
+        (fill,) = fills
+        ridge = ridge_predict(m, 3, 2, cfg.ridge)
+        als = factorization.predict(als_fit(m, cfg.als), 3, 2)
+        assert fill.algorithm == "ensemble:ridge+cliques+als"
+        assert fill.predicted == ensemble_predict([ridge, ridge, als])
+        assert fill.predicted != ensemble_predict([ridge, als])
 
     def test_ensemble_mechanism_lists_members(self):
         m, _, _ = planted_rank1(7, 5, seed=17)

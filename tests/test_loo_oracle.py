@@ -1,0 +1,79 @@
+"""Leave-one-out driver against the per-cell-copy reference."""
+
+import math
+
+import numpy as np
+import pytest
+from conftest import grid
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from loo_reference import leave_one_out as reference_leave_one_out
+
+from perfcast import (Algorithm, ALSConfig, CliqueProtocol, EvalConfig,
+                      leave_one_out, report_to_json)
+
+CASES = [(Algorithm.RIDGE, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
+CASES += [(Algorithm.CLIQUES, p) for p in CliqueProtocol]
+CASES += [(a, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
+          for a in (Algorithm.ALS, Algorithm.SVD, Algorithm.ENSEMBLE)]
+
+# Under in_groups the group mean is np.mean where the reference divides
+# sum() by len(): the two may round apart in the last place. A relative
+# change d in predicted moves error = |predicted - target| / target by at
+# most d * predicted / target <= d * (1 + error), absolutely; relative to
+# an error near 0 it can be any size. total_error, a mean of errors,
+# inherits the same absolute bound.
+IN_GROUPS_RTOL = 1e-14
+IN_GROUPS_INEXACT = {"predicted", "error", "total_error"}
+
+
+def assert_reports_match(got, want, rtol, key=None):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert_reports_match(got[k], want[k], rtol, k)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_reports_match(g, w, rtol, key)
+    elif rtol and key in IN_GROUPS_INEXACT and isinstance(want, float):
+        atol = 0.0 if key == "predicted" else rtol * (1 + want)
+        assert math.isclose(got, want, rel_tol=rtol, abs_tol=atol), key
+    else:
+        assert got == want, key
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Near-proportional columns (so cliques form) with random holes, a
+    chance of fully cold rows and of fully empty columns."""
+    n = draw(st.integers(3, 7))
+    m = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = np.outer(rng.uniform(1, 10, n), rng.uniform(0.5, 4, m))
+    values *= rng.uniform(1 - draw(st.sampled_from([0.0, 0.05, 0.5])), 1.0,
+                          (n, m))
+    values[rng.random((n, m)) < draw(st.floats(0.0, 0.5))] = np.nan
+    if draw(st.booleans()):
+        values[rng.integers(n)] = np.nan
+    if draw(st.booleans()):
+        values[:, rng.integers(m)] = np.nan
+    return grid(values.tolist())
+
+
+@pytest.mark.parametrize("algorithm,protocol", CASES,
+                         ids=[f"{a.value}-{p.value}" for a, p in CASES])
+@given(m=sparse_matrices(),
+       threshold=st.sampled_from([0.5, 0.9, 0.97]),
+       min_overlap=st.integers(2, 3))
+@settings(max_examples=40, deadline=None)
+def test_matches_reference(algorithm, protocol, m, threshold, min_overlap):
+    cfg = EvalConfig(als=ALSConfig(max_iters=20),
+                     clique_threshold=threshold,
+                     clique_min_overlap=min_overlap)
+    got = report_to_json(leave_one_out(m, algorithm, cfg, protocol))
+    want = report_to_json(reference_leave_one_out(m, algorithm, cfg,
+                                                  protocol))
+    rtol = IN_GROUPS_RTOL if protocol is CliqueProtocol.IN_GROUPS else 0.0
+    assert_reports_match(got, want, rtol)

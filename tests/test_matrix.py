@@ -96,6 +96,8 @@ class TestPCMatrix:
         m = grid([[1.0, 2.0]])
         with pytest.raises(ValueError):
             m.values[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            m.present_mask[0, 0] = False  # one mask shared by every caller
 
     def test_with_cell_missing(self):
         m = grid([[1.0, 2.0], [3.0, 4.0]])

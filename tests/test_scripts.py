@@ -1,0 +1,48 @@
+"""Smoke test of scripts/run_experiments.py on a tiny matrix."""
+
+import csv
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+from conftest import planted_rank1
+
+from perfcast import write_matrix_csv
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
+    "run_experiments.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_experiments_writes_every_artifact(tmp_path, capsys):
+    m, _, _ = planted_rank1(8, 5, seed=21)
+    vals = np.array(m.values)
+    vals[1, 2] = vals[5, 0] = np.nan
+    src = tmp_path / "m.csv"
+    write_matrix_csv(m.with_values(vals), src)
+    out = tmp_path / "results"
+
+    rc = load_script().main([str(src), "--out-dir", str(out),
+                             "--fractions", "10,20", "--repeats", "1",
+                             "--outlier-fraction", "10"])
+
+    assert rc == 0
+    loo = json.loads((out / "loo.json").read_text())["reports"]
+    # ridge, cliques under each of three protocols, als, svd, ensemble
+    assert [r["results"][0]["algorithm"] for r in loo] == [
+        "ridge", "cliques", "cliques", "cliques", "als", "svd", "ensemble"]
+    for name in ("sweep", "outliers"):
+        reports = json.loads((out / f"{name}.json").read_text())["reports"]
+        assert [r["fraction"] for r in reports] == [0.1, 0.2]
+        with open(out / f"{name}.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 2 * 5
+    outliers = json.loads((out / "outliers.json").read_text())["reports"]
+    assert outliers[0]["config"]["outliers"]["fraction"] == 0.1
+    assert f"reports written to {out}/" in capsys.readouterr().out
