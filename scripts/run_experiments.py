@@ -20,7 +20,7 @@ from perfcast import (Algorithm, CliqueProtocol, EvalConfig, density,
                       leave_one_out, masking_sweep, outlier_sweep,
                       read_matrix_csv, write_reports_csv,
                       write_reports_json)
-from perfcast.config import parse_name_list, parse_percent_list
+from perfcast.config import parse_name_list, parse_percent, parse_percent_list
 
 
 def summarize(tag: str, reports) -> None:
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--outlier-fraction", default="10",
-                        type=lambda s: parse_percent_list(s)[0],
+                        type=parse_percent,
                         help="percentage of training cells to corrupt")
     args = parser.parse_args(argv)
 

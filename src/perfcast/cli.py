@@ -16,10 +16,11 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .config import (RunConfig, make_run_config, parse_name_list,
-                     parse_percent_list, read_config_file, _PARSERS)
+                     read_config_file)
 from .evaluation import (Algorithm, CliqueProtocol, complete_matrix,
                          leave_one_out, masking_sweep, outlier_sweep,
                          report_to_json, write_reports_csv,
@@ -45,37 +46,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "configuration", "defaults < --config file < explicit flags")
     g.add_argument("--config", metavar="FILE",
                    help="flat key=value config file")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--threads", type=int)
-    g.add_argument("--repeats", type=int)
-    g.add_argument("--algorithm", choices=[a.value for a in Algorithm])
-    g.add_argument("--protocol", choices=[p.value for p in CliqueProtocol],
-                   help="clique scoring protocol for leave-one-out")
-    g.add_argument("--ridge-lambda", dest="ridge_lambda", type=float)
-    g.add_argument("--ridge-min-training-rows", dest="ridge_min_training_rows",
-                   type=int)
-    g.add_argument("--clique-threshold", dest="clique_threshold", type=float)
-    g.add_argument("--clique-min-overlap", dest="clique_min_overlap", type=int)
-    g.add_argument("--als-k", dest="als_k", type=int)
-    g.add_argument("--als-lambda", dest="als_lambda", type=float)
-    g.add_argument("--als-max-iters", dest="als_max_iters", type=int)
-    g.add_argument("--als-tol", dest="als_tol", type=float)
-    g.add_argument("--svd-k", dest="svd_k", type=int)
-    g.add_argument("--svd-max-outer", dest="svd_max_outer", type=int)
-    g.add_argument("--ensemble", type=parse_name_list,
-                   help="comma-separated ensemble members")
-    g.add_argument("--fractions", type=parse_percent_list,
-                   help="comma-separated mask PERCENTAGES, e.g. 5,10,20")
-    g.add_argument("--outlier-fraction", dest="outlier_fraction",
-                   type=lambda s: parse_percent_list(s)[0],
-                   help="PERCENTAGE of training cells to corrupt")
-    g.add_argument("--outlier-lo", dest="outlier_lo", type=float)
-    g.add_argument("--outlier-hi", dest="outlier_hi", type=float)
+    for f in fields(RunConfig):
+        g.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=f.metadata["parse"], choices=f.metadata["choices"],
+                       help=f.metadata["help"])
 
 
 def _load_config(args) -> RunConfig:
     file_overrides = read_config_file(args.config) if args.config else {}
-    flag_overrides = {k: getattr(args, k, None) for k in _PARSERS}
+    flag_overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     cfg = make_run_config(file_overrides, flag_overrides)
     if cfg.threads != 1:
         _warn("threads is ignored; predictions run serially")
@@ -83,7 +62,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _echo(cfg: RunConfig, **paths) -> dict:
-    out = cfg.to_dict()
+    out = asdict(cfg)
     out.update({k: str(v) for k, v in paths.items() if v is not None})
     return out
 
@@ -197,34 +176,20 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_algorithms(args) -> list[Algorithm]:
-    return [Algorithm(name) for name in args.algorithms]
-
-
 def cmd_sweep(args) -> int:
+    """`sweep`, or `outliers`: the same sweep with corrupted training cells."""
     cfg = _load_config(args)
     m = read_matrix_csv(args.matrix)
-    algorithms = _sweep_algorithms(args)
-    reports = masking_sweep(m, cfg.fractions, algorithms, cfg.repeats,
-                            cfg.seed, cfg.to_eval_config(),
-                            dataset=Path(args.matrix).stem)
-    echo = _echo(cfg, input=args.matrix)
-    echo["algorithms"] = [a.value for a in algorithms]
-    _write_eval_outputs(args, cfg, reports, echo)
-    _report_warnings(reports)
-    _print_report_summary(reports)
-    return 0
-
-
-def cmd_outliers(args) -> int:
-    cfg = _load_config(args)
-    m = read_matrix_csv(args.matrix)
-    algorithms = _sweep_algorithms(args)
-    reports = outlier_sweep(m, cfg.outlier_fraction,
-                            (cfg.outlier_lo, cfg.outlier_hi), cfg.fractions,
-                            algorithms, cfg.repeats, cfg.seed,
-                            cfg.to_eval_config(),
-                            dataset=Path(args.matrix).stem)
+    algorithms = [Algorithm(name) for name in args.algorithms]
+    sweep_args = (cfg.fractions, algorithms, cfg.repeats, cfg.seed,
+                  cfg.to_eval_config())
+    if args.command == "outliers":
+        reports = outlier_sweep(m, cfg.outlier_fraction,
+                                (cfg.outlier_lo, cfg.outlier_hi), *sweep_args,
+                                dataset=Path(args.matrix).stem)
+    else:
+        reports = masking_sweep(m, *sweep_args,
+                                dataset=Path(args.matrix).stem)
     echo = _echo(cfg, input=args.matrix)
     echo["algorithms"] = [a.value for a in algorithms]
     _write_eval_outputs(args, cfg, reports, echo)
@@ -302,11 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
-    for name, help_text, func in [
-        ("sweep", "mask increasing fractions and score predictions",
-         cmd_sweep),
-        ("outliers", "sweep with corrupted training cells, clean targets",
-         cmd_outliers),
+    for name, help_text in [
+        ("sweep", "mask increasing fractions and score predictions"),
+        ("outliers", "sweep with corrupted training cells, clean targets"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("matrix")
@@ -316,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-json")
         p.add_argument("--out-csv")
         _add_config_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rank",
                        help="order machines fastest-first from a K=1 model")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ridge import RidgeConfig, ridge_predict
+from .ridge import NoBasisError, RidgeConfig, ridge_predict
 
 
 class ColdRowError(ValueError):
@@ -168,21 +168,27 @@ def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
 
 
 def clique_predict(m, grouping: Grouping, row: int, col: int,
-                   ridge_cfg: RidgeConfig = RidgeConfig()) -> float:
+                   ridge_cfg: RidgeConfig = RidgeConfig(),
+                   fallback: bool = True) -> tuple[float, str]:
     """Predict a cell as the mean of its group-mate estimates.
 
+    Returns (value, mechanism), the mechanism being "cliques" or "ridge".
     The target cell is treated as missing. Machines outside any real group
     (or with no usable mate in this row) fall back to the regression
-    baseline; a row with no observations at all raises ColdRowError.
+    baseline; a row with no observations at all raises ColdRowError. With
+    fallback False such a cell raises NoBasisError instead.
     """
     estimates = group_estimates(m, grouping, row, col)
     if estimates:
-        return float(np.mean(estimates))
+        return float(np.mean(estimates)), "cliques"
+    if not fallback:
+        raise NoBasisError(f"no group estimate for cell ({m.row_label(row)}, "
+                           f"{m.col_keys[col]})")
     row_mask = m.present_mask[row].copy()
     row_mask[col] = False
     if not row_mask.any():
         raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
-    return ridge_predict(m, row, col, ridge_cfg)
+    return ridge_predict(m, row, col, ridge_cfg), "ridge"
 
 
 def grouping_to_json(grouping: Grouping, col_keys, threshold: float,

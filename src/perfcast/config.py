@@ -1,6 +1,11 @@
 """Run configuration: one flat record covering every tunable, loadable from
 a key=value text file with CLI flags taking precedence.
 
+Each tunable is declared once, as a `RunConfig` field whose metadata holds
+the parser for its flag and config-file value, the names it accepts (if it
+is a choice) and its flag help; the CLI flags, the config-file keys and the
+`run_config` echo all come from these fields.
+
 Fraction-valued settings (`fractions`, `outlier_fraction`) are given as
 PERCENTAGES in files and flags (e.g. ``fractions = 5,10,20``) and stored
 internally in [0, 1). Everything else is passed through as typed.
@@ -8,35 +13,96 @@ internally in [0, 1). Everything else is passed through as typed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-from .evaluation import Algorithm, EvalConfig
+from .evaluation import Algorithm, CliqueProtocol, EvalConfig
 from .factorization import ALSConfig
 from .ridge import RidgeConfig
 
 
+def parse_percent_list(text: str) -> tuple[float, ...]:
+    """"5,10,20" -> (0.05, 0.10, 0.20). Values must lie in [0, 100)."""
+    out = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        value = float(part)
+        if not (0 <= value < 100):
+            raise ValueError(f"percentage out of range [0, 100): {part}")
+        out.append(value / 100.0)
+    if not out:
+        raise ValueError("empty percentage list")
+    return tuple(out)
+
+
+def parse_percent(text: str) -> float:
+    """"10" -> 0.10. Exactly one value in [0, 100)."""
+    values = parse_percent_list(text)
+    if len(values) != 1:
+        raise ValueError(f"expected one percentage, got {text!r}")
+    return values[0]
+
+
+def parse_name_list(text: str) -> tuple[str, ...]:
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not names:
+        raise ValueError("empty name list")
+    return names
+
+
+_ALGORITHMS = tuple(a.value for a in Algorithm)
+_PROTOCOLS = tuple(p.value for p in CliqueProtocol)
+
+
+def _one_of(names: tuple[str, ...]):
+    def choice(text: str) -> str:  # argparse: "invalid choice value: ..."
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+    return choice
+
+
+def parse_ensemble(text: str) -> tuple[str, ...]:
+    """"ridge,als" -> ("ridge", "als"); every name must be an algorithm."""
+    return tuple(map(_one_of(_ALGORITHMS), parse_name_list(text)))
+
+
+def _tunable(default, parse=None, choices=None, help=None):
+    """A RunConfig field: its default, the parser of its flag and file value
+    (by default: one of `choices`), and its flag help."""
+    return field(default=default, metadata={
+        "parse": parse or _one_of(choices), "choices": choices, "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    algorithm: str = "ensemble"
-    protocol: str = "in_groups_plus_regression"
-    ridge_lambda: float = 1e-2
-    ridge_min_training_rows: int = 3
-    clique_threshold: float = 0.97
-    clique_min_overlap: int = 3
-    als_k: int = 1
-    als_lambda: float = 1e-2
-    als_max_iters: int = 200
-    als_tol: float = 1e-6
-    svd_k: int = 1
-    svd_max_outer: int = 50
-    ensemble: tuple[str, ...] = ("ridge", "cliques", "als")
-    seed: int = 0
-    repeats: int = 5
-    fractions: tuple[float, ...] = (0.05, 0.10, 0.20, 0.30, 0.40, 0.50)
-    outlier_fraction: float = 0.10
-    outlier_lo: float = 0.0
-    outlier_hi: float = 4.0
-    threads: int = 1  # accepted for old configs; predictions run serially
+    algorithm: str = _tunable("ensemble", choices=_ALGORITHMS)
+    protocol: str = _tunable("in_groups_plus_regression", choices=_PROTOCOLS,
+                             help="clique scoring protocol for leave-one-out")
+    ridge_lambda: float = _tunable(1e-2, float)
+    ridge_min_training_rows: int = _tunable(3, int)
+    clique_threshold: float = _tunable(0.97, float)
+    clique_min_overlap: int = _tunable(3, int)
+    als_k: int = _tunable(1, int)
+    als_lambda: float = _tunable(1e-2, float)
+    als_max_iters: int = _tunable(200, int)
+    als_tol: float = _tunable(1e-6, float)
+    svd_k: int = _tunable(1, int)
+    svd_max_outer: int = _tunable(50, int)
+    ensemble: tuple[str, ...] = _tunable(
+        ("ridge", "cliques", "als"), parse_ensemble,
+        help="comma-separated ensemble members")
+    seed: int = _tunable(0, int)
+    repeats: int = _tunable(5, int)
+    fractions: tuple[float, ...] = _tunable(
+        (0.05, 0.10, 0.20, 0.30, 0.40, 0.50), parse_percent_list,
+        help="comma-separated mask PERCENTAGES, e.g. 5,10,20")
+    outlier_fraction: float = _tunable(
+        0.10, parse_percent, help="PERCENTAGE of training cells to corrupt")
+    outlier_lo: float = _tunable(0.0, float)
+    outlier_hi: float = _tunable(4.0, float)
+    threads: int = _tunable(1, int)  # ignored; predictions run serially
 
     def __post_init__(self):
         if self.seed < 0:
@@ -58,86 +124,15 @@ class RunConfig:
             ensemble=tuple(Algorithm(name) for name in self.ensemble),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "protocol": self.protocol,
-            "ridge_lambda": self.ridge_lambda,
-            "ridge_min_training_rows": self.ridge_min_training_rows,
-            "clique_threshold": self.clique_threshold,
-            "clique_min_overlap": self.clique_min_overlap,
-            "als_k": self.als_k,
-            "als_lambda": self.als_lambda,
-            "als_max_iters": self.als_max_iters,
-            "als_tol": self.als_tol,
-            "svd_k": self.svd_k,
-            "svd_max_outer": self.svd_max_outer,
-            "ensemble": list(self.ensemble),
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "fractions": list(self.fractions),
-            "outlier_fraction": self.outlier_fraction,
-            "outlier_lo": self.outlier_lo,
-            "outlier_hi": self.outlier_hi,
-            "threads": self.threads,
-        }
-
-
-def parse_percent_list(text: str) -> tuple[float, ...]:
-    """"5,10,20" -> (0.05, 0.10, 0.20). Values must lie in [0, 100)."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        value = float(part)
-        if not (0 <= value < 100):
-            raise ValueError(f"percentage out of range [0, 100): {part}")
-        out.append(value / 100.0)
-    if not out:
-        raise ValueError("empty percentage list")
-    return tuple(out)
-
-
-def parse_name_list(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not names:
-        raise ValueError("empty name list")
-    return names
-
-
-_PARSERS = {
-    "algorithm": str,
-    "protocol": str,
-    "ridge_lambda": float,
-    "ridge_min_training_rows": int,
-    "clique_threshold": float,
-    "clique_min_overlap": int,
-    "als_k": int,
-    "als_lambda": float,
-    "als_max_iters": int,
-    "als_tol": float,
-    "svd_k": int,
-    "svd_max_outer": int,
-    "ensemble": parse_name_list,
-    "seed": int,
-    "repeats": int,
-    "fractions": parse_percent_list,
-    "outlier_fraction": lambda s: parse_percent_list(s)[0],
-    "outlier_lo": float,
-    "outlier_hi": float,
-    "threads": int,
-}
-
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
-
 
 def read_config_file(path) -> dict:
     """Parse a flat key=value file into typed overrides.
 
-    Blank lines and lines starting with # are skipped. Unknown keys are
-    errors (typos should not silently fall back to defaults).
+    Blank lines and lines starting with # are skipped. Unknown keys and
+    values their field's parser rejects are errors naming the line (typos
+    should not silently fall back to defaults).
     """
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
     overrides = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -149,12 +144,12 @@ def read_config_file(path) -> dict:
                                  f"got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _PARSERS:
+            if key not in parsers:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key {key!r} (known: "
-                    f"{', '.join(sorted(_PARSERS))})")
+                    f"{', '.join(sorted(parsers))})")
             try:
-                overrides[key] = _PARSERS[key](value.strip())
+                overrides[key] = parsers[key](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for "
                                  f"{key}: {exc}") from exc

@@ -27,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import factorization
-from .cliques import (ColdRowError, build_graph, clique_predict, find_cliques,
-                      group_estimates)
+from .cliques import ColdRowError, build_graph, clique_predict, find_cliques
 from .factorization import ALSConfig, UnfactorableError, als_fit, svd_fit
 from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
@@ -167,17 +166,11 @@ def _fit_cliques(train: PCMatrix, cfg: EvalConfig, protocol: CliqueProtocol):
         return _fit_ridge(train, cfg)
     grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
+    fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
 
     def predict(row, col):
-        ests = group_estimates(train, grouping, row, col)
-        if ests:
-            return Outcome(float(np.mean(ests)), "cliques")
-        if protocol is CliqueProtocol.IN_GROUPS:
-            raise NoBasisError(
-                f"no group estimate for cell ({train.row_label(row)}, "
-                f"{train.col_keys[col]})")
-        return Outcome(clique_predict(train, grouping, row, col, cfg.ridge),
-                       "ridge")
+        return Outcome(*clique_predict(train, grouping, row, col, cfg.ridge,
+                                       fallback))
     return predict, None
 
 

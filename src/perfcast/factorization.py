@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PREDICTION_FLOOR = 1e-9
+from .matrix import PREDICTION_FLOOR
 
 
 class UnfactorableError(ValueError):

@@ -19,6 +19,7 @@ import numpy as np
 ROW_KEY_SEP = "::"
 MATRIX_CSV_HEADER = "program" + ROW_KEY_SEP + "args"
 OBSERVATIONS_HEADER = ("program", "args", "machine", "seconds")
+PREDICTION_FLOOR = 1e-9  # a predicted time is floored at this positive epsilon
 
 
 class MaskInfeasibleError(ValueError):

@@ -1,8 +1,9 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+import pytest
 
-from perfcast import PCMatrix
+from perfcast import PCMatrix, write_matrix_csv
 
 
 def planted_rank1(n, m, seed, lo=0.5, hi=5.0):
@@ -25,3 +26,14 @@ def grid(values, row_keys=None, col_keys=None):
     cols = tuple(col_keys) if col_keys else tuple(f"C{j + 1}"
                                                   for j in range(m))
     return PCMatrix(rows, cols, arr)
+
+
+@pytest.fixture
+def matrix_csv(tmp_path):
+    """An 8x6 rank-1 matrix CSV with three missing cells."""
+    m, _, _ = planted_rank1(8, 6, seed=1)
+    vals = np.array(m.values)
+    vals[0, 1] = vals[3, 4] = vals[6, 2] = np.nan
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(m.with_values(vals), path)
+    return path

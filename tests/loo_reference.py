@@ -104,7 +104,7 @@ def leave_one_out(
                         out[alg] = sum(ests) / len(ests) if ests else None
                     else:
                         out[alg] = clique_predict(train, grouping, cell.row,
-                                                  cell.col, cfg.ridge)
+                                                  cell.col, cfg.ridge)[0]
                 elif alg is Algorithm.ALS:
                     model = als_fit(train, cfg.als)
                     out[alg] = factorization.predict(model, cell.row, cell.col)

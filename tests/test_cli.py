@@ -16,17 +16,6 @@ def write_obs(path, rows, header="program,args,machine,seconds"):
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
 
 
-@pytest.fixture
-def matrix_csv(tmp_path):
-    m, _, _ = planted_rank1(8, 6, seed=1)
-    vals = np.array(m.values)
-    vals[0, 1] = vals[3, 4] = vals[6, 2] = np.nan
-    holey = m.with_values(vals)
-    path = tmp_path / "matrix.csv"
-    write_matrix_csv(holey, path)
-    return path
-
-
 class TestIngest:
     def test_happy_path(self, tmp_path, capsys):
         src = tmp_path / "obs.csv"

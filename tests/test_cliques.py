@@ -8,10 +8,10 @@ from conftest import grid, planted_rank1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (ColdRowError, PCMatrix, RidgeConfig, SimilarityGraph,
-                      build_graph, clique_predict, find_cliques,
-                      group_estimates, grouping_to_json, pearson,
-                      scaling_coefficient)
+from perfcast import (ColdRowError, NoBasisError, PCMatrix, RidgeConfig,
+                      SimilarityGraph, build_graph, clique_predict,
+                      find_cliques, group_estimates, grouping_to_json,
+                      pearson, scaling_coefficient)
 
 
 def pearson_oracle(x, y):
@@ -209,8 +209,9 @@ class TestCliquePrediction:
     def test_single_mate_exact(self):
         m = self.doubled_matrix()
         grouping = find_cliques(build_graph(m, min_overlap=2))
-        got = clique_predict(m, grouping, 3, 1, RidgeConfig())
+        got, mechanism = clique_predict(m, grouping, 3, 1, RidgeConfig())
         assert got == pytest.approx(14.0, abs=1e-9)
+        assert mechanism == "cliques"
 
     def test_mean_of_mate_estimates(self):
         # slopes to C3 are 4 (from C1) and 2 (from C2); the target row is
@@ -228,7 +229,7 @@ class TestCliquePrediction:
         assert grouping.mates(2) == [0, 1]
         ests = group_estimates(m, grouping, 3, 2)
         assert ests == [pytest.approx(10.0), pytest.approx(12.0)]
-        got = clique_predict(m, grouping, 3, 2, RidgeConfig())
+        got, _ = clique_predict(m, grouping, 3, 2, RidgeConfig())
         assert got == pytest.approx(11.0)
 
     def test_ridge_fallback_for_isolated_column(self):
@@ -243,7 +244,10 @@ class TestCliquePrediction:
         assert grouping.mates(2) == []
         from perfcast import ridge_predict
         expected = ridge_predict(m, 5, 2, RidgeConfig())
-        assert clique_predict(m, grouping, 5, 2, RidgeConfig()) == expected
+        assert clique_predict(m, grouping, 5, 2, RidgeConfig()) == (expected,
+                                                                   "ridge")
+        with pytest.raises(NoBasisError, match="no group estimate"):
+            clique_predict(m, grouping, 5, 2, RidgeConfig(), fallback=False)
 
     def test_cold_row_error(self):
         m = grid([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [None, None]])
@@ -275,7 +279,7 @@ class TestCliquePrediction:
         for r in range(m.n_rows):
             for c in range(m.n_cols):
                 held = m.with_cell_missing(r, c)
-                got = clique_predict(held, grouping, r, c, RidgeConfig())
+                got, _ = clique_predict(held, grouping, r, c, RidgeConfig())
                 assert got == pytest.approx(m.values[r, c], rel=1e-9)
 
 

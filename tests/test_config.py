@@ -1,0 +1,136 @@
+"""Tunables are declared once on RunConfig: every field is a config-file key
+and a flag, reaches the run_config echo, and rejects names it cannot run."""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from perfcast import RunConfig
+from perfcast.cli import main
+
+# field -> (text given in a file or flag, value echoed in run_config);
+# every value differs from the default
+GIVEN = {
+    "algorithm": ("svd", "svd"),
+    "protocol": ("in_groups", "in_groups"),
+    "ridge_lambda": ("0.5", 0.5),
+    "ridge_min_training_rows": ("4", 4),
+    "clique_threshold": ("0.9", 0.9),
+    "clique_min_overlap": ("4", 4),
+    "als_k": ("2", 2),
+    "als_lambda": ("0.1", 0.1),
+    "als_max_iters": ("7", 7),
+    "als_tol": ("1e-5", 1e-5),
+    "svd_k": ("2", 2),
+    "svd_max_outer": ("9", 9),
+    "ensemble": ("ridge,svd", ["ridge", "svd"]),
+    "seed": ("3", 3),
+    "repeats": ("1", 1),
+    "fractions": ("10,20", [0.1, 0.2]),
+    "outlier_fraction": ("15", 0.15),
+    "outlier_lo": ("0.5", 0.5),
+    "outlier_hi": ("3", 3.0),
+    "threads": ("2", 2),
+}
+
+# the run_config echo of the defaults, as written before it was derived
+# from the fields
+DEFAULT_ECHO = {
+    "algorithm": "ensemble",
+    "protocol": "in_groups_plus_regression",
+    "ridge_lambda": 0.01,
+    "ridge_min_training_rows": 3,
+    "clique_threshold": 0.97,
+    "clique_min_overlap": 3,
+    "als_k": 1,
+    "als_lambda": 0.01,
+    "als_max_iters": 200,
+    "als_tol": 1e-06,
+    "svd_k": 1,
+    "svd_max_outer": 50,
+    "ensemble": ["ridge", "cliques", "als"],
+    "seed": 0,
+    "repeats": 5,
+    "fractions": [0.05, 0.1, 0.2, 0.3, 0.4, 0.5],
+    "outlier_fraction": 0.1,
+    "outlier_lo": 0.0,
+    "outlier_hi": 4.0,
+    "threads": 1,
+}
+
+COMMANDS = {
+    "sweep": ["--algorithms", "ridge"],
+    "outliers": ["--algorithms", "ridge"],
+    "complete": ["--out", "completed.csv"],
+    "evaluate": [],
+}
+
+
+def sweep_echo(matrix_csv, tmp_path, extra):
+    out = tmp_path / "report.json"
+    assert main(["sweep", str(matrix_csv), "--algorithms", "ridge",
+                 "--out-json", str(out), *extra]) == 0
+    echo = json.loads(out.read_text())["run_config"]
+    assert echo.pop("input") == str(matrix_csv)
+    assert echo.pop("algorithms") == ["ridge"]
+    return echo
+
+
+def test_every_field_is_tested():
+    assert list(GIVEN) == [f.name for f in fields(RunConfig)]
+
+
+def test_every_field_is_a_config_key(matrix_csv, tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {text}\n"
+                           for k, (text, _) in GIVEN.items()))
+    echo = sweep_echo(matrix_csv, tmp_path, ["--config", str(cfg)])
+    assert echo == {k: value for k, (_, value) in GIVEN.items()}
+
+
+def test_every_field_is_a_flag(matrix_csv, tmp_path):
+    flags = [arg for k, (text, _) in GIVEN.items()
+             for arg in ("--" + k.replace("_", "-"), text)]
+    echo = sweep_echo(matrix_csv, tmp_path, flags)
+    assert echo == {k: value for k, (_, value) in GIVEN.items()}
+
+
+def test_default_echo(matrix_csv, tmp_path):
+    out = tmp_path / "fills.json"
+    assert main(["complete", str(matrix_csv), "--out",
+                 str(tmp_path / "completed.csv"),
+                 "--fills-out", str(out)]) == 0
+    echo = json.loads(out.read_text())["run_config"]
+    assert echo.pop("input") == str(matrix_csv)
+    assert echo.pop("output") == str(tmp_path / "completed.csv")
+    assert echo == DEFAULT_ECHO
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("line", ["algorithm = magic", "protocol = magic",
+                                  "ensemble = ridge,magic"])
+def test_unknown_name_in_file_reports_line(matrix_csv, tmp_path, capsys,
+                                           command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main([command, str(matrix_csv), *COMMANDS[command],
+               "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{cfg}:1:" in err and "magic" in err
+
+
+@pytest.mark.parametrize("flag", [["--protocol", "magic"],
+                                  ["--ensemble", "ridge,magic"]])
+def test_unknown_name_as_flag_is_usage_error(matrix_csv, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(matrix_csv), *flag])
+    assert exc.value.code == 2
+
+
+def test_outlier_fraction_takes_one_percentage(matrix_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outlier_fraction = 10,20\n")
+    assert main(["outliers", str(matrix_csv), "--config", str(cfg)]) == 1
+    assert f"{cfg}:1:" in capsys.readouterr().err
