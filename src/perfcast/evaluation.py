@@ -6,8 +6,9 @@ Every driver predicts through one core: each base algorithm is fit once on
 a training matrix and then predicts a batch of cells, and the ensemble is
 composed from the members' results. Leave-one-out uses the full matrix for
 ridge and cliques, which treat the target cell as missing, and refits ALS
-and SVD per cell without it. A cell an algorithm cannot reach is uncovered
-with the reason its predictor gave; completion raises the first such reason.
+and SVD per cell without it (the ALS refits run stacked, many per solve).
+A cell an algorithm cannot reach is uncovered with the reason its
+predictor gave; completion raises the first such reason.
 
 Drivers score each prediction by relative error
 |predicted - target| / target. A report collects per-algorithm cell
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import factorization
 from .cliques import ColdRowError, build_graph, clique_predict, find_cliques
-from .factorization import ALSConfig, UnfactorableError, als_fit, svd_fit
+from .factorization import (ALSConfig, UnfactorableError, als_fit,
+                            als_refits, svd_fit)
 from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
 from .ridge import NoBasisError, RidgeConfig, ridge_predict
@@ -161,43 +163,68 @@ def _fit_ridge(train: PCMatrix, cfg: EvalConfig):
     return predict, None
 
 
-def _fit_cliques(train: PCMatrix, cfg: EvalConfig, protocol: CliqueProtocol):
+def _fit_cliques(train: PCMatrix, cfg: EvalConfig, protocol: CliqueProtocol,
+                 ridge=None):
+    """ridge, when given, returns the ridge member's Outcome for a cell:
+    the regression protocol and the fallback reuse it instead of solving
+    the cell again."""
     if protocol is CliqueProtocol.REGRESSION:
-        return _fit_ridge(train, cfg)
+        return _fit_ridge(train, cfg) if ridge is None else (ridge, None)
     grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
     fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
 
     def predict(row, col):
+        reuse = None if ridge is None else lambda: _value(ridge(row, col))
         return Outcome(*clique_predict(train, grouping, row, col, cfg.ridge,
-                                       fallback))
+                                       fallback, reuse))
     return predict, None
 
 
 def _fit_factorization(alg: Algorithm, train: PCMatrix, cfg: EvalConfig):
     model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
              else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
+    return _factor_predictor(alg, model), model
 
+
+def _factor_predictor(alg: Algorithm, model):
     def predict(row, col):
         return Outcome(factorization.predict(model, row, col), alg.value)
-    return predict, model
+    return predict
 
 
 def _fit(alg: Algorithm, train: PCMatrix, cfg: EvalConfig,
-         protocol: CliqueProtocol):
+         protocol: CliqueProtocol, ridge=None):
     """Fit one base algorithm on train; returns (predict, model).
 
     predict(row, col) gives the cell's Outcome; ridge and cliques treat the
     cell as missing whatever train holds there, a factorization does not.
     model is the FactorModel for als/svd, else None. Fitting and predicting
     raise NoBasisError, ColdRowError or UnfactorableError where there is no
-    basis for a prediction. The protocol applies to the clique algorithm.
+    basis for a prediction. The protocol, and the ridge member's outcomes
+    when there is one, apply to the clique algorithm.
     """
     if alg is Algorithm.RIDGE:
         return _fit_ridge(train, cfg)
     if alg is Algorithm.CLIQUES:
-        return _fit_cliques(train, cfg, protocol)
+        return _fit_cliques(train, cfg, protocol, ridge)
     return _fit_factorization(alg, train, cfg)
+
+
+def _refits(alg: Algorithm, train: PCMatrix, cells, cfg: EvalConfig):
+    """Fit a factorization once per cell on train without that cell, in
+    cell order: (predict, model), or the uncovered Outcome. The ALS fits
+    run stacked; SVD refits one copy of train at a time."""
+    if alg is Algorithm.ALS:
+        for fit in als_refits(train, [(c.row, c.col) for c in cells],
+                              cfg.als):
+            yield (Outcome(None, reason=fit)
+                   if isinstance(fit, UnfactorableError)
+                   else (_factor_predictor(alg, fit), fit))
+        return
+    for c in cells:
+        yield _attempt(_fit_factorization, alg,
+                       train.with_cell_missing(c.row, c.col), cfg)
 
 
 def _attempt(fn, *args):
@@ -207,6 +234,13 @@ def _attempt(fn, *args):
         return fn(*args)
     except (NoBasisError, ColdRowError, UnfactorableError) as exc:
         return Outcome(None, reason=exc)
+
+
+def _value(outcome: Outcome) -> float:
+    """The outcome's value, or its reason raised again."""
+    if outcome.value is None:
+        raise outcome.reason
+    return outcome.value
 
 
 def _ensemble_outcome(train: PCMatrix, cell, members) -> Outcome:
@@ -229,27 +263,28 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: EvalConfig,
     Each base algorithm is fit once on train and predicts every cell (a
     factorization is also refit for each cell train observes). The
     ensemble is the mean of the values its members produced, fallbacks
-    included: a clique member that fell back to ridge adds ridge's value.
+    included: a clique member that fell back to ridge adds ridge's value,
+    taken from the ridge member when the ensemble has one.
     """
     bases = _base_algorithms(algorithms, cfg)
     present = train.present_mask
     held_in = [bool(present[c.row, c.col]) for c in cells]
+    # The ridge member's outcomes for the current block, by cell.
+    ridge_done: dict[tuple[int, int], Outcome] = {}
+    ridge = ((lambda row, col: ridge_done[row, col])
+             if Algorithm.RIDGE in bases else None)
     # A factorization trains on every observed cell, so a cell that train
     # still observes (leave-one-out) gets its own fit without it. Ridge and
     # cliques treat the target cell as missing and fit once. The shared
     # fit is made even for no cells: complete_matrix returns the model.
     every_cell_held_in = bool(cells) and all(held_in)
-    shared = {alg: _attempt(_fit, alg, train, cfg, protocol) for alg in bases
+    shared = {alg: _attempt(_fit, alg, train, cfg, protocol, ridge)
+              for alg in bases
               if alg not in _FACTORIZATIONS or not every_cell_held_in}
     models = {alg: fit[1] for alg, fit in shared.items()
               if not isinstance(fit, Outcome)}
 
-    def outcome(alg, cell, own):
-        fitted = shared.get(alg)
-        if own and alg in _FACTORIZATIONS:
-            fitted = _attempt(_fit, alg,
-                              train.with_cell_missing(cell.row, cell.col),
-                              cfg, protocol)
+    def outcome(fitted, cell):
         return (fitted if isinstance(fitted, Outcome)
                 else _attempt(fitted[0], cell.row, cell.col))
 
@@ -261,8 +296,16 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: EvalConfig,
     for start in range(0, len(cells), _BLOCK):
         block = list(zip(cells[start:start + _BLOCK],
                          held_in[start:start + _BLOCK]))
-        got = {alg: [outcome(alg, cell, own) for cell, own in block]
-               for alg in bases}
+        got = {}
+        for alg in bases:  # ridge first: cliques may reuse its outcomes
+            own = (_refits(alg, train, [c for c, o in block if o], cfg)
+                   if alg in _FACTORIZATIONS else None)
+            got[alg] = [outcome(next(own) if own is not None and held
+                                else shared[alg], cell)
+                        for cell, held in block]
+            if alg is Algorithm.RIDGE:
+                ridge_done = dict(zip(((c.row, c.col) for c, _ in block),
+                                      got[alg]))
         if Algorithm.ENSEMBLE in outcomes:
             got[Algorithm.ENSEMBLE] = [
                 _ensemble_outcome(train, cell, [(name, got[mem][i])

@@ -3,10 +3,13 @@
 Alternating least squares is the workhorse: holding one side fixed, each
 program (then each machine) factor is the exact solution of a small ridge
 problem over that row's (column's) observed cells, and one batched solve
-answers all of them, for every K. Rank 1 is the default and has a useful
-side effect: positive scalar embeddings put a total performance order on
-machines. A simpler impute-and-decompose SVD variant is included for
-comparison.
+answers all of them, for every K. The kernel runs a stack of fits that
+share one mask: leave-one-out refits many at once, each leaving out its
+own cell, with its own initial scale, RMSE, stop and coverage, as a cold
+fit without that cell would; a plain fit is the stack of one. Rank 1 is
+the default and has a useful side effect: positive scalar embeddings put
+a total performance order on machines. A simpler impute-and-decompose SVD
+variant is included for comparison.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import PREDICTION_FLOOR
+
+# fits x observed cells per ALS stack: bounds its (fits, cells) arrays
+_STACK = 2 ** 15
 
 
 class UnfactorableError(ValueError):
@@ -64,11 +70,15 @@ class FactorModel:
         object.__setattr__(self, "col_factors", cf)
 
 
+_EMPTY_ROW = "unfactorable matrix: a row has no observations"
+_EMPTY_COL = "unfactorable matrix: a column has no observations"
+
+
 def _check_factorable(mask):
     if not mask.any(axis=1).all():
-        raise UnfactorableError("unfactorable matrix: a row has no observations")
+        raise UnfactorableError(_EMPTY_ROW)
     if not mask.any(axis=0).all():
-        raise UnfactorableError("unfactorable matrix: a column has no observations")
+        raise UnfactorableError(_EMPTY_COL)
 
 
 def _sign_normalize(U, V):
@@ -80,22 +90,124 @@ def _sign_normalize(U, V):
             U[:, k] *= -1.0
 
 
-def _half_step(F, M, X0, lam):
-    """Exact regularized least-squares solve for every row at once.
+def _half_step(F, M, X0, lam, skipped=None):
+    """Exact regularized least-squares solve for every row of every fit.
 
-    With F (K x cols) held fixed, row i of the result minimizes
-    sum_j M[i, j] * (X0[i, j] - u . F[:, j])**2 + lam * |u|**2. All rows'
-    K x K Gram matrices come from one matmul against the stacked outer
-    products of F's columns. With lam == 0 a row observed fewer than K
-    times is singular; the pseudo-inverse gives its minimum-norm solution.
+    F is (fits, K, cols): each fit's factors, held fixed. Row i of fit b
+    minimizes sum_j M[i, j] * (X0[i, j] - u . F[b, :, j])**2 + lam * |u|**2.
+    All K x K Gram matrices, every fit's, come from one matmul against the
+    stacked outer products of F's columns. skipped, when given, is the
+    (rows, cols) pair of index arrays of the cell each fit leaves out: that
+    row's system is rebuilt from M and X0 with the cell zeroed, since
+    subtracting the cell's term from the full sum cancels badly. With
+    lam == 0 a row observed fewer than K times is singular; the
+    pseudo-inverse gives its minimum-norm solution.
     """
-    k = len(F)
-    FF = (F[:, None, :] * F[None, :, :]).reshape(k * k, -1)
-    A = (M @ FF.T).reshape(-1, k, k) + lam * np.eye(k)
-    b = X0 @ F.T
-    if lam > 0:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    return (np.linalg.pinv(A) @ b[..., None])[..., 0]
+    fits, k, cols = F.shape
+    FF = (F[:, :, None, :] * F[:, None, :, :]).reshape(fits, k * k, cols)
+    # Kept (rows, fits, ...) as the matmuls lay them out, which the solve
+    # reads without a copy; the result is returned as (fits, rows, K).
+    A = (M @ FF.reshape(-1, cols).T).reshape(-1, fits, k, k)
+    b = (X0 @ F.reshape(-1, cols).T).reshape(-1, fits, k)
+    if skipped is not None:
+        rows, skip = skipped
+        stack = np.arange(fits)
+        m_row, x_row = M[rows], X0[rows]
+        m_row[stack, skip] = 0.0
+        x_row[stack, skip] = 0.0
+        A[rows, stack] = (m_row[:, None] @ FF.swapaxes(1, 2)).reshape(-1, k, k)
+        b[rows, stack] = (x_row[:, None] @ F.swapaxes(1, 2))[:, 0]
+    A = A + lam * np.eye(k)
+    if lam == 0:
+        x = (np.linalg.pinv(A) @ b[..., None])[..., 0]
+    elif k == 1:  # the 1 x 1 solve, without a LAPACK call per row
+        x = b / A[..., 0]
+    else:
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+    return x.swapaxes(0, 1)
+
+
+def _fit_stack(m, cfg: ALSConfig, left_out=None) -> list[FactorModel]:
+    """Run a stack of ALS fits that share m's mask, each to its own stop.
+
+    left_out is None for the one fit on every observed cell, or an index
+    array into the row-major observed cells: fit b then leaves out cell
+    left_out[b], as a cold fit on m without it would. Each fit starts from
+    the same seeded draws scaled by its own mean, and its RMSE and tol
+    stop are over its own cells. A fit that stops leaves the stack and the
+    rest go on. Every fit must be factorable.
+    """
+    mask = m.present_mask
+    values = m.values
+    n, mm = values.shape
+    k = cfg.k
+
+    # same cells and order as values[mask], far cheaper to gather
+    observed = np.flatnonzero(mask)
+    obs_rows, obs_cols = np.divmod(observed, mm)
+    targets = values.ravel()[observed]
+    X0 = np.where(mask, values, 0.0)
+    M = mask.astype(np.float64)
+    fits = 1 if left_out is None else len(left_out)
+    # A fit's sums run over every observed cell with its left-out cell's
+    # term zeroed, and divide by the fit's own cell count.
+    resid = np.empty((fits, observed.size))
+    resid[:] = targets
+    skipped, count = None, observed.size
+    if left_out is not None:
+        skipped, count = (obs_rows[left_out], obs_cols[left_out]), count - 1
+        resid[np.arange(fits), left_out] = 0.0
+    scale = np.sqrt(resid.sum(axis=1) / count / k)
+
+    rng = np.random.default_rng(cfg.seed)
+    rng.uniform(0.5, 1.5, (n, k))  # row draws: the first half-step sets U
+    V = rng.uniform(0.5, 1.5, (k, mm)) * scale[:, None, None]
+
+    config = {"algorithm": "als", "k": cfg.k, "lambda": cfg.lam,
+              "max_iters": cfg.max_iters, "tol": cfg.tol, "seed": cfg.seed}
+    live = np.arange(fits)  # stack position -> fit
+    histories: list[list[float]] = [[] for _ in live]
+    models: list = [None] * fits
+    factor = np.empty_like(resid)
+    for it in range(cfg.max_iters):
+        U = _half_step(V, M, X0, cfg.lam, skipped)
+        V = _half_step(U.swapaxes(1, 2), M.T, X0.T, cfg.lam,
+                       None if skipped is None else skipped[::-1])
+        V = V.swapaxes(1, 2)
+        # In place, since arrays this size cost more to allocate than to
+        # fill; mode "clip" skips take's bounds check and buffered copy.
+        r, f = resid[:len(live)], factor[:len(live)]
+        if k == 1:  # one product per cell, without forming U @ V
+            np.take(U[..., 0], obs_rows, axis=1, out=r, mode="clip")
+            r *= np.take(V[:, 0], obs_cols, axis=1, out=f, mode="clip")
+        else:
+            np.take((U @ V).reshape(len(live), -1), observed, axis=1,
+                    out=r, mode="clip")
+        r -= targets
+        r *= r
+        if skipped is not None:
+            r[np.arange(len(live)), left_out[live]] = 0.0
+        rmse = np.sqrt(r.sum(axis=1) / count)
+        stopped = []
+        for i, (b, e) in enumerate(zip(live.tolist(), rmse.tolist())):
+            h = histories[b]
+            prev = h[-1] if h else None
+            h.append(e)
+            if it + 1 == cfg.max_iters or prev is not None and (
+                    prev == 0.0 or abs(prev - e) / prev < cfg.tol):
+                stopped.append(i)
+                _sign_normalize(U[i], V[i])  # views; this fit is done
+                models[b] = FactorModel(k, m.row_keys, m.col_keys, U[i],
+                                        V[i], tuple(h), config)
+        if len(stopped) == len(live):
+            break
+        if stopped:
+            going = np.ones(len(live), dtype=bool)
+            going[stopped] = False
+            live, V = live[going], V[going]
+            if skipped is not None:
+                skipped = (skipped[0][going], skipped[1][going])
+    return models
 
 
 def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
@@ -105,41 +217,48 @@ def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     half-step one batched solve shared by every K, until the relative
     change in training RMSE drops below tol or max_iters is hit.
     Initialization is seeded uniform noise in (0.5, 1.5) scaled so initial
-    predictions land near the mean observed time.
+    predictions land near the mean observed time. This is the stack of one
+    fit that leaves no cell out.
+    """
+    _check_factorable(m.present_mask)
+    return _fit_stack(m, cfg)[0]
+
+
+def als_refits(m, cells, cfg: ALSConfig = ALSConfig()):
+    """For each observed (row, col) in cells, in order, yield what
+    als_fit(m.with_cell_missing(row, col), cfg) gives: its FactorModel, or
+    the UnfactorableError it raises.
+
+    The fits run in stacks whose (fits, cells) arrays stay near _STACK
+    elements: _STACK // (observed cells) fits, or at K > 1, where each fit
+    forms its full U @ V, _STACK // (all cells).
     """
     mask = m.present_mask
-    _check_factorable(mask)
-    values = m.values
-    n, mm = values.shape
-    k = cfg.k
-
-    # same cells and order as values[mask], far cheaper to gather
     observed = np.flatnonzero(mask)
-    targets = values.ravel()[observed]
-    X0 = np.where(mask, values, 0.0)
-    M = mask.astype(np.float64)
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    if not mask[rows, cols].all():
+        raise ValueError("als_refits leaves out observed cells only")
+    row_counts, col_counts = mask.sum(axis=1), mask.sum(axis=0)
+    # without its cell, a fit has an empty row or column
+    no_row = (row_counts == 0).any() | (row_counts[rows] == 1)
+    no_col = (col_counts == 0).any() | (col_counts[cols] == 1)
+    covered = np.flatnonzero(~(no_row | no_col))
+    left_out = np.searchsorted(observed, rows * m.n_cols + cols)
 
-    rng = np.random.default_rng(cfg.seed)
-    scale = np.sqrt(targets.mean() / k)
-    U = rng.uniform(0.5, 1.5, (n, k)) * scale
-    V = rng.uniform(0.5, 1.5, (k, mm)) * scale
+    def fits():
+        per_stack = max(1, _STACK // (observed.size if cfg.k == 1
+                                      else mask.size))
+        for stack in np.array_split(covered, -(-covered.size // per_stack)):
+            yield from _fit_stack(m, cfg, left_out[stack])
 
-    history: list[float] = []
-    prev = None
-    for _ in range(cfg.max_iters):
-        U = _half_step(V, M, X0, cfg.lam)
-        V = _half_step(U.T, M.T, X0.T, cfg.lam).T
-        resid = (U @ V).ravel()[observed] - targets
-        rmse = float(np.sqrt(np.mean(resid * resid)))
-        history.append(rmse)
-        if prev is not None and (prev == 0.0 or abs(prev - rmse) / prev < cfg.tol):
-            break
-        prev = rmse
-
-    _sign_normalize(U, V)
-    config = {"algorithm": "als", "k": cfg.k, "lambda": cfg.lam,
-              "max_iters": cfg.max_iters, "tol": cfg.tol, "seed": cfg.seed}
-    return FactorModel(k, m.row_keys, m.col_keys, U, V, tuple(history), config)
+    fitted = fits()
+    for row_empty, col_empty in zip(no_row.tolist(), no_col.tolist()):
+        if row_empty:
+            yield UnfactorableError(_EMPTY_ROW)
+        elif col_empty:
+            yield UnfactorableError(_EMPTY_COL)
+        else:
+            yield next(fitted)
 
 
 def svd_fit(m, k: int, max_outer: int = 50, seed: int = 0) -> FactorModel:

@@ -115,7 +115,7 @@ class PCMatrix:
 
     @property
     def count_present(self) -> int:
-        return int(np.isfinite(self.values).sum())
+        return int(self._present.sum())
 
     def with_cell_missing(self, row: int, col: int) -> "PCMatrix":
         if not self.present_mask[row, col]:

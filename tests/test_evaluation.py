@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import (Algorithm, ALSConfig, CliqueProtocol, EvalConfig,
+                      cliques, evaluation,
                       MaskSpec, RidgeConfig, als_fit, complete_matrix,
                       ensemble_predict, factorization, leave_one_out,
                       mask_random, masking_sweep, outlier_sweep,
@@ -321,6 +322,29 @@ class TestCompleteMatrix:
         assert fill.algorithm == "ensemble:ridge+cliques+als"
         assert fill.predicted == ensemble_predict([ridge, ridge, als])
         assert fill.predicted != ensemble_predict([ridge, als])
+
+    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    def test_ensemble_solves_ridge_once_per_cell(self, monkeypatch,
+                                                 protocol):
+        # The clique member's fallback (and, under the regression protocol,
+        # the whole member) reuses the ridge member's solve of the cell.
+        calls = []
+
+        def counting(m, row, col, cfg):
+            calls.append((row, col))
+            return ridge_predict(m, row, col, cfg)
+        monkeypatch.setattr(evaluation, "ridge_predict", counting)
+        monkeypatch.setattr(cliques, "ridge_predict", counting)
+        base = [1.0, 2.0, 3.0, 4.0, 5.0]
+        noise = [3.0, 1.0, 3.5, None, 2.5]
+        m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
+        _, fills, _ = complete_matrix(m, Algorithm.ENSEMBLE, small_cfg())
+        assert calls == [(3, 2)]
+        assert fills[0].algorithm == "ensemble:ridge+cliques+als"
+        calls.clear()
+        report = leave_one_out(m, Algorithm.ENSEMBLE, small_cfg(), protocol)
+        cells = [(c.row, c.col) for c in report.results[0].cells]
+        assert calls == cells
 
     def test_ensemble_mechanism_lists_members(self):
         m, _, _ = planted_rank1(7, 5, seed=17)

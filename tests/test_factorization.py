@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from perfcast import (ALSConfig, FactorModel, MaskSpec, UnfactorableError,
                       als_fit, mask_random, model_from_json, model_to_json,
                       rank_machines, svd_fit)
-from perfcast.factorization import predict, predict_all
+from perfcast.factorization import als_refits, predict, predict_all
 
 
 def rank1_2x2():
@@ -125,6 +125,11 @@ class TestAlsFit:
         errs = [abs(predict(model, h.row, h.col) - h.true_time) / h.true_time
                 for h in held]
         assert max(errs) < 1e-3
+
+    def test_refits_reject_a_missing_cell(self):
+        m = grid([[2.0, None], [3.0, 6.0]])
+        with pytest.raises(ValueError, match="observed cells only"):
+            list(als_refits(m, [(1, 1), (0, 1)]))
 
     def test_config_echo(self):
         model = als_fit(rank1_2x2(), ALSConfig(k=1, lam=0.5, seed=3))
