@@ -14,13 +14,15 @@ The printed summary has one line per (experiment, fraction, algorithm).
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from perfcast import (Algorithm, CliqueProtocol, EvalConfig, density,
+from perfcast import (Algorithm, CliqueProtocol, RunConfig, density,
                       leave_one_out, masking_sweep, outlier_sweep,
                       read_matrix_csv, write_reports_csv,
                       write_reports_json)
-from perfcast.config import parse_name_list, parse_percent, parse_percent_list
+from perfcast.config import (parse_algorithms, parse_percent,
+                             parse_percent_list)
 
 
 def summarize(tag: str, reports) -> None:
@@ -41,7 +43,7 @@ def main(argv=None) -> int:
     parser.add_argument("matrix", help="matrix CSV (see scripts/"
                                        "make_synthetic.py or perfcast ingest)")
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--algorithms", type=parse_name_list,
+    parser.add_argument("--algorithms", type=parse_algorithms,
                         default=("ridge", "cliques", "als", "svd",
                                  "ensemble"))
     parser.add_argument("--fractions", type=parse_percent_list,
@@ -54,9 +56,10 @@ def main(argv=None) -> int:
                         help="percentage of training cells to corrupt")
     args = parser.parse_args(argv)
 
+    cfg = RunConfig(fractions=args.fractions, repeats=args.repeats,
+                    seed=args.seed, outlier_fraction=args.outlier_fraction)
     m = read_matrix_csv(args.matrix)
-    cfg = EvalConfig()
-    algorithms = [Algorithm(name) for name in args.algorithms]
+    dataset = Path(args.matrix).stem
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{m.n_rows}x{m.n_cols} matrix, {m.count_present} cells, "
@@ -64,15 +67,15 @@ def main(argv=None) -> int:
 
     # 1. leave-one-out; the clique predictor is scored under each protocol
     loo_reports = []
-    for algorithm in algorithms:
-        protocols = (list(CliqueProtocol) if algorithm is Algorithm.CLIQUES
-                     else [CliqueProtocol.IN_GROUPS_PLUS_REGRESSION])
+    for algorithm in args.algorithms:
+        cliques = algorithm == Algorithm.CLIQUES
+        protocols = ([p.value for p in CliqueProtocol] if cliques
+                     else [cfg.protocol])
         for protocol in protocols:
-            report = leave_one_out(m, algorithm, cfg, protocol,
-                                   dataset=Path(args.matrix).stem)
+            report = leave_one_out(m, replace(cfg, algorithm=algorithm,
+                                              protocol=protocol), dataset)
             loo_reports.append(report)
-            label = (f"{algorithm.value}[{protocol.value}]"
-                     if algorithm is Algorithm.CLIQUES else algorithm.value)
+            label = f"{algorithm}[{protocol}]" if cliques else algorithm
             res = report.results[0]
             total = ("n/a" if res.total_error is None
                      else f"{res.total_error:.4f}")
@@ -81,18 +84,13 @@ def main(argv=None) -> int:
     write_reports_json(loo_reports, out_dir / "loo.json")
 
     # 2. masking sweep
-    sweep_reports = masking_sweep(m, args.fractions, algorithms,
-                                  args.repeats, args.seed, cfg,
-                                  dataset=Path(args.matrix).stem)
+    sweep_reports = masking_sweep(m, args.algorithms, cfg, dataset)
     write_reports_json(sweep_reports, out_dir / "sweep.json")
     write_reports_csv(sweep_reports, out_dir / "sweep.csv")
     summarize("sweep", sweep_reports)
 
     # 3. outlier sweep, same fractions, corrupted training cells
-    outlier_reports = outlier_sweep(m, args.outlier_fraction, (0.0, 4.0),
-                                    args.fractions, algorithms,
-                                    args.repeats, args.seed, cfg,
-                                    dataset=Path(args.matrix).stem)
+    outlier_reports = outlier_sweep(m, args.algorithms, cfg, dataset)
     write_reports_json(outlier_reports, out_dir / "outliers.json")
     write_reports_csv(outlier_reports, out_dir / "outliers.csv")
     summarize("outliers", outlier_reports)

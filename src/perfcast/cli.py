@@ -19,12 +19,10 @@ from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .config import (RunConfig, make_run_config, parse_name_list,
+from .config import (RunConfig, make_run_config, parse_algorithms,
                      read_config_file)
-from .evaluation import (Algorithm, CliqueProtocol, complete_matrix,
-                         leave_one_out, masking_sweep, outlier_sweep,
-                         report_to_json, write_reports_csv,
-                         write_reports_json)
+from .evaluation import (complete_matrix, leave_one_out, masking_sweep,
+                         outlier_sweep, write_reports_csv, write_reports_json)
 from .factorization import model_from_json, model_to_json, rank_machines
 from .matrix import (ROW_KEY_SEP, build_matrix, read_matrix_csv,
                      read_observations_csv, write_matrix_csv)
@@ -132,8 +130,7 @@ def cmd_ingest(args) -> int:
 def cmd_complete(args) -> int:
     cfg = _load_config(args)
     m = read_matrix_csv(args.matrix)
-    completed, fills, model = complete_matrix(
-        m, Algorithm(cfg.algorithm), cfg.to_eval_config())
+    completed, fills, model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
     if args.fills_out:
         _write_json({
@@ -167,9 +164,7 @@ def _write_eval_outputs(args, cfg: RunConfig, reports, extra_echo) -> None:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     m = read_matrix_csv(args.matrix)
-    report = leave_one_out(m, Algorithm(cfg.algorithm), cfg.to_eval_config(),
-                           CliqueProtocol(cfg.protocol),
-                           dataset=Path(args.matrix).stem)
+    report = leave_one_out(m, cfg, dataset=Path(args.matrix).stem)
     _write_eval_outputs(args, cfg, [report],
                         _echo(cfg, input=args.matrix))
     _print_report_summary([report])
@@ -180,18 +175,10 @@ def cmd_sweep(args) -> int:
     """`sweep`, or `outliers`: the same sweep with corrupted training cells."""
     cfg = _load_config(args)
     m = read_matrix_csv(args.matrix)
-    algorithms = [Algorithm(name) for name in args.algorithms]
-    sweep_args = (cfg.fractions, algorithms, cfg.repeats, cfg.seed,
-                  cfg.to_eval_config())
-    if args.command == "outliers":
-        reports = outlier_sweep(m, cfg.outlier_fraction,
-                                (cfg.outlier_lo, cfg.outlier_hi), *sweep_args,
-                                dataset=Path(args.matrix).stem)
-    else:
-        reports = masking_sweep(m, *sweep_args,
-                                dataset=Path(args.matrix).stem)
+    sweep = outlier_sweep if args.command == "outliers" else masking_sweep
+    reports = sweep(m, args.algorithms, cfg, dataset=Path(args.matrix).stem)
     echo = _echo(cfg, input=args.matrix)
-    echo["algorithms"] = [a.value for a in algorithms]
+    echo["algorithms"] = list(args.algorithms)
     _write_eval_outputs(args, cfg, reports, echo)
     _report_warnings(reports)
     _print_report_summary(reports)
@@ -273,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("matrix")
-        p.add_argument("--algorithms", type=parse_name_list,
+        p.add_argument("--algorithms", type=parse_algorithms,
                        default=("ridge", "cliques", "als", "ensemble"),
                        help="comma-separated algorithms to compare")
         p.add_argument("--out-json")

@@ -3,8 +3,12 @@ a key=value text file with CLI flags taking precedence.
 
 Each tunable is declared once, as a `RunConfig` field whose metadata holds
 the parser for its flag and config-file value, the names it accepts (if it
-is a choice) and its flag help; the CLI flags, the config-file keys and the
-`run_config` echo all come from these fields.
+is a choice) and its flag help; the CLI flags, the config-file keys and
+every echo of the settings in an output file come from these fields.
+`RunConfig` is also the one settings record the evaluation drivers take:
+each reads the fields it needs, and `RidgeConfig`/`ALSConfig` are built
+from them once per fit. Every setting is checked when a `RunConfig` is
+made, so a bad value fails before any input is read.
 
 Fraction-valued settings (`fractions`, `outlier_fraction`) are given as
 PERCENTAGES in files and flags (e.g. ``fractions = 5,10,20``) and stored
@@ -13,11 +17,31 @@ internally in [0, 1). Everything else is passed through as typed.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field, fields
 
-from .evaluation import Algorithm, CliqueProtocol, EvalConfig
 from .factorization import ALSConfig
 from .ridge import RidgeConfig
+
+
+class Algorithm(str, enum.Enum):
+    RIDGE = "ridge"
+    CLIQUES = "cliques"
+    ALS = "als"
+    SVD = "svd"
+    ENSEMBLE = "ensemble"
+
+
+class CliqueProtocol(str, enum.Enum):
+    """Scoring variants for the clique algorithm in leave-one-out runs.
+
+    REGRESSION ignores groups entirely; IN_GROUPS scores only cells the
+    group-scaling step can reach (everything else counts as uncovered);
+    IN_GROUPS_PLUS_REGRESSION is the production behavior with fallback.
+    """
+    REGRESSION = "regression"
+    IN_GROUPS = "in_groups"
+    IN_GROUPS_PLUS_REGRESSION = "in_groups_plus_regression"
 
 
 def parse_percent_list(text: str) -> tuple[float, ...]:
@@ -52,6 +76,7 @@ def parse_name_list(text: str) -> tuple[str, ...]:
 
 
 _ALGORITHMS = tuple(a.value for a in Algorithm)
+_MEMBERS = tuple(a for a in _ALGORITHMS if a != Algorithm.ENSEMBLE)
 _PROTOCOLS = tuple(p.value for p in CliqueProtocol)
 
 
@@ -63,9 +88,16 @@ def _one_of(names: tuple[str, ...]):
     return choice
 
 
-def parse_ensemble(text: str) -> tuple[str, ...]:
-    """"ridge,als" -> ("ridge", "als"); every name must be an algorithm."""
+def parse_algorithms(text: str) -> tuple[str, ...]:
+    """"ridge,ensemble" -> ("ridge", "ensemble"); each must be an
+    algorithm."""
     return tuple(map(_one_of(_ALGORITHMS), parse_name_list(text)))
+
+
+def parse_ensemble(text: str) -> tuple[str, ...]:
+    """"ridge,als" -> ("ridge", "als"); each must be an algorithm other
+    than the ensemble itself."""
+    return tuple(map(_one_of(_MEMBERS), parse_name_list(text)))
 
 
 def _tunable(default, parse=None, choices=None, help=None):
@@ -105,24 +137,38 @@ class RunConfig:
     threads: int = _tunable(1, int)  # ignored; predictions run serially
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        self.ridge, self.als  # built to run their own checks
+        for ok, problem in [
+            (self.seed >= 0, f"seed must be nonnegative, got {self.seed}"),
+            (self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}"),
+            (all(0 <= f < 1 for f in self.fractions),
+             f"fractions must be in [0, 1), got {list(self.fractions)}"),
+            (0 <= self.outlier_fraction < 1, f"outlier_fraction must be in "
+             f"[0, 1), got {self.outlier_fraction}"),
+            (self.svd_k >= 1, f"svd_k must be >= 1, got {self.svd_k}"),
+            (self.svd_max_outer >= 1,
+             f"svd_max_outer must be >= 1, got {self.svd_max_outer}"),
+            (0 < self.clique_threshold <= 1, f"clique_threshold must be in "
+             f"(0, 1], got {self.clique_threshold}"),
+            (0 <= self.outlier_lo < self.outlier_hi,
+             f"outlier interval must have 0 <= outlier_lo < outlier_hi, "
+             f"got [{self.outlier_lo}, {self.outlier_hi}]"),
+            (bool(self.ensemble) and all(a in _MEMBERS for a in self.ensemble),
+             f"ensemble members must be some of {', '.join(_MEMBERS)}, got "
+             f"{', '.join(self.ensemble) or 'none'}"),
+            (self.threads >= 1, f"threads must be >= 1, got {self.threads}"),
+        ]:
+            if not ok:
+                raise ValueError(problem)
 
-    def to_eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            ridge=RidgeConfig(lam=self.ridge_lambda,
-                              min_training_rows=self.ridge_min_training_rows),
-            als=ALSConfig(k=self.als_k, lam=self.als_lambda,
-                          max_iters=self.als_max_iters, tol=self.als_tol,
-                          seed=self.seed),
-            clique_threshold=self.clique_threshold,
-            clique_min_overlap=self.clique_min_overlap,
-            svd_k=self.svd_k,
-            svd_max_outer=self.svd_max_outer,
-            ensemble=tuple(Algorithm(name) for name in self.ensemble),
-        )
+    @property
+    def ridge(self) -> RidgeConfig:
+        return RidgeConfig(self.ridge_lambda, self.ridge_min_training_rows)
+
+    @property
+    def als(self) -> ALSConfig:
+        return ALSConfig(self.als_k, self.als_lambda, self.als_max_iters,
+                         self.als_tol, self.seed)
 
 
 def read_config_file(path) -> dict:

@@ -10,6 +10,13 @@ and SVD per cell without it (the ALS refits run stacked, many per solve).
 A cell an algorithm cannot reach is uncovered with the reason its
 predictor gave; completion raises the first such reason.
 
+Every driver takes one `RunConfig` and reads the settings it needs from
+it: the algorithm, the clique protocol (leave-one-out only), the sweep
+fractions, repeats and seed, the outlier settings, and each algorithm's
+hyperparameters, which are read once per fit. A report's `config` is the
+flat echo of that `RunConfig` (`dataclasses.asdict`); outlier reports
+also repeat their corruption settings under `outliers`.
+
 Drivers score each prediction by relative error
 |predicted - target| / target. A report collects per-algorithm cell
 records, their mean, and a tally of cells the algorithm could not cover.
@@ -20,40 +27,19 @@ and algorithm) with no timestamps, so equal seeds give equal bytes.
 from __future__ import annotations
 
 import csv
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import factorization
 from .cliques import ColdRowError, build_graph, clique_predict, find_cliques
-from .factorization import (ALSConfig, UnfactorableError, als_fit,
-                            als_refits, svd_fit)
+from .config import Algorithm, CliqueProtocol, RunConfig
+from .factorization import UnfactorableError, als_fit, als_refits, svd_fit
 from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
-from .ridge import NoBasisError, RidgeConfig, ridge_predict
-
-
-class Algorithm(str, enum.Enum):
-    RIDGE = "ridge"
-    CLIQUES = "cliques"
-    ALS = "als"
-    SVD = "svd"
-    ENSEMBLE = "ensemble"
-
-
-class CliqueProtocol(str, enum.Enum):
-    """Scoring variants for the clique algorithm in leave-one-out runs.
-
-    REGRESSION ignores groups entirely; IN_GROUPS scores only cells the
-    group-scaling step can reach (everything else counts as uncovered);
-    IN_GROUPS_PLUS_REGRESSION is the production behavior with fallback.
-    """
-    REGRESSION = "regression"
-    IN_GROUPS = "in_groups"
-    IN_GROUPS_PLUS_REGRESSION = "in_groups_plus_regression"
+from .ridge import NoBasisError, ridge_predict
 
 
 @dataclass(frozen=True)
@@ -86,38 +72,6 @@ class EvalReport:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Hyperparameters for every algorithm the harness can run."""
-    ridge: RidgeConfig = RidgeConfig()
-    als: ALSConfig = ALSConfig()
-    clique_threshold: float = 0.97
-    clique_min_overlap: int = 3
-    svd_k: int = 1
-    svd_max_outer: int = 50
-    ensemble: tuple[Algorithm, ...] = (Algorithm.RIDGE, Algorithm.CLIQUES,
-                                       Algorithm.ALS)
-
-    def __post_init__(self):
-        if not self.ensemble:
-            raise ValueError("ensemble member list must be non-empty")
-        if Algorithm.ENSEMBLE in self.ensemble:
-            raise ValueError("ensemble cannot contain itself")
-
-    def echo(self) -> dict:
-        return {
-            "ridge": {"lambda": self.ridge.lam,
-                      "min_training_rows": self.ridge.min_training_rows},
-            "als": {"k": self.als.k, "lambda": self.als.lam,
-                    "max_iters": self.als.max_iters, "tol": self.als.tol,
-                    "seed": self.als.seed},
-            "cliques": {"threshold": self.clique_threshold,
-                        "min_overlap": self.clique_min_overlap},
-            "svd": {"k": self.svd_k, "max_outer": self.svd_max_outer},
-            "ensemble": [a.value for a in self.ensemble],
-        }
-
-
 def prediction_error(predicted: float, target: float) -> float:
     """Relative error |predicted - target| / target; target must be > 0."""
     if target <= 0:
@@ -139,8 +93,9 @@ def ensemble_predict(per_algorithm: list[float]) -> float:
     return sum(per_algorithm) / len(per_algorithm)
 
 
-def _base_algorithms(algorithms, cfg: EvalConfig) -> list[Algorithm]:
-    needed = set(cfg.ensemble) if Algorithm.ENSEMBLE in algorithms else set()
+def _base_algorithms(algorithms, cfg: RunConfig) -> list[Algorithm]:
+    needed = (set(map(Algorithm, cfg.ensemble))
+              if Algorithm.ENSEMBLE in algorithms else set())
     needed.update(a for a in algorithms if a is not Algorithm.ENSEMBLE)
     return [a for a in Algorithm if a in needed]
 
@@ -157,13 +112,15 @@ _FACTORIZATIONS = (Algorithm.ALS, Algorithm.SVD)
 _BLOCK = 512  # cells predicted per algorithm before the next one runs
 
 
-def _fit_ridge(train: PCMatrix, cfg: EvalConfig):
+def _fit_ridge(train: PCMatrix, cfg: RunConfig):
+    ridge_cfg = cfg.ridge
+
     def predict(row, col):
-        return Outcome(ridge_predict(train, row, col, cfg.ridge), "ridge")
+        return Outcome(ridge_predict(train, row, col, ridge_cfg), "ridge")
     return predict, None
 
 
-def _fit_cliques(train: PCMatrix, cfg: EvalConfig, protocol: CliqueProtocol,
+def _fit_cliques(train: PCMatrix, cfg: RunConfig, protocol: CliqueProtocol,
                  ridge=None):
     """ridge, when given, returns the ridge member's Outcome for a cell:
     the regression protocol and the fallback reuse it instead of solving
@@ -173,15 +130,16 @@ def _fit_cliques(train: PCMatrix, cfg: EvalConfig, protocol: CliqueProtocol,
     grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
     fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
+    ridge_cfg = cfg.ridge
 
     def predict(row, col):
         reuse = None if ridge is None else lambda: _value(ridge(row, col))
-        return Outcome(*clique_predict(train, grouping, row, col, cfg.ridge,
+        return Outcome(*clique_predict(train, grouping, row, col, ridge_cfg,
                                        fallback, reuse))
     return predict, None
 
 
-def _fit_factorization(alg: Algorithm, train: PCMatrix, cfg: EvalConfig):
+def _fit_factorization(alg: Algorithm, train: PCMatrix, cfg: RunConfig):
     model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
              else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
     return _factor_predictor(alg, model), model
@@ -193,7 +151,7 @@ def _factor_predictor(alg: Algorithm, model):
     return predict
 
 
-def _fit(alg: Algorithm, train: PCMatrix, cfg: EvalConfig,
+def _fit(alg: Algorithm, train: PCMatrix, cfg: RunConfig,
          protocol: CliqueProtocol, ridge=None):
     """Fit one base algorithm on train; returns (predict, model).
 
@@ -211,7 +169,7 @@ def _fit(alg: Algorithm, train: PCMatrix, cfg: EvalConfig,
     return _fit_factorization(alg, train, cfg)
 
 
-def _refits(alg: Algorithm, train: PCMatrix, cells, cfg: EvalConfig):
+def _refits(alg: Algorithm, train: PCMatrix, cells, cfg: RunConfig):
     """Fit a factorization once per cell on train without that cell, in
     cell order: (predict, model), or the uncovered Outcome. The ALS fits
     run stacked; SVD refits one copy of train at a time."""
@@ -255,8 +213,8 @@ def _ensemble_outcome(train: PCMatrix, cell, members) -> Outcome:
                    "ensemble:" + "+".join(name for name, _ in got), excluded)
 
 
-def _predict_cells(train: PCMatrix, cells, algorithms, cfg: EvalConfig,
-                   protocol: CliqueProtocol):
+def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig,
+                   protocol=CliqueProtocol.IN_GROUPS_PLUS_REGRESSION):
     """Every requested algorithm's Outcome for each cell, in cell order,
     and the models fit once on train (the FactorModel for als/svd).
 
@@ -292,7 +250,7 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: EvalConfig,
     # across algorithms measured about 20% slower on ensemble completion,
     # and whole columns would keep every member's outcome alive at once.
     outcomes: dict[Algorithm, list[Outcome]] = {a: [] for a in algorithms}
-    members = [(mem, mem.value) for mem in cfg.ensemble]
+    members = [(mem, mem.value) for mem in map(Algorithm, cfg.ensemble)]
     for start in range(0, len(cells), _BLOCK):
         block = list(zip(cells[start:start + _BLOCK],
                          held_in[start:start + _BLOCK]))
@@ -339,14 +297,10 @@ def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
     return tuple(out)
 
 
-def leave_one_out(
-    m: PCMatrix,
-    algorithm: Algorithm,
-    cfg: EvalConfig = EvalConfig(),
-    protocol: CliqueProtocol = CliqueProtocol.IN_GROUPS_PLUS_REGRESSION,
-    dataset: str = "",
-) -> EvalReport:
-    """Score every present cell by removing it alone and predicting it back.
+def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
+                  dataset: str = "") -> EvalReport:
+    """Score every present cell by removing it alone and predicting it back
+    with cfg.algorithm (cliques under cfg.protocol).
 
     Ridge and cliques are fit once on the full matrix: both treat the
     target cell as missing, and one cell out of thousands does not move
@@ -355,12 +309,11 @@ def leave_one_out(
     """
     cells = [HeldOutCell(int(r), int(c), float(m.values[r, c]))
              for r, c in np.argwhere(m.present_mask)]
-    algorithms = [algorithm]
-    outcomes, _ = _predict_cells(m, cells, algorithms, cfg, protocol)
+    algorithms = [Algorithm(cfg.algorithm)]
+    outcomes, _ = _predict_cells(m, cells, algorithms, cfg,
+                                 CliqueProtocol(cfg.protocol))
     results = _finish(algorithms, *_assemble(algorithms, cells, outcomes))
-    config = cfg.echo()
-    config["protocol"] = protocol.value
-    return EvalReport(dataset, 0.0, 0, 1, results, config,
+    return EvalReport(dataset, 0.0, 0, 1, results, asdict(cfg),
                       note="leave-one-out")
 
 
@@ -369,25 +322,23 @@ def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep(m, fractions, algorithms, repeats, seed, cfg, dataset,
-           corrupt=None, extra_config=None) -> list[EvalReport]:
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    algorithms = list(algorithms)
-    config = cfg.echo()
+def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
+           extra_config=None) -> list[EvalReport]:
+    algorithms = [Algorithm(a) for a in algorithms]
+    config = asdict(cfg)
     if extra_config:
         config.update(extra_config)
 
     reports = []
-    for fi, fraction in enumerate(fractions):
+    for fi, fraction in enumerate(cfg.fractions):
         rows = {a: [] for a in algorithms}
         uncovered = {a: 0 for a in algorithms}
         n_cells_seen = 0
         note = None
-        for rep in range(repeats):
+        for rep in range(cfg.repeats):
             try:
                 train, held = mask_random(
-                    m, MaskSpec(fraction, _child_seed(seed, 0, fi, rep)))
+                    m, MaskSpec(fraction, _child_seed(cfg.seed, 0, fi, rep)))
             except MaskInfeasibleError as exc:
                 note = f"infeasible fraction skipped: {exc}"
                 rows = {a: [] for a in algorithms}
@@ -395,67 +346,51 @@ def _sweep(m, fractions, algorithms, repeats, seed, cfg, dataset,
                 n_cells_seen = 0
                 break
             if corrupt is not None:
-                train = corrupt(train, _child_seed(seed, 1, fi, rep))
+                train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
             n_cells_seen += len(held)
-            outcomes, _ = _predict_cells(
-                train, held, algorithms, cfg,
-                CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
+            outcomes, _ = _predict_cells(train, held, algorithms, cfg)
             rep_rows, rep_uncov = _assemble(algorithms, held, outcomes)
             for a in algorithms:
                 rows[a].extend(rep_rows[a])
                 uncovered[a] += rep_uncov[a]
         if note is None and n_cells_seen == 0:
             note = "no held-out cells"
-        reports.append(EvalReport(dataset, float(fraction), seed, repeats,
-                                  _finish(algorithms, rows, uncovered),
-                                  dict(config), note))
+        reports.append(EvalReport(
+            dataset, float(fraction), cfg.seed, cfg.repeats,
+            _finish(algorithms, rows, uncovered), dict(config), note))
     return reports
 
 
-def masking_sweep(
-    m: PCMatrix,
-    fractions,
-    algorithms,
-    repeats: int = 5,
-    seed: int = 0,
-    cfg: EvalConfig = EvalConfig(),
-    dataset: str = "",
-) -> list[EvalReport]:
-    """Mask each fraction of cells (repeats times), predict the held-out
-    cells with every requested algorithm, and average the errors.
+def masking_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
+                  dataset: str = "") -> list[EvalReport]:
+    """Mask each of cfg.fractions of the cells (cfg.repeats times), predict
+    the held-out cells with every requested algorithm, and average the
+    errors.
 
     All algorithms see the same mask at a given fraction and repeat, so
-    curves are comparable point by point. Fully deterministic in the seed.
+    curves are comparable point by point. Fully deterministic in cfg.seed.
     """
-    return _sweep(m, fractions, algorithms, repeats, seed, cfg, dataset)
+    return _sweep(m, algorithms, cfg, dataset)
 
 
-def outlier_sweep(
-    m: PCMatrix,
-    outlier_fraction: float,
-    interval: tuple[float, float],
-    fractions,
-    algorithms,
-    repeats: int = 5,
-    seed: int = 0,
-    cfg: EvalConfig = EvalConfig(),
-    dataset: str = "",
-) -> list[EvalReport]:
+def outlier_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
+                  dataset: str = "") -> list[EvalReport]:
     """Masking sweep with corrupted training data and clean targets.
 
-    Cells are held out first, then a fraction of the REMAINING training
-    cells is scaled by uniform draws from the interval. Scoring uses the
-    pre-corruption values, so the curves measure robustness to bad
-    measurements. With outlier_fraction 0 the results match masking_sweep.
+    Cells are held out first, then cfg.outlier_fraction of the REMAINING
+    training cells is scaled by uniform draws from (cfg.outlier_lo,
+    cfg.outlier_hi). Scoring uses the pre-corruption values, so the curves
+    measure robustness to bad measurements. With outlier_fraction 0 the
+    results match masking_sweep.
     """
-    lo, hi = interval
+    fraction, lo, hi = cfg.outlier_fraction, cfg.outlier_lo, cfg.outlier_hi
 
     def corrupt(train, inj_seed):
-        return inject_outliers(train, outlier_fraction, lo, hi, inj_seed)
+        return inject_outliers(train, fraction, lo, hi, inj_seed)
 
-    extra = {"outliers": {"fraction": outlier_fraction, "lo": lo, "hi": hi}}
-    return _sweep(m, fractions, algorithms, repeats, seed, cfg, dataset,
-                  corrupt=corrupt, extra_config=extra)
+    extra = {"outliers": {"fraction": fraction, "lo": lo, "hi": hi}}
+    return _sweep(m, algorithms, cfg, dataset, corrupt=corrupt,
+                  extra_config=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +408,9 @@ class FillRecord:
     algorithm: str  # mechanism that produced the value (fallbacks included)
 
 
-def complete_matrix(
-    m: PCMatrix,
-    algorithm: Algorithm,
-    cfg: EvalConfig = EvalConfig(),
-):
-    """Fill every missing cell; returns (completed, fills, model).
+def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
+    """Fill every missing cell with cfg.algorithm; returns (completed,
+    fills, model).
 
     The fill log records which mechanism produced each value: the clique
     algorithm reports "ridge" for cells it reached only through fallback,
@@ -488,10 +420,10 @@ def complete_matrix(
     the matrix. The first cell in row-major order that cannot be predicted
     raises its reason.
     """
+    algorithm = Algorithm(cfg.algorithm)
     cells = [HeldOutCell(int(r), int(c), np.nan)
              for r, c in np.argwhere(~m.present_mask)]
-    outcomes, models = _predict_cells(
-        m, cells, [algorithm], cfg, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
+    outcomes, models = _predict_cells(m, cells, [algorithm], cfg)
     vals = np.array(m.values)
     fills = []
     for cell, outcome in zip(cells, outcomes[algorithm]):

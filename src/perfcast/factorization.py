@@ -261,12 +261,11 @@ def als_refits(m, cells, cfg: ALSConfig = ALSConfig()):
             yield next(fitted)
 
 
-def svd_fit(m, k: int, max_outer: int = 50, seed: int = 0) -> FactorModel:
+def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
     """Impute-and-decompose completion: fill missing cells with row means,
     truncate an SVD to rank k, refill from the reconstruction, repeat.
 
-    Deterministic; the seed is only echoed into the model config. Stops
-    early once imputed cells settle.
+    Deterministic. Stops early once imputed cells settle.
     """
     mask = m.present_mask
     _check_factorable(mask)
@@ -298,7 +297,7 @@ def svd_fit(m, k: int, max_outer: int = 50, seed: int = 0) -> FactorModel:
     Uf = U[:, :k] * root
     Vf = root[:, None] * Vt[:k]
     _sign_normalize(Uf, Vf)
-    config = {"algorithm": "svd", "k": k, "max_outer": max_outer, "seed": seed}
+    config = {"algorithm": "svd", "k": k, "max_outer": max_outer}
     return FactorModel(k, m.row_keys, m.col_keys, Uf, Vf, tuple(history), config)
 
 

@@ -6,30 +6,32 @@ ridge and cliques once on the full matrix. Every base algorithm here sees
 `with_cell_missing`, and the `in_groups` mean is `sum / len`.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from perfcast import factorization
 from perfcast.cliques import (ColdRowError, build_graph, clique_predict,
                               find_cliques, group_estimates)
-from perfcast.evaluation import (Algorithm, AlgorithmResult, CellPrediction,
-                                 CliqueProtocol, EvalConfig, EvalReport,
+from perfcast.config import Algorithm, CliqueProtocol, RunConfig
+from perfcast.evaluation import (AlgorithmResult, CellPrediction, EvalReport,
                                  ensemble_predict, prediction_error)
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
 from perfcast.matrix import HeldOutCell
 from perfcast.ridge import NoBasisError, ridge_predict
 
 
-def _base_algorithms(algorithms, cfg: EvalConfig) -> set[Algorithm]:
+def _base_algorithms(algorithms, ensemble) -> set[Algorithm]:
     needed = set()
     for alg in algorithms:
         if alg is Algorithm.ENSEMBLE:
-            needed.update(cfg.ensemble)
+            needed.update(ensemble)
         else:
             needed.add(alg)
     return needed
 
 
-def _assemble(algorithms, cells, preds, cfg: EvalConfig):
+def _assemble(algorithms, cells, preds, ensemble):
     """Fold raw per-cell predictions into per-algorithm scored rows."""
     rows: dict[Algorithm, list[CellPrediction]] = {a: [] for a in algorithms}
     uncovered = {a: 0 for a in algorithms}
@@ -37,9 +39,9 @@ def _assemble(algorithms, cells, preds, cfg: EvalConfig):
         for alg in algorithms:
             excluded: tuple[str, ...] = ()
             if alg is Algorithm.ENSEMBLE:
-                avail = [preds[mem][i] for mem in cfg.ensemble
+                avail = [preds[mem][i] for mem in ensemble
                          if preds[mem][i] is not None]
-                excluded = tuple(mem.value for mem in cfg.ensemble
+                excluded = tuple(mem.value for mem in ensemble
                                  if preds[mem][i] is None)
                 value = ensemble_predict(avail) if avail else None
             else:
@@ -62,13 +64,8 @@ def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
     return tuple(out)
 
 
-def leave_one_out(
-    m,
-    algorithm: Algorithm,
-    cfg: EvalConfig = EvalConfig(),
-    protocol: CliqueProtocol = CliqueProtocol.IN_GROUPS_PLUS_REGRESSION,
-    dataset: str = "",
-) -> EvalReport:
+def leave_one_out(m, cfg: RunConfig = RunConfig(),
+                  dataset: str = "") -> EvalReport:
     """Score every present cell by removing it alone and predicting it back.
 
     The machine grouping is computed once on the full matrix (one cell out
@@ -78,8 +75,11 @@ def leave_one_out(
     mask = m.present_mask
     cells = [HeldOutCell(int(r), int(c), float(m.values[r, c]))
              for r, c in np.argwhere(mask)]
+    algorithm = Algorithm(cfg.algorithm)
+    protocol = CliqueProtocol(cfg.protocol)
+    ensemble = tuple(map(Algorithm, cfg.ensemble))
     algorithms = [algorithm]
-    needed = _base_algorithms(algorithms, cfg)
+    needed = _base_algorithms(algorithms, ensemble)
 
     grouping = None
     if Algorithm.CLIQUES in needed:
@@ -117,9 +117,7 @@ def leave_one_out(
 
     per_cell = [predict_one(cell) for cell in cells]
     preds = {alg: [pc[alg] for pc in per_cell] for alg in needed}
-    rows, uncovered = _assemble(algorithms, cells, preds, cfg)
+    rows, uncovered = _assemble(algorithms, cells, preds, ensemble)
     results = _finish(algorithms, rows, uncovered)
-    config = cfg.echo()
-    config["protocol"] = protocol.value
-    return EvalReport(dataset, 0.0, 0, 1, results, config,
+    return EvalReport(dataset, 0.0, 0, 1, results, asdict(cfg),
                       note="leave-one-out")

@@ -11,6 +11,7 @@ mechanisms with known ground truth.
 import hashlib
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from conftest import planted_rank1
 
 from perfcast.cli import main as cli_main
 from perfcast.cliques import build_graph, find_cliques
-from perfcast.evaluation import (Algorithm, CliqueProtocol, EvalConfig,
-                                 ensemble_predict, leave_one_out,
+from perfcast.config import Algorithm, CliqueProtocol, RunConfig
+from perfcast.evaluation import (ensemble_predict, leave_one_out,
                                  masking_sweep, prediction_error)
 from perfcast.factorization import (ALSConfig, FactorModel, als_fit, predict,
                                     predict_all)
@@ -85,8 +86,8 @@ def test_c3_proportional_machines_form_one_clique():
     shape_ok = (len(grouping.cliques) == 1
                 and len(grouping.cliques[0]) == 8)
 
-    report = leave_one_out(m, Algorithm.CLIQUES, EvalConfig(),
-                           CliqueProtocol.IN_GROUPS)
+    report = leave_one_out(m, RunConfig(algorithm="cliques",
+                                        protocol="in_groups"))
     res = report.results[0]
     error_ok = (res.n_uncovered == 0 and res.total_error is not None
                 and res.total_error < 1e-9)
@@ -98,7 +99,7 @@ def test_c3_proportional_machines_form_one_clique():
 def test_c4_dataset_group_structure_and_errors():
     name = "dataset grouping and leave-one-out error bands"
     m = _load_dataset(4, name)
-    cfg = EvalConfig()
+    cfg = RunConfig(algorithm="cliques")
 
     grouping = find_cliques(build_graph(m, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
@@ -106,7 +107,7 @@ def test_c4_dataset_group_structure_and_errors():
     singles = sum(1 for c in grouping.cliques if len(c) == 1)
 
     def total(protocol):
-        rep = leave_one_out(m, Algorithm.CLIQUES, cfg, protocol)
+        rep = leave_one_out(m, replace(cfg, protocol=protocol.value))
         return rep.results[0].total_error
 
     reg = total(CliqueProtocol.REGRESSION)
@@ -126,10 +127,8 @@ def test_c4_dataset_group_structure_and_errors():
 def test_c5_dataset_sparse_regime():
     name = "dataset sparse regime: factorization vs regression"
     m = _load_dataset(5, name)
-    cfg = EvalConfig()
-    fractions = (0.15, 0.30, 0.50, 0.80)
-    reports = masking_sweep(m, fractions, [Algorithm.ALS, Algorithm.RIDGE],
-                            repeats=3, seed=0, cfg=cfg)
+    cfg = RunConfig(fractions=(0.15, 0.30, 0.50, 0.80), repeats=3, seed=0)
+    reports = masking_sweep(m, [Algorithm.ALS, Algorithm.RIDGE], cfg)
 
     ok = True
     summary = []

@@ -172,6 +172,10 @@ class TestSweep:
         # the run_config echo still records the value that was given
         assert (d1["run_config"]["threads"], d2["run_config"]["threads"]) \
             == (1, 2)
+        # and so does each report's config echo; nothing else differs
+        for r1, r2 in zip(d1["reports"], d2["reports"], strict=True):
+            assert (r1["config"].pop("threads"),
+                    r2["config"].pop("threads")) == (1, 2)
         assert d1["reports"] == d2["reports"]
         rc0, err0, _, _ = run("0")
         assert rc0 == 1 and "threads must be >= 1" in err0
@@ -224,6 +228,30 @@ class TestOutliers:
         data = json.loads(oj.read_text())
         assert data["reports"][0]["config"]["outliers"] == {
             "fraction": 0.1, "lo": 0.0, "hi": 4.0}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("evaluate", ["--algorithm", "cliques", "--protocol", "in_groups"]),
+    ("sweep", ["--algorithms", "ridge,als", "--fractions", "10,20"]),
+    ("outliers", ["--algorithms", "ridge", "--fractions", "10,20",
+                  "--outlier-hi", "3"]),
+])
+def test_report_config_is_the_run_config(matrix_csv, tmp_path, command,
+                                         flags):
+    out = tmp_path / "r.json"
+    assert main([command, str(matrix_csv), *flags, "--repeats", "1",
+                 "--seed", "3", "--als-k", "2", "--ridge-lambda", "0.5",
+                 "--out-json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    echo = data["run_config"]
+    del echo["input"]
+    echo.pop("algorithms", None)  # sweep and outliers only
+    assert data["reports"]
+    for report in data["reports"]:
+        config = dict(report["config"])
+        assert ("outliers" in config) == (command == "outliers")
+        config.pop("outliers", None)
+        assert config == echo
 
 
 class TestRankAndPlace:

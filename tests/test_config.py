@@ -2,6 +2,7 @@
 and a flag, reaches the run_config echo, and rejects names it cannot run."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -109,7 +110,8 @@ def test_default_echo(matrix_csv, tmp_path):
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("line", ["algorithm = magic", "protocol = magic",
-                                  "ensemble = ridge,magic"])
+                                  "ensemble = ridge,magic",
+                                  "ensemble = ridge,ensemble"])
 def test_unknown_name_in_file_reports_line(matrix_csv, tmp_path, capsys,
                                            command, line):
     cfg = tmp_path / "run.cfg"
@@ -117,12 +119,15 @@ def test_unknown_name_in_file_reports_line(matrix_csv, tmp_path, capsys,
     rc = main([command, str(matrix_csv), *COMMANDS[command],
                "--config", str(cfg)])
     err = capsys.readouterr().err
+    bad = re.split("[=,]", line)[-1].strip()
     assert rc == 1
-    assert f"{cfg}:1:" in err and "magic" in err
+    assert f"{cfg}:1:" in err and f"'{bad}' is not one of" in err
 
 
 @pytest.mark.parametrize("flag", [["--protocol", "magic"],
-                                  ["--ensemble", "ridge,magic"]])
+                                  ["--ensemble", "ridge,magic"],
+                                  ["--ensemble", "ridge,ensemble"],
+                                  ["--algorithms", "ridge,magic"]])
 def test_unknown_name_as_flag_is_usage_error(matrix_csv, tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", str(matrix_csv), *flag])
@@ -134,3 +139,59 @@ def test_outlier_fraction_takes_one_percentage(matrix_csv, tmp_path, capsys):
     cfg.write_text("outlier_fraction = 10,20\n")
     assert main(["outliers", str(matrix_csv), "--config", str(cfg)]) == 1
     assert f"{cfg}:1:" in capsys.readouterr().err
+
+
+# (command, flags, message): each setting is checked before the matrix is
+# read, so a missing matrix file is never reached
+BAD_SETTINGS = [
+    ("evaluate", ["--repeats", "0"], "repeats must be >= 1, got 0"),
+    ("complete", ["--algorithm", "ridge", "--svd-max-outer", "0"],
+     "svd_max_outer must be >= 1, got 0"),
+    ("sweep", ["--svd-k", "0"], "svd_k must be >= 1, got 0"),
+    ("sweep", ["--outlier-lo", "5", "--outlier-hi", "1"],
+     "0 <= outlier_lo < outlier_hi, got [5.0, 1.0]"),
+    ("outliers", ["--outlier-lo", "-1"],
+     "0 <= outlier_lo < outlier_hi, got [-1.0, 4.0]"),
+    ("evaluate", ["--clique-threshold", "0"],
+     "clique_threshold must be in (0, 1], got 0.0"),
+    ("complete", ["--clique-threshold", "1.5"],
+     "clique_threshold must be in (0, 1], got 1.5"),
+    ("outliers", ["--ridge-lambda", "-1"],
+     "lambda must be nonnegative, got -1.0"),
+    ("evaluate", ["--ridge-min-training-rows", "1"],
+     "min_training_rows must be at least 2, got 1"),
+    ("evaluate", ["--als-k", "0"], "rank must be positive, got 0"),
+    ("sweep", ["--als-lambda", "-1"], "lambda must be nonnegative"),
+    ("complete", ["--als-max-iters", "0"], "max_iters must be >= 1"),
+    ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("command,flags,message", BAD_SETTINGS)
+def test_bad_setting_fails_before_the_input_is_read(tmp_path, capsys,
+                                                    command, flags, message):
+    matrix = tmp_path / "missing.csv"
+    rc = main([command, str(matrix), *COMMANDS[command], *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err and "No such file" not in err
+
+
+@pytest.mark.parametrize("setting", [{"fractions": (0.1, 1.5)},
+                                     {"fractions": (-0.1,)},
+                                     {"outlier_fraction": 1.0}])
+def test_fraction_out_of_range_rejected(setting):
+    # the flag and file parsers take percentages and already reject these;
+    # a RunConfig made in code must fail as early
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\)"):
+        RunConfig(**setting)
+
+
+def test_ensemble_cannot_nest():
+    with pytest.raises(ValueError, match="ensemble members"):
+        RunConfig(ensemble=("ridge", "ensemble"))
+
+
+def test_empty_ensemble_rejected():
+    with pytest.raises(ValueError, match="ensemble members"):
+        RunConfig(ensemble=())

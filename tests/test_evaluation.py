@@ -10,9 +10,8 @@ from conftest import grid, planted_rank1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (Algorithm, ALSConfig, CliqueProtocol, EvalConfig,
-                      cliques, evaluation,
-                      MaskSpec, RidgeConfig, als_fit, complete_matrix,
+from perfcast import (Algorithm, CliqueProtocol, RunConfig, cliques,
+                      evaluation, MaskSpec, als_fit, complete_matrix,
                       ensemble_predict, factorization, leave_one_out,
                       mask_random, masking_sweep, outlier_sweep,
                       prediction_error, report_to_json, ridge_predict,
@@ -20,11 +19,10 @@ from perfcast import (Algorithm, ALSConfig, CliqueProtocol, EvalConfig,
 
 
 def small_cfg(**kw):
-    base = dict(ridge=RidgeConfig(lam=1e-8),
-                als=ALSConfig(k=1, lam=1e-8, seed=0),
+    base = dict(ridge_lambda=1e-8, als_k=1, als_lambda=1e-8, seed=0,
                 clique_min_overlap=3)
     base.update(kw)
-    return EvalConfig(**base)
+    return RunConfig(**base)
 
 
 class TestPredictionError:
@@ -80,8 +78,8 @@ def proportional_matrix(n=9, m=5, seed=12):
 class TestLeaveOneOut:
     def test_clique_exact_on_proportional_columns(self):
         m = proportional_matrix()
-        report = leave_one_out(m, Algorithm.CLIQUES, small_cfg(),
-                               CliqueProtocol.IN_GROUPS)
+        report = leave_one_out(m, small_cfg(algorithm="cliques",
+                                            protocol="in_groups"))
         res = report.results[0]
         assert res.n_uncovered == 0
         assert len(res.cells) == m.count_present
@@ -90,22 +88,22 @@ class TestLeaveOneOut:
     def test_does_not_mutate_input(self):
         m = proportional_matrix(6, 4, seed=3)
         before = np.array(m.values)
-        leave_one_out(m, Algorithm.RIDGE, small_cfg())
+        leave_one_out(m, small_cfg(algorithm="ridge"))
         assert np.array_equal(
             np.nan_to_num(m.values), np.nan_to_num(before))
 
     def test_total_error_recomputable(self):
         m = proportional_matrix(7, 4, seed=5)
-        report = leave_one_out(m, Algorithm.ALS, small_cfg())
+        report = leave_one_out(m, small_cfg(algorithm="als"))
         res = report.results[0]
         assert res.total_error == pytest.approx(
             sum(c.error for c in res.cells) / len(res.cells))
 
     def test_protocol_regression_equals_ridge_algorithm(self):
         m = proportional_matrix(7, 4, seed=6)
-        via_protocol = leave_one_out(m, Algorithm.CLIQUES, small_cfg(),
-                                     CliqueProtocol.REGRESSION)
-        via_ridge = leave_one_out(m, Algorithm.RIDGE, small_cfg())
+        via_protocol = leave_one_out(m, small_cfg(algorithm="cliques",
+                                                  protocol="regression"))
+        via_ridge = leave_one_out(m, small_cfg(algorithm="ridge"))
         a = [(c.row, c.col, c.predicted) for c in via_protocol.results[0].cells]
         b = [(c.row, c.col, c.predicted) for c in via_ridge.results[0].cells]
         assert a == b
@@ -116,8 +114,8 @@ class TestLeaveOneOut:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, 1.5, 2.5]
         m = grid(np.column_stack([base, [2 * b for b in base], noise]).tolist())
-        report = leave_one_out(m, Algorithm.CLIQUES, small_cfg(),
-                               CliqueProtocol.IN_GROUPS)
+        report = leave_one_out(m, small_cfg(algorithm="cliques",
+                                            protocol="in_groups"))
         res = report.results[0]
         assert res.n_uncovered == 5
         assert len(res.cells) == 10
@@ -127,8 +125,8 @@ class TestLeaveOneOut:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, 1.5, 2.5]
         m = grid(np.column_stack([base, [2 * b for b in base], noise]).tolist())
-        report = leave_one_out(m, Algorithm.CLIQUES, small_cfg(),
-                               CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
+        report = leave_one_out(m, small_cfg(
+            algorithm="cliques", protocol="in_groups_plus_regression"))
         res = report.results[0]
         assert res.n_uncovered == 0
         assert len(res.cells) == 15
@@ -137,8 +135,8 @@ class TestLeaveOneOut:
         # one matrix column is in no clique, another row is nearly empty;
         # fabricate an uncoverable member case via svd on a thin matrix
         m = proportional_matrix(6, 4, seed=8)
-        cfg = small_cfg(ensemble=(Algorithm.RIDGE, Algorithm.ALS))
-        report = leave_one_out(m, Algorithm.ENSEMBLE, cfg)
+        cfg = small_cfg(algorithm="ensemble", ensemble=("ridge", "als"))
+        report = leave_one_out(m, cfg)
         res = report.results[0]
         assert res.algorithm == "ensemble"
         assert res.n_uncovered == 0
@@ -150,54 +148,58 @@ class TestMaskingSweep:
     def test_bad_svd_rank_raises(self):
         m = proportional_matrix(6, 4, seed=2)
         with pytest.raises(ValueError, match="rank must be in"):
-            masking_sweep(m, [0.3], [Algorithm.SVD], repeats=1, seed=1,
-                          cfg=small_cfg(svd_k=5))
+            masking_sweep(m, [Algorithm.SVD], small_cfg(
+                fractions=(0.3,), repeats=1, seed=1, svd_k=5))
 
     def test_fraction_zero_flagged(self):
         m = proportional_matrix(6, 4, seed=2)
-        (report,) = masking_sweep(m, [0.0], [Algorithm.RIDGE], repeats=2,
-                                  seed=1, cfg=small_cfg())
+        (report,) = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
+            fractions=(0.0,), repeats=2, seed=1))
         assert report.note == "no held-out cells"
         assert report.results[0].total_error is None
         assert report.results[0].cells == ()
 
     def test_planted_rank1_als_accurate_at_all_fractions(self):
         m, _, _ = planted_rank1(10, 8, seed=4)
-        fractions = [0.1, 0.3, 0.5]
-        reports = masking_sweep(m, fractions, [Algorithm.ALS], repeats=2,
-                                seed=3, cfg=small_cfg())
+        reports = masking_sweep(m, [Algorithm.ALS], small_cfg(
+            fractions=(0.1, 0.3, 0.5), repeats=2, seed=3))
         for report in reports:
             assert report.results[0].total_error < 1e-3
 
     def test_deterministic(self):
         m, _, _ = planted_rank1(8, 6, seed=5)
-        args = (m, [0.2, 0.4], [Algorithm.RIDGE, Algorithm.ALS])
-        a = masking_sweep(*args, repeats=2, seed=9, cfg=small_cfg())
-        b = masking_sweep(*args, repeats=2, seed=9, cfg=small_cfg())
+        algorithms = [Algorithm.RIDGE, Algorithm.ALS]
+
+        def sweep(seed):
+            return masking_sweep(m, algorithms, small_cfg(
+                fractions=(0.2, 0.4), repeats=2, seed=seed))
+        a = sweep(9)
+        b = sweep(9)
         assert [report_to_json(r) for r in a] == [report_to_json(r) for r in b]
-        c = masking_sweep(*args, repeats=2, seed=10, cfg=small_cfg())
+        c = sweep(10)
         assert [report_to_json(r) for r in a] != [report_to_json(r) for r in c]
 
     def test_algorithms_share_the_mask(self):
         m, _, _ = planted_rank1(8, 6, seed=6)
-        (report,) = masking_sweep(m, [0.3], [Algorithm.RIDGE, Algorithm.ALS],
-                                  repeats=1, seed=2, cfg=small_cfg())
+        (report,) = masking_sweep(m, [Algorithm.RIDGE, Algorithm.ALS],
+                                  small_cfg(fractions=(0.3,), repeats=1,
+                                            seed=2))
         cells_of = {res.algorithm: {(c.row, c.col) for c in res.cells}
                     for res in report.results}
         assert cells_of["ridge"] == cells_of["als"]
 
     def test_infeasible_fraction_warning_entry(self):
         m = grid([[1, 2], [3, 4]])
-        reports = masking_sweep(m, [0.25, 0.75], [Algorithm.RIDGE],
-                                repeats=1, seed=0, cfg=small_cfg())
+        reports = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
+            fractions=(0.25, 0.75), repeats=1, seed=0))
         assert reports[0].note is None
         assert "infeasible" in reports[1].note
         assert reports[1].results[0].cells == ()
 
     def test_pooled_mean_over_repeats(self):
         m, _, _ = planted_rank1(8, 6, seed=7)
-        (report,) = masking_sweep(m, [0.2], [Algorithm.RIDGE], repeats=3,
-                                  seed=4, cfg=small_cfg())
+        (report,) = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
+            fractions=(0.2,), repeats=3, seed=4))
         res = report.results[0]
         assert len(res.cells) == 3 * round(0.2 * 48)
         assert res.total_error == pytest.approx(
@@ -207,11 +209,11 @@ class TestMaskingSweep:
 class TestOutlierSweep:
     def test_zero_fraction_matches_masking_sweep(self):
         m, _, _ = planted_rank1(8, 6, seed=9)
-        masked = masking_sweep(m, [0.2, 0.4], [Algorithm.RIDGE, Algorithm.ALS],
-                               repeats=2, seed=5, cfg=small_cfg())
-        outliers = outlier_sweep(m, 0.0, (0, 4), [0.2, 0.4],
-                                 [Algorithm.RIDGE, Algorithm.ALS],
-                                 repeats=2, seed=5, cfg=small_cfg())
+        algorithms = [Algorithm.RIDGE, Algorithm.ALS]
+        cfg = small_cfg(fractions=(0.2, 0.4), repeats=2, seed=5,
+                        outlier_fraction=0.0, outlier_lo=0, outlier_hi=4)
+        masked = masking_sweep(m, algorithms, cfg)
+        outliers = outlier_sweep(m, algorithms, cfg)
         for a, b in zip(masked, outliers):
             assert [r.total_error for r in a.results] == [
                 r.total_error for r in b.results]
@@ -220,15 +222,17 @@ class TestOutlierSweep:
     def test_targets_stay_clean(self):
         # corrupt heavily; the recorded targets must equal the original cells
         m, _, _ = planted_rank1(8, 6, seed=10)
-        reports = outlier_sweep(m, 0.5, (0, 10), [0.25], [Algorithm.RIDGE],
-                                repeats=1, seed=7, cfg=small_cfg())
+        reports = outlier_sweep(m, [Algorithm.RIDGE], small_cfg(
+            fractions=(0.25,), repeats=1, seed=7, outlier_fraction=0.5,
+            outlier_lo=0, outlier_hi=10))
         for cell in reports[0].results[0].cells:
             assert cell.target == m.values[cell.row, cell.col]
 
     def test_outlier_config_echoed(self):
         m, _, _ = planted_rank1(6, 5, seed=11)
-        (report,) = outlier_sweep(m, 0.1, (0, 4), [0.2], [Algorithm.RIDGE],
-                                  repeats=1, seed=8, cfg=small_cfg())
+        (report,) = outlier_sweep(m, [Algorithm.RIDGE], small_cfg(
+            fractions=(0.2,), repeats=1, seed=8, outlier_fraction=0.1,
+            outlier_lo=0, outlier_hi=4))
         assert report.config["outliers"] == {"fraction": 0.1, "lo": 0,
                                              "hi": 4}
 
@@ -236,8 +240,8 @@ class TestOutlierSweep:
 class TestCompleteMatrix:
     def test_full_matrix_identity(self):
         m = proportional_matrix(5, 4, seed=13)
-        completed, fills, model = complete_matrix(m, Algorithm.ALS,
-                                                  small_cfg())
+        completed, fills, model = complete_matrix(m, small_cfg(
+            algorithm="als"))
         assert fills == []
         assert model is not None  # the model is useful even with no holes
         assert np.array_equal(completed.values, m.values)
@@ -245,8 +249,8 @@ class TestCompleteMatrix:
     def test_als_fills_planted_holes(self):
         m, _, _ = planted_rank1(10, 8, seed=14)
         masked, held = mask_random(m, MaskSpec(0.4, 15))
-        completed, fills, model = complete_matrix(masked, Algorithm.ALS,
-                                                  small_cfg())
+        completed, fills, model = complete_matrix(masked, small_cfg(
+            algorithm="als"))
         assert model is not None
         assert completed.present_mask.all()
         assert len(fills) == len(held)
@@ -259,8 +263,8 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        completed, fills, _ = complete_matrix(m, Algorithm.CLIQUES,
-                                              small_cfg())
+        completed, fills, _ = complete_matrix(m, small_cfg(
+            algorithm="cliques"))
         assert completed.present_mask.all()
         (fill,) = fills
         assert fill.algorithm == "ridge"
@@ -268,8 +272,8 @@ class TestCompleteMatrix:
 
     def test_clique_fill_uses_group_scaling(self):
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
-        completed, fills, _ = complete_matrix(m, Algorithm.CLIQUES,
-                                              small_cfg())
+        completed, fills, _ = complete_matrix(m, small_cfg(
+            algorithm="cliques"))
         (fill,) = fills
         assert fill.algorithm == "cliques"
 
@@ -301,10 +305,11 @@ class TestCompleteMatrix:
         kind, _, detail = expected.partition(":")
         if kind == "raise":
             with pytest.raises(ValueError) as exc:
-                complete_matrix(m, algorithm, small_cfg())
+                complete_matrix(m, small_cfg(algorithm=algorithm.value))
             assert str(exc.value).startswith(detail)
         else:
-            completed, fills, _ = complete_matrix(m, algorithm, small_cfg())
+            completed, fills, _ = complete_matrix(
+                m, small_cfg(algorithm=algorithm.value))
             assert completed.present_mask.all()
             assert {f.algorithm for f in fills} == {detail}
 
@@ -314,8 +319,8 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        cfg = small_cfg()
-        _, fills, _ = complete_matrix(m, Algorithm.ENSEMBLE, cfg)
+        cfg = small_cfg(algorithm="ensemble")
+        _, fills, _ = complete_matrix(m, cfg)
         (fill,) = fills
         ridge = ridge_predict(m, 3, 2, cfg.ridge)
         als = factorization.predict(als_fit(m, cfg.als), 3, 2)
@@ -338,19 +343,20 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        _, fills, _ = complete_matrix(m, Algorithm.ENSEMBLE, small_cfg())
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
+        _, fills, _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
         assert fills[0].algorithm == "ensemble:ridge+cliques+als"
         calls.clear()
-        report = leave_one_out(m, Algorithm.ENSEMBLE, small_cfg(), protocol)
+        report = leave_one_out(m, cfg)
         cells = [(c.row, c.col) for c in report.results[0].cells]
         assert calls == cells
 
     def test_ensemble_mechanism_lists_members(self):
         m, _, _ = planted_rank1(7, 5, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.2, 18))
-        _, fills, model = complete_matrix(masked, Algorithm.ENSEMBLE,
-                                          small_cfg())
+        _, fills, model = complete_matrix(masked, small_cfg(
+            algorithm="ensemble"))
         assert model is None
         assert all(f.algorithm.startswith("ensemble:") for f in fills)
 
@@ -358,8 +364,8 @@ class TestCompleteMatrix:
 class TestReportFiles:
     def make_reports(self):
         m, _, _ = planted_rank1(7, 5, seed=19)
-        return masking_sweep(m, [0.2, 0.4], [Algorithm.RIDGE, Algorithm.ALS],
-                             repeats=1, seed=11, cfg=small_cfg())
+        return masking_sweep(m, [Algorithm.RIDGE, Algorithm.ALS], small_cfg(
+            fractions=(0.2, 0.4), repeats=1, seed=11))
 
     def test_csv_layout(self, tmp_path):
         reports = self.make_reports()
@@ -393,12 +399,3 @@ class TestReportFiles:
         write_reports_json(self.make_reports(), b)
         assert a.read_bytes() == b.read_bytes()
 
-
-class TestEvalConfig:
-    def test_ensemble_cannot_nest(self):
-        with pytest.raises(ValueError):
-            EvalConfig(ensemble=(Algorithm.ENSEMBLE,))
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            EvalConfig(ensemble=())

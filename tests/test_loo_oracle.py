@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from loo_reference import leave_one_out as reference_leave_one_out
 
-from perfcast import (Algorithm, ALSConfig, CliqueProtocol, EvalConfig,
-                      leave_one_out, report_to_json)
+from perfcast import (Algorithm, CliqueProtocol, RunConfig, leave_one_out,
+                      report_to_json)
 
 CASES = [(Algorithm.RIDGE, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
 CASES += [(Algorithm.CLIQUES, p) for p in CliqueProtocol]
@@ -76,12 +76,11 @@ def sparse_matrices(draw):
        min_overlap=st.integers(2, 3))
 @settings(max_examples=40, deadline=None)
 def test_matches_reference(algorithm, protocol, m, threshold, min_overlap):
-    cfg = EvalConfig(als=ALSConfig(max_iters=20),
-                     clique_threshold=threshold,
-                     clique_min_overlap=min_overlap)
-    got = report_to_json(leave_one_out(m, algorithm, cfg, protocol))
-    want = report_to_json(reference_leave_one_out(m, algorithm, cfg,
-                                                  protocol))
+    cfg = RunConfig(algorithm=algorithm.value, protocol=protocol.value,
+                    als_max_iters=20, clique_threshold=threshold,
+                    clique_min_overlap=min_overlap)
+    got = report_to_json(leave_one_out(m, cfg))
+    want = report_to_json(reference_leave_one_out(m, cfg))
     rtol = (IN_GROUPS_RTOL if protocol is CliqueProtocol.IN_GROUPS
             else STACKED_RTOL if algorithm in (Algorithm.ALS,
                                                Algorithm.ENSEMBLE)
