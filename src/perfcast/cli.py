@@ -178,6 +178,7 @@ def cmd_sweep(args) -> int:
     sweep = outlier_sweep if args.command == "outliers" else masking_sweep
     reports = sweep(m, args.algorithms, cfg, dataset=Path(args.matrix).stem)
     echo = _echo(cfg, input=args.matrix)
+    del echo["algorithm"]  # --algorithms replaces it
     echo["algorithms"] = list(args.algorithms)
     _write_eval_outputs(args, cfg, reports, echo)
     _report_warnings(reports)

@@ -7,16 +7,30 @@ a scalar multiple of the other, so a missing time is recovered by scaling
 a group mate's time. The clique search is a cheap greedy pass, not an
 exact maximum-clique enumeration: it guarantees at least one clique per
 vertex and runs in at most cubic time.
+
+`clique_block` predicts a block of cells per call. Every slope comes from
+the pair sums of one fit (`pair_sums`: three matmuls over the zero-filled
+matrix); a cell whose own row observes the target takes that row's terms
+back out, and sums a pair again directly where the removed term is as
+large as what remains. Cells without a group estimate fall back to one
+`ridge_block` call, or to the ridge results the caller already has.
+`clique_predict`, `group_estimates` and `scaling_coefficient` are the
+block of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ridge import NoBasisError, RidgeConfig, ridge_predict
+from .ridge import NoBasisError, RidgeConfig, ridge_block
+
+
+# Most (cells x columns) entries that one pass of the estimates holds.
+_SPAN = 2**11
 
 
 class ColdRowError(ValueError):
@@ -132,67 +146,159 @@ def find_cliques(g: SimilarityGraph) -> Grouping:
     return Grouping(tuple(cliques), membership)
 
 
+class PairSums(NamedTuple):
+    """Sums over the rows that observe both columns, for every ordered
+    column pair (a, c): xy = sum of x_a * x_c, xx = sum of x_a ** 2, and
+    count = the number of such rows. xy and count are symmetric."""
+
+    xy: np.ndarray
+    xx: np.ndarray
+    count: np.ndarray
+
+
+def pair_sums(m) -> PairSums:
+    """Every column pair's sums from three matmuls over the zero-filled
+    matrix."""
+    present = m.present_mask.astype(float)
+    x = np.where(m.present_mask, m.values, 0.0)
+    return PairSums(x.T @ x, (x * x).T @ present, present.T @ present)
+
+
 def scaling_coefficient(m, from_col: int, to_col: int,
                         exclude_row: int | None = None) -> float:
     """Least-squares slope through the origin mapping one column onto
-    another, over their co-observed rows."""
-    pm = m.present_mask
-    both = pm[:, from_col] & pm[:, to_col]
-    if exclude_row is not None:
-        both = both.copy()
-        both[exclude_row] = False
-    if not both.any():
+    another, over their co-observed rows; the same slope that group
+    estimates scale by."""
+    rows = [-1 if exclude_row is None else exclude_row]
+    slope, usable = _slopes(m, pair_sums(m), np.array(rows),
+                            np.array([to_col]))
+    if not usable[0, from_col]:
         raise ValueError(
             f"no co-observed rows between columns {from_col} and {to_col}"
         )
-    x = m.values[both, from_col]
-    y = m.values[both, to_col]
-    return float(x @ y) / float(x @ x)
+    return float(slope[0, from_col])
+
+
+def _slopes(m, sums: PairSums, rows, cols):
+    """slope[i, a]: the least-squares slope through the origin from column
+    a onto column cols[i], over the rows other than rows[i] that observe
+    both; usable[i, a] where there is such a row. A row index of -1 leaves
+    no row out.
+
+    The left-out row's terms come back out of the pair sums; where one of
+    them is as large as what remains, that difference would lose digits,
+    so the pair is summed again directly.
+    """
+    mask, values = m.present_mask, m.values
+    cells = np.arange(rows.size)
+    left_out = (rows >= 0)[:, None] & mask[rows]
+    x = np.where(left_out, values[rows], 0.0)
+    y = x[cells, cols][:, None]
+    target_seen = left_out[cells, cols][:, None]
+    xy = sums.xy[cols] - x * y
+    xx = sums.xx.T[cols] - np.where(target_seen, x * x, 0.0)
+    usable = sums.count[cols] - (left_out & target_seen) > 0
+    redo = usable & target_seen & ((x * x >= xx) | (x * y >= xy))
+    for i, a in zip(*np.nonzero(redo)):
+        both = mask[:, a] & mask[:, cols[i]]
+        both[rows[i]] = False
+        xa = values[both, a]
+        xy[i, a] = xa @ values[both, cols[i]]
+        xx[i, a] = xa @ xa
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return xy / xx, usable
+
+
+def _mates(grouping: Grouping, n_cols: int) -> np.ndarray:
+    """mates[c, a]: columns c and a share a clique (a != c)."""
+    mates = np.zeros((n_cols, n_cols), dtype=bool)
+    for clique in grouping.cliques:
+        mates[np.ix_(clique, clique)] = True
+    np.fill_diagonal(mates, False)
+    return mates
+
+
+def _estimates(m, mates, sums: PairSums, rows, cols):
+    """est[i, a]: group mate a's time in row rows[i] scaled onto column
+    cols[i], where valid[i, a]: a shares a clique with cols[i], has a
+    value in the row and a co-observed row besides it (0 elsewhere)."""
+    slope, usable = _slopes(m, sums, rows, cols)
+    valid = mates[cols] & m.present_mask[rows] & usable
+    return np.where(valid, m.values[rows] * slope, 0.0), valid
 
 
 def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
     """Per-mate estimates for a cell: mate's time in this row scaled onto
     the target machine. Mates without a value in the row, or without any
     co-observation with the target column, contribute nothing."""
-    pm = m.present_mask
-    estimates = []
-    for mate in grouping.mates(col):
-        if not pm[row, mate]:
-            continue
-        try:
-            slope = scaling_coefficient(m, mate, col, exclude_row=row)
-        except ValueError:  # no co-observed row besides this one
-            continue
-        estimates.append(float(m.values[row, mate]) * slope)
-    return estimates
+    est, valid = _estimates(m, _mates(grouping, m.n_cols), pair_sums(m),
+                            np.array([row]), np.array([col]))
+    return [float(e) for e in est[0, valid[0]]]
 
 
 def clique_predict(m, grouping: Grouping, row: int, col: int,
                    ridge_cfg: RidgeConfig = RidgeConfig(),
-                   fallback: bool = True, ridge=None) -> tuple[float, str]:
+                   fallback: bool = True) -> tuple[float, str]:
     """Predict a cell as the mean of its group-mate estimates.
 
     Returns (value, mechanism), the mechanism being "cliques" or "ridge".
     The target cell is treated as missing. Machines outside any real group
     (or with no usable mate in this row) fall back to the regression
     baseline; a row with no observations at all raises ColdRowError. With
-    fallback False such a cell raises NoBasisError instead. ridge, when
-    given, is called with no arguments for the fallback's value in place
-    of ridge_predict, by a caller that has already solved this cell.
+    fallback False such a cell raises NoBasisError instead.
     """
-    estimates = group_estimates(m, grouping, row, col)
-    if estimates:
-        return float(np.mean(estimates)), "cliques"
-    if not fallback:
-        raise NoBasisError(f"no group estimate for cell ({m.row_label(row)}, "
-                           f"{m.col_keys[col]})")
-    row_mask = m.present_mask[row].copy()
-    row_mask[col] = False
-    if not row_mask.any():
-        raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
-    if ridge is None:
-        return ridge_predict(m, row, col, ridge_cfg), "ridge"
-    return ridge(), "ridge"
+    (got,) = clique_block(m, grouping, [row], [col], ridge_cfg, fallback)
+    if isinstance(got, ValueError):
+        raise got
+    return got
+
+
+def clique_block(m, grouping: Grouping, rows, cols,
+                 ridge_cfg: RidgeConfig = RidgeConfig(), fallback: bool = True,
+                 ridge=None, sums: PairSums | None = None) -> list:
+    """clique_predict for each cell (rows[i], cols[i]) in one pass: a list
+    holding, per cell, (value, mechanism) or the error that says why there
+    is none.
+
+    ridge, when given, holds the fallback's result for every cell (what
+    ridge_block returns for them), from a caller that has already solved
+    the cells; otherwise ridge_block runs on the fallback cells only. sums
+    are the pair sums of m, when the caller keeps them across blocks.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    sums = pair_sums(m) if sums is None else sums
+    mates = _mates(grouping, m.n_cols)
+    n_est = np.zeros(rows.size, dtype=int)
+    means = np.zeros(rows.size)
+    # As many cells at a time as keep the (cells x columns) work within
+    # _SPAN entries.
+    step = max(1, _SPAN // m.n_cols)
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        est, valid = _estimates(m, mates, sums, rows[part], cols[part])
+        n_est[part] = valid.sum(axis=1)
+        means[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
+    out: list = [(float(v), "cliques") if n else None
+                 for v, n in zip(means, n_est)]
+    others = m.present_mask[rows].sum(axis=1) - m.present_mask[rows, cols]
+    lone = []  # the cells that fall back to ridge
+    for i in np.flatnonzero(n_est == 0):
+        if not fallback:
+            out[i] = NoBasisError(f"no group estimate for cell "
+                                  f"({m.row_label(rows[i])}, "
+                                  f"{m.col_keys[cols[i]]})")
+        elif not others[i]:
+            out[i] = ColdRowError(f"cold row: {m.row_label(rows[i])} has no "
+                                  f"observations")
+        else:
+            lone.append(i)
+    if lone:
+        solved = (ridge_block(m, rows[lone], cols[lone], ridge_cfg)
+                  if ridge is None else [ridge[i] for i in lone])
+        for i, got in zip(lone, solved):
+            out[i] = got if isinstance(got, ValueError) else (got, "ridge")
+    return out
 
 
 def grouping_to_json(grouping: Grouping, col_keys, threshold: float,

@@ -33,7 +33,8 @@ class Algorithm(str, enum.Enum):
 
 
 class CliqueProtocol(str, enum.Enum):
-    """Scoring variants for the clique algorithm in leave-one-out runs.
+    """Scoring variants for the clique algorithm in leave-one-out runs and
+    in masking and outlier sweeps.
 
     REGRESSION ignores groups entirely; IN_GROUPS scores only cells the
     group-scaling step can reach (everything else counts as uncovered);
@@ -111,7 +112,8 @@ def _tunable(default, parse=None, choices=None, help=None):
 class RunConfig:
     algorithm: str = _tunable("ensemble", choices=_ALGORITHMS)
     protocol: str = _tunable("in_groups_plus_regression", choices=_PROTOCOLS,
-                             help="clique scoring protocol for leave-one-out")
+                             help="clique scoring protocol for evaluate, "
+                             "sweep and outliers")
     ridge_lambda: float = _tunable(1e-2, float)
     ridge_min_training_rows: int = _tunable(3, int)
     clique_threshold: float = _tunable(0.97, float)

@@ -3,7 +3,8 @@ three evaluation drivers (leave-one-out, masking sweep, outlier sweep) and
 matrix completion.
 
 Every driver predicts through one core: each base algorithm is fit once on
-a training matrix and then predicts a batch of cells, and the ensemble is
+a training matrix and then predicts the cells a block at a time (ridge and
+cliques each solve a whole block in one kernel call), and the ensemble is
 composed from the members' results. Leave-one-out uses the full matrix for
 ridge and cliques, which treat the target cell as missing, and refits ALS
 and SVD per cell without it (the ALS refits run stacked, many per solve).
@@ -11,11 +12,13 @@ A cell an algorithm cannot reach is uncovered with the reason its
 predictor gave; completion raises the first such reason.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
-it: the algorithm, the clique protocol (leave-one-out only), the sweep
-fractions, repeats and seed, the outlier settings, and each algorithm's
-hyperparameters, which are read once per fit. A report's `config` is the
-flat echo of that `RunConfig` (`dataclasses.asdict`); outlier reports
-also repeat their corruption settings under `outliers`.
+it: the algorithm (leave-one-out and completion), the clique protocol
+(leave-one-out and sweeps), the sweep fractions, repeats and seed, the
+outlier settings, and each algorithm's hyperparameters, which are read
+once per fit. A report's `config` is the flat echo of that `RunConfig`
+(`dataclasses.asdict`), without `algorithm` in a sweep, whose algorithms
+are an argument; outlier reports also repeat their corruption settings
+under `outliers`.
 
 Drivers score each prediction by relative error
 |predicted - target| / target. A report collects per-algorithm cell
@@ -34,12 +37,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import factorization
-from .cliques import ColdRowError, build_graph, clique_predict, find_cliques
+from .cliques import (ColdRowError, build_graph, clique_block, find_cliques,
+                      pair_sums)
 from .config import Algorithm, CliqueProtocol, RunConfig
 from .factorization import UnfactorableError, als_fit, als_refits, svd_fit
 from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
-from .ridge import NoBasisError, ridge_predict
+from .ridge import NoBasisError, ridge_block
 
 
 @dataclass(frozen=True)
@@ -112,30 +116,50 @@ _FACTORIZATIONS = (Algorithm.ALS, Algorithm.SVD)
 _BLOCK = 512  # cells predicted per algorithm before the next one runs
 
 
+def _outcome(got, mechanism: str = "") -> Outcome:
+    """The Outcome of one cell's kernel result: a value, a (value,
+    mechanism) pair, or the error that says why there is no value."""
+    if isinstance(got, ValueError):
+        return Outcome(None, reason=got)
+    if isinstance(got, tuple):
+        return Outcome(*got)
+    return Outcome(got, mechanism)
+
+
+def _coords(cells):
+    return ([c.row for c in cells], [c.col for c in cells])
+
+
 def _fit_ridge(train: PCMatrix, cfg: RunConfig):
     ridge_cfg = cfg.ridge
 
-    def predict(row, col):
-        return Outcome(ridge_predict(train, row, col, ridge_cfg), "ridge")
+    def predict(cells, ridge=None):
+        return [_outcome(got, "ridge")
+                for got in ridge_block(train, *_coords(cells), ridge_cfg)]
     return predict, None
 
 
-def _fit_cliques(train: PCMatrix, cfg: RunConfig, protocol: CliqueProtocol,
-                 ridge=None):
-    """ridge, when given, returns the ridge member's Outcome for a cell:
-    the regression protocol and the fallback reuse it instead of solving
-    the cell again."""
+def _fit_cliques(train: PCMatrix, cfg: RunConfig, protocol: CliqueProtocol):
+    """The predictor takes the ridge member's outcomes for the same cells
+    when there is a ridge member: the regression protocol and the fallback
+    reuse them instead of solving the cells again."""
     if protocol is CliqueProtocol.REGRESSION:
-        return _fit_ridge(train, cfg) if ridge is None else (ridge, None)
+        solve, _ = _fit_ridge(train, cfg)
+        return (lambda cells, ridge=None:
+                solve(cells) if ridge is None else ridge), None
     grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
+    sums = pair_sums(train)
     fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
     ridge_cfg = cfg.ridge
 
-    def predict(row, col):
-        reuse = None if ridge is None else lambda: _value(ridge(row, col))
-        return Outcome(*clique_predict(train, grouping, row, col, ridge_cfg,
-                                       fallback, reuse))
+    def predict(cells, ridge=None):
+        solved = (None if ridge is None
+                  else [o.reason if o.value is None else o.value
+                        for o in ridge])
+        return [_outcome(got)
+                for got in clique_block(train, grouping, *_coords(cells),
+                                        ridge_cfg, fallback, solved, sums)]
     return predict, None
 
 
@@ -146,26 +170,28 @@ def _fit_factorization(alg: Algorithm, train: PCMatrix, cfg: RunConfig):
 
 
 def _factor_predictor(alg: Algorithm, model):
-    def predict(row, col):
-        return Outcome(factorization.predict(model, row, col), alg.value)
+    def predict(cells, ridge=None):
+        return [Outcome(factorization.predict(model, c.row, c.col),
+                        alg.value) for c in cells]
     return predict
 
 
 def _fit(alg: Algorithm, train: PCMatrix, cfg: RunConfig,
-         protocol: CliqueProtocol, ridge=None):
+         protocol: CliqueProtocol):
     """Fit one base algorithm on train; returns (predict, model).
 
-    predict(row, col) gives the cell's Outcome; ridge and cliques treat the
-    cell as missing whatever train holds there, a factorization does not.
-    model is the FactorModel for als/svd, else None. Fitting and predicting
-    raise NoBasisError, ColdRowError or UnfactorableError where there is no
-    basis for a prediction. The protocol, and the ridge member's outcomes
-    when there is one, apply to the clique algorithm.
+    predict(cells, ridge) gives the Outcome of each cell in a block; ridge
+    and cliques treat a cell as missing whatever train holds there, a
+    factorization does not. ridge is the ridge member's outcomes for the
+    same cells, or None; only the clique algorithm, under the protocol,
+    uses it. model is the FactorModel for als/svd, else None. Fitting
+    raises NoBasisError, ColdRowError or UnfactorableError where there is
+    no basis for any prediction.
     """
     if alg is Algorithm.RIDGE:
         return _fit_ridge(train, cfg)
     if alg is Algorithm.CLIQUES:
-        return _fit_cliques(train, cfg, protocol, ridge)
+        return _fit_cliques(train, cfg, protocol)
     return _fit_factorization(alg, train, cfg)
 
 
@@ -194,11 +220,12 @@ def _attempt(fn, *args):
         return Outcome(None, reason=exc)
 
 
-def _value(outcome: Outcome) -> float:
-    """The outcome's value, or its reason raised again."""
-    if outcome.value is None:
-        raise outcome.reason
-    return outcome.value
+def _predict(fitted, cells, ridge=None) -> list[Outcome]:
+    """The Outcomes of cells from a fit: (predict, model), or the Outcome
+    of a fit that had no basis."""
+    if isinstance(fitted, Outcome):
+        return [fitted] * len(cells)
+    return fitted[0](cells, ridge)
 
 
 def _ensemble_outcome(train: PCMatrix, cell, members) -> Outcome:
@@ -218,33 +245,26 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig,
     """Every requested algorithm's Outcome for each cell, in cell order,
     and the models fit once on train (the FactorModel for als/svd).
 
-    Each base algorithm is fit once on train and predicts every cell (a
-    factorization is also refit for each cell train observes). The
-    ensemble is the mean of the values its members produced, fallbacks
-    included: a clique member that fell back to ridge adds ridge's value,
-    taken from the ridge member when the ensemble has one.
+    Each base algorithm is fit once on train and predicts the cells a
+    block at a time (a factorization is also refit for each cell train
+    observes). The ensemble is the mean of the values its members
+    produced, fallbacks included: a clique member that fell back to ridge
+    adds ridge's value, taken from the ridge member when the ensemble has
+    one.
     """
     bases = _base_algorithms(algorithms, cfg)
     present = train.present_mask
     held_in = [bool(present[c.row, c.col]) for c in cells]
-    # The ridge member's outcomes for the current block, by cell.
-    ridge_done: dict[tuple[int, int], Outcome] = {}
-    ridge = ((lambda row, col: ridge_done[row, col])
-             if Algorithm.RIDGE in bases else None)
     # A factorization trains on every observed cell, so a cell that train
     # still observes (leave-one-out) gets its own fit without it. Ridge and
     # cliques treat the target cell as missing and fit once. The shared
     # fit is made even for no cells: complete_matrix returns the model.
     every_cell_held_in = bool(cells) and all(held_in)
-    shared = {alg: _attempt(_fit, alg, train, cfg, protocol, ridge)
+    shared = {alg: _attempt(_fit, alg, train, cfg, protocol)
               for alg in bases
               if alg not in _FACTORIZATIONS or not every_cell_held_in}
     models = {alg: fit[1] for alg, fit in shared.items()
               if not isinstance(fit, Outcome)}
-
-    def outcome(fitted, cell):
-        return (fitted if isinstance(fitted, Outcome)
-                else _attempt(fitted[0], cell.row, cell.col))
 
     # One algorithm at a time over a block of cells: going cell by cell
     # across algorithms measured about 20% slower on ensemble completion,
@@ -252,23 +272,24 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig,
     outcomes: dict[Algorithm, list[Outcome]] = {a: [] for a in algorithms}
     members = [(mem, mem.value) for mem in map(Algorithm, cfg.ensemble)]
     for start in range(0, len(cells), _BLOCK):
-        block = list(zip(cells[start:start + _BLOCK],
-                         held_in[start:start + _BLOCK]))
+        block = cells[start:start + _BLOCK]
+        held = held_in[start:start + _BLOCK]
         got = {}
         for alg in bases:  # ridge first: cliques may reuse its outcomes
-            own = (_refits(alg, train, [c for c, o in block if o], cfg)
-                   if alg in _FACTORIZATIONS else None)
-            got[alg] = [outcome(next(own) if own is not None and held
-                                else shared[alg], cell)
-                        for cell, held in block]
-            if alg is Algorithm.RIDGE:
-                ridge_done = dict(zip(((c.row, c.col) for c, _ in block),
-                                      got[alg]))
+            if alg in _FACTORIZATIONS:
+                own = _refits(alg, train,
+                              [c for c, h in zip(block, held) if h], cfg)
+                got[alg] = [
+                    _predict(next(own) if h else shared[alg], [c])[0]
+                    for c, h in zip(block, held)]
+            else:
+                got[alg] = _predict(shared[alg], block,
+                                    got.get(Algorithm.RIDGE))
         if Algorithm.ENSEMBLE in outcomes:
             got[Algorithm.ENSEMBLE] = [
                 _ensemble_outcome(train, cell, [(name, got[mem][i])
                                                 for mem, name in members])
-                for i, (cell, _) in enumerate(block)]
+                for i, cell in enumerate(block)]
         for alg, column in outcomes.items():
             column.extend(got[alg])
     return outcomes, models
@@ -322,10 +343,19 @@ def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _sweep_echo(cfg: RunConfig) -> dict:
+    """A sweep's settings echo: the RunConfig without `algorithm`, which
+    a sweep does not read (its algorithms are an argument)."""
+    config = asdict(cfg)
+    del config["algorithm"]
+    return config
+
+
 def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
            extra_config=None) -> list[EvalReport]:
     algorithms = [Algorithm(a) for a in algorithms]
-    config = asdict(cfg)
+    protocol = CliqueProtocol(cfg.protocol)
+    config = _sweep_echo(cfg)
     if extra_config:
         config.update(extra_config)
 
@@ -348,7 +378,8 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
             if corrupt is not None:
                 train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
             n_cells_seen += len(held)
-            outcomes, _ = _predict_cells(train, held, algorithms, cfg)
+            outcomes, _ = _predict_cells(train, held, algorithms, cfg,
+                                         protocol)
             rep_rows, rep_uncov = _assemble(algorithms, held, outcomes)
             for a in algorithms:
                 rows[a].extend(rep_rows[a])

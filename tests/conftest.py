@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from perfcast import PCMatrix, write_matrix_csv
 
@@ -26,6 +27,25 @@ def grid(values, row_keys=None, col_keys=None):
     cols = tuple(col_keys) if col_keys else tuple(f"C{j + 1}"
                                                   for j in range(m))
     return PCMatrix(rows, cols, arr)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=7, max_cols=5, max_holes=0.5):
+    """Near-proportional columns (so cliques form) with random holes, a
+    chance of fully cold rows and of fully empty columns."""
+    n = draw(st.integers(3, max_rows))
+    m = draw(st.integers(2, max_cols))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = np.outer(rng.uniform(1, 10, n), rng.uniform(0.5, 4, m))
+    values *= rng.uniform(1 - draw(st.sampled_from([0.0, 0.05, 0.5])), 1.0,
+                          (n, m))
+    values[rng.random((n, m)) < draw(st.floats(0.0, max_holes))] = np.nan
+    if draw(st.booleans()):
+        values[rng.integers(n)] = np.nan
+    if draw(st.booleans()):
+        values[:, rng.integers(m)] = np.nan
+    return grid(values.tolist())
 
 
 @pytest.fixture

@@ -3,22 +3,26 @@
 This is the earlier `leave_one_out` of perfcast.evaluation, kept verbatim
 (serial instead of a thread pool) as the oracle for the driver that fits
 ridge and cliques once on the full matrix. Every base algorithm here sees
-`with_cell_missing`, and the `in_groups` mean is `sum / len`.
+`with_cell_missing`, and the `in_groups` mean is `sum / len`. Ridge and
+the clique estimates come from the per-cell references
+(`ridge_reference`, `cliques_reference`), not from the block kernels that
+the `leave_one_out` under test runs.
 """
 
 from dataclasses import asdict
 
 import numpy as np
+from cliques_reference import clique_predict, group_estimates
+from ridge_reference import ridge_predict
 
 from perfcast import factorization
-from perfcast.cliques import (ColdRowError, build_graph, clique_predict,
-                              find_cliques, group_estimates)
+from perfcast.cliques import ColdRowError, build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
 from perfcast.evaluation import (AlgorithmResult, CellPrediction, EvalReport,
                                  ensemble_predict, prediction_error)
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
 from perfcast.matrix import HeldOutCell
-from perfcast.ridge import NoBasisError, ridge_predict
+from perfcast.ridge import NoBasisError
 
 
 def _base_algorithms(algorithms, ensemble) -> set[Algorithm]:

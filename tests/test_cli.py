@@ -180,6 +180,57 @@ class TestSweep:
         rc0, err0, _, _ = run("0")
         assert rc0 == 1 and "threads must be >= 1" in err0
 
+    def test_protocol_shapes_the_clique_results(self, tmp_path):
+        # C5 follows no other column, so only the fallback reaches it
+        rng = np.random.default_rng(4)
+        base = rng.uniform(1, 10, 12)
+        values = np.column_stack([base * s for s in (1.0, 2.0, 3.0, 0.5)]
+                                 + [rng.uniform(1, 10, 12)])
+        src = tmp_path / "m.csv"
+        write_matrix_csv(grid(values.tolist()), src)
+
+        def run(*flags):
+            out = tmp_path / "r.json"
+            assert main(["sweep", str(src), "--fractions", "20,40",
+                         "--repeats", "2", "--algorithms", "ridge,cliques",
+                         *flags, "--out-json", str(out)]) == 0
+            data = json.loads(out.read_text())
+            assert data["run_config"]["protocol"] == (
+                flags[1] if flags else "in_groups_plus_regression")
+            return [{res["algorithm"]: res for res in rep["results"]}
+                    for rep in data["reports"]]
+
+        default = run()
+        in_groups = run("--protocol", "in_groups")
+        regression = run("--protocol", "regression")
+        assert all(rep["cliques"]["n_uncovered"] == 0 for rep in default)
+        assert sum(rep["cliques"]["n_uncovered"] for rep in in_groups) > 0
+        for d, g, r in zip(default, in_groups, regression, strict=True):
+            assert d["ridge"] == g["ridge"] == r["ridge"]
+            # the regression protocol scores ridge under the clique name
+            assert ([c["predicted"] for c in r["cliques"]["cells"]]
+                    == [c["predicted"] for c in r["ridge"]["cells"]])
+            # in_groups keeps the cells the groups reached, as scored with
+            # the fallback, and never reaches C5
+            kept = g["cliques"]["cells"]
+            assert all(c in d["cliques"]["cells"] and c["col"] != 4
+                       for c in kept)
+            assert (len(kept) + g["cliques"]["n_uncovered"]
+                    == len(d["cliques"]["cells"]))
+        assert ([rep["cliques"] for rep in default]
+                != [rep["cliques"] for rep in regression])
+
+    def test_algorithm_is_not_echoed(self, matrix_csv, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["sweep", str(matrix_csv), "--fractions", "20",
+                     "--repeats", "1", "--algorithms", "ridge",
+                     "--out-json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert "algorithm" not in data["run_config"]
+        assert data["run_config"]["algorithms"] == ["ridge"]
+        assert all("algorithm" not in rep["config"]
+                   for rep in data["reports"])
+
     def test_infeasible_fraction_warns_but_succeeds(self, tmp_path, capsys):
         m = grid([[1, 2], [3, 4]])
         src = tmp_path / "tiny.csv"

@@ -16,6 +16,7 @@ from perfcast import (Algorithm, CliqueProtocol, RunConfig, cliques,
                       mask_random, masking_sweep, outlier_sweep,
                       prediction_error, report_to_json, ridge_predict,
                       write_reports_csv, write_reports_json)
+from perfcast.ridge import ridge_block
 
 
 def small_cfg(**kw):
@@ -333,13 +334,15 @@ class TestCompleteMatrix:
                                                  protocol):
         # The clique member's fallback (and, under the regression protocol,
         # the whole member) reuses the ridge member's solve of the cell.
+        # Every cell that reaches the ridge block kernel, from any caller,
+        # is counted.
         calls = []
 
-        def counting(m, row, col, cfg):
-            calls.append((row, col))
-            return ridge_predict(m, row, col, cfg)
-        monkeypatch.setattr(evaluation, "ridge_predict", counting)
-        monkeypatch.setattr(cliques, "ridge_predict", counting)
+        def counting(m, rows, cols, cfg):
+            calls.extend(zip(map(int, rows), map(int, cols)))
+            return ridge_block(m, rows, cols, cfg)
+        monkeypatch.setattr(evaluation, "ridge_block", counting)
+        monkeypatch.setattr(cliques, "ridge_block", counting)
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
