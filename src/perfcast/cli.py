@@ -129,6 +129,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_complete(args) -> int:
     cfg = _load_config(args)
+    if args.model_out and cfg.algorithm not in ("als", "svd"):
+        raise ValueError(f"algorithm {cfg.algorithm!r} does not produce "
+                         f"a factor model; drop --model-out or use als/svd")
     m = read_matrix_csv(args.matrix)
     completed, fills, model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
@@ -141,10 +144,6 @@ def cmd_complete(args) -> int:
                        "algorithm": f.algorithm} for f in fills],
         }, args.fills_out)
     if args.model_out:
-        if model is None:
-            raise ValueError(f"algorithm {cfg.algorithm!r} does not produce "
-                             f"a factor model; drop --model-out or use "
-                             f"als/svd")
         _write_json({"run_config": _echo(cfg, input=args.matrix),
                      "model": model_to_json(model)}, args.model_out)
     print(f"filled {len(fills)} missing cells with {cfg.algorithm}; "

@@ -33,12 +33,13 @@ class Algorithm(str, enum.Enum):
 
 
 class CliqueProtocol(str, enum.Enum):
-    """Scoring variants for the clique algorithm in leave-one-out runs and
-    in masking and outlier sweeps.
+    """Variants of the clique algorithm in leave-one-out runs, in masking
+    and outlier sweeps, and in completion.
 
-    REGRESSION ignores groups entirely; IN_GROUPS scores only cells the
-    group-scaling step can reach (everything else counts as uncovered);
-    IN_GROUPS_PLUS_REGRESSION is the production behavior with fallback.
+    REGRESSION ignores groups entirely; IN_GROUPS predicts only cells the
+    group-scaling step can reach (everything else counts as uncovered, and
+    completion stops at the first such cell); IN_GROUPS_PLUS_REGRESSION is
+    the production behavior with fallback.
     """
     REGRESSION = "regression"
     IN_GROUPS = "in_groups"
@@ -112,7 +113,7 @@ def _tunable(default, parse=None, choices=None, help=None):
 class RunConfig:
     algorithm: str = _tunable("ensemble", choices=_ALGORITHMS)
     protocol: str = _tunable("in_groups_plus_regression", choices=_PROTOCOLS,
-                             help="clique scoring protocol for evaluate, "
+                             help="clique protocol for complete, evaluate, "
                              "sweep and outliers")
     ridge_lambda: float = _tunable(1e-2, float)
     ridge_min_training_rows: int = _tunable(3, int)

@@ -2,9 +2,9 @@
 three evaluation drivers (leave-one-out, masking sweep, outlier sweep) and
 matrix completion.
 
-Every driver predicts through one core: each base algorithm is fit once on
-a training matrix and then predicts the cells a block at a time (ridge and
-cliques each solve a whole block in one kernel call), and the ensemble is
+Every driver predicts through one core: each base algorithm has one
+`_fit`, which returns a predictor of a block of cells (ridge and cliques
+each solve a whole block in one kernel call), and the ensemble is
 composed from the members' results. Leave-one-out uses the full matrix for
 ridge and cliques, which treat the target cell as missing, and refits ALS
 and SVD per cell without it (the ALS refits run stacked, many per solve).
@@ -13,7 +13,7 @@ predictor gave; completion raises the first such reason.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
 it: the algorithm (leave-one-out and completion), the clique protocol
-(leave-one-out and sweeps), the sweep fractions, repeats and seed, the
+(every driver, through `_fit`), the sweep fractions, repeats and seed, the
 outlier settings, and each algorithm's hyperparameters, which are read
 once per fit. A report's `config` is the flat echo of that `RunConfig`
 (`dataclasses.asdict`), without `algorithm` in a sweep, whose algorithms
@@ -37,13 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import factorization
-from .cliques import (ColdRowError, build_graph, clique_block, find_cliques,
-                      pair_sums)
+from .cliques import build_graph, clique_block, find_cliques, pair_sums
 from .config import Algorithm, CliqueProtocol, RunConfig
 from .factorization import UnfactorableError, als_fit, als_refits, svd_fit
 from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
-from .ridge import NoBasisError, ridge_block
+from .ridge import ridge_block
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class Outcome(NamedTuple):
     reason: ValueError | None = None  # why value is None
 
 
-_FACTORIZATIONS = (Algorithm.ALS, Algorithm.SVD)
 _BLOCK = 512  # cells predicted per algorithm before the next one runs
 
 
@@ -126,106 +124,75 @@ def _outcome(got, mechanism: str = "") -> Outcome:
     return Outcome(got, mechanism)
 
 
-def _coords(cells):
-    return ([c.row for c in cells], [c.col for c in cells])
-
-
-def _fit_ridge(train: PCMatrix, cfg: RunConfig):
-    ridge_cfg = cfg.ridge
-
-    def predict(cells, ridge=None):
-        return [_outcome(got, "ridge")
-                for got in ridge_block(train, *_coords(cells), ridge_cfg)]
-    return predict, None
-
-
-def _fit_cliques(train: PCMatrix, cfg: RunConfig, protocol: CliqueProtocol):
-    """The predictor takes the ridge member's outcomes for the same cells
-    when there is a ridge member: the regression protocol and the fallback
-    reuse them instead of solving the cells again."""
-    if protocol is CliqueProtocol.REGRESSION:
-        solve, _ = _fit_ridge(train, cfg)
-        return (lambda cells, ridge=None:
-                solve(cells) if ridge is None else ridge), None
-    grouping = find_cliques(build_graph(train, cfg.clique_threshold,
-                                        cfg.clique_min_overlap))
-    sums = pair_sums(train)
-    fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
-    ridge_cfg = cfg.ridge
-
-    def predict(cells, ridge=None):
-        solved = (None if ridge is None
-                  else [o.reason if o.value is None else o.value
-                        for o in ridge])
-        return [_outcome(got)
-                for got in clique_block(train, grouping, *_coords(cells),
-                                        ridge_cfg, fallback, solved, sums)]
-    return predict, None
-
-
-def _fit_factorization(alg: Algorithm, train: PCMatrix, cfg: RunConfig):
-    model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
-             else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
-    return _factor_predictor(alg, model), model
-
-
-def _factor_predictor(alg: Algorithm, model):
-    def predict(cells, ridge=None):
-        return [Outcome(factorization.predict(model, c.row, c.col),
-                        alg.value) for c in cells]
-    return predict
-
-
-def _fit(alg: Algorithm, train: PCMatrix, cfg: RunConfig,
-         protocol: CliqueProtocol):
+def _fit(alg: Algorithm, train: PCMatrix, cfg: RunConfig, refit: bool):
     """Fit one base algorithm on train; returns (predict, model).
 
-    predict(cells, ridge) gives the Outcome of each cell in a block; ridge
-    and cliques treat a cell as missing whatever train holds there, a
-    factorization does not. ridge is the ridge member's outcomes for the
-    same cells, or None; only the clique algorithm, under the protocol,
-    uses it. model is the FactorModel for als/svd, else None. Fitting
-    raises NoBasisError, ColdRowError or UnfactorableError where there is
-    no basis for any prediction.
+    predict(rows, cols, ridge) gives the Outcome of each cell of a block.
+    Ridge and cliques treat a cell as missing whatever train holds there.
+    A factorization does not, so with refit (train observes every cell)
+    it is fit once per cell without that cell instead of once on train.
+    ridge is the ridge member's outcomes for the same cells, or None; the
+    clique algorithm, under cfg.protocol, reuses them. model is the
+    FactorModel of the shared als/svd fit, else None. A shared fit that
+    raises UnfactorableError leaves every cell uncovered with that reason;
+    ridge and clique fits have no such failure (their kernels give the
+    reason per cell).
     """
-    if alg is Algorithm.RIDGE:
-        return _fit_ridge(train, cfg)
+    protocol = CliqueProtocol(cfg.protocol)
+    if alg is Algorithm.RIDGE or (alg is Algorithm.CLIQUES and
+                                  protocol is CliqueProtocol.REGRESSION):
+        def predict(rows, cols, ridge):
+            if ridge is not None:
+                return ridge
+            return [_outcome(got, "ridge")
+                    for got in ridge_block(train, rows, cols, cfg.ridge)]
+        return predict, None
+
     if alg is Algorithm.CLIQUES:
-        return _fit_cliques(train, cfg, protocol)
-    return _fit_factorization(alg, train, cfg)
+        grouping = find_cliques(build_graph(train, cfg.clique_threshold,
+                                            cfg.clique_min_overlap))
+        sums = pair_sums(train)
+        fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
 
+        def predict(rows, cols, ridge):
+            solved = (None if ridge is None
+                      else [o.reason if o.value is None else o.value
+                            for o in ridge])
+            return [_outcome(got)
+                    for got in clique_block(train, grouping, rows, cols,
+                                            cfg.ridge, fallback, solved, sums)]
+        return predict, None
 
-def _refits(alg: Algorithm, train: PCMatrix, cells, cfg: RunConfig):
-    """Fit a factorization once per cell on train without that cell, in
-    cell order: (predict, model), or the uncovered Outcome. The ALS fits
-    run stacked; SVD refits one copy of train at a time."""
-    if alg is Algorithm.ALS:
-        for fit in als_refits(train, [(c.row, c.col) for c in cells],
-                              cfg.als):
-            yield (Outcome(None, reason=fit)
-                   if isinstance(fit, UnfactorableError)
-                   else (_factor_predictor(alg, fit), fit))
-        return
-    for c in cells:
-        yield _attempt(_fit_factorization, alg,
-                       train.with_cell_missing(c.row, c.col), cfg)
-
-
-def _attempt(fn, *args):
-    """fn(*args), or an uncovered Outcome when the error only says that
-    there is no basis for a prediction."""
     try:
-        return fn(*args)
-    except (NoBasisError, ColdRowError, UnfactorableError) as exc:
-        return Outcome(None, reason=exc)
+        shared = None if refit else (
+            als_fit(train, cfg.als) if alg is Algorithm.ALS
+            else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
+    except UnfactorableError as exc:
+        shared = exc  # every cell is uncovered with this reason
+
+    def predict(rows, cols, ridge):
+        fits = (_refits(alg, train, rows, cols, cfg) if refit
+                else [shared] * len(rows))
+        return [_outcome(fit if isinstance(fit, ValueError)
+                         else factorization.predict(fit, r, c), alg.value)
+                for r, c, fit in zip(rows, cols, fits)]
+    return predict, None if isinstance(shared, ValueError) else shared
 
 
-def _predict(fitted, cells, ridge=None) -> list[Outcome]:
-    """The Outcomes of cells from a fit: (predict, model), or the Outcome
-    of a fit that had no basis."""
-    if isinstance(fitted, Outcome):
-        return [fitted] * len(cells)
-    return fitted[0](cells, ridge)
+def _refits(alg: Algorithm, train: PCMatrix, rows, cols, cfg: RunConfig):
+    """Fit a factorization once per cell on train without that cell, in
+    cell order, and yield its FactorModel or the UnfactorableError the fit
+    raised. The ALS fits run stacked; SVD refits one copy of train at a
+    time."""
+    if alg is Algorithm.ALS:
+        yield from als_refits(train, list(zip(rows, cols)), cfg.als)
+        return
+    for r, c in zip(rows, cols):
+        try:
+            yield svd_fit(train.with_cell_missing(r, c), cfg.svd_k,
+                          cfg.svd_max_outer)
+        except UnfactorableError as exc:
+            yield exc
 
 
 def _ensemble_outcome(train: PCMatrix, cell, members) -> Outcome:
@@ -240,31 +207,26 @@ def _ensemble_outcome(train: PCMatrix, cell, members) -> Outcome:
                    "ensemble:" + "+".join(name for name, _ in got), excluded)
 
 
-def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig,
-                   protocol=CliqueProtocol.IN_GROUPS_PLUS_REGRESSION):
+def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig):
     """Every requested algorithm's Outcome for each cell, in cell order,
     and the models fit once on train (the FactorModel for als/svd).
 
-    Each base algorithm is fit once on train and predicts the cells a
-    block at a time (a factorization is also refit for each cell train
-    observes). The ensemble is the mean of the values its members
-    produced, fallbacks included: a clique member that fell back to ridge
-    adds ridge's value, taken from the ridge member when the ensemble has
-    one.
+    Each base algorithm is fit once on train, with the clique algorithm
+    under cfg.protocol, and predicts the cells a block at a time. The
+    cells are either all missing from train (sweeps, completion) or all
+    observed (leave-one-out), where a factorization is refit for each
+    cell. The ensemble is the mean of the values its members produced,
+    fallbacks included: a clique member that fell back to ridge adds
+    ridge's value, taken from the ridge member when the ensemble has one.
     """
-    bases = _base_algorithms(algorithms, cfg)
     present = train.present_mask
-    held_in = [bool(present[c.row, c.col]) for c in cells]
     # A factorization trains on every observed cell, so a cell that train
-    # still observes (leave-one-out) gets its own fit without it. Ridge and
-    # cliques treat the target cell as missing and fit once. The shared
-    # fit is made even for no cells: complete_matrix returns the model.
-    every_cell_held_in = bool(cells) and all(held_in)
-    shared = {alg: _attempt(_fit, alg, train, cfg, protocol)
-              for alg in bases
-              if alg not in _FACTORIZATIONS or not every_cell_held_in}
-    models = {alg: fit[1] for alg, fit in shared.items()
-              if not isinstance(fit, Outcome)}
+    # still observes (leave-one-out) gets its own fit without it. The
+    # shared fit is made even for no cells: complete_matrix returns the
+    # model.
+    refit = bool(cells) and all(present[c.row, c.col] for c in cells)
+    fits = {alg: _fit(alg, train, cfg, refit)
+            for alg in _base_algorithms(algorithms, cfg)}
 
     # One algorithm at a time over a block of cells: going cell by cell
     # across algorithms measured about 20% slower on ensemble completion,
@@ -273,18 +235,11 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig,
     members = [(mem, mem.value) for mem in map(Algorithm, cfg.ensemble)]
     for start in range(0, len(cells), _BLOCK):
         block = cells[start:start + _BLOCK]
-        held = held_in[start:start + _BLOCK]
+        rows, cols = [c.row for c in block], [c.col for c in block]
         got = {}
-        for alg in bases:  # ridge first: cliques may reuse its outcomes
-            if alg in _FACTORIZATIONS:
-                own = _refits(alg, train,
-                              [c for c, h in zip(block, held) if h], cfg)
-                got[alg] = [
-                    _predict(next(own) if h else shared[alg], [c])[0]
-                    for c, h in zip(block, held)]
-            else:
-                got[alg] = _predict(shared[alg], block,
-                                    got.get(Algorithm.RIDGE))
+        for alg, (predict, _) in fits.items():
+            # ridge first: cliques may reuse its outcomes
+            got[alg] = predict(rows, cols, got.get(Algorithm.RIDGE))
         if Algorithm.ENSEMBLE in outcomes:
             got[Algorithm.ENSEMBLE] = [
                 _ensemble_outcome(train, cell, [(name, got[mem][i])
@@ -292,7 +247,7 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig,
                 for i, cell in enumerate(block)]
         for alg, column in outcomes.items():
             column.extend(got[alg])
-    return outcomes, models
+    return outcomes, {alg: model for alg, (_, model) in fits.items()}
 
 
 def _assemble(algorithms, cells, outcomes):
@@ -331,8 +286,7 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
     cells = [HeldOutCell(int(r), int(c), float(m.values[r, c]))
              for r, c in np.argwhere(m.present_mask)]
     algorithms = [Algorithm(cfg.algorithm)]
-    outcomes, _ = _predict_cells(m, cells, algorithms, cfg,
-                                 CliqueProtocol(cfg.protocol))
+    outcomes, _ = _predict_cells(m, cells, algorithms, cfg)
     results = _finish(algorithms, *_assemble(algorithms, cells, outcomes))
     return EvalReport(dataset, 0.0, 0, 1, results, asdict(cfg),
                       note="leave-one-out")
@@ -354,7 +308,6 @@ def _sweep_echo(cfg: RunConfig) -> dict:
 def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
            extra_config=None) -> list[EvalReport]:
     algorithms = [Algorithm(a) for a in algorithms]
-    protocol = CliqueProtocol(cfg.protocol)
     config = _sweep_echo(cfg)
     if extra_config:
         config.update(extra_config)
@@ -378,8 +331,7 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
             if corrupt is not None:
                 train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
             n_cells_seen += len(held)
-            outcomes, _ = _predict_cells(train, held, algorithms, cfg,
-                                         protocol)
+            outcomes, _ = _predict_cells(train, held, algorithms, cfg)
             rep_rows, rep_uncov = _assemble(algorithms, held, outcomes)
             for a in algorithms:
                 rows[a].extend(rep_rows[a])
@@ -440,8 +392,8 @@ class FillRecord:
 
 
 def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
-    """Fill every missing cell with cfg.algorithm; returns (completed,
-    fills, model).
+    """Fill every missing cell with cfg.algorithm (cliques under
+    cfg.protocol); returns (completed, fills, model).
 
     The fill log records which mechanism produced each value: the clique
     algorithm reports "ridge" for cells it reached only through fallback,

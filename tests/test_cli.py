@@ -89,11 +89,51 @@ class TestComplete:
 
     def test_model_out_rejected_for_ridge(self, matrix_csv, tmp_path,
                                           capsys):
-        rc = main(["complete", str(matrix_csv), "--out",
-                   str(tmp_path / "x.csv"), "--algorithm", "ridge",
+        # refused before the completion runs, so nothing is written
+        out = tmp_path / "x.csv"
+        rc = main(["complete", str(matrix_csv), "--out", str(out),
+                   "--algorithm", "ridge",
                    "--model-out", str(tmp_path / "m.json")])
         assert rc == 1
         assert "does not produce a factor model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_protocol_shapes_the_clique_fills(self, tmp_path, capsys):
+        # C5 follows no other column, so no group estimate reaches its
+        # missing cells; C1-C4 are proportional and form one clique
+        rng = np.random.default_rng(4)
+        base = rng.uniform(1, 10, 12)
+        values = np.column_stack([base * s for s in (1.0, 2.0, 3.0, 0.5)]
+                                 + [rng.uniform(1, 10, 12)])
+        values[[1, 5, 8], [0, 2, 4]] = np.nan
+        values[10, 4] = np.nan
+        src = tmp_path / "m.csv"
+        write_matrix_csv(grid(values.tolist()), src)
+
+        out, fills = tmp_path / "out.csv", tmp_path / "fills.json"
+
+        def run(*flags):
+            """(completed bytes, fill mechanisms), or None on exit 1."""
+            out.unlink(missing_ok=True)
+            rc = main(["complete", str(src), "--out", str(out),
+                       "--fills-out", str(fills), *flags])
+            if rc == 1:
+                return None
+            log = json.loads(fills.read_text())["fills"]
+            return out.read_bytes(), [f["algorithm"] for f in log]
+
+        default, log = run("--algorithm", "cliques")
+        assert log == ["cliques", "cliques", "ridge", "ridge"]
+        assert run("--algorithm", "cliques", "--protocol",
+                   "in_groups_plus_regression") == (default, log)
+        regression, log = run("--algorithm", "cliques",
+                              "--protocol", "regression")
+        assert log == ["ridge"] * 4
+        assert regression == run("--algorithm", "ridge")[0] != default
+        capsys.readouterr()
+        assert run("--algorithm", "cliques", "--protocol", "in_groups") is None
+        assert "no group estimate for cell" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_algorithm_is_usage_error(self, matrix_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

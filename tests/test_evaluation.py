@@ -335,7 +335,8 @@ class TestCompleteMatrix:
         # The clique member's fallback (and, under the regression protocol,
         # the whole member) reuses the ridge member's solve of the cell.
         # Every cell that reaches the ridge block kernel, from any caller,
-        # is counted.
+        # is counted. Completion applies the protocol: under in_groups the
+        # clique member cannot reach the noise column and is excluded.
         calls = []
 
         def counting(m, rows, cols, cfg):
@@ -349,7 +350,9 @@ class TestCompleteMatrix:
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
         _, fills, _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
-        assert fills[0].algorithm == "ensemble:ridge+cliques+als"
+        assert fills[0].algorithm == (
+            "ensemble:ridge+als" if protocol is CliqueProtocol.IN_GROUPS
+            else "ensemble:ridge+cliques+als")
         calls.clear()
         report = leave_one_out(m, cfg)
         cells = [(c.row, c.col) for c in report.results[0].cells]
