@@ -8,14 +8,14 @@ a group mate's time. The clique search is a cheap greedy pass, not an
 exact maximum-clique enumeration: it guarantees at least one clique per
 vertex and runs in at most cubic time.
 
-`clique_block` predicts a block of cells per call. Every slope comes from
-the pair sums of one fit (`pair_sums`: three matmuls over the zero-filled
-matrix); a cell whose own row observes the target takes that row's terms
-back out, and sums a pair again directly where the removed term is as
-large as what remains. Cells without a group estimate fall back to one
-`ridge_block` call, or to the ridge results the caller already has.
-`clique_predict`, `group_estimates` and `scaling_coefficient` are the
-block of one.
+`clique_block` predicts every cell it is given in one call. Every slope
+comes from the pair sums of that call (`pair_sums`: three matmuls over the
+zero-filled matrix); a cell whose own row observes the target takes that
+row's terms back out, and sums a pair again directly where the removed
+term is as large as what remains. Cells without a group estimate fall
+back to one `ridge_block` call, or to the ridge results the caller
+already has. `clique_predict`, `group_estimates` and `scaling_coefficient`
+are the block of one.
 """
 
 from __future__ import annotations
@@ -255,19 +255,20 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
 
 def clique_block(m, grouping: Grouping, rows, cols,
                  ridge_cfg: RidgeConfig = RidgeConfig(), fallback: bool = True,
-                 ridge=None, sums: PairSums | None = None) -> list:
+                 ridge=None) -> list:
     """clique_predict for each cell (rows[i], cols[i]) in one pass: a list
     holding, per cell, (value, mechanism) or the error that says why there
-    is none.
+    is none. The pair sums of m are computed once per call, so a caller
+    passes all its cells at once; the estimates run a bounded span of
+    cells at a time.
 
     ridge, when given, holds the fallback's result for every cell (what
     ridge_block returns for them), from a caller that has already solved
-    the cells; otherwise ridge_block runs on the fallback cells only. sums
-    are the pair sums of m, when the caller keeps them across blocks.
+    the cells; otherwise ridge_block runs on the fallback cells only.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    sums = pair_sums(m) if sums is None else sums
+    sums = pair_sums(m)
     mates = _mates(grouping, m.n_cols)
     n_est = np.zeros(rows.size, dtype=int)
     means = np.zeros(rows.size)

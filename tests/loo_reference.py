@@ -123,5 +123,5 @@ def leave_one_out(m, cfg: RunConfig = RunConfig(),
     preds = {alg: [pc[alg] for pc in per_cell] for alg in needed}
     rows, uncovered = _assemble(algorithms, cells, preds, ensemble)
     results = _finish(algorithms, rows, uncovered)
-    return EvalReport(dataset, 0.0, 0, 1, results, asdict(cfg),
+    return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
                       note="leave-one-out")

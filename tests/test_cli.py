@@ -167,6 +167,18 @@ class TestEvaluate:
         assert data["reports"][0]["config"]["protocol"] == "in_groups"
         assert data["reports"][0]["results"][0]["total_error"] < 1e-9
 
+    def test_leave_one_out_reports_its_seed(self, tmp_path):
+        # The report's seed is the one the ALS refits drew their initial
+        # factors from, as in its config echo.
+        m, _, _ = planted_rank1(6, 4, seed=5)
+        src = tmp_path / "m.csv"
+        write_matrix_csv(m, src)
+        out_json = tmp_path / "r.json"
+        assert main(["evaluate", str(src), "--algorithm", "als", "--seed",
+                     "7", "--out-json", str(out_json)]) == 0
+        report = json.loads(out_json.read_text())["reports"][0]
+        assert report["seed"] == report["config"]["seed"] == 7
+
 
 class TestSweep:
     def test_percent_fractions_make_points(self, matrix_csv, tmp_path):

@@ -358,6 +358,31 @@ class TestCompleteMatrix:
         cells = [(c.row, c.col) for c in report.results[0].cells]
         assert calls == cells
 
+    def test_one_kernel_call_per_algorithm(self, monkeypatch):
+        # Completion hands every missing cell, here more than 512, to each
+        # kernel in one call; the kernels bound their own memory. The
+        # clique member reuses the ridge member's solve.
+        calls = {"ridge": 0, "cliques": 0}
+
+        def counting(name, kernel):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(evaluation, "ridge_block",
+                            counting("ridge", ridge_block))
+        monkeypatch.setattr(cliques, "ridge_block",
+                            counting("ridge", ridge_block))
+        monkeypatch.setattr(evaluation, "clique_block",
+                            counting("cliques", cliques.clique_block))
+        m, _, _ = planted_rank1(60, 20, seed=23)
+        masked, held = mask_random(m, MaskSpec(0.5, 24))
+        assert len(held) > 512
+        _, fills, _ = complete_matrix(masked, small_cfg(
+            algorithm="ensemble"))
+        assert len(fills) == len(held)
+        assert calls == {"ridge": 1, "cliques": 1}
+
     def test_ensemble_mechanism_lists_members(self):
         m, _, _ = planted_rank1(7, 5, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.2, 18))

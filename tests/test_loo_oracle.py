@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from conftest import sparse_matrices
+from conftest import grid, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from loo_reference import leave_one_out as reference_leave_one_out
@@ -70,3 +71,33 @@ def test_matches_reference(algorithm, protocol, m, threshold, min_overlap):
             else IN_GROUPS_RTOL if protocol is CliqueProtocol.IN_GROUPS
             else STACKED_RTOL)
     assert_reports_match(got, want, rtol)
+
+
+def _large_near_proportional():
+    """60x14 near-proportional columns at 70% density; the last four
+    columns are noisy enough to stay out of the cliques."""
+    rng = np.random.default_rng(31)
+    values = np.outer(rng.uniform(1, 10, 60), rng.uniform(0.5, 4, 14))
+    values *= 1 - np.where(np.arange(14) < 10, 0.02, 0.5) * rng.random(
+        (60, 14))
+    values[rng.random((60, 14)) >= 0.7] = np.nan
+    return grid(values.tolist())
+
+
+LARGE_CASES = [(Algorithm.RIDGE, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
+LARGE_CASES += [(Algorithm.CLIQUES, p) for p in CliqueProtocol]
+LARGE_CASES += [(Algorithm.ENSEMBLE, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
+
+
+@pytest.mark.parametrize("algorithm,protocol", LARGE_CASES,
+                         ids=[f"{a.value}-{p.value}" for a, p in LARGE_CASES])
+def test_matches_reference_over_512_cells(algorithm, protocol):
+    # The drivers hand every cell to each kernel in one call; here more
+    # cells than any of the kernels' own spans hold.
+    m = _large_near_proportional()
+    assert m.count_present > 512
+    cfg = RunConfig(algorithm=algorithm.value, protocol=protocol.value,
+                    ensemble=("ridge", "cliques"))
+    got = report_to_json(leave_one_out(m, cfg))
+    want = report_to_json(reference_leave_one_out(m, cfg))
+    assert_reports_match(got, want, STACKED_RTOL)
