@@ -24,6 +24,7 @@ from .config import (RunConfig, make_run_config, parse_algorithms,
 from .evaluation import (complete_matrix, leave_one_out, masking_sweep,
                          outlier_sweep, write_reports_csv, write_reports_json)
 from .factorization import model_from_json, model_to_json, rank_machines
+from .jsonfile import write_json
 from .matrix import (ROW_KEY_SEP, build_matrix, read_matrix_csv,
                      read_observations_csv, write_matrix_csv)
 from .placement import greedy_place, schedule_batch
@@ -31,12 +32,6 @@ from .placement import greedy_place, schedule_batch
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -136,7 +131,7 @@ def cmd_complete(args) -> int:
     completed, fills, model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
     if args.fills_out:
-        _write_json({
+        write_json({
             "run_config": _echo(cfg, input=args.matrix, output=args.out),
             "seed": cfg.seed,
             "fills": [{"program": f.program, "args": f.args,
@@ -144,7 +139,7 @@ def cmd_complete(args) -> int:
                        "algorithm": f.algorithm} for f in fills],
         }, args.fills_out)
     if args.model_out:
-        _write_json({"run_config": _echo(cfg, input=args.matrix),
+        write_json({"run_config": _echo(cfg, input=args.matrix),
                      "model": model_to_json(model)}, args.model_out)
     print(f"filled {len(fills)} missing cells with {cfg.algorithm}; "
           f"wrote {args.out}")

@@ -29,7 +29,6 @@ and algorithm) with no timestamps, so equal seeds give equal bytes.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -39,6 +38,7 @@ from . import factorization
 from .cliques import build_graph, clique_block, find_cliques
 from .config import Algorithm, CliqueProtocol, RunConfig
 from .factorization import UnfactorableError, als_fit, als_refits, svd_fit
+from .jsonfile import write_json
 from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
 from .ridge import ridge_block
@@ -180,16 +180,25 @@ def _refits(alg: Algorithm, train: PCMatrix, rows, cols, cfg: RunConfig):
             yield exc
 
 
-def _ensemble_outcome(train: PCMatrix, cell, members) -> Outcome:
-    """Compose the ensemble from its members' (name, Outcome) pairs."""
+def _ensemble_outcome(train: PCMatrix, cell, members,
+                      mechanisms: dict) -> Outcome:
+    """Compose the ensemble from its members' (name, Outcome) pairs.
+
+    mechanisms maps the names of the members that contributed to their
+    "ensemble:a+b" string, so that cells share one copy of each.
+    """
     got = [(name, o.value) for name, o in members if o.value is not None]
     excluded = tuple(name for name, o in members if o.value is None)
     if not got:
         return Outcome(None, excluded=excluded, reason=ValueError(
             f"no ensemble member could predict cell "
             f"({train.row_label(cell.row)}, {train.col_keys[cell.col]})"))
-    return Outcome(ensemble_predict([v for _, v in got]),
-                   "ensemble:" + "+".join(name for name, _ in got), excluded)
+    names = tuple(name for name, _ in got)
+    mechanism = mechanisms.get(names)
+    if mechanism is None:
+        mechanism = mechanisms[names] = "ensemble:" + "+".join(names)
+    return Outcome(ensemble_predict([v for _, v in got]), mechanism,
+                   excluded)
 
 
 def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig):
@@ -222,11 +231,11 @@ def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig):
     outcomes = {alg: [_outcome(g, mechanism[alg]) for g in got[alg]]
                 for alg in algorithms if alg is not Algorithm.ENSEMBLE}
     if Algorithm.ENSEMBLE in algorithms:
-        members = list(map(Algorithm, cfg.ensemble))
+        members, mechanisms = list(map(Algorithm, cfg.ensemble)), {}
         outcomes[Algorithm.ENSEMBLE] = [
             _ensemble_outcome(train, cell, [
                 (mem.value, _outcome(got[mem][i], mechanism[mem]))
-                for mem in members])
+                for mem in members], mechanisms)
             for i, cell in enumerate(cells)]
     return outcomes, models
 
@@ -437,9 +446,7 @@ def write_reports_json(reports, path, extra: dict | None = None) -> None:
     payload = {"reports": [report_to_json(r) for r in reports]}
     if extra:
         payload.update(extra)
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def write_reports_csv(reports, path) -> None:

@@ -357,6 +357,48 @@ def test_report_config_is_the_run_config(matrix_csv, tmp_path, command,
         assert config == echo
 
 
+def assert_stdlib_rendering(path):
+    """The file holds what the stdlib writes for its own content with
+    indent=2 and sort_keys=True, plus a newline, byte for byte."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--algorithm", "ensemble", "--out-json", "r.json"],
+    ["sweep", "--algorithms", "ridge,cliques,als,svd,ensemble",
+     "--fractions", "10,30", "--repeats", "2", "--out-json", "r.json"],
+    ["outliers", "--algorithms", "ridge,ensemble", "--fractions", "20",
+     "--repeats", "1", "--outlier-fraction", "10", "--out-json", "r.json"],
+    ["complete", "--algorithm", "ensemble", "--out", "done.csv",
+     "--fills-out", "fills.json"],
+])
+def test_json_files_are_the_stdlib_rendering(matrix_csv, tmp_path,
+                                             monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(matrix_csv), *argv[1:]]) == 0
+    (written,) = tmp_path.glob("*.json")
+    assert_stdlib_rendering(written)
+
+
+def test_model_file_is_the_stdlib_rendering_and_ranks(matrix_csv, tmp_path,
+                                                      capsys):
+    fills, model = tmp_path / "fills.json", tmp_path / "model.json"
+    assert main(["complete", str(matrix_csv), "--out",
+                 str(tmp_path / "done.csv"), "--algorithm", "als",
+                 "--fills-out", str(fills), "--model-out", str(model)]) == 0
+    assert_stdlib_rendering(fills)
+    assert_stdlib_rendering(model)
+    capsys.readouterr()
+    assert main(["rank", str(model)]) == 0
+    ranked = [json.loads(line)
+              for line in capsys.readouterr().out.splitlines()]
+    assert [r["rank"] for r in ranked] == list(range(1, 7))
+    assert sorted(r["machine"] for r in ranked) == [f"c{j:02d}"
+                                                    for j in range(6)]
+
+
 class TestRankAndPlace:
     def make_model(self, tmp_path, matrix_csv, k=1):
         model = tmp_path / "model.json"

@@ -391,6 +391,17 @@ class TestCompleteMatrix:
         assert model is None
         assert all(f.algorithm.startswith("ensemble:") for f in fills)
 
+    def test_ensemble_mechanisms_are_shared(self):
+        # One string per distinct set of contributing members, not one
+        # copy per cell: a large completion's fill log holds them all.
+        m, _, _ = planted_rank1(12, 6, seed=17)
+        masked, _ = mask_random(m, MaskSpec(0.4, 18))
+        _, fills, _ = complete_matrix(masked, small_cfg(
+            algorithm="ensemble"))
+        assert len(fills) > 10
+        assert (len({id(f.algorithm) for f in fills})
+                == len({f.algorithm for f in fills}))
+
 
 class TestReportFiles:
     def make_reports(self):
