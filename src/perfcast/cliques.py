@@ -8,14 +8,16 @@ a group mate's time. The clique search is a cheap greedy pass, not an
 exact maximum-clique enumeration: it guarantees at least one clique per
 vertex and runs in at most cubic time.
 
-`clique_block` predicts every cell it is given in one call. Every slope
-comes from the pair sums of that call (`pair_sums`: three matmuls over the
+`clique_block` predicts every cell it is given in one call and returns
+arrays: the values (NaN where a cell is uncovered), the reasons for the
+uncovered cells, and which cells fell back to ridge. Every slope comes
+from the pair sums of that call (`pair_sums`: three matmuls over the
 zero-filled matrix); a cell whose own row observes the target takes that
 row's terms back out, and sums a pair again directly where the removed
 term is as large as what remains. Cells without a group estimate fall
-back to one `ridge_block` call, or to the ridge results the caller
-already has. `clique_predict`, `group_estimates` and `scaling_coefficient`
-are the block of one.
+back to one `ridge_block` call, or to the ridge arrays the caller already
+has. `clique_predict`, `group_estimates` and `scaling_coefficient` are the
+block of one.
 """
 
 from __future__ import annotations
@@ -247,31 +249,32 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     baseline; a row with no observations at all raises ColdRowError. With
     fallback False such a cell raises NoBasisError instead.
     """
-    (got,) = clique_block(m, grouping, [row], [col], ridge_cfg, fallback)
-    if isinstance(got, ValueError):
-        raise got
-    return got
+    values, reasons, via_ridge = clique_block(m, grouping, [row], [col],
+                                              ridge_cfg, fallback)
+    if reasons:
+        raise reasons[0]
+    return float(values[0]), "ridge" if via_ridge[0] else "cliques"
 
 
 def clique_block(m, grouping: Grouping, rows, cols,
                  ridge_cfg: RidgeConfig = RidgeConfig(), fallback: bool = True,
-                 ridge=None) -> list:
-    """clique_predict for each cell (rows[i], cols[i]) in one pass: a list
-    holding, per cell, (value, mechanism) or the error that says why there
-    is none. The pair sums of m are computed once per call, so a caller
-    passes all its cells at once; the estimates run a bounded span of
-    cells at a time.
+                 ridge=None):
+    """clique_predict for each cell (rows[i], cols[i]) in one pass; returns
+    (values, reasons, via_ridge) as ridge_block returns (values, reasons),
+    via_ridge marking the cells that fell back to ridge. The pair sums of
+    m are computed once per call, so a caller passes all its cells at
+    once; the estimates run a bounded span of cells at a time.
 
-    ridge, when given, holds the fallback's result for every cell (what
-    ridge_block returns for them), from a caller that has already solved
-    the cells; otherwise ridge_block runs on the fallback cells only.
+    ridge, when given, is what ridge_block returns for the same cells,
+    from a caller that has already solved them; otherwise ridge_block runs
+    on the fallback cells only.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     sums = pair_sums(m)
     mates = _mates(grouping, m.n_cols)
     n_est = np.zeros(rows.size, dtype=int)
-    means = np.zeros(rows.size)
+    values = np.zeros(rows.size)
     # As many cells at a time as keep the (cells x columns) work within
     # _SPAN entries.
     step = max(1, _SPAN // m.n_cols)
@@ -279,27 +282,27 @@ def clique_block(m, grouping: Grouping, rows, cols,
         part = slice(start, start + step)
         est, valid = _estimates(m, mates, sums, rows[part], cols[part])
         n_est[part] = valid.sum(axis=1)
-        means[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
-    out: list = [(float(v), "cliques") if n else None
-                 for v, n in zip(means, n_est)]
+        values[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
+    no_group = n_est == 0
+    values[no_group] = np.nan
     others = m.present_mask[rows].sum(axis=1) - m.present_mask[rows, cols]
-    lone = []  # the cells that fall back to ridge
-    for i in np.flatnonzero(n_est == 0):
-        if not fallback:
-            out[i] = NoBasisError(f"no group estimate for cell "
-                                  f"({m.row_label(rows[i])}, "
-                                  f"{m.col_keys[cols[i]]})")
-        elif not others[i]:
-            out[i] = ColdRowError(f"cold row: {m.row_label(rows[i])} has no "
-                                  f"observations")
-        else:
-            lone.append(i)
-    if lone:
-        solved = (ridge_block(m, rows[lone], cols[lone], ridge_cfg)
-                  if ridge is None else [ridge[i] for i in lone])
-        for i, got in zip(lone, solved):
-            out[i] = got if isinstance(got, ValueError) else (got, "ridge")
-    return out
+    via_ridge = no_group & (others > 0) & fallback
+    reasons = {
+        i: ColdRowError(f"cold row: {m.row_label(rows[i])} has no "
+                        f"observations") if fallback else
+        NoBasisError(f"no group estimate for cell ({m.row_label(rows[i])}, "
+                     f"{m.col_keys[cols[i]]})")
+        for i in np.flatnonzero(no_group & ~via_ridge).tolist()}
+    lone = np.flatnonzero(via_ridge)
+    if lone.size and ridge is None:
+        values[lone], missed = ridge_block(m, rows[lone], cols[lone],
+                                           ridge_cfg)
+        reasons.update(zip(lone[list(missed)].tolist(), missed.values()))
+    elif lone.size:
+        values[lone] = ridge[0][lone]
+        reasons.update((i, ridge[1][i]) for i in lone.tolist()
+                       if i in ridge[1])
+    return values, reasons, via_ridge
 
 
 def grouping_to_json(grouping: Grouping, col_keys, threshold: float,

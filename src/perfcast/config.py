@@ -159,6 +159,8 @@ class RunConfig:
             (bool(self.ensemble) and all(a in _MEMBERS for a in self.ensemble),
              f"ensemble members must be some of {', '.join(_MEMBERS)}, got "
              f"{', '.join(self.ensemble) or 'none'}"),
+            (len(set(self.ensemble)) == len(self.ensemble), f"ensemble "
+             f"members must be distinct, got {', '.join(self.ensemble)}"),
             (self.threads >= 1, f"threads must be >= 1, got {self.threads}"),
         ]:
             if not ok:

@@ -2,19 +2,15 @@
 three evaluation drivers (leave-one-out, masking sweep, outlier sweep) and
 matrix completion.
 
-Every driver predicts through one core: each base algorithm is fit once
-by `_fit_predict` and predicts every cell in one kernel call, and the
-ensemble is composed from the members' results. Leave-one-out uses the
-full matrix for ridge and cliques, which treat the target cell as
-missing, and refits ALS and SVD per cell without it (the ALS refits run
-stacked, many per solve). A cell an algorithm cannot reach is uncovered
-with the reason its kernel gave; completion raises the first such reason.
+Leave-one-out, the sweeps and completion predict through one core. Each
+base algorithm is fit once by `_fit_predict` and predicts every cell in
+one kernel call, which gives a column of arrays: the values, NaN where a
+cell is uncovered, the reasons for the uncovered cells, and a per-cell
+code for the mechanism. The ensemble is one masked mean over its members'
+values. Completion raises the reason of the first uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
-it: the algorithm (leave-one-out and completion), the clique protocol
-(every driver, through `_fit_predict`), the sweep fractions, repeats and
-seed, the outlier settings, and each algorithm's hyperparameters, which
-are read once per fit. A report's `config` is the flat echo of that `RunConfig`
+it. A report's `config` is the flat echo of that `RunConfig`
 (`dataclasses.asdict`), without `algorithm` in a sweep, whose algorithms
 are an argument; outlier reports also repeat their corruption settings
 under `outliers`.
@@ -30,17 +26,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from . import factorization
 from .cliques import build_graph, clique_block, find_cliques
 from .config import Algorithm, CliqueProtocol, RunConfig
-from .factorization import UnfactorableError, als_fit, als_refits, svd_fit
+from .factorization import (UnfactorableError, als_fit, als_refits,
+                            predict_cells, predict_refits, svd_fit)
 from .jsonfile import write_json
-from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, PCMatrix,
-                     inject_outliers, mask_random)
+from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix, inject_outliers,
+                     mask_random)
 from .ridge import ridge_block
 
 
@@ -102,73 +97,48 @@ def _base_algorithms(algorithms, cfg: RunConfig) -> list[Algorithm]:
     return [a for a in Algorithm if a in needed]
 
 
-class Outcome(NamedTuple):
-    """One algorithm's prediction for one cell."""
-    value: float | None  # None when the algorithm could not cover the cell
-    mechanism: str = ""  # what produced value, fallbacks included
-    excluded: tuple[str, ...] = ()  # ensemble members that could not predict
-    reason: ValueError | None = None  # why value is None
-
-
-def _outcome(got, mechanism: str) -> Outcome:
-    """The Outcome of one cell's kernel result: a value, a (value,
-    mechanism) pair, or the error that says why there is no value."""
-    if isinstance(got, ValueError):
-        return Outcome(None, reason=got)
-    if isinstance(got, tuple):
-        return Outcome(*got)
-    return Outcome(got, mechanism)
-
-
 def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
                  cfg: RunConfig, refit: bool, ridge):
     """Fit one base algorithm on train and predict every cell (rows[i],
-    cols[i]) in one kernel call; returns (got, mechanism, model).
+    cols[i]) in one kernel call; returns (values, reasons, via_ridge,
+    model), via_ridge marking the values ridge made for the clique
+    algorithm.
 
-    got holds each cell's kernel result: a value, a (value, mechanism)
-    pair, or the error that says why there is none, and mechanism names
-    what made a bare value. Ridge and cliques treat a cell as missing
-    whatever train holds there. A factorization does not, so with refit
-    (train observes every cell) it is fit once per cell without that cell.
-    ridge is the ridge member's got for the same cells, or None; cliques,
-    under cfg.protocol, reuse it. model is the FactorModel of the shared
-    als/svd fit, else None. A shared fit that raises UnfactorableError
-    leaves every cell uncovered with that reason; ridge and cliques give
-    their reasons per cell.
+    With refit, a factorization is fit once per cell without that cell.
+    ridge is the ridge member's (values, reasons) for the same cells, or
+    None; cliques, under cfg.protocol, reuse it. model is the FactorModel
+    of the shared als/svd fit, else None; a shared fit that raises
+    UnfactorableError leaves every cell uncovered.
     """
     protocol = CliqueProtocol(cfg.protocol)
     if alg is Algorithm.RIDGE or (alg is Algorithm.CLIQUES and
                                   protocol is CliqueProtocol.REGRESSION):
-        return (ridge_block(train, rows, cols, cfg.ridge) if ridge is None
-                else ridge), "ridge", None
+        got = ridge or ridge_block(train, rows, cols, cfg.ridge)
+        return (*got, np.full(rows.size, alg is Algorithm.CLIQUES), None)
 
     if alg is Algorithm.CLIQUES:
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
         fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
-        return clique_block(train, grouping, rows, cols, cfg.ridge, fallback,
-                            ridge), "", None
+        return (*clique_block(train, grouping, rows, cols, cfg.ridge,
+                              fallback, ridge), None)
 
+    nowhere = np.zeros(rows.size, dtype=bool)
     if refit:
-        shared, fits = None, _refits(alg, train, rows, cols, cfg)
-    else:
-        try:
-            shared = (als_fit(train, cfg.als) if alg is Algorithm.ALS
-                      else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
-        except UnfactorableError as exc:
-            shared = exc  # every cell is uncovered with this reason
-        fits = [shared] * len(rows)
-    got = [fit if isinstance(fit, ValueError)
-           else factorization.predict(fit, r, c)
-           for r, c, fit in zip(rows, cols, fits)]
-    return got, alg.value, None if isinstance(shared, ValueError) else shared
+        return (*predict_refits(_refits(alg, train, rows, cols, cfg), rows,
+                                cols), nowhere, None)
+    try:
+        model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
+                 else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
+    except UnfactorableError as exc:  # every cell is uncovered
+        return (*predict_refits([exc] * rows.size, rows, cols), nowhere, None)
+    return predict_cells(model, rows, cols), {}, nowhere, model
 
 
 def _refits(alg: Algorithm, train: PCMatrix, rows, cols, cfg: RunConfig):
-    """Fit a factorization once per cell on train without that cell, in
-    cell order, and yield its FactorModel or the UnfactorableError the fit
-    raised. The ALS fits run stacked; SVD refits one copy of train at a
-    time."""
+    """Fit a factorization once per cell on train without that cell and
+    yield its FactorModel or the UnfactorableError the fit raised. The ALS
+    fits run stacked; SVD refits one copy of train at a time."""
     if alg is Algorithm.ALS:
         yield from als_refits(train, list(zip(rows, cols)), cfg.als)
         return
@@ -180,78 +150,85 @@ def _refits(alg: Algorithm, train: PCMatrix, rows, cols, cfg: RunConfig):
             yield exc
 
 
-def _ensemble_outcome(train: PCMatrix, cell, members,
-                      mechanisms: dict) -> Outcome:
-    """Compose the ensemble from its members' (name, Outcome) pairs.
+def _ensemble(train: PCMatrix, rows, cols, members, columns):
+    """The ensemble's column from its members' columns.
 
-    mechanisms maps the names of the members that contributed to their
-    "ensemble:a+b" string, so that cells share one copy of each.
+    A cell's value is the mean of the values its members produced, summed
+    in members order as ensemble_predict sums them, and exactly their
+    value where they all agree. Its code has bit j set where members[j]
+    produced a value.
     """
-    got = [(name, o.value) for name, o in members if o.value is not None]
-    excluded = tuple(name for name, o in members if o.value is None)
-    if not got:
-        return Outcome(None, excluded=excluded, reason=ValueError(
-            f"no ensemble member could predict cell "
-            f"({train.row_label(cell.row)}, {train.col_keys[cell.col]})"))
-    names = tuple(name for name, _ in got)
-    mechanism = mechanisms.get(names)
-    if mechanism is None:
-        mechanism = mechanisms[names] = "ensemble:" + "+".join(names)
-    return Outcome(ensemble_predict([v for _, v in got]), mechanism,
-                   excluded)
+    values = np.stack([columns[mem][0] for mem in members])
+    covered = ~np.isnan(values)
+    total = sum(np.where(covered, values, 0.0))
+    first = values[covered.argmax(axis=0), np.arange(rows.size)]
+    agree = ((values == first) | ~covered).all(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(agree, first, total / covered.sum(axis=0))
+    code = 2 ** np.arange(len(members)) @ covered
+    labels = []
+    for subset in range(2 ** len(members)):
+        names = [mem.value for j, mem in enumerate(members)
+                 if subset >> j & 1]
+        labels.append(("ensemble:" + "+".join(names), tuple(
+            mem.value for mem in members if mem.value not in names)))
+    reasons = {i: ValueError(
+        f"no ensemble member could predict cell "
+        f"({train.row_label(rows[i])}, {train.col_keys[cols[i]]})")
+        for i in np.flatnonzero(code == 0).tolist()}
+    return mean, reasons, code, labels
 
 
-def _predict_cells(train: PCMatrix, cells, algorithms, cfg: RunConfig):
-    """Every requested algorithm's Outcome for each cell, in cell order,
-    and the models fit once on train (the FactorModel for als/svd).
+def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
+    """Every requested algorithm's column for the cells (rows[i],
+    cols[i]), and the als/svd models fit once on train.
 
-    Each base algorithm is fit once on train, with the clique algorithm
-    under cfg.protocol, and predicts all the cells in one kernel call;
-    the kernels bound their own memory. The cells are either all missing
-    from train (sweeps, completion) or all observed (leave-one-out), where
-    a factorization is refit for each cell. The ensemble is the mean of
-    the values its members produced, fallbacks included: a clique member
-    that fell back to ridge adds ridge's value, taken from the ridge
-    member when the ensemble has one.
+    A column is (values, reasons, code, labels): values[i] is the cell's
+    prediction, NaN where there is none, reasons maps each such i to the
+    error that says why, and labels[code[i]] is a covered cell's shared
+    (mechanism, excluded) pair. The cells are either all missing from
+    train (sweeps, completion) or all observed (leave-one-out), where a
+    factorization is refit for each cell. A clique member that fell back
+    to ridge adds ridge's value to the ensemble.
     """
-    rows, cols = [c.row for c in cells], [c.col for c in cells]
-    # A factorization trains on every observed cell, so a cell train still
-    # observes (leave-one-out) gets its own fit without it. With no cells
-    # the shared fit is still made: complete_matrix returns the model.
-    refit = bool(cells) and bool(train.present_mask[rows, cols].all())
-    got, mechanism, models = {}, {}, {}
+    # With no cells the shared fit is still made: complete_matrix returns
+    # the model.
+    refit = rows.size > 0 and bool(train.present_mask[rows, cols].all())
+    columns, models = {}, {}
     for alg in _base_algorithms(algorithms, cfg):
-        # ridge first: cliques may reuse its results
-        got[alg], mechanism[alg], models[alg] = _fit_predict(
-            alg, train, rows, cols, cfg, refit, got.get(Algorithm.RIDGE))
-
-    # Members keep their kernels' results; Outcomes are made only for the
-    # requested algorithms. An Outcome column for every member measured
-    # about 5% more peak memory on ensemble completion.
-    outcomes = {alg: [_outcome(g, mechanism[alg]) for g in got[alg]]
-                for alg in algorithms if alg is not Algorithm.ENSEMBLE}
+        # ridge first: cliques may reuse its values and reasons
+        ridge = columns.get(Algorithm.RIDGE)
+        values, reasons, via_ridge, models[alg] = _fit_predict(
+            alg, train, rows, cols, cfg, refit, ridge and ridge[:2])
+        columns[alg] = (values, reasons, via_ridge,
+                        ((alg.value, ()), ("ridge", ())))
     if Algorithm.ENSEMBLE in algorithms:
-        members, mechanisms = list(map(Algorithm, cfg.ensemble)), {}
-        outcomes[Algorithm.ENSEMBLE] = [
-            _ensemble_outcome(train, cell, [
-                (mem.value, _outcome(got[mem][i], mechanism[mem]))
-                for mem in members], mechanisms)
-            for i, cell in enumerate(cells)]
-    return outcomes, models
+        columns[Algorithm.ENSEMBLE] = _ensemble(
+            train, rows, cols, list(map(Algorithm, cfg.ensemble)), columns)
+    return columns, models
 
 
-def _assemble(algorithms, cells, outcomes):
-    """Fold per-cell outcomes into per-algorithm scored rows."""
-    rows: dict[Algorithm, list[CellPrediction]] = {}
-    uncovered = {}
+def _score(train: PCMatrix, rows, cols, targets, algorithms,
+           cfg: RunConfig):
+    """Predict the cells (rows[i], cols[i]) from train and score each
+    algorithm's covered cells against targets: its CellPrediction rows
+    and its count of uncovered cells."""
+    if (targets <= 0).any():
+        raise ValueError(f"target time must be positive, got "
+                         f"{float(targets[targets <= 0][0])}")
+    columns, _ = _predict_cells(train, rows, cols, algorithms, cfg)
+    scored, uncovered = {}, {}
     for alg in algorithms:
-        rows[alg] = [
-            CellPrediction(cell.row, cell.col, o.value, cell.true_time,
-                           prediction_error(o.value, cell.true_time),
-                           alg.value, o.excluded)
-            for cell, o in zip(cells, outcomes[alg]) if o.value is not None]
-        uncovered[alg] = len(cells) - len(rows[alg])
-    return rows, uncovered
+        values, _, code, labels = columns[alg]
+        ok = ~np.isnan(values)
+        errors = np.abs(values[ok] - targets[ok]) / targets[ok]
+        scored[alg] = [
+            CellPrediction(r, c, v, t, e, alg.value, labels[k][1])
+            for r, c, v, t, e, k in zip(
+                rows[ok].tolist(), cols[ok].tolist(), values[ok].tolist(),
+                targets[ok].tolist(), errors.tolist(), code[ok].tolist())]
+        uncovered[alg] = rows.size - len(scored[alg])
+    return scored, uncovered
 
 
 def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
@@ -273,11 +250,10 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
     the machine grouping. ALS and SVD train on every observed cell, so
     each cell is predicted by a fit on the matrix without it.
     """
-    cells = [HeldOutCell(int(r), int(c), float(m.values[r, c]))
-             for r, c in np.argwhere(m.present_mask)]
+    rows, cols = np.nonzero(m.present_mask)
     algorithms = [Algorithm(cfg.algorithm)]
-    outcomes, _ = _predict_cells(m, cells, algorithms, cfg)
-    results = _finish(algorithms, *_assemble(algorithms, cells, outcomes))
+    results = _finish(algorithms, *_score(
+        m, rows, cols, m.values[rows, cols], algorithms, cfg))
     return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
                       note="leave-one-out")
 
@@ -287,18 +263,11 @@ def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep_echo(cfg: RunConfig) -> dict:
-    """A sweep's settings echo: the RunConfig without `algorithm`, which
-    a sweep does not read (its algorithms are an argument)."""
-    config = asdict(cfg)
-    del config["algorithm"]
-    return config
-
-
 def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
            extra_config=None) -> list[EvalReport]:
     algorithms = [Algorithm(a) for a in algorithms]
-    config = _sweep_echo(cfg)
+    config = asdict(cfg)
+    del config["algorithm"]  # a sweep's algorithms are an argument
     if extra_config:
         config.update(extra_config)
 
@@ -321,8 +290,10 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
             if corrupt is not None:
                 train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
             n_cells_seen += len(held)
-            outcomes, _ = _predict_cells(train, held, algorithms, cfg)
-            rep_rows, rep_uncov = _assemble(algorithms, held, outcomes)
+            cells = np.array(held).reshape(-1, 3)
+            h_rows, h_cols = cells[:, :2].T.astype(np.intp)
+            rep_rows, rep_uncov = _score(train, h_rows, h_cols, cells[:, 2],
+                                         algorithms, cfg)
             for a in algorithms:
                 rows[a].extend(rep_rows[a])
                 uncovered[a] += rep_uncov[a]
@@ -394,19 +365,16 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     raises its reason.
     """
     algorithm = Algorithm(cfg.algorithm)
-    cells = [HeldOutCell(int(r), int(c), np.nan)
-             for r, c in np.argwhere(~m.present_mask)]
-    outcomes, models = _predict_cells(m, cells, [algorithm], cfg)
+    rows, cols = np.nonzero(~m.present_mask)
+    columns, models = _predict_cells(m, rows, cols, [algorithm], cfg)
+    values, reasons, code, labels = columns[algorithm]
+    if reasons:
+        raise reasons[min(reasons)]
     vals = np.array(m.values)
-    fills = []
-    for cell, outcome in zip(cells, outcomes[algorithm]):
-        if outcome.value is None:
-            raise outcome.reason
-        vals[cell.row, cell.col] = outcome.value
-        p, a = m.row_keys[cell.row]
-        fills.append(FillRecord(cell.row, cell.col, p, a,
-                                m.col_keys[cell.col], outcome.value,
-                                outcome.mechanism))
+    vals[rows, cols] = values
+    fills = [FillRecord(r, c, *m.row_keys[r], m.col_keys[c], v, labels[k][0])
+             for r, c, v, k in zip(rows.tolist(), cols.tolist(),
+                                   values.tolist(), code.tolist())]
     return m.with_values(vals), fills, models.get(algorithm)
 
 

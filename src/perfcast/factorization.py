@@ -307,6 +307,30 @@ def predict(model: FactorModel, row: int, col: int) -> float:
                PREDICTION_FLOOR)
 
 
+def predict_cells(model: FactorModel, rows, cols) -> np.ndarray:
+    """predict for every cell (rows[i], cols[i]), as one stack of
+    (1 x K) @ (K x 1) products. Measured with OpenBLAS, these equal
+    predict's bit for bit where a column's factors are contiguous, as in
+    every ALS fit; svd_fit's are strided, and at K >= 4 its predictions
+    moved by up to 4.3e-15 relative (48,000 cells, 600 x 50 rank-4)."""
+    U = model.row_factors[rows][:, None, :]
+    return np.maximum((U @ model.col_factors[:, cols].T[:, :, None])[:, 0, 0],
+                      PREDICTION_FLOOR)
+
+
+def predict_refits(fits, rows, cols):
+    """predict for each cell (rows[i], cols[i]) from its own fit, as
+    (values, reasons); fits yields, per cell, a FactorModel or the
+    UnfactorableError that says why there is none, as als_refits does."""
+    values, reasons = np.full(len(rows), np.nan), {}
+    for i, (fit, r, c) in enumerate(zip(fits, rows, cols)):
+        if isinstance(fit, UnfactorableError):
+            reasons[i] = fit
+        else:
+            values[i] = fit.row_factors[r] @ fit.col_factors[:, c]
+    return np.maximum(values, PREDICTION_FLOOR), reasons
+
+
 def predict_all(model: FactorModel) -> np.ndarray:
     """Full reconstruction with the same positive floor as predict."""
     return np.maximum(model.row_factors @ model.col_factors, PREDICTION_FLOOR)

@@ -6,16 +6,18 @@ Features are standardized, the solve is regularized least squares with an
 unpenalized intercept, and a feature-shrinking fallback keeps the model
 trainable on sparse data.
 
-`ridge_block` predicts a block of cells per call. Which features a cell
-keeps and which rows train it follow from the presence mask alone: one
-matmul counts the co-observations of every column pair, which fix each
-cell's drop order, and one matmul over the cells gives the drops after
-which each row can train each cell. The cells' systems are then solved as
-zero-padded stacks: primal where a cell has no more features than
-training rows, dual otherwise, and a stacked pseudo-inverse (the
-minimum-norm answer) when lambda is 0. The cells run a bounded number at
-a time, so memory does not grow with the block. `ridge_predict` is the
-block of one.
+`ridge_block` predicts a block of cells per call and returns arrays: the
+values, NaN where a cell is uncovered, and the reasons for the uncovered
+cells. Which features a cell keeps and which rows train it follow from
+the presence mask alone: one matmul counts the co-observations of every
+column pair, which fix each cell's drop order, and one matmul over the
+cells gives the drops after which each row can train each cell. The
+cells' systems are then solved as zero-padded stacks: primal where a cell
+has no more features than training rows, dual otherwise, and a stacked
+pseudo-inverse (the minimum-norm answer) when lambda is 0. The cells run
+a bounded number at a time, so memory does not grow with the block; only
+the cells left without a solve take the column mean, one at a time.
+`ridge_predict` is the block of one.
 """
 
 from __future__ import annotations
@@ -66,33 +68,49 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
     no features left, fall back to the target column's mean. Raises
     NoBasisError if the target column has no observed values at all.
     """
-    (got,) = ridge_block(m, [row], [col], cfg)
-    if isinstance(got, NoBasisError):
-        raise got
-    return got
+    values, reasons = ridge_block(m, [row], [col], cfg)
+    if reasons:
+        raise reasons[0]
+    return float(values[0])
 
 
-def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()) -> list:
-    """ridge_predict for each cell (rows[i], cols[i]) in one pass: a list
-    holding, per cell, its prediction or the NoBasisError that says why
-    there is none."""
+def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
+    """ridge_predict for each cell (rows[i], cols[i]) in one pass; returns
+    (values, reasons): values[i] is the prediction, NaN where there is
+    none, and reasons maps each such i to the NoBasisError that says
+    why."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     present = m.present_mask.astype(float)
     co_observed = present.T @ present  # rows observing both columns
     lacks = 1.0 - present.T  # lacks[f, r]: row r does not observe column f
+    values = np.full(rows.size, np.nan)
     # The cells run as many at a time as keep their (cells x rows) arrays
     # within _SPAN entries, so the memory does not grow with the block.
     step = max(1, _SPAN // m.n_rows)
-    out: list = []
     for start in range(0, rows.size, step):
-        out += _predict(m, co_observed, lacks, rows[start:start + step],
-                        cols[start:start + step], cfg)
-    return out
+        part = slice(start, start + step)
+        _predict(m, co_observed, lacks, rows[part], cols[part], cfg,
+                 values[part])
+    # A cell with no solve takes the target column's mean without the
+    # target row.
+    reasons = {}
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        col_present = m.present_mask[:, cols[i]].copy()
+        col_present[rows[i]] = False
+        if col_present.any():
+            values[i] = max(float(m.values[col_present, cols[i]].mean()),
+                            PREDICTION_FLOOR)
+        else:
+            reasons[i] = NoBasisError(
+                f"no basis for prediction: column {m.col_keys[cols[i]]!r} "
+                f"has no observed values")
+    return values, reasons
 
 
-def _predict(m, co_observed, lacks, rows, cols, cfg):
-    """ridge_block on one span of cells."""
+def _predict(m, co_observed, lacks, rows, cols, cfg, out):
+    """Solve one span of cells into out, leaving the cells that no
+    feature set trains untouched."""
     mask = m.present_mask
     cells = np.arange(rows.size)
     features = mask[rows]
@@ -104,7 +122,6 @@ def _predict(m, co_observed, lacks, rows, cols, cfg):
     candidates = mask[:, cols].T.copy()
     candidates[cells, rows] = False
     co_counts = co_observed[cols] - (features & seen[:, None])
-    out: list = [None] * rows.size
     trainable = np.flatnonzero(
         features.any(axis=1)
         & (candidates.sum(axis=1) >= cfg.min_training_rows))
@@ -116,23 +133,7 @@ def _predict(m, co_observed, lacks, rows, cols, cfg):
         solved = trainable[some]
         preds = _solve(m.values, rows[solved], cols[solved], kept[some],
                        train[some], cfg.lam)
-        for i, pred in zip(solved, preds):
-            out[i] = max(float(pred), PREDICTION_FLOOR)
-    for i in cells:
-        if out[i] is None:
-            out[i] = _column_mean(m, rows[i], cols[i])
-    return out
-
-
-def _column_mean(m, row, col):
-    """The target column's mean without the target row, or NoBasisError."""
-    col_present = m.present_mask[:, col].copy()
-    col_present[row] = False
-    if not col_present.any():
-        return NoBasisError(
-            f"no basis for prediction: column {m.col_keys[col]!r} has no "
-            f"observed values")
-    return max(float(m.values[col_present, col].mean()), PREDICTION_FLOOR)
+        out[solved] = np.maximum(preds, PREDICTION_FLOOR)
 
 
 def _shrink(lacks, features, candidates, co_counts, min_rows):

@@ -319,22 +319,27 @@ class TestBlockKernel:
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
         cfg = RidgeConfig()
         ridge = ridge_block(m, rows, cols, cfg) if reuse else None
-        got = clique_block(m, grouping, rows, cols, cfg, fallback, ridge)
-        for row, col, result in zip(rows, cols, got):
+        values, reasons, via_ridge = clique_block(m, grouping, rows, cols,
+                                                  cfg, fallback, ridge)
+        uncovered = set()
+        for i, (row, col) in enumerate(zip(rows, cols)):
             try:
                 want = cliques_reference.clique_predict(m, grouping, row, col,
                                                         cfg, fallback)
             except ValueError as exc:
-                assert type(result) is type(exc)
-                assert str(result) == str(exc)
+                uncovered.add(i)
+                assert np.isnan(values[i])
+                assert type(reasons[i]) is type(exc)
+                assert str(reasons[i]) == str(exc)
                 continue
-            value, mechanism = result
+            mechanism = "ridge" if via_ridge[i] else "cliques"
             assert mechanism == want[1]
             rtol = CLIQUE_RTOL if mechanism == "cliques" else RIDGE_RTOL
-            assert value == pytest.approx(want[0], rel=rtol)
+            assert values[i] == pytest.approx(want[0], rel=rtol)
             assert group_estimates(m, grouping, row, col) == pytest.approx(
                 cliques_reference.group_estimates(m, grouping, row, col),
                 rel=CLIQUE_RTOL)
+        assert reasons.keys() == uncovered
 
     @given(m=sparse_matrices(), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -377,13 +382,15 @@ class TestBlockKernel:
         m = grid(values.tolist())
         grouping = find_cliques(build_graph(m, 0.9, 3))
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
-        got = clique_block(m, grouping, rows, cols)
-        for row, col, result in zip(rows, cols, got):
+        values, reasons, via_ridge = clique_block(m, grouping, rows, cols)
+        assert reasons == {}
+        for i, (row, col) in enumerate(zip(rows, cols)):
             want = cliques_reference.clique_predict(m, grouping, row, col)
-            assert result[1] == want[1]
-            assert result[0] == pytest.approx(want[0], rel=RIDGE_RTOL)
+            assert ("ridge" if via_ridge[i] else "cliques") == want[1]
+            assert values[i] == pytest.approx(want[0], rel=RIDGE_RTOL)
 
     def test_empty_block(self):
         m = grid([[1.0, 2.0], [2.0, 4.0]])
         grouping = find_cliques(build_graph(m, 0.5, 2))
-        assert clique_block(m, grouping, [], []) == []
+        values, reasons, via_ridge = clique_block(m, grouping, [], [])
+        assert values.shape == via_ridge.shape == (0,) and reasons == {}

@@ -142,6 +142,17 @@ def test_outlier_fraction_takes_one_percentage(matrix_csv, tmp_path, capsys):
     assert f"{cfg}:1:" in capsys.readouterr().err
 
 
+def test_repeated_ensemble_member_in_file_rejected(matrix_csv, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ensemble = ridge,als,ridge\n")
+    assert main(["complete", str(matrix_csv), "--out",
+                 str(tmp_path / "completed.csv"), "--config", str(cfg)]) == 1
+    assert ("ensemble members must be distinct, got ridge, als, ridge"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "completed.csv").exists()
+
+
 # (command, flags, message): each setting is checked before the matrix is
 # read, so a missing matrix file is never reached
 BAD_SETTINGS = [
@@ -165,6 +176,8 @@ BAD_SETTINGS = [
     ("sweep", ["--als-lambda", "-1"], "lambda must be nonnegative"),
     ("complete", ["--als-max-iters", "0"], "max_iters must be >= 1"),
     ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ("complete", ["--ensemble", "cliques,cliques,als"],
+     "ensemble members must be distinct, got cliques, cliques, als"),
 ]
 
 
@@ -191,6 +204,12 @@ def test_fraction_out_of_range_rejected(setting):
 def test_ensemble_cannot_nest():
     with pytest.raises(ValueError, match="ensemble members"):
         RunConfig(ensemble=("ridge", "ensemble"))
+
+
+def test_ensemble_members_are_distinct():
+    # a repeated member would silently count twice in the mean
+    with pytest.raises(ValueError, match="ensemble members must be distinct"):
+        RunConfig(ensemble=("cliques", "cliques", "als"))
 
 
 def test_empty_ensemble_rejected():

@@ -329,6 +329,23 @@ class TestCompleteMatrix:
         assert fill.predicted == ensemble_predict([ridge, ridge, als])
         assert fill.predicted != ensemble_predict([ridge, als])
 
+    def test_ensemble_of_agreeing_members_is_that_value(self, monkeypatch):
+        # Members that agree give their value exactly, as ensemble_predict
+        # does: three 0.1s would sum and divide to 0.10000000000000002.
+        # Under the regression protocol the clique member is ridge's
+        # column, so ridge and als are pinned to 0.1 here.
+        def tenth(m, rows, cols, *_):
+            return np.full(len(rows), 0.1)
+        monkeypatch.setattr(evaluation, "ridge_block",
+                            lambda *args: (tenth(*args), {}))
+        monkeypatch.setattr(evaluation, "predict_cells", tenth)
+        assert sum([0.1] * 3) / 3 != 0.1
+        m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
+        _, fills, _ = complete_matrix(m, small_cfg(
+            algorithm="ensemble", protocol="regression"))
+        assert [(f.predicted, f.algorithm) for f in fills] == [
+            (0.1, "ensemble:ridge+cliques+als")]
+
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_solves_ridge_once_per_cell(self, monkeypatch,
                                                  protocol):

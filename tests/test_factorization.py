@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from perfcast import (ALSConfig, FactorModel, MaskSpec, UnfactorableError,
                       als_fit, mask_random, model_from_json, model_to_json,
                       rank_machines, svd_fit)
-from perfcast.factorization import als_refits, predict, predict_all
+from perfcast.factorization import (als_refits, predict, predict_all,
+                                    predict_cells, predict_refits)
 
 
 def rank1_2x2():
@@ -145,6 +146,20 @@ class TestPredict:
     def test_floor_applied(self):
         model = manual_model([[1.0, -2.0]], [[1.0], [1.0]])
         assert predict(model, 0, 0) == 1e-9
+
+    def test_cells_and_refits_are_predict_with_its_floor(self):
+        # cell (1, 0) is negative before the floor
+        model = manual_model([[1.0, 2.0], [1.0, -2.0]],
+                             [[1.0, 3.0], [1.0, 0.5]])
+        rows, cols = np.array([1, 0, 1]), np.array([0, 1, 1])
+        want = [predict(model, r, c) for r, c in zip(rows, cols)]
+        assert want[0] == 1e-9
+        assert predict_cells(model, rows, cols).tolist() == want
+        error = UnfactorableError("unfactorable matrix: a row")
+        values, reasons = predict_refits([model, error, model], rows, cols)
+        assert reasons == {1: error}
+        assert values[0] == want[0] and values[2] == want[2]
+        assert np.isnan(values[1])
 
     def test_all_predictions_positive_after_fit(self):
         m, _, _ = planted_rank1(10, 8, seed=13)

@@ -1,4 +1,4 @@
-"""Leave-one-out driver against the per-cell-copy reference."""
+"""Leave-one-out and completion against their per-cell references."""
 
 import math
 
@@ -7,10 +7,11 @@ import pytest
 from conftest import grid, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from complete_reference import complete_matrix as reference_complete_matrix
 from loo_reference import leave_one_out as reference_leave_one_out
 
-from perfcast import (Algorithm, CliqueProtocol, RunConfig, leave_one_out,
-                      report_to_json)
+from perfcast import (Algorithm, CliqueProtocol, RunConfig, complete_matrix,
+                      leave_one_out, report_to_json)
 
 CASES = [(Algorithm.RIDGE, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
 CASES += [(Algorithm.CLIQUES, p) for p in CliqueProtocol]
@@ -101,3 +102,45 @@ def test_matches_reference_over_512_cells(algorithm, protocol):
     got = report_to_json(leave_one_out(m, cfg))
     want = report_to_json(reference_leave_one_out(m, cfg))
     assert_reports_match(got, want, STACKED_RTOL)
+
+
+COMPLETE_CASES = [(a, p) for a in Algorithm for p in CliqueProtocol]
+ENSEMBLES = [("ridge", "cliques", "als"), ("cliques", "svd"), ("als", "ridge")]
+
+
+@pytest.mark.parametrize("algorithm,protocol", COMPLETE_CASES,
+                         ids=[f"{a.value}-{p.value}" for a, p in
+                              COMPLETE_CASES])
+@given(m=sparse_matrices(),
+       threshold=st.sampled_from([0.5, 0.9, 0.97]),
+       min_overlap=st.integers(2, 3),
+       k=st.integers(1, 2),
+       ensemble=st.sampled_from(ENSEMBLES))
+@settings(max_examples=40, deadline=None)
+def test_completion_matches_reference(algorithm, protocol, m, threshold,
+                                      min_overlap, k, ensemble):
+    # Every missing cell, predicted at once, against one cell at a time:
+    # the same cells fail or fill, with the same mechanism. At rank 2 the
+    # factorization's gathered inner products may round apart from
+    # predict's; the block kernels' rounding is STACKED_RTOL's (above).
+    cfg = RunConfig(algorithm=algorithm.value, protocol=protocol.value,
+                    als_k=k, als_max_iters=20, svd_k=k,
+                    clique_threshold=threshold,
+                    clique_min_overlap=min_overlap, ensemble=ensemble)
+    try:
+        want_values, want_fills = reference_complete_matrix(m, cfg)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            complete_matrix(m, cfg)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    completed, fills, _ = complete_matrix(m, cfg)
+    assert [(f.row, f.col, f.algorithm) for f in fills] == [
+        (row, col, mechanism) for row, col, _, mechanism in want_fills]
+    for fill, (row, col, value, _) in zip(fills, want_fills):
+        assert math.isclose(fill.predicted, value, rel_tol=STACKED_RTOL)
+        assert completed.values[row, col] == fill.predicted
+    np.testing.assert_array_equal(completed.present_mask, True)
+    np.testing.assert_array_equal(completed.values[m.present_mask],
+                                  want_values[m.present_mask])

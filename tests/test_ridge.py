@@ -191,16 +191,21 @@ def reference(m, row, col, cfg):
 
 
 def assert_block_matches_reference(m, rows, cols, cfg):
-    got = ridge_block(m, rows, cols, cfg)
-    assert len(got) == len(rows)
-    for row, col, value in zip(rows, cols, got):
+    values, reasons = ridge_block(m, rows, cols, cfg)
+    assert values.dtype == np.float64 and values.shape == (len(rows),)
+    uncovered = set()
+    for i, (row, col) in enumerate(zip(rows, cols)):
         want, well_posed = reference(m, row, col, cfg)
         if isinstance(want, NoBasisError):
-            assert type(value) is NoBasisError and str(value) == str(want)
+            uncovered.add(i)
+            assert np.isnan(values[i])
+            assert type(reasons[i]) is NoBasisError
+            assert str(reasons[i]) == str(want)
             continue
-        assert type(value) is float and value >= 1e-9
+        assert values[i] >= 1e-9
         if cfg.lam > 0 or well_posed:
-            assert value == pytest.approx(want, rel=RTOL[cfg.lam])
+            assert values[i] == pytest.approx(want, rel=RTOL[cfg.lam])
+    assert reasons.keys() == uncovered
 
 
 class TestBlockKernel:
@@ -248,4 +253,5 @@ class TestBlockKernel:
         assert_block_matches_reference(m, rows, cols, RidgeConfig(lam, 3))
 
     def test_empty_block(self):
-        assert ridge_block(linear_two_columns(), [], []) == []
+        values, reasons = ridge_block(linear_two_columns(), [], [])
+        assert values.shape == (0,) and reasons == {}
