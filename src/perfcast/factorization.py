@@ -57,7 +57,9 @@ class FactorModel:
 
     def __post_init__(self):
         rf = np.array(self.row_factors, dtype=np.float64)
-        cf = np.array(self.col_factors, dtype=np.float64)
+        # column-major, whatever the source: each column's K factors are
+        # contiguous, so a BLAS dot sums them in one order on every path
+        cf = np.array(self.col_factors, dtype=np.float64, order="F")
         if rf.shape != (len(self.row_keys), self.k):
             raise ValueError(f"row factor shape {rf.shape} does not match "
                              f"{len(self.row_keys)} rows x rank {self.k}")
@@ -265,6 +267,17 @@ def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
     """Impute-and-decompose completion: fill missing cells with row means,
     truncate an SVD to rank k, refill from the reconstruction, repeat.
 
+    The rank-k truncation X P P^T needs only P, the top-k right singular
+    vectors (left ones when X is wide), and those are the top-k
+    eigenvectors of the smaller Gram matrix X^T X (X X^T): one small eigh
+    per step in place of a full SVD. Squaring the spectrum costs accuracy:
+    P's error grows like eps * s_1**2 / (s_k**2 - s_{k+1}**2), so where
+    the k-th and (k+1)-th singular values are within rounding of each
+    other, the rank-k subspace, and a full SVD's answer, are fixed by
+    rounding alone. The factors are X P / sqrt(s) and sqrt(s) P^T (their
+    roles swapped when X is wide), with s the norms of X P's columns, and
+    zero where s is 0, as when k is above X's rank.
+
     Deterministic. Stops early once imputed cells settle.
     """
     mask = m.present_mask
@@ -275,27 +288,37 @@ def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
         raise ValueError("max_outer must be >= 1")
     values = m.values
 
-    row_means = np.array([values[i, mask[i]].mean() for i in range(m.n_rows)])
+    row_means = np.where(mask, values, 0.0).sum(axis=1) / mask.sum(axis=1)
     X = np.where(mask, values, row_means[:, None])
-    missing = ~mask
+    # flat indices, in values[mask]'s order: only imputed cells are rewritten
+    observed = np.flatnonzero(mask)
+    missing = np.flatnonzero(~mask)
+    targets = values.ravel()[observed]
+    flat = X.ravel()  # a view, as is A: X or X^T, whichever has fewer columns
+    wide = m.n_rows < m.n_cols
+    A = X.T if wide else X
     history: list[float] = []
-    U = s = Vt = None
     for _ in range(max_outer):
-        U, s, Vt = np.linalg.svd(X, full_matrices=False)
-        recon = (U[:, :k] * s[:k]) @ Vt[:k]
-        resid = recon[mask] - values[mask]
+        P = np.linalg.eigh(A.T @ A)[1][:, :-k - 1:-1]  # top k, descending
+        AP = A @ P
+        recon = AP @ P.T
+        if wide:
+            recon = recon.T
+        resid = recon.take(observed) - targets
         history.append(float(np.sqrt(np.mean(resid * resid))))
-        if not missing.any():
+        if not missing.size:
             break
-        old = X[missing]
-        new = recon[missing]
-        X = np.where(mask, values, recon)
+        old = flat[missing]
+        new = recon.take(missing)
+        flat[missing] = new
         if np.all(np.abs(new - old) <= 1e-12 * (np.abs(old) + 1e-30)):
             break
 
-    root = np.sqrt(s[:k])
-    Uf = U[:, :k] * root
-    Vf = root[:, None] * Vt[:k]
+    s = np.linalg.norm(AP, axis=0)
+    root = np.sqrt(s)
+    left = np.divide(AP, root, out=np.zeros_like(AP), where=s > 0)
+    right = root[:, None] * P.T
+    Uf, Vf = (right.T, left.T) if wide else (left, right)
     _sign_normalize(Uf, Vf)
     config = {"algorithm": "svd", "k": k, "max_outer": max_outer}
     return FactorModel(k, m.row_keys, m.col_keys, Uf, Vf, tuple(history), config)
@@ -309,10 +332,8 @@ def predict(model: FactorModel, row: int, col: int) -> float:
 
 def predict_cells(model: FactorModel, rows, cols) -> np.ndarray:
     """predict for every cell (rows[i], cols[i]), as one stack of
-    (1 x K) @ (K x 1) products. Measured with OpenBLAS, these equal
-    predict's bit for bit where a column's factors are contiguous, as in
-    every ALS fit; svd_fit's are strided, and at K >= 4 its predictions
-    moved by up to 4.3e-15 relative (48,000 cells, 600 x 50 rank-4)."""
+    (1 x K) @ (K x 1) products; measured with OpenBLAS, these equal
+    predict's bit for bit."""
     U = model.row_factors[rows][:, None, :]
     return np.maximum((U @ model.col_factors[:, cols].T[:, :, None])[:, 0, 0],
                       PREDICTION_FLOOR)

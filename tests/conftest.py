@@ -29,6 +29,25 @@ def grid(values, row_keys=None, col_keys=None):
     return PCMatrix(rows, cols, arr)
 
 
+def sparse_matrix(shape, density, seed, rank=None):
+    """Positive matrix with every row and column observed at least once and
+    each other cell kept with probability `density`, so low densities give
+    rows and columns with fewer observations than the rank. Values are
+    uniform in (0.5, 5.0), or with `rank`, a product of two positive
+    rank-`rank` factors."""
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    keep = rng.random((n, m)) < density
+    keep[np.arange(n), rng.integers(0, m, n)] = True
+    keep[rng.integers(0, n, m), np.arange(m)] = True
+    vals = (rng.uniform(0.5, 5.0, (n, m)) if rank is None else
+            rng.uniform(0.5, 2.0, (n, rank)) @ rng.uniform(0.5, 2.0, (rank, m)))
+    vals = np.where(keep, vals, np.nan)
+    rows = tuple((f"p{i}", "a") for i in range(n))
+    cols = tuple(f"c{j}" for j in range(m))
+    return PCMatrix(rows, cols, vals)
+
+
 @st.composite
 def sparse_matrices(draw, max_rows=7, max_cols=5, max_holes=0.5):
     """Near-proportional columns (so cliques form) with random holes, a

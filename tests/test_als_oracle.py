@@ -2,6 +2,7 @@
 
 import numpy as np
 from als_reference import reference_als_fit
+from conftest import sparse_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,21 +14,6 @@ lams = st.sampled_from([0.0, 1e-8, 1e-2])
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 10))
 densities = st.floats(0.0, 1.0)
 seeds = st.integers(0, 2 ** 32 - 1)
-
-
-def sparse_matrix(shape, density, seed):
-    """Positive matrix with every row and column observed at least once and
-    each other cell kept with probability `density`, so low densities give
-    rows and columns with fewer observations than the rank."""
-    n, m = shape
-    rng = np.random.default_rng(seed)
-    keep = rng.random((n, m)) < density
-    keep[np.arange(n), rng.integers(0, m, n)] = True
-    keep[rng.integers(0, n, m), np.arange(m)] = True
-    vals = np.where(keep, rng.uniform(0.5, 5.0, (n, m)), np.nan)
-    rows = tuple((f"p{i}", "a") for i in range(n))
-    cols = tuple(f"c{j}" for j in range(m))
-    return PCMatrix(rows, cols, vals)
 
 
 @given(k=ranks, lam=lams, shape=shapes, density=densities, seed=seeds,

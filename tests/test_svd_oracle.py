@@ -1,0 +1,115 @@
+"""The Gram-matrix SVD kernel against the full-SVD reference loop."""
+
+from unittest import mock
+
+import numpy as np
+from conftest import grid, planted_rank1, sparse_matrix
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from svd_reference import reference_svd_fit
+
+from perfcast import MaskSpec, mask_random, svd_fit
+from perfcast.factorization import predict_all
+
+EPS = np.finfo(float).eps
+
+
+def reference_with_spectra(mat, k, max_outer):
+    """The reference fit, and the singular values of every iterate it
+    decomposed."""
+    spectra, svd = [], np.linalg.svd
+
+    def recording(X, *args, **kwargs):
+        out = svd(X, *args, **kwargs)
+        spectra.append(out[1])
+        return out
+
+    with mock.patch.object(np.linalg, "svd", recording):
+        return reference_svd_fit(mat, k, max_outer), spectra
+
+
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       rank=st.sampled_from([None, 1, 2, 3]), k_draw=st.integers(1, 12),
+       max_outer=st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
+def test_fit_matches_reference(shape, density, seed, rank, k_draw, max_outer):
+    # Tall and wide draws, uniform or planted low-rank values.
+    mat = sparse_matrix(shape, density, seed, rank)
+    k = min(k_draw, *shape)
+    want, spectra = reference_with_spectra(mat, k, max_outer)
+    # The kernel's rank-k subspace is off by about eps * s_1**2 /
+    # (s_k**2 - s_{k+1}**2). Where that bound exceeds 1e-8 at some step,
+    # s_k and s_{k+1} nearly coincide: the subspace, and so either fit's
+    # answer, is not determined to this test's tolerance (see
+    # test_rank_above_numerical_rank for the exactly rank-deficient case).
+    # At k = min(shape) the projection is the identity, whatever the
+    # spectrum.
+    if k < min(shape):
+        assume(all(s[k - 1] ** 2 - s[k] ** 2 > 1e8 * EPS * s[0] ** 2
+                   for s in spectra))
+    got = svd_fit(mat, k, max_outer)
+
+    scale = float(np.nanmean(mat.values))
+    # The atol covers rank-k inner products that land near zero.
+    np.testing.assert_allclose(predict_all(got), predict_all(want),
+                               rtol=1e-9, atol=1e-9 * scale)
+    # The settle test holds each imputed cell's change to 1e-12 of it,
+    # within reach of the two kernels' rounding differences: where either
+    # fit settled before max_outer, the other may settle a step apart.
+    steps = len(got.train_rmse_history), len(want.train_rmse_history)
+    assert abs(steps[0] - steps[1]) <= (min(steps) < max_outer)
+    np.testing.assert_allclose(got.train_rmse_history[:min(steps)],
+                               want.train_rmse_history[:min(steps)],
+                               rtol=1e-9, atol=1e-9 * scale)
+    assert got.config == want.config
+    assert np.isfinite(got.row_factors).all()
+    assert np.isfinite(got.col_factors).all()
+
+
+def holed_rank1():
+    full, _, _ = planted_rank1(40, 12, seed=5)
+    return mask_random(full, MaskSpec(0.4, 5))[0]
+
+
+def transposed(mat):
+    return grid(mat.values.T.tolist())
+
+
+def test_stop_step_matches_reference():
+    # The settle test fires after ~190 steps here, tall and wide alike.
+    for mat in (holed_rank1(), transposed(holed_rank1())):
+        got, want = svd_fit(mat, 1, 1000), reference_svd_fit(mat, 1, 1000)
+        steps = len(want.train_rmse_history)
+        assert 100 < steps < 1000
+        assert len(got.train_rmse_history) == steps
+        np.testing.assert_allclose(predict_all(got), predict_all(want),
+                                   rtol=1e-12)
+
+
+def assert_matches_reference(mat, k):
+    got, want = svd_fit(mat, k), reference_svd_fit(mat, k)
+    assert np.isfinite(got.row_factors).all()
+    assert np.isfinite(got.col_factors).all()
+    np.testing.assert_allclose(predict_all(got), predict_all(want),
+                               rtol=1e-12)
+
+
+def test_rank_above_numerical_rank():
+    # k past the rank leaves zero or rounding-level singular values; their
+    # factors must stay finite and add nothing, and no division by zero may
+    # warn (the suite turns warnings into errors).
+    m, _, _ = planted_rank1(6, 5, seed=19)
+    for k in (3, 5):
+        assert_matches_reference(m, k)
+    assert_matches_reference(grid([[3.0, 3.0], [3.0, 3.0]]), 2)
+
+
+def test_wide_matrix():
+    # rows < cols: the Gram matrix is X X^T, and P holds left vectors
+    mat = sparse_matrix((5, 9), 0.6, seed=3)
+    for k in (1, 2, 5):
+        assert_matches_reference(mat, k)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        svd_fit(mat, 2, max_outer=3)
+    assert [c.args[0].shape for c in eigh.call_args_list] == [(5, 5)] * 3
