@@ -35,7 +35,7 @@ def summarize(tag: str, reports) -> None:
                      else f"{res.total_error:.4f}")
             print(f"{tag:9s} fraction={report.fraction:<5g} "
                   f"{res.algorithm:9s} error={total:8s} "
-                  f"cells={len(res.cells):5d} uncovered={res.n_uncovered}")
+                  f"cells={res.rows.size:5d} uncovered={res.n_uncovered}")
 
 
 def main(argv=None) -> int:

@@ -11,11 +11,11 @@ from .cliques import (ColdRowError, Grouping, SimilarityGraph, build_graph,
                       clique_predict, find_cliques, group_estimates,
                       grouping_to_json, pearson, scaling_coefficient)
 from .config import Algorithm, CliqueProtocol, RunConfig, read_config_file
-from .evaluation import (AlgorithmResult, CellPrediction, EvalReport,
-                         FillRecord, complete_matrix, ensemble_predict,
-                         leave_one_out, masking_sweep, outlier_sweep,
-                         prediction_error, report_to_json,
-                         write_reports_csv, write_reports_json)
+from .evaluation import (AlgorithmResult, EvalReport, FillRecord,
+                         complete_matrix, ensemble_predict, leave_one_out,
+                         masking_sweep, outlier_sweep, prediction_error,
+                         report_to_json, write_reports_csv,
+                         write_reports_json)
 from .factorization import (ALSConfig, FactorModel, UnfactorableError,
                             als_fit, model_from_json, model_to_json,
                             rank_machines, svd_fit)
@@ -30,8 +30,8 @@ from .ridge import NoBasisError, RidgeConfig, ridge_predict
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALSConfig", "Algorithm", "AlgorithmResult", "CellPrediction",
-    "CliqueProtocol", "ColdRowError", "EvalReport",
+    "ALSConfig", "Algorithm", "AlgorithmResult", "CliqueProtocol",
+    "ColdRowError", "EvalReport",
     "FactorModel", "FillRecord", "Grouping", "HeldOutCell",
     "MaskInfeasibleError", "MaskSpec", "NoBasisError", "Observation",
     "PCMatrix", "PlacementDecision", "Rationale", "RidgeConfig", "RunConfig",

@@ -71,7 +71,7 @@ def _print_report_summary(reports) -> None:
         for res in report.results:
             total = "n/a" if res.total_error is None else f"{res.total_error:.6g}"
             print(f"fraction={report.fraction:g} algorithm={res.algorithm} "
-                  f"total_error={total} cells={len(res.cells)} "
+                  f"total_error={total} cells={res.rows.size} "
                   f"uncovered={res.n_uncovered}")
 
 
@@ -92,14 +92,16 @@ def _resolve_rows(m, text: str | None) -> list[int]:
     if text is None:
         return list(range(m.n_rows))
     index = {key: i for i, key in enumerate(m.row_keys)}
-    rows = []
+    rows = {}
     for key in _parse_row_keys(text):
+        name = key[0] + ROW_KEY_SEP + key[1]
         if key not in index:
-            raise ValueError(
-                f"unknown program {key[0] + ROW_KEY_SEP + key[1]!r}; matrix "
-                f"has {m.n_rows} rows")
-        rows.append(index[key])
-    return rows
+            raise ValueError(f"unknown program {name!r}; matrix has "
+                             f"{m.n_rows} rows")
+        if key in rows:
+            raise ValueError(f"program {name!r} is listed twice in --rows")
+        rows[key] = index[key]
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +197,20 @@ def cmd_rank(args) -> int:
 
 
 def cmd_place(args) -> int:
+    if args.schedule and args.model:
+        raise ValueError("--model ranks machines only without --schedule")
     m = read_matrix_csv(args.completed)
     ranking = rank_machines(_load_model(args.model)) if args.model else None
     rows = _resolve_rows(m, args.rows)
     if args.schedule:
         assignment, makespan = schedule_batch(m, rows)
-        col_index = {c: j for j, c in enumerate(m.col_keys)}
-        for machine in m.col_keys:
+        for j, machine in enumerate(m.col_keys):
             for r in assignment[machine]:
                 program, prog_args = m.row_keys[r]
-                print(json.dumps(
-                    {"program": program, "args": prog_args,
-                     "machine": machine,
-                     "predicted_seconds": float(m.values[r, col_index[machine]])},
-                    sort_keys=True))
+                print(json.dumps({"program": program, "args": prog_args,
+                                  "machine": machine,
+                                  "predicted_seconds": float(m.values[r, j])},
+                                 sort_keys=True))
         print(json.dumps({"makespan": makespan}, sort_keys=True))
         return 0
     for r in rows:

@@ -15,11 +15,12 @@ it. A report's `config` is the flat echo of that `RunConfig`
 are an argument; outlier reports also repeat their corruption settings
 under `outliers`.
 
-Drivers score each prediction by relative error
-|predicted - target| / target. A report collects per-algorithm cell
-records, their mean, and a tally of cells the algorithm could not cover.
-Reports serialize to JSON (full) and CSV (one summary line per fraction
-and algorithm) with no timestamps, so equal seeds give equal bytes.
+Leave-one-out scores one masking of the matrix and a sweep one per
+repeat, all through `_score`, by relative error |predicted - target| /
+target. A report holds per algorithm its scored cells as columns, their
+mean and a tally of the cells it could not cover. Reports serialize to
+JSON (full) and CSV (one summary line per fraction and algorithm) with no
+timestamps, so equal seeds give equal bytes.
 """
 
 from __future__ import annotations
@@ -39,23 +40,26 @@ from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix, inject_outliers,
 from .ridge import ridge_block
 
 
-@dataclass(frozen=True)
-class CellPrediction:
-    row: int
-    col: int
-    predicted: float
-    target: float
-    error: float
-    algorithm: str
-    excluded: tuple[str, ...] = ()  # ensemble members that could not predict
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgorithmResult:
+    """One algorithm's scored cells as columns, in scoring order: cell i is
+    (rows[i], cols[i]), predicted[i] against target[i] with relative error
+    error[i], and excluded[i] names the ensemble members that could not
+    predict it."""
     algorithm: str
-    cells: tuple[CellPrediction, ...]
-    total_error: float | None  # None when no cell was scored
+    rows: np.ndarray
+    cols: np.ndarray
+    predicted: np.ndarray
+    target: np.ndarray
+    error: np.ndarray
+    excluded: tuple[tuple[str, ...], ...]
     n_uncovered: int
+
+    @property
+    def total_error(self) -> float | None:
+        """Mean error, summed cell by cell in order; None with no cells."""
+        errors = self.error.tolist()
+        return sum(errors) / len(errors) if errors else None
 
 
 @dataclass(frozen=True)
@@ -208,36 +212,32 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     return columns, models
 
 
-def _score(train: PCMatrix, rows, cols, targets, algorithms,
-           cfg: RunConfig):
-    """Predict the cells (rows[i], cols[i]) from train and score each
-    algorithm's covered cells against targets: its CellPrediction rows
-    and its count of uncovered cells."""
-    if (targets <= 0).any():
-        raise ValueError(f"target time must be positive, got "
-                         f"{float(targets[targets <= 0][0])}")
-    columns, _ = _predict_cells(train, rows, cols, algorithms, cfg)
-    scored, uncovered = {}, {}
+def _score(maskings, algorithms,
+           cfg: RunConfig) -> tuple[AlgorithmResult, ...]:
+    """Score every algorithm on the maskings (train, rows, cols, targets):
+    predict each masking's cells (rows[i], cols[i]) from its train, and
+    pool the covered cells of all maskings, in order, against targets."""
+    empty = np.empty(0, np.intp)  # index columns stay integers
+    scored = {alg: [(empty, empty, np.empty(0), np.empty(0))]
+              for alg in algorithms}
+    excluded = {alg: [] for alg in algorithms}
+    uncovered = dict.fromkeys(algorithms, 0)
+    for train, rows, cols, targets in maskings:
+        columns, _ = _predict_cells(train, rows, cols, algorithms, cfg)
+        for alg in algorithms:
+            values, _, code, labels = columns[alg]
+            ok = ~np.isnan(values)
+            scored[alg].append((rows[ok], cols[ok], values[ok], targets[ok]))
+            excluded[alg].extend(labels[k][1] for k in code[ok].tolist())
+            uncovered[alg] += rows.size - int(ok.sum())
+    results = []
     for alg in algorithms:
-        values, _, code, labels = columns[alg]
-        ok = ~np.isnan(values)
-        errors = np.abs(values[ok] - targets[ok]) / targets[ok]
-        scored[alg] = [
-            CellPrediction(r, c, v, t, e, alg.value, labels[k][1])
-            for r, c, v, t, e, k in zip(
-                rows[ok].tolist(), cols[ok].tolist(), values[ok].tolist(),
-                targets[ok].tolist(), errors.tolist(), code[ok].tolist())]
-        uncovered[alg] = rows.size - len(scored[alg])
-    return scored, uncovered
-
-
-def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
-    out = []
-    for alg in algorithms:
-        cells = tuple(rows[alg])
-        total = (sum(c.error for c in cells) / len(cells)) if cells else None
-        out.append(AlgorithmResult(alg.value, cells, total, uncovered[alg]))
-    return tuple(out)
+        rows, cols, predicted, target = map(np.concatenate, zip(*scored[alg]))
+        results.append(AlgorithmResult(
+            alg.value, rows, cols, predicted, target,
+            np.abs(predicted - target) / target, tuple(excluded[alg]),
+            uncovered[alg]))
+    return tuple(results)
 
 
 def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
@@ -251,9 +251,8 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
     each cell is predicted by a fit on the matrix without it.
     """
     rows, cols = np.nonzero(m.present_mask)
-    algorithms = [Algorithm(cfg.algorithm)]
-    results = _finish(algorithms, *_score(
-        m, rows, cols, m.values[rows, cols], algorithms, cfg))
+    results = _score([(m, rows, cols, m.values[rows, cols])],
+                     [Algorithm(cfg.algorithm)], cfg)
     return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
                       note="leave-one-out")
 
@@ -268,40 +267,27 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
     algorithms = [Algorithm(a) for a in algorithms]
     config = asdict(cfg)
     del config["algorithm"]  # a sweep's algorithms are an argument
-    if extra_config:
-        config.update(extra_config)
+    config.update(extra_config or {})
 
     reports = []
     for fi, fraction in enumerate(cfg.fractions):
-        rows = {a: [] for a in algorithms}
-        uncovered = {a: 0 for a in algorithms}
-        n_cells_seen = 0
-        note = None
-        for rep in range(cfg.repeats):
-            try:
+        maskings, note = [], None
+        try:
+            for rep in range(cfg.repeats):
                 train, held = mask_random(
                     m, MaskSpec(fraction, _child_seed(cfg.seed, 0, fi, rep)))
-            except MaskInfeasibleError as exc:
-                note = f"infeasible fraction skipped: {exc}"
-                rows = {a: [] for a in algorithms}
-                uncovered = {a: 0 for a in algorithms}
-                n_cells_seen = 0
-                break
-            if corrupt is not None:
-                train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
-            n_cells_seen += len(held)
-            cells = np.array(held).reshape(-1, 3)
-            h_rows, h_cols = cells[:, :2].T.astype(np.intp)
-            rep_rows, rep_uncov = _score(train, h_rows, h_cols, cells[:, 2],
-                                         algorithms, cfg)
-            for a in algorithms:
-                rows[a].extend(rep_rows[a])
-                uncovered[a] += rep_uncov[a]
-        if note is None and n_cells_seen == 0:
+                if corrupt is not None:
+                    train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
+                cells = np.array(held).reshape(-1, 3)
+                maskings.append((train, *cells[:, :2].T.astype(np.intp),
+                                 cells[:, 2]))
+        except MaskInfeasibleError as exc:
+            maskings, note = [], f"infeasible fraction skipped: {exc}"
+        if note is None and not any(rows.size for _, rows, *_ in maskings):
             note = "no held-out cells"
         reports.append(EvalReport(
             dataset, float(fraction), cfg.seed, cfg.repeats,
-            _finish(algorithms, rows, uncovered), dict(config), note))
+            _score(maskings, algorithms, cfg), dict(config), note))
     return reports
 
 
@@ -328,13 +314,10 @@ def outlier_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
     results match masking_sweep.
     """
     fraction, lo, hi = cfg.outlier_fraction, cfg.outlier_lo, cfg.outlier_hi
-
-    def corrupt(train, inj_seed):
-        return inject_outliers(train, fraction, lo, hi, inj_seed)
-
-    extra = {"outliers": {"fraction": fraction, "lo": lo, "hi": hi}}
-    return _sweep(m, algorithms, cfg, dataset, corrupt=corrupt,
-                  extra_config=extra)
+    return _sweep(m, algorithms, cfg, dataset,
+                  lambda train, seed: inject_outliers(train, fraction, lo, hi,
+                                                      seed),
+                  {"outliers": {"fraction": fraction, "lo": lo, "hi": hi}})
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +365,26 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def _cell_to_json(cell: CellPrediction) -> dict:
-    out = {"row": cell.row, "col": cell.col, "predicted": cell.predicted,
-           "target": cell.target, "error": cell.error,
-           "algorithm": cell.algorithm}
-    if cell.excluded:
-        out["excluded"] = list(cell.excluded)
-    return out
-
-
 def report_to_json(report: EvalReport) -> dict:
-    return {
-        "dataset": report.dataset,
-        "fraction": report.fraction,
-        "seed": report.seed,
-        "repeats": report.repeats,
-        "note": report.note,
-        "config": report.config,
-        "results": [
-            {"algorithm": res.algorithm,
-             "total_error": res.total_error,
-             "n_cells": len(res.cells),
-             "n_uncovered": res.n_uncovered,
-             "cells": [_cell_to_json(c) for c in res.cells]}
-            for res in report.results
-        ],
-    }
+    results = []
+    for res in report.results:
+        cells = []
+        for row, col, predicted, target, error, excluded in zip(
+                res.rows.tolist(), res.cols.tolist(), res.predicted.tolist(),
+                res.target.tolist(), res.error.tolist(), res.excluded):
+            cell = {"row": row, "col": col, "predicted": predicted,
+                    "target": target, "error": error,
+                    "algorithm": res.algorithm}
+            if excluded:
+                cell["excluded"] = list(excluded)
+            cells.append(cell)
+        results.append({"algorithm": res.algorithm,
+                        "total_error": res.total_error,
+                        "n_cells": len(cells),
+                        "n_uncovered": res.n_uncovered, "cells": cells})
+    return {"dataset": report.dataset, "fraction": report.fraction,
+            "seed": report.seed, "repeats": report.repeats,
+            "note": report.note, "config": report.config, "results": results}
 
 
 def write_reports_json(reports, path, extra: dict | None = None) -> None:
@@ -427,4 +404,4 @@ def write_reports_csv(reports, path) -> None:
             for res in report.results:
                 total = "" if res.total_error is None else repr(res.total_error)
                 w.writerow([repr(report.fraction), res.algorithm, total,
-                            len(res.cells), res.n_uncovered])
+                            res.rows.size, res.n_uncovered])

@@ -385,12 +385,21 @@ def model_to_json(model: FactorModel) -> dict:
 
 
 def model_from_json(data: dict) -> FactorModel:
-    k = int(data["k"])
-    row_keys = tuple((p["program"], p["args"]) for p in data["programs"])
-    col_keys = tuple(c["machine"] for c in data["machines"])
-    U = np.array([p["factors"] for p in data["programs"]], dtype=np.float64)
-    V = np.array([c["factors"] for c in data["machines"]], dtype=np.float64).T
-    return FactorModel(k, row_keys, col_keys, U.reshape(len(row_keys), k),
-                       V.reshape(k, len(col_keys)),
+    """Inverse of model_to_json; ValueError names a missing key or a factor
+    list whose length is not the rank."""
+    try:
+        k = int(data["k"])
+        keys = [(p["program"], p["args"]) for p in data["programs"]]
+        keys += [c["machine"] for c in data["machines"]]
+        factors = [e["factors"] for e in data["programs"] + data["machines"]]
+    except KeyError as exc:
+        raise ValueError(f"model JSON lacks key {exc}") from None
+    for key, f in zip(keys, factors):
+        if len(f) != k:
+            raise ValueError(f"factors of {key!r} have length {len(f)}, "
+                             f"not rank {k}")
+    n = len(data["programs"])
+    F = np.array(factors, dtype=np.float64).reshape(len(keys), k)
+    return FactorModel(k, tuple(keys[:n]), tuple(keys[n:]), F[:n], F[n:].T,
                        tuple(data.get("train_rmse_history", ())),
                        dict(data.get("config", {})))

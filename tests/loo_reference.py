@@ -7,9 +7,13 @@ ridge and cliques once on the full matrix. Every base algorithm here sees
 the clique estimates come from the per-cell references
 (`ridge_reference`, `cliques_reference`), not from the block kernels that
 the `leave_one_out` under test runs.
+
+The scored cells are kept one record per cell, and `report_to_json`
+renders them as the driver's once did, so comparing the two renderings
+checks the driver's columns-to-JSON path as well.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from cliques_reference import clique_predict, group_estimates
@@ -18,11 +22,29 @@ from ridge_reference import ridge_predict
 from perfcast import factorization
 from perfcast.cliques import ColdRowError, build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
-from perfcast.evaluation import (AlgorithmResult, CellPrediction, EvalReport,
-                                 ensemble_predict, prediction_error)
+from perfcast.evaluation import EvalReport, ensemble_predict, prediction_error
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
 from perfcast.matrix import HeldOutCell
 from perfcast.ridge import NoBasisError
+
+
+@dataclass(frozen=True)
+class CellPrediction:
+    row: int
+    col: int
+    predicted: float
+    target: float
+    error: float
+    algorithm: str
+    excluded: tuple[str, ...] = ()  # ensemble members that could not predict
+
+
+@dataclass(frozen=True)
+class AlgorithmResult:
+    algorithm: str
+    cells: tuple[CellPrediction, ...]
+    total_error: float | None  # None when no cell was scored
+    n_uncovered: int
 
 
 def _base_algorithms(algorithms, ensemble) -> set[Algorithm]:
@@ -125,3 +147,31 @@ def leave_one_out(m, cfg: RunConfig = RunConfig(),
     results = _finish(algorithms, rows, uncovered)
     return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
                       note="leave-one-out")
+
+
+def _cell_to_json(cell: CellPrediction) -> dict:
+    out = {"row": cell.row, "col": cell.col, "predicted": cell.predicted,
+           "target": cell.target, "error": cell.error,
+           "algorithm": cell.algorithm}
+    if cell.excluded:
+        out["excluded"] = list(cell.excluded)
+    return out
+
+
+def report_to_json(report: EvalReport) -> dict:
+    return {
+        "dataset": report.dataset,
+        "fraction": report.fraction,
+        "seed": report.seed,
+        "repeats": report.repeats,
+        "note": report.note,
+        "config": report.config,
+        "results": [
+            {"algorithm": res.algorithm,
+             "total_error": res.total_error,
+             "n_cells": len(res.cells),
+             "n_uncovered": res.n_uncovered,
+             "cells": [_cell_to_json(c) for c in res.cells]}
+            for res in report.results
+        ],
+    }

@@ -469,3 +469,51 @@ class TestRankAndPlace:
         capsys.readouterr()
         assert main(["place", str(done), "--rows", "nope::x"]) == 1
         assert "unknown program" in capsys.readouterr().err
+
+    def test_schedule_with_model_is_an_error(self, matrix_csv, tmp_path,
+                                             capsys):
+        # a batch schedule ranks no machines, so it has no use for a model
+        model, done = self.make_model(tmp_path, matrix_csv)
+        capsys.readouterr()
+        assert main(["place", str(done), "--schedule",
+                     "--model", str(model)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "--model" in err and "--schedule" in err
+
+    @pytest.mark.parametrize("schedule", [False, True])
+    def test_repeated_row_key(self, matrix_csv, tmp_path, capsys, schedule):
+        # the same key twice would place (or schedule) that program twice
+        _, done = self.make_model(tmp_path, matrix_csv)
+        capsys.readouterr()
+        argv = ["place", str(done), "--rows", "p01::a01,p02::a02,p01::a01"]
+        assert main(argv + ["--schedule"] * schedule) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: program 'p01::a01' is listed twice in --rows\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("k"), "model JSON lacks key 'k'"),
+        (lambda d: d.pop("programs"), "model JSON lacks key 'programs'"),
+        (lambda d: d["machines"][2].pop("factors"),
+         "model JSON lacks key 'factors'"),
+        (lambda d: d["programs"][3]["factors"].append(1.0),
+         "factors of ('p03', 'a03') have length 2, not rank 1"),
+        # every list one too long: no ragged array to trip over first
+        (lambda d: [c["factors"].append(1.0) for c in d["machines"]],
+         "factors of 'c00' have length 2, not rank 1"),
+    ], ids=["k", "programs", "factors", "one-long-row", "all-long-columns"])
+    def test_malformed_model_is_an_error(self, matrix_csv, tmp_path, capsys,
+                                         edit, message):
+        model, done = self.make_model(tmp_path, matrix_csv)
+        data = json.loads(model.read_text())
+        edit(data["model"])
+        model.write_text(json.dumps(data))
+        capsys.readouterr()
+        for argv in (["rank", str(model)],
+                     ["place", str(done), "--model", str(model)]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {message}\n"

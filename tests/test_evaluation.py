@@ -19,6 +19,11 @@ from perfcast import (Algorithm, CliqueProtocol, RunConfig, cliques,
 from perfcast.ridge import ridge_block
 
 
+def cell_keys(res):
+    """The (row, col) of each scored cell of an AlgorithmResult, in order."""
+    return list(zip(res.rows.tolist(), res.cols.tolist()))
+
+
 def small_cfg(**kw):
     base = dict(ridge_lambda=1e-8, als_k=1, als_lambda=1e-8, seed=0,
                 clique_min_overlap=3)
@@ -83,7 +88,7 @@ class TestLeaveOneOut:
                                             protocol="in_groups"))
         res = report.results[0]
         assert res.n_uncovered == 0
-        assert len(res.cells) == m.count_present
+        assert res.rows.size == m.count_present
         assert res.total_error < 1e-9
 
     def test_does_not_mutate_input(self):
@@ -98,16 +103,16 @@ class TestLeaveOneOut:
         report = leave_one_out(m, small_cfg(algorithm="als"))
         res = report.results[0]
         assert res.total_error == pytest.approx(
-            sum(c.error for c in res.cells) / len(res.cells))
+            sum(res.error.tolist()) / res.error.size)
 
     def test_protocol_regression_equals_ridge_algorithm(self):
         m = proportional_matrix(7, 4, seed=6)
         via_protocol = leave_one_out(m, small_cfg(algorithm="cliques",
                                                   protocol="regression"))
         via_ridge = leave_one_out(m, small_cfg(algorithm="ridge"))
-        a = [(c.row, c.col, c.predicted) for c in via_protocol.results[0].cells]
-        b = [(c.row, c.col, c.predicted) for c in via_ridge.results[0].cells]
-        assert a == b
+        a, b = via_protocol.results[0], via_ridge.results[0]
+        assert cell_keys(a) == cell_keys(b)
+        assert a.predicted.tolist() == b.predicted.tolist()
 
     def test_in_groups_skips_isolated_machines(self):
         # C3 is uncorrelated noise: its cells count as uncovered under the
@@ -119,7 +124,7 @@ class TestLeaveOneOut:
                                             protocol="in_groups"))
         res = report.results[0]
         assert res.n_uncovered == 5
-        assert len(res.cells) == 10
+        assert res.rows.size == 10
         assert res.total_error < 1e-9
 
     def test_fallback_protocol_covers_everything(self):
@@ -130,7 +135,7 @@ class TestLeaveOneOut:
             algorithm="cliques", protocol="in_groups_plus_regression"))
         res = report.results[0]
         assert res.n_uncovered == 0
-        assert len(res.cells) == 15
+        assert res.rows.size == 15
 
     def test_ensemble_members_recorded_on_exclusion(self):
         # one matrix column is in no clique, another row is nearly empty;
@@ -141,8 +146,9 @@ class TestLeaveOneOut:
         res = report.results[0]
         assert res.algorithm == "ensemble"
         assert res.n_uncovered == 0
-        for c in res.cells:
-            assert c.excluded == ()
+        assert len(res.excluded) == res.rows.size
+        for excluded in res.excluded:
+            assert excluded == ()
 
 
 class TestMaskingSweep:
@@ -158,7 +164,7 @@ class TestMaskingSweep:
             fractions=(0.0,), repeats=2, seed=1))
         assert report.note == "no held-out cells"
         assert report.results[0].total_error is None
-        assert report.results[0].cells == ()
+        assert report.results[0].rows.size == 0
 
     def test_planted_rank1_als_accurate_at_all_fractions(self):
         m, _, _ = planted_rank1(10, 8, seed=4)
@@ -185,7 +191,7 @@ class TestMaskingSweep:
         (report,) = masking_sweep(m, [Algorithm.RIDGE, Algorithm.ALS],
                                   small_cfg(fractions=(0.3,), repeats=1,
                                             seed=2))
-        cells_of = {res.algorithm: {(c.row, c.col) for c in res.cells}
+        cells_of = {res.algorithm: set(cell_keys(res))
                     for res in report.results}
         assert cells_of["ridge"] == cells_of["als"]
 
@@ -195,16 +201,39 @@ class TestMaskingSweep:
             fractions=(0.25, 0.75), repeats=1, seed=0))
         assert reports[0].note is None
         assert "infeasible" in reports[1].note
-        assert reports[1].results[0].cells == ()
+        assert reports[1].results[0].rows.size == 0
 
     def test_pooled_mean_over_repeats(self):
         m, _, _ = planted_rank1(8, 6, seed=7)
         (report,) = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
             fractions=(0.2,), repeats=3, seed=4))
         res = report.results[0]
-        assert len(res.cells) == 3 * round(0.2 * 48)
-        assert res.total_error == pytest.approx(
-            sum(c.error for c in res.cells) / len(res.cells))
+        assert res.rows.size == 3 * round(0.2 * 48)
+        # pooled in repeat order, and summed in that order
+        held = [mask_random(m, MaskSpec(0.2, evaluation._child_seed(
+            4, 0, 0, rep)))[1] for rep in range(3)]
+        assert cell_keys(res) == [(h.row, h.col) for cells in held
+                                  for h in cells]
+        assert res.total_error == sum(res.error.tolist()) / res.error.size
+
+    def test_no_cells_at_zero_and_infeasible_fractions(self):
+        m, _, _ = planted_rank1(8, 6, seed=7)
+        reports = masking_sweep(m, list(Algorithm), small_cfg(
+            fractions=(0, 0.99), repeats=2, seed=4))
+        assert reports[0].note == "no held-out cells"
+        assert "infeasible" in reports[1].note
+        for report in reports:
+            assert [res.algorithm for res in report.results] == [
+                a.value for a in Algorithm]
+            for res in report.results:
+                assert res.rows.size == res.cols.size == 0
+                assert res.rows.dtype == res.cols.dtype == np.intp
+                assert res.predicted.size == res.error.size == 0
+                assert res.excluded == ()
+                assert res.n_uncovered == 0
+                assert res.total_error is None
+            assert all(r["cells"] == [] and r["n_cells"] == 0
+                       for r in report_to_json(report)["results"])
 
 
 class TestOutlierSweep:
@@ -218,7 +247,8 @@ class TestOutlierSweep:
         for a, b in zip(masked, outliers):
             assert [r.total_error for r in a.results] == [
                 r.total_error for r in b.results]
-            assert [r.cells for r in a.results] == [r.cells for r in b.results]
+            assert (report_to_json(a)["results"]
+                    == report_to_json(b)["results"])
 
     def test_targets_stay_clean(self):
         # corrupt heavily; the recorded targets must equal the original cells
@@ -226,8 +256,9 @@ class TestOutlierSweep:
         reports = outlier_sweep(m, [Algorithm.RIDGE], small_cfg(
             fractions=(0.25,), repeats=1, seed=7, outlier_fraction=0.5,
             outlier_lo=0, outlier_hi=10))
-        for cell in reports[0].results[0].cells:
-            assert cell.target == m.values[cell.row, cell.col]
+        res = reports[0].results[0]
+        assert res.rows.size > 0
+        np.testing.assert_array_equal(res.target, m.values[res.rows, res.cols])
 
     def test_outlier_config_echoed(self):
         m, _, _ = planted_rank1(6, 5, seed=11)
@@ -372,8 +403,7 @@ class TestCompleteMatrix:
             else "ensemble:ridge+cliques+als")
         calls.clear()
         report = leave_one_out(m, cfg)
-        cells = [(c.row, c.col) for c in report.results[0].cells]
-        assert calls == cells
+        assert calls == cell_keys(report.results[0])
 
     def test_one_kernel_call_per_algorithm(self, monkeypatch):
         # Completion hands every missing cell, here more than 512, to each
