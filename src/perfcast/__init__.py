@@ -11,18 +11,16 @@ from .cliques import (ColdRowError, Grouping, SimilarityGraph, build_graph,
                       clique_predict, find_cliques, group_estimates,
                       grouping_to_json, pearson, scaling_coefficient)
 from .config import Algorithm, CliqueProtocol, RunConfig, read_config_file
-from .evaluation import (AlgorithmResult, EvalReport, FillRecord,
-                         complete_matrix, ensemble_predict, leave_one_out,
-                         masking_sweep, outlier_sweep, prediction_error,
-                         report_to_json, write_reports_csv,
-                         write_reports_json)
+from .evaluation import (AlgorithmResult, EvalReport, complete_matrix,
+                         ensemble_predict, leave_one_out, masking_sweep,
+                         outlier_sweep, prediction_error, report_to_json,
+                         write_reports_csv, write_reports_json)
 from .factorization import (ALSConfig, FactorModel, UnfactorableError,
                             als_fit, model_from_json, model_to_json,
                             rank_machines, svd_fit)
-from .matrix import (HeldOutCell, MaskInfeasibleError, MaskSpec, Observation,
-                     PCMatrix, build_matrix, density, inject_outliers,
-                     mask_random, read_matrix_csv, read_observations_csv,
-                     restore, write_matrix_csv)
+from .matrix import (MaskInfeasibleError, MaskSpec, Observation, PCMatrix,
+                     build_matrix, density, inject_outliers, mask_random,
+                     read_matrix_csv, read_observations_csv, write_matrix_csv)
 from .placement import (PlacementDecision, Rationale, greedy_place,
                         schedule_batch)
 from .ridge import NoBasisError, RidgeConfig, ridge_predict
@@ -31,17 +29,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALSConfig", "Algorithm", "AlgorithmResult", "CliqueProtocol",
-    "ColdRowError", "EvalReport",
-    "FactorModel", "FillRecord", "Grouping", "HeldOutCell",
+    "ColdRowError", "EvalReport", "FactorModel", "Grouping",
     "MaskInfeasibleError", "MaskSpec", "NoBasisError", "Observation",
-    "PCMatrix", "PlacementDecision", "Rationale", "RidgeConfig", "RunConfig",
-    "SimilarityGraph", "UnfactorableError", "als_fit", "build_graph",
-    "build_matrix", "clique_predict", "complete_matrix", "density",
-    "ensemble_predict", "find_cliques", "greedy_place", "group_estimates",
-    "grouping_to_json", "inject_outliers", "leave_one_out", "mask_random",
-    "masking_sweep", "model_from_json", "model_to_json", "outlier_sweep",
-    "pearson", "prediction_error", "rank_machines", "read_config_file",
-    "read_matrix_csv", "read_observations_csv", "report_to_json", "restore",
-    "ridge_predict", "schedule_batch", "scaling_coefficient", "svd_fit",
-    "write_matrix_csv", "write_reports_csv", "write_reports_json",
+    "PCMatrix", "PlacementDecision", "Rationale", "RidgeConfig",
+    "RunConfig", "SimilarityGraph", "UnfactorableError", "als_fit",
+    "build_graph", "build_matrix", "clique_predict", "complete_matrix",
+    "density", "ensemble_predict", "find_cliques", "greedy_place",
+    "group_estimates", "grouping_to_json", "inject_outliers",
+    "leave_one_out", "mask_random", "masking_sweep", "model_from_json",
+    "model_to_json", "outlier_sweep", "pearson", "prediction_error",
+    "rank_machines", "read_config_file", "read_matrix_csv",
+    "read_observations_csv", "report_to_json", "ridge_predict",
+    "schedule_batch", "scaling_coefficient", "svd_fit", "write_matrix_csv",
+    "write_reports_csv", "write_reports_json",
 ]

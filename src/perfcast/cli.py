@@ -25,8 +25,8 @@ from .evaluation import (complete_matrix, leave_one_out, masking_sweep,
                          outlier_sweep, write_reports_csv, write_reports_json)
 from .factorization import model_from_json, model_to_json, rank_machines
 from .jsonfile import write_json
-from .matrix import (ROW_KEY_SEP, build_matrix, read_matrix_csv,
-                     read_observations_csv, write_matrix_csv)
+from .matrix import (PREDICTION_FLOOR, ROW_KEY_SEP, build_matrix,
+                     read_matrix_csv, read_observations_csv, write_matrix_csv)
 from .placement import greedy_place, schedule_batch
 
 
@@ -75,32 +75,21 @@ def _print_report_summary(reports) -> None:
                   f"uncovered={res.n_uncovered}")
 
 
-def _parse_row_keys(text: str) -> list[tuple[str, str]]:
-    keys = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        program, sep, args = part.partition(ROW_KEY_SEP)
-        keys.append((program, args if sep else ""))
-    if not keys:
-        raise ValueError("empty row list")
-    return keys
-
-
 def _resolve_rows(m, text: str | None) -> list[int]:
     if text is None:
         return list(range(m.n_rows))
-    index = {key: i for i, key in enumerate(m.row_keys)}
+    index = {m.row_label(i): i for i in range(m.n_rows)}
     rows = {}
-    for key in _parse_row_keys(text):
-        name = key[0] + ROW_KEY_SEP + key[1]
-        if key not in index:
+    for part in filter(None, map(str.strip, text.split(","))):
+        name = part if ROW_KEY_SEP in part else part + ROW_KEY_SEP
+        if name not in index:
             raise ValueError(f"unknown program {name!r}; matrix has "
                              f"{m.n_rows} rows")
-        if key in rows:
+        if name in rows:
             raise ValueError(f"program {name!r} is listed twice in --rows")
-        rows[key] = index[key]
+        rows[name] = index[name]
+    if not rows:
+        raise ValueError("empty row list")
     return list(rows.values())
 
 
@@ -130,20 +119,22 @@ def cmd_complete(args) -> int:
         raise ValueError(f"algorithm {cfg.algorithm!r} does not produce "
                          f"a factor model; drop --model-out or use als/svd")
     m = read_matrix_csv(args.matrix)
-    completed, fills, model = complete_matrix(m, cfg)
+    completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
     if args.fills_out:
         write_json({
             "run_config": _echo(cfg, input=args.matrix, output=args.out),
             "seed": cfg.seed,
-            "fills": [{"program": f.program, "args": f.args,
-                       "machine": f.machine, "predicted_seconds": f.predicted,
-                       "algorithm": f.algorithm} for f in fills],
+            "fills": [{"program": m.row_keys[r][0], "args": m.row_keys[r][1],
+                       "machine": m.col_keys[c], "predicted_seconds": v,
+                       "algorithm": a} for r, c, v, a in zip(
+                rows.tolist(), cols.tolist(),
+                completed.values[rows, cols].tolist(), mechanism)],
         }, args.fills_out)
     if args.model_out:
         write_json({"run_config": _echo(cfg, input=args.matrix),
                      "model": model_to_json(model)}, args.model_out)
-    print(f"filled {len(fills)} missing cells with {cfg.algorithm}; "
+    print(f"filled {rows.size} missing cells with {cfg.algorithm}; "
           f"wrote {args.out}")
     return 0
 
@@ -185,7 +176,9 @@ def cmd_sweep(args) -> int:
 def _load_model(path):
     with open(path) as fh:
         data = json.load(fh)
-    return model_from_json(data["model"] if "model" in data else data)
+    if isinstance(data, dict):
+        data = data.get("model", data)  # as a --model-out file wraps it
+    return model_from_json(data)
 
 
 def cmd_rank(args) -> int:
@@ -202,6 +195,11 @@ def cmd_place(args) -> int:
     m = read_matrix_csv(args.completed)
     ranking = rank_machines(_load_model(args.model)) if args.model else None
     rows = _resolve_rows(m, args.rows)
+    floored = m.values[rows] <= PREDICTION_FLOOR
+    if floored.any():
+        _warn(f"{int(floored.sum())} predicted time(s) in "
+              f"{int(floored.any(axis=1).sum())} placed row(s) are at or "
+              f"below the prediction floor {PREDICTION_FLOOR:g} s")
     if args.schedule:
         assignment, makespan = schedule_batch(m, rows)
         for j, machine in enumerate(m.col_keys):

@@ -179,12 +179,12 @@ class RunConfig:
 def read_config_file(path) -> dict:
     """Parse a flat key=value file into typed overrides.
 
-    Blank lines and lines starting with # are skipped. Unknown keys and
-    values their field's parser rejects are errors naming the line (typos
-    should not silently fall back to defaults).
+    Blank lines and lines starting with # are skipped. Unknown keys,
+    repeated keys and values their field's parser rejects are errors naming
+    the line (typos should not silently fall back to defaults).
     """
     parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
-    overrides = {}
+    overrides, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -199,6 +199,9 @@ def read_config_file(path) -> dict:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key {key!r} (known: "
                     f"{', '.join(sorted(parsers))})")
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already "
+                                 f"set on line {first_line[key]}")
             try:
                 overrides[key] = parsers[key](value.strip())
             except ValueError as exc:

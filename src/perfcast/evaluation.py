@@ -144,7 +144,7 @@ def _refits(alg: Algorithm, train: PCMatrix, rows, cols, cfg: RunConfig):
     yield its FactorModel or the UnfactorableError the fit raised. The ALS
     fits run stacked; SVD refits one copy of train at a time."""
     if alg is Algorithm.ALS:
-        yield from als_refits(train, list(zip(rows, cols)), cfg.als)
+        yield from als_refits(train, rows, cols, cfg.als)
         return
     for r, c in zip(rows, cols):
         try:
@@ -278,9 +278,8 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
                     m, MaskSpec(fraction, _child_seed(cfg.seed, 0, fi, rep)))
                 if corrupt is not None:
                     train = corrupt(train, _child_seed(cfg.seed, 1, fi, rep))
-                cells = np.array(held).reshape(-1, 3)
-                maskings.append((train, *cells[:, :2].T.astype(np.intp),
-                                 cells[:, 2]))
+                rows, cols = held.T
+                maskings.append((train, rows, cols, m.values[rows, cols]))
         except MaskInfeasibleError as exc:
             maskings, note = [], f"infeasible fraction skipped: {exc}"
         if note is None and not any(rows.size for _, rows, *_ in maskings):
@@ -324,22 +323,12 @@ def outlier_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
 # Matrix completion (fill every missing cell)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FillRecord:
-    row: int
-    col: int
-    program: str
-    args: str
-    machine: str
-    predicted: float
-    algorithm: str  # mechanism that produced the value (fallbacks included)
-
-
 def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     """Fill every missing cell with cfg.algorithm (cliques under
-    cfg.protocol); returns (completed, fills, model).
+    cfg.protocol); returns (completed, (rows, cols, mechanism), model),
+    the filled cells (rows[i], cols[i]) in row-major order.
 
-    The fill log records which mechanism produced each value: the clique
+    mechanism[i] names what produced cell i's value: the clique
     algorithm reports "ridge" for cells it reached only through fallback,
     and the ensemble lists the members that contributed. model is the
     fitted factorization for als/svd, else None; it is fit even when
@@ -355,10 +344,8 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
         raise reasons[min(reasons)]
     vals = np.array(m.values)
     vals[rows, cols] = values
-    fills = [FillRecord(r, c, *m.row_keys[r], m.col_keys[c], v, labels[k][0])
-             for r, c, v, k in zip(rows.tolist(), cols.tolist(),
-                                   values.tolist(), code.tolist())]
-    return m.with_values(vals), fills, models.get(algorithm)
+    mechanism = [labels[k][0] for k in code.tolist()]
+    return m.with_values(vals), (rows, cols, mechanism), models.get(algorithm)
 
 
 # ---------------------------------------------------------------------------

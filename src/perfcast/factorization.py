@@ -226,10 +226,10 @@ def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     return _fit_stack(m, cfg)[0]
 
 
-def als_refits(m, cells, cfg: ALSConfig = ALSConfig()):
-    """For each observed (row, col) in cells, in order, yield what
-    als_fit(m.with_cell_missing(row, col), cfg) gives: its FactorModel, or
-    the UnfactorableError it raises.
+def als_refits(m, rows, cols, cfg: ALSConfig = ALSConfig()):
+    """For each observed cell (rows[i], cols[i]), in order, yield what
+    als_fit(m.with_cell_missing(rows[i], cols[i]), cfg) gives: its
+    FactorModel, or the UnfactorableError it raises.
 
     The fits run in stacks whose (fits, cells) arrays stay near _STACK
     elements: _STACK // (observed cells) fits, or at K > 1, where each fit
@@ -237,7 +237,6 @@ def als_refits(m, cells, cfg: ALSConfig = ALSConfig()):
     """
     mask = m.present_mask
     observed = np.flatnonzero(mask)
-    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
     if not mask[rows, cols].all():
         raise ValueError("als_refits leaves out observed cells only")
     row_counts, col_counts = mask.sum(axis=1), mask.sum(axis=0)
@@ -385,8 +384,11 @@ def model_to_json(model: FactorModel) -> dict:
 
 
 def model_from_json(data: dict) -> FactorModel:
-    """Inverse of model_to_json; ValueError names a missing key or a factor
-    list whose length is not the rank."""
+    """Inverse of model_to_json; ValueError names a missing key, a value of
+    the wrong type, or a factor list whose length is not the rank."""
+    if not isinstance(data, dict):
+        raise ValueError(f"model JSON must be an object, "
+                         f"not {type(data).__name__}")
     try:
         k = int(data["k"])
         keys = [(p["program"], p["args"]) for p in data["programs"]]
@@ -394,7 +396,13 @@ def model_from_json(data: dict) -> FactorModel:
         factors = [e["factors"] for e in data["programs"] + data["machines"]]
     except KeyError as exc:
         raise ValueError(f"model JSON lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"model JSON is malformed: {exc}") from None
     for key, f in zip(keys, factors):
+        if not (isinstance(f, list) and
+                all(type(x) in (int, float) for x in f)):
+            raise ValueError(f"factors of {key!r} are {f!r}, not a list "
+                             f"of numbers")
         if len(f) != k:
             raise ValueError(f"factors of {key!r} have length {len(f)}, "
                              f"not rank {k}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class Observation:
             )
 
 
-class HeldOutCell(NamedTuple):
-    row: int
-    col: int
-    true_time: float
-
-
 @dataclass(frozen=True, eq=False)
 class PCMatrix:
     """Immutable N x M timing matrix with NaN marking missing cells.
@@ -93,9 +87,13 @@ class PCMatrix:
                 f"value shape {vals.shape} does not match "
                 f"{len(self.row_keys)} rows x {len(self.col_keys)} columns"
             )
+        bad = np.argwhere(~(np.isnan(vals) | (vals > 0) & (vals < np.inf)))
+        if bad.size:
+            r, c = bad[0]
+            raise ValueError(f"cell ({self.row_label(r)}, {self.col_keys[c]}) "
+                             f"holds {float(vals[r, c])!r}; execution times "
+                             f"must be positive and finite, NaN if missing")
         present = np.isfinite(vals)
-        if np.any(vals[present] <= 0):
-            raise ValueError("execution times must be positive")
         vals.flags.writeable = False
         present.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -160,32 +158,25 @@ def build_matrix(observations: Iterable[Observation]) -> PCMatrix:
     if not obs:
         raise ValueError("no observations")
 
-    prog_order: list[str] = []
-    args_by_prog: dict[str, list[str]] = {}
-    col_order: list[str] = []
-    col_seen: dict[str, int] = {}
+    # dicts keep first appearance: programs, args within each, machines
+    args_by_prog: dict[str, dict[str, None]] = {}
+    col_index: dict[str, int] = {}
     sums: dict[tuple[str, str, str], float] = {}
     counts: dict[tuple[str, str, str], int] = {}
 
     for o in obs:
-        if o.program_id not in args_by_prog:
-            args_by_prog[o.program_id] = []
-            prog_order.append(o.program_id)
-        if o.arg_label not in args_by_prog[o.program_id]:
-            args_by_prog[o.program_id].append(o.arg_label)
-        if o.machine_id not in col_seen:
-            col_seen[o.machine_id] = len(col_order)
-            col_order.append(o.machine_id)
+        args_by_prog.setdefault(o.program_id, {})[o.arg_label] = None
+        col_index.setdefault(o.machine_id, len(col_index))
         key = (o.program_id, o.arg_label, o.machine_id)
         sums[key] = sums.get(key, 0.0) + o.time
         counts[key] = counts.get(key, 0) + 1
 
-    row_keys = [(p, a) for p in prog_order for a in args_by_prog[p]]
+    row_keys = [(p, a) for p, args in args_by_prog.items() for a in args]
     row_index = {rk: i for i, rk in enumerate(row_keys)}
-    vals = np.full((len(row_keys), len(col_order)), np.nan)
+    vals = np.full((len(row_keys), len(col_index)), np.nan)
     for (p, a, c), s in sums.items():
-        vals[row_index[(p, a)], col_seen[c]] = s / counts[(p, a, c)]
-    return PCMatrix(tuple(row_keys), tuple(col_order), vals)
+        vals[row_index[(p, a)], col_index[c]] = s / counts[(p, a, c)]
+    return PCMatrix(tuple(row_keys), tuple(col_index), vals)
 
 
 def density(m: PCMatrix) -> float:
@@ -193,8 +184,10 @@ def density(m: PCMatrix) -> float:
     return m.count_present / (m.n_rows * m.n_cols)
 
 
-def mask_random(m: PCMatrix, spec: MaskSpec) -> tuple[PCMatrix, list[HeldOutCell]]:
-    """Hide round(fraction * present) cells uniformly at random.
+def mask_random(m: PCMatrix, spec: MaskSpec) -> tuple[PCMatrix, np.ndarray]:
+    """Hide round(fraction * present) cells uniformly at random; returns the
+    masked matrix and the held-out cells as a (k, 2) intp array of (row,
+    col) pairs in draw order.
 
     Picks that would empty a row or column are re-drawn; if the target
     count cannot be reached this way the mask is infeasible. The draw is a
@@ -205,39 +198,32 @@ def mask_random(m: PCMatrix, spec: MaskSpec) -> tuple[PCMatrix, list[HeldOutCell
     present = np.argwhere(m.present_mask)
     k = _round_half_up(spec.fraction * len(present))
     if k == 0:
-        return m, []
+        return m, present[:0]
 
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(len(present))
     row_counts = m.present_mask.sum(axis=1)
     col_counts = m.present_mask.sum(axis=0)
 
-    vals = np.array(m.values)
-    heldout: list[HeldOutCell] = []
-    for idx in order:
-        if len(heldout) == k:
+    drawn: list[int] = []
+    for idx in order.tolist():
+        if len(drawn) == k:
             break
         r, c = present[idx]
         if row_counts[r] < 2 or col_counts[c] < 2:
             continue
-        heldout.append(HeldOutCell(int(r), int(c), float(vals[r, c])))
-        vals[r, c] = np.nan
+        drawn.append(idx)
         row_counts[r] -= 1
         col_counts[c] -= 1
-    if len(heldout) < k:
+    if len(drawn) < k:
         raise MaskInfeasibleError(
-            f"mask infeasible: wanted {k} cells but only {len(heldout)} can be "
+            f"mask infeasible: wanted {k} cells but only {len(drawn)} can be "
             f"removed without emptying a row or column"
         )
-    return m.with_values(vals), heldout
-
-
-def restore(masked: PCMatrix, heldout: Sequence[HeldOutCell]) -> PCMatrix:
-    """Put held-out cells back; inverse of mask_random."""
-    vals = np.array(masked.values)
-    for r, c, t in heldout:
-        vals[r, c] = t
-    return masked.with_values(vals)
+    held = present[drawn]
+    vals = np.array(m.values)
+    vals[held[:, 0], held[:, 1]] = np.nan
+    return m.with_values(vals), held
 
 
 def inject_outliers(
@@ -319,12 +305,9 @@ def write_matrix_csv(m: PCMatrix, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow([MATRIX_CSV_HEADER, *m.col_keys])
-        for i in range(m.n_rows):
-            row = [m.row_label(i)]
-            for j in range(m.n_cols):
-                v = m.values[i, j]
-                row.append("" if not np.isfinite(v) else repr(float(v)))
-            writer.writerow(row)
+        for i, values in enumerate(m.values.tolist()):
+            writer.writerow([m.row_label(i), *(
+                repr(v) if math.isfinite(v) else "" for v in values)])
 
 
 def read_matrix_csv(path) -> PCMatrix:

@@ -24,8 +24,14 @@ from perfcast.cliques import ColdRowError, build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
 from perfcast.evaluation import EvalReport, ensemble_predict, prediction_error
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
-from perfcast.matrix import HeldOutCell
 from perfcast.ridge import NoBasisError
+
+
+@dataclass(frozen=True)
+class HeldOutCell:
+    row: int
+    col: int
+    true_time: float
 
 
 @dataclass(frozen=True)

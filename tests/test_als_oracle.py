@@ -71,8 +71,9 @@ def test_refits_match_per_cell_fits(k, lam, shape, density, seed, max_iters,
         vals[:, 0] = np.nan
     mat = PCMatrix(mat.row_keys, mat.col_keys, vals)
     cfg = ALSConfig(k=k, lam=lam, max_iters=max_iters, seed=seed % 1000)
-    cells = [tuple(c) for c in np.argwhere(mat.present_mask).tolist()]
-    for (r, c), got in zip(cells, als_refits(mat, cells, cfg), strict=True):
+    rows, cols = np.nonzero(mat.present_mask)
+    for r, c, got in zip(rows.tolist(), cols.tolist(),
+                         als_refits(mat, rows, cols, cfg), strict=True):
         try:
             want = als_fit(mat.with_cell_missing(r, c), cfg)
         except UnfactorableError as exc:

@@ -399,6 +399,14 @@ def test_model_file_is_the_stdlib_rendering_and_ranks(matrix_csv, tmp_path,
                                                     for j in range(6)]
 
 
+def in_model(edit):
+    """Apply edit to the model inside a --model-out file's data."""
+    def apply(data):
+        edit(data["model"])
+        return data
+    return apply
+
+
 class TestRankAndPlace:
     def make_model(self, tmp_path, matrix_csv, k=1):
         model = tmp_path / "model.json"
@@ -464,6 +472,29 @@ class TestRankAndPlace:
         assert "makespan" in lines[-1]
         assert len(lines) == 9  # 8 assignments + makespan
 
+    @pytest.mark.parametrize("schedule", [False, True])
+    def test_floored_predictions_warn_once(self, tmp_path, capsys,
+                                           schedule):
+        # C3 falls as C1 rises, so ridge extrapolates p4's and p5's C3
+        # below zero and floors them; only placed rows are counted
+        m = grid([[1.0, 2.0, 5.0], [2.0, 4.0, 4.0], [3.0, 6.0, 3.0],
+                  [4.0, 8.0, 2.0], [10.0, 20.0, None], [9.0, 18.0, None]])
+        src, done = tmp_path / "m.csv", tmp_path / "done.csv"
+        write_matrix_csv(m, src)
+        assert main(["complete", str(src), "--out", str(done),
+                     "--algorithm", "ridge"]) == 0
+        capsys.readouterr()
+        argv = ["place", str(done)] + ["--schedule"] * schedule
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: 2 predicted time(s) in 2 placed row(s) are "
+                       "at or below the prediction floor 1e-09 s\n")
+        placed = [json.loads(line) for line in out.splitlines()]
+        assert len(placed) == 6 + schedule
+        assert sum(p.get("predicted_seconds") == 1e-9 for p in placed) == 2
+        assert main(argv + ["--rows", "p0::a0,p3::a3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_row_key(self, matrix_csv, tmp_path, capsys):
         _, done = self.make_model(tmp_path, matrix_csv)
         capsys.readouterr()
@@ -494,22 +525,37 @@ class TestRankAndPlace:
         assert err == "error: program 'p01::a01' is listed twice in --rows\n"
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda d: d.pop("k"), "model JSON lacks key 'k'"),
-        (lambda d: d.pop("programs"), "model JSON lacks key 'programs'"),
-        (lambda d: d["machines"][2].pop("factors"),
+        (in_model(lambda d: d.pop("k")), "model JSON lacks key 'k'"),
+        (in_model(lambda d: d.pop("programs")),
+         "model JSON lacks key 'programs'"),
+        (in_model(lambda d: d["machines"][2].pop("factors")),
          "model JSON lacks key 'factors'"),
-        (lambda d: d["programs"][3]["factors"].append(1.0),
+        (in_model(lambda d: d["programs"][3]["factors"].append(1.0)),
          "factors of ('p03', 'a03') have length 2, not rank 1"),
         # every list one too long: no ragged array to trip over first
-        (lambda d: [c["factors"].append(1.0) for c in d["machines"]],
+        (in_model(lambda d: [c["factors"].append(1.0)
+                             for c in d["machines"]]),
          "factors of 'c00' have length 2, not rank 1"),
-    ], ids=["k", "programs", "factors", "one-long-row", "all-long-columns"])
+        (lambda data: [1, 2], "model JSON must be an object, not list"),
+        (lambda data: "model", "model JSON must be an object, not str"),
+        (lambda data: 3, "model JSON must be an object, not int"),
+        (lambda data: {"model": [1, 2]},
+         "model JSON must be an object, not list"),
+        (in_model(lambda d: d.update(programs=3)),
+         "model JSON is malformed: 'int' object is not iterable"),
+        (in_model(lambda d: d["programs"][0].update(factors=3)),
+         "factors of ('p00', 'a00') are 3, not a list of numbers"),
+        (in_model(lambda d: d["machines"][1].update(factors=[None])),
+         "factors of 'c01' are [None], not a list of numbers"),
+    ], ids=["k", "programs", "factors", "one-long-row", "all-long-columns",
+            "top-level-list", "top-level-string", "top-level-number",
+            "model-list", "programs-number", "factors-number",
+            "factors-null"])
     def test_malformed_model_is_an_error(self, matrix_csv, tmp_path, capsys,
                                          edit, message):
         model, done = self.make_model(tmp_path, matrix_csv)
         data = json.loads(model.read_text())
-        edit(data["model"])
-        model.write_text(json.dumps(data))
+        model.write_text(json.dumps(edit(data)))
         capsys.readouterr()
         for argv in (["rank", str(model)],
                      ["place", str(done), "--model", str(model)]):

@@ -142,6 +142,16 @@ def test_outlier_fraction_takes_one_percentage(matrix_csv, tmp_path, capsys):
     assert f"{cfg}:1:" in capsys.readouterr().err
 
 
+def test_repeated_key_in_file_names_both_lines(tmp_path, capsys):
+    # checked before the matrix is read: the missing file is never reached
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n# comment\nridge_lambda = 0.5\nseed = 4\n")
+    assert main(["sweep", str(tmp_path / "missing.csv"),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:4: key 'seed' is already set on line 1\n")
+
+
 def test_repeated_ensemble_member_in_file_rejected(matrix_csv, tmp_path,
                                                    capsys):
     cfg = tmp_path / "run.cfg"

@@ -212,8 +212,8 @@ class TestMaskingSweep:
         # pooled in repeat order, and summed in that order
         held = [mask_random(m, MaskSpec(0.2, evaluation._child_seed(
             4, 0, 0, rep)))[1] for rep in range(3)]
-        assert cell_keys(res) == [(h.row, h.col) for cells in held
-                                  for h in cells]
+        assert cell_keys(res) == [(r, c) for cells in held
+                                  for r, c in cells.tolist()]
         assert res.total_error == sum(res.error.tolist()) / res.error.size
 
     def test_no_cells_at_zero_and_infeasible_fractions(self):
@@ -272,42 +272,40 @@ class TestOutlierSweep:
 class TestCompleteMatrix:
     def test_full_matrix_identity(self):
         m = proportional_matrix(5, 4, seed=13)
-        completed, fills, model = complete_matrix(m, small_cfg(
-            algorithm="als"))
-        assert fills == []
+        completed, (rows, cols, mechanism), model = complete_matrix(
+            m, small_cfg(algorithm="als"))
+        assert rows.size == cols.size == 0 and mechanism == []
         assert model is not None  # the model is useful even with no holes
         assert np.array_equal(completed.values, m.values)
 
     def test_als_fills_planted_holes(self):
         m, _, _ = planted_rank1(10, 8, seed=14)
         masked, held = mask_random(m, MaskSpec(0.4, 15))
-        completed, fills, model = complete_matrix(masked, small_cfg(
+        completed, (rows, _, _), model = complete_matrix(masked, small_cfg(
             algorithm="als"))
         assert model is not None
         assert completed.present_mask.all()
-        assert len(fills) == len(held)
-        for h in held:
-            got = completed.values[h.row, h.col]
-            assert got == pytest.approx(h.true_time, rel=1e-3)
+        assert rows.size == len(held)
+        for r, c in held.tolist():
+            got = completed.values[r, c]
+            assert got == pytest.approx(m.values[r, c], rel=1e-3)
 
     def test_fill_log_reports_fallback_mechanism(self):
         # isolated noisy column forces the clique algorithm through ridge
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        completed, fills, _ = complete_matrix(m, small_cfg(
-            algorithm="cliques"))
+        completed, (_, (col,), (mechanism,)), _ = complete_matrix(
+            m, small_cfg(algorithm="cliques"))
         assert completed.present_mask.all()
-        (fill,) = fills
-        assert fill.algorithm == "ridge"
-        assert fill.machine == "C3"
+        assert mechanism == "ridge"
+        assert m.col_keys[col] == "C3"
 
     def test_clique_fill_uses_group_scaling(self):
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
-        completed, fills, _ = complete_matrix(m, small_cfg(
+        completed, (_, _, (mechanism,)), _ = complete_matrix(m, small_cfg(
             algorithm="cliques"))
-        (fill,) = fills
-        assert fill.algorithm == "cliques"
+        assert mechanism == "cliques"
 
     # Rows p0..p4 (args "a") on proportional machines C1..C3. EMPTY_COLUMN
     # has never run anything on C3; COLD_ROW has never run p2::a anywhere.
@@ -340,10 +338,10 @@ class TestCompleteMatrix:
                 complete_matrix(m, small_cfg(algorithm=algorithm.value))
             assert str(exc.value).startswith(detail)
         else:
-            completed, fills, _ = complete_matrix(
+            completed, (_, _, mechanism), _ = complete_matrix(
                 m, small_cfg(algorithm=algorithm.value))
             assert completed.present_mask.all()
-            assert {f.algorithm for f in fills} == {detail}
+            assert set(mechanism) == {detail}
 
     def test_ensemble_counts_clique_fallback_as_a_member(self):
         # C3 is in no clique, so the clique member falls back to ridge and
@@ -352,13 +350,14 @@ class TestCompleteMatrix:
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
         cfg = small_cfg(algorithm="ensemble")
-        _, fills, _ = complete_matrix(m, cfg)
-        (fill,) = fills
+        completed, ((row,), (col,), (mechanism,)), _ = complete_matrix(m, cfg)
+        predicted = completed.values[row, col]
         ridge = ridge_predict(m, 3, 2, cfg.ridge)
         als = factorization.predict(als_fit(m, cfg.als), 3, 2)
-        assert fill.algorithm == "ensemble:ridge+cliques+als"
-        assert fill.predicted == ensemble_predict([ridge, ridge, als])
-        assert fill.predicted != ensemble_predict([ridge, als])
+        assert (row, col) == (3, 2)
+        assert mechanism == "ensemble:ridge+cliques+als"
+        assert predicted == ensemble_predict([ridge, ridge, als])
+        assert predicted != ensemble_predict([ridge, als])
 
     def test_ensemble_of_agreeing_members_is_that_value(self, monkeypatch):
         # Members that agree give their value exactly, as ensemble_predict
@@ -372,10 +371,10 @@ class TestCompleteMatrix:
         monkeypatch.setattr(evaluation, "predict_cells", tenth)
         assert sum([0.1] * 3) / 3 != 0.1
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
-        _, fills, _ = complete_matrix(m, small_cfg(
-            algorithm="ensemble", protocol="regression"))
-        assert [(f.predicted, f.algorithm) for f in fills] == [
-            (0.1, "ensemble:ridge+cliques+als")]
+        completed, (rows, cols, mechanism), _ = complete_matrix(
+            m, small_cfg(algorithm="ensemble", protocol="regression"))
+        assert list(zip(completed.values[rows, cols].tolist(),
+                        mechanism)) == [(0.1, "ensemble:ridge+cliques+als")]
 
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_solves_ridge_once_per_cell(self, monkeypatch,
@@ -396,9 +395,9 @@ class TestCompleteMatrix:
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
-        _, fills, _ = complete_matrix(m, cfg)
+        _, (_, _, mechanism), _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
-        assert fills[0].algorithm == (
+        assert mechanism[0] == (
             "ensemble:ridge+als" if protocol is CliqueProtocol.IN_GROUPS
             else "ensemble:ridge+cliques+als")
         calls.clear()
@@ -425,29 +424,28 @@ class TestCompleteMatrix:
         m, _, _ = planted_rank1(60, 20, seed=23)
         masked, held = mask_random(m, MaskSpec(0.5, 24))
         assert len(held) > 512
-        _, fills, _ = complete_matrix(masked, small_cfg(
+        _, (rows, _, _), _ = complete_matrix(masked, small_cfg(
             algorithm="ensemble"))
-        assert len(fills) == len(held)
+        assert rows.size == len(held)
         assert calls == {"ridge": 1, "cliques": 1}
 
     def test_ensemble_mechanism_lists_members(self):
         m, _, _ = planted_rank1(7, 5, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.2, 18))
-        _, fills, model = complete_matrix(masked, small_cfg(
+        _, (_, _, mechanism), model = complete_matrix(masked, small_cfg(
             algorithm="ensemble"))
         assert model is None
-        assert all(f.algorithm.startswith("ensemble:") for f in fills)
+        assert all(a.startswith("ensemble:") for a in mechanism)
 
     def test_ensemble_mechanisms_are_shared(self):
         # One string per distinct set of contributing members, not one
         # copy per cell: a large completion's fill log holds them all.
         m, _, _ = planted_rank1(12, 6, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.4, 18))
-        _, fills, _ = complete_matrix(masked, small_cfg(
+        _, (_, _, mechanism), _ = complete_matrix(masked, small_cfg(
             algorithm="ensemble"))
-        assert len(fills) > 10
-        assert (len({id(f.algorithm) for f in fills})
-                == len({f.algorithm for f in fills}))
+        assert len(mechanism) > 10
+        assert len(set(map(id, mechanism))) == len(set(mechanism))
 
 
 class TestReportFiles:

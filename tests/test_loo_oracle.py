@@ -136,12 +136,12 @@ def test_completion_matches_reference(algorithm, protocol, m, threshold,
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    completed, fills, _ = complete_matrix(m, cfg)
-    assert [(f.row, f.col, f.algorithm) for f in fills] == [
+    completed, (rows, cols, mechanism), _ = complete_matrix(m, cfg)
+    assert list(zip(rows.tolist(), cols.tolist(), mechanism)) == [
         (row, col, mechanism) for row, col, _, mechanism in want_fills]
-    for fill, (row, col, value, _) in zip(fills, want_fills):
-        assert math.isclose(fill.predicted, value, rel_tol=STACKED_RTOL)
-        assert completed.values[row, col] == fill.predicted
+    for (row, col, value, _) in want_fills:
+        assert math.isclose(completed.values[row, col], value,
+                            rel_tol=STACKED_RTOL)
     np.testing.assert_array_equal(completed.present_mask, True)
     np.testing.assert_array_equal(completed.values[m.present_mask],
                                   want_values[m.present_mask])

@@ -1,5 +1,6 @@
 """Data model, ingestion, masking, outlier injection, CSV interchange."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from conftest import grid, planted_rank1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (HeldOutCell, MaskInfeasibleError, MaskSpec, Observation,
-                      PCMatrix, build_matrix, density, inject_outliers,
-                      mask_random, read_matrix_csv, read_observations_csv,
-                      restore, write_matrix_csv)
+from perfcast import (MaskInfeasibleError, MaskSpec, Observation, PCMatrix,
+                      build_matrix, density, inject_outliers, mask_random,
+                      read_matrix_csv, read_observations_csv, write_matrix_csv)
+from perfcast.matrix import MATRIX_CSV_HEADER
 
 
 def obs(p, a, c, t):
@@ -89,8 +90,16 @@ class TestPCMatrix:
             PCMatrix((("P", "a"),), ("C1", "C1"), np.ones((1, 2)))
 
     def test_nonpositive_cell_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"cell \(p0::a0, C2\) holds 0\.0"):
             grid([[1.0, 0.0]])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_cell_rejected_by_name(self, value):
+        # NaN alone marks a missing cell; an infinity is not read as one
+        with pytest.raises(ValueError, match=rf"cell \(p1::a1, C2\) holds "
+                                             rf"{value!r}"):
+            grid([[1.0, None], [2.0, value]])
 
     def test_values_write_protected(self):
         m = grid([[1.0, 2.0]])
@@ -120,7 +129,7 @@ class TestMaskRandom:
     def test_fraction_zero_is_identity(self):
         m = grid([[1, 2], [3, 4]])
         masked, held = mask_random(m, MaskSpec(0.0, 1))
-        assert held == []
+        assert held.shape == (0, 2) and held.dtype == np.intp
         assert np.array_equal(masked.values, m.values)
 
     def test_counts_and_density(self):
@@ -133,21 +142,42 @@ class TestMaskRandom:
         m, _, _ = planted_rank1(10, 10, seed=0)
         _, h1 = mask_random(m, MaskSpec(0.3, 42))
         _, h2 = mask_random(m, MaskSpec(0.3, 42))
-        assert h1 == h2
+        assert np.array_equal(h1, h2)
 
-    def test_restore_roundtrip_exact(self):
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.6))
+    @settings(max_examples=60, deadline=None)
+    def test_held_array_rebuilds_the_matrix(self, seed, fraction):
         m, _, _ = planted_rank1(7, 9, seed=3)
-        masked, held = mask_random(m, MaskSpec(0.4, 5))
-        back = restore(masked, held)
-        assert np.array_equal(back.values, m.values)
+        m = m.with_cell_missing(0, 0).with_cell_missing(4, 2)
+        try:
+            masked, held = mask_random(m, MaskSpec(fraction, seed))
+        except MaskInfeasibleError:
+            return
+        k = math.floor(fraction * m.count_present + 0.5)
+        assert held.dtype == np.intp and held.shape == (k, 2)
+        cells = list(map(tuple, held.tolist()))
+        assert len(set(cells)) == k
+        # in draw order: a subsequence of the seeded permutation
+        present = np.argwhere(m.present_mask)
+        order = np.random.default_rng(seed).permutation(len(present))
+        position = {tuple(present[i].tolist()): n
+                    for n, i in enumerate(order)}
+        drawn = [position[cell] for cell in cells]
+        assert drawn == sorted(drawn)
+        rows, cols = held.T
+        assert m.present_mask[rows, cols].all()
+        assert np.isnan(masked.values[rows, cols]).all()
+        vals = np.array(masked.values)
+        vals[rows, cols] = m.values[rows, cols]
+        np.testing.assert_array_equal(vals, m.values)
+        assert masked.count_present == m.count_present - k
 
     def test_heldout_values_true(self):
         m = grid([[1, 2], [3, 4]])
         masked, held = mask_random(m, MaskSpec(0.25, 0))
-        (cell,) = held
-        assert isinstance(cell, HeldOutCell)
-        assert cell.true_time == m.values[cell.row, cell.col]
-        assert math.isnan(masked.values[cell.row, cell.col])
+        ((r, c),) = held.tolist()
+        assert m.present_mask[r, c]
+        assert math.isnan(masked.values[r, c])
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.8))
     @settings(max_examples=60, deadline=None)
@@ -252,7 +282,40 @@ class TestObservationsCsv:
             read_observations_csv(p)
 
 
+def reference_write_matrix_csv(m, path):
+    """The earlier per-cell write_matrix_csv, which read each cell as a
+    numpy scalar; the oracle for the row-at-a-time writer."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow([MATRIX_CSV_HEADER, *m.col_keys])
+        for i in range(m.n_rows):
+            row = [m.row_label(i)]
+            for j in range(m.n_cols):
+                v = m.values[i, j]
+                row.append("" if not np.isfinite(v) else repr(float(v)))
+            writer.writerow(row)
+
+
+cell_values = st.one_of(
+    st.sampled_from([math.nan, 5e-324, 1e16, 1.5e-7, 2.5e-300, 0.1, 1.0]),
+    st.floats(min_value=5e-324, allow_infinity=False, allow_nan=False))
+
+
 class TestMatrixCsv:
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(cell_values, min_size=n, max_size=n), min_size=1,
+        max_size=4)))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_per_cell_reference(self, tmp_path_factory,
+                                               values):
+        keys = [("prog", f'a,{i} "q"') for i in range(len(values))]
+        m = PCMatrix(keys, [f"host {j}" for j in range(len(values[0]))],
+                     np.array(values))
+        d = tmp_path_factory.mktemp("csv")
+        write_matrix_csv(m, d / "got.csv")
+        reference_write_matrix_csv(m, d / "want.csv")
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
     def test_roundtrip_bit_exact(self, tmp_path):
         m, _, _ = planted_rank1(6, 4, seed=8)
         masked, _ = mask_random(m, MaskSpec(0.25, 3))
