@@ -8,8 +8,9 @@ small application layer turns a completed matrix into placement decisions.
 """
 
 from .cliques import (ColdRowError, Grouping, SimilarityGraph, build_graph,
-                      clique_predict, find_cliques, group_estimates,
-                      grouping_to_json, pearson, scaling_coefficient)
+                      clique_predict, correlations, find_cliques,
+                      group_estimates, grouping_to_json, pearson,
+                      scaling_coefficient)
 from .config import Algorithm, CliqueProtocol, RunConfig, read_config_file
 from .evaluation import (AlgorithmResult, EvalReport, complete_matrix,
                          ensemble_predict, leave_one_out, masking_sweep,
@@ -34,8 +35,8 @@ __all__ = [
     "PCMatrix", "PlacementDecision", "Rationale", "RidgeConfig",
     "RunConfig", "SimilarityGraph", "UnfactorableError", "als_fit",
     "build_graph", "build_matrix", "clique_predict", "complete_matrix",
-    "density", "ensemble_predict", "find_cliques", "greedy_place",
-    "group_estimates", "grouping_to_json", "inject_outliers",
+    "correlations", "density", "ensemble_predict", "find_cliques",
+    "greedy_place", "group_estimates", "grouping_to_json", "inject_outliers",
     "leave_one_out", "mask_random", "masking_sweep", "model_from_json",
     "model_to_json", "outlier_sweep", "pearson", "prediction_error",
     "rank_machines", "read_config_file", "read_matrix_csv",

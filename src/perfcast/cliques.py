@@ -1,12 +1,14 @@
 """Machine grouping by timing correlation, and prediction inside groups.
 
 Two machines whose observed time columns are strongly linearly related
-(|Pearson r| above a threshold) get an edge in a similarity graph. Cliques
-of that graph are groups inside which every pair of columns is modeled as
-a scalar multiple of the other, so a missing time is recovered by scaling
-a group mate's time. The clique search is a cheap greedy pass, not an
-exact maximum-clique enumeration: it guarantees at least one clique per
-vertex and runs in at most cubic time.
+(|Pearson r| above a threshold) get an edge in a similarity graph. Every
+pair's r comes from one set of co-observation sums (`correlations`), and
+the graph and the groups are boolean (machines x machines) matrices.
+Cliques of that graph are groups inside which every pair of columns is
+modeled as a scalar multiple of the other, so a missing time is recovered
+by scaling a group mate's time. The clique search is a cheap greedy pass,
+not an exact maximum-clique enumeration: it guarantees at least one
+clique per vertex and runs in at most cubic time.
 
 `clique_block` predicts every cell it is given in one call and returns
 arrays: the values (NaN where a cell is uncovered), the reasons for the
@@ -22,7 +24,6 @@ block of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,79 +41,73 @@ class ColdRowError(ValueError):
     impossible and the caller should fall back to machine ranking."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityGraph:
-    n_vertices: int
-    edges: frozenset[tuple[int, int]]
+    """adjacent[a, b]: |r| between machine columns a and b exceeds the
+    threshold (False on the diagonal)."""
+
+    adjacent: np.ndarray
     threshold: float
     min_overlap: int
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n_vertices)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grouping:
-    """Cliques found in the similarity graph; a vertex can sit in several."""
+    """Cliques found in the similarity graph; a vertex can sit in several.
+    mates[c, a]: columns c and a share a clique (a != c)."""
 
     cliques: tuple[tuple[int, ...], ...]
-    membership: dict[int, tuple[int, ...]]
-
-    def mates(self, vertex: int) -> list[int]:
-        """All other vertices sharing at least one clique with ``vertex``."""
-        out: set[int] = set()
-        for idx in self.membership.get(vertex, ()):
-            out.update(self.cliques[idx])
-        out.discard(vertex)
-        return sorted(out)
+    mates: np.ndarray
 
 
-def _pearson_arrays(xa, xb, pa, pb, min_overlap):
-    both = pa & pb
-    if int(both.sum()) < min_overlap:
-        return None
-    x = xa[both]
-    y = xb[both]
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+def correlations(m, min_overlap: int = 3) -> np.ndarray:
+    """r[a, b]: Pearson r between machine columns a and b over the rows
+    observed in both; NaN where fewer than min_overlap rows are co-observed
+    or either restricted column is constant.
+
+    Every pair's sums come from four matmuls over the zero-filled columns,
+    each shifted by its observed mean first: raw sums cancel on a column
+    with a large offset. Where a pair's rows sit so far from a column's
+    mean that the mean term is as large as what remains, that difference
+    would lose digits, so the pair is summed again directly.
+    """
+    present = m.present_mask.astype(float)
+    x = np.where(m.present_mask, m.values, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(m.present_mask, x - x.sum(axis=0) / present.sum(axis=0),
+                     0.0)
+        n = present.T @ present
+        s = d.T @ present  # s[a, b]: column a's sum over the rows of b
+        mean_term = s * s / n
+        cov = d.T @ d - s * s.T / n
+        var = (d * d).T @ present - mean_term
+        redo = (n >= min_overlap) & (mean_term >= var)
+        for a, b in zip(*np.nonzero(np.triu(redo | redo.T))):
+            both = m.present_mask[:, a] & m.present_mask[:, b]
+            da = d[both, a] - d[both, a].mean()
+            db = d[both, b] - d[both, b].mean()
+            cov[a, b] = cov[b, a] = da @ db
+            var[a, b], var[b, a] = da @ da, db @ db
+        r = cov / np.sqrt(var * var.T)
+    r[(n < min_overlap) | ~(var > 0) | ~(var.T > 0)] = np.nan
+    return r
 
 
 def pearson(m, col_a: int, col_b: int, min_overlap: int = 3) -> float | None:
-    """Pearson r between two machine columns over rows observed in both.
-
-    Returns None when fewer than min_overlap rows are co-observed or either
-    restricted column is constant.
-    """
-    pm = m.present_mask
-    return _pearson_arrays(
-        m.values[:, col_a], m.values[:, col_b], pm[:, col_a], pm[:, col_b],
-        min_overlap,
-    )
+    """correlations(m, min_overlap)[col_a, col_b], None where undefined."""
+    r = correlations(m, min_overlap)[col_a, col_b]
+    return None if np.isnan(r) else float(r)
 
 
 def build_graph(m, threshold: float = 0.97, min_overlap: int = 3) -> SimilarityGraph:
-    """Test every column pair; connect machines with |r| above threshold."""
+    """Connect machines with |r| above threshold."""
     if not (0 < threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    values = m.values
-    pm = m.present_mask
-    edges = set()
-    for i in range(m.n_cols):
-        for j in range(i + 1, m.n_cols):
-            r = _pearson_arrays(values[:, i], values[:, j], pm[:, i], pm[:, j],
-                                min_overlap)
-            if r is not None and abs(r) > threshold:
-                edges.add((i, j))
-    return SimilarityGraph(m.n_cols, frozenset(edges), threshold, min_overlap)
+    if min_overlap < 2:
+        raise ValueError(f"min_overlap must be at least 2, got {min_overlap}")
+    adjacent = np.abs(correlations(m, min_overlap)) > threshold
+    np.fill_diagonal(adjacent, False)
+    return SimilarityGraph(adjacent, threshold, min_overlap)
 
 
 def find_cliques(g: SimilarityGraph) -> Grouping:
@@ -123,29 +118,22 @@ def find_cliques(g: SimilarityGraph) -> Grouping:
     are collapsed. Every vertex ends up in at least one clique, possibly a
     singleton. Maximal cliques can be missed by design.
     """
-    adj = g.adjacency()
-    degree = {v: len(adj[v]) for v in adj}
-    order = sorted(adj, key=lambda v: (-degree[v], v))
-
-    cliques: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    adj = [set(np.flatnonzero(row).tolist()) for row in g.adjacent]
+    order = np.argsort(-g.adjacent.sum(axis=1), kind="stable").tolist()
+    rank = {v: i for i, v in enumerate(order)}
+    cliques: dict[tuple[int, ...], None] = {}  # in order of discovery
+    mates = np.zeros_like(g.adjacent)
     for v in order:
         members = [v]
-        candidates = set(adj[v])
+        candidates = adj[v]
         while candidates:
-            best = min(candidates, key=lambda u: (-degree[u], u))
+            best = min(candidates, key=rank.__getitem__)
             members.append(best)
-            candidates &= adj[best]
-        key = tuple(sorted(members))
-        if key not in seen:
-            seen.add(key)
-            cliques.append(key)
-
-    membership: dict[int, tuple[int, ...]] = {}
-    for idx, cl in enumerate(cliques):
-        for v in cl:
-            membership[v] = membership.get(v, ()) + (idx,)
-    return Grouping(tuple(cliques), membership)
+            candidates = candidates & adj[best]
+        cliques.setdefault(tuple(sorted(members)), None)
+        mates[np.ix_(members, members)] = True
+    np.fill_diagonal(mates, False)
+    return Grouping(tuple(cliques), mates)
 
 
 class PairSums(NamedTuple):
@@ -211,21 +199,12 @@ def _slopes(m, sums: PairSums, rows, cols):
         return xy / xx, usable
 
 
-def _mates(grouping: Grouping, n_cols: int) -> np.ndarray:
-    """mates[c, a]: columns c and a share a clique (a != c)."""
-    mates = np.zeros((n_cols, n_cols), dtype=bool)
-    for clique in grouping.cliques:
-        mates[np.ix_(clique, clique)] = True
-    np.fill_diagonal(mates, False)
-    return mates
-
-
-def _estimates(m, mates, sums: PairSums, rows, cols):
+def _estimates(m, grouping: Grouping, sums: PairSums, rows, cols):
     """est[i, a]: group mate a's time in row rows[i] scaled onto column
     cols[i], where valid[i, a]: a shares a clique with cols[i], has a
     value in the row and a co-observed row besides it (0 elsewhere)."""
     slope, usable = _slopes(m, sums, rows, cols)
-    valid = mates[cols] & m.present_mask[rows] & usable
+    valid = grouping.mates[cols] & m.present_mask[rows] & usable
     return np.where(valid, m.values[rows] * slope, 0.0), valid
 
 
@@ -233,8 +212,8 @@ def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
     """Per-mate estimates for a cell: mate's time in this row scaled onto
     the target machine. Mates without a value in the row, or without any
     co-observation with the target column, contribute nothing."""
-    est, valid = _estimates(m, _mates(grouping, m.n_cols), pair_sums(m),
-                            np.array([row]), np.array([col]))
+    est, valid = _estimates(m, grouping, pair_sums(m), np.array([row]),
+                            np.array([col]))
     return [float(e) for e in est[0, valid[0]]]
 
 
@@ -272,7 +251,6 @@ def clique_block(m, grouping: Grouping, rows, cols,
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     sums = pair_sums(m)
-    mates = _mates(grouping, m.n_cols)
     n_est = np.zeros(rows.size, dtype=int)
     values = np.zeros(rows.size)
     # As many cells at a time as keep the (cells x columns) work within
@@ -280,7 +258,7 @@ def clique_block(m, grouping: Grouping, rows, cols,
     step = max(1, _SPAN // m.n_cols)
     for start in range(0, rows.size, step):
         part = slice(start, start + step)
-        est, valid = _estimates(m, mates, sums, rows[part], cols[part])
+        est, valid = _estimates(m, grouping, sums, rows[part], cols[part])
         n_est[part] = valid.sum(axis=1)
         values[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
     no_group = n_est == 0

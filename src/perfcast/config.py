@@ -153,6 +153,8 @@ class RunConfig:
              f"svd_max_outer must be >= 1, got {self.svd_max_outer}"),
             (0 < self.clique_threshold <= 1, f"clique_threshold must be in "
              f"(0, 1], got {self.clique_threshold}"),
+            (self.clique_min_overlap >= 2, f"clique_min_overlap must be at "
+             f"least 2, got {self.clique_min_overlap}"),
             (0 <= self.outlier_lo < self.outlier_hi,
              f"outlier interval must have 0 <= outlier_lo < outlier_hi, "
              f"got [{self.outlier_lo}, {self.outlier_hi}]"),

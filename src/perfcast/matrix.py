@@ -80,6 +80,11 @@ class PCMatrix:
             raise ValueError("matrix needs at least one row and one column")
         if len(set(self.row_keys)) != len(self.row_keys):
             raise ValueError("duplicate row keys")
+        joined = [k for k in self.row_keys if ROW_KEY_SEP in k[0]]
+        if joined:  # its row label would split elsewhere when read back
+            raise ValueError(f"row {joined[0]!r}: program id contains "
+                             f"{ROW_KEY_SEP!r}, which separates program "
+                             f"from args in matrix row keys")
         if len(set(self.col_keys)) != len(self.col_keys):
             raise ValueError("duplicate column keys")
         if vals.shape != (len(self.row_keys), len(self.col_keys)):

@@ -13,8 +13,7 @@ the presence mask alone: one matmul counts the co-observations of every
 column pair, which fix each cell's drop order, and one matmul over the
 cells gives the drops after which each row can train each cell. The
 cells' systems are then solved as zero-padded stacks: primal where a cell
-has no more features than training rows, dual otherwise, and a stacked
-pseudo-inverse (the minimum-norm answer) when lambda is 0. The cells run
+has no more features than training rows, dual otherwise. The cells run
 a bounded number at a time, so memory does not grow with the block; only
 the cells left without a solve take the column mean, one at a time.
 `ridge_predict` is the block of one.
@@ -39,8 +38,8 @@ class RidgeConfig:
     min_training_rows: int = 3
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not self.lam > 0:  # at 0, rank-deficient cells have no one answer
+            raise ValueError(f"lambda must be positive, got {self.lam}")
         if self.min_training_rows < 2:
             raise ValueError(
                 f"min_training_rows must be at least 2, got {self.min_training_rows}"
@@ -184,14 +183,11 @@ def _solve(values, rows, cols, kept, train, lam):
     ridge with an unpenalized intercept on standardized features, in the
     primal (features x features) form when a cell has no more features
     than training rows and the dual (rows x rows) form otherwise; both are
-    the same estimator. lam 0 takes the minimum-norm least-squares answer.
-    Returns the predictions before the floor."""
+    the same estimator. Returns the predictions before the floor."""
     n = train.sum(axis=1)
     k = kept.sum(axis=1)
     preds = np.empty(rows.size)
-    forms = ([(np.ones(rows.size, bool), False)] if lam == 0
-             else [(k <= n, False), (k > n, True)])
-    for form, dual in forms:
+    for form, dual in [(k <= n, False), (k > n, True)]:
         group = np.flatnonzero(form)
         for part in _stacks(group, n[group], k[group]):
             preds[part] = _solve_stack(values, rows[part], cols[part],
@@ -246,14 +242,8 @@ def _solve_stack(values, rows, cols, kept, train, n, k, lam, dual):
     yc = np.where(real_r, y - ybar[:, None], 0.0)[:, :, None]
 
     Xt = Xs.transpose(0, 2, 1)
-    if lam == 0:
-        # lstsq's default cutoff: eps times the larger real dimension
-        rcond = np.finfo(float).eps * np.maximum(n, k)
-        w = np.linalg.pinv(Xs, rcond=rcond) @ yc
-    elif dual:
-        eye = lam * np.eye(Xs.shape[1])
-        w = Xt @ np.linalg.solve(Xs @ Xt + eye, yc)
+    if dual:
+        w = Xt @ np.linalg.solve(Xs @ Xt + lam * np.eye(Xs.shape[1]), yc)
     else:
-        eye = lam * np.eye(Xs.shape[2])
-        w = np.linalg.solve(Xt @ Xs + eye, Xt @ yc)
+        w = np.linalg.solve(Xt @ Xs + lam * np.eye(Xs.shape[2]), Xt @ yc)
     return ybar + (z0[:, None, :] @ w)[:, 0, 0]

@@ -3,7 +3,7 @@
 This is the earlier ``perfcast.ridge.ridge_predict`` with its
 ``_solve_standardized``, kept unchanged as the oracle that
 ``perfcast.ridge.ridge_block`` is tested against: one cell per call, one
-``np.ix_`` gather and one small solve (``lstsq`` when lam is 0).
+``np.ix_`` gather and one small solve.
 """
 
 import numpy as np
@@ -24,9 +24,6 @@ def _solve_standardized(X, y, x0, lam):
     ybar = y.mean()
     yc = y - ybar
     n, k = Xs.shape
-    if lam == 0:
-        w, *_ = np.linalg.lstsq(Xs, yc, rcond=None)
-        return float(ybar + z0 @ w)
     if k <= n:
         w = np.linalg.solve(Xs.T @ Xs + lam * np.eye(k), Xs.T @ yc)
         return float(ybar + z0 @ w)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from perfcast import (ColdRowError, NoBasisError, PCMatrix, RidgeConfig,
                       SimilarityGraph, build_graph, clique_predict, cliques,
-                      find_cliques, group_estimates, grouping_to_json,
-                      pearson, scaling_coefficient)
+                      correlations, find_cliques, group_estimates,
+                      grouping_to_json, pearson, scaling_coefficient)
 from perfcast.cliques import clique_block
 from perfcast.ridge import ridge_block
 
@@ -31,6 +31,16 @@ def pearson_oracle(x, y):
 
 def two_columns(x, y):
     return grid([[a, b] for a, b in zip(x, y)])
+
+
+def edge_set(g):
+    """The graph's edges as (i, j) pairs, i < j."""
+    return frozenset(zip(*(a.tolist() for a in np.nonzero(
+        np.triu(g.adjacent)))))
+
+
+def mates(grouping, vertex):
+    return np.flatnonzero(grouping.mates[vertex]).tolist()
 
 
 class TestPearson:
@@ -88,7 +98,7 @@ class TestBuildGraph:
         base = np.array([1.0, 2.0, 3.0, 5.0])
         m = grid(np.column_stack([base, 2 * base, 5 * base]).tolist())
         g = build_graph(m, threshold=0.97)
-        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert edge_set(g) == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_single_cell_column_isolated(self):
         m = grid([
@@ -98,7 +108,7 @@ class TestBuildGraph:
             [4.0, 8.0, None],
         ])
         g = build_graph(m)
-        assert g.edges == frozenset({(0, 1)})
+        assert edge_set(g) == frozenset({(0, 1)})
 
     def test_threshold_validation(self):
         m = grid([[1.0, 2.0]])
@@ -106,20 +116,30 @@ class TestBuildGraph:
             with pytest.raises(ValueError):
                 build_graph(m, threshold=bad)
 
+    def test_min_overlap_validation(self):
+        # fewer than two co-observed rows define no correlation
+        m = grid([[1.0, 2.0]])
+        for bad in (1, 0, -5):
+            with pytest.raises(ValueError, match=f"min_overlap must be at "
+                                                 f"least 2, got {bad}"):
+                build_graph(m, min_overlap=bad)
+
     def test_edge_requires_strict_inequality(self):
         # |r| must EXCEED the threshold; r = 1 vs threshold 1 adds no edge
         base = np.array([1.0, 2.0, 3.0])
         m = grid(np.column_stack([base, 2 * base]).tolist())
-        assert build_graph(m, threshold=1.0).edges == frozenset()
+        assert edge_set(build_graph(m, threshold=1.0)) == frozenset()
 
     def test_negative_correlation_admitted(self):
         m = two_columns([1, 2, 3, 4], [8, 6, 4, 2])
-        assert build_graph(m, threshold=0.97).edges == frozenset({(0, 1)})
+        assert edge_set(build_graph(m, threshold=0.97)) == frozenset({(0, 1)})
 
 
 def graph(n, edges, threshold=0.97, min_overlap=3):
-    return SimilarityGraph(n, frozenset(tuple(sorted(e)) for e in edges),
-                           threshold, min_overlap)
+    adjacent = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adjacent[i, j] = adjacent[j, i] = True
+    return SimilarityGraph(adjacent, threshold, min_overlap)
 
 
 class TestFindCliques:
@@ -136,7 +156,7 @@ class TestFindCliques:
         # belongs to two of them
         grouping = find_cliques(graph(3, [(0, 1), (1, 2)]))
         assert set(grouping.cliques) == {(0, 1), (1, 2)}
-        assert grouping.mates(1) == [0, 2]
+        assert mates(grouping, 1) == [0, 2]
 
     def test_every_vertex_covered(self):
         grouping = find_cliques(graph(5, [(0, 1), (2, 3)]))
@@ -155,11 +175,87 @@ class TestFindCliques:
             for a in cl:
                 for b in cl:
                     if a < b:
-                        assert (a, b) in g.edges
+                        assert (a, b) in edge_set(g)
         assert {v for cl in grouping.cliques for v in cl} == set(range(n))
-        # membership map agrees with the clique list
-        for v, idxs in grouping.membership.items():
-            assert all(v in grouping.cliques[i] for i in idxs)
+        # mates matrix agrees with the clique list
+        for v in range(n):
+            assert mates(grouping, v) == sorted(
+                {u for cl in grouping.cliques if v in cl for u in cl} - {v})
+
+
+@st.composite
+def offset_matrices(draw):
+    """Near-proportional columns, each then scaled by 1e-3 to 10 and
+    shifted by up to 1e4, with random holes."""
+    n = draw(st.integers(3, 12))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.outer(rng.uniform(1, 10, n), rng.uniform(0.5, 4, m))
+    values *= rng.uniform(1 - draw(st.sampled_from([0.0, 0.01, 0.05, 0.5])),
+                          1.0, (n, m))
+    values *= 10.0 ** rng.uniform(-3, 1, m)
+    values += rng.choice([0.0, 1.0, 1e2, 1e4], m)
+    values[rng.random((n, m)) < draw(st.floats(0.0, 0.5))] = np.nan
+    return grid(values.tolist())
+
+
+# correlations against the per-pair reference. Measured over two runs of
+# 1,000 draws of offset_matrices() with min_overlap 2-4: at most 7.1e-14
+# absolute, and the same NaN pattern.
+R_ATOL = 1e-12
+
+
+class TestAgainstReference:
+    @given(m=offset_matrices(), min_overlap=st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_correlations(self, m, min_overlap):
+        got = correlations(m, min_overlap)
+        want = np.array([[np.nan if r is None else r for r in (
+            cliques_reference.pearson(m, a, b, min_overlap)
+            for b in range(m.n_cols))] for a in range(m.n_cols)])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=R_ATOL)
+        for a in range(m.n_cols):
+            for b in range(m.n_cols):
+                assert pearson(m, a, b, min_overlap) == (
+                    None if np.isnan(got[a, b]) else got[a, b])
+
+    def test_rows_far_from_the_column_mean(self):
+        # C1's three rows shared with C2 sit about 765 from C1's mean but
+        # span 3e-3, so the mean term is some 1e11 times what remains; the
+        # pair is summed again directly, as the reference sums it
+        m = grid([[float(v), None] for v in range(1, 11)]
+                 + [[1000.0, 5.0], [1000.001, 6.0], [1000.003, 8.0]])
+        want = cliques_reference.pearson(m, 0, 1)
+        assert abs(correlations(m)[0, 1] - want) <= R_ATOL
+        assert pearson(m, 1, 0) == pearson(m, 0, 1)
+
+    @given(m=offset_matrices(), min_overlap=st.integers(2, 4),
+           threshold=st.sampled_from([0.5, 0.9, 0.97, 0.99, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_graph(self, m, min_overlap, threshold):
+        g = build_graph(m, threshold, min_overlap)
+        assert not g.adjacent.diagonal().any()
+        assert np.array_equal(g.adjacent, g.adjacent.T)
+        want = cliques_reference.edges(m, threshold, min_overlap)
+        for a in range(m.n_cols):
+            for b in range(a + 1, m.n_cols):
+                r = cliques_reference.pearson(m, a, b, min_overlap)
+                if r is None or abs(abs(r) - threshold) > 1e-9:
+                    assert g.adjacent[a, b] == ((a, b) in want)
+
+    @given(st.integers(1, 10), st.sampled_from([0.2, 0.5, 0.8]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_find_cliques(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        grouping = find_cliques(graph(n, pairs))
+        want = cliques_reference.find_cliques(n, pairs)
+        assert grouping.cliques == want
+        for v in range(n):
+            assert mates(grouping, v) == cliques_reference.mates(want, v)
 
 
 class TestScalingCoefficient:
@@ -229,7 +325,7 @@ class TestCliquePrediction:
         ])
         grouping = find_cliques(build_graph(m, min_overlap=3))
         assert set(grouping.cliques) == {(0, 2), (1, 2)}
-        assert grouping.mates(2) == [0, 1]
+        assert mates(grouping, 2) == [0, 1]
         ests = group_estimates(m, grouping, 3, 2)
         assert ests == [pytest.approx(10.0), pytest.approx(12.0)]
         got, _ = clique_predict(m, grouping, 3, 2, RidgeConfig())
@@ -244,7 +340,7 @@ class TestCliquePrediction:
         m = PCMatrix(tuple((f"p{i}", "") for i in range(6)),
                      ("C1", "C2", "C3"), vals)
         grouping = find_cliques(build_graph(m))
-        assert grouping.mates(2) == []
+        assert mates(grouping, 2) == []
         from perfcast import ridge_predict
         expected = ridge_predict(m, 5, 2, RidgeConfig())
         assert clique_predict(m, grouping, 5, 2, RidgeConfig()) == (expected,
@@ -364,7 +460,7 @@ class TestBlockKernel:
         # sums them
         m = grid([[1.1, 2.3], [2.3, 4.5], [3.7, 7.1], [1e6 + 0.1, 1.3]])
         grouping = find_cliques(build_graph(m, 0.5, 2))
-        assert grouping.mates(1) == [0]
+        assert mates(grouping, 1) == [0]
         for row, col in [(3, 1), (3, 0)]:
             assert group_estimates(m, grouping, row, col) == (
                 cliques_reference.group_estimates(m, grouping, row, col))

@@ -179,7 +179,7 @@ BAD_SETTINGS = [
     ("complete", ["--clique-threshold", "1.5"],
      "clique_threshold must be in (0, 1], got 1.5"),
     ("outliers", ["--ridge-lambda", "-1"],
-     "lambda must be nonnegative, got -1.0"),
+     "lambda must be positive, got -1.0"),
     ("evaluate", ["--ridge-min-training-rows", "1"],
      "min_training_rows must be at least 2, got 1"),
     ("evaluate", ["--als-k", "0"], "rank must be positive, got 0"),
@@ -188,6 +188,11 @@ BAD_SETTINGS = [
     ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
     ("complete", ["--ensemble", "cliques,cliques,als"],
      "ensemble members must be distinct, got cliques, cliques, als"),
+    ("evaluate", ["--ridge-lambda", "0"], "lambda must be positive, got 0.0"),
+    ("evaluate", ["--clique-min-overlap", "1"],
+     "clique_min_overlap must be at least 2, got 1"),
+    ("sweep", ["--clique-min-overlap", "-5"],
+     "clique_min_overlap must be at least 2, got -5"),
 ]
 
 
@@ -225,3 +230,10 @@ def test_ensemble_members_are_distinct():
 def test_empty_ensemble_rejected():
     with pytest.raises(ValueError, match="ensemble members"):
         RunConfig(ensemble=())
+
+
+def test_clique_min_overlap_below_two_rejected():
+    # fewer than two co-observed rows define no correlation
+    with pytest.raises(ValueError,
+                       match="clique_min_overlap must be at least 2, got -5"):
+        RunConfig(clique_min_overlap=-5)

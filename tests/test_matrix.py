@@ -89,6 +89,16 @@ class TestPCMatrix:
         with pytest.raises(ValueError, match="column keys"):
             PCMatrix((("P", "a"),), ("C1", "C1"), np.ones((1, 2)))
 
+    def test_separator_in_program_id_rejected_by_name(self):
+        # ("a::b", "c") would be written as a::b::c and read back as
+        # ("a", "b::c")
+        with pytest.raises(ValueError, match=r"row \('a::b', 'c'\): program "
+                                             r"id contains '::'"):
+            PCMatrix((("x", "y"), ("a::b", "c")), ("C1",), np.ones((2, 1)))
+        # the args label may hold the separator: the first one splits
+        m = PCMatrix((("a", "b::c"),), ("C1",), np.ones((1, 1)))
+        assert m.row_label(0) == "a::b::c"
+
     def test_nonpositive_cell_rejected(self):
         with pytest.raises(ValueError,
                            match=r"cell \(p0::a0, C2\) holds 0\.0"):
