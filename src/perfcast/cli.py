@@ -154,6 +154,11 @@ def cmd_evaluate(args) -> int:
     report = leave_one_out(m, cfg, dataset=Path(args.matrix).stem)
     _write_eval_outputs(args, cfg, [report],
                         _echo(cfg, input=args.matrix))
+    capped, refits = report.capped_refits
+    if capped:
+        _warn(f"{capped:,} of {refits:,} ALS refits ran all als_max_iters "
+              f"({cfg.als_max_iters}) iterations; raise als_max_iters or "
+              f"als_tol for fits whose RMSE settles")
     _print_report_summary([report])
     return 0
 

@@ -71,6 +71,9 @@ class EvalReport:
     results: tuple[AlgorithmResult, ...]
     config: dict = field(default_factory=dict)
     note: str | None = None
+    # (ALS refits that ran all max_iters iterations, ALS refits); not
+    # serialized
+    capped_refits: tuple[int, int] = (0, 0)
 
 
 def prediction_error(predicted: float, target: float) -> float:
@@ -105,13 +108,14 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
                  cfg: RunConfig, refit: bool, ridge):
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (values, reasons, via_ridge,
-    model), via_ridge marking the values ridge made for the clique
+    fit), via_ridge marking the values ridge made for the clique
     algorithm.
 
     With refit, a factorization is fit once per cell without that cell.
     ridge is the ridge member's (values, reasons) for the same cells, or
-    None; cliques, under cfg.protocol, reuse it. model is the FactorModel
-    of the shared als/svd fit, else None; a shared fit that raises
+    None; cliques, under cfg.protocol, reuse it. fit is the FactorModel
+    of the shared als/svd fit, each cell's iteration count for ALS
+    refits (0 where uncovered), else None; a shared fit that raises
     UnfactorableError leaves every cell uncovered.
     """
     protocol = CliqueProtocol(cfg.protocol)
@@ -128,8 +132,11 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
                               fallback, ridge), None)
 
     nowhere = np.zeros(rows.size, dtype=bool)
+    if refit and alg is Algorithm.ALS:
+        values, reasons, iters = als_refits(train, rows, cols, cfg.als)
+        return values, reasons, nowhere, iters
     if refit:
-        return (*predict_refits(_refits(alg, train, rows, cols, cfg), rows,
+        return (*predict_refits(_svd_refits(train, rows, cols, cfg), rows,
                                 cols), nowhere, None)
     try:
         model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
@@ -139,13 +146,10 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
     return predict_cells(model, rows, cols), {}, nowhere, model
 
 
-def _refits(alg: Algorithm, train: PCMatrix, rows, cols, cfg: RunConfig):
-    """Fit a factorization once per cell on train without that cell and
-    yield its FactorModel or the UnfactorableError the fit raised. The ALS
-    fits run stacked; SVD refits one copy of train at a time."""
-    if alg is Algorithm.ALS:
-        yield from als_refits(train, rows, cols, cfg.als)
-        return
+def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
+    """Fit SVD once per cell on train without that cell, one copy of train
+    at a time, and yield its FactorModel or the UnfactorableError the fit
+    raised."""
     for r, c in zip(rows, cols):
         try:
             yield svd_fit(train.with_cell_missing(r, c), cfg.svd_k,
@@ -185,7 +189,7 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
 
 def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     """Every requested algorithm's column for the cells (rows[i],
-    cols[i]), and the als/svd models fit once on train.
+    cols[i]), and each factorization's fit as _fit_predict returns it.
 
     A column is (values, reasons, code, labels): values[i] is the cell's
     prediction, NaN where there is none, reasons maps each such i to the
@@ -198,32 +202,38 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     # With no cells the shared fit is still made: complete_matrix returns
     # the model.
     refit = rows.size > 0 and bool(train.present_mask[rows, cols].all())
-    columns, models = {}, {}
+    columns, fits = {}, {}
     for alg in _base_algorithms(algorithms, cfg):
         # ridge first: cliques may reuse its values and reasons
         ridge = columns.get(Algorithm.RIDGE)
-        values, reasons, via_ridge, models[alg] = _fit_predict(
+        values, reasons, via_ridge, fits[alg] = _fit_predict(
             alg, train, rows, cols, cfg, refit, ridge and ridge[:2])
         columns[alg] = (values, reasons, via_ridge,
                         ((alg.value, ()), ("ridge", ())))
     if Algorithm.ENSEMBLE in algorithms:
         columns[Algorithm.ENSEMBLE] = _ensemble(
             train, rows, cols, list(map(Algorithm, cfg.ensemble)), columns)
-    return columns, models
+    return columns, fits
 
 
-def _score(maskings, algorithms,
-           cfg: RunConfig) -> tuple[AlgorithmResult, ...]:
+def _score(maskings, algorithms, cfg: RunConfig):
     """Score every algorithm on the maskings (train, rows, cols, targets):
     predict each masking's cells (rows[i], cols[i]) from its train, and
-    pool the covered cells of all maskings, in order, against targets."""
+    pool the covered cells of all maskings, in order, against targets.
+    Returns the AlgorithmResults and the (capped, total) tally of the ALS
+    refits, as EvalReport.capped_refits holds it."""
     empty = np.empty(0, np.intp)  # index columns stay integers
     scored = {alg: [(empty, empty, np.empty(0), np.empty(0))]
               for alg in algorithms}
     excluded = {alg: [] for alg in algorithms}
     uncovered = dict.fromkeys(algorithms, 0)
+    capped = refits = 0
     for train, rows, cols, targets in maskings:
-        columns, _ = _predict_cells(train, rows, cols, algorithms, cfg)
+        columns, fits = _predict_cells(train, rows, cols, algorithms, cfg)
+        iters = fits.get(Algorithm.ALS)
+        if isinstance(iters, np.ndarray):  # refit per cell
+            capped += int((iters == cfg.als_max_iters).sum())
+            refits += int((iters > 0).sum())
         for alg in algorithms:
             values, _, code, labels = columns[alg]
             ok = ~np.isnan(values)
@@ -237,7 +247,7 @@ def _score(maskings, algorithms,
             alg.value, rows, cols, predicted, target,
             np.abs(predicted - target) / target, tuple(excluded[alg]),
             uncovered[alg]))
-    return tuple(results)
+    return tuple(results), (capped, refits)
 
 
 def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
@@ -251,10 +261,10 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
     each cell is predicted by a fit on the matrix without it.
     """
     rows, cols = np.nonzero(m.present_mask)
-    results = _score([(m, rows, cols, m.values[rows, cols])],
-                     [Algorithm(cfg.algorithm)], cfg)
+    results, capped = _score([(m, rows, cols, m.values[rows, cols])],
+                             [Algorithm(cfg.algorithm)], cfg)
     return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
-                      note="leave-one-out")
+                      note="leave-one-out", capped_refits=capped)
 
 
 def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
@@ -286,7 +296,7 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
             note = "no held-out cells"
         reports.append(EvalReport(
             dataset, float(fraction), cfg.seed, cfg.repeats,
-            _score(maskings, algorithms, cfg), dict(config), note))
+            _score(maskings, algorithms, cfg)[0], dict(config), note))
     return reports
 
 
@@ -338,14 +348,14 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     """
     algorithm = Algorithm(cfg.algorithm)
     rows, cols = np.nonzero(~m.present_mask)
-    columns, models = _predict_cells(m, rows, cols, [algorithm], cfg)
+    columns, fits = _predict_cells(m, rows, cols, [algorithm], cfg)
     values, reasons, code, labels = columns[algorithm]
     if reasons:
         raise reasons[min(reasons)]
     vals = np.array(m.values)
     vals[rows, cols] = values
     mechanism = [labels[k][0] for k in code.tolist()]
-    return m.with_values(vals), (rows, cols, mechanism), models.get(algorithm)
+    return m.with_values(vals), (rows, cols, mechanism), fits.get(algorithm)
 
 
 # ---------------------------------------------------------------------------

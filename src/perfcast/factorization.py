@@ -6,10 +6,13 @@ problem over that row's (column's) observed cells, and one batched solve
 answers all of them, for every K. The kernel runs a stack of fits that
 share one mask: leave-one-out refits many at once, each leaving out its
 own cell, with its own initial scale, RMSE, stop and coverage, as a cold
-fit without that cell would; a plain fit is the stack of one. Rank 1 is
-the default and has a useful side effect: positive scalar embeddings put
-a total performance order on machines. A simpler impute-and-decompose SVD
-variant is included for comparison.
+fit without that cell would; a plain fit is the stack of one. A refit's
+RMSE comes from sums the column half-step already holds, unless those
+sums cancel down to rounding, and a refit yields only the prediction of
+its left-out cell; the plain fit gathers its residuals and becomes a
+FactorModel. Rank 1 is the default and has a useful side effect:
+positive scalar embeddings put a total performance order on machines. A
+simpler impute-and-decompose SVD variant is included for comparison.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ import numpy as np
 
 from .matrix import PREDICTION_FLOOR
 
-# fits x observed cells per ALS stack: bounds its (fits, cells) arrays
+# elements per ALS stack: bounds its stacked per-row and per-column
+# systems, and each chunk of gathered residuals
 _STACK = 2 ** 15
+# below this share of its sum of squared targets, a refit's SSE from sums
+# is recomputed from its gathered residuals (see _fit_stack)
+_EXACT = 1e-5
 
 
 class UnfactorableError(ValueError):
@@ -104,11 +111,14 @@ def _half_step(F, M, X0, lam, skipped=None):
     subtracting the cell's term from the full sum cancels badly. With
     lam == 0 a row observed fewer than K times is singular; the
     pseudo-inverse gives its minimum-norm solution.
+
+    Returns (x, b), both (fits, rows, K): the solutions and the right-hand
+    sides sum_j M[i, j] * X0[i, j] * F[b, :, j] they solve for.
     """
     fits, k, cols = F.shape
     FF = (F[:, :, None, :] * F[:, None, :, :]).reshape(fits, k * k, cols)
     # Kept (rows, fits, ...) as the matmuls lay them out, which the solve
-    # reads without a copy; the result is returned as (fits, rows, K).
+    # reads without a copy; the results are returned as (fits, rows, K).
     A = (M @ FF.reshape(-1, cols).T).reshape(-1, fits, k, k)
     b = (X0 @ F.reshape(-1, cols).T).reshape(-1, fits, k)
     if skipped is not None:
@@ -119,17 +129,45 @@ def _half_step(F, M, X0, lam, skipped=None):
         x_row[stack, skip] = 0.0
         A[rows, stack] = (m_row[:, None] @ FF.swapaxes(1, 2)).reshape(-1, k, k)
         b[rows, stack] = (x_row[:, None] @ F.swapaxes(1, 2))[:, 0]
-    A = A + lam * np.eye(k)
+    A += lam * np.eye(k)
     if lam == 0:
         x = (np.linalg.pinv(A) @ b[..., None])[..., 0]
-    elif k == 1:  # the 1 x 1 solve, without a LAPACK call per row
-        x = b / A[..., 0]
+    elif k == 1:  # the 1 x 1 solve, over A, without a LAPACK call per row
+        x = np.divide(b, A[..., 0], out=A[..., 0])
     else:
         x = np.linalg.solve(A, b[..., None])[..., 0]
-    return x.swapaxes(0, 1)
+    return x.swapaxes(0, 1), b.swapaxes(0, 1)
 
 
-def _fit_stack(m, cfg: ALSConfig, left_out=None) -> list[FactorModel]:
+def _gathered_sse(U, V, obs_rows, obs_cols, targets, left_out=None):
+    """Each fit's sum of squared residuals over its observed cells, from
+    the gathered predictions: the cells (obs_rows[j], obs_cols[j]) with
+    targets[j], fit b's left-out cell left_out[b] counted as zero.
+
+    The fits go in chunks of at most _STACK gathered elements: at K = 1
+    one product per cell, without forming U @ V, and at K > 1 each fit's
+    full U @ V.
+    """
+    fits, n, k = U.shape
+    cols = V.shape[2]
+    observed = obs_rows * cols + obs_cols
+    step = max(1, _STACK // (observed.size if k == 1 else n * cols))
+    sse = np.empty(fits)
+    for s in range(0, fits, step):
+        if k == 1:
+            r = U[s:s + step, obs_rows, 0] * V[s:s + step, 0, obs_cols]
+        else:
+            r = (U[s:s + step] @ V[s:s + step]).reshape(-1, n * cols)
+            r = r[:, observed]
+        r -= targets
+        r *= r
+        if left_out is not None:
+            r[np.arange(len(r)), left_out[s:s + step]] = 0.0
+        sse[s:s + step] = r.sum(axis=1)
+    return sse
+
+
+def _fit_stack(m, cfg: ALSConfig, left_out=None):
     """Run a stack of ALS fits that share m's mask, each to its own stop.
 
     left_out is None for the one fit on every observed cell, or an index
@@ -138,6 +176,17 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None) -> list[FactorModel]:
     the same seeded draws scaled by its own mean, and its RMSE and tol
     stop are over its own cells. A fit that stops leaves the stack and the
     rest go on. Every fit must be factorable.
+
+    The one fit's RMSE is gathered from its residuals. A refit's comes
+    from the column half-step's sums instead: since (A_c + lam I) v_c =
+    b_c for each column c, its SSE is sum x**2 - sum_c v_c . b_c -
+    lam |V|**2 over its own cells. That difference cancels as the fit
+    closes in on its targets, so a refit whose SSE falls below _EXACT of
+    its sum x**2 is gathered too.
+
+    Returns (U, V, iters, trail): each fit's final factors, (fits, rows,
+    K) and (fits, K, cols), its iteration count, and per iteration the
+    RMSE of the fits still running, in stack order.
     """
     mask = m.present_mask
     values = m.values
@@ -150,66 +199,60 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None) -> list[FactorModel]:
     targets = values.ravel()[observed]
     X0 = np.where(mask, values, 0.0)
     M = mask.astype(np.float64)
-    fits = 1 if left_out is None else len(left_out)
-    # A fit's sums run over every observed cell with its left-out cell's
-    # term zeroed, and divide by the fit's own cell count.
-    resid = np.empty((fits, observed.size))
-    resid[:] = targets
-    skipped, count = None, observed.size
-    if left_out is not None:
-        skipped, count = (obs_rows[left_out], obs_cols[left_out]), count - 1
-        resid[np.arange(fits), left_out] = 0.0
-    scale = np.sqrt(resid.sum(axis=1) / count / k)
+    if left_out is None:
+        fits, skipped, count = 1, None, observed.size
+        total = targets.sum(keepdims=True)
+    else:
+        fits, count = len(left_out), observed.size - 1
+        skipped = (obs_rows[left_out], obs_cols[left_out])
+        x_left = targets[left_out]
+        total = targets.sum() - x_left
+        sumsq = targets @ targets - x_left * x_left
+    scale = np.sqrt(total / count / k)
 
     rng = np.random.default_rng(cfg.seed)
     rng.uniform(0.5, 1.5, (n, k))  # row draws: the first half-step sets U
     V = rng.uniform(0.5, 1.5, (k, mm)) * scale[:, None, None]
 
-    config = {"algorithm": "als", "k": cfg.k, "lambda": cfg.lam,
-              "max_iters": cfg.max_iters, "tol": cfg.tol, "seed": cfg.seed}
     live = np.arange(fits)  # stack position -> fit
-    histories: list[list[float]] = [[] for _ in live]
-    models: list = [None] * fits
-    factor = np.empty_like(resid)
-    for it in range(cfg.max_iters):
-        U = _half_step(V, M, X0, cfg.lam, skipped)
-        V = _half_step(U.swapaxes(1, 2), M.T, X0.T, cfg.lam,
-                       None if skipped is None else skipped[::-1])
-        V = V.swapaxes(1, 2)
-        # In place, since arrays this size cost more to allocate than to
-        # fill; mode "clip" skips take's bounds check and buffered copy.
-        r, f = resid[:len(live)], factor[:len(live)]
-        if k == 1:  # one product per cell, without forming U @ V
-            np.take(U[..., 0], obs_rows, axis=1, out=r, mode="clip")
-            r *= np.take(V[:, 0], obs_cols, axis=1, out=f, mode="clip")
+    U_out, V_out = np.empty((fits, n, k)), np.empty((fits, k, mm))
+    iters = np.empty(fits, dtype=np.intp)
+    trail, prev = [], None
+    for it in range(1, cfg.max_iters + 1):
+        U, _ = _half_step(V, M, X0, cfg.lam, skipped)
+        Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, cfg.lam,
+                           None if skipped is None else skipped[::-1])
+        V = Vt.swapaxes(1, 2)
+        if skipped is None:
+            sse = _gathered_sse(U, V, obs_rows, obs_cols, targets)
         else:
-            np.take((U @ V).reshape(len(live), -1), observed, axis=1,
-                    out=r, mode="clip")
-        r -= targets
-        r *= r
-        if skipped is not None:
-            r[np.arange(len(live)), left_out[live]] = 0.0
-        rmse = np.sqrt(r.sum(axis=1) / count)
-        stopped = []
-        for i, (b, e) in enumerate(zip(live.tolist(), rmse.tolist())):
-            h = histories[b]
-            prev = h[-1] if h else None
-            h.append(e)
-            if it + 1 == cfg.max_iters or prev is not None and (
-                    prev == 0.0 or abs(prev - e) / prev < cfg.tol):
-                stopped.append(i)
-                _sign_normalize(U[i], V[i])  # views; this fit is done
-                models[b] = FactorModel(k, m.row_keys, m.col_keys, U[i],
-                                        V[i], tuple(h), config)
-        if len(stopped) == len(live):
+            fit_sumsq = sumsq[live]
+            sse = (fit_sumsq - np.einsum("fck,fck->f", Vt, b)
+                   - cfg.lam * np.einsum("fck,fck->f", Vt, Vt))
+            near = np.flatnonzero(sse < _EXACT * fit_sumsq)
+            if near.size:
+                sse[near] = _gathered_sse(U[near], V[near], obs_rows,
+                                          obs_cols, targets,
+                                          left_out[live[near]])
+        # A rounded difference can dip below zero; sqrt would warn.
+        rmse = np.sqrt(np.maximum(sse, 0.0) / count)
+        trail.append(rmse)
+        if it == cfg.max_iters:
+            done = np.ones(len(live), dtype=bool)
+        elif prev is None:
+            done = np.zeros(len(live), dtype=bool)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                done = (prev == 0.0) | (np.abs(prev - rmse) / prev < cfg.tol)
+        stopped = live[done]
+        U_out[stopped], V_out[stopped], iters[stopped] = U[done], V[done], it
+        if done.all():
             break
-        if stopped:
-            going = np.ones(len(live), dtype=bool)
-            going[stopped] = False
-            live, V = live[going], V[going]
-            if skipped is not None:
-                skipped = (skipped[0][going], skipped[1][going])
-    return models
+        going = ~done
+        live, V, prev = live[going], V[going], rmse[going]
+        if skipped is not None:
+            skipped = (skipped[0][going], skipped[1][going])
+    return U_out, V_out, iters, trail
 
 
 def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
@@ -223,17 +266,24 @@ def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     fit that leaves no cell out.
     """
     _check_factorable(m.present_mask)
-    return _fit_stack(m, cfg)[0]
+    U, V, _, trail = _fit_stack(m, cfg)
+    U, V = U[0], V[0]
+    _sign_normalize(U, V)
+    config = {"algorithm": "als", "k": cfg.k, "lambda": cfg.lam,
+              "max_iters": cfg.max_iters, "tol": cfg.tol, "seed": cfg.seed}
+    return FactorModel(cfg.k, m.row_keys, m.col_keys, U, V,
+                       tuple(rmse.item() for rmse in trail), config)
 
 
 def als_refits(m, rows, cols, cfg: ALSConfig = ALSConfig()):
-    """For each observed cell (rows[i], cols[i]), in order, yield what
-    als_fit(m.with_cell_missing(rows[i], cols[i]), cfg) gives: its
-    FactorModel, or the UnfactorableError it raises.
+    """Predict each observed cell (rows[i], cols[i]) from its own fit, as
+    predict(als_fit(m.with_cell_missing(rows[i], cols[i]), cfg), rows[i],
+    cols[i]) would; returns (values, reasons, iters) as predict_refits
+    gives (values, reasons), with iters[i] the fit's iteration count, 0
+    where the fit raises.
 
-    The fits run in stacks whose (fits, cells) arrays stay near _STACK
-    elements: _STACK // (observed cells) fits, or at K > 1, where each fit
-    forms its full U @ V, _STACK // (all cells).
+    The fits run in stacks of about _STACK elements of their per-row and
+    per-column systems: _STACK // ((rows + cols) * (K**2 + 2K)) fits.
     """
     mask = m.present_mask
     observed = np.flatnonzero(mask)
@@ -243,23 +293,22 @@ def als_refits(m, rows, cols, cfg: ALSConfig = ALSConfig()):
     # without its cell, a fit has an empty row or column
     no_row = (row_counts == 0).any() | (row_counts[rows] == 1)
     no_col = (col_counts == 0).any() | (col_counts[cols] == 1)
+    reasons = {i: UnfactorableError(_EMPTY_ROW if no_row[i] else _EMPTY_COL)
+               for i in np.flatnonzero(no_row | no_col).tolist()}
     covered = np.flatnonzero(~(no_row | no_col))
     left_out = np.searchsorted(observed, rows * m.n_cols + cols)
 
-    def fits():
-        per_stack = max(1, _STACK // (observed.size if cfg.k == 1
-                                      else mask.size))
-        for stack in np.array_split(covered, -(-covered.size // per_stack)):
-            yield from _fit_stack(m, cfg, left_out[stack])
-
-    fitted = fits()
-    for row_empty, col_empty in zip(no_row.tolist(), no_col.tolist()):
-        if row_empty:
-            yield UnfactorableError(_EMPTY_ROW)
-        elif col_empty:
-            yield UnfactorableError(_EMPTY_COL)
-        else:
-            yield next(fitted)
+    values = np.full(len(rows), np.nan)
+    iters = np.zeros(len(rows), dtype=np.intp)
+    k = cfg.k
+    per_stack = max(1, _STACK // ((m.n_rows + m.n_cols) * (k * k + 2 * k)))
+    for start in range(0, covered.size, per_stack):
+        stack = covered[start:start + per_stack]
+        U, V, iters[stack], _ = _fit_stack(m, cfg, left_out[stack])
+        fit = np.arange(stack.size)
+        values[stack] = (U[fit, rows[stack]][:, None, :]
+                         @ V[fit, :, cols[stack]][:, :, None])[:, 0, 0]
+    return np.maximum(values, PREDICTION_FLOOR), reasons, iters
 
 
 def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
@@ -341,7 +390,7 @@ def predict_cells(model: FactorModel, rows, cols) -> np.ndarray:
 def predict_refits(fits, rows, cols):
     """predict for each cell (rows[i], cols[i]) from its own fit, as
     (values, reasons); fits yields, per cell, a FactorModel or the
-    UnfactorableError that says why there is none, as als_refits does."""
+    UnfactorableError that says why there is none."""
     values, reasons = np.full(len(rows), np.nan), {}
     for i, (fit, r, c) in enumerate(zip(fits, rows, cols)):
         if isinstance(fit, UnfactorableError):

@@ -22,6 +22,19 @@ OBSERVATIONS_HEADER = ("program", "args", "machine", "seconds")
 PREDICTION_FLOOR = 1e-9  # a predicted time is floored at this positive epsilon
 
 
+def _program_id_problem(program_id: str) -> str | None:
+    """What keeps a program id out of a row key, or None. Keys are split
+    on the first ``::``, so the id may not contain it, nor end in ``:``:
+    ("a:", "b") would be written as a:::b and read back as ("a", ":b")."""
+    if ROW_KEY_SEP in program_id:
+        return (f"contains {ROW_KEY_SEP!r}, which separates program from "
+                f"args in matrix row keys")
+    if program_id.endswith(":"):
+        return (f"ends in ':', which would run into the {ROW_KEY_SEP!r} "
+                f"that separates program from args in matrix row keys")
+    return None
+
+
 class MaskInfeasibleError(ValueError):
     """Requested mask cannot be drawn without emptying a row or column."""
 
@@ -41,11 +54,9 @@ class Observation:
                 f"observation has an empty id: "
                 f"({self.program_id!r}, {self.arg_label!r}, {self.machine_id!r})"
             )
-        if ROW_KEY_SEP in self.program_id:
-            raise ValueError(
-                f"program id {self.program_id!r} contains {ROW_KEY_SEP!r}, "
-                f"which separates program from args in matrix row keys"
-            )
+        problem = _program_id_problem(self.program_id)
+        if problem:
+            raise ValueError(f"program id {self.program_id!r} {problem}")
         if not math.isfinite(self.time):
             raise ValueError(
                 f"non-finite time {self.time!r} for program {self.program_id!r} "
@@ -80,11 +91,10 @@ class PCMatrix:
             raise ValueError("matrix needs at least one row and one column")
         if len(set(self.row_keys)) != len(self.row_keys):
             raise ValueError("duplicate row keys")
-        joined = [k for k in self.row_keys if ROW_KEY_SEP in k[0]]
-        if joined:  # its row label would split elsewhere when read back
-            raise ValueError(f"row {joined[0]!r}: program id contains "
-                             f"{ROW_KEY_SEP!r}, which separates program "
-                             f"from args in matrix row keys")
+        for key in self.row_keys:  # a label that would split elsewhere
+            problem = _program_id_problem(key[0])
+            if problem:
+                raise ValueError(f"row {key!r}: program id {problem}")
         if len(set(self.col_keys)) != len(self.col_keys):
             raise ValueError("duplicate column keys")
         if vals.shape != (len(self.row_keys), len(self.col_keys)):

@@ -1,13 +1,17 @@
 """The batched ALS kernel against the per-row/per-column reference loop."""
 
 import numpy as np
+import pytest
 from als_reference import reference_als_fit
 from conftest import sparse_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perfcast import ALSConfig, PCMatrix, UnfactorableError, als_fit
-from perfcast.factorization import _half_step, als_refits, predict_all
+from perfcast import factorization
+from perfcast.factorization import (_fit_stack, _half_step, als_refits,
+                                    predict, predict_all)
+from perfcast.matrix import PREDICTION_FLOOR
 
 ranks = st.integers(1, 4)
 lams = st.sampled_from([0.0, 1e-8, 1e-2])
@@ -71,24 +75,98 @@ def test_refits_match_per_cell_fits(k, lam, shape, density, seed, max_iters,
         vals[:, 0] = np.nan
     mat = PCMatrix(mat.row_keys, mat.col_keys, vals)
     cfg = ALSConfig(k=k, lam=lam, max_iters=max_iters, seed=seed % 1000)
+    assert_refits_match_per_cell_fits(mat, cfg, rtol=1e-9, atol=1e-9 * scale,
+                                      rounding=1e-12 * scale)
+
+
+def assert_refits_match_per_cell_fits(mat, cfg, rtol, atol, rounding):
+    """als_refits and the stacked fits behind it, cell by cell, against
+    als_fit on the matrix without that cell: the same cells are
+    uncovered, with the same error; every covered cell's full
+    reconstruction matches at rtol/atol, and so does its prediction; its
+    iteration count matches unless the training RMSE ended below
+    rounding, where the relative-change stop compares rounding noise."""
     rows, cols = np.nonzero(mat.present_mask)
-    for r, c, got in zip(rows.tolist(), cols.tolist(),
-                         als_refits(mat, rows, cols, cfg), strict=True):
+    values, reasons, iters = als_refits(mat, rows, cols, cfg)
+    # rows, cols are the observed cells in row-major order, which is how
+    # _fit_stack numbers them
+    covered = np.array([i for i in range(rows.size) if i not in reasons],
+                       dtype=np.intp)
+    U, V, stack_iters, _ = (_fit_stack(mat, cfg, covered) if covered.size
+                            else (None, None, None, None))
+    fit = dict(zip(covered.tolist(), range(covered.size)))
+    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
         try:
             want = als_fit(mat.with_cell_missing(r, c), cfg)
         except UnfactorableError as exc:
-            assert isinstance(got, UnfactorableError)
-            assert str(got) == str(exc)
+            assert i in reasons and np.isnan(values[i]) and iters[i] == 0
+            assert isinstance(reasons[i], UnfactorableError)
+            assert str(reasons[i]) == str(exc)
             continue
+        assert i not in reasons
         # Stacking reorders rounding only; the atol covers rank-K inner
         # products that land near zero. The left-out cell is among them.
-        np.testing.assert_allclose(predict_all(got), predict_all(want),
-                                   rtol=1e-9, atol=1e-9 * scale)
-        # Once the training RMSE is at rounding level, the relative-change
-        # stop compares rounding noise.
-        if want.train_rmse_history[-1] > 1e-12 * scale:
-            assert len(got.train_rmse_history) == len(
-                want.train_rmse_history)
+        j = fit[i]
+        np.testing.assert_allclose(
+            np.maximum(U[j] @ V[j], PREDICTION_FLOOR), predict_all(want),
+            rtol=rtol, atol=atol)
+        np.testing.assert_allclose(values[i], predict(want, r, c),
+                                   rtol=rtol, atol=atol)
+        if want.train_rmse_history[-1] > rounding:
+            assert iters[i] == stack_iters[j] == len(want.train_rmse_history)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("rank,lam", [(1, 1e-4), (2, 1e-3)])
+def test_refits_near_their_targets_match_per_cell_fits(rank, lam, tol):
+    # Noiseless rank-1 and rank-2 data: every refit closes in on its
+    # targets until only lambda's shrinkage is left, with an SSE of 1e-11
+    # to 1e-8 of sum x**2, where the SSE from the half-step sums is
+    # rounding noise. Below _EXACT the refits gather their residuals, so
+    # each stops where the per-cell fit stops. From the sums alone, up to
+    # 87 of the 86-odd refits per case stopped elsewhere, with predictions
+    # off by up to 5.9e-6 relative.
+    mat = sparse_matrix((12, 8), 0.9, 17, rank=rank)
+    cfg = ALSConfig(k=rank, lam=lam, tol=tol)
+    targets = mat.values[mat.present_mask]
+    for r, c in np.argwhere(mat.present_mask)[::5].tolist():
+        want = als_fit(mat.with_cell_missing(r, c), cfg)
+        sse = want.train_rmse_history[-1] ** 2 * (targets.size - 1)
+        assert sse < factorization._EXACT * (
+            targets @ targets - mat.values[r, c] ** 2)
+    scale = float(np.nanmean(mat.values))
+    assert_refits_match_per_cell_fits(mat, cfg, rtol=1e-9, atol=1e-9 * scale,
+                                      rounding=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rmse_from_sums_matches_gathered_rmse(k, monkeypatch):
+    # Noisy data keeps every refit's SSE above _EXACT of its sum x**2, so
+    # its RMSE comes from the half-step sums. Measured, that RMSE is off
+    # the gathered one by about 2 eps (sum x**2 / SSE) relative, at most
+    # 5e-11 at the threshold; here the SSE is near 1e-4 of sum x**2.
+    mat = sparse_matrix((40, 12), 0.6, 5, rank=k)
+    noise = np.random.default_rng(6).standard_normal(mat.values.shape)
+    mat = PCMatrix(mat.row_keys, mat.col_keys,
+                   mat.values * (1 + 0.01 * noise))
+    targets = mat.values[mat.present_mask]
+    left_out = np.arange(targets.size)
+    sumsq = targets @ targets - targets ** 2
+    cfg = ALSConfig(k=k, max_iters=30, tol=1e-9)
+    _, _, iters, trail = _fit_stack(mat, cfg, left_out)
+    exact = factorization._EXACT
+    monkeypatch.setattr(factorization, "_EXACT", np.inf)  # gather them all
+    _, _, want_iters, want_trail = _fit_stack(mat, cfg, left_out)
+    # every fit runs to the cap, so each trail entry holds every fit
+    assert (iters == cfg.max_iters).all()
+    assert (want_iters == cfg.max_iters).all()
+    eps = np.finfo(float).eps
+    for rmse, want in zip(trail, want_trail, strict=True):
+        ratio = want ** 2 * (targets.size - 1) / sumsq
+        assert (ratio > exact).all()
+        gap = np.abs(rmse - want) / want
+        assert (gap <= 4 * eps / ratio).all()
+        assert (gap <= 1e-10).all()
 
 
 @given(k=ranks, lam=lams, shape=shapes, density=densities, seed=seeds,
@@ -106,20 +184,22 @@ def test_half_step_solves_normal_equations(k, lam, shape, density, seed,
     X0 = np.where(mask, mat.values, 0.0)
     cells = np.argwhere(mask)[rng.integers(0, mask.sum(), 2)]
     skipped = (cells[:, 0], cells[:, 1]) if skip else None
-    stack = _half_step(V, mask.astype(float), X0, lam, skipped)
+    stack, rhs = _half_step(V, mask.astype(float), X0, lam, skipped)
     eps = np.finfo(float).eps
-    for fit, (U, F) in enumerate(zip(stack, V)):
+    for fit, (U, B, F) in enumerate(zip(stack, rhs, V)):
         fit_mask = mask.copy()
         if skip:
             fit_mask[tuple(cells[fit])] = False
         for i, u in enumerate(U):
             obs = np.flatnonzero(fit_mask[i])
             if obs.size == 0:  # only the left-out cell: no data, u = 0
-                assert not u.any()
+                assert not u.any() and not B[i].any()
                 continue
             Vo = F[:, obs]
             A = Vo @ Vo.T + lam * np.eye(k)
             b = Vo @ mat.values[i, obs]
+            # the right-hand side it returns is the one it solved for
+            np.testing.assert_allclose(B[i], b, rtol=1e-13)
             resid = np.linalg.norm(A @ u - b) / (
                 np.linalg.norm(A) * np.linalg.norm(u) + np.linalg.norm(b))
             if lam > 0:

@@ -179,6 +179,31 @@ class TestEvaluate:
         report = json.loads(out_json.read_text())["reports"][0]
         assert report["seed"] == report["config"]["seed"] == 7
 
+    def test_refits_at_the_iteration_cap_warn_once(self, matrix_csv,
+                                                   tmp_path, capsys):
+        # one iteration never meets tol: all 45 refits stop at the cap
+        out_json = tmp_path / "r.json"
+        assert main(["evaluate", str(matrix_csv), "--algorithm", "als",
+                     "--als-max-iters", "1",
+                     "--out-json", str(out_json)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: 45 of 45 ALS refits ran all als_max_iters (1) "
+            "iterations; raise als_max_iters or als_tol for fits whose "
+            "RMSE settles"]
+        # the tally goes to stderr only: the report keeps its keys
+        report = json.loads(out_json.read_text())["reports"][0]
+        assert set(report) == {"dataset", "fraction", "seed", "repeats",
+                               "note", "config", "results"}
+        assert report["results"][0]["n_cells"] == 45
+
+    def test_refits_that_settle_do_not_warn(self, matrix_csv, tmp_path,
+                                            capsys):
+        assert main(["evaluate", str(matrix_csv), "--algorithm", "als",
+                     "--als-tol", "0.01",
+                     "--out-json", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSweep:
     def test_percent_fractions_make_points(self, matrix_csv, tmp_path):

@@ -28,15 +28,17 @@ CASES += [(a, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
 # errors, inherits the same absolute bound.
 IN_GROUPS_RTOL = 1e-14
 # ALS refits run stacked (factorization.als_refits): a fit's Gram matrices
-# come out of one larger matmul, and its RMSE sums the left-out cell as an
-# exact zero, so predictions differ from the per-cell refit at rounding
-# level (at most 1.35e-15 relative over 1,500 draws). Ridge and the clique
-# estimates run as block kernels (ridge.ridge_block, cliques.clique_block)
-# over zero-padded stacks and downdated pair sums: at the default lambda
-# they differ from the per-cell references by at most 3.4e-14 relative
-# (ridge and regression), 7.5e-15 (cliques with fallback) and 1.4e-14
-# (ensemble) over two runs of 1,500 draws per case. The same absolute
-# bound as above covers error and total_error.
+# come out of one larger matmul, its initial scale subtracts the left-out
+# cell from the full sum, and its RMSE comes from the column half-step's
+# sums (gathered, with the left-out cell as an exact zero, where those
+# sums would cancel), so predictions differ from the per-cell refit at
+# rounding level (at most 1.8e-15 relative over 1,500 draws). Ridge and
+# the clique estimates run as block kernels (ridge.ridge_block,
+# cliques.clique_block) over zero-padded stacks and downdated pair sums:
+# at the default lambda they differ from the per-cell references by at
+# most 3.4e-14 relative (ridge and regression), 7.5e-15 (cliques with
+# fallback) and 1.4e-14 (ensemble) over two runs of 1,500 draws per case.
+# The same absolute bound as above covers error and total_error.
 STACKED_RTOL = 1e-12
 INEXACT = {"predicted", "error", "total_error"}
 

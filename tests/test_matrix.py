@@ -99,6 +99,22 @@ class TestPCMatrix:
         m = PCMatrix((("a", "b::c"),), ("C1",), np.ones((1, 1)))
         assert m.row_label(0) == "a::b::c"
 
+    def test_program_id_ending_in_colon_rejected_by_name(self):
+        # ("a:", "b") would be written as a:::b and read back as ("a", ":b")
+        with pytest.raises(ValueError, match=r"row \('a:', 'b'\): program "
+                                             r"id ends in ':'"):
+            PCMatrix((("a:", "b"),), ("x",), [[1.0]])
+        with pytest.raises(ValueError, match=r"program id 'a:' ends in ':'"):
+            Observation("a:", "b", "C1", 1.0)
+
+    def test_colons_round_trip_where_accepted(self, tmp_path):
+        # the ids the rules let through read back as written, colons and all
+        keys = (("a", ":b"), (":a", "b:"), ("a:b", "::"), ("a", "b::c"))
+        m = PCMatrix(keys, ("x",), [[1.0], [2.0], [3.0], [4.0]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, path)
+        assert read_matrix_csv(path).row_keys == keys
+
     def test_nonpositive_cell_rejected(self):
         with pytest.raises(ValueError,
                            match=r"cell \(p0::a0, C2\) holds 0\.0"):
