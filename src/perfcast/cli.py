@@ -24,7 +24,7 @@ from .config import (RunConfig, make_run_config, parse_algorithms,
 from .evaluation import (complete_matrix, leave_one_out, masking_sweep,
                          outlier_sweep, write_reports_csv, write_reports_json)
 from .factorization import model_from_json, model_to_json, rank_machines
-from .jsonfile import write_json
+from .jsonfile import write_json, zip_columns
 from .matrix import (PREDICTION_FLOOR, ROW_KEY_SEP, build_matrix,
                      read_matrix_csv, read_observations_csv, write_matrix_csv)
 from .placement import greedy_place, schedule_batch
@@ -64,6 +64,15 @@ def _report_warnings(reports) -> None:
     for report in reports:
         if report.note and report.note != "leave-one-out":
             _warn(f"fraction {report.fraction}: {report.note}")
+
+
+def _warn_capped(capped: int, fits: int, what: str, cfg: RunConfig) -> None:
+    """Warn once when capped of the fits (ALS `what`) ran all
+    als_max_iters iterations."""
+    if capped:
+        _warn(f"{capped:,} of {fits:,} {what} ran all als_max_iters "
+              f"({cfg.als_max_iters}) iterations; raise als_max_iters or "
+              f"als_tol for fits whose RMSE settles")
 
 
 def _print_report_summary(reports) -> None:
@@ -122,18 +131,21 @@ def cmd_complete(args) -> int:
     completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
     if args.fills_out:
+        # one fill record at a time, from the columns to the file
         write_json({
             "run_config": _echo(cfg, input=args.matrix, output=args.out),
             "seed": cfg.seed,
-            "fills": [{"program": m.row_keys[r][0], "args": m.row_keys[r][1],
+            "fills": ({"program": m.row_keys[r][0], "args": m.row_keys[r][1],
                        "machine": m.col_keys[c], "predicted_seconds": v,
-                       "algorithm": a} for r, c, v, a in zip(
-                rows.tolist(), cols.tolist(),
-                completed.values[rows, cols].tolist(), mechanism)],
+                       "algorithm": a} for r, c, v, a in zip_columns(
+                rows, cols, completed.values[rows, cols], mechanism)),
         }, args.fills_out)
     if args.model_out:
         write_json({"run_config": _echo(cfg, input=args.matrix),
                      "model": model_to_json(model)}, args.model_out)
+    if model is not None and model.config["algorithm"] == "als":
+        _warn_capped(int(len(model.train_rmse_history) == cfg.als_max_iters),
+                     1, "shared ALS fits", cfg)
     print(f"filled {rows.size} missing cells with {cfg.algorithm}; "
           f"wrote {args.out}")
     return 0
@@ -154,11 +166,7 @@ def cmd_evaluate(args) -> int:
     report = leave_one_out(m, cfg, dataset=Path(args.matrix).stem)
     _write_eval_outputs(args, cfg, [report],
                         _echo(cfg, input=args.matrix))
-    capped, refits = report.capped_refits
-    if capped:
-        _warn(f"{capped:,} of {refits:,} ALS refits ran all als_max_iters "
-              f"({cfg.als_max_iters}) iterations; raise als_max_iters or "
-              f"als_tol for fits whose RMSE settles")
+    _warn_capped(*report.capped_fits, "ALS refits", cfg)
     _print_report_summary([report])
     return 0
 
@@ -174,6 +182,9 @@ def cmd_sweep(args) -> int:
     echo["algorithms"] = list(args.algorithms)
     _write_eval_outputs(args, cfg, reports, echo)
     _report_warnings(reports)
+    _warn_capped(sum(r.capped_fits[0] for r in reports),
+                 sum(r.capped_fits[1] for r in reports), "shared ALS fits",
+                 cfg)
     _print_report_summary(reports)
     return 0
 

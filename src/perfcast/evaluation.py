@@ -32,9 +32,10 @@ import numpy as np
 
 from .cliques import build_graph, clique_block, find_cliques
 from .config import Algorithm, CliqueProtocol, RunConfig
-from .factorization import (UnfactorableError, als_fit, als_refits,
-                            predict_cells, predict_refits, svd_fit)
-from .jsonfile import write_json
+from .factorization import (FactorModel, UnfactorableError, als_fit,
+                            als_refits, predict_cells, predict_refits,
+                            svd_fit)
+from .jsonfile import write_json, zip_columns
 from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix, inject_outliers,
                      mask_random)
 from .ridge import ridge_block
@@ -71,9 +72,9 @@ class EvalReport:
     results: tuple[AlgorithmResult, ...]
     config: dict = field(default_factory=dict)
     note: str | None = None
-    # (ALS refits that ran all max_iters iterations, ALS refits); not
-    # serialized
-    capped_refits: tuple[int, int] = (0, 0)
+    # (ALS fits that ran all max_iters iterations, ALS fits): the refits
+    # of leave-one-out, a sweep's shared fits; not serialized
+    capped_fits: tuple[int, int] = (0, 0)
 
 
 def prediction_error(predicted: float, target: float) -> float:
@@ -221,19 +222,21 @@ def _score(maskings, algorithms, cfg: RunConfig):
     predict each masking's cells (rows[i], cols[i]) from its train, and
     pool the covered cells of all maskings, in order, against targets.
     Returns the AlgorithmResults and the (capped, total) tally of the ALS
-    refits, as EvalReport.capped_refits holds it."""
+    fits, as EvalReport.capped_fits holds it."""
     empty = np.empty(0, np.intp)  # index columns stay integers
     scored = {alg: [(empty, empty, np.empty(0), np.empty(0))]
               for alg in algorithms}
     excluded = {alg: [] for alg in algorithms}
     uncovered = dict.fromkeys(algorithms, 0)
-    capped = refits = 0
+    capped = total = 0
     for train, rows, cols, targets in maskings:
         columns, fits = _predict_cells(train, rows, cols, algorithms, cfg)
         iters = fits.get(Algorithm.ALS)
-        if isinstance(iters, np.ndarray):  # refit per cell
+        if isinstance(iters, FactorModel):  # one shared fit
+            iters = np.array([len(iters.train_rmse_history)])
+        if iters is not None:  # 0 where a refit raised
             capped += int((iters == cfg.als_max_iters).sum())
-            refits += int((iters > 0).sum())
+            total += int((iters > 0).sum())
         for alg in algorithms:
             values, _, code, labels = columns[alg]
             ok = ~np.isnan(values)
@@ -247,7 +250,7 @@ def _score(maskings, algorithms, cfg: RunConfig):
             alg.value, rows, cols, predicted, target,
             np.abs(predicted - target) / target, tuple(excluded[alg]),
             uncovered[alg]))
-    return tuple(results), (capped, refits)
+    return tuple(results), (capped, total)
 
 
 def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
@@ -264,7 +267,7 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
     results, capped = _score([(m, rows, cols, m.values[rows, cols])],
                              [Algorithm(cfg.algorithm)], cfg)
     return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
-                      note="leave-one-out", capped_refits=capped)
+                      note="leave-one-out", capped_fits=capped)
 
 
 def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
@@ -294,9 +297,10 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
             maskings, note = [], f"infeasible fraction skipped: {exc}"
         if note is None and not any(rows.size for _, rows, *_ in maskings):
             note = "no held-out cells"
+        results, capped = _score(maskings, algorithms, cfg)
         reports.append(EvalReport(
-            dataset, float(fraction), cfg.seed, cfg.repeats,
-            _score(maskings, algorithms, cfg)[0], dict(config), note))
+            dataset, float(fraction), cfg.seed, cfg.repeats, results,
+            dict(config), note, capped))
     return reports
 
 
@@ -341,10 +345,11 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     mechanism[i] names what produced cell i's value: the clique
     algorithm reports "ridge" for cells it reached only through fallback,
     and the ensemble lists the members that contributed. model is the
-    fitted factorization for als/svd, else None; it is fit even when
-    nothing is missing, since it also ranks machines for programs outside
-    the matrix. The first cell in row-major order that cannot be predicted
-    raises its reason.
+    factorization the completion fit: cfg.algorithm's for als/svd, the
+    als member's for an ensemble that has one, else None; it is fit even
+    when nothing is missing, since it also ranks machines for programs
+    outside the matrix. The first cell in row-major order that cannot be
+    predicted raises its reason.
     """
     algorithm = Algorithm(cfg.algorithm)
     rows, cols = np.nonzero(~m.present_mask)
@@ -355,6 +360,8 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     vals = np.array(m.values)
     vals[rows, cols] = values
     mechanism = [labels[k][0] for k in code.tolist()]
+    if algorithm is Algorithm.ENSEMBLE:
+        algorithm = Algorithm.ALS
     return m.with_values(vals), (rows, cols, mechanism), fits.get(algorithm)
 
 
@@ -362,30 +369,38 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def report_to_json(report: EvalReport) -> dict:
-    results = []
-    for res in report.results:
-        cells = []
-        for row, col, predicted, target, error, excluded in zip(
-                res.rows.tolist(), res.cols.tolist(), res.predicted.tolist(),
-                res.target.tolist(), res.error.tolist(), res.excluded):
-            cell = {"row": row, "col": col, "predicted": predicted,
-                    "target": target, "error": error,
-                    "algorithm": res.algorithm}
-            if excluded:
-                cell["excluded"] = list(excluded)
-            cells.append(cell)
-        results.append({"algorithm": res.algorithm,
-                        "total_error": res.total_error,
-                        "n_cells": len(cells),
-                        "n_uncovered": res.n_uncovered, "cells": cells})
+def _cells(res: AlgorithmResult):
+    """res's scored cells as report records, one at a time."""
+    for row, col, predicted, target, error, excluded in zip_columns(
+            res.rows, res.cols, res.predicted, res.target, res.error,
+            res.excluded):
+        cell = {"row": row, "col": col, "predicted": predicted,
+                "target": target, "error": error, "algorithm": res.algorithm}
+        if excluded:
+            cell["excluded"] = list(excluded)
+        yield cell
+
+
+def _report_record(report: EvalReport, cells) -> dict:
+    """The report's JSON record, each result's cells as cells(result)
+    gives them."""
+    results = [{"algorithm": res.algorithm, "total_error": res.total_error,
+                "n_cells": res.rows.size, "n_uncovered": res.n_uncovered,
+                "cells": cells(res)} for res in report.results]
     return {"dataset": report.dataset, "fraction": report.fraction,
             "seed": report.seed, "repeats": report.repeats,
             "note": report.note, "config": report.config, "results": results}
 
 
+def report_to_json(report: EvalReport) -> dict:
+    return _report_record(report, lambda res: list(_cells(res)))
+
+
 def write_reports_json(reports, path, extra: dict | None = None) -> None:
-    payload = {"reports": [report_to_json(r) for r in reports]}
+    """Write the reports' JSON records (report_to_json) to path, with
+    extra's keys beside "reports". The cells go to the file one record at
+    a time and are never held as a list."""
+    payload = {"reports": (_report_record(r, _cells) for r in reports)}
     if extra:
         payload.update(extra)
     write_json(payload, path)

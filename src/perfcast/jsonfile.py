@@ -11,6 +11,11 @@ rendered, once per file, and the common scalars are rendered inline.
 Output goes to the file a bounded chunk at a time as list elements are
 rendered, so the document is never held whole as a string.
 
+An iterator (a generator, say) is written as the list it yields, one
+element at a time as it yields them, so a long list of records need
+never exist whole: `zip_columns` yields records' fields from columns,
+converting a bounded slice of each at a time.
+
 Like the stdlib, an unserializable value (a set, a numpy integer) raises
 TypeError. Unlike it, so does a key that is not a str; the stdlib would
 convert int, float, bool and None keys.
@@ -18,10 +23,12 @@ convert int, float, bool and None keys.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 
 _FLUSH = 256  # pending pieces after which a list element writes them out
+_SLICE = 1024  # entries per column that zip_columns converts at a time
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -89,12 +96,9 @@ def write_json(payload, path) -> None:
                         append(head)
                         value(v, inner)
                 append(close)
-            elif isinstance(o, (list, tuple)):
-                if not o:
-                    append("[]")
-                    return
+            elif isinstance(o, (list, tuple, Iterator)):
                 inner = nl + "  "
-                sep = "[" + inner
+                sep = first = "[" + inner
                 for item in o:
                     append(sep)
                     sep = "," + inner
@@ -102,7 +106,7 @@ def write_json(payload, path) -> None:
                     if len(parts) > _FLUSH:
                         fh.write("".join(parts))
                         parts.clear()
-                append(nl + "]")
+                append("[]" if sep is first else nl + "]")
             else:
                 s = _scalar(o)
                 if s is None:
@@ -113,3 +117,13 @@ def write_json(payload, path) -> None:
         value(payload, "\n")
         append("\n")
         fh.write("".join(parts))
+
+
+def zip_columns(*columns):
+    """zip(*columns), with each column sliced _SLICE entries at a time
+    and a numpy slice turned into Python objects (tolist), so that a long
+    column is never held whole as Python objects."""
+    for lo in range(0, len(columns[0]), _SLICE):
+        parts = [c[lo:lo + _SLICE] for c in columns]
+        yield from zip(*(p.tolist() if hasattr(p, "tolist") else p
+                         for p in parts))

@@ -9,13 +9,17 @@ trainable on sparse data.
 `ridge_block` predicts a block of cells per call and returns arrays: the
 values, NaN where a cell is uncovered, and the reasons for the uncovered
 cells. Which features a cell keeps and which rows train it follow from
-the presence mask alone: one matmul counts the co-observations of every
-column pair, which fix each cell's drop order, and one matmul over the
-cells gives the drops after which each row can train each cell. The
-cells' systems are then solved as zero-padded stacks: primal where a cell
-has no more features than training rows, dual otherwise. The cells run
-a bounded number at a time, so memory does not grow with the block; only
-the cells left without a solve take the column mean, one at a time.
+the presence mask alone. One matmul counts the co-observations of every
+column pair, and one stable sort of each column's counts gives that
+column's drop order: a cell drops its features in its target column's
+order, since leaving an observed target cell out lowers the count of
+every feature of its row by one. A matmul over the cells then gives the
+drops after which each row can train each cell. The cells pass through
+this shrink step a bounded number at a time, each keeping only the
+indices of its kept features and training rows; the systems of the whole
+block are then solved as zero-padded stacks of similar shape: primal
+where a cell has no more features than training rows, dual otherwise.
+Only the cells left without a solve take the column mean, one at a time.
 `ridge_predict` is the block of one.
 """
 
@@ -47,11 +51,10 @@ class RidgeConfig:
 
 
 # Distinct powers of two up to 2**51 sum exactly in a float64, so one
-# matmul finds the highest drop position among 52 of them.
+# matmul finds the highest drop rank among 52 of them.
 _WINDOW = 52
-_POW2 = 2.0 ** np.arange(_WINDOW)
 # Most padded training values (cells x rows x features) in one stacked solve.
-_STACK = 2**13
+_STACK = 2**12
 # Most (cells x rows) entries that one pass of the shrink step holds.
 _SPAN = 2**13
 
@@ -80,17 +83,15 @@ def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
     why."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    present = m.present_mask.astype(float)
-    co_observed = present.T @ present  # rows observing both columns
-    lacks = 1.0 - present.T  # lacks[f, r]: row r does not observe column f
-    values = np.full(rows.size, np.nan)
-    # The cells run as many at a time as keep their (cells x rows) arrays
-    # within _SPAN entries, so the memory does not grow with the block.
-    step = max(1, _SPAN // m.n_rows)
-    for start in range(0, rows.size, step):
-        part = slice(start, start + step)
-        _predict(m, co_observed, lacks, rows[part], cols[part], cfg,
-                 values[part])
+    # A cell's candidate rows exclude its own row, so with no more rows
+    # than min_training_rows no cell trains.
+    if rows.size and m.n_rows > cfg.min_training_rows:
+        values = _solve(m.values, rows, cols,
+                        *_shrink(m.present_mask, rows, cols,
+                                 cfg.min_training_rows), cfg.lam)
+        np.maximum(values, PREDICTION_FLOOR, out=values)
+    else:
+        values = np.full(rows.size, np.nan)
     # A cell with no solve takes the target column's mean without the
     # target row.
     reasons = {}
@@ -107,69 +108,83 @@ def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
     return values, reasons
 
 
-def _predict(m, co_observed, lacks, rows, cols, cfg, out):
-    """Solve one span of cells into out, leaving the cells that no
-    feature set trains untouched."""
-    mask = m.present_mask
-    cells = np.arange(rows.size)
-    features = mask[rows]
-    seen = features[cells, cols]  # the target cell, as in leave-one-out
-    features[cells, cols] = False
-    # The candidate rows are the target column's other rows. A feature's
-    # co-observations with the target column over them: the target row no
-    # longer counts where it observed both.
-    candidates = mask[:, cols].T.copy()
-    candidates[cells, rows] = False
-    co_counts = co_observed[cols] - (features & seen[:, None])
-    trainable = np.flatnonzero(
-        features.any(axis=1)
-        & (candidates.sum(axis=1) >= cfg.min_training_rows))
-    if trainable.size:
-        kept, train = _shrink(lacks, features[trainable],
-                              candidates[trainable], co_counts[trainable],
-                              cfg.min_training_rows)
-        some = kept.any(axis=1)
-        solved = trainable[some]
-        preds = _solve(m.values, rows[solved], cols[solved], kept[some],
-                       train[some], cfg.lam)
-        out[solved] = np.maximum(preds, PREDICTION_FLOOR)
+def _drop_ranks(co_observed):
+    """rank[c, f]: where feature f falls in target column c's drop order,
+    fewest co-observations with c first, ties to the lower column index.
+
+    A cell drops its features in this order whether or not it holds an
+    observation: leaving the target cell out lowers the count of every
+    feature of its row by one, which keeps their order."""
+    order = np.argsort(co_observed, axis=1, kind="stable")
+    return np.argsort(order, axis=1)
 
 
-def _shrink(lacks, features, candidates, co_counts, min_rows):
-    """Each cell's kept features and training rows, as (cells x columns)
-    and (cells x rows) masks: features are dropped fewest co-observations
-    with the target column first (ties to the lower column index) until
-    min_rows candidate rows observe every kept feature. A cell that would
-    have to drop every feature keeps none. lacks[f, r] is 1 where row r
-    does not observe column f, else 0."""
-    n_cols, n_rows = lacks.shape
-    # The drop order is fixed up front: co-observation counts between a
-    # feature and the target column do not depend on which features remain.
-    # Columns that are not features sort last.
-    counts = np.where(features, co_counts.astype(np.int64), n_rows + 1)
-    columns = np.broadcast_to(np.arange(n_cols), counts.shape)
-    order = np.lexsort((columns, counts), axis=1)
-    drop_pos = np.empty_like(order)
-    np.put_along_axis(drop_pos, order, np.arange(n_cols), axis=1)
+def _shrink(mask, rows, cols, min_rows):
+    """Each cell's kept features and training rows: features are dropped
+    in the target column's order (_drop_ranks) until min_rows candidate
+    rows, the target column's other rows, observe every kept feature. A
+    cell that would have to drop every feature keeps none.
 
-    steps = _steps(lacks, features, drop_pos)
-    np.copyto(steps, n_cols, where=~candidates)  # never a training row
-    s = np.sort(steps, axis=1)[:, min_rows - 1:min_rows]
-    return features & (drop_pos >= s), steps <= s
+    Returns (n, k, train, kept): each cell's numbers of training rows and
+    kept features, both 0 for a cell that keeps none, and those rows' and
+    features' indices, each cell's in order, concatenated. The cells
+    pass as many at a time as keep their (cells x rows) arrays within
+    _SPAN entries; what each keeps is its index lists."""
+    present = mask.astype(float)
+    rank = _drop_ranks(present.T @ present)
+    lacks = 1.0 - present.T  # lacks[f, r]: row r does not observe f
+    index = np.min_scalar_type(max(mask.shape))
+    row_index = np.arange(mask.shape[0], dtype=index)
+    col_index = np.arange(mask.shape[1], dtype=index)
+    n = np.zeros(rows.size, dtype=index)
+    k = np.zeros(rows.size, dtype=index)
+    train, kept = [], []
+    step = max(1, _SPAN // mask.shape[0])
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        span_train, span_kept = _shrink_span(mask, lacks, rank, rows[part],
+                                             cols[part], min_rows)
+        n[part] = span_train.sum(axis=1)
+        k[part] = span_kept.sum(axis=1)
+        train.append(np.broadcast_to(row_index, span_train.shape)[span_train])
+        kept.append(np.broadcast_to(col_index, span_kept.shape)[span_kept])
+    return n, k, np.concatenate(train), np.concatenate(kept)
 
 
-def _steps(lacks, features, drop_pos):
-    """steps[c, r]: the drops after which row r observes every feature
-    cell c keeps, i.e. 1 + the highest drop position among the cell's
-    features that the row lacks (0 when it lacks none). Within a window
-    that position is the exponent of a sum of distinct powers of two, and
-    later windows outrank earlier ones."""
-    steps = np.zeros((features.shape[0], lacks.shape[1]), dtype=np.int64)
-    for lo in range(0, int(features.sum(axis=1).max()), _WINDOW):
-        pos = drop_pos - lo
-        in_window = features & (pos >= 0) & (pos < _WINDOW)
-        powers = np.where(in_window, _POW2[np.clip(pos, 0, _WINDOW - 1)], 0.0)
-        sums = powers @ lacks
+def _shrink_span(mask, lacks, rank, rows, cols, min_rows):
+    """_shrink for one span of cells, as (cells x rows) and (cells x
+    columns) masks of the training rows and kept features."""
+    n_cols = rank.shape[0]
+    span = np.arange(rows.size)
+    # A training row must observe the target column as well as the kept
+    # features. The target column ranks n_cols, past every feature, so it
+    # is never dropped: a row that lacks it needs n_cols + 1 drops, more
+    # than there are, and so does the target row.
+    required = mask[rows]
+    required[span, cols] = True
+    drop = rank[cols]
+    drop[span, cols] = n_cols
+    steps = _steps(lacks, required, drop)
+    steps[span, rows] = n_cols + 1
+    # s drops leave min_rows training rows. With fewer candidate rows, s
+    # is n_cols + 1 and the cell keeps no feature.
+    s = np.partition(steps, min_rows - 1, axis=1)[:, min_rows - 1:min_rows]
+    kept = required & (drop >= s)
+    kept[span, cols] = False
+    return (steps <= s) & kept.any(axis=1, keepdims=True), kept
+
+
+def _steps(lacks, required, drop):
+    """steps[c, r]: the drops after which row r observes every column
+    cell c requires, i.e. 1 + the highest drop rank among those columns
+    that the row lacks (0 when it lacks none). Within a window that rank
+    is the exponent of a sum of distinct powers of two, and later
+    windows outrank earlier ones."""
+    steps = np.zeros((required.shape[0], lacks.shape[1]), dtype=np.int64)
+    for lo in range(0, lacks.shape[0] + 1, _WINDOW):  # ranks 0..n_cols
+        pos = drop - lo
+        in_window = required & (pos >= 0) & (pos < _WINDOW)
+        sums = np.ldexp(in_window, pos, dtype=float) @ lacks
         # Such a sum stores 1023 + its highest position as its biased
         # exponent (bits 52 up; a sum is never negative), and 0 stores 0.
         top = sums.view(np.int64) >> 52
@@ -178,21 +193,25 @@ def _steps(lacks, features, drop_pos):
     return steps
 
 
-def _solve(values, rows, cols, kept, train, lam):
+def _solve(values, rows, cols, n, k, train, kept, lam):
     """Predict each cell from its kept features over its training rows:
     ridge with an unpenalized intercept on standardized features, in the
     primal (features x features) form when a cell has no more features
     than training rows and the dual (rows x rows) form otherwise; both are
-    the same estimator. Returns the predictions before the floor."""
-    n = train.sum(axis=1)
-    k = kept.sum(axis=1)
-    preds = np.empty(rows.size)
-    for form, dual in [(k <= n, False), (k > n, True)]:
+    the same estimator. Cell i's training rows are its n[i] entries of
+    train and its features its k[i] entries of kept; a cell with no
+    features is not solved. Returns the predictions before the floor,
+    NaN where there is none."""
+    train_at = np.cumsum(n, dtype=np.intp) - n
+    kept_at = np.cumsum(k, dtype=np.intp) - k
+    preds = np.full(rows.size, np.nan)
+    for form, dual in [((k > 0) & (k <= n), False), (k > n, True)]:
         group = np.flatnonzero(form)
         for part in _stacks(group, n[group], k[group]):
-            preds[part] = _solve_stack(values, rows[part], cols[part],
-                                       kept[part], train[part], n[part],
-                                       k[part], lam, dual)
+            preds[part] = _solve_stack(
+                values, rows[part], cols[part],
+                *_padded(train, train_at[part], n[part]),
+                *_padded(kept, kept_at[part], k[part]), lam, dual)
     return preds
 
 
@@ -210,40 +229,39 @@ def _stacks(cells, n, k):
         start = stop
 
 
-def _indices(chosen, real):
-    """Each cell's chosen indices in order, padded with 0 to real's width
-    (real marks the entries that hold one)."""
-    out = np.zeros(real.shape, dtype=np.intp)
-    out[real] = np.nonzero(chosen)[1]
-    return out
+def _padded(flat, at, count):
+    """Each cell's count[i] entries of flat from at[i] on, padded with 0
+    to the widest, and the mask of the real entries."""
+    real = np.arange(count.max()) < count[:, None]
+    index = np.where(real, at[:, None] + np.arange(count.max()), 0)
+    return np.where(real, flat[index], 0), real
 
 
-def _solve_stack(values, rows, cols, kept, train, n, k, lam, dual):
+def _solve_stack(values, rows, cols, r_idx, real_r, c_idx, real_c, lam,
+                 dual):
     # Each cell's training rows, then its kept features, in index order;
     # the padding past n and k is zero and adds nothing to any sum.
-    real_r = np.arange(n.max()) < n[:, None]
-    real_c = np.arange(k.max()) < k[:, None]
-    r_idx = _indices(train, real_r)
-    c_idx = _indices(kept, real_c)
-    X = np.where(real_r[:, :, None] & real_c[:, None, :],
-                 values[r_idx[:, :, None], c_idx[:, None, :]], 0.0)
+    X = values[r_idx[:, :, None], c_idx[:, None, :]]
+    np.copyto(X, 0.0, where=~(real_r[:, :, None] & real_c[:, None, :]))
     y = np.where(real_r, values[r_idx, cols[:, None]], 0.0)
     x0 = np.where(real_c, values[rows[:, None], c_idx], 0.0)
 
-    # Standardize over the real rows only.
+    # Standardize over the real rows only, in place.
+    n = real_r.sum(axis=1)
     count = n[:, None].astype(float)
     mu = X.sum(axis=1) / count
-    Xc = np.where(real_r[:, :, None], X - mu[:, None, :], 0.0)
-    sd = np.sqrt((Xc * Xc).sum(axis=1) / count)
+    X -= mu[:, None, :]
+    np.copyto(X, 0.0, where=~real_r[:, :, None])
+    sd = np.sqrt((X * X).sum(axis=1) / count)
     sd[sd == 0] = 1.0
-    Xs = Xc / sd[:, None, :]
+    X /= sd[:, None, :]
     z0 = (x0 - mu) / sd
     ybar = y.sum(axis=1) / n
     yc = np.where(real_r, y - ybar[:, None], 0.0)[:, :, None]
 
-    Xt = Xs.transpose(0, 2, 1)
+    Xt = X.transpose(0, 2, 1)
     if dual:
-        w = Xt @ np.linalg.solve(Xs @ Xt + lam * np.eye(Xs.shape[1]), yc)
+        w = Xt @ np.linalg.solve(X @ Xt + lam * np.eye(X.shape[1]), yc)
     else:
-        w = np.linalg.solve(Xt @ Xs + lam * np.eye(Xs.shape[2]), Xt @ yc)
+        w = np.linalg.solve(Xt @ X + lam * np.eye(X.shape[2]), Xt @ yc)
     return ybar + (z0[:, None, :] @ w)[:, 0, 0]

@@ -1,9 +1,11 @@
 """Reference ridge: the per-cell regression that the block kernel replaced.
 
 This is the earlier ``perfcast.ridge.ridge_predict`` with its
-``_solve_standardized``, kept unchanged as the oracle that
+``_solve_standardized``, kept as the oracle that
 ``perfcast.ridge.ridge_block`` is tested against: one cell per call, one
-``np.ix_`` gather and one small solve.
+``np.ix_`` gather and one small solve. Its per-cell drop order is
+``drop_positions``, which the block kernel's per-column drop ranks are
+tested against.
 """
 
 import numpy as np
@@ -29,6 +31,17 @@ def _solve_standardized(X, y, x0, lam):
         return float(ybar + z0 @ w)
     alpha = np.linalg.solve(Xs @ Xs.T + lam * np.eye(n), yc)
     return float(ybar + z0 @ (Xs.T @ alpha))
+
+
+def drop_positions(mask, features, candidates):
+    """Each feature's position in a cell's drop order: fewest
+    co-observations with the target column over the candidate rows
+    first, ties to the lower column index."""
+    co_counts = mask[np.ix_(candidates, features)].sum(axis=0)
+    drop_order = np.lexsort((features, co_counts))
+    drop_pos = np.empty(features.size, dtype=int)
+    drop_pos[drop_order] = np.arange(features.size)
+    return drop_pos
 
 
 def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> float:
@@ -69,10 +82,7 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
     # Shrink order is fixed up front: co-observation counts between a
     # feature and the target column do not depend on which features remain.
     cand_feat = mask[np.ix_(candidates, features)]
-    co_counts = cand_feat.sum(axis=0)
-    drop_order = np.lexsort((features, co_counts))
-    drop_pos = np.empty(features.size, dtype=int)
-    drop_pos[drop_order] = np.arange(features.size)
+    drop_pos = drop_positions(mask, features, candidates)
 
     # A candidate row becomes usable once every feature it lacks is dropped.
     steps_needed = np.where(~cand_feat, drop_pos[None, :] + 1, 0).max(axis=1)

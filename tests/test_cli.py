@@ -205,6 +205,38 @@ class TestEvaluate:
         assert capsys.readouterr().err == ""
 
 
+SHARED_FITS = [
+    ["complete", "--out", "done.csv", "--fills-out", "fills.json"],
+    ["sweep", "--algorithms", "als,svd,ensemble", "--fractions", "10,30",
+     "--repeats", "2", "--out-json", "r.json"],
+]
+
+
+@pytest.mark.parametrize("argv", SHARED_FITS, ids=["complete", "sweep"])
+def test_shared_fits_at_the_iteration_cap_warn_once(matrix_csv, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    argv):
+    # one iteration never meets tol: the default ensemble's ALS fit, and
+    # each of the sweep's four maskings' fits, stop at the cap
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(matrix_csv), *argv[1:],
+                 "--als-max-iters", "1"]) == 0
+    fits = 1 if argv[0] == "complete" else 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {fits} of {fits} shared ALS fits ran all als_max_iters "
+        f"(1) iterations; raise als_max_iters or als_tol for fits whose "
+        f"RMSE settles"]
+
+
+@pytest.mark.parametrize("argv", SHARED_FITS, ids=["complete", "sweep"])
+def test_shared_fits_that_settle_do_not_warn(matrix_csv, tmp_path,
+                                             monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(matrix_csv), *argv[1:],
+                 "--als-tol", "0.01"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestSweep:
     def test_percent_fractions_make_points(self, matrix_csv, tmp_path):
         out_csv = tmp_path / "s.csv"
@@ -405,6 +437,16 @@ def test_json_files_are_the_stdlib_rendering(matrix_csv, tmp_path,
     assert main([argv[0], str(matrix_csv), *argv[1:]]) == 0
     (written,) = tmp_path.glob("*.json")
     assert_stdlib_rendering(written)
+
+
+def test_empty_fill_log_is_the_stdlib_rendering(tmp_path):
+    m, _, _ = planted_rank1(5, 4, seed=2)
+    src, fills = tmp_path / "full.csv", tmp_path / "fills.json"
+    write_matrix_csv(m, src)
+    assert main(["complete", str(src), "--out", str(tmp_path / "done.csv"),
+                 "--fills-out", str(fills)]) == 0
+    assert json.loads(fills.read_text())["fills"] == []
+    assert_stdlib_rendering(fills)
 
 
 def test_model_file_is_the_stdlib_rendering_and_ranks(matrix_csv, tmp_path,

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,8 +435,11 @@ class TestCompleteMatrix:
         masked, _ = mask_random(m, MaskSpec(0.2, 18))
         _, (_, _, mechanism), model = complete_matrix(masked, small_cfg(
             algorithm="ensemble"))
-        assert model is None
+        assert model.config["algorithm"] == "als"  # the als member's fit
         assert all(a.startswith("ensemble:") for a in mechanism)
+        _, _, model = complete_matrix(masked, small_cfg(
+            algorithm="ensemble", ensemble=("ridge", "cliques")))
+        assert model is None
 
     def test_ensemble_mechanisms_are_shared(self):
         # One string per distinct set of contributing members, not one
@@ -485,4 +489,41 @@ class TestReportFiles:
         write_reports_json(self.make_reports(), a)
         write_reports_json(self.make_reports(), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_file_holds_report_to_json(self, tmp_path):
+        # the streamed file is the stdlib rendering of report_to_json's
+        # records, an ensemble's excluded lists and a result with no
+        # cells included
+        m, _, _ = planted_rank1(7, 5, seed=19)
+        reports = masking_sweep(m, ["ridge", "ensemble"], small_cfg(
+            fractions=(0.0, 0.3), repeats=2, seed=11,
+            ensemble=("ridge", "als")))
+        assert reports[0].results[0].rows.size == 0
+        path = tmp_path / "r.json"
+        write_reports_json(reports, path, extra={"seed": 11})
+        want = {"reports": [report_to_json(r) for r in reports], "seed": 11}
+        assert path.read_text() == json.dumps(want, indent=2,
+                                              sort_keys=True) + "\n"
+
+    def test_json_cells_are_not_held_as_a_list(self, tmp_path):
+        # 10,000 cells: the records held as a list take about 4 MB, and
+        # the file is written one record at a time
+        n = 10_000
+        rng = np.random.default_rng(0)
+        result = evaluation.AlgorithmResult(
+            "ensemble", np.arange(n) // 40, np.arange(n) % 40,
+            rng.uniform(1, 2, n), rng.uniform(1, 2, n), rng.uniform(0, 1, n),
+            (("als",),) * n, 0)
+        report = evaluation.EvalReport("d", 0.0, 0, 1, (result,))
+        tracemalloc.start()
+        try:
+            write_reports_json([report], tmp_path / "r.json")
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            records = report_to_json(report)
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records["results"][0]["cells"]) == n
+        assert streamed < held / 5
 

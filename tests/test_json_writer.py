@@ -91,6 +91,43 @@ def test_report_shaped_payload_matches_the_stdlib(out_dir, payload):
     assert_same_bytes(payload, out_dir)
 
 
+def as_iterators(payload):
+    """payload with every list and tuple turned into a generator."""
+    if isinstance(payload, dict):
+        return {k: as_iterators(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return (as_iterators(v) for v in payload)
+    return payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(payloads, reports))
+def test_iterators_are_written_as_the_lists_they_yield(out_dir, payload):
+    write_json(as_iterators(payload), out_dir / "got.json")
+    assert ((out_dir / "got.json").read_bytes()
+            == oracle_bytes(payload, out_dir / "want.json"))
+
+
+def test_empty_iterators(out_dir):
+    payload = {"a": iter(()), "b": (x for x in []), "c": [iter([])],
+               "d": map(str, [1, 2])}
+    write_json(payload, out_dir / "got.json")
+    assert ((out_dir / "got.json").read_bytes() == oracle_bytes(
+        {"a": [], "b": [], "c": [[]], "d": ["1", "2"]},
+        out_dir / "want.json"))
+
+
+def test_zip_columns_slices_long_columns(monkeypatch):
+    monkeypatch.setattr(jsonfile, "_SLICE", 3)
+    ints = np.arange(8)
+    floats = np.linspace(0.1, 0.8, 8)
+    names = [f"n{i}" for i in range(8)]
+    got = list(jsonfile.zip_columns(ints, floats, names, tuple(names)))
+    assert got == list(zip(ints.tolist(), floats.tolist(), names, names))
+    assert all(type(a) is int and type(b) is float for a, b, *_ in got)
+    assert list(jsonfile.zip_columns(np.empty(0), [])) == []
+
+
 @pytest.mark.parametrize("payload", [
     {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], [{}]],
     {"x": [True, 1, False, 0, None, 1.0, 0.0, -0.0]},

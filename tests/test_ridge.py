@@ -1,9 +1,11 @@
 """Ridge regression baseline: per cell and as a block kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import ridge_reference
-from conftest import grid, sparse_matrices
+from conftest import grid, sparse_matrix, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +157,7 @@ class TestInvariants:
 # ridge_block against the per-cell reference, by lambda. Measured over
 # two runs of 1,000 draws of sparse_matrices(12, 8, 0.6) per lambda, with
 # min_training_rows 2-5, every cell (observed and missing) of each draw:
-# at most 8.5e-16 relative at lambda 10, 2.2e-12 at 1e-2 and 1.6e-9 at
+# at most 7.1e-16 relative at lambda 10, 1.9e-12 at 1e-2 and 8.3e-10 at
 # 1e-6. Coverage, the fallbacks and every NoBasisError message matched
 # exactly.
 RTOL = {10.0: 1e-13, 1e-2: 1e-10, 1e-6: 1e-8}
@@ -221,6 +223,19 @@ class TestBlockKernel:
         # shapes, gives every cell the reference's answer
         monkeypatch.setattr(ridge, "_SPAN", span)
         monkeypatch.setattr(ridge, "_STACK", stack)
+        spans, stacks = [], []
+        real_span, real_stack = ridge._shrink_span, ridge._solve_stack
+
+        def shrink_span(mask, lacks, rank, rows, *rest):
+            spans.append(rows.size)
+            return real_span(mask, lacks, rank, rows, *rest)
+
+        def solve_stack(values, rows, cols, r_idx, real_r, c_idx, *rest):
+            stacks.append(r_idx.shape + c_idx.shape[1:])
+            return real_stack(values, rows, cols, r_idx, real_r, c_idx, *rest)
+
+        monkeypatch.setattr(ridge, "_shrink_span", shrink_span)
+        monkeypatch.setattr(ridge, "_solve_stack", solve_stack)
         rng = np.random.default_rng(7)
         values = np.outer(rng.uniform(1, 10, 30), rng.uniform(0.5, 4, 8))
         values *= rng.uniform(0.5, 1.0, values.shape)
@@ -229,7 +244,66 @@ class TestBlockKernel:
         m = grid(values.tolist())
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
         assert_block_matches_reference(m, rows, cols, RidgeConfig(lam, 3))
+        # _SPAN bounds each span's (cells x rows) entries, and _STACK each
+        # stack's padded training values, unless one cell stands alone
+        assert len(spans) > 1 and max(spans) == max(1, span // 30)
+        assert len(stacks) > 1
+        assert all(c * n * k <= stack or c == 1 for c, n, k in stacks)
+
+    @pytest.mark.parametrize("span,stack", [(None, None), (16, 60)])
+    def test_shuffled_cells_of_many_columns(self, monkeypatch, span, stack):
+        # observed and missing cells of six target columns, in a shuffled
+        # order: every cell gets the reference's answer in the caller's
+        # order, however the spans and stacks group them
+        if span:
+            monkeypatch.setattr(ridge, "_SPAN", span)
+            monkeypatch.setattr(ridge, "_STACK", stack)
+        rng = np.random.default_rng(11)
+        values = np.outer(rng.uniform(1, 10, 40), rng.uniform(0.5, 4, 9))
+        values *= rng.uniform(0.6, 1.0, values.shape)
+        values[rng.random(values.shape) < 0.45] = np.nan
+        m = grid(values.tolist())
+        rows, cols = np.nonzero(np.isin(np.arange(9), [0, 2, 3, 5, 7, 8])
+                                & np.ones((40, 1), dtype=bool))
+        order = rng.permutation(rows.size)
+        rows, cols = rows[order], cols[order]
+        seen = m.present_mask[rows, cols]
+        assert seen[:40].any() and not seen[:40].all()
+        assert np.unique(cols[:20]).size >= 5
+        assert_block_matches_reference(m, rows, cols, RidgeConfig(1e-2, 3))
+
+    def test_memory_stays_bounded(self):
+        # the shrink step's spans and the solve's stacks bound the
+        # temporaries: about 7,000 missing cells of a 300 x 40 matrix
+        m = sparse_matrix((300, 40), 0.4, seed=3, rank=2)
+        rows, cols = np.nonzero(~m.present_mask)
+        assert rows.size > 6900
+        tracemalloc.start()
+        try:
+            values, reasons = ridge_block(m, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not reasons and not np.isnan(values).any()
+        assert peak < 1_000_000
 
     def test_empty_block(self):
         values, reasons = ridge_block(linear_two_columns(), [], [])
         assert values.shape == (0,) and reasons == {}
+
+
+@given(m=sparse_matrices(max_rows=12, max_cols=8, max_holes=0.6))
+@settings(max_examples=150, deadline=None)
+def test_drop_ranks_order_each_cell_as_the_reference(m):
+    # one table of per-column ranks orders every cell's features as the
+    # reference orders them for that cell, observed or missing
+    mask = m.present_mask
+    present = mask.astype(float)
+    rank = ridge._drop_ranks(present.T @ present)
+    for row, col in np.ndindex(mask.shape):
+        features = np.flatnonzero(mask[row] & (np.arange(m.n_cols) != col))
+        candidates = np.flatnonzero(mask[:, col] & (np.arange(m.n_rows) != row))
+        want = ridge_reference.drop_positions(mask, features, candidates)
+        got = rank[col, features]
+        assert np.array_equal(features[np.argsort(got)],
+                              features[np.argsort(want)])
