@@ -9,12 +9,17 @@ into --out-dir:
   sweep.json / sweep.csv  masking sweep over --fractions
   outliers.json / .csv    same sweep with corrupted training cells
 
+Each JSON file states the settings once, under "run_config". A sweep's
+"algorithms" list takes the place of "algorithm", and loo.json's "runs"
+lists each report's (algorithm, protocol) in report order in place of
+"algorithm" and "protocol".
+
 The printed summary has one line per (experiment, fraction, algorithm).
 """
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from perfcast import (Algorithm, CliqueProtocol, RunConfig, density,
@@ -27,7 +32,7 @@ from perfcast.config import (parse_algorithms, parse_percent,
 
 def summarize(tag: str, reports) -> None:
     for report in reports:
-        if report.note and report.note != "leave-one-out":
+        if report.note:
             print(f"{tag:9s} fraction={report.fraction:<5g} "
                   f"note: {report.note}")
         for res in report.results:
@@ -59,39 +64,47 @@ def main(argv=None) -> int:
     cfg = RunConfig(fractions=args.fractions, repeats=args.repeats,
                     seed=args.seed, outlier_fraction=args.outlier_fraction)
     m = read_matrix_csv(args.matrix)
-    dataset = Path(args.matrix).stem
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{m.n_rows}x{m.n_cols} matrix, {m.count_present} cells, "
           f"density {density(m):.2f}")
 
     # 1. leave-one-out; the clique predictor is scored under each protocol
-    loo_reports = []
+    loo_reports, runs = [], []
     for algorithm in args.algorithms:
         cliques = algorithm == Algorithm.CLIQUES
         protocols = ([p.value for p in CliqueProtocol] if cliques
                      else [cfg.protocol])
         for protocol in protocols:
             report = leave_one_out(m, replace(cfg, algorithm=algorithm,
-                                              protocol=protocol), dataset)
+                                              protocol=protocol))
             loo_reports.append(report)
+            runs.append({"algorithm": algorithm, "protocol": protocol})
             label = f"{algorithm}[{protocol}]" if cliques else algorithm
             res = report.results[0]
             total = ("n/a" if res.total_error is None
                      else f"{res.total_error:.4f}")
             print(f"loo       {label:32s} error={total:8s} "
                   f"uncovered={res.n_uncovered}")
-    write_reports_json(loo_reports, out_dir / "loo.json")
+    # each file states the settings once; runs, and the sweeps'
+    # algorithms, name what each report ran
+    run_config = asdict(cfg)
+    del run_config["algorithm"]
+    loo_config = {**run_config, "runs": runs}
+    del loo_config["protocol"]
+    write_reports_json(loo_reports, out_dir / "loo.json", loo_config)
 
     # 2. masking sweep
-    sweep_reports = masking_sweep(m, args.algorithms, cfg, dataset)
-    write_reports_json(sweep_reports, out_dir / "sweep.json")
+    run_config["algorithms"] = list(args.algorithms)
+    sweep_reports = masking_sweep(m, args.algorithms, cfg)
+    write_reports_json(sweep_reports, out_dir / "sweep.json", run_config)
     write_reports_csv(sweep_reports, out_dir / "sweep.csv")
     summarize("sweep", sweep_reports)
 
     # 3. outlier sweep, same fractions, corrupted training cells
-    outlier_reports = outlier_sweep(m, args.algorithms, cfg, dataset)
-    write_reports_json(outlier_reports, out_dir / "outliers.json")
+    outlier_reports = outlier_sweep(m, args.algorithms, cfg)
+    write_reports_json(outlier_reports, out_dir / "outliers.json",
+                       run_config)
     write_reports_csv(outlier_reports, out_dir / "outliers.csv")
     summarize("outliers", outlier_reports)
 

@@ -6,6 +6,12 @@ the results (machine ranking, program placement). Every tunable can come
 from a key=value config file (--config); explicit flags win over the file.
 Percent-valued flags (--fractions, --outlier-fraction) are percentages.
 
+Each JSON file written (report, fill log, model) states the run's
+settings once, under `run_config`: every `RunConfig` field and the input
+path (the fill log adds its completed CSV). A report adds the `command`
+that made it (`evaluate`, `sweep` or `outliers`), and a sweep's
+`algorithms` list takes the place of `algorithm`.
+
 Warnings go to stderr and leave the exit status at 0; errors print to
 stderr and exit 1 (argparse usage problems exit 2).
 """
@@ -17,7 +23,6 @@ import json
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
-from pathlib import Path
 
 from .config import (RunConfig, make_run_config, parse_algorithms,
                      read_config_file)
@@ -62,7 +67,7 @@ def _echo(cfg: RunConfig, **paths) -> dict:
 
 def _report_warnings(reports) -> None:
     for report in reports:
-        if report.note and report.note != "leave-one-out":
+        if report.note:
             _warn(f"fraction {report.fraction}: {report.note}")
 
 
@@ -124,9 +129,15 @@ def cmd_ingest(args) -> int:
 
 def cmd_complete(args) -> int:
     cfg = _load_config(args)
-    if args.model_out and cfg.algorithm not in ("als", "svd"):
+    if args.model_out and cfg.algorithm == "ensemble" and (
+            "als" not in cfg.ensemble):
+        raise ValueError(f"no member of the ensemble "
+                         f"({', '.join(cfg.ensemble)}) fits a factor model; "
+                         f"drop --model-out or add als to --ensemble")
+    if args.model_out and cfg.algorithm not in ("als", "svd", "ensemble"):
         raise ValueError(f"algorithm {cfg.algorithm!r} does not produce "
-                         f"a factor model; drop --model-out or use als/svd")
+                         f"a factor model; drop --model-out or use als, svd "
+                         f"or an ensemble with als")
     m = read_matrix_csv(args.matrix)
     completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
@@ -134,7 +145,6 @@ def cmd_complete(args) -> int:
         # one fill record at a time, from the columns to the file
         write_json({
             "run_config": _echo(cfg, input=args.matrix, output=args.out),
-            "seed": cfg.seed,
             "fills": ({"program": m.row_keys[r][0], "args": m.row_keys[r][1],
                        "machine": m.col_keys[c], "predicted_seconds": v,
                        "algorithm": a} for r, c, v, a in zip_columns(
@@ -151,11 +161,10 @@ def cmd_complete(args) -> int:
     return 0
 
 
-def _write_eval_outputs(args, cfg: RunConfig, reports, extra_echo) -> None:
+def _write_eval_outputs(args, reports, run_config: dict) -> None:
     if args.out_json:
         write_reports_json(reports, args.out_json,
-                           extra={"run_config": extra_echo,
-                                  "seed": cfg.seed})
+                           {**run_config, "command": args.command})
     if args.out_csv:
         write_reports_csv(reports, args.out_csv)
 
@@ -163,9 +172,8 @@ def _write_eval_outputs(args, cfg: RunConfig, reports, extra_echo) -> None:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     m = read_matrix_csv(args.matrix)
-    report = leave_one_out(m, cfg, dataset=Path(args.matrix).stem)
-    _write_eval_outputs(args, cfg, [report],
-                        _echo(cfg, input=args.matrix))
+    report = leave_one_out(m, cfg)
+    _write_eval_outputs(args, [report], _echo(cfg, input=args.matrix))
     _warn_capped(*report.capped_fits, "ALS refits", cfg)
     _print_report_summary([report])
     return 0
@@ -176,11 +184,11 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     m = read_matrix_csv(args.matrix)
     sweep = outlier_sweep if args.command == "outliers" else masking_sweep
-    reports = sweep(m, args.algorithms, cfg, dataset=Path(args.matrix).stem)
+    reports = sweep(m, args.algorithms, cfg)
     echo = _echo(cfg, input=args.matrix)
     del echo["algorithm"]  # --algorithms replaces it
     echo["algorithms"] = list(args.algorithms)
-    _write_eval_outputs(args, cfg, reports, echo)
+    _write_eval_outputs(args, reports, echo)
     _report_warnings(reports)
     _warn_capped(sum(r.capped_fits[0] for r in reports),
                  sum(r.capped_fits[1] for r in reports), "shared ALS fits",
@@ -253,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix CSV")
     p.add_argument("--out", required=True, help="completed matrix CSV")
     p.add_argument("--fills-out", help="JSON log of per-cell fills")
-    p.add_argument("--model-out", help="JSON factor model (als/svd only)")
+    p.add_argument("--model-out", help="JSON factor model (als, svd, or "
+                                       "the ensemble's als member)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_complete)
 

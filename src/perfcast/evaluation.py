@@ -10,34 +10,33 @@ code for the mechanism. The ensemble is one masked mean over its members'
 values. Completion raises the reason of the first uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
-it. A report's `config` is the flat echo of that `RunConfig`
-(`dataclasses.asdict`), without `algorithm` in a sweep, whose algorithms
-are an argument; outlier reports also repeat their corruption settings
-under `outliers`.
+it. A report holds only what varies by report: its fraction, a note when
+the fraction was skipped or held nothing out, and per algorithm its
+scored cells as columns, their mean and a tally of the cells it could not
+cover. The settings are the caller's to record, once per file: the
+report JSON states them in its `run_config`.
 
 Leave-one-out scores one masking of the matrix and a sweep one per
 repeat, all through `_score`, by relative error |predicted - target| /
-target. A report holds per algorithm its scored cells as columns, their
-mean and a tally of the cells it could not cover. Reports serialize to
-JSON (full) and CSV (one summary line per fraction and algorithm) with no
-timestamps, so equal seeds give equal bytes.
+target. Reports serialize to JSON (full) and CSV (one summary line per
+fraction and algorithm) with no timestamps, so equal seeds give equal
+bytes.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cliques import build_graph, clique_block, find_cliques
 from .config import Algorithm, CliqueProtocol, RunConfig
 from .factorization import (FactorModel, UnfactorableError, als_fit,
-                            als_refits, predict_cells, predict_refits,
-                            svd_fit)
+                            als_refits, predict_cells, svd_fit)
 from .jsonfile import write_json, zip_columns
-from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix, inject_outliers,
-                     mask_random)
+from .matrix import (PREDICTION_FLOOR, MaskInfeasibleError, MaskSpec,
+                     PCMatrix, inject_outliers, mask_random)
 from .ridge import ridge_block
 
 
@@ -65,12 +64,9 @@ class AlgorithmResult:
 
 @dataclass(frozen=True)
 class EvalReport:
-    dataset: str
-    fraction: float
-    seed: int
-    repeats: int
+    fraction: float  # 0.0 for leave-one-out
     results: tuple[AlgorithmResult, ...]
-    config: dict = field(default_factory=dict)
+    # why a sweep fraction holds no cells (infeasible, or none held out)
     note: str | None = None
     # (ALS fits that ran all max_iters iterations, ALS fits): the refits
     # of leave-one-out, a sweep's shared fits; not serialized
@@ -137,26 +133,31 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
         values, reasons, iters = als_refits(train, rows, cols, cfg.als)
         return values, reasons, nowhere, iters
     if refit:
-        return (*predict_refits(_svd_refits(train, rows, cols, cfg), rows,
-                                cols), nowhere, None)
+        return (*_svd_refits(train, rows, cols, cfg), nowhere, None)
     try:
         model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
                  else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
     except UnfactorableError as exc:  # every cell is uncovered
-        return (*predict_refits([exc] * rows.size, rows, cols), nowhere, None)
+        reasons = dict.fromkeys(range(rows.size), exc)
+        return np.full(rows.size, np.nan), reasons, nowhere, None
     return predict_cells(model, rows, cols), {}, nowhere, model
 
 
 def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
-    """Fit SVD once per cell on train without that cell, one copy of train
-    at a time, and yield its FactorModel or the UnfactorableError the fit
-    raised."""
-    for r, c in zip(rows, cols):
+    """Predict each observed cell (rows[i], cols[i]) from an SVD fit on
+    train without that cell, one copy of train at a time; returns (values,
+    reasons) as als_refits does, with the UnfactorableError of each fit
+    that raised."""
+    values, reasons = np.full(rows.size, np.nan), {}
+    for i, (r, c) in enumerate(zip(rows, cols)):
         try:
-            yield svd_fit(train.with_cell_missing(r, c), cfg.svd_k,
+            fit = svd_fit(train.with_cell_missing(r, c), cfg.svd_k,
                           cfg.svd_max_outer)
         except UnfactorableError as exc:
-            yield exc
+            reasons[i] = exc
+        else:
+            values[i] = fit.row_factors[r] @ fit.col_factors[:, c]
+    return np.maximum(values, PREDICTION_FLOOR), reasons
 
 
 def _ensemble(train: PCMatrix, rows, cols, members, columns):
@@ -253,8 +254,7 @@ def _score(maskings, algorithms, cfg: RunConfig):
     return tuple(results), (capped, total)
 
 
-def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
-                  dataset: str = "") -> EvalReport:
+def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig()) -> EvalReport:
     """Score every present cell by removing it alone and predicting it back
     with cfg.algorithm (cliques under cfg.protocol).
 
@@ -266,8 +266,7 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig(),
     rows, cols = np.nonzero(m.present_mask)
     results, capped = _score([(m, rows, cols, m.values[rows, cols])],
                              [Algorithm(cfg.algorithm)], cfg)
-    return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
-                      note="leave-one-out", capped_fits=capped)
+    return EvalReport(0.0, results, capped_fits=capped)
 
 
 def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
@@ -275,13 +274,8 @@ def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
-           extra_config=None) -> list[EvalReport]:
+def _sweep(m, algorithms, cfg: RunConfig, corrupt=None) -> list[EvalReport]:
     algorithms = [Algorithm(a) for a in algorithms]
-    config = asdict(cfg)
-    del config["algorithm"]  # a sweep's algorithms are an argument
-    config.update(extra_config or {})
-
     reports = []
     for fi, fraction in enumerate(cfg.fractions):
         maskings, note = [], None
@@ -298,14 +292,12 @@ def _sweep(m, algorithms, cfg: RunConfig, dataset, corrupt=None,
         if note is None and not any(rows.size for _, rows, *_ in maskings):
             note = "no held-out cells"
         results, capped = _score(maskings, algorithms, cfg)
-        reports.append(EvalReport(
-            dataset, float(fraction), cfg.seed, cfg.repeats, results,
-            dict(config), note, capped))
+        reports.append(EvalReport(float(fraction), results, note, capped))
     return reports
 
 
-def masking_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
-                  dataset: str = "") -> list[EvalReport]:
+def masking_sweep(m: PCMatrix, algorithms,
+                  cfg: RunConfig = RunConfig()) -> list[EvalReport]:
     """Mask each of cfg.fractions of the cells (cfg.repeats times), predict
     the held-out cells with every requested algorithm, and average the
     errors.
@@ -313,11 +305,11 @@ def masking_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
     All algorithms see the same mask at a given fraction and repeat, so
     curves are comparable point by point. Fully deterministic in cfg.seed.
     """
-    return _sweep(m, algorithms, cfg, dataset)
+    return _sweep(m, algorithms, cfg)
 
 
-def outlier_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
-                  dataset: str = "") -> list[EvalReport]:
+def outlier_sweep(m: PCMatrix, algorithms,
+                  cfg: RunConfig = RunConfig()) -> list[EvalReport]:
     """Masking sweep with corrupted training data and clean targets.
 
     Cells are held out first, then cfg.outlier_fraction of the REMAINING
@@ -327,10 +319,9 @@ def outlier_sweep(m: PCMatrix, algorithms, cfg: RunConfig = RunConfig(),
     results match masking_sweep.
     """
     fraction, lo, hi = cfg.outlier_fraction, cfg.outlier_lo, cfg.outlier_hi
-    return _sweep(m, algorithms, cfg, dataset,
+    return _sweep(m, algorithms, cfg,
                   lambda train, seed: inject_outliers(train, fraction, lo, hi,
-                                                      seed),
-                  {"outliers": {"fraction": fraction, "lo": lo, "hi": hi}})
+                                                      seed))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +366,7 @@ def _cells(res: AlgorithmResult):
             res.rows, res.cols, res.predicted, res.target, res.error,
             res.excluded):
         cell = {"row": row, "col": col, "predicted": predicted,
-                "target": target, "error": error, "algorithm": res.algorithm}
+                "target": target, "error": error}
         if excluded:
             cell["excluded"] = list(excluded)
         yield cell
@@ -387,23 +378,20 @@ def _report_record(report: EvalReport, cells) -> dict:
     results = [{"algorithm": res.algorithm, "total_error": res.total_error,
                 "n_cells": res.rows.size, "n_uncovered": res.n_uncovered,
                 "cells": cells(res)} for res in report.results]
-    return {"dataset": report.dataset, "fraction": report.fraction,
-            "seed": report.seed, "repeats": report.repeats,
-            "note": report.note, "config": report.config, "results": results}
+    return {"fraction": report.fraction, "note": report.note,
+            "results": results}
 
 
 def report_to_json(report: EvalReport) -> dict:
     return _report_record(report, lambda res: list(_cells(res)))
 
 
-def write_reports_json(reports, path, extra: dict | None = None) -> None:
-    """Write the reports' JSON records (report_to_json) to path, with
-    extra's keys beside "reports". The cells go to the file one record at
-    a time and are never held as a list."""
-    payload = {"reports": (_report_record(r, _cells) for r in reports)}
-    if extra:
-        payload.update(extra)
-    write_json(payload, path)
+def write_reports_json(reports, path, run_config: dict) -> None:
+    """Write the reports' JSON records (report_to_json) to path under
+    "reports", beside the run's settings under "run_config". The cells go
+    to the file one record at a time and are never held as a list."""
+    write_json({"reports": (_report_record(r, _cells) for r in reports),
+                "run_config": run_config}, path)
 
 
 def write_reports_csv(reports, path) -> None:

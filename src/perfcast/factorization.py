@@ -46,8 +46,8 @@ class ALSConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"rank must be positive, got {self.k}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if not self.lam > 0:  # at 0, a row seen fewer than K times is singular
+            raise ValueError(f"lambda must be positive, got {self.lam}")
         if self.max_iters < 1 or self.tol <= 0:
             raise ValueError("max_iters must be >= 1 and tol > 0")
 
@@ -108,9 +108,7 @@ def _half_step(F, M, X0, lam, skipped=None):
     stacked outer products of F's columns. skipped, when given, is the
     (rows, cols) pair of index arrays of the cell each fit leaves out: that
     row's system is rebuilt from M and X0 with the cell zeroed, since
-    subtracting the cell's term from the full sum cancels badly. With
-    lam == 0 a row observed fewer than K times is singular; the
-    pseudo-inverse gives its minimum-norm solution.
+    subtracting the cell's term from the full sum cancels badly.
 
     Returns (x, b), both (fits, rows, K): the solutions and the right-hand
     sides sum_j M[i, j] * X0[i, j] * F[b, :, j] they solve for.
@@ -130,9 +128,7 @@ def _half_step(F, M, X0, lam, skipped=None):
         A[rows, stack] = (m_row[:, None] @ FF.swapaxes(1, 2)).reshape(-1, k, k)
         b[rows, stack] = (x_row[:, None] @ F.swapaxes(1, 2))[:, 0]
     A += lam * np.eye(k)
-    if lam == 0:
-        x = (np.linalg.pinv(A) @ b[..., None])[..., 0]
-    elif k == 1:  # the 1 x 1 solve, over A, without a LAPACK call per row
+    if k == 1:  # the 1 x 1 solve, over A, without a LAPACK call per row
         x = np.divide(b, A[..., 0], out=A[..., 0])
     else:
         x = np.linalg.solve(A, b[..., None])[..., 0]
@@ -278,9 +274,10 @@ def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
 def als_refits(m, rows, cols, cfg: ALSConfig = ALSConfig()):
     """Predict each observed cell (rows[i], cols[i]) from its own fit, as
     predict(als_fit(m.with_cell_missing(rows[i], cols[i]), cfg), rows[i],
-    cols[i]) would; returns (values, reasons, iters) as predict_refits
-    gives (values, reasons), with iters[i] the fit's iteration count, 0
-    where the fit raises.
+    cols[i]) would; returns (values, reasons, iters): values[i] the
+    floored prediction, NaN where the fit raises, reasons mapping each
+    such i to its UnfactorableError, and iters[i] the fit's iteration
+    count, 0 where the fit raises.
 
     The fits run in stacks of about _STACK elements of their per-row and
     per-column systems: _STACK // ((rows + cols) * (K**2 + 2K)) fits.
@@ -385,19 +382,6 @@ def predict_cells(model: FactorModel, rows, cols) -> np.ndarray:
     U = model.row_factors[rows][:, None, :]
     return np.maximum((U @ model.col_factors[:, cols].T[:, :, None])[:, 0, 0],
                       PREDICTION_FLOOR)
-
-
-def predict_refits(fits, rows, cols):
-    """predict for each cell (rows[i], cols[i]) from its own fit, as
-    (values, reasons); fits yields, per cell, a FactorModel or the
-    UnfactorableError that says why there is none."""
-    values, reasons = np.full(len(rows), np.nan), {}
-    for i, (fit, r, c) in enumerate(zip(fits, rows, cols)):
-        if isinstance(fit, UnfactorableError):
-            reasons[i] = fit
-        else:
-            values[i] = fit.row_factors[r] @ fit.col_factors[:, c]
-    return np.maximum(values, PREDICTION_FLOOR), reasons
 
 
 def predict_all(model: FactorModel) -> np.ndarray:

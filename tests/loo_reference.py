@@ -9,11 +9,11 @@ the clique estimates come from the per-cell references
 the `leave_one_out` under test runs.
 
 The scored cells are kept one record per cell, and `report_to_json`
-renders them as the driver's once did, so comparing the two renderings
-checks the driver's columns-to-JSON path as well.
+renders them in the driver's report record, so comparing the two
+renderings checks the driver's columns-to-JSON path as well.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from cliques_reference import clique_predict, group_estimates
@@ -96,8 +96,7 @@ def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
     return tuple(out)
 
 
-def leave_one_out(m, cfg: RunConfig = RunConfig(),
-                  dataset: str = "") -> EvalReport:
+def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
     """Score every present cell by removing it alone and predicting it back.
 
     The machine grouping is computed once on the full matrix (one cell out
@@ -151,14 +150,12 @@ def leave_one_out(m, cfg: RunConfig = RunConfig(),
     preds = {alg: [pc[alg] for pc in per_cell] for alg in needed}
     rows, uncovered = _assemble(algorithms, cells, preds, ensemble)
     results = _finish(algorithms, rows, uncovered)
-    return EvalReport(dataset, 0.0, cfg.seed, 1, results, asdict(cfg),
-                      note="leave-one-out")
+    return EvalReport(0.0, results)
 
 
 def _cell_to_json(cell: CellPrediction) -> dict:
     out = {"row": cell.row, "col": cell.col, "predicted": cell.predicted,
-           "target": cell.target, "error": cell.error,
-           "algorithm": cell.algorithm}
+           "target": cell.target, "error": cell.error}
     if cell.excluded:
         out["excluded"] = list(cell.excluded)
     return out
@@ -166,12 +163,8 @@ def _cell_to_json(cell: CellPrediction) -> dict:
 
 def report_to_json(report: EvalReport) -> dict:
     return {
-        "dataset": report.dataset,
         "fraction": report.fraction,
-        "seed": report.seed,
-        "repeats": report.repeats,
         "note": report.note,
-        "config": report.config,
         "results": [
             {"algorithm": res.algorithm,
              "total_error": res.total_error,

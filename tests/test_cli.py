@@ -9,7 +9,8 @@ import pytest
 from conftest import grid, planted_rank1
 
 from perfcast import write_matrix_csv
-from perfcast.cli import main
+from perfcast.cli import _build_parser, _load_config, main
+from perfcast.config import make_run_config
 
 
 def write_obs(path, rows, header="program,args,machine,seconds"):
@@ -98,6 +99,46 @@ class TestComplete:
         assert "does not produce a factor model" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--algorithm", "cliques"], "does not produce a factor model"),
+        (["--ensemble", "ridge,cliques,svd"],
+         "no member of the ensemble (ridge, cliques, svd) fits a factor "
+         "model"),
+    ])
+    def test_model_out_refused_before_the_input_is_read(self, tmp_path,
+                                                        capsys, flags,
+                                                        message):
+        # decided from the settings: a missing matrix file is never reached
+        rc = main(["complete", str(tmp_path / "missing.csv"), "--out",
+                   str(tmp_path / "x.csv"), *flags,
+                   "--model-out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err and "No such file" not in err
+
+    def test_ensemble_model_out_is_its_als_member(self, matrix_csv,
+                                                  tmp_path, capsys):
+        # the default ensemble (ridge, cliques, als) writes the model its
+        # als member fit, which ranks and places as als's own does
+        ens, als = tmp_path / "ens.json", tmp_path / "als.json"
+        done = tmp_path / "done.csv"
+        assert main(["complete", str(matrix_csv), "--out", str(done),
+                     "--model-out", str(ens)]) == 0
+        assert main(["complete", str(matrix_csv), "--out",
+                     str(tmp_path / "als.csv"), "--algorithm", "als",
+                     "--model-out", str(als)]) == 0
+        data = json.loads(ens.read_text())
+        assert data["run_config"]["algorithm"] == "ensemble"
+        assert data["model"] == json.loads(als.read_text())["model"]
+        capsys.readouterr()
+        for argv in (["rank", str(ens)], ["place", str(done), "--model",
+                                          str(ens)]):
+            assert main(argv) == 0
+        ranked, placed = [], []
+        for line in capsys.readouterr().out.splitlines():
+            (ranked if "rank" in json.loads(line) else placed).append(line)
+        assert len(ranked) == 6 and len(placed) == 8
+
     def test_protocol_shapes_the_clique_fills(self, tmp_path, capsys):
         # C5 follows no other column, so no group estimate reaches its
         # missing cells; C1-C4 are proportional and form one clique
@@ -164,20 +205,22 @@ class TestEvaluate:
         assert rc == 0
         assert "algorithm=cliques" in capsys.readouterr().out
         data = json.loads(out_json.read_text())
-        assert data["reports"][0]["config"]["protocol"] == "in_groups"
+        assert data["run_config"]["protocol"] == "in_groups"
         assert data["reports"][0]["results"][0]["total_error"] < 1e-9
 
     def test_leave_one_out_reports_its_seed(self, tmp_path):
-        # The report's seed is the one the ALS refits drew their initial
-        # factors from, as in its config echo.
+        # The seed the ALS refits drew their initial factors from is
+        # stated once, in the run_config.
         m, _, _ = planted_rank1(6, 4, seed=5)
         src = tmp_path / "m.csv"
         write_matrix_csv(m, src)
         out_json = tmp_path / "r.json"
         assert main(["evaluate", str(src), "--algorithm", "als", "--seed",
                      "7", "--out-json", str(out_json)]) == 0
-        report = json.loads(out_json.read_text())["reports"][0]
-        assert report["seed"] == report["config"]["seed"] == 7
+        data = json.loads(out_json.read_text())
+        assert data["run_config"]["seed"] == 7
+        assert set(data) == {"reports", "run_config"}
+        assert "seed" not in data["reports"][0]
 
     def test_refits_at_the_iteration_cap_warn_once(self, matrix_csv,
                                                    tmp_path, capsys):
@@ -193,8 +236,7 @@ class TestEvaluate:
             "RMSE settles"]
         # the tally goes to stderr only: the report keeps its keys
         report = json.loads(out_json.read_text())["reports"][0]
-        assert set(report) == {"dataset", "fraction", "seed", "repeats",
-                               "note", "config", "results"}
+        assert set(report) == {"fraction", "note", "results"}
         assert report["results"][0]["n_cells"] == 45
 
     def test_refits_that_settle_do_not_warn(self, matrix_csv, tmp_path,
@@ -278,13 +320,10 @@ class TestSweep:
         assert "warning: threads is ignored; predictions run serially" in err2
         assert oc1.read_bytes() == oc2.read_bytes()
         d1, d2 = json.loads(oj1.read_text()), json.loads(oj2.read_text())
-        # the run_config echo still records the value that was given
+        # the run_config echo still records the value that was given;
+        # nothing else differs
         assert (d1["run_config"]["threads"], d2["run_config"]["threads"]) \
             == (1, 2)
-        # and so does each report's config echo; nothing else differs
-        for r1, r2 in zip(d1["reports"], d2["reports"], strict=True):
-            assert (r1["config"].pop("threads"),
-                    r2["config"].pop("threads")) == (1, 2)
         assert d1["reports"] == d2["reports"]
         rc0, err0, _, _ = run("0")
         assert rc0 == 1 and "threads must be >= 1" in err0
@@ -337,8 +376,12 @@ class TestSweep:
         data = json.loads(out.read_text())
         assert "algorithm" not in data["run_config"]
         assert data["run_config"]["algorithms"] == ["ridge"]
-        assert all("algorithm" not in rep["config"]
-                   for rep in data["reports"])
+        # nor does a cell repeat its result's algorithm
+        (rep,) = data["reports"]
+        (res,) = rep["results"]
+        assert res["algorithm"] == "ridge" and res["cells"]
+        assert all(set(c) == {"row", "col", "predicted", "target", "error"}
+                   for c in res["cells"])
 
     def test_infeasible_fraction_warns_but_succeeds(self, tmp_path, capsys):
         m = grid([[1, 2], [3, 4]])
@@ -385,9 +428,10 @@ class TestOutliers:
                    "--outlier-lo", "0", "--outlier-hi", "4",
                    "--algorithms", "ridge,ensemble", "--out-json", str(oj)])
         assert rc == 0
-        data = json.loads(oj.read_text())
-        assert data["reports"][0]["config"]["outliers"] == {
-            "fraction": 0.1, "lo": 0.0, "hi": 4.0}
+        run = json.loads(oj.read_text())["run_config"]
+        assert run["command"] == "outliers"
+        assert (run["outlier_fraction"], run["outlier_lo"],
+                run["outlier_hi"]) == (0.1, 0.0, 4.0)
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -398,20 +442,27 @@ class TestOutliers:
 ])
 def test_report_config_is_the_run_config(matrix_csv, tmp_path, command,
                                          flags):
+    # The file's run_config rebuilds the run's RunConfig: no setting is
+    # lost. Beside the fields it holds the input, the command and a
+    # sweep's algorithms, and no report repeats a setting.
     out = tmp_path / "r.json"
-    assert main([command, str(matrix_csv), *flags, "--repeats", "1",
-                 "--seed", "3", "--als-k", "2", "--ridge-lambda", "0.5",
-                 "--out-json", str(out)]) == 0
+    argv = [command, str(matrix_csv), *flags, "--repeats", "1", "--seed",
+            "3", "--als-k", "2", "--ridge-lambda", "0.5", "--out-json",
+            str(out)]
+    assert main(argv) == 0
     data = json.loads(out.read_text())
     echo = data["run_config"]
-    del echo["input"]
-    echo.pop("algorithms", None)  # sweep and outliers only
+    assert echo.pop("input") == str(matrix_csv)
+    assert echo.pop("command") == command
+    if command != "evaluate":
+        assert echo.pop("algorithms") == flags[1].split(",")
+    rebuilt = make_run_config(
+        {k: tuple(v) if isinstance(v, list) else v for k, v in echo.items()},
+        {})
+    assert rebuilt == _load_config(_build_parser().parse_args(argv))
     assert data["reports"]
-    for report in data["reports"]:
-        config = dict(report["config"])
-        assert ("outliers" in config) == (command == "outliers")
-        config.pop("outliers", None)
-        assert config == echo
+    assert all(set(r) == {"fraction", "note", "results"}
+               for r in data["reports"])
 
 
 def assert_stdlib_rendering(path):

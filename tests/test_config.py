@@ -76,6 +76,7 @@ def run_config_echo(matrix_csv, tmp_path, extra):
                  *extra]) == 0
     echo = json.loads(out.read_text())["run_config"]
     assert echo.pop("input") == str(matrix_csv)
+    assert echo.pop("command") == "evaluate"
     return echo
 
 
@@ -183,7 +184,7 @@ BAD_SETTINGS = [
     ("evaluate", ["--ridge-min-training-rows", "1"],
      "min_training_rows must be at least 2, got 1"),
     ("evaluate", ["--als-k", "0"], "rank must be positive, got 0"),
-    ("sweep", ["--als-lambda", "-1"], "lambda must be nonnegative"),
+    ("sweep", ["--als-lambda", "-1"], "lambda must be positive, got -1.0"),
     ("complete", ["--als-max-iters", "0"], "max_iters must be >= 1"),
     ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
     ("complete", ["--ensemble", "cliques,cliques,als"],
@@ -193,6 +194,7 @@ BAD_SETTINGS = [
      "clique_min_overlap must be at least 2, got 1"),
     ("sweep", ["--clique-min-overlap", "-5"],
      "clique_min_overlap must be at least 2, got -5"),
+    ("complete", ["--als-lambda", "0"], "lambda must be positive, got 0.0"),
 ]
 
 
@@ -230,6 +232,13 @@ def test_ensemble_members_are_distinct():
 def test_empty_ensemble_rejected():
     with pytest.raises(ValueError, match="ensemble members"):
         RunConfig(ensemble=())
+
+
+def test_als_lambda_must_be_positive():
+    # as ridge_lambda: at 0 a row or column seen fewer than als_k times
+    # leaves its factor without one solution
+    with pytest.raises(ValueError, match="lambda must be positive, got 0.0"):
+        RunConfig(als_lambda=0.0)
 
 
 def test_clique_min_overlap_below_two_rejected():

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -261,13 +262,21 @@ class TestOutlierSweep:
         assert res.rows.size > 0
         np.testing.assert_array_equal(res.target, m.values[res.rows, res.cols])
 
-    def test_outlier_config_echoed(self):
+    def test_outlier_config_echoed(self, tmp_path):
+        # the file states the corruption settings once, in the run_config
+        # its caller gives; a report record holds no settings
         m, _, _ = planted_rank1(6, 5, seed=11)
-        (report,) = outlier_sweep(m, [Algorithm.RIDGE], small_cfg(
-            fractions=(0.2,), repeats=1, seed=8, outlier_fraction=0.1,
-            outlier_lo=0, outlier_hi=4))
-        assert report.config["outliers"] == {"fraction": 0.1, "lo": 0,
-                                             "hi": 4}
+        cfg = small_cfg(fractions=(0.2,), repeats=1, seed=8,
+                        outlier_fraction=0.1, outlier_lo=0, outlier_hi=4)
+        path = tmp_path / "r.json"
+        write_reports_json(outlier_sweep(m, [Algorithm.RIDGE], cfg), path,
+                           asdict(cfg))
+        data = json.loads(path.read_text())
+        assert [set(r) for r in data["reports"]] == [
+            {"fraction", "note", "results"}]
+        run = data["run_config"]
+        assert (run["outlier_fraction"], run["outlier_lo"],
+                run["outlier_hi"]) == (0.1, 0, 4)
 
 
 class TestCompleteMatrix:
@@ -476,9 +485,9 @@ class TestReportFiles:
     def test_json_total_error_recomputable(self, tmp_path):
         reports = self.make_reports()
         path = tmp_path / "r.json"
-        write_reports_json(reports, path, extra={"seed": 11})
+        write_reports_json(reports, path, {"seed": 11})
         data = json.loads(path.read_text())
-        assert data["seed"] == 11
+        assert data["run_config"] == {"seed": 11}
         for rep in data["reports"]:
             for res in rep["results"]:
                 mean = sum(c["error"] for c in res["cells"]) / res["n_cells"]
@@ -486,8 +495,8 @@ class TestReportFiles:
 
     def test_json_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_reports_json(self.make_reports(), a)
-        write_reports_json(self.make_reports(), b)
+        write_reports_json(self.make_reports(), a, {"seed": 11})
+        write_reports_json(self.make_reports(), b, {"seed": 11})
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_file_holds_report_to_json(self, tmp_path):
@@ -500,8 +509,9 @@ class TestReportFiles:
             ensemble=("ridge", "als")))
         assert reports[0].results[0].rows.size == 0
         path = tmp_path / "r.json"
-        write_reports_json(reports, path, extra={"seed": 11})
-        want = {"reports": [report_to_json(r) for r in reports], "seed": 11}
+        write_reports_json(reports, path, {"seed": 11})
+        want = {"reports": [report_to_json(r) for r in reports],
+                "run_config": {"seed": 11}}
         assert path.read_text() == json.dumps(want, indent=2,
                                               sort_keys=True) + "\n"
 
@@ -514,10 +524,10 @@ class TestReportFiles:
             "ensemble", np.arange(n) // 40, np.arange(n) % 40,
             rng.uniform(1, 2, n), rng.uniform(1, 2, n), rng.uniform(0, 1, n),
             (("als",),) * n, 0)
-        report = evaluation.EvalReport("d", 0.0, 0, 1, (result,))
+        report = evaluation.EvalReport(0.0, (result,))
         tracemalloc.start()
         try:
-            write_reports_json([report], tmp_path / "r.json")
+            write_reports_json([report], tmp_path / "r.json", {})
             streamed = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             records = report_to_json(report)

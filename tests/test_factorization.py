@@ -10,7 +10,7 @@ from perfcast import (ALSConfig, FactorModel, MaskSpec, UnfactorableError,
                       als_fit, mask_random, model_from_json, model_to_json,
                       rank_machines, svd_fit)
 from perfcast.factorization import (als_refits, predict, predict_all,
-                                    predict_cells, predict_refits)
+                                    predict_cells)
 
 
 def rank1_2x2():
@@ -41,6 +41,13 @@ class TestConfig:
             ALSConfig(lam=-1)
         with pytest.raises(ValueError):
             ALSConfig(tol=0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_lambda_must_be_positive(self, lam):
+        # at 0 a row or column seen fewer than K times has no one solution
+        with pytest.raises(ValueError,
+                           match=f"lambda must be positive, got {lam}"):
+            ALSConfig(lam=lam)
 
 
 class TestAlsFit:
@@ -147,7 +154,7 @@ class TestPredict:
         model = manual_model([[1.0, -2.0]], [[1.0], [1.0]])
         assert predict(model, 0, 0) == 1e-9
 
-    def test_cells_and_refits_are_predict_with_its_floor(self):
+    def test_cells_are_predict_with_its_floor(self):
         # cell (1, 0) is negative before the floor
         model = manual_model([[1.0, 2.0], [1.0, -2.0]],
                              [[1.0, 3.0], [1.0, 0.5]])
@@ -155,11 +162,6 @@ class TestPredict:
         want = [predict(model, r, c) for r, c in zip(rows, cols)]
         assert want[0] == 1e-9
         assert predict_cells(model, rows, cols).tolist() == want
-        error = UnfactorableError("unfactorable matrix: a row")
-        values, reasons = predict_refits([model, error, model], rows, cols)
-        assert reasons == {1: error}
-        assert values[0] == want[0] and values[2] == want[2]
-        assert np.isnan(values[1])
 
     def test_all_predictions_positive_after_fit(self):
         m, _, _ = planted_rank1(10, 8, seed=13)

@@ -43,6 +43,23 @@ def test_run_experiments_writes_every_artifact(tmp_path, capsys):
         assert [r["fraction"] for r in reports] == [0.1, 0.2]
         with open(out / f"{name}.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + 2 * 5
-    outliers = json.loads((out / "outliers.json").read_text())["reports"]
-    assert outliers[0]["config"]["outliers"]["fraction"] == 0.1
+    loo_config = json.loads((out / "loo.json").read_text())["run_config"]
+    assert "algorithm" not in loo_config and "protocol" not in loo_config
+    assert loo_config["runs"] == [
+        {"algorithm": a, "protocol": p} for a, p in [
+            ("ridge", "in_groups_plus_regression"), ("cliques", "regression"),
+            ("cliques", "in_groups"), ("cliques", "in_groups_plus_regression"),
+            ("als", "in_groups_plus_regression"),
+            ("svd", "in_groups_plus_regression"),
+            ("ensemble", "in_groups_plus_regression")]]
+    for name in ("sweep", "outliers"):
+        run_config = json.loads((out / f"{name}.json").read_text())[
+            "run_config"]
+        assert run_config["algorithms"] == [
+            "ridge", "cliques", "als", "svd", "ensemble"]
+        assert "algorithm" not in run_config
+    outliers = json.loads((out / "outliers.json").read_text())
+    assert outliers["run_config"]["outlier_fraction"] == 0.1
+    assert all(set(r) == {"fraction", "note", "results"}
+               for r in outliers["reports"])
     assert f"reports written to {out}/" in capsys.readouterr().out
