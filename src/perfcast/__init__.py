@@ -7,15 +7,13 @@ ensemble of the three; an evaluation harness scores the predictions and a
 small application layer turns a completed matrix into placement decisions.
 """
 
-from .cliques import (ColdRowError, Grouping, SimilarityGraph, build_graph,
-                      clique_predict, correlations, find_cliques,
-                      group_estimates, grouping_to_json, pearson,
-                      scaling_coefficient)
+from .cliques import (ColdRowError, Grouping, build_graph, clique_predict,
+                      correlations, find_cliques, group_estimates)
 from .config import Algorithm, CliqueProtocol, RunConfig, read_config_file
 from .evaluation import (AlgorithmResult, EvalReport, complete_matrix,
-                         ensemble_predict, leave_one_out, masking_sweep,
-                         outlier_sweep, prediction_error, report_to_json,
-                         write_reports_csv, write_reports_json)
+                         leave_one_out, masking_sweep, outlier_sweep,
+                         report_to_json, write_reports_csv,
+                         write_reports_json)
 from .factorization import (ALSConfig, FactorModel, UnfactorableError,
                             als_fit, model_from_json, model_to_json,
                             rank_machines, svd_fit)
@@ -33,14 +31,12 @@ __all__ = [
     "ColdRowError", "EvalReport", "FactorModel", "Grouping",
     "MaskInfeasibleError", "MaskSpec", "NoBasisError", "Observation",
     "PCMatrix", "PlacementDecision", "Rationale", "RidgeConfig",
-    "RunConfig", "SimilarityGraph", "UnfactorableError", "als_fit",
-    "build_graph", "build_matrix", "clique_predict", "complete_matrix",
-    "correlations", "density", "ensemble_predict", "find_cliques",
-    "greedy_place", "group_estimates", "grouping_to_json", "inject_outliers",
-    "leave_one_out", "mask_random", "masking_sweep", "model_from_json",
-    "model_to_json", "outlier_sweep", "pearson", "prediction_error",
-    "rank_machines", "read_config_file", "read_matrix_csv",
-    "read_observations_csv", "report_to_json", "ridge_predict",
-    "schedule_batch", "scaling_coefficient", "svd_fit", "write_matrix_csv",
-    "write_reports_csv", "write_reports_json",
+    "RunConfig", "UnfactorableError", "als_fit", "build_graph",
+    "build_matrix", "clique_predict", "complete_matrix", "correlations",
+    "density", "find_cliques", "greedy_place", "group_estimates",
+    "inject_outliers", "leave_one_out", "mask_random", "masking_sweep",
+    "model_from_json", "model_to_json", "outlier_sweep", "rank_machines",
+    "read_config_file", "read_matrix_csv", "read_observations_csv",
+    "report_to_json", "ridge_predict", "schedule_batch", "svd_fit",
+    "write_matrix_csv", "write_reports_csv", "write_reports_json",
 ]

@@ -129,15 +129,14 @@ def cmd_ingest(args) -> int:
 
 def cmd_complete(args) -> int:
     cfg = _load_config(args)
-    if args.model_out and cfg.algorithm == "ensemble" and (
-            "als" not in cfg.ensemble):
-        raise ValueError(f"no member of the ensemble "
-                         f"({', '.join(cfg.ensemble)}) fits a factor model; "
-                         f"drop --model-out or add als to --ensemble")
-    if args.model_out and cfg.algorithm not in ("als", "svd", "ensemble"):
-        raise ValueError(f"algorithm {cfg.algorithm!r} does not produce "
-                         f"a factor model; drop --model-out or use als, svd "
-                         f"or an ensemble with als")
+    ensemble = cfg.algorithm == "ensemble"
+    members = cfg.ensemble if ensemble else (cfg.algorithm,)
+    if args.model_out and not {"als", "svd"} & set(members):
+        raise ValueError(
+            (f"no member of the ensemble ({', '.join(members)}) fits a "
+             f"factor model" if ensemble else f"algorithm "
+             f"{cfg.algorithm!r} does not produce a factor model")
+            + "; drop --model-out or use als or svd")
     m = read_matrix_csv(args.matrix)
     completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
@@ -262,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="completed matrix CSV")
     p.add_argument("--fills-out", help="JSON log of per-cell fills")
     p.add_argument("--model-out", help="JSON factor model (als, svd, or "
-                                       "the ensemble's als member)")
+                                       "the ensemble's als or else svd "
+                                       "member)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_complete)
 

@@ -18,8 +18,9 @@ zero-filled matrix); a cell whose own row observes the target takes that
 row's terms back out, and sums a pair again directly where the removed
 term is as large as what remains. Cells without a group estimate fall
 back to one `ridge_block` call, or to the ridge arrays the caller already
-has. `clique_predict`, `group_estimates` and `scaling_coefficient` are the
-block of one.
+has. `clique_predict` and `group_estimates` are the block of one; nothing
+in the package calls them, and they remain because the benchmark's tracer
+(`bench/spans.py`) wraps them by name.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ _SPAN = 2**11
 class ColdRowError(ValueError):
     """The program has no observed time anywhere; per-cell prediction is
     impossible and the caller should fall back to machine ranking."""
-
-
-@dataclass(frozen=True, eq=False)
-class SimilarityGraph:
-    """adjacent[a, b]: |r| between machine columns a and b exceeds the
-    threshold (False on the diagonal)."""
-
-    adjacent: np.ndarray
-    threshold: float
-    min_overlap: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,24 +84,20 @@ def correlations(m, min_overlap: int = 3) -> np.ndarray:
     return r
 
 
-def pearson(m, col_a: int, col_b: int, min_overlap: int = 3) -> float | None:
-    """correlations(m, min_overlap)[col_a, col_b], None where undefined."""
-    r = correlations(m, min_overlap)[col_a, col_b]
-    return None if np.isnan(r) else float(r)
-
-
-def build_graph(m, threshold: float = 0.97, min_overlap: int = 3) -> SimilarityGraph:
-    """Connect machines with |r| above threshold."""
+def build_graph(m, threshold: float = 0.97, min_overlap: int = 3) -> np.ndarray:
+    """The similarity graph as its adjacency matrix: adjacent[a, b] where
+    |r| between machine columns a and b exceeds threshold (False on the
+    diagonal)."""
     if not (0 < threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if min_overlap < 2:
         raise ValueError(f"min_overlap must be at least 2, got {min_overlap}")
     adjacent = np.abs(correlations(m, min_overlap)) > threshold
     np.fill_diagonal(adjacent, False)
-    return SimilarityGraph(adjacent, threshold, min_overlap)
+    return adjacent
 
 
-def find_cliques(g: SimilarityGraph) -> Grouping:
+def find_cliques(adjacent: np.ndarray) -> Grouping:
     """Greedy clique cover: seed one clique per vertex, richest first.
 
     From each seed the clique grows by the highest-degree candidate still
@@ -118,11 +105,11 @@ def find_cliques(g: SimilarityGraph) -> Grouping:
     are collapsed. Every vertex ends up in at least one clique, possibly a
     singleton. Maximal cliques can be missed by design.
     """
-    adj = [set(np.flatnonzero(row).tolist()) for row in g.adjacent]
-    order = np.argsort(-g.adjacent.sum(axis=1), kind="stable").tolist()
+    adj = [set(np.flatnonzero(row).tolist()) for row in adjacent]
+    order = np.argsort(-adjacent.sum(axis=1), kind="stable").tolist()
     rank = {v: i for i, v in enumerate(order)}
     cliques: dict[tuple[int, ...], None] = {}  # in order of discovery
-    mates = np.zeros_like(g.adjacent)
+    mates = np.zeros_like(adjacent)
     for v in order:
         members = [v]
         candidates = adj[v]
@@ -152,21 +139,6 @@ def pair_sums(m) -> PairSums:
     present = m.present_mask.astype(float)
     x = np.where(m.present_mask, m.values, 0.0)
     return PairSums(x.T @ x, (x * x).T @ present, present.T @ present)
-
-
-def scaling_coefficient(m, from_col: int, to_col: int,
-                        exclude_row: int | None = None) -> float:
-    """Least-squares slope through the origin mapping one column onto
-    another, over their co-observed rows; the same slope that group
-    estimates scale by."""
-    rows = [-1 if exclude_row is None else exclude_row]
-    slope, usable = _slopes(m, pair_sums(m), np.array(rows),
-                            np.array([to_col]))
-    if not usable[0, from_col]:
-        raise ValueError(
-            f"no co-observed rows between columns {from_col} and {to_col}"
-        )
-    return float(slope[0, from_col])
 
 
 def _slopes(m, sums: PairSums, rows, cols):
@@ -281,13 +253,3 @@ def clique_block(m, grouping: Grouping, rows, cols,
         reasons.update((i, ridge[1][i]) for i in lone.tolist()
                        if i in ridge[1])
     return values, reasons, via_ridge
-
-
-def grouping_to_json(grouping: Grouping, col_keys, threshold: float,
-                     min_overlap: int) -> dict:
-    """JSON-ready view of a grouping with machine ids instead of indices."""
-    return {
-        "threshold": threshold,
-        "min_overlap": min_overlap,
-        "cliques": [[col_keys[v] for v in cl] for cl in grouping.cliques],
-    }

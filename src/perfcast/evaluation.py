@@ -35,8 +35,8 @@ from .config import Algorithm, CliqueProtocol, RunConfig
 from .factorization import (FactorModel, UnfactorableError, als_fit,
                             als_refits, predict_cells, svd_fit)
 from .jsonfile import write_json, zip_columns
-from .matrix import (PREDICTION_FLOOR, MaskInfeasibleError, MaskSpec,
-                     PCMatrix, inject_outliers, mask_random)
+from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix,
+                     inject_outliers, mask_random)
 from .ridge import ridge_block
 
 
@@ -71,27 +71,6 @@ class EvalReport:
     # (ALS fits that ran all max_iters iterations, ALS fits): the refits
     # of leave-one-out, a sweep's shared fits; not serialized
     capped_fits: tuple[int, int] = (0, 0)
-
-
-def prediction_error(predicted: float, target: float) -> float:
-    """Relative error |predicted - target| / target; target must be > 0."""
-    if target <= 0:
-        raise ValueError(f"target time must be positive, got {target}")
-    return abs(predicted - target) / target
-
-
-def ensemble_predict(per_algorithm: list[float]) -> float:
-    """Mean of the component predictions that were actually available.
-
-    Identical inputs return that value exactly (no round trip through a
-    sum that could round).
-    """
-    if not per_algorithm:
-        raise ValueError("no ensemble component produced a prediction")
-    first = per_algorithm[0]
-    if all(v == first for v in per_algorithm):
-        return first
-    return sum(per_algorithm) / len(per_algorithm)
 
 
 def _base_algorithms(algorithms, cfg: RunConfig) -> list[Algorithm]:
@@ -156,17 +135,16 @@ def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
         except UnfactorableError as exc:
             reasons[i] = exc
         else:
-            values[i] = fit.row_factors[r] @ fit.col_factors[:, c]
-    return np.maximum(values, PREDICTION_FLOOR), reasons
+            values[i] = predict_cells(fit, rows[i:i + 1], cols[i:i + 1])[0]
+    return values, reasons
 
 
 def _ensemble(train: PCMatrix, rows, cols, members, columns):
     """The ensemble's column from its members' columns.
 
     A cell's value is the mean of the values its members produced, summed
-    in members order as ensemble_predict sums them, and exactly their
-    value where they all agree. Its code has bit j set where members[j]
-    produced a value.
+    in members order, and exactly their value where they all agree. Its
+    code has bit j set where members[j] produced a value.
     """
     values = np.stack([columns[mem][0] for mem in members])
     covered = ~np.isnan(values)
@@ -336,10 +314,10 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     mechanism[i] names what produced cell i's value: the clique
     algorithm reports "ridge" for cells it reached only through fallback,
     and the ensemble lists the members that contributed. model is the
-    factorization the completion fit: cfg.algorithm's for als/svd, the
-    als member's for an ensemble that has one, else None; it is fit even
-    when nothing is missing, since it also ranks machines for programs
-    outside the matrix. The first cell in row-major order that cannot be
+    factorization the completion fit: cfg.algorithm's for als/svd, an
+    ensemble's als member's, or its svd member's when it has no als, else
+    None; it is fit even when nothing is missing, since it also ranks
+    machines for programs outside the matrix. The first cell in row-major order that cannot be
     predicted raises its reason.
     """
     algorithm = Algorithm(cfg.algorithm)
@@ -352,7 +330,7 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     vals[rows, cols] = values
     mechanism = [labels[k][0] for k in code.tolist()]
     if algorithm is Algorithm.ENSEMBLE:
-        algorithm = Algorithm.ALS
+        algorithm = Algorithm.ALS if Algorithm.ALS in fits else Algorithm.SVD
     return m.with_values(vals), (rows, cols, mechanism), fits.get(algorithm)
 
 

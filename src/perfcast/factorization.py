@@ -370,23 +370,17 @@ def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
 
 
 def predict(model: FactorModel, row: int, col: int) -> float:
-    """Inner product of the two embeddings, floored at a positive epsilon."""
-    return max(float(model.row_factors[row] @ model.col_factors[:, col]),
-               PREDICTION_FLOOR)
+    """predict_cells for the one cell (row, col)."""
+    return float(predict_cells(model, [row], [col])[0])
 
 
 def predict_cells(model: FactorModel, rows, cols) -> np.ndarray:
-    """predict for every cell (rows[i], cols[i]), as one stack of
-    (1 x K) @ (K x 1) products; measured with OpenBLAS, these equal
-    predict's bit for bit."""
+    """Inner product of the two embeddings of every cell (rows[i],
+    cols[i]), floored at a positive epsilon, as one stack of (1 x K) @
+    (K x 1) products."""
     U = model.row_factors[rows][:, None, :]
     return np.maximum((U @ model.col_factors[:, cols].T[:, :, None])[:, 0, 0],
                       PREDICTION_FLOOR)
-
-
-def predict_all(model: FactorModel) -> np.ndarray:
-    """Full reconstruction with the same positive floor as predict."""
-    return np.maximum(model.row_factors @ model.col_factors, PREDICTION_FLOOR)
 
 
 def rank_machines(model: FactorModel) -> list[str]:

@@ -1,7 +1,9 @@
 """Reference ALS: the per-row/per-column solve loop and the K=1 closed form.
 
 This is the original implementation of ``perfcast.factorization.als_fit``,
-kept unchanged as the oracle that the batched kernel is tested against.
+kept as the oracle that the batched kernel is tested against. Its branches
+for lambda 0 (a least-squares solve, a zero denominator) are gone, since
+``ALSConfig`` refuses a lambda that is not positive.
 """
 
 import numpy as np
@@ -36,32 +38,20 @@ def reference_als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     for _ in range(cfg.max_iters):
         if k == 1:
             v = V[0]
-            denom = mask @ (v * v) + cfg.lam
-            denom[denom == 0] = 1.0
-            U[:, 0] = (X0 @ v) / denom
+            U[:, 0] = (X0 @ v) / (mask @ (v * v) + cfg.lam)
             u = U[:, 0]
-            denom = (u * u) @ mask + cfg.lam
-            denom[denom == 0] = 1.0
-            V[0] = (u @ X0) / denom
+            V[0] = (u @ X0) / ((u * u) @ mask + cfg.lam)
         else:
             for i in range(n):
                 obs = np.flatnonzero(mask[i])
                 Vo = V[:, obs]
                 A = Vo @ Vo.T + eye
-                b = Vo @ values[i, obs]
-                if cfg.lam > 0:
-                    U[i] = np.linalg.solve(A, b)
-                else:
-                    U[i] = np.linalg.lstsq(A, b, rcond=None)[0]
+                U[i] = np.linalg.solve(A, Vo @ values[i, obs])
             for j in range(mm):
                 obs = np.flatnonzero(mask[:, j])
                 Uo = U[obs]
                 A = Uo.T @ Uo + eye
-                b = Uo.T @ values[obs, j]
-                if cfg.lam > 0:
-                    V[:, j] = np.linalg.solve(A, b)
-                else:
-                    V[:, j] = np.linalg.lstsq(A, b, rcond=None)[0]
+                V[:, j] = np.linalg.solve(A, Uo.T @ values[obs, j])
 
         resid = (U @ V)[mask] - values[mask]
         rmse = float(np.sqrt(np.mean(resid * resid)))

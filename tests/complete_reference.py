@@ -5,17 +5,17 @@ the missing cells through the block kernels at once. Here ridge and the
 clique estimates come from the per-cell references (`ridge_reference`,
 `cliques_reference`), a factorization is fit once and `predict`s one cell
 at a time, and the ensemble is `ensemble_predict` over the members that
-produced a value, in `cfg.ensemble` order.
+produced a value, in `cfg.ensemble` order; `predict` and
+`ensemble_predict` are `loo_reference`'s per-cell definitions.
 """
 
 import numpy as np
 from cliques_reference import clique_predict
+from loo_reference import ensemble_predict, predict
 from ridge_reference import ridge_predict
 
-from perfcast import factorization
 from perfcast.cliques import ColdRowError, build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
-from perfcast.evaluation import ensemble_predict
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
 from perfcast.ridge import NoBasisError
 
@@ -50,7 +50,7 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
             return clique_predict(m, grouping, row, col, cfg.ridge, fallback)
         if isinstance(models[alg], UnfactorableError):
             raise models[alg]
-        return factorization.predict(models[alg], row, col), alg.value
+        return predict(models[alg], row, col), alg.value
 
     values = np.array(m.values)
     fills = []

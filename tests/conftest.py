@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from perfcast import PCMatrix, write_matrix_csv
+from perfcast import Algorithm, PCMatrix, evaluation, write_matrix_csv
+from perfcast.matrix import PREDICTION_FLOOR
 
 
 def planted_rank1(n, m, seed, lo=0.5, hi=5.0):
@@ -46,6 +47,22 @@ def sparse_matrix(shape, density, seed, rank=None):
     rows = tuple((f"p{i}", "a") for i in range(n))
     cols = tuple(f"c{j}" for j in range(m))
     return PCMatrix(rows, cols, vals)
+
+
+def predict_all(model):
+    """Every cell of a factor model, floored as its predictions are."""
+    return np.maximum(model.row_factors @ model.col_factors, PREDICTION_FLOOR)
+
+
+def ensemble_cells(*member_values):
+    """The package's ensemble kernel on cells whose members produced
+    member_values: one sequence per member, NaN where it produced
+    nothing, and at least one value per cell."""
+    values = np.array(member_values, dtype=float)
+    members = list(Algorithm)[:len(values)]
+    cells = np.zeros(values.shape[1], dtype=np.intp)
+    columns = {mem: (v,) for mem, v in zip(members, values)}
+    return evaluation._ensemble(None, cells, cells, members, columns)[0]
 
 
 @st.composite

@@ -6,7 +6,11 @@ ridge and cliques once on the full matrix. Every base algorithm here sees
 `with_cell_missing`, and the `in_groups` mean is `sum / len`. Ridge and
 the clique estimates come from the per-cell references
 (`ridge_reference`, `cliques_reference`), not from the block kernels that
-the `leave_one_out` under test runs.
+the `leave_one_out` under test runs. So do the factorizations' cell
+predictions, the ensemble's mean and the relative error: `predict`,
+`ensemble_predict` and `prediction_error` are the earlier per-cell
+functions of the package, kept here as the definitions that its column
+kernels are checked against.
 
 The scored cells are kept one record per cell, and `report_to_json`
 renders them in the driver's report record, so comparing the two
@@ -19,12 +23,39 @@ import numpy as np
 from cliques_reference import clique_predict, group_estimates
 from ridge_reference import ridge_predict
 
-from perfcast import factorization
 from perfcast.cliques import ColdRowError, build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
-from perfcast.evaluation import EvalReport, ensemble_predict, prediction_error
+from perfcast.evaluation import EvalReport
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
+from perfcast.matrix import PREDICTION_FLOOR
 from perfcast.ridge import NoBasisError
+
+
+def predict(model, row: int, col: int) -> float:
+    """Inner product of the two embeddings, floored at a positive epsilon."""
+    return max(float(model.row_factors[row] @ model.col_factors[:, col]),
+               PREDICTION_FLOOR)
+
+
+def prediction_error(predicted: float, target: float) -> float:
+    """Relative error |predicted - target| / target; target must be > 0."""
+    if target <= 0:
+        raise ValueError(f"target time must be positive, got {target}")
+    return abs(predicted - target) / target
+
+
+def ensemble_predict(per_algorithm: list[float]) -> float:
+    """Mean of the component predictions that were actually available.
+
+    Identical inputs return that value exactly (no round trip through a
+    sum that could round).
+    """
+    if not per_algorithm:
+        raise ValueError("no ensemble component produced a prediction")
+    first = per_algorithm[0]
+    if all(v == first for v in per_algorithm):
+        return first
+    return sum(per_algorithm) / len(per_algorithm)
 
 
 @dataclass(frozen=True)
@@ -138,10 +169,10 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
                                                   cell.col, cfg.ridge)[0]
                 elif alg is Algorithm.ALS:
                     model = als_fit(train, cfg.als)
-                    out[alg] = factorization.predict(model, cell.row, cell.col)
+                    out[alg] = predict(model, cell.row, cell.col)
                 elif alg is Algorithm.SVD:
                     model = svd_fit(train, cfg.svd_k, cfg.svd_max_outer)
-                    out[alg] = factorization.predict(model, cell.row, cell.col)
+                    out[alg] = predict(model, cell.row, cell.col)
             except (NoBasisError, ColdRowError, UnfactorableError):
                 out[alg] = None
         return out

@@ -15,15 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import planted_rank1
+from conftest import ensemble_cells, planted_rank1, predict_all
+from loo_reference import prediction_error
 
 from perfcast.cli import main as cli_main
-from perfcast.cliques import build_graph, find_cliques
+from perfcast.cliques import build_graph, correlations, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
-from perfcast.evaluation import (ensemble_predict, leave_one_out,
-                                 masking_sweep, prediction_error)
-from perfcast.factorization import (ALSConfig, FactorModel, als_fit, predict,
-                                    predict_all)
+from perfcast.evaluation import leave_one_out, masking_sweep
+from perfcast.factorization import ALSConfig, FactorModel, als_fit, predict
 from perfcast.matrix import (MaskSpec, PCMatrix, mask_random,
                              read_matrix_csv, write_matrix_csv)
 from perfcast.placement import greedy_place, schedule_batch
@@ -59,6 +58,12 @@ def test_c1_relative_error_definition():
              and prediction_error(40.0, 100.0) == 0.60
              and prediction_error(123.456, 123.456) == 0.0)
     elapsed = time.perf_counter() - t0
+    # every cell the package scores carries that error, bit for bit
+    m, _, _ = planted_rank1(6, 4, seed=1)
+    res = leave_one_out(m, RunConfig(algorithm="ridge")).results[0]
+    scored = [prediction_error(p, t) for p, t in zip(res.predicted.tolist(),
+                                                      res.target.tolist())]
+    exact &= res.error.tolist() == scored
     assert verdict(1, f"relative error definition ({elapsed * 1e3:.3f} ms)",
                    exact and elapsed < 1e-3)
 
@@ -144,12 +149,11 @@ def test_c5_dataset_sparse_regime():
 
 
 def test_c6_ensemble_identity():
-    rng = np.random.default_rng(6)
-    identical = all(ensemble_predict([x, x, x]) == x
-                    for x in rng.uniform(1e-6, 1e6, 200))
+    x = np.random.default_rng(6).uniform(1e-6, 1e6, 200)
+    identical = np.array_equal(ensemble_cells(x, x, x), x)
     ok = (identical
-          and ensemble_predict([0.1, 0.1, 0.1]) == 0.1
-          and ensemble_predict([10.0, 20.0, 30.0]) == 20.0)
+          and ensemble_cells([0.1], [0.1], [0.1]).tolist() == [0.1]
+          and ensemble_cells([10.0], [20.0], [30.0]).tolist() == [20.0])
     assert verdict(6, "ensemble identity and exact mean", ok)
 
 
@@ -175,8 +179,6 @@ def test_c7_sweep_byte_determinism(tmp_path):
 
 
 def test_c8_invariance_suite():
-    from perfcast.cliques import pearson
-
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
 
@@ -189,13 +191,13 @@ def test_c8_invariance_suite():
             if rng.random() < 0.25:
                 vals[i, int(rng.integers(2))] = np.nan
         m = _mat(vals)
-        r_ab = pearson(m, 0, 1)
-        pearson_ok &= r_ab is not None and pearson(m, 1, 0) == r_ab
+        r = correlations(m)
+        pearson_ok &= not np.isnan(r[0, 1]) and r[1, 0] == r[0, 1]
         a, b = rng.uniform(0.5, 3.0), rng.uniform(0.0, 5.0)
         shifted = np.array(vals)
         shifted[:, 0] = a * shifted[:, 0] + b
-        r_affine = pearson(_mat(shifted), 0, 1)
-        pearson_ok &= r_affine is not None and abs(r_affine - r_ab) < 1e-12
+        r_affine = correlations(_mat(shifted))[0, 1]
+        pearson_ok &= bool(abs(r_affine - r[0, 1]) < 1e-12)
 
     gauge_ok = True
     for _ in range(110):

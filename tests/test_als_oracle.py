@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 from als_reference import reference_als_fit
-from conftest import sparse_matrix
+from conftest import predict_all, sparse_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perfcast import ALSConfig, PCMatrix, UnfactorableError, als_fit
 from perfcast import factorization
 from perfcast.factorization import (_fit_stack, _half_step, als_refits,
-                                    predict, predict_all)
+                                    predict)
 from perfcast.matrix import PREDICTION_FLOOR
 
 ranks = st.integers(1, 4)

@@ -101,9 +101,8 @@ class TestComplete:
 
     @pytest.mark.parametrize("flags,message", [
         (["--algorithm", "cliques"], "does not produce a factor model"),
-        (["--ensemble", "ridge,cliques,svd"],
-         "no member of the ensemble (ridge, cliques, svd) fits a factor "
-         "model"),
+        (["--ensemble", "ridge,cliques"],
+         "no member of the ensemble (ridge, cliques) fits a factor model"),
     ])
     def test_model_out_refused_before_the_input_is_read(self, tmp_path,
                                                         capsys, flags,
@@ -138,6 +137,20 @@ class TestComplete:
         for line in capsys.readouterr().out.splitlines():
             (ranked if "rank" in json.loads(line) else placed).append(line)
         assert len(ranked) == 6 and len(placed) == 8
+
+    def test_ensemble_model_out_is_its_svd_member(self, matrix_csv,
+                                                  tmp_path):
+        # without an als member, the ensemble writes its svd member's fit
+        ens, svd = tmp_path / "ens.json", tmp_path / "svd.json"
+        assert main(["complete", str(matrix_csv), "--out",
+                     str(tmp_path / "ens.csv"), "--ensemble",
+                     "ridge,cliques,svd", "--model-out", str(ens)]) == 0
+        assert main(["complete", str(matrix_csv), "--out",
+                     str(tmp_path / "svd.csv"), "--algorithm", "svd",
+                     "--model-out", str(svd)]) == 0
+        model = json.loads(ens.read_text())["model"]
+        assert model["config"]["algorithm"] == "svd"
+        assert model == json.loads(svd.read_text())["model"]
 
     def test_protocol_shapes_the_clique_fills(self, tmp_path, capsys):
         # C5 follows no other column, so no group estimate reaches its

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import (ColdRowError, NoBasisError, PCMatrix, RidgeConfig,
-                      SimilarityGraph, build_graph, clique_predict, cliques,
-                      correlations, find_cliques, group_estimates,
-                      grouping_to_json, pearson, scaling_coefficient)
-from perfcast.cliques import clique_block
+                      build_graph, clique_predict, cliques, correlations,
+                      find_cliques, group_estimates)
+from perfcast.cliques import clique_block, pair_sums
 from perfcast.ridge import ridge_block
 
 
@@ -33,51 +32,64 @@ def two_columns(x, y):
     return grid([[a, b] for a, b in zip(x, y)])
 
 
-def edge_set(g):
+def edge_set(adjacent):
     """The graph's edges as (i, j) pairs, i < j."""
     return frozenset(zip(*(a.tolist() for a in np.nonzero(
-        np.triu(g.adjacent)))))
+        np.triu(adjacent)))))
 
 
 def mates(grouping, vertex):
     return np.flatnonzero(grouping.mates[vertex]).tolist()
 
 
+def slope(m, from_col, to_col, exclude_row=None):
+    """The least-squares slope through the origin from one column onto
+    another over their co-observed rows, leaving exclude_row out: the
+    slope that group estimates scale by, one at a time."""
+    rows = np.array([-1 if exclude_row is None else exclude_row])
+    got, usable = cliques._slopes(m, pair_sums(m), rows, np.array([to_col]))
+    if not usable[0, from_col]:
+        raise ValueError(
+            f"no co-observed rows between columns {from_col} and {to_col}")
+    return float(got[0, from_col])
+
+
 class TestPearson:
     def test_exact_proportional(self):
         m = two_columns([1, 2, 3], [2, 4, 6])
-        assert pearson(m, 0, 1) == 1.0
+        assert correlations(m)[0, 1] == 1.0
 
     def test_exact_negative(self):
         m = two_columns([1, 2, 3], [3, 2, 1])
-        assert pearson(m, 0, 1) == -1.0
+        assert correlations(m)[0, 1] == -1.0
 
     def test_matches_textbook_formula(self):
         x, y = [1, 2, 3, 4], [1.1, 1.9, 3.2, 3.8]
         m = two_columns(x, y)
-        assert pearson(m, 0, 1) == pytest.approx(pearson_oracle(x, y),
-                                                 rel=1e-12)
+        assert correlations(m)[0, 1] == pytest.approx(pearson_oracle(x, y),
+                                                      rel=1e-12)
 
     def test_undefined_below_min_overlap(self):
         m = grid([[1, 2], [2, 4], [3, None]])
-        assert pearson(m, 0, 1, min_overlap=3) is None
-        assert pearson(m, 0, 1, min_overlap=2) == 1.0
+        assert np.isnan(correlations(m, min_overlap=3)[0, 1])
+        assert correlations(m, min_overlap=2)[0, 1] == 1.0
 
     def test_undefined_zero_variance(self):
         m = two_columns([5, 5, 5], [1, 2, 3])
-        assert pearson(m, 0, 1) is None
+        assert np.isnan(correlations(m)[0, 1])
 
     def test_pairwise_complete_rows_only(self):
         # rows where either column is missing must not contribute
         m = grid([[1, 2], [2, 4], [3, 6], [9, None], [None, 1]])
-        assert pearson(m, 0, 1) == 1.0
+        assert correlations(m)[0, 1] == 1.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_symmetry_exact(self, seed):
         rng = np.random.default_rng(seed)
         m = two_columns(rng.uniform(0.1, 50, 6), rng.uniform(0.1, 50, 6))
-        assert pearson(m, 0, 1) == pearson(m, 1, 0)
+        r = correlations(m)
+        assert r[0, 1] == r[1, 0]
 
     @given(st.integers(0, 10 ** 6),
            st.floats(0.01, 100), st.floats(0, 1000))
@@ -86,9 +98,9 @@ class TestPearson:
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.1, 50, 6)
         y = rng.uniform(0.1, 50, 6)
-        r0 = pearson(two_columns(x, y), 0, 1)
-        r1 = pearson(two_columns(alpha * x + beta, y), 0, 1)
-        if r0 is None or r1 is None:
+        r0 = correlations(two_columns(x, y))[0, 1]
+        r1 = correlations(two_columns(alpha * x + beta, y))[0, 1]
+        if np.isnan(r0) or np.isnan(r1):
             return
         assert r1 == pytest.approx(r0, abs=1e-12)
 
@@ -135,11 +147,11 @@ class TestBuildGraph:
         assert edge_set(build_graph(m, threshold=0.97)) == frozenset({(0, 1)})
 
 
-def graph(n, edges, threshold=0.97, min_overlap=3):
+def graph(n, edges):
     adjacent = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         adjacent[i, j] = adjacent[j, i] = True
-    return SimilarityGraph(adjacent, threshold, min_overlap)
+    return adjacent
 
 
 class TestFindCliques:
@@ -215,10 +227,6 @@ class TestAgainstReference:
             for b in range(m.n_cols))] for a in range(m.n_cols)])
         assert np.array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=R_ATOL)
-        for a in range(m.n_cols):
-            for b in range(m.n_cols):
-                assert pearson(m, a, b, min_overlap) == (
-                    None if np.isnan(got[a, b]) else got[a, b])
 
     def test_rows_far_from_the_column_mean(self):
         # C1's three rows shared with C2 sit about 765 from C1's mean but
@@ -227,22 +235,23 @@ class TestAgainstReference:
         m = grid([[float(v), None] for v in range(1, 11)]
                  + [[1000.0, 5.0], [1000.001, 6.0], [1000.003, 8.0]])
         want = cliques_reference.pearson(m, 0, 1)
-        assert abs(correlations(m)[0, 1] - want) <= R_ATOL
-        assert pearson(m, 1, 0) == pearson(m, 0, 1)
+        r = correlations(m)
+        assert abs(r[0, 1] - want) <= R_ATOL
+        assert r[1, 0] == r[0, 1]
 
     @given(m=offset_matrices(), min_overlap=st.integers(2, 4),
            threshold=st.sampled_from([0.5, 0.9, 0.97, 0.99, 1.0]))
     @settings(max_examples=150, deadline=None)
     def test_graph(self, m, min_overlap, threshold):
-        g = build_graph(m, threshold, min_overlap)
-        assert not g.adjacent.diagonal().any()
-        assert np.array_equal(g.adjacent, g.adjacent.T)
+        adjacent = build_graph(m, threshold, min_overlap)
+        assert not adjacent.diagonal().any()
+        assert np.array_equal(adjacent, adjacent.T)
         want = cliques_reference.edges(m, threshold, min_overlap)
         for a in range(m.n_cols):
             for b in range(a + 1, m.n_cols):
                 r = cliques_reference.pearson(m, a, b, min_overlap)
                 if r is None or abs(abs(r) - threshold) > 1e-9:
-                    assert g.adjacent[a, b] == ((a, b) in want)
+                    assert adjacent[a, b] == ((a, b) in want)
 
     @given(st.integers(1, 10), st.sampled_from([0.2, 0.5, 0.8]),
            st.integers(0, 10 ** 6))
@@ -260,16 +269,16 @@ class TestAgainstReference:
 
 class TestScalingCoefficient:
     def test_exact_ratio(self):
-        assert scaling_coefficient(two_columns([1, 2], [2, 4]), 0, 1) == 2.0
+        assert slope(two_columns([1, 2], [2, 4]), 0, 1) == 2.0
 
     def test_constant_columns(self):
-        assert scaling_coefficient(two_columns([1, 1], [3, 3]), 0, 1) == 3.0
+        assert slope(two_columns([1, 1], [3, 3]), 0, 1) == 3.0
 
     def test_matches_direct_formula(self):
         x, y = [1, 2, 3], [2.1, 3.9, 6.2]
         oracle = math.fsum(a * b for a, b in zip(x, y)) / math.fsum(
             a * a for a in x)
-        got = scaling_coefficient(two_columns(x, y), 0, 1)
+        got = slope(two_columns(x, y), 0, 1)
         assert got == pytest.approx(oracle, rel=1e-15)
         assert got == pytest.approx(28.5 / 14.0, rel=1e-15)
 
@@ -277,8 +286,7 @@ class TestScalingCoefficient:
         rng = np.random.default_rng(5)
         x = rng.uniform(0.3, 9, 7)
         m = two_columns(x, 2 * x)
-        assert (scaling_coefficient(m, 0, 1) *
-                scaling_coefficient(m, 1, 0)) == 1.0
+        assert slope(m, 0, 1) * slope(m, 1, 0) == 1.0
 
     @given(st.integers(0, 10 ** 6), st.floats(0.1, 10))
     @settings(max_examples=60, deadline=None)
@@ -286,13 +294,12 @@ class TestScalingCoefficient:
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.3, 9, 7)
         m = two_columns(x, ratio * x)
-        product = (scaling_coefficient(m, 0, 1) *
-                   scaling_coefficient(m, 1, 0))
-        assert product == pytest.approx(1.0, rel=1e-12)
+        assert slope(m, 0, 1) * slope(m, 1, 0) == pytest.approx(1.0,
+                                                                rel=1e-12)
 
     def test_exclude_row(self):
         m = two_columns([1, 2, 100], [2, 4, 1])
-        assert scaling_coefficient(m, 0, 1, exclude_row=2) == 2.0
+        assert slope(m, 0, 1, exclude_row=2) == 2.0
 
 
 class TestCliquePrediction:
@@ -382,16 +389,6 @@ class TestCliquePrediction:
                 assert got == pytest.approx(m.values[r, c], rel=1e-9)
 
 
-class TestGroupingExport:
-    def test_json_shape(self):
-        m, _, _ = planted_rank1(6, 4, seed=1)
-        grouping = find_cliques(build_graph(m, threshold=0.97, min_overlap=3))
-        data = grouping_to_json(grouping, m.col_keys, 0.97, 3)
-        assert data["threshold"] == 0.97
-        assert data["min_overlap"] == 3
-        assert data["cliques"] == [["c00", "c01", "c02", "c03"]]
-
-
 # clique_block against the per-cell reference. Measured over two runs of
 # 1,000 draws of sparse_matrices() with every cell of each draw (14,557
 # predicted cells), fallback on and off, with and without the caller's
@@ -447,10 +444,10 @@ class TestBlockKernel:
             want = cliques_reference.scaling_coefficient(m, a, c, row)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                scaling_coefficient(m, a, c, row)
+                slope(m, a, c, row)
             assert str(got.value) == str(exc)
             return
-        assert scaling_coefficient(m, a, c, row) == pytest.approx(
+        assert slope(m, a, c, row) == pytest.approx(
             want, rel=CLIQUE_RTOL)
 
     def test_left_out_row_that_dominates_the_sums(self):
@@ -464,7 +461,7 @@ class TestBlockKernel:
         for row, col in [(3, 1), (3, 0)]:
             assert group_estimates(m, grouping, row, col) == (
                 cliques_reference.group_estimates(m, grouping, row, col))
-        assert scaling_coefficient(m, 0, 1, exclude_row=3) == (
+        assert slope(m, 0, 1, exclude_row=3) == (
             cliques_reference.scaling_coefficient(m, 0, 1, exclude_row=3))
 
     def test_many_spans(self, monkeypatch):

@@ -8,16 +8,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import grid, planted_rank1
+from conftest import ensemble_cells, grid, planted_rank1
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from loo_reference import ensemble_predict, prediction_error
 
 from perfcast import (Algorithm, CliqueProtocol, RunConfig, cliques,
                       evaluation, MaskSpec, als_fit, complete_matrix,
-                      ensemble_predict, factorization, leave_one_out,
-                      mask_random, masking_sweep, outlier_sweep,
-                      prediction_error, report_to_json, ridge_predict,
-                      write_reports_csv, write_reports_json)
+                      factorization, leave_one_out, mask_random,
+                      masking_sweep, outlier_sweep, report_to_json,
+                      ridge_predict, write_reports_csv, write_reports_json)
 from perfcast.ridge import ridge_block
 
 
@@ -34,6 +34,9 @@ def small_cfg(**kw):
 
 
 class TestPredictionError:
+    """The oracles' per-cell relative error, which the package's scored
+    errors are held to (test_acceptance's criterion 1)."""
+
     def test_examples(self):
         assert prediction_error(110, 100) == 0.10
         assert prediction_error(100, 100) == 0.0
@@ -53,11 +56,16 @@ class TestPredictionError:
 
 
 class TestEnsemblePredict:
+    """The per-cell mean of the oracles, and the package's kernel on the
+    same values (one member each)."""
+
     def test_mean(self):
         assert ensemble_predict([10, 20, 30]) == 20
+        assert ensemble_cells([10], [20], [30]).tolist() == [20]
 
     def test_degenerate_single_member(self):
         assert ensemble_predict([10]) == 10
+        assert ensemble_cells([10]).tolist() == [10]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -67,10 +75,12 @@ class TestEnsemblePredict:
     @settings(max_examples=80, deadline=None)
     def test_identical_values_exact(self, x, n):
         assert ensemble_predict([x] * n) == x
+        assert ensemble_cells(*[[x]] * n).tolist() == [x]
 
     def test_awkward_float_identity(self):
         # 0.1+0.1+0.1 then /3 would NOT return 0.1; the mean must
         assert ensemble_predict([0.1, 0.1, 0.1]) == 0.1
+        assert ensemble_cells([0.1], [0.1], [0.1]).tolist() == [0.1]
 
     def test_composition_with_error(self):
         assert prediction_error(ensemble_predict([12, 14, 16]), 14) == 0.0

@@ -1,16 +1,16 @@
 """ALS and SVD low-rank completion."""
 
+import loo_reference
 import numpy as np
 import pytest
-from conftest import grid, planted_rank1
+from conftest import grid, planted_rank1, predict_all
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import (ALSConfig, FactorModel, MaskSpec, UnfactorableError,
                       als_fit, mask_random, model_from_json, model_to_json,
                       rank_machines, svd_fit)
-from perfcast.factorization import (als_refits, predict, predict_all,
-                                    predict_cells)
+from perfcast.factorization import als_refits, predict, predict_cells
 
 
 def rank1_2x2():
@@ -155,12 +155,14 @@ class TestPredict:
         assert predict(model, 0, 0) == 1e-9
 
     def test_cells_are_predict_with_its_floor(self):
-        # cell (1, 0) is negative before the floor
+        # cell (1, 0) is negative before the floor; each cell, one at a
+        # time or in a stack, is the per-cell inner product bit for bit
         model = manual_model([[1.0, 2.0], [1.0, -2.0]],
                              [[1.0, 3.0], [1.0, 0.5]])
         rows, cols = np.array([1, 0, 1]), np.array([0, 1, 1])
-        want = [predict(model, r, c) for r, c in zip(rows, cols)]
+        want = [loo_reference.predict(model, r, c) for r, c in zip(rows, cols)]
         assert want[0] == 1e-9
+        assert [predict(model, r, c) for r, c in zip(rows, cols)] == want
         assert predict_cells(model, rows, cols).tolist() == want
 
     def test_all_predictions_positive_after_fit(self):
@@ -270,7 +272,8 @@ class TestModelJson:
                 model_to_json(model))))
             row_major = manual_model(model.row_factors,
                                      np.ascontiguousarray(model.col_factors))
-            want = [predict(model, r, c) for r, c in zip(rows, cols)]
+            want = [loo_reference.predict(model, r, c)
+                    for r, c in zip(rows, cols)]
             for fit in (model, back, row_major):
                 assert [predict(fit, r, c)
                         for r, c in zip(rows, cols)] == want

@@ -3,13 +3,12 @@
 from unittest import mock
 
 import numpy as np
-from conftest import grid, planted_rank1, sparse_matrix
+from conftest import grid, planted_rank1, predict_all, sparse_matrix
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from svd_reference import reference_svd_fit
 
 from perfcast import MaskSpec, mask_random, svd_fit
-from perfcast.factorization import predict_all
 
 EPS = np.finfo(float).eps
 
