@@ -155,9 +155,9 @@ class RunConfig:
              f"(0, 1], got {self.clique_threshold}"),
             (self.clique_min_overlap >= 2, f"clique_min_overlap must be at "
              f"least 2, got {self.clique_min_overlap}"),
-            (0 <= self.outlier_lo < self.outlier_hi,
-             f"outlier interval must have 0 <= outlier_lo < outlier_hi, "
-             f"got [{self.outlier_lo}, {self.outlier_hi}]"),
+            (0 <= self.outlier_lo < self.outlier_hi < float("inf"),
+             f"outlier interval must be finite with 0 <= outlier_lo < "
+             f"outlier_hi, got [{self.outlier_lo}, {self.outlier_hi}]"),
             (bool(self.ensemble) and all(a in _MEMBERS for a in self.ensemble),
              f"ensemble members must be some of {', '.join(_MEMBERS)}, got "
              f"{', '.join(self.ensemble) or 'none'}"),

@@ -48,8 +48,11 @@ class ALSConfig:
             raise ValueError(f"rank must be positive, got {self.k}")
         if not self.lam > 0:  # at 0, a row seen fewer than K times is singular
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ValueError("max_iters must be >= 1 and tol > 0")
+        if not np.isfinite(self.lam):  # at inf, every factor is 0
+            raise ValueError(f"lambda must be finite, got {self.lam}")
+        if self.max_iters < 1 or not 0 < self.tol < np.inf:
+            raise ValueError(f"max_iters must be >= 1 and tol positive and "
+                             f"finite, got {self.max_iters} and {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

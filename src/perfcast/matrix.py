@@ -249,11 +249,12 @@ def inject_outliers(
     round(fraction * present) cells are chosen without replacement; each is
     scaled by an independent uniform draw from the open interval. Draws that
     land on the boundary or whose product underflows to zero are re-drawn,
-    so the result stays a valid matrix with the same missingness pattern.
+    so the result stays a valid matrix with the same missingness pattern;
+    a product that overflows is an error naming the cell.
     """
     if not (0 <= fraction <= 1):
         raise ValueError(f"outlier fraction must be in [0, 1], got {fraction}")
-    if not (0 <= lo < hi):
+    if not (0 <= lo < hi < math.inf):
         raise ValueError(f"invalid interval ({lo}, {hi})")
     present = np.argwhere(m.present_mask)
     k = _round_half_up(fraction * len(present))
@@ -267,9 +268,14 @@ def inject_outliers(
         r, c = present[idx]
         while True:
             u = rng.uniform(lo, hi)
-            if u > lo and vals[r, c] * u > 0:
+            scaled = float(vals[r, c]) * u
+            if u > lo and scaled > 0:
                 break
-        vals[r, c] = vals[r, c] * u
+        if scaled == math.inf:
+            raise ValueError(f"outlier factor {u!r} scales cell "
+                             f"({m.row_label(r)}, {m.col_keys[c]}) past the "
+                             f"largest float; lower the outlier interval")
+        vals[r, c] = scaled
     return m.with_values(vals)
 
 
@@ -330,7 +336,8 @@ def read_matrix_csv(path) -> PCMatrix:
 
     Row keys are split on the first ``::``, so program ids must not
     contain that separator. Missing cells are empty; a non-finite value is
-    an error.
+    an error, and so is a repeated row key or machine column, named with
+    its line.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -344,7 +351,11 @@ def read_matrix_csv(path) -> PCMatrix:
                 f"got {header[0]!r}" if header else f"{path}: empty header"
             )
         col_keys = tuple(header[1:])
-        row_keys = []
+        if len(set(col_keys)) != len(col_keys):
+            repeat = next(k for i, k in enumerate(col_keys)
+                          if k in col_keys[:i])
+            raise ValueError(f"{path}:1: duplicate machine column {repeat!r}")
+        key_line = {}  # each row key's line, in file order
         rows = []
         for rec in reader:
             if not rec:
@@ -357,8 +368,10 @@ def read_matrix_csv(path) -> PCMatrix:
             if ROW_KEY_SEP not in rec[0]:
                 raise ValueError(f"{path}:{line}: row key {rec[0]!r} lacks "
                                  f"{ROW_KEY_SEP!r} separator")
-            program, args = rec[0].split(ROW_KEY_SEP, 1)
-            row_keys.append((program, args))
+            key = tuple(rec[0].split(ROW_KEY_SEP, 1))
+            if key_line.setdefault(key, line) != line:
+                raise ValueError(f"{path}:{line}: duplicate row key "
+                                 f"{rec[0]!r}, first on line {key_line[key]}")
             vals = []
             for cell in rec[1:]:
                 if cell == "":
@@ -375,4 +388,4 @@ def read_matrix_csv(path) -> PCMatrix:
                                      f"{cell!r}; leave missing cells empty")
                 vals.append(value)
             rows.append(vals)
-    return PCMatrix(tuple(row_keys), col_keys, np.array(rows))
+    return PCMatrix(tuple(key_line), col_keys, np.array(rows))

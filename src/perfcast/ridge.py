@@ -16,10 +16,10 @@ order, since leaving an observed target cell out lowers the count of
 every feature of its row by one. A matmul over the cells then gives the
 drops after which each row can train each cell. The cells pass through
 this shrink step a bounded number at a time, each keeping only the
-indices of its kept features and training rows; the systems of the whole
-block are then solved as zero-padded stacks of similar shape: primal
-where a cell has no more features than training rows, dual otherwise.
-Only the cells left without a solve take the column mean, one at a time.
+indices of its kept features and training rows. Cells of one shape
+(training rows, kept features) are solved as one stack, primal or dual
+by that shape; a cell that keeps no feature predicts the mean of its
+column's other observed rows, and one with no such row is uncovered.
 `ridge_predict` is the block of one.
 """
 
@@ -44,6 +44,8 @@ class RidgeConfig:
     def __post_init__(self):
         if not self.lam > 0:  # at 0, rank-deficient cells have no one answer
             raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not np.isfinite(self.lam):  # at inf, a solve gives NaN
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.min_training_rows < 2:
             raise ValueError(
                 f"min_training_rows must be at least 2, got {self.min_training_rows}"
@@ -53,7 +55,7 @@ class RidgeConfig:
 # Distinct powers of two up to 2**51 sum exactly in a float64, so one
 # matmul finds the highest drop rank among 52 of them.
 _WINDOW = 52
-# Most padded training values (cells x rows x features) in one stacked solve.
+# Most training values (cells x rows x features) in one stacked solve.
 _STACK = 2**12
 # Most (cells x rows) entries that one pass of the shrink step holds.
 _SPAN = 2**13
@@ -83,28 +85,15 @@ def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
     why."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    # A cell's candidate rows exclude its own row, so with no more rows
-    # than min_training_rows no cell trains.
-    if rows.size and m.n_rows > cfg.min_training_rows:
-        values = _solve(m.values, rows, cols,
-                        *_shrink(m.present_mask, rows, cols,
-                                 cfg.min_training_rows), cfg.lam)
-        np.maximum(values, PREDICTION_FLOOR, out=values)
-    else:
-        values = np.full(rows.size, np.nan)
-    # A cell with no solve takes the target column's mean without the
-    # target row.
-    reasons = {}
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        col_present = m.present_mask[:, cols[i]].copy()
-        col_present[rows[i]] = False
-        if col_present.any():
-            values[i] = max(float(m.values[col_present, cols[i]].mean()),
-                            PREDICTION_FLOOR)
-        else:
-            reasons[i] = NoBasisError(
-                f"no basis for prediction: column {m.col_keys[cols[i]]!r} "
-                f"has no observed values")
+    n, k, train, kept = _shrink(m.present_mask, rows, cols,
+                                cfg.min_training_rows)
+    values = _solve(m.values, rows, cols, n, k, train, kept, cfg.lam)
+    np.maximum(values, PREDICTION_FLOOR, out=values)
+    # A cell trains on no row only when no other row observes its column.
+    reasons = {i: NoBasisError(f"no basis for prediction: column "
+                               f"{m.col_keys[cols[i]]!r} has no observed "
+                               f"values")
+               for i in np.flatnonzero(n == 0).tolist()}
     return values, reasons
 
 
@@ -123,22 +112,22 @@ def _shrink(mask, rows, cols, min_rows):
     """Each cell's kept features and training rows: features are dropped
     in the target column's order (_drop_ranks) until min_rows candidate
     rows, the target column's other rows, observe every kept feature. A
-    cell that would have to drop every feature keeps none.
+    cell that would have to drop every feature keeps none and trains on
+    every candidate row.
 
     Returns (n, k, train, kept): each cell's numbers of training rows and
-    kept features, both 0 for a cell that keeps none, and those rows' and
-    features' indices, each cell's in order, concatenated. The cells
-    pass as many at a time as keep their (cells x rows) arrays within
-    _SPAN entries; what each keeps is its index lists."""
+    kept features, and those rows' and features' indices, each cell's in
+    order, concatenated. The cells pass as many at a time as keep their
+    (cells x rows) arrays within _SPAN entries; what each keeps is its
+    index lists."""
     present = mask.astype(float)
     rank = _drop_ranks(present.T @ present)
     lacks = 1.0 - present.T  # lacks[f, r]: row r does not observe f
     index = np.min_scalar_type(max(mask.shape))
     row_index = np.arange(mask.shape[0], dtype=index)
     col_index = np.arange(mask.shape[1], dtype=index)
-    n = np.zeros(rows.size, dtype=index)
-    k = np.zeros(rows.size, dtype=index)
-    train, kept = [], []
+    n, k = np.zeros((2, rows.size), dtype=index)
+    train, kept = [row_index[:0]], [col_index[:0]]
     step = max(1, _SPAN // mask.shape[0])
     for start in range(0, rows.size, step):
         part = slice(start, start + step)
@@ -167,11 +156,13 @@ def _shrink_span(mask, lacks, rank, rows, cols, min_rows):
     steps = _steps(lacks, required, drop)
     steps[span, rows] = n_cols + 1
     # s drops leave min_rows training rows. With fewer candidate rows, s
-    # is n_cols + 1 and the cell keeps no feature.
-    s = np.partition(steps, min_rows - 1, axis=1)[:, min_rows - 1:min_rows]
+    # is n_cols + 1 and the cell keeps no feature. A cell that keeps none
+    # trains on every candidate row: those take at most n_cols drops.
+    at = min(min_rows, steps.shape[1]) - 1
+    s = np.partition(steps, at, axis=1)[:, at:at + 1]
     kept = required & (drop >= s)
     kept[span, cols] = False
-    return (steps <= s) & kept.any(axis=1, keepdims=True), kept
+    return steps <= np.minimum(s, n_cols), kept
 
 
 def _steps(lacks, required, drop):
@@ -195,72 +186,56 @@ def _steps(lacks, required, drop):
 
 def _solve(values, rows, cols, n, k, train, kept, lam):
     """Predict each cell from its kept features over its training rows:
-    ridge with an unpenalized intercept on standardized features, in the
-    primal (features x features) form when a cell has no more features
-    than training rows and the dual (rows x rows) form otherwise; both are
-    the same estimator. Cell i's training rows are its n[i] entries of
-    train and its features its k[i] entries of kept; a cell with no
-    features is not solved. Returns the predictions before the floor,
-    NaN where there is none."""
+    ridge with an unpenalized intercept on standardized features. Cell
+    i's training rows are its n[i] entries of train and its features its
+    k[i] entries of kept; a cell with no features predicts its training
+    rows' mean, and a cell with no training rows is not solved. Returns
+    the predictions before the floor, NaN where there is none."""
     train_at = np.cumsum(n, dtype=np.intp) - n
     kept_at = np.cumsum(k, dtype=np.intp) - k
     preds = np.full(rows.size, np.nan)
-    for form, dual in [((k > 0) & (k <= n), False), (k > n, True)]:
-        group = np.flatnonzero(form)
-        for part in _stacks(group, n[group], k[group]):
-            preds[part] = _solve_stack(
-                values, rows[part], cols[part],
-                *_padded(train, train_at[part], n[part]),
-                *_padded(kept, kept_at[part], k[part]), lam, dual)
+    for part in _stacks(n, k):
+        preds[part] = _solve_stack(
+            values, rows[part], cols[part],
+            train[train_at[part, None] + np.arange(n[part[0]])],
+            kept[kept_at[part, None] + np.arange(k[part[0]])], lam)
     return preds
 
 
-def _stacks(cells, n, k):
-    """Split cells into stacks of similar shape, each padded stack holding
-    at most _STACK training values (a single larger cell stands alone)."""
+def _stacks(n, k):
+    """Split the cells that have training rows into stacks of one (n, k)
+    shape, each holding at most _STACK training values (a featureless
+    cell counts its n; a single larger cell stands alone)."""
     order = np.lexsort((k, n))
-    start = 0
-    while start < order.size:
-        rest = order[start:]
-        padded = (np.arange(1, rest.size + 1) * n[rest]
-                  * np.maximum.accumulate(k[rest]))
-        stop = start + max(1, int(np.searchsorted(padded, _STACK, "right")))
-        yield cells[order[start:stop]]
-        start = stop
+    order = order[n[order] > 0]
+    runs = np.flatnonzero(np.diff(n[order]) | np.diff(k[order])) + 1
+    for run in np.split(order, runs) if order.size else ():
+        step = max(1, _STACK // (int(n[run[0]]) * max(int(k[run[0]]), 1)))
+        yield from (run[i:i + step] for i in range(0, run.size, step))
 
 
-def _padded(flat, at, count):
-    """Each cell's count[i] entries of flat from at[i] on, padded with 0
-    to the widest, and the mask of the real entries."""
-    real = np.arange(count.max()) < count[:, None]
-    index = np.where(real, at[:, None] + np.arange(count.max()), 0)
-    return np.where(real, flat[index], 0), real
-
-
-def _solve_stack(values, rows, cols, r_idx, real_r, c_idx, real_c, lam,
-                 dual):
-    # Each cell's training rows, then its kept features, in index order;
-    # the padding past n and k is zero and adds nothing to any sum.
+def _solve_stack(values, rows, cols, r_idx, c_idx, lam):
+    # Each cell's training rows, then its kept features, in index order.
     X = values[r_idx[:, :, None], c_idx[:, None, :]]
-    np.copyto(X, 0.0, where=~(real_r[:, :, None] & real_c[:, None, :]))
-    y = np.where(real_r, values[r_idx, cols[:, None]], 0.0)
-    x0 = np.where(real_c, values[rows[:, None], c_idx], 0.0)
+    y = values[r_idx, cols[:, None]]
+    x0 = values[rows[:, None], c_idx]
 
-    # Standardize over the real rows only, in place.
-    n = real_r.sum(axis=1)
-    count = n[:, None].astype(float)
-    mu = X.sum(axis=1) / count
+    # Standardize, in place.
+    n = r_idx.shape[1]
+    mu = X.sum(axis=1) / n
     X -= mu[:, None, :]
-    np.copyto(X, 0.0, where=~real_r[:, :, None])
-    sd = np.sqrt((X * X).sum(axis=1) / count)
+    sd = np.sqrt((X * X).sum(axis=1) / n)
     sd[sd == 0] = 1.0
     X /= sd[:, None, :]
     z0 = (x0 - mu) / sd
     ybar = y.sum(axis=1) / n
-    yc = np.where(real_r, y - ybar[:, None], 0.0)[:, :, None]
+    yc = (y - ybar[:, None])[:, :, None]
 
+    # The primal (features x features) form when the cells have no more
+    # features than training rows, the dual (rows x rows) form otherwise;
+    # both are the same estimator.
     Xt = X.transpose(0, 2, 1)
-    if dual:
+    if X.shape[2] > X.shape[1]:
         w = Xt @ np.linalg.solve(X @ Xt + lam * np.eye(X.shape[1]), yc)
     else:
         w = np.linalg.solve(Xt @ X + lam * np.eye(X.shape[2]), Xt @ yc)

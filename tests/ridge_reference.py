@@ -5,7 +5,8 @@ This is the earlier ``perfcast.ridge.ridge_predict`` with its
 ``perfcast.ridge.ridge_block`` is tested against: one cell per call, one
 ``np.ix_`` gather and one small solve. Its per-cell drop order is
 ``drop_positions``, which the block kernel's per-column drop ranks are
-tested against.
+tested against. ``predict_with_features`` also says which features a
+prediction kept, none for the column mean.
 """
 
 import numpy as np
@@ -55,6 +56,12 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
     no features left, fall back to the target column's mean. Raises
     NoBasisError if the target column has no observed values at all.
     """
+    return predict_with_features(m, row, col, cfg)[0]
+
+
+def predict_with_features(m, row: int, col: int,
+                          cfg: RidgeConfig = RidgeConfig()):
+    """(ridge_predict's value, the indices of the features it kept)."""
     mask = m.present_mask
     values = m.values
 
@@ -66,7 +73,8 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
                 f"no basis for prediction: column {m.col_keys[col]!r} has no "
                 f"observed values"
             )
-        return max(float(values[col_present, col].mean()), PREDICTION_FLOOR)
+        return (max(float(values[col_present, col].mean()),
+                    PREDICTION_FLOOR), np.empty(0, dtype=int))
 
     feat_mask = mask[row].copy()
     feat_mask[col] = False
@@ -96,4 +104,4 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
     y = values[train_rows, col]
     x0 = values[row, kept]
     pred = _solve_standardized(X, y, x0, cfg.lam)
-    return max(pred, PREDICTION_FLOOR)
+    return max(pred, PREDICTION_FLOOR), kept

@@ -195,6 +195,18 @@ BAD_SETTINGS = [
     ("sweep", ["--clique-min-overlap", "-5"],
      "clique_min_overlap must be at least 2, got -5"),
     ("complete", ["--als-lambda", "0"], "lambda must be positive, got 0.0"),
+    ("complete", ["--ridge-lambda", "inf"], "lambda must be finite, got inf"),
+    ("complete", ["--algorithm", "als", "--als-lambda", "inf"],
+     "lambda must be finite, got inf"),
+    ("evaluate", ["--als-tol", "nan"],
+     "tol positive and finite, got 200 and nan"),
+    ("evaluate", ["--als-tol", "inf"],
+     "tol positive and finite, got 200 and inf"),
+    ("outliers", ["--outlier-hi", "inf"],
+     "outlier interval must be finite with 0 <= outlier_lo < outlier_hi, "
+     "got [0.0, inf]"),
+    ("sweep", ["--outlier-lo", "nan"],
+     "0 <= outlier_lo < outlier_hi, got [nan, 4.0]"),
 ]
 
 

@@ -265,6 +265,15 @@ class TestInjectOutliers:
         m = grid([[1.0]])
         with pytest.raises(ValueError, match="interval"):
             inject_outliers(m, 0.1, 3, 2, 0)
+        with pytest.raises(ValueError, match=r"invalid interval \(0, inf\)"):
+            inject_outliers(m, 0.1, 0, math.inf, 0)
+
+    def test_overflowing_product_names_the_cell(self):
+        # a finite interval can still scale a time past the largest float
+        m = grid([[1e300]])
+        with pytest.raises(ValueError, match=r"scales cell \(p0::a0, C1\) "
+                                             r"past the largest float"):
+            inject_outliers(m, 1.0, 0, 1e308, 0)
 
 
 class TestObservationsCsv:
@@ -367,6 +376,19 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text("rowkey,C1\nP1::a1,2.0\n")
         with pytest.raises(ValueError, match="program::args"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("program::args,C1,C2\nP1::a1,2.0,\nP2::a1,1.0,\nP1::a1,3.0,\n",
+         r"m\.csv:4: duplicate row key 'P1::a1', first on line 2"),
+        ("program::args,C1,C2,C1\nP1::a1,2.0,,1.0\n",
+         r"m\.csv:1: duplicate machine column 'C1'"),
+    ])
+    def test_duplicate_key_names_file_line_and_key(self, tmp_path, text,
+                                                   message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_matrix_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
