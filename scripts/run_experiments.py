@@ -5,7 +5,7 @@ Given a matrix CSV, this runs three experiments and writes their artifacts
 into --out-dir:
 
   loo.json                leave-one-out, every algorithm, the clique
-                          algorithm under all three scoring protocols
+                          algorithm under both scoring protocols
   sweep.json / sweep.csv  masking sweep over --fractions
   outliers.json / .csv    same sweep with corrupted training cells
 

@@ -17,10 +17,9 @@ from the pair sums of that call (`pair_sums`: three matmuls over the
 zero-filled matrix); a cell whose own row observes the target takes that
 row's terms back out, and sums a pair again directly where the removed
 term is as large as what remains. Cells without a group estimate fall
-back to one `ridge_block` call, or to the ridge arrays the caller already
-has. `clique_predict` and `group_estimates` are the block of one; nothing
-in the package calls them, and they remain because the benchmark's tracer
-(`bench/spans.py`) wraps them by name.
+back to one `ridge_block` call. `clique_predict` and `group_estimates`
+are the block of one; nothing in the package calls them, and they remain
+because the benchmark's tracer (`bench/spans.py`) wraps them by name.
 """
 
 from __future__ import annotations
@@ -208,17 +207,13 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
 
 
 def clique_block(m, grouping: Grouping, rows, cols,
-                 ridge_cfg: RidgeConfig = RidgeConfig(), fallback: bool = True,
-                 ridge=None):
+                 ridge_cfg: RidgeConfig = RidgeConfig(), fallback: bool = True):
     """clique_predict for each cell (rows[i], cols[i]) in one pass; returns
     (values, reasons, via_ridge) as ridge_block returns (values, reasons),
-    via_ridge marking the cells that fell back to ridge. The pair sums of
-    m are computed once per call, so a caller passes all its cells at
-    once; the estimates run a bounded span of cells at a time.
-
-    ridge, when given, is what ridge_block returns for the same cells,
-    from a caller that has already solved them; otherwise ridge_block runs
-    on the fallback cells only.
+    via_ridge marking the cells that fell back to ridge, which one
+    ridge_block call solves. The pair sums of m are computed once per
+    call, so a caller passes all its cells at once; the estimates run a
+    bounded span of cells at a time.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -244,12 +239,8 @@ def clique_block(m, grouping: Grouping, rows, cols,
                      f"{m.col_keys[cols[i]]})")
         for i in np.flatnonzero(no_group & ~via_ridge).tolist()}
     lone = np.flatnonzero(via_ridge)
-    if lone.size and ridge is None:
+    if lone.size:
         values[lone], missed = ridge_block(m, rows[lone], cols[lone],
                                            ridge_cfg)
         reasons.update(zip(lone[list(missed)].tolist(), missed.values()))
-    elif lone.size:
-        values[lone] = ridge[0][lone]
-        reasons.update((i, ridge[1][i]) for i in lone.tolist()
-                       if i in ridge[1])
     return values, reasons, via_ridge

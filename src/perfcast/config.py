@@ -33,15 +33,12 @@ class Algorithm(str, enum.Enum):
 
 
 class CliqueProtocol(str, enum.Enum):
-    """Variants of the clique algorithm in leave-one-out runs, in masking
-    and outlier sweeps, and in completion.
-
-    REGRESSION ignores groups entirely; IN_GROUPS predicts only cells the
-    group-scaling step can reach (everything else counts as uncovered, and
-    completion stops at the first such cell); IN_GROUPS_PLUS_REGRESSION is
-    the production behavior with fallback.
+    """Variants of the clique algorithm scored on its own (leave-one-out,
+    sweeps, completion); an ensemble's clique member adds only its
+    in-group estimates. IN_GROUPS predicts only cells the group-scaling
+    step can reach: everything else is uncovered, and completion stops at
+    the first such cell. IN_GROUPS_PLUS_REGRESSION falls back to ridge.
     """
-    REGRESSION = "regression"
     IN_GROUPS = "in_groups"
     IN_GROUPS_PLUS_REGRESSION = "in_groups_plus_regression"
 
@@ -90,10 +87,17 @@ def _one_of(names: tuple[str, ...]):
     return choice
 
 
+def distinct(names, what: str):
+    """names, which must hold no name twice: one would count twice."""
+    if len(set(names)) < len(names):
+        raise ValueError(f"{what} must be distinct, got {', '.join(names)}")
+    return names
+
+
 def parse_algorithms(text: str) -> tuple[str, ...]:
-    """"ridge,ensemble" -> ("ridge", "ensemble"); each must be an
-    algorithm."""
-    return tuple(map(_one_of(_ALGORITHMS), parse_name_list(text)))
+    """"ridge,ensemble" -> ("ridge", "ensemble"): distinct algorithms."""
+    return distinct(tuple(map(_one_of(_ALGORITHMS), parse_name_list(text))),
+                    "algorithms")
 
 
 def parse_ensemble(text: str) -> tuple[str, ...]:
@@ -141,9 +145,13 @@ class RunConfig:
 
     def __post_init__(self):
         self.ridge, self.als  # built to run their own checks
+        for f in fields(self):
+            if f.metadata["choices"]:  # checked as its flag and file value
+                f.metadata["parse"](getattr(self, f.name))
         for ok, problem in [
             (self.seed >= 0, f"seed must be nonnegative, got {self.seed}"),
             (self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}"),
+            (bool(self.fractions), "fractions must not be empty"),
             (all(0 <= f < 1 for f in self.fractions),
              f"fractions must be in [0, 1), got {list(self.fractions)}"),
             (0 <= self.outlier_fraction < 1, f"outlier_fraction must be in "
@@ -161,12 +169,11 @@ class RunConfig:
             (bool(self.ensemble) and all(a in _MEMBERS for a in self.ensemble),
              f"ensemble members must be some of {', '.join(_MEMBERS)}, got "
              f"{', '.join(self.ensemble) or 'none'}"),
-            (len(set(self.ensemble)) == len(self.ensemble), f"ensemble "
-             f"members must be distinct, got {', '.join(self.ensemble)}"),
             (self.threads >= 1, f"threads must be >= 1, got {self.threads}"),
         ]:
             if not ok:
                 raise ValueError(problem)
+        distinct(self.ensemble, "ensemble members")
 
     @property
     def ridge(self) -> RidgeConfig:

@@ -7,7 +7,8 @@ base algorithm is fit once by `_fit_predict` and predicts every cell in
 one kernel call, which gives a column of arrays: the values, NaN where a
 cell is uncovered, the reasons for the uncovered cells, and a per-cell
 code for the mechanism. The ensemble is one masked mean over its members'
-values. Completion raises the reason of the first uncovered cell.
+own values (code 0), so a clique member adds only its in-group estimates.
+Completion raises the reason of the first uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
 it. A report holds only what varies by report: its fraction, a note when
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliques import build_graph, clique_block, find_cliques
-from .config import Algorithm, CliqueProtocol, RunConfig
+from .config import Algorithm, CliqueProtocol, RunConfig, distinct
 from .factorization import (FactorModel, UnfactorableError, als_fit,
                             als_refits, predict_cells, svd_fit)
 from .jsonfile import write_json, zip_columns
@@ -73,41 +74,28 @@ class EvalReport:
     capped_fits: tuple[int, int] = (0, 0)
 
 
-def _base_algorithms(algorithms, cfg: RunConfig) -> list[Algorithm]:
-    needed = (set(map(Algorithm, cfg.ensemble))
-              if Algorithm.ENSEMBLE in algorithms else set())
-    needed.update(a for a in algorithms if a is not Algorithm.ENSEMBLE)
-    return [a for a in Algorithm if a in needed]
-
-
 def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
-                 cfg: RunConfig, refit: bool, ridge):
+                 cfg: RunConfig, refit: bool, alone: bool):
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (values, reasons, via_ridge,
     fit), via_ridge marking the values ridge made for the clique
-    algorithm.
+    algorithm, which falls back to ridge (under cfg.protocol) only when
+    alone: scored on its own, not only as an ensemble member.
 
     With refit, a factorization is fit once per cell without that cell.
-    ridge is the ridge member's (values, reasons) for the same cells, or
-    None; cliques, under cfg.protocol, reuse it. fit is the FactorModel
-    of the shared als/svd fit, each cell's iteration count for ALS
-    refits (0 where uncovered), else None; a shared fit that raises
-    UnfactorableError leaves every cell uncovered.
+    fit is the FactorModel of the shared als/svd fit, each cell's
+    iteration count for ALS refits (0 where uncovered), else None; a
+    shared fit that raises UnfactorableError leaves every cell uncovered.
     """
-    protocol = CliqueProtocol(cfg.protocol)
-    if alg is Algorithm.RIDGE or (alg is Algorithm.CLIQUES and
-                                  protocol is CliqueProtocol.REGRESSION):
-        got = ridge or ridge_block(train, rows, cols, cfg.ridge)
-        return (*got, np.full(rows.size, alg is Algorithm.CLIQUES), None)
-
+    nowhere = np.zeros(rows.size, dtype=bool)
+    if alg is Algorithm.RIDGE:
+        return (*ridge_block(train, rows, cols, cfg.ridge), nowhere, None)
     if alg is Algorithm.CLIQUES:
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
-        fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
+        fallback = alone and cfg.protocol != CliqueProtocol.IN_GROUPS
         return (*clique_block(train, grouping, rows, cols, cfg.ridge,
-                              fallback, ridge), None)
-
-    nowhere = np.zeros(rows.size, dtype=bool)
+                              fallback), None)
     if refit and alg is Algorithm.ALS:
         values, reasons, iters = als_refits(train, rows, cols, cfg.als)
         return values, reasons, nowhere, iters
@@ -142,11 +130,12 @@ def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
 def _ensemble(train: PCMatrix, rows, cols, members, columns):
     """The ensemble's column from its members' columns.
 
-    A cell's value is the mean of the values its members produced, summed
-    in members order, and exactly their value where they all agree. Its
-    code has bit j set where members[j] produced a value.
+    A cell's value is the mean of its members' own values (code 0),
+    summed in members order, and exactly their value where they all
+    agree. Its code has bit j set where members[j] gave such a value.
     """
-    values = np.stack([columns[mem][0] for mem in members])
+    values = np.stack([np.where(columns[mem][2], np.nan, columns[mem][0])
+                       for mem in members])
     covered = ~np.isnan(values)
     total = sum(np.where(covered, values, 0.0))
     first = values[covered.argmax(axis=0), np.arange(rows.size)]
@@ -176,23 +165,23 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     error that says why, and labels[code[i]] is a covered cell's shared
     (mechanism, excluded) pair. The cells are either all missing from
     train (sweeps, completion) or all observed (leave-one-out), where a
-    factorization is refit for each cell. A clique member that fell back
-    to ridge adds ridge's value to the ensemble.
+    factorization is refit for each cell.
     """
     # With no cells the shared fit is still made: complete_matrix returns
     # the model.
     refit = rows.size > 0 and bool(train.present_mask[rows, cols].all())
+    members = (list(map(Algorithm, cfg.ensemble))
+               if Algorithm.ENSEMBLE in algorithms else [])
+    base = {*algorithms, *members} - {Algorithm.ENSEMBLE}
     columns, fits = {}, {}
-    for alg in _base_algorithms(algorithms, cfg):
-        # ridge first: cliques may reuse its values and reasons
-        ridge = columns.get(Algorithm.RIDGE)
+    for alg in [a for a in Algorithm if a in base]:
         values, reasons, via_ridge, fits[alg] = _fit_predict(
-            alg, train, rows, cols, cfg, refit, ridge and ridge[:2])
+            alg, train, rows, cols, cfg, refit, alg in algorithms)
         columns[alg] = (values, reasons, via_ridge,
                         ((alg.value, ()), ("ridge", ())))
-    if Algorithm.ENSEMBLE in algorithms:
-        columns[Algorithm.ENSEMBLE] = _ensemble(
-            train, rows, cols, list(map(Algorithm, cfg.ensemble)), columns)
+    if members:
+        columns[Algorithm.ENSEMBLE] = _ensemble(train, rows, cols, members,
+                                                columns)
     return columns, fits
 
 
@@ -253,7 +242,7 @@ def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
 
 
 def _sweep(m, algorithms, cfg: RunConfig, corrupt=None) -> list[EvalReport]:
-    algorithms = [Algorithm(a) for a in algorithms]
+    algorithms = distinct([Algorithm(a) for a in algorithms], "algorithms")
     reports = []
     for fi, fraction in enumerate(cfg.fractions):
         maskings, note = [], None
@@ -317,8 +306,8 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     factorization the completion fit: cfg.algorithm's for als/svd, an
     ensemble's als member's, or its svd member's when it has no als, else
     None; it is fit even when nothing is missing, since it also ranks
-    machines for programs outside the matrix. The first cell in row-major order that cannot be
-    predicted raises its reason.
+    machines for programs outside the matrix. The first cell in row-major
+    order that cannot be predicted raises its reason.
     """
     algorithm = Algorithm(cfg.algorithm)
     rows, cols = np.nonzero(~m.present_mask)

@@ -124,16 +124,14 @@ def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
 
 def clique_predict(m, grouping: Grouping, row: int, col: int,
                    ridge_cfg: RidgeConfig = RidgeConfig(),
-                   fallback: bool = True, ridge=None) -> tuple[float, str]:
+                   fallback: bool = True) -> tuple[float, str]:
     """Predict a cell as the mean of its group-mate estimates.
 
     Returns (value, mechanism), the mechanism being "cliques" or "ridge".
     The target cell is treated as missing. Machines outside any real group
     (or with no usable mate in this row) fall back to the regression
     baseline; a row with no observations at all raises ColdRowError. With
-    fallback False such a cell raises NoBasisError instead. ridge, when
-    given, is called with no arguments for the fallback's value in place
-    of ridge_predict, by a caller that has already solved this cell.
+    fallback False such a cell raises NoBasisError instead.
     """
     estimates = group_estimates(m, grouping, row, col)
     if estimates:
@@ -145,6 +143,4 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     row_mask[col] = False
     if not row_mask.any():
         raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
-    if ridge is None:
-        return ridge_predict(m, row, col, ridge_cfg), "ridge"
-    return ridge(), "ridge"
+    return ridge_predict(m, row, col, ridge_cfg), "ridge"

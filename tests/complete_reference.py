@@ -5,7 +5,8 @@ the missing cells through the block kernels at once. Here ridge and the
 clique estimates come from the per-cell references (`ridge_reference`,
 `cliques_reference`), a factorization is fit once and `predict`s one cell
 at a time, and the ensemble is `ensemble_predict` over the members that
-produced a value, in `cfg.ensemble` order; `predict` and
+produced a value by their own mechanism (a clique member's ridge fallback
+is left out), in `cfg.ensemble` order; `predict` and
 `ensemble_predict` are `loo_reference`'s per-cell definitions.
 """
 
@@ -42,8 +43,7 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
 
     def predict_one(alg, row, col):
         """(value, mechanism) of one base algorithm, or its error."""
-        if alg is Algorithm.RIDGE or (alg is Algorithm.CLIQUES and protocol
-                                      is CliqueProtocol.REGRESSION):
+        if alg is Algorithm.RIDGE:
             return ridge_predict(m, row, col, cfg.ridge), "ridge"
         if alg is Algorithm.CLIQUES:
             fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
@@ -61,9 +61,11 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
             got = []
             for mem in members:
                 try:
-                    got.append((mem.value, predict_one(mem, row, col)[0]))
+                    value, mechanism = predict_one(mem, row, col)
                 except (NoBasisError, ColdRowError, UnfactorableError):
-                    pass
+                    continue
+                if mechanism == mem.value:
+                    got.append((mem.value, value))
             if not got:
                 raise ValueError(f"no ensemble member could predict cell "
                                  f"({m.row_label(row)}, {m.col_keys[col]})")

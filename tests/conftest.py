@@ -1,11 +1,20 @@
 """Shared builders for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from perfcast import Algorithm, PCMatrix, evaluation, write_matrix_csv
 from perfcast.matrix import PREDICTION_FLOOR
+
+# On CI (which sets CI), a failing property test also prints the
+# @reproduce_failure blob that replays its draw exactly.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def planted_rank1(n, m, seed, lo=0.5, hi=5.0):
@@ -57,11 +66,13 @@ def predict_all(model):
 def ensemble_cells(*member_values):
     """The package's ensemble kernel on cells whose members produced
     member_values: one sequence per member, NaN where it produced
-    nothing, and at least one value per cell."""
+    nothing, and at least one value per cell. Each value is the member's
+    own (mechanism code 0)."""
     values = np.array(member_values, dtype=float)
     members = list(Algorithm)[:len(values)]
     cells = np.zeros(values.shape[1], dtype=np.intp)
-    columns = {mem: (v,) for mem, v in zip(members, values)}
+    columns = {mem: (v, {}, np.zeros(v.size, dtype=int))
+               for mem, v in zip(members, values)}
     return evaluation._ensemble(None, cells, cells, members, columns)[0]
 
 

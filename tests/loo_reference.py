@@ -3,7 +3,9 @@
 This is the earlier `leave_one_out` of perfcast.evaluation, kept verbatim
 (serial instead of a thread pool) as the oracle for the driver that fits
 ridge and cliques once on the full matrix. Every base algorithm here sees
-`with_cell_missing`, and the `in_groups` mean is `sum / len`. Ridge and
+`with_cell_missing`, and the `in_groups` mean is `sum / len`. An
+ensemble member counts only a value it made by its own mechanism: the
+clique member's ridge fallback is left out under either protocol. Ridge and
 the clique estimates come from the per-cell references
 (`ridge_reference`, `cliques_reference`), not from the block kernels that
 the `leave_one_out` under test runs. So do the factorizations' cell
@@ -157,16 +159,16 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
                     out[alg] = ridge_predict(train, cell.row, cell.col,
                                              cfg.ridge)
                 elif alg is Algorithm.CLIQUES:
-                    if protocol is CliqueProtocol.REGRESSION:
-                        out[alg] = ridge_predict(train, cell.row, cell.col,
-                                                 cfg.ridge)
-                    elif protocol is CliqueProtocol.IN_GROUPS:
+                    if protocol is CliqueProtocol.IN_GROUPS:
                         ests = group_estimates(train, grouping, cell.row,
                                                cell.col)
                         out[alg] = sum(ests) / len(ests) if ests else None
                     else:
-                        out[alg] = clique_predict(train, grouping, cell.row,
-                                                  cell.col, cfg.ridge)[0]
+                        value, mechanism = clique_predict(
+                            train, grouping, cell.row, cell.col, cfg.ridge)
+                        own = (algorithm is not Algorithm.ENSEMBLE
+                               or mechanism == alg.value)
+                        out[alg] = value if own else None
                 elif alg is Algorithm.ALS:
                     model = als_fit(train, cfg.als)
                     out[alg] = predict(model, cell.row, cell.col)

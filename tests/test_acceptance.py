@@ -111,13 +111,13 @@ def test_c4_dataset_group_structure_and_errors():
     n_groups = len(grouping.cliques)
     singles = sum(1 for c in grouping.cliques if len(c) == 1)
 
-    def total(protocol):
-        rep = leave_one_out(m, replace(cfg, protocol=protocol.value))
+    def total(**setting):
+        rep = leave_one_out(m, replace(cfg, **setting))
         return rep.results[0].total_error
 
-    reg = total(CliqueProtocol.REGRESSION)
-    in_groups = total(CliqueProtocol.IN_GROUPS)
-    combined = total(CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
+    reg = total(algorithm="ridge")  # the regression baseline
+    in_groups = total(protocol=CliqueProtocol.IN_GROUPS.value)
+    combined = total(protocol=CliqueProtocol.IN_GROUPS_PLUS_REGRESSION.value)
 
     ok = (41 <= n_groups <= 51
           and 22 <= singles <= 32

@@ -180,10 +180,13 @@ class TestComplete:
         assert log == ["cliques", "cliques", "ridge", "ridge"]
         assert run("--algorithm", "cliques", "--protocol",
                    "in_groups_plus_regression") == (default, log)
-        regression, log = run("--algorithm", "cliques",
-                              "--protocol", "regression")
-        assert log == ["ridge"] * 4
-        assert regression == run("--algorithm", "ridge")[0] != default
+        # an ensemble's clique member adds only its in-group estimates,
+        # under either protocol
+        ensemble = run("--algorithm", "ensemble")
+        assert ensemble[1] == (["ensemble:ridge+cliques+als"] * 2
+                               + ["ensemble:ridge+als"] * 2)
+        assert run("--algorithm", "ensemble", "--protocol",
+                   "in_groups") == ensemble
         capsys.readouterr()
         assert run("--algorithm", "cliques", "--protocol", "in_groups") is None
         assert "no group estimate for cell" in capsys.readouterr().err
@@ -363,14 +366,10 @@ class TestSweep:
 
         default = run()
         in_groups = run("--protocol", "in_groups")
-        regression = run("--protocol", "regression")
         assert all(rep["cliques"]["n_uncovered"] == 0 for rep in default)
         assert sum(rep["cliques"]["n_uncovered"] for rep in in_groups) > 0
-        for d, g, r in zip(default, in_groups, regression, strict=True):
-            assert d["ridge"] == g["ridge"] == r["ridge"]
-            # the regression protocol scores ridge under the clique name
-            assert ([c["predicted"] for c in r["cliques"]["cells"]]
-                    == [c["predicted"] for c in r["ridge"]["cells"]])
+        for d, g in zip(default, in_groups, strict=True):
+            assert d["ridge"] == g["ridge"]
             # in_groups keeps the cells the groups reached, as scored with
             # the fallback, and never reaches C5
             kept = g["cliques"]["cells"]
@@ -378,8 +377,6 @@ class TestSweep:
                        for c in kept)
             assert (len(kept) + g["cliques"]["n_uncovered"]
                     == len(d["cliques"]["cells"]))
-        assert ([rep["cliques"] for rep in default]
-                != [rep["cliques"] for rep in regression])
 
     def test_algorithm_is_not_echoed(self, matrix_csv, tmp_path):
         out = tmp_path / "r.json"

@@ -13,7 +13,6 @@ from perfcast import (ColdRowError, NoBasisError, PCMatrix, RidgeConfig,
                       build_graph, clique_predict, cliques, correlations,
                       find_cliques, group_estimates)
 from perfcast.cliques import clique_block, pair_sums
-from perfcast.ridge import ridge_block
 
 
 def pearson_oracle(x, y):
@@ -401,19 +400,16 @@ RIDGE_RTOL = 1e-10  # test_ridge.RTOL at the default lambda
 
 class TestBlockKernel:
     @given(m=sparse_matrices(), threshold=st.sampled_from([0.5, 0.9, 0.97]),
-           min_overlap=st.integers(2, 3), fallback=st.booleans(),
-           reuse=st.booleans())
+           min_overlap=st.integers(2, 3), fallback=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference(self, m, threshold, min_overlap, fallback,
-                               reuse):
+    def test_matches_reference(self, m, threshold, min_overlap, fallback):
         # every cell: observed ones as in leave-one-out, missing ones as in
         # completion
         grouping = find_cliques(build_graph(m, threshold, min_overlap))
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
         cfg = RidgeConfig()
-        ridge = ridge_block(m, rows, cols, cfg) if reuse else None
         values, reasons, via_ridge = clique_block(m, grouping, rows, cols,
-                                                  cfg, fallback, ridge)
+                                                  cfg, fallback)
         uncovered = set()
         for i, (row, col) in enumerate(zip(rows, cols)):
             try:

@@ -9,6 +9,7 @@ import pytest
 
 from perfcast import RunConfig
 from perfcast.cli import main
+from perfcast.config import parse_algorithms
 
 # field -> (text given in a file or flag, value echoed in run_config);
 # every value differs from the default
@@ -112,6 +113,7 @@ def test_default_echo(matrix_csv, tmp_path):
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("line", ["algorithm = magic", "protocol = magic",
+                                  "protocol = regression",
                                   "ensemble = ridge,magic",
                                   "ensemble = ridge,ensemble"])
 def test_unknown_name_in_file_reports_line(matrix_csv, tmp_path, capsys,
@@ -127,9 +129,11 @@ def test_unknown_name_in_file_reports_line(matrix_csv, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flag", [["--protocol", "magic"],
+                                  ["--protocol", "regression"],
                                   ["--ensemble", "ridge,magic"],
                                   ["--ensemble", "ridge,ensemble"],
-                                  ["--algorithms", "ridge,magic"]])
+                                  ["--algorithms", "ridge,magic"],
+                                  ["--algorithms", "ridge,ridge"]])
 def test_unknown_name_as_flag_is_usage_error(matrix_csv, tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", str(matrix_csv), *flag])
@@ -228,6 +232,26 @@ def test_fraction_out_of_range_rejected(setting):
     # a RunConfig made in code must fail as early
     with pytest.raises(ValueError, match=r"must be in \[0, 1\)"):
         RunConfig(**setting)
+
+
+@pytest.mark.parametrize("setting,message", [
+    ({"algorithm": "bogus"}, "'bogus' is not one of ridge, cliques"),
+    ({"protocol": "nope"}, "'nope' is not one of in_groups, "),
+    # the regression baseline is algorithm ridge, not a clique protocol
+    ({"protocol": "regression"},
+     "'regression' is not one of in_groups, in_groups_plus_regression"),
+    ({"fractions": ()}, "fractions must not be empty"),
+])
+def test_every_choice_checked_when_built(setting, message):
+    # a RunConfig made in code fails as its flag or file value would
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**setting)
+
+
+@pytest.mark.parametrize("text", ["ridge,ridge", "als,ensemble,als"])
+def test_repeated_algorithm_rejected(text):
+    with pytest.raises(ValueError, match="algorithms must be distinct"):
+        parse_algorithms(text)
 
 
 def test_ensemble_cannot_nest():

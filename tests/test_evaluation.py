@@ -4,7 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -117,15 +117,6 @@ class TestLeaveOneOut:
         assert res.total_error == pytest.approx(
             sum(res.error.tolist()) / res.error.size)
 
-    def test_protocol_regression_equals_ridge_algorithm(self):
-        m = proportional_matrix(7, 4, seed=6)
-        via_protocol = leave_one_out(m, small_cfg(algorithm="cliques",
-                                                  protocol="regression"))
-        via_ridge = leave_one_out(m, small_cfg(algorithm="ridge"))
-        a, b = via_protocol.results[0], via_ridge.results[0]
-        assert cell_keys(a) == cell_keys(b)
-        assert a.predicted.tolist() == b.predicted.tolist()
-
     def test_in_groups_skips_isolated_machines(self):
         # C3 is uncorrelated noise: its cells count as uncovered under the
         # groups-only protocol and are excluded from the mean
@@ -197,6 +188,16 @@ class TestMaskingSweep:
         assert [report_to_json(r) for r in a] == [report_to_json(r) for r in b]
         c = sweep(10)
         assert [report_to_json(r) for r in a] != [report_to_json(r) for r in c]
+
+    @pytest.mark.parametrize("sweep", [masking_sweep, outlier_sweep])
+    def test_repeated_algorithm_rejected(self, sweep):
+        # each of its cells would be scored twice under one name
+        m = proportional_matrix(6, 4, seed=2)
+        with pytest.raises(ValueError,
+                           match="algorithms must be distinct, got ridge, "
+                                 "als, ridge"):
+            sweep(m, ["ridge", Algorithm.ALS, "ridge"],
+                  small_cfg(fractions=(0.3,), repeats=1))
 
     def test_algorithms_share_the_mask(self):
         m, _, _ = planted_rank1(8, 6, seed=6)
@@ -363,47 +364,50 @@ class TestCompleteMatrix:
             assert completed.present_mask.all()
             assert set(mechanism) == {detail}
 
-    def test_ensemble_counts_clique_fallback_as_a_member(self):
-        # C3 is in no clique, so the clique member falls back to ridge and
-        # ridge's value enters the mean twice; the log still names all three
+    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    def test_ensemble_leaves_out_clique_fallback(self, protocol):
+        # C3 is in no clique, so the clique member has no estimate of its
+        # own there: the mean is ridge's and als's alone, under either
+        # protocol, and the log names only those two
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        cfg = small_cfg(algorithm="ensemble")
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
         completed, ((row,), (col,), (mechanism,)), _ = complete_matrix(m, cfg)
         predicted = completed.values[row, col]
         ridge = ridge_predict(m, 3, 2, cfg.ridge)
         als = factorization.predict(als_fit(m, cfg.als), 3, 2)
         assert (row, col) == (3, 2)
-        assert mechanism == "ensemble:ridge+cliques+als"
-        assert predicted == ensemble_predict([ridge, ridge, als])
-        assert predicted != ensemble_predict([ridge, als])
+        assert mechanism == "ensemble:ridge+als"
+        assert predicted == ensemble_predict([ridge, als])
+        assert predicted != ensemble_predict([ridge, ridge, als])
 
     def test_ensemble_of_agreeing_members_is_that_value(self, monkeypatch):
         # Members that agree give their value exactly, as ensemble_predict
         # does: three 0.1s would sum and divide to 0.10000000000000002.
-        # Under the regression protocol the clique member is ridge's
-        # column, so ridge and als are pinned to 0.1 here.
-        def tenth(m, rows, cols, *_):
+        # Every member is pinned to 0.1 here.
+        def tenth(m, rows, *_):
             return np.full(len(rows), 0.1)
+        def in_groups(m, grouping, rows, *_):
+            return tenth(m, rows), {}, np.zeros(len(rows), dtype=bool)
         monkeypatch.setattr(evaluation, "ridge_block",
                             lambda *args: (tenth(*args), {}))
+        monkeypatch.setattr(evaluation, "clique_block", in_groups)
         monkeypatch.setattr(evaluation, "predict_cells", tenth)
         assert sum([0.1] * 3) / 3 != 0.1
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
         completed, (rows, cols, mechanism), _ = complete_matrix(
-            m, small_cfg(algorithm="ensemble", protocol="regression"))
+            m, small_cfg(algorithm="ensemble"))
         assert list(zip(completed.values[rows, cols].tolist(),
                         mechanism)) == [(0.1, "ensemble:ridge+cliques+als")]
 
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_solves_ridge_once_per_cell(self, monkeypatch,
                                                  protocol):
-        # The clique member's fallback (and, under the regression protocol,
-        # the whole member) reuses the ridge member's solve of the cell.
+        # Only the ridge member solves ridge: the clique member, scored
+        # only inside the ensemble, has no fallback under either protocol.
         # Every cell that reaches the ridge block kernel, from any caller,
-        # is counted. Completion applies the protocol: under in_groups the
-        # clique member cannot reach the noise column and is excluded.
+        # is counted.
         calls = []
 
         def counting(m, rows, cols, cfg):
@@ -417,9 +421,7 @@ class TestCompleteMatrix:
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
         _, (_, _, mechanism), _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
-        assert mechanism[0] == (
-            "ensemble:ridge+als" if protocol is CliqueProtocol.IN_GROUPS
-            else "ensemble:ridge+cliques+als")
+        assert mechanism == ["ensemble:ridge+als"]
         calls.clear()
         report = leave_one_out(m, cfg)
         assert calls == cell_keys(report.results[0])
@@ -427,7 +429,7 @@ class TestCompleteMatrix:
     def test_one_kernel_call_per_algorithm(self, monkeypatch):
         # Completion hands every missing cell, here more than 512, to each
         # kernel in one call; the kernels bound their own memory. The
-        # clique member reuses the ridge member's solve.
+        # clique member, scored only inside the ensemble, solves no ridge.
         calls = {"ridge": 0, "cliques": 0}
 
         def counting(name, kernel):
@@ -469,6 +471,68 @@ class TestCompleteMatrix:
             algorithm="ensemble"))
         assert len(mechanism) > 10
         assert len(set(map(id, mechanism))) == len(set(mechanism))
+
+
+def fallback_matrix():
+    """12x5: C1..C4 proportional, C5 noise that only the clique fallback
+    reaches."""
+    rng = np.random.default_rng(4)
+    base = rng.uniform(1, 10, 12)
+    return grid(np.column_stack([base * s for s in (1.0, 2.0, 3.0, 0.5)]
+                                + [rng.uniform(1, 10, 12)]).tolist())
+
+
+class TestEnsembleMembersStandAlone:
+    """The ensemble averages only what each member made by its own
+    mechanism, so a clique member adds its in-group estimates alone."""
+
+    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    def test_ensemble_column_ignores_what_else_is_scored(self, protocol):
+        # the same bytes alone, beside its members, and under in_groups
+        m = fallback_matrix()
+        cfg = small_cfg(fractions=(0.2, 0.4), repeats=2, seed=3,
+                        protocol=protocol.value)
+
+        def ensemble_results(algorithms, cfg):
+            return [json.dumps(report_to_json(rep)["results"][-1])
+                    for rep in masking_sweep(m, algorithms, cfg)]
+        alone = ensemble_results(["ensemble"], cfg)
+        assert alone == ensemble_results(["ridge", "cliques", "als",
+                                          "ensemble"], cfg)
+        assert alone == ensemble_results(["ensemble"], replace(
+            cfg, protocol="in_groups"))
+        # the clique fallback reached C5 beside the ensemble, which left
+        # the clique member out there
+        (report, _) = masking_sweep(m, ["cliques", "ensemble"], cfg)
+        fell_back = (report.results[0].cols == 4).any()
+        assert fell_back == (protocol is not CliqueProtocol.IN_GROUPS)
+        ens = report.results[1]
+        assert (ens.cols == 4).any()
+        assert all("cliques" in excluded for col, excluded in
+                   zip(ens.cols.tolist(), ens.excluded) if col == 4)
+
+    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    def test_ensemble_only_run_makes_no_clique_fallback_solve(
+            self, monkeypatch, protocol):
+        calls = []
+
+        def counting(m, rows, cols, cfg):
+            calls.append(len(rows))
+            return ridge_block(m, rows, cols, cfg)
+        monkeypatch.setattr(cliques, "ridge_block", counting)
+        m = fallback_matrix()
+        holed = m.with_cell_missing(3, 4)
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol.value,
+                        fractions=(0.3,), repeats=2)
+        complete_matrix(holed, cfg)
+        leave_one_out(m, cfg)
+        masking_sweep(m, ["ensemble"], cfg)
+        outlier_sweep(m, ["ensemble"], cfg)
+        assert calls == []
+        # scored on its own, the clique algorithm falls back to ridge
+        # under in_groups_plus_regression
+        masking_sweep(m, ["cliques"], cfg)
+        assert bool(calls) == (protocol is not CliqueProtocol.IN_GROUPS)
 
 
 class TestReportFiles:

@@ -35,9 +35,9 @@ def test_run_experiments_writes_every_artifact(tmp_path, capsys):
 
     assert rc == 0
     loo = json.loads((out / "loo.json").read_text())["reports"]
-    # ridge, cliques under each of three protocols, als, svd, ensemble
+    # ridge, cliques under each of two protocols, als, svd, ensemble
     assert [r["results"][0]["algorithm"] for r in loo] == [
-        "ridge", "cliques", "cliques", "cliques", "als", "svd", "ensemble"]
+        "ridge", "cliques", "cliques", "als", "svd", "ensemble"]
     for name in ("sweep", "outliers"):
         reports = json.loads((out / f"{name}.json").read_text())["reports"]
         assert [r["fraction"] for r in reports] == [0.1, 0.2]
@@ -47,7 +47,7 @@ def test_run_experiments_writes_every_artifact(tmp_path, capsys):
     assert "algorithm" not in loo_config and "protocol" not in loo_config
     assert loo_config["runs"] == [
         {"algorithm": a, "protocol": p} for a, p in [
-            ("ridge", "in_groups_plus_regression"), ("cliques", "regression"),
+            ("ridge", "in_groups_plus_regression"),
             ("cliques", "in_groups"), ("cliques", "in_groups_plus_regression"),
             ("als", "in_groups_plus_regression"),
             ("svd", "in_groups_plus_regression"),

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 from conftest import grid, planted_rank1, predict_all, sparse_matrix
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from svd_reference import reference_svd_fit
 
@@ -32,6 +32,11 @@ def reference_with_spectra(mat, k, max_outer):
        rank=st.sampled_from([None, 1, 2, 3]), k_draw=st.integers(1, 12),
        max_outer=st.integers(1, 30))
 @settings(max_examples=300, deadline=None)
+# Fit exactly at rank 9 (s_1 29.9, s_9 7.2e-3, s_10 5e-17): the reference
+# settles after one step, while the kernel's imputed cells move 1.3e-12
+# relative per step, just above the settle test, and it runs all three.
+@example(shape=(10, 10), density=0.0625, seed=8086, rank=2, k_draw=9,
+         max_outer=3)
 def test_fit_matches_reference(shape, density, seed, rank, k_draw, max_outer):
     # Tall and wide draws, uniform or planted low-rank values.
     mat = sparse_matrix(shape, density, seed, rank)
@@ -44,9 +49,12 @@ def test_fit_matches_reference(shape, density, seed, rank, k_draw, max_outer):
     # test_rank_above_numerical_rank for the exactly rank-deficient case).
     # At k = min(shape) the projection is the identity, whatever the
     # spectrum.
+    bound = 0.0
     if k < min(shape):
         assume(all(s[k - 1] ** 2 - s[k] ** 2 > 1e8 * EPS * s[0] ** 2
                    for s in spectra))
+        bound = max(EPS * s[0] ** 2 / (s[k - 1] ** 2 - s[k] ** 2)
+                    for s in spectra)
     got = svd_fit(mat, k, max_outer)
 
     scale = float(np.nanmean(mat.values))
@@ -56,8 +64,12 @@ def test_fit_matches_reference(shape, density, seed, rank, k_draw, max_outer):
     # The settle test holds each imputed cell's change to 1e-12 of it,
     # within reach of the two kernels' rounding differences: where either
     # fit settled before max_outer, the other may settle a step apart.
+    # Where the kernel's error bound is above 1e-12, its rounding alone
+    # can move the imputed cells by more than that at every step, so the
+    # step at which it settles is not determined and is not compared.
     steps = len(got.train_rmse_history), len(want.train_rmse_history)
-    assert abs(steps[0] - steps[1]) <= (min(steps) < max_outer)
+    if bound < 1e-12:
+        assert abs(steps[0] - steps[1]) <= (min(steps) < max_outer)
     np.testing.assert_allclose(got.train_rmse_history[:min(steps)],
                                want.train_rmse_history[:min(steps)],
                                rtol=1e-9, atol=1e-9 * scale)
