@@ -26,6 +26,7 @@ from perfcast import (Algorithm, CliqueProtocol, RunConfig, density,
                       leave_one_out, masking_sweep, outlier_sweep,
                       read_matrix_csv, write_reports_csv,
                       write_reports_json)
+from perfcast.cli import arg_type
 from perfcast.config import (parse_algorithms, parse_percent,
                              parse_percent_list)
 
@@ -48,16 +49,16 @@ def main(argv=None) -> int:
     parser.add_argument("matrix", help="matrix CSV (see scripts/"
                                        "make_synthetic.py or perfcast ingest)")
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--algorithms", type=parse_algorithms,
+    parser.add_argument("--algorithms", type=arg_type(parse_algorithms),
                         default=("ridge", "cliques", "als", "svd",
                                  "ensemble"))
-    parser.add_argument("--fractions", type=parse_percent_list,
+    parser.add_argument("--fractions", type=arg_type(parse_percent_list),
                         default=(0.05, 0.10, 0.20, 0.35, 0.50),
                         help="mask percentages, e.g. 5,10,20")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--outlier-fraction", default="10",
-                        type=parse_percent,
+                        type=arg_type(parse_percent),
                         help="percentage of training cells to corrupt")
     args = parser.parse_args(argv)
 

@@ -29,7 +29,7 @@ from .config import (RunConfig, make_run_config, parse_algorithms,
 from .evaluation import (complete_matrix, leave_one_out, masking_sweep,
                          outlier_sweep, write_reports_csv, write_reports_json)
 from .factorization import model_from_json, model_to_json, rank_machines
-from .jsonfile import write_json, zip_columns
+from .jsonfile import Table, coded, write_json
 from .matrix import (PREDICTION_FLOOR, ROW_KEY_SEP, build_matrix,
                      read_matrix_csv, read_observations_csv, write_matrix_csv)
 from .placement import greedy_place, schedule_batch
@@ -39,6 +39,24 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def arg_type(parse):
+    """parse as an argparse `type`: the reason of its ValueError is kept
+    in the usage error (exit 2), where argparse would print only
+    "invalid <name> value"."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
+# made once, not per parser: an argparse parser is a reference cycle, and
+# what it alone holds waits for the garbage collector
+_FLAG_TYPES = {f.name: arg_type(f.metadata["parse"])
+               for f in fields(RunConfig)}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group(
         "configuration", "defaults < --config file < explicit flags")
@@ -46,7 +64,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                    help="flat key=value config file")
     for f in fields(RunConfig):
         g.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type=f.metadata["parse"], choices=f.metadata["choices"],
+                       type=_FLAG_TYPES[f.name],
+                       choices=f.metadata["choices"],
                        help=f.metadata["help"])
 
 
@@ -141,13 +160,14 @@ def cmd_complete(args) -> int:
     completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
     write_matrix_csv(completed, args.out)
     if args.fills_out:
-        # one fill record at a time, from the columns to the file
+        programs, prog_args = zip(*m.row_keys)
         write_json({
             "run_config": _echo(cfg, input=args.matrix, output=args.out),
-            "fills": ({"program": m.row_keys[r][0], "args": m.row_keys[r][1],
-                       "machine": m.col_keys[c], "predicted_seconds": v,
-                       "algorithm": a} for r, c, v, a in zip_columns(
-                rows, cols, completed.values[rows, cols], mechanism)),
+            "fills": Table({"program": (rows, programs),
+                            "args": (rows, prog_args),
+                            "machine": (cols, m.col_keys),
+                            "predicted_seconds": completed.values[rows, cols],
+                            "algorithm": coded(mechanism)}),
         }, args.fills_out)
     if args.model_out:
         write_json({"run_config": _echo(cfg, input=args.matrix),
@@ -280,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("matrix")
-        p.add_argument("--algorithms", type=parse_algorithms,
+        p.add_argument("--algorithms", type=arg_type(parse_algorithms),
                        default=("ridge", "cliques", "als", "ensemble"),
                        help="comma-separated algorithms to compare")
         p.add_argument("--out-json")

@@ -80,7 +80,7 @@ _PROTOCOLS = tuple(p.value for p in CliqueProtocol)
 
 
 def _one_of(names: tuple[str, ...]):
-    def choice(text: str) -> str:  # argparse: "invalid choice value: ..."
+    def choice(text: str) -> str:
         if text not in names:
             raise ValueError(f"{text!r} is not one of {', '.join(names)}")
         return text

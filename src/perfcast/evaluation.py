@@ -35,7 +35,7 @@ from .cliques import build_graph, clique_block, find_cliques
 from .config import Algorithm, CliqueProtocol, RunConfig, distinct
 from .factorization import (FactorModel, UnfactorableError, als_fit,
                             als_refits, predict_cells, svd_fit)
-from .jsonfile import write_json, zip_columns
+from .jsonfile import ABSENT, Table, coded, write_json
 from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
 from .ridge import ridge_block
@@ -327,16 +327,15 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def _cells(res: AlgorithmResult):
-    """res's scored cells as report records, one at a time."""
-    for row, col, predicted, target, error, excluded in zip_columns(
-            res.rows, res.cols, res.predicted, res.target, res.error,
-            res.excluded):
-        cell = {"row": row, "col": col, "predicted": predicted,
-                "target": target, "error": error}
-        if excluded:
-            cell["excluded"] = list(excluded)
-        yield cell
+def _cells(res: AlgorithmResult) -> Table:
+    """res's scored cells as a table of report records; a cell that lacks
+    no ensemble member has no "excluded" key."""
+    codes, excluded = coded(res.excluded)
+    return Table({"row": res.rows, "col": res.cols,
+                  "predicted": res.predicted, "target": res.target,
+                  "error": res.error,
+                  "excluded": (codes, [list(e) if e else ABSENT
+                                       for e in excluded])})
 
 
 def _report_record(report: EvalReport, cells) -> dict:
@@ -350,13 +349,14 @@ def _report_record(report: EvalReport, cells) -> dict:
 
 
 def report_to_json(report: EvalReport) -> dict:
-    return _report_record(report, lambda res: list(_cells(res)))
+    return _report_record(report, lambda res: _cells(res).records())
 
 
 def write_reports_json(reports, path, run_config: dict) -> None:
     """Write the reports' JSON records (report_to_json) to path under
     "reports", beside the run's settings under "run_config". The cells go
-    to the file one record at a time and are never held as a list."""
+    to the file from their columns, a slice of records at a time, and are
+    never held as a list."""
     write_json({"reports": (_report_record(r, _cells) for r in reports),
                 "run_config": run_config}, path)
 

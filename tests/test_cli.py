@@ -6,9 +6,9 @@ import json
 
 import numpy as np
 import pytest
-from conftest import grid, planted_rank1
+from conftest import grid, planted_rank1, sparse_matrix
 
-from perfcast import write_matrix_csv
+from perfcast import jsonfile, write_matrix_csv
 from perfcast.cli import _build_parser, _load_config, main
 from perfcast.config import make_run_config
 
@@ -498,6 +498,44 @@ def test_json_files_are_the_stdlib_rendering(matrix_csv, tmp_path,
     assert main([argv[0], str(matrix_csv), *argv[1:]]) == 0
     (written,) = tmp_path.glob("*.json")
     assert_stdlib_rendering(written)
+
+
+def test_long_json_files_are_the_stdlib_rendering(tmp_path, monkeypatch):
+    # More than two slices of records each: a leave-one-out ensemble
+    # report whose cells lack cliques only where columns 10-15 are not
+    # proportional (so some carry an "excluded" list and some do not),
+    # and a fill log whose fills come from two mechanisms.
+    m = sparse_matrix((80, 16), 0.5, seed=5, rank=1)
+    vals = np.array(m.values)
+    vals[:, 10:] *= np.random.default_rng(5).uniform(0.5, 2.0, (80, 6))
+    write_matrix_csv(m.with_values(vals), tmp_path / "m.csv")
+    monkeypatch.chdir(tmp_path)
+    fast = ["--als-max-iters", "20"]
+    assert main(["evaluate", "m.csv", "--algorithm", "ensemble",
+                 "--out-json", "r.json", *fast]) == 0
+    assert main(["complete", "m.csv", "--out", "done.csv", "--fills-out",
+                 "fills.json", *fast]) == 0
+    cells = json.loads((tmp_path / "r.json").read_text())[
+        "reports"][0]["results"][0]["cells"]
+    fills = json.loads((tmp_path / "fills.json").read_text())["fills"]
+    assert min(len(cells), len(fills)) > 2 * jsonfile._SLICE
+    assert {tuple(c.get("excluded", ())) for c in cells} == {
+        (), ("cliques",)}
+    assert len({f["algorithm"] for f in fills}) == 2
+    assert_stdlib_rendering(tmp_path / "r.json")
+    assert_stdlib_rendering(tmp_path / "fills.json")
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["--algorithms", "ridge,ridge"], "algorithms must be distinct"),
+    (["--protocol", "regression"], "'regression' is not one of"),
+    (["--fractions", "200"], "percentage out of range"),
+])
+def test_usage_error_keeps_the_reason(matrix_csv, capsys, flags, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(matrix_csv), *flags])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_empty_fill_log_is_the_stdlib_rendering(tmp_path):

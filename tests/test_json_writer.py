@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import jsonfile
-from perfcast.jsonfile import write_json
+from perfcast.jsonfile import ABSENT, Table, coded, write_json
 
 # Quotes, backslashes, control characters, non-ASCII and astral-plane
 # characters, in keys as well as in values.
 TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃",
-          "\U0001f600", '"quoted"', "a\\b", "", "key", "Key", "k"]
+          "\U0001f600", '"quoted"', "a\\b", "", "key", "Key", "k", "%s",
+          "100%"]
 texts = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY))
 floats = st.one_of(
     st.floats(),
@@ -117,15 +118,124 @@ def test_empty_iterators(out_dir):
         out_dir / "want.json"))
 
 
-def test_zip_columns_slices_long_columns(monkeypatch):
+# Tables: plain int and float columns and coded columns, against the
+# list of dicts they stand for.
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
+coded_values = st.one_of(texts, st.lists(texts, max_size=3),
+                         st.just(ABSENT), payloads)
+
+
+@st.composite
+def tables(draw, max_rows=8):
+    """(table, records): a Table of up to max_rows records and the list
+    of dicts it is written as."""
+    n = draw(st.integers(0, max_rows))
+    keys = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
+    columns, entries = {}, {}
+    for key in keys:
+        kind = draw(st.sampled_from(["int", "float", "coded"]))
+        if kind == "int":
+            ints = draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                 min_size=n, max_size=n))
+            columns[key] = np.array(ints, dtype=np.int64)
+            entries[key] = ints
+        elif kind == "float":
+            col = np.array(draw(st.lists(
+                st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+                min_size=n, max_size=n)), dtype=np.float64)
+            columns[key] = col
+            entries[key] = list(col)  # np.float64 entries
+        else:
+            values = draw(st.lists(coded_values, min_size=1, max_size=4))
+            codes = draw(st.lists(st.integers(0, len(values) - 1),
+                                  min_size=n, max_size=n))
+            if draw(st.booleans()):
+                codes = np.array(codes, dtype=np.intp)
+            columns[key] = (codes, values)
+            entries[key] = [values[c] for c in codes]
+    records = [{k: entries[k][i] for k in keys
+                if entries[k][i] is not ABSENT} for i in range(n)]
+    return Table(columns), records
+
+
+def nested(table, records, path):
+    """table and records, each wrapped in the same dicts and lists:
+    path is a list of keys, None for a one-element list."""
+    for key in reversed(path):
+        table, records = (([table], [records]) if key is None else
+                          ({key: table, "z": 1}, {key: records, "z": 1}))
+    return table, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.lists(st.none() | texts, max_size=3),
+       st.sampled_from([1, 2, 3, 256]))
+def test_table_is_written_as_its_records(out_dir, drawn, path, size):
+    payload, want = nested(*drawn, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonfile, "_SLICE", size)
+        write_json(payload, out_dir / "got.json")
+    assert ((out_dir / "got.json").read_bytes()
+            == oracle_bytes(want, out_dir / "want.json"))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_table_slices_long_columns(out_dir, monkeypatch, n):
+    # slices of 3 records: n from 0 up crosses one and two boundaries
     monkeypatch.setattr(jsonfile, "_SLICE", 3)
-    ints = np.arange(8)
-    floats = np.linspace(0.1, 0.8, 8)
-    names = [f"n{i}" for i in range(8)]
-    got = list(jsonfile.zip_columns(ints, floats, names, tuple(names)))
-    assert got == list(zip(ints.tolist(), floats.tolist(), names, names))
-    assert all(type(a) is int and type(b) is float for a, b, *_ in got)
-    assert list(jsonfile.zip_columns(np.empty(0), [])) == []
+    floats = np.linspace(0.1, 0.9, n)
+    floats[1::4] = np.nan
+    names = [f"n{i % 3}" for i in range(n)]
+    codes, values = coded(names)
+    table = Table({"i": np.arange(n), "x": floats, "name": (codes, values),
+                   "e": (np.arange(n) % 2, [ABSENT, ["a", "b"]])})
+    records = [{"i": i, "x": x, "name": name} | ({"e": ["a", "b"]} if i % 2
+                                                 else {})
+               for i, (x, name) in enumerate(zip(floats.tolist(), names))]
+    assert len(table) == n
+    write_json({"t": table}, out_dir / "got.json")
+    assert ((out_dir / "got.json").read_bytes()
+            == oracle_bytes({"t": records}, out_dir / "want.json"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_table_records_are_its_dicts(out_dir, drawn):
+    table, want = drawn
+    write_json(table.records(), out_dir / "got.json")
+    assert ((out_dir / "got.json").read_bytes()
+            == oracle_bytes(want, out_dir / "want.json"))
+
+
+def test_first_key_absent_and_empty_records(out_dir):
+    # "a" sorts first and is absent from some records; a record with
+    # every key absent is {}
+    table = Table({"b": ([0, 1, 0, 1], [ABSENT, "x"]),
+                   "a": ([0, 0, 1, 1], [ABSENT, 7])})
+    want = [{}, {"b": "x"}, {"a": 7}, {"a": 7, "b": "x"}]
+    assert table.records() == want
+    write_json([table, {"k": table}], out_dir / "got.json")
+    assert ((out_dir / "got.json").read_bytes()
+            == oracle_bytes([want, {"k": want}], out_dir / "want.json"))
+
+
+def test_coded_gives_first_seen_codes():
+    assert coded(["b", "a", "b", "c"]) == ([0, 1, 0, 2], ["b", "a", "c"])
+    assert coded([]) == ([], [])
+
+
+@pytest.mark.parametrize("columns,error", [
+    ({"x": [1.0, 2.0]}, TypeError),
+    ({"x": np.ones((2, 1))}, TypeError),
+    ({"x": np.ones(2, dtype=np.float32)}, TypeError),
+    ({"x": np.array(["a", "b"])}, TypeError),
+    ({"x": np.ones(2), "y": np.arange(3)}, ValueError),
+    ({"x": np.ones(2), "y": ([0], ["a"])}, ValueError),
+    ({"x": np.ones(2), 3: np.ones(2)}, TypeError),
+])
+def test_malformed_table_is_rejected(out_dir, columns, error):
+    with pytest.raises(error):
+        write_json({"t": Table(columns)}, out_dir / "bad.json")
 
 
 @pytest.mark.parametrize("payload", [

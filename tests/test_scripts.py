@@ -1,4 +1,5 @@
-"""Smoke test of scripts/run_experiments.py on a tiny matrix."""
+"""Smoke tests of scripts/run_experiments.py on a tiny matrix and of
+scripts/diff_outputs.py on one tree against itself."""
 
 import csv
 import importlib.util
@@ -10,12 +11,12 @@ from conftest import planted_rank1
 
 from perfcast import write_matrix_csv
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
-    "run_experiments.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
+def load_script(name="run_experiments"):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -63,3 +64,11 @@ def test_run_experiments_writes_every_artifact(tmp_path, capsys):
     assert all(set(r) == {"fraction", "note", "results"}
                for r in outliers["reports"])
     assert f"reports written to {out}/" in capsys.readouterr().out
+
+
+def test_diff_outputs_finds_no_difference_in_one_tree(capsys):
+    rc = load_script("diff_outputs").main(
+        [str(ROOT), str(ROOT), "--seeds", "0", "--workloads", "loo-als1"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "0 of 32 outputs differ (8 inputs, seeds 0)\n")
