@@ -19,6 +19,7 @@ stderr and exit 1 (argparse usage problems exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -51,12 +52,6 @@ def arg_type(parse):
     return convert
 
 
-# made once, not per parser: an argparse parser is a reference cycle, and
-# what it alone holds waits for the garbage collector
-_FLAG_TYPES = {f.name: arg_type(f.metadata["parse"])
-               for f in fields(RunConfig)}
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group(
         "configuration", "defaults < --config file < explicit flags")
@@ -64,7 +59,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                    help="flat key=value config file")
     for f in fields(RunConfig):
         g.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                       type=_FLAG_TYPES[f.name],
+                       type=arg_type(f.metadata["parse"]),
                        choices=f.metadata["choices"],
                        help=f.metadata["help"])
 
@@ -264,6 +259,9 @@ def cmd_place(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+# built once, not per invocation: an argparse parser is a reference cycle,
+# and what it alone holds would wait for the garbage collector
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perfcast",

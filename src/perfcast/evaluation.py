@@ -354,10 +354,10 @@ def report_to_json(report: EvalReport) -> dict:
 
 def write_reports_json(reports, path, run_config: dict) -> None:
     """Write the reports' JSON records (report_to_json) to path under
-    "reports", beside the run's settings under "run_config". The cells go
-    to the file from their columns, a slice of records at a time, and are
-    never held as a list."""
-    write_json({"reports": (_report_record(r, _cells) for r in reports),
+    "reports", beside the run's settings under "run_config". Each result's
+    cells stay a `Table`: they go to the file from their columns, a slice
+    of records at a time, and are never held as a list of dicts."""
+    write_json({"reports": [_report_record(r, _cells) for r in reports],
                 "run_config": run_config}, path)
 
 

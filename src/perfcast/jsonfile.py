@@ -1,49 +1,46 @@
 """The one JSON file writer: report JSON, the fill log and the model JSON.
 
 `write_json(payload, path)` writes the bytes the standard library's
-encoder writes with `indent=2, sort_keys=True`, followed by a newline,
-for any payload of dicts with str keys, lists, tuples, str, int, float
-(NaN and infinities included), bool, None and `Table`s. The stdlib's
-indenting encoder (pure Python up to 3.12) sorts every dict and makes a
-generator call per value; here each distinct key set is sorted, and its
-`"key": ` heads rendered, once per file, and the common scalars are
-rendered inline. Output goes to the file a bounded chunk at a time as
-list elements are rendered, so the document is never held whole as a
-string.
+`dump` writes with `indent=2, sort_keys=True`, followed by a newline. The
+stdlib's own encoder writes every dict, list, tuple and scalar: its
+pure-Python `JSONEncoder.iterencode` yields the document a chunk at a
+time, and each chunk goes to the file as it comes, so the document is
+never held whole as a string. An unserializable value (a set, a numpy
+integer, a generator) raises the stdlib's TypeError, and a dict key is
+converted or refused as the stdlib does.
 
-An iterator (a generator, say) is written as the list it yields, one
-element at a time as it yields them.
+The one value the stdlib cannot write is a `Table`, written as the list
+of its records. The encoder hands it to `default`, which parks it and
+returns a marker string, and the encoder's next chunk is that string's
+encoding. The writer writes the parked table in that chunk's place, at
+the indentation of the line the chunk sits on. Only the chunk that
+follows a `default` call is replaced, so a payload string that equals
+the marker is written as itself.
 
-A `Table` holds records as columns and is written as the list of its
-records, column-wise, a slice of _SLICE records at a time: each column's
-slice is converted in bulk (`tolist`, with NaN and the infinities replaced
-by their JSON text from one `isfinite` mask), each distinct value of a
-coded column is rendered once per table with its `"key": ` head, and
-a slice's records come from one `%` format of the record template
-repeated, whose `%s` renders an int or a float as its repr. No record is
-built as a dict, and no per-value call is made. On a 7,200-cell
-leave-one-out report (1.02 MB) this takes about 0.54 of the CPU time of
-a record-at-a-time writer that was at 20.0-20.5 ms on a 2-CPU Xeon host;
-float reprs are about 8 ms of it.
-
-Like the stdlib, an unserializable value (a set, a numpy integer) raises
-TypeError. Unlike it, so does a key that is not a str; the stdlib would
-convert int, float, bool and None keys.
+A `Table` holds records as columns and is written column-wise, a slice
+of _SLICE records at a time: each column's slice is converted in bulk
+(`tolist`, with NaN and the infinities replaced by their JSON text from
+one `isfinite` mask), each distinct value of a coded column is rendered
+once per table with its `"key": ` head, and a slice's records come from
+one `%` format of the record template repeated, whose `%s` renders an
+int or a float as its repr. No record is built as a dict, and no
+per-value call is made. On a 7,200-cell leave-one-out report (1.02 MB)
+this takes about 0.54 of the CPU time of a record-at-a-time writer that
+was at 20.0-20.5 ms on a 2-CPU Xeon host; float reprs are about 8 ms of
+it.
 """
 
 from __future__ import annotations
 
-import io
-from collections.abc import Iterator
+import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
-from math import isfinite
 
 import numpy as np
 
-_FLUSH = 256  # pending pieces after which a list element writes them out
 _SLICE = 256  # records of a Table rendered at a time
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_MARKER = "perfcast.jsonfile.Table"  # what the encoder writes for a Table
 
 ABSENT = object()  # a coded column's value for "this record has no such key"
 
@@ -90,40 +87,9 @@ def _list(a):
     return a.tolist() if isinstance(a, np.ndarray) else a
 
 
-def _scalar(o) -> str | None:
-    """o as the stdlib encoder renders it, or None if o is not a scalar."""
-    if isinstance(o, str):
-        return _string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        r = float.__repr__(o)
-        return _SPECIAL.get(r, r)
-    return None
-
-
 def _check_key(key) -> None:
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {type(key).__name__}")
-
-
-def _layout(keys: tuple, nl: str):
-    """How a dict with these keys is written at the level that opens with
-    nl: its keys in sorted order, the text before each key's value, the
-    newline and indent of its values, and its closing text."""
-    for key in keys:
-        _check_key(key)
-    inner = nl + "  "
-    order = sorted(keys)
-    heads = [f",{inner}{_string(key)}: " for key in order]
-    heads[0] = "{" + heads[0][1:]
-    return order, heads, inner, nl + "}"
 
 
 def _check_column(key, a, n: int) -> None:
@@ -151,141 +117,98 @@ def _entries(s: np.ndarray) -> list:
 
 def write_json(payload, path) -> None:
     """Write payload to path byte for byte as the stdlib's `dump` with
-    `indent=2, sort_keys=True` would, followed by a newline."""
+    `indent=2, sort_keys=True` would, followed by a newline; a `Table`
+    is written as the list of its records."""
+    pending = None  # the Table whose marker is the encoder's next chunk
+
+    def default(o):
+        nonlocal pending
+        if not isinstance(o, Table):
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            f"is not JSON serializable")
+        pending = o
+        return _MARKER
+
+    chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                              default=default).iterencode(payload)
+    line = ""  # the last chunk written that holds a newline
     with open(path, "w", newline="") as fh:
-        _write(payload, "\n", fh, {})
+        for chunk in chunks:
+            if pending is not None:  # chunk is the marker: write the table
+                tail = line.rpartition("\n")[2]
+                indent = len(tail) - len(tail.lstrip(" "))
+                _table(pending, "\n" + " " * indent, fh)
+                pending = None
+            else:
+                fh.write(chunk)
+                if "\n" in chunk:
+                    line = chunk
         fh.write("\n")
 
 
-def _text(o, nl: str, layouts: dict) -> str:
-    """o rendered at the level that opens with nl, as a string."""
-    s = _scalar(o)
-    if s is not None:  # a program name, say: no writer needed
-        return s
-    buf = io.StringIO()
-    _write(o, nl, buf, layouts)
-    return buf.getvalue()
-
-
-def _write(payload, nl: str, fh, layouts: dict) -> None:
-    """Write payload, rendered at the level that opens with nl, to fh.
-    layouts caches _layout(keys, nl) by (keys in insertion order, nl)."""
-    parts = []  # rendered text not yet written
-    append = parts.append
-    float_repr, int_repr = float.__repr__, int.__repr__
-
-    def value(o, nl):
-        if isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            keys = tuple(o)
-            layout = layouts.get((keys, nl))
-            if layout is None:
-                layout = layouts[keys, nl] = _layout(keys, nl)
-            order, heads, inner, close = layout
-            for key, head in zip(order, heads):
-                v = o[key]
-                t = type(v)
-                if t is float and isfinite(v):
-                    append(head + float_repr(v))
-                elif t is str:
-                    append(head + _string(v))
-                elif t is int:
-                    append(head + int_repr(v))
-                else:
-                    append(head)
-                    value(v, inner)
-            append(close)
-        elif isinstance(o, (list, tuple, Iterator)):
-            inner = nl + "  "
-            sep = first = "[" + inner
-            for item in o:
-                append(sep)
-                sep = "," + inner
-                value(item, inner)
-                if len(parts) > _FLUSH:
-                    fh.write("".join(parts))
-                    parts.clear()
-            append("[]" if sep is first else nl + "]")
-        elif isinstance(o, Table):
-            table(o, nl)
-        else:
-            s = _scalar(o)
-            if s is None:
-                raise TypeError(f"Object of type {type(o).__name__} "
-                                f"is not JSON serializable")
-            append(s)
-
-    def table(t, nl):
-        n = len(t)
-        if not n:
-            append("[]")
-            return
-        inner = nl + "  "  # a record's opening and closing brace
-        field = inner + "  "  # a record's keys
-        for key in t.columns:
-            _check_key(key)
-        keys = sorted(t.columns)
-        # Every head but the first starts with ",". When the first key
-        # can be absent, so does the first head, and a slice's records
-        # are patched: "{," then opens a record (it is never JSON text
-        # before a newline) and "{" inner "}" is an empty one.
-        first = t.columns[keys[0]]
-        opens = not (isinstance(first, tuple)
-                     and any(v is ABSENT for v in first[1]))
-        # The record's template and, per "%s" in it, the column and the
-        # coded column's rendered pieces (None for a plain column). A
-        # coded column with one piece is a constant in the template.
-        template, slots = ["{"], []
-        for j, key in enumerate(keys):
-            col = t.columns[key]
-            head = ("" if opens and j == 0 else ",") + field
-            head += _string(key) + ": "
-            if isinstance(col, tuple):
-                codes, values = col
-                if len(codes) != n:
-                    raise ValueError(f"Table column {key!r} has "
-                                     f"{len(codes)} entries, not {n}")
-                pieces = ["" if v is ABSENT else head + _text(v, field,
-                                                              layouts)
-                          for v in values]
-                if len(set(pieces)) == 1:
-                    template.append(pieces[0].replace("%", "%%"))
-                else:
-                    template.append("%s")
-                    slots.append((codes, pieces))
+def _table(t: Table, nl: str, fh) -> None:
+    """Write t as the list of its records, at the level that opens with
+    nl, to fh."""
+    n = len(t)
+    if not n:
+        fh.write("[]")
+        return
+    inner = nl + "  "  # a record's opening and closing brace
+    field = inner + "  "  # a record's keys
+    for key in t.columns:
+        _check_key(key)
+    keys = sorted(t.columns)
+    # Every head but the first starts with ",". When the first key can be
+    # absent, so does the first head, and a slice's records are patched:
+    # "{," then opens a record (it is never JSON text before a newline)
+    # and "{" inner "}" is an empty one.
+    first = t.columns[keys[0]]
+    opens = not (isinstance(first, tuple)
+                 and any(v is ABSENT for v in first[1]))
+    # The record's template and, per "%s" in it, the column and the coded
+    # column's rendered pieces (None for a plain column). A coded column
+    # with one piece is a constant in the template.
+    template, slots = ["{"], []
+    for j, key in enumerate(keys):
+        col = t.columns[key]
+        head = ("" if opens and j == 0 else ",") + field
+        head += _string(key) + ": "
+        if isinstance(col, tuple):
+            codes, values = col
+            if len(codes) != n:
+                raise ValueError(f"Table column {key!r} has "
+                                 f"{len(codes)} entries, not {n}")
+            pieces = ["" if v is ABSENT else head + json.dumps(
+                          v, indent=2, sort_keys=True).replace("\n", field)
+                      for v in values]
+            if len(set(pieces)) == 1:
+                template.append(pieces[0].replace("%", "%%"))
             else:
-                _check_column(key, col, n)
-                template.append(head.replace("%", "%%") + "%s")
-                slots.append((col, None))
-        template.append(inner + "}")
-        record = "".join(template)
-        joiner = "," + inner
-        width = len(slots)
-        fh.write("".join(parts))
-        parts.clear()
-        sep = "[" + inner
-        for lo in range(0, n, _SLICE):
-            hi = min(lo + _SLICE, n)
-            if lo == 0 or hi - lo < _SLICE:  # the template of a slice
-                text = joiner.join([record] * (hi - lo))
-            values = [None] * (width * (hi - lo))
-            for j, (col, pieces) in enumerate(slots):
-                values[j::width] = (
-                    _entries(col[lo:hi]) if pieces is None
-                    else map(pieces.__getitem__, _list(col[lo:hi])))
-            out = text % tuple(values)
-            if not opens:
-                out = out.replace("{," + field, "{" + field).replace(
-                    "{" + inner + "}", "{}")
-            fh.write(sep)
-            fh.write(out)
-            sep = joiner
-        append(nl + "]")
-
-    value(payload, nl)
-    fh.write("".join(parts))
-    # value and table refer to each other: break the cycle, so that they
-    # and what they hold are freed now, not by the garbage collector
-    del value, table
+                template.append("%s")
+                slots.append((codes, pieces))
+        else:
+            _check_column(key, col, n)
+            template.append(head.replace("%", "%%") + "%s")
+            slots.append((col, None))
+    template.append(inner + "}")
+    record = "".join(template)
+    joiner = "," + inner
+    width = len(slots)
+    sep = "[" + inner
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        if lo == 0 or hi - lo < _SLICE:  # the template of a slice
+            text = joiner.join([record] * (hi - lo))
+        values = [None] * (width * (hi - lo))
+        for j, (col, pieces) in enumerate(slots):
+            values[j::width] = (
+                _entries(col[lo:hi]) if pieces is None
+                else map(pieces.__getitem__, _list(col[lo:hi])))
+        out = text % tuple(values)
+        if not opens:
+            out = out.replace("{," + field, "{" + field).replace(
+                "{" + inner + "}", "{}")
+        fh.write(sep)
+        fh.write(out)
+        sep = joiner
+    fh.write(nl + "]")
