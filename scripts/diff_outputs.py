@@ -9,9 +9,10 @@ OLD_TREE and NEW_TREE are checkout roots: each runs the perfcast package in
 its own src/. For each seed, every workload of bench/workloads.py (this
 checkout's) gets that seed's input matrices, made and written as the
 benchmark makes them. One subprocess per tree then runs every step of
-every workload on every input through that tree's `perfcast.cli.main`, in
-a directory of its own, and keeps each step's stdout (in the file the
-workload names, else `stdout<k>.txt`), its stderr (`stderr<k>.txt`) and,
+every workload on every input, followed by the workload's EXTRA steps,
+through that tree's `perfcast.cli.main`, in a directory of its own, and
+keeps each step's stdout (in the file the workload names, else
+`stdout<k>.txt`), its stderr (`stderr<k>.txt`) and,
 when it is not 0, its exit status (`status<k>.txt`). Relative paths are
 the same in both runs, so the paths each file records are too.
 
@@ -34,6 +35,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
                        make_input)
+
+# Steps beyond the benchmark's, after a workload's own: no benchmark step
+# writes an ensemble's `excluded` cells, a model JSON or a ranking.
+EXTRA = {"complete-place": [
+    [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
+      "--out-json", "loo.json", "--out-csv", "loo.csv"], None],
+    [["sweep", INPUT_CSV, "--algorithms", "ridge,cliques,als,ensemble",
+      "--fractions", "10,30", "--repeats", "2",
+      "--out-json", "sweep.json", "--out-csv", "sweep.csv"], None],
+    [["complete", INPUT_CSV, "--out", "als.csv", "--algorithm", "als",
+      "--model-out", "model.json"], None],
+    [["rank", "model.json"], "rank.jsonl"],
+]}
 
 # Run in a subprocess with the tree's src/ first on sys.path; reads
 # [[directory, [[argv, stdout name or null], ...]], ...] from stdin.
@@ -73,6 +87,7 @@ def write_inputs(work: Path, seeds, names) -> list:
         for name in names:
             workload = WORKLOADS[name]
             steps = [[list(s.argv), s.stdout] for s in workload.steps]
+            steps += EXTRA.get(name, [])
             for j, input_seed in enumerate(input_seeds(seed)):
                 key = (workload.input, input_seed)
                 if key not in made:

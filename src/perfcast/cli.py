@@ -29,8 +29,9 @@ from .config import (RunConfig, make_run_config, parse_algorithms,
                      read_config_file)
 from .evaluation import (complete_matrix, leave_one_out, masking_sweep,
                          outlier_sweep, write_reports_csv, write_reports_json)
-from .factorization import model_from_json, model_to_json, rank_machines
-from .jsonfile import Table, coded, write_json
+from .factorization import (FactorModel, UnfactorableError, model_from_json,
+                            model_to_json, rank_machines)
+from .jsonfile import Table, write_json
 from .matrix import (PREDICTION_FLOOR, ROW_KEY_SEP, build_matrix,
                      read_matrix_csv, read_observations_csv, write_matrix_csv)
 from .placement import greedy_place, schedule_batch
@@ -153,6 +154,10 @@ def cmd_complete(args) -> int:
             + "; drop --model-out or use als or svd")
     m = read_matrix_csv(args.matrix)
     completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
+    if args.model_out and isinstance(model, UnfactorableError):
+        member = "als" if "als" in members else "svd"
+        raise ValueError(f"the ensemble's {member} member could not be fit "
+                         f"({model}); drop --model-out")
     write_matrix_csv(completed, args.out)
     if args.fills_out:
         programs, prog_args = zip(*m.row_keys)
@@ -162,12 +167,12 @@ def cmd_complete(args) -> int:
                             "args": (rows, prog_args),
                             "machine": (cols, m.col_keys),
                             "predicted_seconds": completed.values[rows, cols],
-                            "algorithm": coded(mechanism)}),
+                            "algorithm": mechanism}),
         }, args.fills_out)
     if args.model_out:
         write_json({"run_config": _echo(cfg, input=args.matrix),
                      "model": model_to_json(model)}, args.model_out)
-    if model is not None and model.config["algorithm"] == "als":
+    if isinstance(model, FactorModel) and model.config["algorithm"] == "als":
         _warn_capped(int(len(model.train_rmse_history) == cfg.als_max_iters),
                      1, "shared ALS fits", cfg)
     print(f"filled {rows.size} missing cells with {cfg.algorithm}; "

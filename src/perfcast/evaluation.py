@@ -35,7 +35,7 @@ from .cliques import build_graph, clique_block, find_cliques
 from .config import Algorithm, CliqueProtocol, RunConfig, distinct
 from .factorization import (FactorModel, UnfactorableError, als_fit,
                             als_refits, predict_cells, svd_fit)
-from .jsonfile import ABSENT, Table, coded, write_json
+from .jsonfile import ABSENT, Table, write_json
 from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
 from .ridge import ridge_block
@@ -45,15 +45,16 @@ from .ridge import ridge_block
 class AlgorithmResult:
     """One algorithm's scored cells as columns, in scoring order: cell i is
     (rows[i], cols[i]), predicted[i] against target[i] with relative error
-    error[i], and excluded[i] names the ensemble members that could not
-    predict it."""
+    error[i], and labels[mechanism[i]] is the (mechanism, ensemble members
+    it lacked) pair that every cell of that code shares."""
     algorithm: str
     rows: np.ndarray
     cols: np.ndarray
     predicted: np.ndarray
     target: np.ndarray
     error: np.ndarray
-    excluded: tuple[tuple[str, ...], ...]
+    mechanism: np.ndarray
+    labels: tuple[tuple[str, tuple[str, ...]], ...]
     n_uncovered: int
 
     @property
@@ -85,7 +86,8 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
     With refit, a factorization is fit once per cell without that cell.
     fit is the FactorModel of the shared als/svd fit, each cell's
     iteration count for ALS refits (0 where uncovered), else None; a
-    shared fit that raises UnfactorableError leaves every cell uncovered.
+    shared fit that raises UnfactorableError leaves every cell uncovered
+    and is that error.
     """
     nowhere = np.zeros(rows.size, dtype=bool)
     if alg is Algorithm.RIDGE:
@@ -106,7 +108,7 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
                  else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
     except UnfactorableError as exc:  # every cell is uncovered
         reasons = dict.fromkeys(range(rows.size), exc)
-        return np.full(rows.size, np.nan), reasons, nowhere, None
+        return np.full(rows.size, np.nan), reasons, nowhere, exc
     return predict_cells(model, rows, cols), {}, nowhere, model
 
 
@@ -153,7 +155,7 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
         f"no ensemble member could predict cell "
         f"({train.row_label(rows[i])}, {train.col_keys[cols[i]]})")
         for i in np.flatnonzero(code == 0).tolist()}
-    return mean, reasons, code, labels
+    return mean, reasons, code, tuple(labels)
 
 
 def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
@@ -163,8 +165,9 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     A column is (values, reasons, code, labels): values[i] is the cell's
     prediction, NaN where there is none, reasons maps each such i to the
     error that says why, and labels[code[i]] is a covered cell's shared
-    (mechanism, excluded) pair. The cells are either all missing from
-    train (sweeps, completion) or all observed (leave-one-out), where a
+    (mechanism, excluded) pair; the labels depend only on the algorithm
+    and cfg.ensemble. The cells are either all missing from train
+    (sweeps, completion) or all observed (leave-one-out), where a
     factorization is refit for each cell.
     """
     # With no cells the shared fit is still made: complete_matrix returns
@@ -177,7 +180,7 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     for alg in [a for a in Algorithm if a in base]:
         values, reasons, via_ridge, fits[alg] = _fit_predict(
             alg, train, rows, cols, cfg, refit, alg in algorithms)
-        columns[alg] = (values, reasons, via_ridge,
+        columns[alg] = (values, reasons, via_ridge.astype(np.intp),
                         ((alg.value, ()), ("ridge", ())))
     if members:
         columns[Algorithm.ENSEMBLE] = _ensemble(train, rows, cols, members,
@@ -192,9 +195,9 @@ def _score(maskings, algorithms, cfg: RunConfig):
     Returns the AlgorithmResults and the (capped, total) tally of the ALS
     fits, as EvalReport.capped_fits holds it."""
     empty = np.empty(0, np.intp)  # index columns stay integers
-    scored = {alg: [(empty, empty, np.empty(0), np.empty(0))]
+    scored = {alg: [(empty, empty, np.empty(0), np.empty(0), empty)]
               for alg in algorithms}
-    excluded = {alg: [] for alg in algorithms}
+    labels = dict.fromkeys(algorithms, ())
     uncovered = dict.fromkeys(algorithms, 0)
     capped = total = 0
     for train, rows, cols, targets in maskings:
@@ -202,21 +205,22 @@ def _score(maskings, algorithms, cfg: RunConfig):
         iters = fits.get(Algorithm.ALS)
         if isinstance(iters, FactorModel):  # one shared fit
             iters = np.array([len(iters.train_rmse_history)])
-        if iters is not None:  # 0 where a refit raised
+        if isinstance(iters, np.ndarray):  # 0 where a refit raised
             capped += int((iters == cfg.als_max_iters).sum())
             total += int((iters > 0).sum())
         for alg in algorithms:
-            values, _, code, labels = columns[alg]
+            values, _, code, labels[alg] = columns[alg]
             ok = ~np.isnan(values)
-            scored[alg].append((rows[ok], cols[ok], values[ok], targets[ok]))
-            excluded[alg].extend(labels[k][1] for k in code[ok].tolist())
+            scored[alg].append((rows[ok], cols[ok], values[ok], targets[ok],
+                                code[ok]))
             uncovered[alg] += rows.size - int(ok.sum())
     results = []
     for alg in algorithms:
-        rows, cols, predicted, target = map(np.concatenate, zip(*scored[alg]))
+        rows, cols, predicted, target, mechanism = map(np.concatenate,
+                                                       zip(*scored[alg]))
         results.append(AlgorithmResult(
             alg.value, rows, cols, predicted, target,
-            np.abs(predicted - target) / target, tuple(excluded[alg]),
+            np.abs(predicted - target) / target, mechanism, labels[alg],
             uncovered[alg]))
     return tuple(results), (capped, total)
 
@@ -297,17 +301,19 @@ def outlier_sweep(m: PCMatrix, algorithms,
 
 def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     """Fill every missing cell with cfg.algorithm (cliques under
-    cfg.protocol); returns (completed, (rows, cols, mechanism), model),
-    the filled cells (rows[i], cols[i]) in row-major order.
+    cfg.protocol); returns (completed, (rows, cols, (codes, names)),
+    model), the filled cells (rows[i], cols[i]) in row-major order.
 
-    mechanism[i] names what produced cell i's value: the clique
+    names[codes[i]] names what produced cell i's value: the clique
     algorithm reports "ridge" for cells it reached only through fallback,
     and the ensemble lists the members that contributed. model is the
     factorization the completion fit: cfg.algorithm's for als/svd, an
     ensemble's als member's, or its svd member's when it has no als, else
     None; it is fit even when nothing is missing, since it also ranks
-    machines for programs outside the matrix. The first cell in row-major
-    order that cannot be predicted raises its reason.
+    machines for programs outside the matrix. Where that ensemble member
+    could not be fit, model is the UnfactorableError that says why. The
+    first cell in row-major order that cannot be predicted raises its
+    reason.
     """
     algorithm = Algorithm(cfg.algorithm)
     rows, cols = np.nonzero(~m.present_mask)
@@ -317,10 +323,10 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
         raise reasons[min(reasons)]
     vals = np.array(m.values)
     vals[rows, cols] = values
-    mechanism = [labels[k][0] for k in code.tolist()]
     if algorithm is Algorithm.ENSEMBLE:
         algorithm = Algorithm.ALS if Algorithm.ALS in fits else Algorithm.SVD
-    return m.with_values(vals), (rows, cols, mechanism), fits.get(algorithm)
+    return (m.with_values(vals), (rows, cols, (code, [n for n, _ in labels])),
+            fits.get(algorithm))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +336,11 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
 def _cells(res: AlgorithmResult) -> Table:
     """res's scored cells as a table of report records; a cell that lacks
     no ensemble member has no "excluded" key."""
-    codes, excluded = coded(res.excluded)
     return Table({"row": res.rows, "col": res.cols,
                   "predicted": res.predicted, "target": res.target,
                   "error": res.error,
-                  "excluded": (codes, [list(e) if e else ABSENT
-                                       for e in excluded])})
+                  "excluded": (res.mechanism, [list(e) if e else ABSENT
+                                               for _, e in res.labels])})
 
 
 def _report_record(report: EvalReport, cells) -> dict:

@@ -17,6 +17,7 @@ simpler impute-and-decompose SVD variant is included for comparison.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,7 +416,8 @@ def model_to_json(model: FactorModel) -> dict:
 
 def model_from_json(data: dict) -> FactorModel:
     """Inverse of model_to_json; ValueError names a missing key, a value of
-    the wrong type, or a factor list whose length is not the rank."""
+    the wrong type, a factor list whose length is not the rank, or a
+    factor that is not finite."""
     if not isinstance(data, dict):
         raise ValueError(f"model JSON must be an object, "
                          f"not {type(data).__name__}")
@@ -436,8 +438,18 @@ def model_from_json(data: dict) -> FactorModel:
         if len(f) != k:
             raise ValueError(f"factors of {key!r} have length {len(f)}, "
                              f"not rank {k}")
+        # false for NaN, the infinities and an int no float can hold
+        if not all(abs(x) <= sys.float_info.max for x in f):
+            raise ValueError(f"factors of {key!r} are {f!r}, not finite")
+    history = data.get("train_rmse_history", [])
+    if not (isinstance(history, list) and
+            all(type(x) in (int, float) for x in history)):
+        raise ValueError(f"model JSON train_rmse_history is {history!r}, "
+                         f"not a list of numbers")
+    config = data.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"model JSON config is {config!r}, not an object")
     n = len(data["programs"])
     F = np.array(factors, dtype=np.float64).reshape(len(keys), k)
     return FactorModel(k, tuple(keys[:n]), tuple(keys[n:]), F[:n], F[n:].T,
-                       tuple(data.get("train_rmse_history", ())),
-                       dict(data.get("config", {})))
+                       tuple(history), dict(config))

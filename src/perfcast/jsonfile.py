@@ -75,14 +75,6 @@ class Table:
                 for record in zip(*entries)]
 
 
-def coded(items) -> tuple[list[int], list]:
-    """(codes, values): the distinct hashable items in first-seen order
-    and each item's index among them, a coded column of items."""
-    values = dict.fromkeys(items)
-    index = {v: i for i, v in enumerate(values)}
-    return list(map(index.__getitem__, items)), list(values)
-
-
 def _list(a):
     return a.tolist() if isinstance(a, np.ndarray) else a
 

@@ -63,6 +63,12 @@ def predict_all(model):
     return np.maximum(model.row_factors @ model.col_factors, PREDICTION_FLOOR)
 
 
+def decoded(column):
+    """The entries of a coded column (codes, values): values[codes[i]]."""
+    codes, values = column
+    return [values[k] for k in np.asarray(codes).tolist()]
+
+
 def ensemble_cells(*member_values):
     """The package's ensemble kernel on cells whose members produced
     member_values: one sequence per member, NaN where it produced

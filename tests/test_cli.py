@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -137,6 +138,31 @@ class TestComplete:
         for line in capsys.readouterr().out.splitlines():
             (ranked if "rank" in json.loads(line) else placed).append(line)
         assert len(ranked) == 6 and len(placed) == 8
+
+    @pytest.mark.parametrize("members,member", [
+        ("ridge,cliques,als", "als"), ("ridge,svd", "svd")])
+    def test_model_out_refused_when_the_member_cannot_be_fit(
+            self, tmp_path, capsys, members, member):
+        # p::a is a cold row: ridge fills it with column means, but the
+        # factorization member raises, so there is no model to write;
+        # the run stops before any file is written
+        src = tmp_path / "cold.csv"
+        write_matrix_csv(grid([[None, None, None], [1.0, 2.0, 3.0],
+                               [2.0, 4.1, 6.0], [3.0, 6.0, 9.2]]), src)
+        outputs = [tmp_path / name for name in ("c.csv", "f.json", "m.json")]
+        rc = main(["complete", str(src), "--out", str(outputs[0]),
+                   "--fills-out", str(outputs[1]), "--ensemble", members,
+                   "--model-out", str(outputs[2])])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == (f"error: the ensemble's {member} member could not "
+                       f"be fit (unfactorable matrix: a row has no "
+                       f"observations); drop --model-out\n")
+        assert not any(path.exists() for path in outputs)
+        # without --model-out the completion stands
+        assert main(["complete", str(src), "--out", str(outputs[0]),
+                     "--ensemble", members]) == 0
+        assert outputs[0].exists()
 
     def test_ensemble_model_out_is_its_svd_member(self, matrix_csv,
                                                   tmp_path):
@@ -713,10 +739,25 @@ class TestRankAndPlace:
          "factors of ('p00', 'a00') are 3, not a list of numbers"),
         (in_model(lambda d: d["machines"][1].update(factors=[None])),
          "factors of 'c01' are [None], not a list of numbers"),
+        # NaN would sort a machine first in every ranking
+        (in_model(lambda d: d["machines"][1].update(factors=[math.nan])),
+         "factors of 'c01' are [nan], not finite"),
+        (in_model(lambda d: d["programs"][2].update(factors=[-math.inf])),
+         "factors of ('p02', 'a02') are [-inf], not finite"),
+        (in_model(lambda d: d["machines"][0].update(factors=[10 ** 400])),
+         f"factors of 'c00' are [{10 ** 400}], not finite"),
+        (in_model(lambda d: d.update(config=[1])),
+         "model JSON config is [1], not an object"),
+        (in_model(lambda d: d.update(train_rmse_history=5)),
+         "model JSON train_rmse_history is 5, not a list of numbers"),
+        (in_model(lambda d: d.update(train_rmse_history=["x"])),
+         "model JSON train_rmse_history is ['x'], not a list of numbers"),
     ], ids=["k", "programs", "factors", "one-long-row", "all-long-columns",
             "top-level-list", "top-level-string", "top-level-number",
             "model-list", "programs-number", "factors-number",
-            "factors-null"])
+            "factors-null", "factors-nan", "factors-infinity",
+            "factors-huge-int", "config-list", "history-number",
+            "history-strings"])
     def test_malformed_model_is_an_error(self, matrix_csv, tmp_path, capsys,
                                          edit, message):
         model, done = self.make_model(tmp_path, matrix_csv)

@@ -8,9 +8,10 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from conftest import ensemble_cells, grid, planted_rank1
+from conftest import decoded, ensemble_cells, grid, planted_rank1
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from complete_reference import complete_matrix as reference_complete_matrix
 from loo_reference import ensemble_predict, prediction_error
 
 from perfcast import (Algorithm, CliqueProtocol, RunConfig, cliques,
@@ -149,8 +150,8 @@ class TestLeaveOneOut:
         res = report.results[0]
         assert res.algorithm == "ensemble"
         assert res.n_uncovered == 0
-        assert len(res.excluded) == res.rows.size
-        for excluded in res.excluded:
+        assert res.mechanism.size == res.rows.size
+        for _, excluded in decoded((res.mechanism, res.labels)):
             assert excluded == ()
 
 
@@ -242,7 +243,8 @@ class TestMaskingSweep:
                 assert res.rows.size == res.cols.size == 0
                 assert res.rows.dtype == res.cols.dtype == np.intp
                 assert res.predicted.size == res.error.size == 0
-                assert res.excluded == ()
+                assert res.mechanism.size == 0
+                assert res.mechanism.dtype == np.intp
                 assert res.n_uncovered == 0
                 assert res.total_error is None
             assert all(r["cells"] == [] and r["n_cells"] == 0
@@ -295,7 +297,7 @@ class TestCompleteMatrix:
         m = proportional_matrix(5, 4, seed=13)
         completed, (rows, cols, mechanism), model = complete_matrix(
             m, small_cfg(algorithm="als"))
-        assert rows.size == cols.size == 0 and mechanism == []
+        assert rows.size == cols.size == 0 and decoded(mechanism) == []
         assert model is not None  # the model is useful even with no holes
         assert np.array_equal(completed.values, m.values)
 
@@ -316,17 +318,17 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        completed, (_, (col,), (mechanism,)), _ = complete_matrix(
+        completed, (_, (col,), mechanism), _ = complete_matrix(
             m, small_cfg(algorithm="cliques"))
         assert completed.present_mask.all()
-        assert mechanism == "ridge"
+        assert decoded(mechanism) == ["ridge"]
         assert m.col_keys[col] == "C3"
 
     def test_clique_fill_uses_group_scaling(self):
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
-        completed, (_, _, (mechanism,)), _ = complete_matrix(m, small_cfg(
+        completed, (_, _, mechanism), _ = complete_matrix(m, small_cfg(
             algorithm="cliques"))
-        assert mechanism == "cliques"
+        assert decoded(mechanism) == ["cliques"]
 
     # Rows p0..p4 (args "a") on proportional machines C1..C3. EMPTY_COLUMN
     # has never run anything on C3; COLD_ROW has never run p2::a anywhere.
@@ -362,7 +364,7 @@ class TestCompleteMatrix:
             completed, (_, _, mechanism), _ = complete_matrix(
                 m, small_cfg(algorithm=algorithm.value))
             assert completed.present_mask.all()
-            assert set(mechanism) == {detail}
+            assert set(decoded(mechanism)) == {detail}
 
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_leaves_out_clique_fallback(self, protocol):
@@ -373,12 +375,12 @@ class TestCompleteMatrix:
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
-        completed, ((row,), (col,), (mechanism,)), _ = complete_matrix(m, cfg)
+        completed, ((row,), (col,), mechanism), _ = complete_matrix(m, cfg)
         predicted = completed.values[row, col]
         ridge = ridge_predict(m, 3, 2, cfg.ridge)
         als = factorization.predict(als_fit(m, cfg.als), 3, 2)
         assert (row, col) == (3, 2)
-        assert mechanism == "ensemble:ridge+als"
+        assert decoded(mechanism) == ["ensemble:ridge+als"]
         assert predicted == ensemble_predict([ridge, als])
         assert predicted != ensemble_predict([ridge, ridge, als])
 
@@ -399,7 +401,8 @@ class TestCompleteMatrix:
         completed, (rows, cols, mechanism), _ = complete_matrix(
             m, small_cfg(algorithm="ensemble"))
         assert list(zip(completed.values[rows, cols].tolist(),
-                        mechanism)) == [(0.1, "ensemble:ridge+cliques+als")]
+                        decoded(mechanism))) == [
+            (0.1, "ensemble:ridge+cliques+als")]
 
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_solves_ridge_once_per_cell(self, monkeypatch,
@@ -421,7 +424,7 @@ class TestCompleteMatrix:
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
         _, (_, _, mechanism), _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
-        assert mechanism == ["ensemble:ridge+als"]
+        assert decoded(mechanism) == ["ensemble:ridge+als"]
         calls.clear()
         report = leave_one_out(m, cfg)
         assert calls == cell_keys(report.results[0])
@@ -457,20 +460,22 @@ class TestCompleteMatrix:
         _, (_, _, mechanism), model = complete_matrix(masked, small_cfg(
             algorithm="ensemble"))
         assert model.config["algorithm"] == "als"  # the als member's fit
-        assert all(a.startswith("ensemble:") for a in mechanism)
+        assert all(a.startswith("ensemble:") for a in decoded(mechanism))
         _, _, model = complete_matrix(masked, small_cfg(
             algorithm="ensemble", ensemble=("ridge", "cliques")))
         assert model is None
 
     def test_ensemble_mechanisms_are_shared(self):
-        # One string per distinct set of contributing members, not one
-        # copy per cell: a large completion's fill log holds them all.
+        # One string per distinct set of contributing members and an
+        # integer code per cell, not one string per cell: the fill log
+        # writes that coded column as it is.
         m, _, _ = planted_rank1(12, 6, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.4, 18))
-        _, (_, _, mechanism), _ = complete_matrix(masked, small_cfg(
-            algorithm="ensemble"))
-        assert len(mechanism) > 10
-        assert len(set(map(id, mechanism))) == len(set(mechanism))
+        _, (rows, _, (codes, names)), _ = complete_matrix(
+            masked, small_cfg(algorithm="ensemble"))
+        assert codes.dtype == np.intp and codes.size == rows.size > 10
+        assert len(names) == len(set(names)) == 2 ** 3
+        assert names[codes[0]] == "ensemble:ridge+cliques+als"
 
 
 def fallback_matrix():
@@ -508,8 +513,38 @@ class TestEnsembleMembersStandAlone:
         assert fell_back == (protocol is not CliqueProtocol.IN_GROUPS)
         ens = report.results[1]
         assert (ens.cols == 4).any()
-        assert all("cliques" in excluded for col, excluded in
-                   zip(ens.cols.tolist(), ens.excluded) if col == 4)
+        assert all("cliques" in excluded for col, (_, excluded) in
+                   zip(ens.cols.tolist(), decoded((ens.mechanism,
+                                                   ens.labels)))
+                   if col == 4)
+
+    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    def test_pooled_sweep_codes_match_reference(self, protocol):
+        # A sweep pools its repeats' cells in order. Each cell's code
+        # decodes to the members that predicted it on its own masking's
+        # train, as the per-cell reference completion of that train says.
+        m = fallback_matrix()
+        cfg = small_cfg(fractions=(0.2, 0.4), repeats=2, seed=3,
+                        protocol=protocol.value, algorithm="ensemble")
+        reports = masking_sweep(m, ["cliques", "ensemble"], cfg)
+        for fi, (fraction, report) in enumerate(zip(cfg.fractions,
+                                                    reports)):
+            want = []
+            for rep in range(cfg.repeats):
+                train, held = mask_random(m, MaskSpec(
+                    fraction, evaluation._child_seed(cfg.seed, 0, fi, rep)))
+                fills = {(r, c): mechanism for r, c, _, mechanism
+                         in reference_complete_matrix(train, cfg)[1]}
+                for r, c in held.tolist():
+                    names = fills[r, c].removeprefix("ensemble:").split("+")
+                    want.append((r, c, fills[r, c], tuple(
+                        mem for mem in cfg.ensemble if mem not in names)))
+            ens = report.results[1]
+            got = decoded((ens.mechanism, ens.labels))
+            assert ens.mechanism.dtype == np.intp
+            assert [(r, c, *label) for r, c, label in zip(
+                ens.rows.tolist(), ens.cols.tolist(), got)] == want
+            assert any(excluded == ("cliques",) for _, excluded in got)
 
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_only_run_makes_no_clique_fallback_solve(
@@ -597,7 +632,7 @@ class TestReportFiles:
         result = evaluation.AlgorithmResult(
             "ensemble", np.arange(n) // 40, np.arange(n) % 40,
             rng.uniform(1, 2, n), rng.uniform(1, 2, n), rng.uniform(0, 1, n),
-            (("als",),) * n, 0)
+            np.zeros(n, np.intp), (("ensemble:ridge+cliques", ("als",)),), 0)
         report = evaluation.EvalReport(0.0, (result,))
         tracemalloc.start()
         try:

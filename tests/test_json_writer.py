@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import jsonfile
-from perfcast.jsonfile import ABSENT, Table, coded, write_json
+from perfcast.jsonfile import ABSENT, Table, write_json
 
 # Quotes, backslashes, control characters, non-ASCII and astral-plane
 # characters, in keys as well as in values.
@@ -160,8 +160,8 @@ def test_table_slices_long_columns(out_dir, monkeypatch, n):
     floats = np.linspace(0.1, 0.9, n)
     floats[1::4] = np.nan
     names = [f"n{i % 3}" for i in range(n)]
-    codes, values = coded(names)
-    table = Table({"i": np.arange(n), "x": floats, "name": (codes, values),
+    table = Table({"i": np.arange(n), "x": floats,
+                   "name": (np.arange(n) % 3, ["n0", "n1", "n2"]),
                    "e": (np.arange(n) % 2, [ABSENT, ["a", "b"]])})
     records = [{"i": i, "x": x, "name": name} | ({"e": ["a", "b"]} if i % 2
                                                  else {})
@@ -191,11 +191,6 @@ def test_first_key_absent_and_empty_records(out_dir):
     write_json([table, {"k": table}], out_dir / "got.json")
     assert ((out_dir / "got.json").read_bytes()
             == oracle_bytes([want, {"k": want}], out_dir / "want.json"))
-
-
-def test_coded_gives_first_seen_codes():
-    assert coded(["b", "a", "b", "c"]) == ([0, 1, 0, 2], ["b", "a", "c"])
-    assert coded([]) == ([], [])
 
 
 @pytest.mark.parametrize("columns,error", [

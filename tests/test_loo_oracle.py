@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import grid, sparse_matrices
+from conftest import decoded, grid, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from complete_reference import complete_matrix as reference_complete_matrix
@@ -141,7 +141,7 @@ def test_completion_matches_reference(algorithm, protocol, m, threshold,
         assert str(got.value) == str(exc)
         return
     completed, (rows, cols, mechanism), _ = complete_matrix(m, cfg)
-    assert list(zip(rows.tolist(), cols.tolist(), mechanism)) == [
+    assert list(zip(rows.tolist(), cols.tolist(), decoded(mechanism))) == [
         (row, col, mechanism) for row, col, _, mechanism in want_fills]
     for (row, col, value, _) in want_fills:
         assert math.isclose(completed.values[row, col], value,
