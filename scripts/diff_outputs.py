@@ -37,7 +37,8 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
                        make_input)
 
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
-# writes an ensemble's `excluded` cells, a model JSON or a ranking.
+# writes an ensemble's `excluded` cells, a model JSON, a ranking, a
+# cliques fill log or an `in_groups` report.
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
       "--out-json", "loo.json", "--out-csv", "loo.csv"], None],
@@ -47,6 +48,15 @@ EXTRA = {"complete-place": [
     [["complete", INPUT_CSV, "--out", "als.csv", "--algorithm", "als",
       "--model-out", "model.json"], None],
     [["rank", "model.json"], "rank.jsonl"],
+], "loo-cliques": [
+    [["complete", INPUT_CSV, "--out", "cliques.csv", "--algorithm", "cliques",
+      "--fills-out", "fills.json"], None],
+    [["evaluate", INPUT_CSV, "--algorithm", "cliques", "--protocol",
+      "in_groups", "--out-json", "in_groups.json", "--out-csv",
+      "in_groups.csv"], None],
+    [["sweep", INPUT_CSV, "--algorithms", "cliques,ensemble", "--protocol",
+      "in_groups", "--fractions", "10,30", "--repeats", "2",
+      "--out-json", "sweep.json", "--out-csv", "sweep.csv"], None],
 ]}
 
 # Run in a subprocess with the tree's src/ first on sys.path; reads

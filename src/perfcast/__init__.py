@@ -7,12 +7,12 @@ ensemble of the three; an evaluation harness scores the predictions and a
 small application layer turns a completed matrix into placement decisions.
 """
 
-from .cliques import (ColdRowError, Grouping, build_graph, clique_predict,
-                      correlations, find_cliques, group_estimates)
+from .cliques import (Grouping, build_graph, clique_predict, correlations,
+                      find_cliques, group_estimates)
 from .config import Algorithm, CliqueProtocol, RunConfig, read_config_file
-from .evaluation import (AlgorithmResult, EvalReport, complete_matrix,
-                         leave_one_out, masking_sweep, outlier_sweep,
-                         report_to_json, write_reports_csv,
+from .evaluation import (AlgorithmResult, ColdRowError, EvalReport,
+                         complete_matrix, leave_one_out, masking_sweep,
+                         outlier_sweep, report_to_json, write_reports_csv,
                          write_reports_json)
 from .factorization import (ALSConfig, FactorModel, UnfactorableError,
                             als_fit, model_from_json, model_to_json,

@@ -11,15 +11,17 @@ not an exact maximum-clique enumeration: it guarantees at least one
 clique per vertex and runs in at most cubic time.
 
 `clique_block` predicts every cell it is given in one call and returns
-arrays: the values (NaN where a cell is uncovered), the reasons for the
-uncovered cells, and which cells fell back to ridge. Every slope comes
-from the pair sums of that call (`pair_sums`: three matmuls over the
+arrays, as `ridge_block` does: the values (NaN where no group mate has an
+estimate) and the reasons for the uncovered cells. Every slope comes from
+the pair sums of that call (`pair_sums`: three matmuls over the
 zero-filled matrix); a cell whose own row observes the target takes that
 row's terms back out, and sums a pair again directly where the removed
-term is as large as what remains. Cells without a group estimate fall
-back to one `ridge_block` call. `clique_predict` and `group_estimates`
-are the block of one; nothing in the package calls them, and they remain
-because the benchmark's tracer (`bench/spans.py`) wraps them by name.
+term is as large as what remains. Group scaling is all this module does:
+under `in_groups_plus_regression` the caller (`evaluation._predict_cells`)
+gives ridge's values to the cells it leaves uncovered. `clique_predict` and
+`group_estimates` are the block of one; nothing in the package calls
+them, and they remain because the benchmark's tracer (`bench/spans.py`)
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -29,16 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ridge import NoBasisError, RidgeConfig, ridge_block
+from .ridge import NoBasisError
 
 
 # Most (cells x columns) entries that one pass of the estimates holds.
 _SPAN = 2**11
-
-
-class ColdRowError(ValueError):
-    """The program has no observed time anywhere; per-cell prediction is
-    impossible and the caller should fall back to machine ranking."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,32 +185,21 @@ def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
     return [float(e) for e in est[0, valid[0]]]
 
 
-def clique_predict(m, grouping: Grouping, row: int, col: int,
-                   ridge_cfg: RidgeConfig = RidgeConfig(),
-                   fallback: bool = True) -> tuple[float, str]:
-    """Predict a cell as the mean of its group-mate estimates.
-
-    Returns (value, mechanism), the mechanism being "cliques" or "ridge".
-    The target cell is treated as missing. Machines outside any real group
-    (or with no usable mate in this row) fall back to the regression
-    baseline; a row with no observations at all raises ColdRowError. With
-    fallback False such a cell raises NoBasisError instead.
-    """
-    values, reasons, via_ridge = clique_block(m, grouping, [row], [col],
-                                              ridge_cfg, fallback)
+def clique_predict(m, grouping: Grouping, row: int, col: int) -> float:
+    """Predict a cell as the mean of its group-mate estimates, the target
+    cell treated as missing; a cell with no estimate (its machine outside
+    any real group, or no usable mate in this row) raises NoBasisError."""
+    values, reasons = clique_block(m, grouping, [row], [col])
     if reasons:
         raise reasons[0]
-    return float(values[0]), "ridge" if via_ridge[0] else "cliques"
+    return float(values[0])
 
 
-def clique_block(m, grouping: Grouping, rows, cols,
-                 ridge_cfg: RidgeConfig = RidgeConfig(), fallback: bool = True):
+def clique_block(m, grouping: Grouping, rows, cols):
     """clique_predict for each cell (rows[i], cols[i]) in one pass; returns
-    (values, reasons, via_ridge) as ridge_block returns (values, reasons),
-    via_ridge marking the cells that fell back to ridge, which one
-    ridge_block call solves. The pair sums of m are computed once per
-    call, so a caller passes all its cells at once; the estimates run a
-    bounded span of cells at a time.
+    (values, reasons) as ridge_block does. The pair sums of m are computed
+    once per call, so a caller passes all its cells at once; the estimates
+    run a bounded span of cells at a time.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -228,19 +214,9 @@ def clique_block(m, grouping: Grouping, rows, cols,
         est, valid = _estimates(m, grouping, sums, rows[part], cols[part])
         n_est[part] = valid.sum(axis=1)
         values[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
-    no_group = n_est == 0
-    values[no_group] = np.nan
-    others = m.present_mask[rows].sum(axis=1) - m.present_mask[rows, cols]
-    via_ridge = no_group & (others > 0) & fallback
-    reasons = {
-        i: ColdRowError(f"cold row: {m.row_label(rows[i])} has no "
-                        f"observations") if fallback else
-        NoBasisError(f"no group estimate for cell ({m.row_label(rows[i])}, "
-                     f"{m.col_keys[cols[i]]})")
-        for i in np.flatnonzero(no_group & ~via_ridge).tolist()}
-    lone = np.flatnonzero(via_ridge)
-    if lone.size:
-        values[lone], missed = ridge_block(m, rows[lone], cols[lone],
-                                           ridge_cfg)
-        reasons.update(zip(lone[list(missed)].tolist(), missed.values()))
-    return values, reasons, via_ridge
+    values[n_est == 0] = np.nan
+    reasons = {i: NoBasisError(f"no group estimate for cell "
+                               f"({m.row_label(rows[i])}, "
+                               f"{m.col_keys[cols[i]]})")
+               for i in np.flatnonzero(n_est == 0).tolist()}
+    return values, reasons

@@ -37,7 +37,8 @@ class CliqueProtocol(str, enum.Enum):
     sweeps, completion); an ensemble's clique member adds only its
     in-group estimates. IN_GROUPS predicts only cells the group-scaling
     step can reach: everything else is uncovered, and completion stops at
-    the first such cell. IN_GROUPS_PLUS_REGRESSION falls back to ridge.
+    the first such cell. IN_GROUPS_PLUS_REGRESSION falls back to ridge
+    where the row observes another machine (`evaluation._predict_cells`).
     """
     IN_GROUPS = "in_groups"
     IN_GROUPS_PLUS_REGRESSION = "in_groups_plus_regression"

@@ -7,8 +7,9 @@ base algorithm is fit once by `_fit_predict` and predicts every cell in
 one kernel call, which gives a column of arrays: the values, NaN where a
 cell is uncovered, the reasons for the uncovered cells, and a per-cell
 code for the mechanism. The ensemble is one masked mean over its members'
-own values (code 0), so a clique member adds only its in-group estimates.
-Completion raises the reason of the first uncovered cell.
+values; after it, a clique algorithm scored on its own under
+`in_groups_plus_regression` takes ridge's value where group scaling has
+none. Completion raises the reason of the first uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
 it. A report holds only what varies by report: its fraction, a note when
@@ -39,6 +40,11 @@ from .jsonfile import ABSENT, Table, write_json
 from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
 from .ridge import ridge_block
+
+
+class ColdRowError(ValueError):
+    """The program has no observed time anywhere; per-cell prediction is
+    impossible and the caller should fall back to machine ranking."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +82,9 @@ class EvalReport:
 
 
 def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
-                 cfg: RunConfig, refit: bool, alone: bool):
+                 cfg: RunConfig, refit: bool):
     """Fit one base algorithm on train and predict every cell (rows[i],
-    cols[i]) in one kernel call; returns (values, reasons, via_ridge,
-    fit), via_ridge marking the values ridge made for the clique
-    algorithm, which falls back to ridge (under cfg.protocol) only when
-    alone: scored on its own, not only as an ensemble member.
+    cols[i]) in one kernel call; returns (values, reasons, fit).
 
     With refit, a factorization is fit once per cell without that cell.
     fit is the FactorModel of the shared als/svd fit, each cell's
@@ -89,27 +92,23 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
     shared fit that raises UnfactorableError leaves every cell uncovered
     and is that error.
     """
-    nowhere = np.zeros(rows.size, dtype=bool)
     if alg is Algorithm.RIDGE:
-        return (*ridge_block(train, rows, cols, cfg.ridge), nowhere, None)
+        return (*ridge_block(train, rows, cols, cfg.ridge), None)
     if alg is Algorithm.CLIQUES:
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
-        fallback = alone and cfg.protocol != CliqueProtocol.IN_GROUPS
-        return (*clique_block(train, grouping, rows, cols, cfg.ridge,
-                              fallback), None)
+        return (*clique_block(train, grouping, rows, cols), None)
     if refit and alg is Algorithm.ALS:
-        values, reasons, iters = als_refits(train, rows, cols, cfg.als)
-        return values, reasons, nowhere, iters
+        return als_refits(train, rows, cols, cfg.als)
     if refit:
-        return (*_svd_refits(train, rows, cols, cfg), nowhere, None)
+        return (*_svd_refits(train, rows, cols, cfg), None)
     try:
         model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
                  else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
     except UnfactorableError as exc:  # every cell is uncovered
         reasons = dict.fromkeys(range(rows.size), exc)
-        return np.full(rows.size, np.nan), reasons, nowhere, exc
-    return predict_cells(model, rows, cols), {}, nowhere, model
+        return np.full(rows.size, np.nan), reasons, exc
+    return predict_cells(model, rows, cols), {}, model
 
 
 def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
@@ -132,12 +131,11 @@ def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
 def _ensemble(train: PCMatrix, rows, cols, members, columns):
     """The ensemble's column from its members' columns.
 
-    A cell's value is the mean of its members' own values (code 0),
-    summed in members order, and exactly their value where they all
-    agree. Its code has bit j set where members[j] gave such a value.
+    A cell's value is the mean of its members' values, summed in members
+    order, and exactly their value where they all agree. Its code has bit
+    j set where members[j] gave a value.
     """
-    values = np.stack([np.where(columns[mem][2], np.nan, columns[mem][0])
-                       for mem in members])
+    values = np.stack([columns[mem][0] for mem in members])
     covered = ~np.isnan(values)
     total = sum(np.where(covered, values, 0.0))
     first = values[covered.argmax(axis=0), np.arange(rows.size)]
@@ -156,6 +154,26 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
         f"({train.row_label(rows[i])}, {train.col_keys[cols[i]]})")
         for i in np.flatnonzero(code == 0).tolist()}
     return mean, reasons, code, tuple(labels)
+
+
+def _plus_regression(train: PCMatrix, rows, cols, cfg: RunConfig, column):
+    """The clique column scored on its own under in_groups_plus_regression:
+    a cell without a group estimate takes ridge's value (code 1) where its
+    row observes another column, and ColdRowError where it does not. The
+    column changes in place; the ensemble has stacked its own copy."""
+    values, reasons, code, labels = column
+    lone = np.fromiter(reasons, np.intp, len(reasons))
+    seen = train.present_mask[rows[lone]]
+    cold = seen.sum(axis=1) == seen[np.arange(lone.size), cols[lone]]
+    reasons = {i: ColdRowError(f"cold row: {train.row_label(rows[i])} has "
+                               f"no observations")
+               for i in lone[cold].tolist()}
+    lone = lone[~cold]
+    values[lone], missed, _ = _fit_predict(Algorithm.RIDGE, train,
+                                           rows[lone], cols[lone], cfg, False)
+    reasons.update(zip(lone[list(missed)].tolist(), missed.values()))
+    code[lone] = 1
+    return values, reasons, code, (*labels, ("ridge", ()))
 
 
 def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
@@ -178,13 +196,17 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     base = {*algorithms, *members} - {Algorithm.ENSEMBLE}
     columns, fits = {}, {}
     for alg in [a for a in Algorithm if a in base]:
-        values, reasons, via_ridge, fits[alg] = _fit_predict(
-            alg, train, rows, cols, cfg, refit, alg in algorithms)
-        columns[alg] = (values, reasons, via_ridge.astype(np.intp),
-                        ((alg.value, ()), ("ridge", ())))
+        values, reasons, fits[alg] = _fit_predict(alg, train, rows, cols,
+                                                  cfg, refit)
+        columns[alg] = (values, reasons, np.zeros(rows.size, np.intp),
+                        ((alg.value, ()),))
     if members:
         columns[Algorithm.ENSEMBLE] = _ensemble(train, rows, cols, members,
                                                 columns)
+    if (Algorithm.CLIQUES in algorithms
+            and cfg.protocol != CliqueProtocol.IN_GROUPS):
+        columns[Algorithm.CLIQUES] = _plus_regression(
+            train, rows, cols, cfg, columns[Algorithm.CLIQUES])
     return columns, fits
 
 
@@ -226,8 +248,8 @@ def _score(maskings, algorithms, cfg: RunConfig):
 
 
 def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig()) -> EvalReport:
-    """Score every present cell by removing it alone and predicting it back
-    with cfg.algorithm (cliques under cfg.protocol).
+    """Score every present cell by leaving out that one cell and predicting
+    it back with cfg.algorithm (cliques under cfg.protocol).
 
     Ridge and cliques are fit once on the full matrix: both treat the
     target cell as missing, and one cell out of thousands does not move
@@ -305,7 +327,7 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     model), the filled cells (rows[i], cols[i]) in row-major order.
 
     names[codes[i]] names what produced cell i's value: the clique
-    algorithm reports "ridge" for cells it reached only through fallback,
+    algorithm reports "ridge" for the cells only ridge reached,
     and the ensemble lists the members that contributed. model is the
     factorization the completion fit: cfg.algorithm's for als/svd, an
     ensemble's als member's, or its svd member's when it has no als, else

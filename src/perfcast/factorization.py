@@ -416,13 +416,14 @@ def model_to_json(model: FactorModel) -> dict:
 
 def model_from_json(data: dict) -> FactorModel:
     """Inverse of model_to_json; ValueError names a missing key, a value of
-    the wrong type, a factor list whose length is not the rank, or a
-    factor that is not finite."""
+    the wrong type, a rank k that is not an integer of at least 1, a
+    factor list whose length is not the rank, or a factor that is not
+    finite."""
     if not isinstance(data, dict):
         raise ValueError(f"model JSON must be an object, "
                          f"not {type(data).__name__}")
     try:
-        k = int(data["k"])
+        k = data["k"]
         keys = [(p["program"], p["args"]) for p in data["programs"]]
         keys += [c["machine"] for c in data["machines"]]
         factors = [e["factors"] for e in data["programs"] + data["machines"]]
@@ -430,6 +431,9 @@ def model_from_json(data: dict) -> FactorModel:
         raise ValueError(f"model JSON lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"model JSON is malformed: {exc}") from None
+    if type(k) is not int or k < 1:  # bool is not int here
+        raise ValueError(f"model JSON k is {k!r}, not an integer of at "
+                         f"least 1")
     for key, f in zip(keys, factors):
         if not (isinstance(f, list) and
                 all(type(x) in (int, float) for x in f)):

@@ -52,8 +52,9 @@ class Table:
 
     A column is a 1-d numpy array of integers or of float64, or a coded
     column (codes, values): record i's value is values[codes[i]], and a
-    record whose value is ABSENT has no such key. Every column has n
-    entries (codes).
+    record whose value is ABSENT has no such key; the first key in sorted
+    order is never ABSENT, since it opens every record. Every column has
+    n entries (codes).
     """
     columns: dict
 
@@ -150,21 +151,17 @@ def _table(t: Table, nl: str, fh) -> None:
     for key in t.columns:
         _check_key(key)
     keys = sorted(t.columns)
-    # Every head but the first starts with ",". When the first key can be
-    # absent, so does the first head, and a slice's records are patched:
-    # "{," then opens a record (it is never JSON text before a newline)
-    # and "{" inner "}" is an empty one.
     first = t.columns[keys[0]]
-    opens = not (isinstance(first, tuple)
-                 and any(v is ABSENT for v in first[1]))
+    if isinstance(first, tuple) and any(v is ABSENT for v in first[1]):
+        raise ValueError(f"Table column {keys[0]!r} sorts first, so it "
+                         f"cannot be ABSENT")
     # The record's template and, per "%s" in it, the column and the coded
     # column's rendered pieces (None for a plain column). A coded column
     # with one piece is a constant in the template.
     template, slots = ["{"], []
     for j, key in enumerate(keys):
         col = t.columns[key]
-        head = ("" if opens and j == 0 else ",") + field
-        head += _string(key) + ": "
+        head = ("," if j else "") + field + _string(key) + ": "
         if isinstance(col, tuple):
             codes, values = col
             if len(codes) != n:
@@ -196,11 +193,7 @@ def _table(t: Table, nl: str, fh) -> None:
             values[j::width] = (
                 _entries(col[lo:hi]) if pieces is None
                 else map(pieces.__getitem__, _list(col[lo:hi])))
-        out = text % tuple(values)
-        if not opens:
-            out = out.replace("{," + field, "{" + field).replace(
-                "{" + inner + "}", "{}")
         fh.write(sep)
-        fh.write(out)
+        fh.write(text % tuple(values))
         sep = joiner
     fh.write(nl + "]")

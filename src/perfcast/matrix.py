@@ -250,7 +250,8 @@ def inject_outliers(
     scaled by an independent uniform draw from the open interval. Draws that
     land on the boundary or whose product underflows to zero are re-drawn,
     so the result stays a valid matrix with the same missingness pattern;
-    a product that overflows is an error naming the cell.
+    a cell that every draw scales to zero, or a product that overflows, is
+    an error naming the cell.
     """
     if not (0 <= fraction <= 1):
         raise ValueError(f"outlier fraction must be in [0, 1], got {fraction}")
@@ -266,6 +267,10 @@ def inject_outliers(
     vals = np.array(m.values)
     for idx in chosen:
         r, c = present[idx]
+        if float(vals[r, c]) * math.nextafter(hi, lo) == 0:
+            raise ValueError(f"every outlier factor below {hi!r} scales cell "
+                             f"({m.row_label(r)}, {m.col_keys[c]}) to zero; "
+                             f"raise the outlier interval")
         while True:
             u = rng.uniform(lo, hi)
             scaled = float(vals[r, c]) * u

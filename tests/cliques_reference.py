@@ -19,7 +19,8 @@ import math
 import numpy as np
 from ridge_reference import ridge_predict
 
-from perfcast.cliques import ColdRowError, Grouping
+from perfcast.cliques import Grouping
+from perfcast.evaluation import ColdRowError
 from perfcast.ridge import NoBasisError, RidgeConfig
 
 

@@ -15,8 +15,9 @@ from cliques_reference import clique_predict
 from loo_reference import ensemble_predict, predict
 from ridge_reference import ridge_predict
 
-from perfcast.cliques import ColdRowError, build_graph, find_cliques
+from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
+from perfcast.evaluation import ColdRowError
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
 from perfcast.ridge import NoBasisError
 

@@ -72,13 +72,11 @@ def decoded(column):
 def ensemble_cells(*member_values):
     """The package's ensemble kernel on cells whose members produced
     member_values: one sequence per member, NaN where it produced
-    nothing, and at least one value per cell. Each value is the member's
-    own (mechanism code 0)."""
+    nothing, and at least one value per cell."""
     values = np.array(member_values, dtype=float)
     members = list(Algorithm)[:len(values)]
     cells = np.zeros(values.shape[1], dtype=np.intp)
-    columns = {mem: (v, {}, np.zeros(v.size, dtype=int))
-               for mem, v in zip(members, values)}
+    columns = {mem: (v,) for mem, v in zip(members, values)}
     return evaluation._ensemble(None, cells, cells, members, columns)[0]
 
 

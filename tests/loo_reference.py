@@ -25,9 +25,9 @@ import numpy as np
 from cliques_reference import clique_predict, group_estimates
 from ridge_reference import ridge_predict
 
-from perfcast.cliques import ColdRowError, build_graph, find_cliques
+from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
-from perfcast.evaluation import EvalReport
+from perfcast.evaluation import ColdRowError, EvalReport
 from perfcast.factorization import UnfactorableError, als_fit, svd_fit
 from perfcast.matrix import PREDICTION_FLOOR
 from perfcast.ridge import NoBasisError

@@ -469,6 +469,22 @@ class TestOutliers:
         assert (run["outlier_fraction"], run["outlier_lo"],
                 run["outlier_hi"]) == (0.1, 0.0, 4.0)
 
+    def test_subnormal_time_scaled_to_zero_is_refused(self, tmp_path,
+                                                      capsys):
+        # every factor below 1e-6 takes 1e-320 to 0: refused, not re-drawn
+        # without end
+        path = tmp_path / "x.csv"
+        path.write_text("program::args,m1,m2,m3\np::a,1e-320,2.0,3.0\n"
+                        "q::b,1.0,2.1,3.2\nr::c,2.0,4.1,6.0\n"
+                        "s::d,3.0,6.0,9.2\n")
+        rc = main(["outliers", str(path), "--algorithms", "ridge",
+                   "--outlier-fraction", "99", "--outlier-hi", "0.000001",
+                   "--fractions", "10", "--repeats", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: every outlier factor below 1e-06 scales cell (p::a, m1) "
+            "to zero; raise the outlier interval\n")
+
 
 @pytest.mark.parametrize("command,flags", [
     ("evaluate", ["--algorithm", "cliques", "--protocol", "in_groups"]),
@@ -718,6 +734,15 @@ class TestRankAndPlace:
 
     @pytest.mark.parametrize("edit,message", [
         (in_model(lambda d: d.pop("k")), "model JSON lacks key 'k'"),
+        # each of these once read as rank 1 (or 0) and ranked the machines
+        (in_model(lambda d: d.update(k=1.5)),
+         "model JSON k is 1.5, not an integer of at least 1"),
+        (in_model(lambda d: d.update(k="1")),
+         "model JSON k is '1', not an integer of at least 1"),
+        (in_model(lambda d: d.update(k=True)),
+         "model JSON k is True, not an integer of at least 1"),
+        (in_model(lambda d: d.update(k=0)),
+         "model JSON k is 0, not an integer of at least 1"),
         (in_model(lambda d: d.pop("programs")),
          "model JSON lacks key 'programs'"),
         (in_model(lambda d: d["machines"][2].pop("factors")),
@@ -752,7 +777,8 @@ class TestRankAndPlace:
          "model JSON train_rmse_history is 5, not a list of numbers"),
         (in_model(lambda d: d.update(train_rmse_history=["x"])),
          "model JSON train_rmse_history is ['x'], not a list of numbers"),
-    ], ids=["k", "programs", "factors", "one-long-row", "all-long-columns",
+    ], ids=["k", "k-fraction", "k-string", "k-true", "k-zero", "programs",
+            "factors", "one-long-row", "all-long-columns",
             "top-level-list", "top-level-string", "top-level-number",
             "model-list", "programs-number", "factors-number",
             "factors-null", "factors-nan", "factors-infinity",

@@ -9,9 +9,10 @@ from conftest import grid, planted_rank1, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (ColdRowError, NoBasisError, PCMatrix, RidgeConfig,
-                      build_graph, clique_predict, cliques, correlations,
-                      find_cliques, group_estimates)
+from perfcast import (Algorithm, ColdRowError, NoBasisError, PCMatrix,
+                      RidgeConfig, RunConfig, build_graph, clique_predict,
+                      cliques, complete_matrix, correlations, evaluation,
+                      find_cliques, group_estimates, leave_one_out)
 from perfcast.cliques import clique_block, pair_sums
 
 
@@ -314,9 +315,8 @@ class TestCliquePrediction:
     def test_single_mate_exact(self):
         m = self.doubled_matrix()
         grouping = find_cliques(build_graph(m, min_overlap=2))
-        got, mechanism = clique_predict(m, grouping, 3, 1, RidgeConfig())
+        got = clique_predict(m, grouping, 3, 1)
         assert got == pytest.approx(14.0, abs=1e-9)
-        assert mechanism == "cliques"
 
     def test_mean_of_mate_estimates(self):
         # slopes to C3 are 4 (from C1) and 2 (from C2); the target row is
@@ -334,7 +334,7 @@ class TestCliquePrediction:
         assert mates(grouping, 2) == [0, 1]
         ests = group_estimates(m, grouping, 3, 2)
         assert ests == [pytest.approx(10.0), pytest.approx(12.0)]
-        got, _ = clique_predict(m, grouping, 3, 2, RidgeConfig())
+        got = clique_predict(m, grouping, 3, 2)
         assert got == pytest.approx(11.0)
 
     def test_ridge_fallback_for_isolated_column(self):
@@ -349,16 +349,33 @@ class TestCliquePrediction:
         assert mates(grouping, 2) == []
         from perfcast import ridge_predict
         expected = ridge_predict(m, 5, 2, RidgeConfig())
-        assert clique_predict(m, grouping, 5, 2, RidgeConfig()) == (expected,
-                                                                   "ridge")
+        cfg = RunConfig(algorithm="cliques")
+        completed, (rows, cols, (codes, names)), _ = complete_matrix(m, cfg)
+        assert (rows.tolist(), cols.tolist()) == ([5], [2])
+        assert completed.values[5, 2] == expected
+        assert names[codes[0]] == "ridge"
+        # leave-one-out scores the same cell with it present
+        full = m.with_values(completed.values)
+        res = leave_one_out(full, cfg).results[0]
+        i = ((res.rows == 5) & (res.cols == 2)).argmax()
+        assert res.predicted[i] == ridge_predict(full, 5, 2, RidgeConfig())
+        assert res.labels[res.mechanism[i]] == ("ridge", ())
         with pytest.raises(NoBasisError, match="no group estimate"):
-            clique_predict(m, grouping, 5, 2, RidgeConfig(), fallback=False)
+            complete_matrix(m, RunConfig(algorithm="cliques",
+                                         protocol="in_groups"))
+        with pytest.raises(NoBasisError, match="no group estimate"):
+            clique_predict(m, grouping, 5, 2)
 
     def test_cold_row_error(self):
         m = grid([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [None, None]])
-        grouping = find_cliques(build_graph(m, min_overlap=2))
+        cfg = RunConfig(algorithm="cliques", clique_min_overlap=2)
         with pytest.raises(ColdRowError, match="cold row"):
-            clique_predict(m, grouping, 3, 0, RidgeConfig())
+            complete_matrix(m, cfg)
+        # a row whose one observation is the cell left out is cold as well
+        one = grid([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [None, 9.0]])
+        res = leave_one_out(one, cfg).results[0]
+        assert res.n_uncovered == 1
+        assert (3, 1) not in zip(res.rows.tolist(), res.cols.tolist())
 
     def test_target_row_excluded_from_slope(self):
         # the held-out row's own (corrupt) value in the mate column must
@@ -384,7 +401,7 @@ class TestCliquePrediction:
         for r in range(m.n_rows):
             for c in range(m.n_cols):
                 held = m.with_cell_missing(r, c)
-                got, _ = clique_predict(held, grouping, r, c, RidgeConfig())
+                got = clique_predict(held, grouping, r, c)
                 assert got == pytest.approx(m.values[r, c], rel=1e-9)
 
 
@@ -398,6 +415,29 @@ CLIQUE_RTOL = 1e-13
 RIDGE_RTOL = 1e-10  # test_ridge.RTOL at the default lambda
 
 
+def cliques_alone(m, threshold=0.97, min_overlap=3):
+    """The clique algorithm scored on its own under the default protocol,
+    in_groups_plus_regression, for every cell of m in row-major order:
+    (values, reasons, mechanisms) from evaluation._predict_cells, the
+    observed cells in one call as leave-one-out makes it and the missing
+    ones in another as completion does."""
+    cfg = RunConfig(algorithm="cliques", clique_threshold=threshold,
+                    clique_min_overlap=min_overlap)
+    observed = m.present_mask.ravel()
+    rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
+    values, reasons = np.full(rows.size, np.nan), {}
+    mechanisms = [None] * rows.size
+    for cells in (np.flatnonzero(observed), np.flatnonzero(~observed)):
+        columns, _ = evaluation._predict_cells(
+            m, rows[cells], cols[cells], [Algorithm.CLIQUES], cfg)
+        got, why, code, labels = columns[Algorithm.CLIQUES]
+        values[cells] = got
+        reasons.update(zip(cells[list(why)].tolist(), why.values()))
+        for i, k in zip(cells.tolist(), code.tolist()):
+            mechanisms[i] = labels[k][0]
+    return values, reasons, mechanisms
+
+
 class TestBlockKernel:
     @given(m=sparse_matrices(), threshold=st.sampled_from([0.5, 0.9, 0.97]),
            min_overlap=st.integers(2, 3), fallback=st.booleans())
@@ -408,8 +448,12 @@ class TestBlockKernel:
         grouping = find_cliques(build_graph(m, threshold, min_overlap))
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
         cfg = RidgeConfig()
-        values, reasons, via_ridge = clique_block(m, grouping, rows, cols,
-                                                  cfg, fallback)
+        if fallback:
+            values, reasons, mechanisms = cliques_alone(m, threshold,
+                                                        min_overlap)
+        else:
+            values, reasons = clique_block(m, grouping, rows, cols)
+            mechanisms = ["cliques"] * rows.size
         uncovered = set()
         for i, (row, col) in enumerate(zip(rows, cols)):
             try:
@@ -421,7 +465,7 @@ class TestBlockKernel:
                 assert type(reasons[i]) is type(exc)
                 assert str(reasons[i]) == str(exc)
                 continue
-            mechanism = "ridge" if via_ridge[i] else "cliques"
+            mechanism = mechanisms[i]
             assert mechanism == want[1]
             rtol = CLIQUE_RTOL if mechanism == "cliques" else RIDGE_RTOL
             assert values[i] == pytest.approx(want[0], rel=rtol)
@@ -471,15 +515,15 @@ class TestBlockKernel:
         m = grid(values.tolist())
         grouping = find_cliques(build_graph(m, 0.9, 3))
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
-        values, reasons, via_ridge = clique_block(m, grouping, rows, cols)
+        values, reasons, mechanisms = cliques_alone(m, 0.9, 3)
         assert reasons == {}
         for i, (row, col) in enumerate(zip(rows, cols)):
             want = cliques_reference.clique_predict(m, grouping, row, col)
-            assert ("ridge" if via_ridge[i] else "cliques") == want[1]
+            assert mechanisms[i] == want[1]
             assert values[i] == pytest.approx(want[0], rel=RIDGE_RTOL)
 
     def test_empty_block(self):
         m = grid([[1.0, 2.0], [2.0, 4.0]])
         grouping = find_cliques(build_graph(m, 0.5, 2))
-        values, reasons, via_ridge = clique_block(m, grouping, [], [])
-        assert values.shape == via_ridge.shape == (0,) and reasons == {}
+        values, reasons = clique_block(m, grouping, [], [])
+        assert values.shape == (0,) and reasons == {}

@@ -391,7 +391,7 @@ class TestCompleteMatrix:
         def tenth(m, rows, *_):
             return np.full(len(rows), 0.1)
         def in_groups(m, grouping, rows, *_):
-            return tenth(m, rows), {}, np.zeros(len(rows), dtype=bool)
+            return tenth(m, rows), {}
         monkeypatch.setattr(evaluation, "ridge_block",
                             lambda *args: (tenth(*args), {}))
         monkeypatch.setattr(evaluation, "clique_block", in_groups)
@@ -417,7 +417,6 @@ class TestCompleteMatrix:
             calls.extend(zip(map(int, rows), map(int, cols)))
             return ridge_block(m, rows, cols, cfg)
         monkeypatch.setattr(evaluation, "ridge_block", counting)
-        monkeypatch.setattr(cliques, "ridge_block", counting)
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
@@ -441,8 +440,6 @@ class TestCompleteMatrix:
                 return kernel(*args, **kwargs)
             return counted
         monkeypatch.setattr(evaluation, "ridge_block",
-                            counting("ridge", ridge_block))
-        monkeypatch.setattr(cliques, "ridge_block",
                             counting("ridge", ridge_block))
         monkeypatch.setattr(evaluation, "clique_block",
                             counting("cliques", cliques.clique_block))
@@ -549,25 +546,33 @@ class TestEnsembleMembersStandAlone:
     @pytest.mark.parametrize("protocol", list(CliqueProtocol))
     def test_ensemble_only_run_makes_no_clique_fallback_solve(
             self, monkeypatch, protocol):
+        # The only ridge solves are the ridge member's: one per masking,
+        # over every cell of it.
         calls = []
 
         def counting(m, rows, cols, cfg):
             calls.append(len(rows))
             return ridge_block(m, rows, cols, cfg)
-        monkeypatch.setattr(cliques, "ridge_block", counting)
+        monkeypatch.setattr(evaluation, "ridge_block", counting)
         m = fallback_matrix()
         holed = m.with_cell_missing(3, 4)
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value,
                         fractions=(0.3,), repeats=2)
         complete_matrix(holed, cfg)
         leave_one_out(m, cfg)
-        masking_sweep(m, ["ensemble"], cfg)
-        outlier_sweep(m, ["ensemble"], cfg)
-        assert calls == []
+        assert calls == [1, m.count_present]
+        calls.clear()
+        reports = (masking_sweep(m, ["ensemble"], cfg)
+                   + outlier_sweep(m, ["ensemble"], cfg))
+        assert len(calls) == 2 * cfg.repeats
+        assert sum(calls) == sum(rep.results[0].rows.size
+                                 + rep.results[0].n_uncovered
+                                 for rep in reports)
+        calls.clear()
         # scored on its own, the clique algorithm falls back to ridge
         # under in_groups_plus_regression
         masking_sweep(m, ["cliques"], cfg)
-        assert bool(calls) == (protocol is not CliqueProtocol.IN_GROUPS)
+        assert (sum(calls) > 0) == (protocol is not CliqueProtocol.IN_GROUPS)
 
 
 class TestReportFiles:

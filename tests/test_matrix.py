@@ -275,6 +275,18 @@ class TestInjectOutliers:
                                              r"past the largest float"):
             inject_outliers(m, 1.0, 0, 1e308, 0)
 
+    def test_product_that_always_underflows_names_the_cell(self):
+        # 1e-320 times any factor below 1e-6 rounds to 0: re-drawing would
+        # never end, so the cell is refused
+        m = grid([[2.0, 1e-320]])
+        with pytest.raises(ValueError, match=r"scales cell \(p0::a0, C2\) "
+                                             r"to zero"):
+            inject_outliers(m, 1.0, 0, 1e-6, 0)
+        # where the largest factor keeps the product positive, draws that
+        # underflow are re-drawn
+        out = inject_outliers(grid([[1e-320]]), 1.0, 0, 1e-3, 0)
+        assert 0 < out.values[0, 0] < 1e-320 * 1e-3
+
 
 class TestObservationsCsv:
     def test_happy_path(self, tmp_path):
