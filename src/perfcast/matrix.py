@@ -247,9 +247,11 @@ def inject_outliers(
     """Multiply a random subset of present cells by draws from (lo, hi).
 
     round(fraction * present) cells are chosen without replacement; each is
-    scaled by an independent uniform draw from the open interval. Draws that
-    land on the boundary or whose product underflows to zero are re-drawn,
-    so the result stays a valid matrix with the same missingness pattern;
+    scaled by an independent uniform draw from the open interval. A draw
+    that lands on the boundary or whose product underflows to zero is
+    re-drawn once, from above the least factor that keeps the product
+    positive, so the result stays a valid matrix with the same missingness
+    pattern;
     a cell that every draw scales to zero, or a product that overflows, is
     an error naming the cell.
     """
@@ -267,21 +269,35 @@ def inject_outliers(
     vals = np.array(m.values)
     for idx in chosen:
         r, c = present[idx]
-        if float(vals[r, c]) * math.nextafter(hi, lo) == 0:
+        value = float(vals[r, c])
+        if value * math.nextafter(hi, lo) == 0:
             raise ValueError(f"every outlier factor below {hi!r} scales cell "
                              f"({m.row_label(r)}, {m.col_keys[c]}) to zero; "
                              f"raise the outlier interval")
-        while True:
-            u = rng.uniform(lo, hi)
-            scaled = float(vals[r, c]) * u
-            if u > lo and scaled > 0:
-                break
+        u = rng.uniform(lo, hi)
+        if not (u > lo and value * u > 0):  # re-drawn from where both hold
+            u = rng.uniform(_least_factor(value, lo, hi), hi)
+        scaled = value * u
         if scaled == math.inf:
             raise ValueError(f"outlier factor {u!r} scales cell "
                              f"({m.row_label(r)}, {m.col_keys[c]}) past the "
                              f"largest float; lower the outlier interval")
         vals[r, c] = scaled
     return m.with_values(vals)
+
+
+def _least_factor(value: float, lo: float, hi: float) -> float:
+    """The least float above lo that scales a positive value to a positive
+    product, given that the float below hi does: a bisection on the bit
+    patterns, which order non-negative floats."""
+    a, b = np.array([lo, hi]).view(np.int64).tolist()
+    while b - a > 1:
+        mid = (a + b) // 2
+        if value * float(np.int64(mid).view(np.float64)) > 0:
+            b = mid
+        else:
+            a = mid
+    return float(np.int64(b).view(np.float64))
 
 
 # ---------------------------------------------------------------------------

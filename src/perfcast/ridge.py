@@ -13,13 +13,18 @@ the presence mask alone. One matmul counts the co-observations of every
 column pair, and one stable sort of each column's counts gives that
 column's drop order: a cell drops its features in its target column's
 order, since leaving an observed target cell out lowers the count of
-every feature of its row by one. A matmul over the cells then gives the
-drops after which each row can train each cell. The cells pass through
-this shrink step a bounded number at a time, each keeping only the
-indices of its kept features and training rows. Cells of one shape
-(training rows, kept features) are solved as one stack, primal or dual
-by that shape; a cell that keeps no feature predicts the mean of its
-column's other observed rows, and one with no such row is uncovered.
+every feature of its row by one. The shrink step then runs top down on
+packed row bitsets. A cell starts from its candidate rows, the other
+rows that observe its target column, and takes on its row's features
+from the last dropped: each ANDs in the rows that observe it, while at
+least min_training_rows rows remain. The first feature that would leave
+fewer ends the walk, so the kept features are a suffix of the drop order
+and the last bitset holds the training rows. The cells pass a bounded
+number at a time, each keeping only the indices of its kept features and
+training rows. Cells of one shape (training rows, kept features) are
+solved as one stack, primal or dual by that shape; a cell that keeps no
+feature predicts the mean of its column's other observed rows, and one
+with no such row is uncovered.
 `ridge_predict` is the block of one.
 """
 
@@ -52,13 +57,11 @@ class RidgeConfig:
             )
 
 
-# Distinct powers of two up to 2**51 sum exactly in a float64, so one
-# matmul finds the highest drop rank among 52 of them.
-_WINDOW = 52
 # Most training values (cells x rows x features) in one stacked solve.
 _STACK = 2**12
-# Most (cells x rows) entries that one pass of the shrink step holds.
-_SPAN = 2**13
+# Most bytes of row bitsets (cells x rows / 8) that one span of the shrink
+# step holds.
+_SPAN = 2**16
 
 
 def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> float:
@@ -97,20 +100,23 @@ def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
     return values, reasons
 
 
-def _drop_ranks(co_observed):
-    """rank[c, f]: where feature f falls in target column c's drop order,
-    fewest co-observations with c first, ties to the lower column index.
+def _drop_order(mask):
+    """order[c]: the columns other than c, fewest co-observations with
+    target column c first (one matmul counts them all), ties to the lower
+    column index.
 
     A cell drops its features in this order whether or not it holds an
     observation: leaving the target cell out lowers the count of every
     feature of its row by one, which keeps their order."""
-    order = np.argsort(co_observed, axis=1, kind="stable")
-    return np.argsort(order, axis=1)
+    present = mask.astype(float)
+    order = np.argsort(present.T @ present, axis=1, kind="stable")
+    n_cols = order.shape[0]
+    return order[order != np.arange(n_cols)[:, None]].reshape(n_cols, -1)
 
 
 def _shrink(mask, rows, cols, min_rows):
     """Each cell's kept features and training rows: features are dropped
-    in the target column's order (_drop_ranks) until min_rows candidate
+    in the target column's order (_drop_order) until min_rows candidate
     rows, the target column's other rows, observe every kept feature. A
     cell that would have to drop every feature keeps none and trains on
     every candidate row.
@@ -118,70 +124,61 @@ def _shrink(mask, rows, cols, min_rows):
     Returns (n, k, train, kept): each cell's numbers of training rows and
     kept features, and those rows' and features' indices, each cell's in
     order, concatenated. The cells pass as many at a time as keep their
-    (cells x rows) arrays within _SPAN entries; what each keeps is its
-    index lists."""
-    present = mask.astype(float)
-    rank = _drop_ranks(present.T @ present)
-    lacks = 1.0 - present.T  # lacks[f, r]: row r does not observe f
-    index = np.min_scalar_type(max(mask.shape))
-    row_index = np.arange(mask.shape[0], dtype=index)
-    col_index = np.arange(mask.shape[1], dtype=index)
-    n, k = np.zeros((2, rows.size), dtype=index)
-    train, kept = [row_index[:0]], [col_index[:0]]
-    step = max(1, _SPAN // mask.shape[0])
-    for start in range(0, rows.size, step):
-        part = slice(start, start + step)
-        span_train, span_kept = _shrink_span(mask, lacks, rank, rows[part],
-                                             cols[part], min_rows)
-        n[part] = span_train.sum(axis=1)
-        k[part] = span_kept.sum(axis=1)
-        train.append(np.broadcast_to(row_index, span_train.shape)[span_train])
-        kept.append(np.broadcast_to(col_index, span_kept.shape)[span_kept])
-    return n, k, np.concatenate(train), np.concatenate(kept)
+    row bitsets within _SPAN bytes."""
+    n_rows, n_cols = mask.shape
+    order = _drop_order(mask)
+    # bits[c]: the rows that observe column c, packed into uint64 words
+    bits = np.zeros((n_cols, -(-n_rows // 64)), dtype=np.uint64)
+    bits.view(np.uint8)[:, :-(-n_rows // 8)] = np.packbits(mask.T, axis=1)
+    index = np.min_scalar_type(max(n_rows, n_cols))
+    step = max(1, _SPAN // (bits.shape[1] * 8))
+    # at least one span, so that an empty block gives four empty arrays
+    spans = [_shrink_span(mask, bits, order, rows[at:at + step],
+                          cols[at:at + step], min_rows, index)
+             for at in range(0, max(rows.size, 1), step)]
+    return tuple(np.concatenate(got) for got in zip(*spans))
 
 
-def _shrink_span(mask, lacks, rank, rows, cols, min_rows):
-    """_shrink for one span of cells, as (cells x rows) and (cells x
-    columns) masks of the training rows and kept features."""
-    n_cols = rank.shape[0]
-    span = np.arange(rows.size)
-    # A training row must observe the target column as well as the kept
-    # features. The target column ranks n_cols, past every feature, so it
-    # is never dropped: a row that lacks it needs n_cols + 1 drops, more
-    # than there are, and so does the target row.
-    required = mask[rows]
-    required[span, cols] = True
-    drop = rank[cols]
-    drop[span, cols] = n_cols
-    steps = _steps(lacks, required, drop)
-    steps[span, rows] = n_cols + 1
-    # s drops leave min_rows training rows. With fewer candidate rows, s
-    # is n_cols + 1 and the cell keeps no feature. A cell that keeps none
-    # trains on every candidate row: those take at most n_cols drops.
-    at = min(min_rows, steps.shape[1]) - 1
-    s = np.partition(steps, at, axis=1)[:, at:at + 1]
-    kept = required & (drop >= s)
-    kept[span, cols] = False
-    return steps <= np.minimum(s, n_cols), kept
+def _count(bitsets):
+    """Set bits per bitset: exact in a float64, and a matmul sums a short
+    row faster than an integer reduction does."""
+    return np.bitwise_count(bitsets) @ np.ones(bitsets.shape[1])
 
 
-def _steps(lacks, required, drop):
-    """steps[c, r]: the drops after which row r observes every column
-    cell c requires, i.e. 1 + the highest drop rank among those columns
-    that the row lacks (0 when it lacks none). Within a window that rank
-    is the exponent of a sum of distinct powers of two, and later
-    windows outrank earlier ones."""
-    steps = np.zeros((required.shape[0], lacks.shape[1]), dtype=np.int64)
-    for lo in range(0, lacks.shape[0] + 1, _WINDOW):  # ranks 0..n_cols
-        pos = drop - lo
-        in_window = required & (pos >= 0) & (pos < _WINDOW)
-        sums = np.ldexp(in_window, pos, dtype=float) @ lacks
-        # Such a sum stores 1023 + its highest position as its biased
-        # exponent (bits 52 up; a sum is never negative), and 0 stores 0.
-        top = sums.view(np.int64) >> 52
-        top -= 1022 - lo
-        np.maximum(steps, top, out=steps)
-    return steps
+def _shrink_span(mask, bits, order, rows, cols, min_rows, index):
+    """_shrink for one span of cells, top down. Each cell's bitset starts
+    as its candidate rows; from the end of its column's drop order, each
+    feature its row observes is ANDed in while min_rows rows remain, and
+    the first that would leave fewer stops the cell. Returns n, k, train
+    and kept as arrays of the index dtype."""
+    have = bits[cols]
+    clear = np.uint8(128) >> (rows & 7).astype(np.uint8)
+    have.view(np.uint8)[np.arange(rows.size), rows >> 3] &= ~clear
+    walking = _count(have) >= min_rows
+    cell, feat = [rows[:0]], [rows[:0]]
+    for pos in range(order.shape[1] - 1, -1, -1):
+        if not walking.any():
+            break
+        f = order[cols, pos]
+        use = np.flatnonzero(walking & mask[rows, f])
+        both = np.take(have, use, axis=0)
+        both &= np.take(bits, f[use], axis=0)
+        fits = _count(both) >= min_rows
+        took = use[fits]
+        have[took] = both[fits]
+        cell.append(took)
+        feat.append(f[took])
+        walking[use[~fits]] = False
+    # Each cell's kept features in column order, and its training rows
+    # from the set bits of its bitset's nonzero bytes, in row order.
+    cell, n_cols = np.concatenate(cell), mask.shape[1]
+    kept = np.sort(cell * n_cols + np.concatenate(feat)) % n_cols
+    byte = have.view(np.uint8)
+    at = np.flatnonzero(byte)
+    bit = np.flatnonzero(np.unpackbits(byte.ravel()[at]))
+    train = at[bit >> 3] % byte.shape[1] * 8 + (bit & 7)
+    k = np.bincount(cell, minlength=rows.size)
+    return tuple(a.astype(index) for a in (_count(have), k, train, kept))
 
 
 def _solve(values, rows, cols, n, k, train, kept, lam):

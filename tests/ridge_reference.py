@@ -4,9 +4,14 @@ This is the earlier ``perfcast.ridge.ridge_predict`` with its
 ``_solve_standardized``, kept as the oracle that
 ``perfcast.ridge.ridge_block`` is tested against: one cell per call, one
 ``np.ix_`` gather and one small solve. Its per-cell drop order is
-``drop_positions``, which the block kernel's per-column drop ranks are
+``drop_positions``, which the block kernel's per-column drop orders are
 tested against. ``predict_with_features`` also says which features a
 prediction kept, none for the column mean.
+
+``shrink`` is the block kernel's earlier shrink step, a matmul over a
+bounded span of cells per 52-rank window, kept as the oracle that
+``perfcast.ridge._shrink`` is tested against: the same four arrays, with
+the same values and dtypes.
 """
 
 import numpy as np
@@ -105,3 +110,86 @@ def predict_with_features(m, row: int, col: int,
     x0 = values[row, kept]
     pred = _solve_standardized(X, y, x0, cfg.lam)
     return max(pred, PREDICTION_FLOOR), kept
+
+
+# Distinct powers of two up to 2**51 sum exactly in a float64, so one
+# matmul finds the highest drop rank among 52 of them.
+WINDOW = 52
+# Most (cells x rows) entries that one pass of shrink holds.
+SPAN = 2**13
+
+
+def shrink(mask, rows, cols, min_rows):
+    """Each cell's kept features and training rows: features are dropped
+    in the target column's order until min_rows candidate rows, the target
+    column's other rows, observe every kept feature. A cell that would
+    have to drop every feature keeps none and trains on every candidate
+    row.
+
+    Returns (n, k, train, kept): each cell's numbers of training rows and
+    kept features, and those rows' and features' indices, each cell's in
+    order, concatenated. The cells pass as many at a time as keep their
+    (cells x rows) arrays within SPAN entries."""
+    present = mask.astype(float)
+    co_observed = present.T @ present
+    rank = np.argsort(np.argsort(co_observed, axis=1, kind="stable"), axis=1)
+    lacks = 1.0 - present.T  # lacks[f, r]: row r does not observe f
+    index = np.min_scalar_type(max(mask.shape))
+    row_index = np.arange(mask.shape[0], dtype=index)
+    col_index = np.arange(mask.shape[1], dtype=index)
+    n, k = np.zeros((2, rows.size), dtype=index)
+    train, kept = [row_index[:0]], [col_index[:0]]
+    step = max(1, SPAN // mask.shape[0])
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        span_train, span_kept = _shrink_span(mask, lacks, rank, rows[part],
+                                             cols[part], min_rows)
+        n[part] = span_train.sum(axis=1)
+        k[part] = span_kept.sum(axis=1)
+        train.append(np.broadcast_to(row_index, span_train.shape)[span_train])
+        kept.append(np.broadcast_to(col_index, span_kept.shape)[span_kept])
+    return n, k, np.concatenate(train), np.concatenate(kept)
+
+
+def _shrink_span(mask, lacks, rank, rows, cols, min_rows):
+    """shrink for one span of cells, as (cells x rows) and (cells x
+    columns) masks of the training rows and kept features."""
+    n_cols = rank.shape[0]
+    span = np.arange(rows.size)
+    # A training row must observe the target column as well as the kept
+    # features. The target column ranks n_cols, past every feature, so it
+    # is never dropped: a row that lacks it needs n_cols + 1 drops, more
+    # than there are, and so does the target row.
+    required = mask[rows]
+    required[span, cols] = True
+    drop = rank[cols]
+    drop[span, cols] = n_cols
+    steps = _steps(lacks, required, drop)
+    steps[span, rows] = n_cols + 1
+    # s drops leave min_rows training rows. With fewer candidate rows, s
+    # is n_cols + 1 and the cell keeps no feature. A cell that keeps none
+    # trains on every candidate row: those take at most n_cols drops.
+    at = min(min_rows, steps.shape[1]) - 1
+    s = np.partition(steps, at, axis=1)[:, at:at + 1]
+    kept = required & (drop >= s)
+    kept[span, cols] = False
+    return steps <= np.minimum(s, n_cols), kept
+
+
+def _steps(lacks, required, drop):
+    """steps[c, r]: the drops after which row r observes every column
+    cell c requires, i.e. 1 + the highest drop rank among those columns
+    that the row lacks (0 when it lacks none). Within a window that rank
+    is the exponent of a sum of distinct powers of two, and later
+    windows outrank earlier ones."""
+    steps = np.zeros((required.shape[0], lacks.shape[1]), dtype=np.int64)
+    for lo in range(0, lacks.shape[0] + 1, WINDOW):  # ranks 0..n_cols
+        pos = drop - lo
+        in_window = required & (pos >= 0) & (pos < WINDOW)
+        sums = np.ldexp(in_window, pos, dtype=float) @ lacks
+        # Such a sum stores 1023 + its highest position as its biased
+        # exponent (bits 52 up; a sum is never negative), and 0 stores 0.
+        top = sums.view(np.int64) >> 52
+        top -= 1022 - lo
+        np.maximum(steps, top, out=steps)
+    return steps

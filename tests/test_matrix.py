@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from conftest import grid, planted_rank1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perfcast
 from perfcast import (MaskInfeasibleError, MaskSpec, Observation, PCMatrix,
                       build_matrix, density, inject_outliers, mask_random,
                       read_matrix_csv, read_observations_csv, write_matrix_csv)
@@ -286,6 +291,29 @@ class TestInjectOutliers:
         # underflow are re-drawn
         out = inject_outliers(grid([[1e-320]]), 1.0, 0, 1e-3, 0)
         assert 0 < out.values[0, 0] < 1e-320 * 1e-3
+
+    def test_redraw_ends_where_few_factors_keep_the_product(self):
+        # 1e-320 times a factor below about 2.47e-4 rounds to 0. With hi 4
+        # ulps above that, only a sliver of (0, hi) keeps the product
+        # positive, and re-drawing from the whole interval would not end;
+        # the call runs in a child process so that such a loop fails the
+        # test at the timeout instead of hanging it
+        code = (
+            "import math, numpy as np\n"
+            "from perfcast import PCMatrix, inject_outliers\n"
+            "hi = 0.0002470355731225299\n"
+            "for _ in range(4):\n"
+            "    hi = math.nextafter(hi, 1)\n"
+            "m = PCMatrix([('p', 'a')], ['m1'], np.array([[1e-320]]))\n"
+            "for lo in (0.0, -0.0):\n"
+            "    for seed in range(20):\n"
+            "        v = inject_outliers(m, 1.0, lo, hi, seed).values[0, 0]\n"
+            "        assert 0 < v <= 1e-320 * hi, v\n"
+        )
+        src = str(Path(perfcast.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)
 
 
 class TestObservationsCsv:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import ridge_reference
 from conftest import grid, sparse_matrix, sparse_matrices
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfcast import (NoBasisError, PCMatrix, RidgeConfig, ridge,
@@ -211,8 +211,8 @@ class TestBlockKernel:
     @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([1e-2, 10.0]))
     @settings(max_examples=10, deadline=None)
     def test_more_features_than_one_window(self, seed, lam):
-        # 59 features per complete row: drop positions past 51 need the
-        # second window of the shrink step
+        # 59 features per complete row: drop orders longer than the 52
+        # ranks one float64 window held in the earlier shrink step
         rng = np.random.default_rng(seed)
         values = np.outer(rng.uniform(1, 10, 12), rng.uniform(0.5, 4, 60))
         values *= rng.uniform(0.9, 1.0, values.shape)
@@ -234,9 +234,9 @@ class TestBlockKernel:
         spans, stacks = [], []
         real_span, real_stack = ridge._shrink_span, ridge._solve_stack
 
-        def shrink_span(mask, lacks, rank, rows, *rest):
+        def shrink_span(mask, bits, order, rows, *rest):
             spans.append(rows.size)
-            return real_span(mask, lacks, rank, rows, *rest)
+            return real_span(mask, bits, order, rows, *rest)
 
         def solve_stack(values, rows, cols, r_idx, c_idx, lam):
             # no padding: each cell's training rows are distinct rows that
@@ -258,10 +258,11 @@ class TestBlockKernel:
         m = grid(values.tolist())
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
         assert_block_matches_reference(m, rows, cols, RidgeConfig(lam, 3))
-        # _SPAN bounds each span's (cells x rows) entries. Each stack has
-        # one (n, k) shape, and _STACK bounds its training values (n for a
-        # featureless cell) unless one cell stands alone
-        assert len(spans) > 1 and max(spans) == max(1, span // 30)
+        # _SPAN bounds each span's bytes of row bitsets, one 8-byte word
+        # per cell for 30 rows. Each stack has one (n, k) shape, and
+        # _STACK bounds its training values (n for a featureless cell)
+        # unless one cell stands alone
+        assert len(spans) > 1 and max(spans) == max(1, span // 8)
         assert len(stacks) > 1 and any(k == 0 for _, _, k in stacks)
         assert all(c * n * max(k, 1) <= stack or c == 1
                    for c, n, k in stacks)
@@ -331,15 +332,50 @@ class TestBlockKernel:
 @given(m=sparse_matrices(max_rows=12, max_cols=8, max_holes=0.6))
 @settings(max_examples=150, deadline=None)
 def test_drop_ranks_order_each_cell_as_the_reference(m):
-    # one table of per-column ranks orders every cell's features as the
-    # reference orders them for that cell, observed or missing
+    # one drop order per column, without the column itself, orders every
+    # cell's features as the reference orders them for that cell,
+    # observed or missing
     mask = m.present_mask
-    present = mask.astype(float)
-    rank = ridge._drop_ranks(present.T @ present)
+    order = ridge._drop_order(mask)
     for row, col in np.ndindex(mask.shape):
+        assert np.array_equal(np.sort(order[col]),
+                              np.delete(np.arange(m.n_cols), col))
         features = np.flatnonzero(mask[row] & (np.arange(m.n_cols) != col))
         candidates = np.flatnonzero(mask[:, col] & (np.arange(m.n_rows) != row))
         want = ridge_reference.drop_positions(mask, features, candidates)
-        got = rank[col, features]
-        assert np.array_equal(features[np.argsort(got)],
-                              features[np.argsort(want)])
+        got = order[col][np.isin(order[col], features)]
+        assert np.array_equal(got, features[np.argsort(want)])
+
+
+# The shrink step against the earlier matmul version: random masks, up to
+# 70 columns (more than the 52 ranks of one of its windows), maybe a cold
+# row, and a random share of the cells, observed and missing, in shuffled
+# order (none: an empty block), in spans of the default size or of one to
+# eight cells.
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40),
+       n_cols=st.integers(1, 70), density=st.floats(0.05, 1.0),
+       cold=st.booleans(), share=st.floats(0.0, 1.0),
+       min_rows=st.integers(2, 4), span=st.sampled_from([None, 8, 64]))
+@example(seed=1, n_rows=30, n_cols=60, density=0.7, cold=True, share=1.0,
+         min_rows=3, span=None)
+@example(seed=2, n_rows=12, n_cols=55, density=0.9, cold=False, share=0.5,
+         min_rows=2, span=8)
+@example(seed=3, n_rows=9, n_cols=5, density=0.5, cold=True, share=0.0,
+         min_rows=4, span=64)
+@settings(max_examples=200, deadline=None)
+def test_shrink_matches_the_oracle(seed, n_rows, n_cols, density, cold,
+                                   share, min_rows, span):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_rows, n_cols)) < density
+    if cold:
+        mask[rng.integers(n_rows)] = False
+    rows, cols = np.nonzero(np.ones(mask.shape, dtype=bool))
+    pick = rng.permutation(rows.size)[:round(share * rows.size)]
+    rows, cols = rows[pick], cols[pick]
+    with pytest.MonkeyPatch.context() as patch:
+        if span:
+            patch.setattr(ridge, "_SPAN", span)
+        got = ridge._shrink(mask, rows, cols, min_rows)
+    want = ridge_reference.shrink(mask, rows, cols, min_rows)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
