@@ -12,16 +12,16 @@ clique per vertex and runs in at most cubic time.
 
 `clique_block` predicts every cell it is given in one call and returns
 arrays, as `ridge_block` does: the values (NaN where no group mate has an
-estimate) and the reasons for the uncovered cells. Every slope comes from
-the pair sums of that call (`pair_sums`: three matmuls over the
-zero-filled matrix); a cell whose own row observes the target takes that
-row's terms back out, and sums a pair again directly where the removed
-term is as large as what remains. Group scaling is all this module does:
-under `in_groups_plus_regression` the caller (`evaluation._predict_cells`)
-gives ridge's values to the cells it leaves uncovered. `clique_predict` and
-`group_estimates` are the block of one; nothing in the package calls
-them, and they remain because the benchmark's tracer (`bench/spans.py`)
-wraps them by name.
+estimate) and the reasons for the uncovered cells. It computes only the
+(cell, mate) pairs whose mate the cell's row observes. Every slope comes
+from the pair sums of that call (`pair_sums`: three matmuls over the
+zero-filled matrix), less the cell's own row where it observes both
+columns, summed again directly where that term is as large as what
+remains. Group scaling is all this module does: under
+`in_groups_plus_regression` the caller (`evaluation._predict_cells`)
+gives ridge's values to the cells it leaves uncovered. `clique_predict`
+and `group_estimates` are the block of one, kept because the benchmark's
+tracer (`bench/spans.py`) wraps them by name.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 from .ridge import NoBasisError
 
 
-# Most (cells x columns) entries that one pass of the estimates holds.
-_SPAN = 2**11
+# Most (cells x columns) entries in one pass's candidate mask and grid.
+_SPAN = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,52 +137,48 @@ def pair_sums(m) -> PairSums:
     return PairSums(x.T @ x, (x * x).T @ present, present.T @ present)
 
 
-def _slopes(m, sums: PairSums, rows, cols):
-    """slope[i, a]: the least-squares slope through the origin from column
-    a onto column cols[i], over the rows other than rows[i] that observe
-    both; usable[i, a] where there is such a row. A row index of -1 leaves
-    no row out.
-
-    The left-out row's terms come back out of the pair sums; where one of
-    them is as large as what remains, that difference would lose digits,
-    so the pair is summed again directly.
-    """
-    mask, values = m.present_mask, m.values
-    cells = np.arange(rows.size)
-    left_out = (rows >= 0)[:, None] & mask[rows]
-    x = np.where(left_out, values[rows], 0.0)
-    y = x[cells, cols][:, None]
-    target_seen = left_out[cells, cols][:, None]
-    xy = sums.xy[cols] - x * y
-    xx = sums.xx.T[cols] - np.where(target_seen, x * x, 0.0)
-    usable = sums.count[cols] - (left_out & target_seen) > 0
-    redo = usable & target_seen & ((x * x >= xx) | (x * y >= xy))
-    for i, a in zip(*np.nonzero(redo)):
-        both = mask[:, a] & mask[:, cols[i]]
-        both[rows[i]] = False
+def _slopes(m, sums: PairSums, rows, cols, pairs):
+    """(x, slope, usable) for each pair k of a cell i and a column a that
+    row rows[i] observes, pairs[k] = i * n_cols + a: x[k] is column a's
+    time in the row, slope[k] the least-squares slope through the origin
+    from column a onto column cols[i] over the other rows that observe
+    both, and usable[k] where there is such a row. A pair whose left-out
+    term is as large as what remains of its sum is summed again directly.
+    Index arrays are dropped once used: a pass holds few arrays of pairs."""
+    mask, values, n_cols = m.present_mask, m.values, m.n_cols
+    target = rows * n_cols + cols
+    i = pairs // n_cols
+    seen = mask.take(target)
+    y, seen = np.where(seen, values.take(target), 0.0)[i], seen[i]
+    start = np.arange(rows.size) * n_cols  # where cell i's pairs start
+    x = values.take(pairs + (rows * n_cols - start)[i])
+    at = pairs + (cols * n_cols - start)[i]  # column pair (cols[i], a)
+    del i
+    usable = sums.count.take(at) > seen
+    xy, xx = sums.xy.take(at), sums.xx.T.take(at)
+    del at
+    y *= x  # the left-out row's terms
+    xy -= y
+    x_x = np.where(seen, x * x, 0.0)
+    xx -= x_x
+    for k in np.flatnonzero(usable & seen & ((x_x >= xx) | (y >= xy))):
+        cell, a = divmod(pairs[k], n_cols)
+        both = mask[:, a] & mask[:, cols[cell]]
+        both[rows[cell]] = False
         xa = values[both, a]
-        xy[i, a] = xa @ values[both, cols[i]]
-        xx[i, a] = xa @ xa
+        xy[k], xx[k] = xa @ values[both, cols[cell]], xa @ xa
     with np.errstate(divide="ignore", invalid="ignore"):
-        return xy / xx, usable
-
-
-def _estimates(m, grouping: Grouping, sums: PairSums, rows, cols):
-    """est[i, a]: group mate a's time in row rows[i] scaled onto column
-    cols[i], where valid[i, a]: a shares a clique with cols[i], has a
-    value in the row and a co-observed row besides it (0 elsewhere)."""
-    slope, usable = _slopes(m, sums, rows, cols)
-    valid = grouping.mates[cols] & m.present_mask[rows] & usable
-    return np.where(valid, m.values[rows] * slope, 0.0), valid
+        return x, np.divide(xy, xx, out=xy), usable
 
 
 def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
     """Per-mate estimates for a cell: mate's time in this row scaled onto
     the target machine. Mates without a value in the row, or without any
     co-observation with the target column, contribute nothing."""
-    est, valid = _estimates(m, grouping, pair_sums(m), np.array([row]),
-                            np.array([col]))
-    return [float(e) for e in est[0, valid[0]]]
+    pairs = np.flatnonzero(grouping.mates[col] & m.present_mask[row])
+    x, slope, usable = _slopes(m, pair_sums(m), np.array([row]),
+                               np.array([col]), pairs)
+    return (x * slope)[usable].tolist()
 
 
 def clique_predict(m, grouping: Grouping, row: int, col: int) -> float:
@@ -199,24 +195,28 @@ def clique_block(m, grouping: Grouping, rows, cols):
     """clique_predict for each cell (rows[i], cols[i]) in one pass; returns
     (values, reasons) as ridge_block does. The pair sums of m are computed
     once per call, so a caller passes all its cells at once; the estimates
-    run a bounded span of cells at a time.
-    """
+    run _SPAN // n_cols cells at a time."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     sums = pair_sums(m)
-    n_est = np.zeros(rows.size, dtype=int)
     values = np.zeros(rows.size)
-    # As many cells at a time as keep the (cells x columns) work within
-    # _SPAN entries.
+    covered = np.zeros(rows.size, dtype=bool)
     step = max(1, _SPAN // m.n_cols)
     for start in range(0, rows.size, step):
-        part = slice(start, start + step)
-        est, valid = _estimates(m, grouping, sums, rows[part], cols[part])
-        n_est[part] = valid.sum(axis=1)
-        values[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
-    values[n_est == 0] = np.nan
+        r, c = rows[start:start + step], cols[start:start + step]
+        pairs = np.flatnonzero(grouping.mates[c] & m.present_mask[r])
+        x, slope, usable = _slopes(m, sums, r, c, pairs)
+        pairs = pairs[usable]
+        # each estimate at its mate's column: a row sum's order is positional
+        grid = np.zeros((r.size, m.n_cols))
+        grid.put(pairs, (x * slope)[usable])
+        n = np.bincount(pairs // m.n_cols, minlength=r.size)
+        values[start:start + step] = grid.sum(axis=1) / np.maximum(n, 1)
+        covered[start:start + step] = n > 0
+        del pairs, x, slope, grid  # before the next span allocates its own
+    values[~covered] = np.nan
     reasons = {i: NoBasisError(f"no group estimate for cell "
                                f"({m.row_label(rows[i])}, "
                                f"{m.col_keys[cols[i]]})")
-               for i in np.flatnonzero(n_est == 0).tolist()}
+               for i in np.flatnonzero(~covered).tolist()}
     return values, reasons

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -343,13 +344,17 @@ def read_observations_csv(path) -> list[Observation]:
 
 def write_matrix_csv(m: PCMatrix, path) -> None:
     """Write the matrix: first column program::args, then one column per
-    machine, empty string for missing cells."""
+    machine, empty string for missing cells. A row's values are written at
+    once, from the repr of their list, in which a missing cell is nan."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([MATRIX_CSV_HEADER, *m.col_keys])
+        csv.writer(f).writerow([MATRIX_CSV_HEADER, *m.col_keys])
+        label = []  # the csv line of a row label alone
+        quote = csv.writer(SimpleNamespace(write=label.append))
         for i, values in enumerate(m.values.tolist()):
-            writer.writerow([m.row_label(i), *(
-                repr(v) if math.isfinite(v) else "" for v in values)])
+            quote.writerow([m.row_label(i)])
+            f.write(label.pop()[:-2] + ","  # the label less its "\r\n"
+                    + repr(values)[1:-1].replace(", ", ",").replace("nan", "")
+                    + "\r\n")
 
 
 def read_matrix_csv(path) -> PCMatrix:

@@ -32,6 +32,12 @@ class PlacementDecision:
                 "rationale": self.rationale.value}
 
 
+def _by_key(m: PCMatrix) -> np.ndarray:
+    """Column indices in machine-id order (Python's string order), so that
+    np.argmin's first minimum breaks a tie to the smaller machine id."""
+    return np.array(sorted(range(m.n_cols), key=m.col_keys.__getitem__))
+
+
 def greedy_place(
     completed: PCMatrix,
     row: int,
@@ -61,8 +67,8 @@ def greedy_place(
     if not present.all():
         raise ValueError(f"row {completed.row_label(row)} is only partially "
                          f"predicted; complete the matrix first")
-    best = min(range(completed.n_cols),
-               key=lambda j: (times[j], completed.col_keys[j]))
+    by_key = _by_key(completed)
+    best = by_key[np.argmin(times[by_key])]
     return PlacementDecision(program, args, completed.col_keys[best],
                              float(times[best]), Rationale.MIN_PREDICTED)
 
@@ -87,12 +93,12 @@ def schedule_batch(
     if not rows:
         return assignment, 0.0
 
-    times = completed.values
+    by_key = _by_key(completed)
+    times = completed.values[:, by_key]  # columns in machine-id order
     order = sorted(rows, key=lambda r: -float(np.min(times[r])))
     loads = np.zeros(completed.n_cols)
     for r in order:
-        j = min(range(completed.n_cols),
-                key=lambda j: (loads[j] + times[r, j], completed.col_keys[j]))
-        loads[j] += times[r, j]
-        assignment[completed.col_keys[j]].append(r)
+        k = np.argmin(loads + times[r])
+        loads[k] += times[r, k]
+        assignment[completed.col_keys[by_key[k]]].append(r)
     return assignment, float(loads.max())

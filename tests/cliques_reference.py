@@ -12,6 +12,12 @@ the earlier per-cell scaling, kept unchanged as the oracle that
 ``perfcast.cliques.clique_block`` is tested against. Each slope is a fresh
 dot product over the co-observed rows; the ridge fallback is the per-cell
 ``ridge_reference.ridge_predict``.
+
+``grid_slopes``, ``grid_estimates`` and ``grid_block`` are the earlier
+block kernel, which computed a slope and an estimate for every entry of a
+(cells x columns) grid and kept the group mates that the row observes,
+kept as the exact oracle that ``perfcast.cliques.clique_block`` is tested
+against: the same values bit for bit, and the same reasons.
 """
 
 import math
@@ -19,7 +25,7 @@ import math
 import numpy as np
 from ridge_reference import ridge_predict
 
-from perfcast.cliques import Grouping
+from perfcast.cliques import Grouping, PairSums, pair_sums
 from perfcast.evaluation import ColdRowError
 from perfcast.ridge import NoBasisError, RidgeConfig
 
@@ -145,3 +151,65 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     if not row_mask.any():
         raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
     return ridge_predict(m, row, col, ridge_cfg), "ridge"
+
+
+def grid_slopes(m, sums: PairSums, rows, cols):
+    """slope[i, a]: the least-squares slope through the origin from column
+    a onto column cols[i], over the rows other than rows[i] that observe
+    both; usable[i, a] where there is such a row. A row index of -1 leaves
+    no row out.
+
+    The left-out row's terms come back out of the pair sums; where one of
+    them is as large as what remains, that difference would lose digits,
+    so the pair is summed again directly.
+    """
+    mask, values = m.present_mask, m.values
+    cells = np.arange(rows.size)
+    left_out = (rows >= 0)[:, None] & mask[rows]
+    x = np.where(left_out, values[rows], 0.0)
+    y = x[cells, cols][:, None]
+    target_seen = left_out[cells, cols][:, None]
+    xy = sums.xy[cols] - x * y
+    xx = sums.xx.T[cols] - np.where(target_seen, x * x, 0.0)
+    usable = sums.count[cols] - (left_out & target_seen) > 0
+    redo = usable & target_seen & ((x * x >= xx) | (x * y >= xy))
+    for i, a in zip(*np.nonzero(redo)):
+        both = mask[:, a] & mask[:, cols[i]]
+        both[rows[i]] = False
+        xa = values[both, a]
+        xy[i, a] = xa @ values[both, cols[i]]
+        xx[i, a] = xa @ xa
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return xy / xx, usable
+
+
+def grid_estimates(m, grouping: Grouping, sums: PairSums, rows, cols):
+    """est[i, a]: group mate a's time in row rows[i] scaled onto column
+    cols[i], where valid[i, a]: a shares a clique with cols[i], has a
+    value in the row and a co-observed row besides it (0 elsewhere)."""
+    slope, usable = grid_slopes(m, sums, rows, cols)
+    valid = grouping.mates[cols] & m.present_mask[rows] & usable
+    return np.where(valid, m.values[rows] * slope, 0.0), valid
+
+
+def grid_block(m, grouping: Grouping, rows, cols, span: int = 2**11):
+    """The clique estimates' mean for each cell (rows[i], cols[i]), the
+    (cells x columns) grid computed span entries at a time; returns
+    (values, reasons) as ``clique_block`` does."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    sums = pair_sums(m)
+    n_est = np.zeros(rows.size, dtype=int)
+    values = np.zeros(rows.size)
+    step = max(1, span // m.n_cols)
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        est, valid = grid_estimates(m, grouping, sums, rows[part], cols[part])
+        n_est[part] = valid.sum(axis=1)
+        values[part] = est.sum(axis=1) / np.maximum(n_est[part], 1)
+    values[n_est == 0] = np.nan
+    reasons = {i: NoBasisError(f"no group estimate for cell "
+                               f"({m.row_label(rows[i])}, "
+                               f"{m.col_keys[cols[i]]})")
+               for i in np.flatnonzero(n_est == 0).tolist()}
+    return values, reasons

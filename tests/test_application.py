@@ -128,6 +128,21 @@ class TestScheduleBatch:
         assert assignment == oracle_assign
         assert makespan == pytest.approx(oracle_makespan, rel=1e-12)
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_ties_go_to_the_smallest_id_in_any_column_order(self, seed):
+        # few distinct times, so that loads tie often, and machine ids out
+        # of column order and of numeric order ("C10" before "C2")
+        rng = np.random.default_rng(seed)
+        vals = rng.integers(1, 4, (6, 5)).astype(float).tolist()
+        keys = tuple(rng.permutation(["C1", "C2", "C10", "b", "a:1"]).tolist())
+        m = completed(vals, col_keys=keys)
+        rows = list(range(6))
+        assert schedule_batch(m, rows) == greedy_oracle(vals, rows, keys)
+        for r in rows:
+            d = greedy_place(m, r)
+            assert (d.predicted, d.machine) == min(zip(vals[r], keys))
+
     def test_lower_bounds(self):
         rng = np.random.default_rng(40)
         for _ in range(25):

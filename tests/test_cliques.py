@@ -1,11 +1,12 @@
 """Correlation graph, greedy clique search, and scaling-based prediction."""
 
 import math
+import tracemalloc
 
 import cliques_reference
 import numpy as np
 import pytest
-from conftest import grid, planted_rank1, sparse_matrices
+from conftest import grid, planted_rank1, sparse_matrix, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,13 +46,21 @@ def mates(grouping, vertex):
 def slope(m, from_col, to_col, exclude_row=None):
     """The least-squares slope through the origin from one column onto
     another over their co-observed rows, leaving exclude_row out: the
-    slope that group estimates scale by, one at a time."""
-    rows = np.array([-1 if exclude_row is None else exclude_row])
-    got, usable = cliques._slopes(m, pair_sums(m), rows, np.array([to_col]))
-    if not usable[0, from_col]:
+    slope that group estimates scale by, one at a time. The kernel leaves
+    out a row that observes from_col; leaving out none, or a row without
+    from_col's value, is leaving out a row appended to m that observes
+    from_col alone."""
+    if exclude_row is None or not m.present_mask[exclude_row, from_col]:
+        extra = np.full((1, m.n_cols), np.nan)
+        extra[0, from_col] = 1.0
+        m = grid(np.vstack([m.values, extra]).tolist())
+        exclude_row = m.n_rows - 1
+    _, got, usable = cliques._slopes(m, pair_sums(m), np.array([exclude_row]),
+                                     np.array([to_col]), np.array([from_col]))
+    if not usable[0]:
         raise ValueError(
             f"no co-observed rows between columns {from_col} and {to_col}")
-    return float(got[0, from_col])
+    return float(got[0])
 
 
 class TestPearson:
@@ -506,8 +515,15 @@ class TestBlockKernel:
 
     def test_many_spans(self, monkeypatch):
         # a block larger than one pass of the estimates gives every cell
-        # the reference's answer
+        # the reference's answer; each pass holds one cell
         monkeypatch.setattr(cliques, "_SPAN", 8)
+        passes, slopes = [], cliques._slopes
+
+        def one_pass(m, sums, rows, cols, pairs):
+            passes.append(rows.size)
+            return slopes(m, sums, rows, cols, pairs)
+
+        monkeypatch.setattr(cliques, "_slopes", one_pass)
         m, _, _ = planted_rank1(20, 6, seed=3)
         values = np.array(m.values)
         values *= np.random.default_rng(3).uniform(0.97, 1.0, values.shape)
@@ -516,14 +532,65 @@ class TestBlockKernel:
         grouping = find_cliques(build_graph(m, 0.9, 3))
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
         values, reasons, mechanisms = cliques_alone(m, 0.9, 3)
+        assert passes == [1] * rows.size
         assert reasons == {}
         for i, (row, col) in enumerate(zip(rows, cols)):
             want = cliques_reference.clique_predict(m, grouping, row, col)
             assert mechanisms[i] == want[1]
             assert values[i] == pytest.approx(want[0], rel=RIDGE_RTOL)
 
+    def test_memory_stays_bounded(self):
+        # the passes bound the temporaries: about 7,000 missing cells of a
+        # 300 x 40 matrix, where about a third of the (cell, column)
+        # entries are a group mate that the cell's row observes
+        m = sparse_matrix((300, 40), 0.4, seed=3, rank=2)
+        grouping = find_cliques(build_graph(m, 0.9, 3))
+        rows, cols = np.nonzero(~m.present_mask)
+        assert rows.size > 6900
+        assert (grouping.mates[cols] & m.present_mask[rows]).mean() > 0.3
+        tracemalloc.start()
+        try:
+            values, reasons = clique_block(m, grouping, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reasons) < rows.size / 10
+        assert peak < 512_000
+
     def test_empty_block(self):
         m = grid([[1.0, 2.0], [2.0, 4.0]])
         grouping = find_cliques(build_graph(m, 0.5, 2))
         values, reasons = clique_block(m, grouping, [], [])
         assert values.shape == (0,) and reasons == {}
+
+
+# clique_block against the earlier grid kernel: the same arithmetic on the
+# (cell, mate) pairs alone, so the same values bit for bit and the same
+# reasons, for observed cells (as leave-one-out passes them), missing ones
+# (as completion does) and every cell in row-major order, one cell per pass
+# or all in one. Rows of more than 8 columns are summed in an order that
+# depends on where their terms sit. A threshold of None makes one group of
+# all columns, so that some mates share no row besides the cell's own.
+@given(m=sparse_matrices(max_rows=10, max_cols=20),
+       threshold=st.sampled_from([None, 0.5, 0.9, 0.97]),
+       min_overlap=st.integers(2, 3), span=st.sampled_from([1, 2**20]))
+@settings(max_examples=150, deadline=None)
+def test_block_matches_the_grid_oracle(m, threshold, min_overlap, span):
+    grouping = find_cliques(~np.eye(m.n_cols, dtype=bool) if threshold is None
+                            else build_graph(m, threshold, min_overlap))
+    everything = np.ones(m.values.shape, dtype=bool)
+    for cells in (m.present_mask, ~m.present_mask, everything):
+        rows, cols = np.nonzero(cells)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cliques, "_SPAN", span)
+            got, why = clique_block(m, grouping, rows, cols)
+        want, reasons = cliques_reference.grid_block(m, grouping, rows, cols,
+                                                     span)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert why.keys() == reasons.keys()
+        for i, exc in reasons.items():
+            assert type(why[i]) is type(exc) and str(why[i]) == str(exc)
+    for row, col in zip(*np.nonzero(everything)):
+        est, valid = cliques_reference.grid_estimates(
+            m, grouping, pair_sums(m), np.array([row]), np.array([col]))
+        assert group_estimates(m, grouping, row, col) == est[valid].tolist()
