@@ -38,7 +38,7 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
-# cliques fill log or an `in_groups` report.
+# cliques fill log, an `in_groups` report or an outlier sweep.
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
       "--out-json", "loo.json", "--out-csv", "loo.csv"], None],
@@ -48,6 +48,9 @@ EXTRA = {"complete-place": [
     [["complete", INPUT_CSV, "--out", "als.csv", "--algorithm", "als",
       "--model-out", "model.json"], None],
     [["rank", "model.json"], "rank.jsonl"],
+    [["outliers", INPUT_CSV, "--algorithms", "ridge,cliques,als,svd,ensemble",
+      "--fractions", "10,30", "--repeats", "2",
+      "--out-json", "outliers.json", "--out-csv", "outliers.csv"], None],
 ], "loo-cliques": [
     [["complete", INPUT_CSV, "--out", "cliques.csv", "--algorithm", "cliques",
       "--fills-out", "fills.json"], None],

@@ -4,7 +4,9 @@
 Given a matrix CSV, this runs three experiments and writes their artifacts
 into --out-dir:
 
-  loo.json                leave-one-out, every algorithm, the clique
+  loo.json                leave-one-out, every algorithm that
+                          `complete` and `evaluate` take (all but svd,
+                          which only the sweeps score), the clique
                           algorithm under both scoring protocols
   sweep.json / sweep.csv  masking sweep over --fractions
   outliers.json / .csv    same sweep with corrupted training cells
@@ -29,6 +31,10 @@ from perfcast import (Algorithm, CliqueProtocol, RunConfig, density,
 from perfcast.cli import arg_type
 from perfcast.config import (parse_algorithms, parse_percent,
                              parse_percent_list)
+
+# the algorithms RunConfig.algorithm accepts: svd is scored by the sweeps
+LOO_ALGORITHMS = RunConfig.__dataclass_fields__["algorithm"].metadata[
+    "choices"]
 
 
 def summarize(tag: str, reports) -> None:
@@ -72,7 +78,7 @@ def main(argv=None) -> int:
 
     # 1. leave-one-out; the clique predictor is scored under each protocol
     loo_reports, runs = [], []
-    for algorithm in args.algorithms:
+    for algorithm in [a for a in args.algorithms if a in LOO_ALGORITHMS]:
         cliques = algorithm == Algorithm.CLIQUES
         protocols = ([p.value for p in CliqueProtocol] if cliques
                      else [cfg.protocol])

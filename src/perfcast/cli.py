@@ -146,17 +146,16 @@ def cmd_complete(args) -> int:
     cfg = _load_config(args)
     ensemble = cfg.algorithm == "ensemble"
     members = cfg.ensemble if ensemble else (cfg.algorithm,)
-    if args.model_out and not {"als", "svd"} & set(members):
+    if args.model_out and "als" not in members:
         raise ValueError(
             (f"no member of the ensemble ({', '.join(members)}) fits a "
              f"factor model" if ensemble else f"algorithm "
              f"{cfg.algorithm!r} does not produce a factor model")
-            + "; drop --model-out or use als or svd")
+            + "; drop --model-out or use als")
     m = read_matrix_csv(args.matrix)
     completed, (rows, cols, mechanism), model = complete_matrix(m, cfg)
     if args.model_out and isinstance(model, UnfactorableError):
-        member = "als" if "als" in members else "svd"
-        raise ValueError(f"the ensemble's {member} member could not be fit "
+        raise ValueError(f"the ensemble's als member could not be fit "
                          f"({model}); drop --model-out")
     write_matrix_csv(completed, args.out)
     if args.fills_out:
@@ -172,7 +171,7 @@ def cmd_complete(args) -> int:
     if args.model_out:
         write_json({"run_config": _echo(cfg, input=args.matrix),
                      "model": model_to_json(model)}, args.model_out)
-    if isinstance(model, FactorModel) and model.config["algorithm"] == "als":
+    if isinstance(model, FactorModel):
         _warn_capped(int(len(model.train_rmse_history) == cfg.als_max_iters),
                      1, "shared ALS fits", cfg)
     print(f"filled {rows.size} missing cells with {cfg.algorithm}; "
@@ -283,9 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix CSV")
     p.add_argument("--out", required=True, help="completed matrix CSV")
     p.add_argument("--fills-out", help="JSON log of per-cell fills")
-    p.add_argument("--model-out", help="JSON factor model (als, svd, or "
-                                       "the ensemble's als or else svd "
-                                       "member)")
+    p.add_argument("--model-out", help="JSON factor model (als, or the "
+                                       "ensemble's als member)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_complete)
 

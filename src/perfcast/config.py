@@ -76,7 +76,9 @@ def parse_name_list(text: str) -> tuple[str, ...]:
 
 
 _ALGORITHMS = tuple(a.value for a in Algorithm)
-_MEMBERS = tuple(a for a in _ALGORITHMS if a != Algorithm.ENSEMBLE)
+# svd is a sweep-only baseline: complete, evaluate and ensemble refuse it
+_FILLERS = tuple(a for a in _ALGORITHMS if a != Algorithm.SVD)
+_MEMBERS = tuple(a for a in _FILLERS if a != Algorithm.ENSEMBLE)
 _PROTOCOLS = tuple(p.value for p in CliqueProtocol)
 
 
@@ -102,8 +104,8 @@ def parse_algorithms(text: str) -> tuple[str, ...]:
 
 
 def parse_ensemble(text: str) -> tuple[str, ...]:
-    """"ridge,als" -> ("ridge", "als"); each must be an algorithm other
-    than the ensemble itself."""
+    """"ridge,als" -> ("ridge", "als"); each must be ridge, cliques or
+    als."""
     return tuple(map(_one_of(_MEMBERS), parse_name_list(text)))
 
 
@@ -116,20 +118,20 @@ def _tunable(default, parse=None, choices=None, help=None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    algorithm: str = _tunable("ensemble", choices=_ALGORITHMS)
+    algorithm: str = _tunable("ensemble", choices=_FILLERS)
     protocol: str = _tunable("in_groups_plus_regression", choices=_PROTOCOLS,
                              help="clique protocol for complete, evaluate, "
                              "sweep and outliers")
-    ridge_lambda: float = _tunable(1e-2, float)
-    ridge_min_training_rows: int = _tunable(3, int)
+    ridge_lambda: float = _tunable(RidgeConfig.lam, float)
+    ridge_min_training_rows: int = _tunable(RidgeConfig.min_training_rows,
+                                            int)
     clique_threshold: float = _tunable(0.97, float)
     clique_min_overlap: int = _tunable(3, int)
-    als_k: int = _tunable(1, int)
-    als_lambda: float = _tunable(1e-2, float)
-    als_max_iters: int = _tunable(200, int)
-    als_tol: float = _tunable(1e-6, float)
+    als_k: int = _tunable(ALSConfig.k, int)
+    als_lambda: float = _tunable(ALSConfig.lam, float)
+    als_max_iters: int = _tunable(ALSConfig.max_iters, int)
+    als_tol: float = _tunable(ALSConfig.tol, float)
     svd_k: int = _tunable(1, int)
-    svd_max_outer: int = _tunable(50, int)
     ensemble: tuple[str, ...] = _tunable(
         ("ridge", "cliques", "als"), parse_ensemble,
         help="comma-separated ensemble members")
@@ -158,8 +160,6 @@ class RunConfig:
             (0 <= self.outlier_fraction < 1, f"outlier_fraction must be in "
              f"[0, 1), got {self.outlier_fraction}"),
             (self.svd_k >= 1, f"svd_k must be >= 1, got {self.svd_k}"),
-            (self.svd_max_outer >= 1,
-             f"svd_max_outer must be >= 1, got {self.svd_max_outer}"),
             (0 < self.clique_threshold <= 1, f"clique_threshold must be in "
              f"(0, 1], got {self.clique_threshold}"),
             (self.clique_min_overlap >= 2, f"clique_min_overlap must be at "

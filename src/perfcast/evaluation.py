@@ -86,11 +86,10 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (values, reasons, fit).
 
-    With refit, a factorization is fit once per cell without that cell.
-    fit is the FactorModel of the shared als/svd fit, each cell's
-    iteration count for ALS refits (0 where uncovered), else None; a
-    shared fit that raises UnfactorableError leaves every cell uncovered
-    and is that error.
+    With refit, ALS is fit once per cell without that cell. fit is the
+    FactorModel of the shared als/svd fit, each cell's iteration count for
+    ALS refits (0 where uncovered), else None; a shared fit that raises
+    UnfactorableError leaves every cell uncovered and is that error.
     """
     if alg is Algorithm.RIDGE:
         return (*ridge_block(train, rows, cols, cfg.ridge), None)
@@ -98,34 +97,15 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
         return (*clique_block(train, grouping, rows, cols), None)
-    if refit and alg is Algorithm.ALS:
-        return als_refits(train, rows, cols, cfg.als)
     if refit:
-        return (*_svd_refits(train, rows, cols, cfg), None)
+        return als_refits(train, rows, cols, cfg.als)
     try:
         model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
-                 else svd_fit(train, cfg.svd_k, cfg.svd_max_outer))
+                 else svd_fit(train, cfg.svd_k))
     except UnfactorableError as exc:  # every cell is uncovered
         reasons = dict.fromkeys(range(rows.size), exc)
         return np.full(rows.size, np.nan), reasons, exc
     return predict_cells(model, rows, cols), {}, model
-
-
-def _svd_refits(train: PCMatrix, rows, cols, cfg: RunConfig):
-    """Predict each observed cell (rows[i], cols[i]) from an SVD fit on
-    train without that cell, one copy of train at a time; returns (values,
-    reasons) as als_refits does, with the UnfactorableError of each fit
-    that raised."""
-    values, reasons = np.full(rows.size, np.nan), {}
-    for i, (r, c) in enumerate(zip(rows, cols)):
-        try:
-            fit = svd_fit(train.with_cell_missing(r, c), cfg.svd_k,
-                          cfg.svd_max_outer)
-        except UnfactorableError as exc:
-            reasons[i] = exc
-        else:
-            values[i] = predict_cells(fit, rows[i:i + 1], cols[i:i + 1])[0]
-    return values, reasons
 
 
 def _ensemble(train: PCMatrix, rows, cols, members, columns):
@@ -185,8 +165,8 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     error that says why, and labels[code[i]] is a covered cell's shared
     (mechanism, excluded) pair; the labels depend only on the algorithm
     and cfg.ensemble. The cells are either all missing from train
-    (sweeps, completion) or all observed (leave-one-out), where a
-    factorization is refit for each cell.
+    (sweeps, completion) or all observed (leave-one-out), where ALS is
+    refit for each cell.
     """
     # With no cells the shared fit is still made: complete_matrix returns
     # the model.
@@ -253,8 +233,8 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig()) -> EvalReport:
 
     Ridge and cliques are fit once on the full matrix: both treat the
     target cell as missing, and one cell out of thousands does not move
-    the machine grouping. ALS and SVD train on every observed cell, so
-    each cell is predicted by a fit on the matrix without it.
+    the machine grouping. ALS trains on every observed cell, so each cell
+    is predicted by a fit on the matrix without it.
     """
     rows, cols = np.nonzero(m.present_mask)
     results, capped = _score([(m, rows, cols, m.values[rows, cols])],
@@ -328,12 +308,11 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
 
     names[codes[i]] names what produced cell i's value: the clique
     algorithm reports "ridge" for the cells only ridge reached,
-    and the ensemble lists the members that contributed. model is the
-    factorization the completion fit: cfg.algorithm's for als/svd, an
-    ensemble's als member's, or its svd member's when it has no als, else
-    None; it is fit even when nothing is missing, since it also ranks
-    machines for programs outside the matrix. Where that ensemble member
-    could not be fit, model is the UnfactorableError that says why. The
+    and the ensemble lists the members that contributed. model is the ALS
+    fit of als itself or of an ensemble's als member, else None; it is fit
+    even when nothing is missing, since it also ranks machines for
+    programs outside the matrix. Where that ALS fit could not be made,
+    model is the UnfactorableError that says why. The
     first cell in row-major order that cannot be predicted raises its
     reason.
     """
@@ -345,10 +324,8 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
         raise reasons[min(reasons)]
     vals = np.array(m.values)
     vals[rows, cols] = values
-    if algorithm is Algorithm.ENSEMBLE:
-        algorithm = Algorithm.ALS if Algorithm.ALS in fits else Algorithm.SVD
     return (m.with_values(vals), (rows, cols, (code, [n for n, _ in labels])),
-            fits.get(algorithm))
+            fits.get(Algorithm.ALS))
 
 
 # ---------------------------------------------------------------------------

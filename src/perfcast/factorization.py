@@ -12,7 +12,7 @@ sums cancel down to rounding, and a refit yields only the prediction of
 its left-out cell; the plain fit gathers its residuals and becomes a
 FactorModel. Rank 1 is the default and has a useful side effect:
 positive scalar embeddings put a total performance order on machines. A
-simpler impute-and-decompose SVD variant is included for comparison.
+simpler impute-and-decompose SVD is a baseline that only sweeps score.
 """
 
 from __future__ import annotations
@@ -77,6 +77,10 @@ class FactorModel:
         if cf.shape != (self.k, len(self.col_keys)):
             raise ValueError(f"column factor shape {cf.shape} does not match "
                              f"rank {self.k} x {len(self.col_keys)} columns")
+        for keys in (self.row_keys, self.col_keys):  # as a PCMatrix's are
+            if len(set(keys)) < len(keys):
+                repeat = next(k for i, k in enumerate(keys) if k in keys[:i])
+                raise ValueError(f"factor model repeats key {repeat!r}")
         rf.flags.writeable = False
         cf.flags.writeable = False
         object.__setattr__(self, "row_factors", rf)
@@ -417,8 +421,8 @@ def model_to_json(model: FactorModel) -> dict:
 def model_from_json(data: dict) -> FactorModel:
     """Inverse of model_to_json; ValueError names a missing key, a value of
     the wrong type, a rank k that is not an integer of at least 1, a
-    factor list whose length is not the rank, or a factor that is not
-    finite."""
+    factor list whose length is not the rank, a factor that is not
+    finite, or a key not made of strings or given twice."""
     if not isinstance(data, dict):
         raise ValueError(f"model JSON must be an object, "
                          f"not {type(data).__name__}")
@@ -435,6 +439,9 @@ def model_from_json(data: dict) -> FactorModel:
         raise ValueError(f"model JSON k is {k!r}, not an integer of at "
                          f"least 1")
     for key, f in zip(keys, factors):
+        if not all(type(x) is str for x in
+                   (key if isinstance(key, tuple) else (key,))):
+            raise ValueError(f"key {key!r} is not made of strings")
         if not (isinstance(f, list) and
                 all(type(x) in (int, float) for x in f)):
             raise ValueError(f"factors of {key!r} are {f!r}, not a list "

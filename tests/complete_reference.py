@@ -3,8 +3,8 @@
 The oracle for `perfcast.evaluation.complete_matrix`, which predicts all
 the missing cells through the block kernels at once. Here ridge and the
 clique estimates come from the per-cell references (`ridge_reference`,
-`cliques_reference`), a factorization is fit once and `predict`s one cell
-at a time, and the ensemble is `ensemble_predict` over the members that
+`cliques_reference`), ALS is fit once and `predict`s one cell at a
+time, and the ensemble is `ensemble_predict` over the members that
 produced a value by their own mechanism (a clique member's ridge fallback
 is left out), in `cfg.ensemble` order; `predict` and
 `ensemble_predict` are `loo_reference`'s per-cell definitions.
@@ -18,7 +18,7 @@ from ridge_reference import ridge_predict
 from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
 from perfcast.evaluation import ColdRowError
-from perfcast.factorization import UnfactorableError, als_fit, svd_fit
+from perfcast.factorization import UnfactorableError, als_fit
 from perfcast.ridge import NoBasisError
 
 
@@ -33,14 +33,12 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
                if algorithm is Algorithm.ENSEMBLE else [algorithm])
     grouping = find_cliques(build_graph(m, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
-    models = {}
-    for alg in (Algorithm.ALS, Algorithm.SVD):
-        if alg in members:
-            try:
-                models[alg] = (als_fit(m, cfg.als) if alg is Algorithm.ALS
-                               else svd_fit(m, cfg.svd_k, cfg.svd_max_outer))
-            except UnfactorableError as exc:
-                models[alg] = exc
+    model = None
+    if Algorithm.ALS in members:
+        try:
+            model = als_fit(m, cfg.als)
+        except UnfactorableError as exc:
+            model = exc
 
     def predict_one(alg, row, col):
         """(value, mechanism) of one base algorithm, or its error."""
@@ -49,9 +47,9 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
         if alg is Algorithm.CLIQUES:
             fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
             return clique_predict(m, grouping, row, col, cfg.ridge, fallback)
-        if isinstance(models[alg], UnfactorableError):
-            raise models[alg]
-        return predict(models[alg], row, col), alg.value
+        if isinstance(model, UnfactorableError):
+            raise model
+        return predict(model, row, col), alg.value
 
     values = np.array(m.values)
     fills = []

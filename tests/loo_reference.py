@@ -28,7 +28,7 @@ from ridge_reference import ridge_predict
 from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
 from perfcast.evaluation import ColdRowError, EvalReport
-from perfcast.factorization import UnfactorableError, als_fit, svd_fit
+from perfcast.factorization import UnfactorableError, als_fit
 from perfcast.matrix import PREDICTION_FLOOR
 from perfcast.ridge import NoBasisError
 
@@ -171,9 +171,6 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
                         out[alg] = value if own else None
                 elif alg is Algorithm.ALS:
                     model = als_fit(train, cfg.als)
-                    out[alg] = predict(model, cell.row, cell.col)
-                elif alg is Algorithm.SVD:
-                    model = svd_fit(train, cfg.svd_k, cfg.svd_max_outer)
                     out[alg] = predict(model, cell.row, cell.col)
             except (NoBasisError, ColdRowError, UnfactorableError):
                 out[alg] = None

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from conftest import grid, planted_rank1, sparse_matrix
 
-from perfcast import jsonfile, write_matrix_csv
+from perfcast import (RunConfig, jsonfile, masking_sweep, outlier_sweep,
+                      read_matrix_csv, report_to_json, write_matrix_csv)
 from perfcast.cli import _build_parser, _load_config, main
 from perfcast.config import make_run_config
 
@@ -140,7 +141,7 @@ class TestComplete:
         assert len(ranked) == 6 and len(placed) == 8
 
     @pytest.mark.parametrize("members,member", [
-        ("ridge,cliques,als", "als"), ("ridge,svd", "svd")])
+        ("ridge,cliques,als", "als")])
     def test_model_out_refused_when_the_member_cannot_be_fit(
             self, tmp_path, capsys, members, member):
         # p::a is a cold row: ridge fills it with column means, but the
@@ -163,20 +164,6 @@ class TestComplete:
         assert main(["complete", str(src), "--out", str(outputs[0]),
                      "--ensemble", members]) == 0
         assert outputs[0].exists()
-
-    def test_ensemble_model_out_is_its_svd_member(self, matrix_csv,
-                                                  tmp_path):
-        # without an als member, the ensemble writes its svd member's fit
-        ens, svd = tmp_path / "ens.json", tmp_path / "svd.json"
-        assert main(["complete", str(matrix_csv), "--out",
-                     str(tmp_path / "ens.csv"), "--ensemble",
-                     "ridge,cliques,svd", "--model-out", str(ens)]) == 0
-        assert main(["complete", str(matrix_csv), "--out",
-                     str(tmp_path / "svd.csv"), "--algorithm", "svd",
-                     "--model-out", str(svd)]) == 0
-        model = json.loads(ens.read_text())["model"]
-        assert model["config"]["algorithm"] == "svd"
-        assert model == json.loads(svd.read_text())["model"]
 
     def test_protocol_shapes_the_clique_fills(self, tmp_path, capsys):
         # C5 follows no other column, so no group estimate reaches its
@@ -580,6 +567,41 @@ def test_usage_error_keeps_the_reason(matrix_csv, capsys, flags, reason):
     assert reason in capsys.readouterr().err
 
 
+# svd is a baseline of the sweeps only: complete and evaluate refuse it,
+# as their algorithm or an ensemble member, before the matrix is read
+@pytest.mark.parametrize("command", ["complete", "evaluate"])
+@pytest.mark.parametrize("flags,choices", [
+    (["--algorithm", "svd"], "ridge, cliques, als, ensemble"),
+    (["--ensemble", "ridge,svd"], "ridge, cliques, als"),
+])
+def test_svd_neither_completes_nor_is_left_out(tmp_path, capsys, command,
+                                               flags, choices):
+    out = ["--out", str(tmp_path / "x.csv")] if command == "complete" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "missing.csv"), *out, *flags])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"'svd' is not one of {choices}\n" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "outliers"])
+def test_sweeps_score_svd_at_its_rank(matrix_csv, tmp_path, command):
+    out = tmp_path / "r.json"
+    assert main([command, str(matrix_csv), "--algorithms", "als,svd",
+                 "--svd-k", "2", "--fractions", "20,40", "--repeats", "2",
+                 "--out-json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["run_config"]["svd_k"] == 2
+    cfg = RunConfig(svd_k=2, fractions=(0.2, 0.4), repeats=2)
+    sweep = outlier_sweep if command == "outliers" else masking_sweep
+    want = [report_to_json(r) for r in sweep(read_matrix_csv(matrix_csv),
+                                             ["als", "svd"], cfg)]
+    assert data["reports"] == want
+    svd = [rep["results"][1] for rep in data["reports"]]
+    assert all(res["algorithm"] == "svd" and res["cells"] for res in svd)
+
+
 def test_empty_fill_log_is_the_stdlib_rendering(tmp_path):
     m, _, _ = planted_rank1(5, 4, seed=2)
     src, fills = tmp_path / "full.csv", tmp_path / "fills.json"
@@ -777,13 +799,25 @@ class TestRankAndPlace:
          "model JSON train_rmse_history is 5, not a list of numbers"),
         (in_model(lambda d: d.update(train_rmse_history=["x"])),
          "model JSON train_rmse_history is ['x'], not a list of numbers"),
+        # a matrix holds no key twice, so no model fit on one does; rank
+        # once listed c00 twice
+        (in_model(lambda d: d["machines"][3].update(machine="c00")),
+         "factor model repeats key 'c00'"),
+        (in_model(lambda d: d["programs"][5].update(program="p02",
+                                                    args="a02")),
+         "factor model repeats key ('p02', 'a02')"),
+        (in_model(lambda d: d["machines"][2].update(machine=["c02"])),
+         "key ['c02'] is not made of strings"),
+        (in_model(lambda d: d["programs"][1].update(args=1)),
+         "key ('p01', 1) is not made of strings"),
     ], ids=["k", "k-fraction", "k-string", "k-true", "k-zero", "programs",
             "factors", "one-long-row", "all-long-columns",
             "top-level-list", "top-level-string", "top-level-number",
             "model-list", "programs-number", "factors-number",
             "factors-null", "factors-nan", "factors-infinity",
             "factors-huge-int", "config-list", "history-number",
-            "history-strings"])
+            "history-strings", "machine-repeated", "program-repeated",
+            "machine-list", "args-number"])
     def test_malformed_model_is_an_error(self, matrix_csv, tmp_path, capsys,
                                          edit, message):
         model, done = self.make_model(tmp_path, matrix_csv)

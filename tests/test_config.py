@@ -1,20 +1,21 @@
 """Tunables are declared once on RunConfig: every field is a config-file key
 and a flag, reaches the run_config echo, and rejects names it cannot run."""
 
+import inspect
 import json
 import re
 from dataclasses import fields
 
 import pytest
 
-from perfcast import RunConfig
+from perfcast import ALSConfig, RidgeConfig, RunConfig, build_graph
 from perfcast.cli import main
 from perfcast.config import parse_algorithms
 
 # field -> (text given in a file or flag, value echoed in run_config);
 # every value differs from the default
 GIVEN = {
-    "algorithm": ("svd", "svd"),
+    "algorithm": ("als", "als"),
     "protocol": ("in_groups", "in_groups"),
     "ridge_lambda": ("0.5", 0.5),
     "ridge_min_training_rows": ("4", 4),
@@ -25,8 +26,7 @@ GIVEN = {
     "als_max_iters": ("7", 7),
     "als_tol": ("1e-5", 1e-5),
     "svd_k": ("2", 2),
-    "svd_max_outer": ("9", 9),
-    "ensemble": ("ridge,svd", ["ridge", "svd"]),
+    "ensemble": ("ridge,als", ["ridge", "als"]),
     "seed": ("3", 3),
     "repeats": ("1", 1),
     "fractions": ("10,20", [0.1, 0.2]),
@@ -50,7 +50,6 @@ DEFAULT_ECHO = {
     "als_max_iters": 200,
     "als_tol": 1e-06,
     "svd_k": 1,
-    "svd_max_outer": 50,
     "ensemble": ["ridge", "cliques", "als"],
     "seed": 0,
     "repeats": 5,
@@ -115,7 +114,10 @@ def test_default_echo(matrix_csv, tmp_path):
 @pytest.mark.parametrize("line", ["algorithm = magic", "protocol = magic",
                                   "protocol = regression",
                                   "ensemble = ridge,magic",
-                                  "ensemble = ridge,ensemble"])
+                                  "ensemble = ridge,ensemble",
+                                  # svd is scored only by --algorithms
+                                  "algorithm = svd",
+                                  "ensemble = cliques,svd"])
 def test_unknown_name_in_file_reports_line(matrix_csv, tmp_path, capsys,
                                            command, line):
     cfg = tmp_path / "run.cfg"
@@ -172,8 +174,7 @@ def test_repeated_ensemble_member_in_file_rejected(matrix_csv, tmp_path,
 # read, so a missing matrix file is never reached
 BAD_SETTINGS = [
     ("evaluate", ["--repeats", "0"], "repeats must be >= 1, got 0"),
-    ("complete", ["--algorithm", "ridge", "--svd-max-outer", "0"],
-     "svd_max_outer must be >= 1, got 0"),
+    ("complete", ["--threads", "0"], "threads must be >= 1, got 0"),
     ("sweep", ["--svd-k", "0"], "svd_k must be >= 1, got 0"),
     ("sweep", ["--outlier-lo", "5", "--outlier-hi", "1"],
      "0 <= outlier_lo < outlier_hi, got [5.0, 1.0]"),
@@ -241,11 +242,37 @@ def test_fraction_out_of_range_rejected(setting):
     ({"protocol": "regression"},
      "'regression' is not one of in_groups, in_groups_plus_regression"),
     ({"fractions": ()}, "fractions must not be empty"),
+    # svd is scored only by the sweeps, whose --algorithms takes it
+    ({"algorithm": "svd"},
+     "'svd' is not one of ridge, cliques, als, ensemble"),
 ])
 def test_every_choice_checked_when_built(setting, message):
     # a RunConfig made in code fails as its flag or file value would
     with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(**setting)
+
+
+@pytest.mark.parametrize("command", ["complete", "evaluate"])
+def test_svd_max_outer_is_no_key(tmp_path, capsys, command):
+    # svd_fit's own default is its one declaration; refused before the
+    # matrix is read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nsvd_max_outer = 50\n")
+    rc = main([command, str(tmp_path / "missing.csv"), *COMMANDS[command],
+               "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{cfg}:2: unknown key 'svd_max_outer'" in err
+    assert "No such file" not in err
+
+
+def test_kernel_defaults_are_the_kernels_own():
+    # RunConfig starts from the defaults of the kernels it configures
+    cfg = RunConfig()
+    assert cfg.ridge == RidgeConfig() and cfg.als == ALSConfig()
+    graph = inspect.signature(build_graph).parameters
+    assert cfg.clique_threshold == graph["threshold"].default
+    assert cfg.clique_min_overlap == graph["min_overlap"].default
 
 
 @pytest.mark.parametrize("text", ["ridge,ridge", "als,ensemble,als"])

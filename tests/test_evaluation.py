@@ -142,8 +142,7 @@ class TestLeaveOneOut:
         assert res.rows.size == 15
 
     def test_ensemble_members_recorded_on_exclusion(self):
-        # one matrix column is in no clique, another row is nearly empty;
-        # fabricate an uncoverable member case via svd on a thin matrix
+        # one matrix column is in no clique, another row is nearly empty
         m = proportional_matrix(6, 4, seed=8)
         cfg = small_cfg(algorithm="ensemble", ensemble=("ridge", "als"))
         report = leave_one_out(m, cfg)
@@ -332,10 +331,12 @@ class TestCompleteMatrix:
 
     # Rows p0..p4 (args "a") on proportional machines C1..C3. EMPTY_COLUMN
     # has never run anything on C3; COLD_ROW has never run p2::a anywhere.
+    # svd, scored only by the sweeps, completes neither.
     EMPTY_COLUMN = [[1.0, 2.0, None], [2.0, 4.0, None], [3.0, 6.0, None],
                     [4.0, 8.0, None], [5.0, 10.0, None]]
     COLD_ROW = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [None, None, None],
                 [4.0, 8.0, 12.0], [5.0, 10.0, 15.0]]
+    NOT_A_FILLER = "'svd' is not one of ridge, cliques, als, ensemble"
 
     @pytest.mark.parametrize("values,algorithm,expected", [
         (EMPTY_COLUMN, Algorithm.RIDGE,
@@ -343,13 +344,13 @@ class TestCompleteMatrix:
         (EMPTY_COLUMN, Algorithm.CLIQUES,
          "raise:no basis for prediction: column 'C3'"),
         (EMPTY_COLUMN, Algorithm.ALS, "raise:unfactorable matrix: a column"),
-        (EMPTY_COLUMN, Algorithm.SVD, "raise:unfactorable matrix: a column"),
+        (EMPTY_COLUMN, Algorithm.SVD, f"raise:{NOT_A_FILLER}"),
         (EMPTY_COLUMN, Algorithm.ENSEMBLE,
          "raise:no ensemble member could predict cell (p0::a, C3)"),
         (COLD_ROW, Algorithm.RIDGE, "fill:ridge"),
         (COLD_ROW, Algorithm.CLIQUES, "raise:cold row: p2::a"),
         (COLD_ROW, Algorithm.ALS, "raise:unfactorable matrix: a row"),
-        (COLD_ROW, Algorithm.SVD, "raise:unfactorable matrix: a row"),
+        (COLD_ROW, Algorithm.SVD, f"raise:{NOT_A_FILLER}"),
         (COLD_ROW, Algorithm.ENSEMBLE, "fill:ensemble:ridge"),
     ])
     def test_outcome_on_empty_column_and_cold_row(self, values, algorithm,

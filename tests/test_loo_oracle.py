@@ -16,8 +16,7 @@ from perfcast import (Algorithm, CliqueProtocol, RunConfig, complete_matrix,
 
 CASES = [(Algorithm.RIDGE, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
 CASES += [(Algorithm.CLIQUES, p) for p in CliqueProtocol]
-CASES += [(a, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)
-          for a in (Algorithm.ALS, Algorithm.SVD)]
+CASES += [(Algorithm.ALS, CliqueProtocol.IN_GROUPS_PLUS_REGRESSION)]
 CASES += [(Algorithm.ENSEMBLE, p) for p in CliqueProtocol]
 
 # Under in_groups the group mean is a masked row sum divided by the count,
@@ -72,10 +71,8 @@ def test_matches_reference(algorithm, protocol, m, threshold, min_overlap):
                     clique_min_overlap=min_overlap)
     got = report_to_json(leave_one_out(m, cfg))
     want = reference_report_to_json(reference_leave_one_out(m, cfg))
-    rtol = (0.0 if algorithm is Algorithm.SVD
-            else IN_GROUPS_RTOL if (algorithm, protocol) == (
-                Algorithm.CLIQUES, CliqueProtocol.IN_GROUPS)
-            else STACKED_RTOL)
+    rtol = (IN_GROUPS_RTOL if (algorithm, protocol) == (
+        Algorithm.CLIQUES, CliqueProtocol.IN_GROUPS) else STACKED_RTOL)
     assert_reports_match(got, want, rtol)
 
 
@@ -109,8 +106,10 @@ def test_matches_reference_over_512_cells(algorithm, protocol):
     assert_reports_match(got, want, STACKED_RTOL)
 
 
-COMPLETE_CASES = [(a, p) for a in Algorithm for p in CliqueProtocol]
-ENSEMBLES = [("ridge", "cliques", "als"), ("cliques", "svd"), ("als", "ridge")]
+# svd is scored only by the sweeps: it completes no matrix
+COMPLETE_CASES = [(a, p) for a in Algorithm if a is not Algorithm.SVD
+                  for p in CliqueProtocol]
+ENSEMBLES = [("ridge", "cliques", "als"), ("cliques", "als"), ("als", "ridge")]
 
 
 @pytest.mark.parametrize("algorithm,protocol", COMPLETE_CASES,
@@ -129,7 +128,7 @@ def test_completion_matches_reference(algorithm, protocol, m, threshold,
     # factorization's gathered inner products may round apart from
     # predict's; the block kernels' rounding is STACKED_RTOL's (above).
     cfg = RunConfig(algorithm=algorithm.value, protocol=protocol.value,
-                    als_k=k, als_max_iters=20, svd_k=k,
+                    als_k=k, als_max_iters=20,
                     clique_threshold=threshold,
                     clique_min_overlap=min_overlap, ensemble=ensemble)
     try:

@@ -36,9 +36,10 @@ def test_run_experiments_writes_every_artifact(tmp_path, capsys):
 
     assert rc == 0
     loo = json.loads((out / "loo.json").read_text())["reports"]
-    # ridge, cliques under each of two protocols, als, svd, ensemble
+    # ridge, cliques under each of two protocols, als, ensemble: svd is
+    # scored only by the sweeps
     assert [r["results"][0]["algorithm"] for r in loo] == [
-        "ridge", "cliques", "cliques", "als", "svd", "ensemble"]
+        "ridge", "cliques", "cliques", "als", "ensemble"]
     for name in ("sweep", "outliers"):
         reports = json.loads((out / f"{name}.json").read_text())["reports"]
         assert [r["fraction"] for r in reports] == [0.1, 0.2]
@@ -51,7 +52,6 @@ def test_run_experiments_writes_every_artifact(tmp_path, capsys):
             ("ridge", "in_groups_plus_regression"),
             ("cliques", "in_groups"), ("cliques", "in_groups_plus_regression"),
             ("als", "in_groups_plus_regression"),
-            ("svd", "in_groups_plus_regression"),
             ("ensemble", "in_groups_plus_regression")]]
     for name in ("sweep", "outliers"):
         run_config = json.loads((out / f"{name}.json").read_text())[
