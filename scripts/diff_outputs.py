@@ -38,7 +38,8 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
-# cliques fill log, an `in_groups` report or an outlier sweep.
+# cliques fill log, an `in_groups` report or an outlier sweep, or refuses
+# a setting (whose stderr and exit status are compared).
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
       "--out-json", "loo.json", "--out-csv", "loo.csv"], None],
@@ -51,6 +52,9 @@ EXTRA = {"complete-place": [
     [["outliers", INPUT_CSV, "--algorithms", "ridge,cliques,als,svd,ensemble",
       "--fractions", "10,30", "--repeats", "2",
       "--out-json", "outliers.json", "--out-csv", "outliers.csv"], None],
+    [["evaluate", INPUT_CSV, "--ridge-lambda", "0"], None],
+    [["evaluate", INPUT_CSV, "--als-lambda", "0"], None],
+    [["sweep", INPUT_CSV, "--als-tol", "nan"], None],
 ], "loo-cliques": [
     [["complete", INPUT_CSV, "--out", "cliques.csv", "--algorithm", "cliques",
       "--fills-out", "fills.json"], None],

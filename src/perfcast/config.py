@@ -5,10 +5,11 @@ Each tunable is declared once, as a `RunConfig` field whose metadata holds
 the parser for its flag and config-file value, the names it accepts (if it
 is a choice) and its flag help; the CLI flags, the config-file keys and
 every echo of the settings in an output file come from these fields.
-`RunConfig` is also the one settings record the evaluation drivers take:
-each reads the fields it needs, and `RidgeConfig`/`ALSConfig` are built
-from them once per fit. Every setting is checked when a `RunConfig` is
-made, so a bad value fails before any input is read.
+`RunConfig` is also the one settings record the evaluation drivers and
+the ridge and ALS kernels take: each reads the fields it needs by their
+flag names. Every setting is checked when a `RunConfig` is made, and an
+out-of-range value's message names its key, so a bad value fails before
+any input is read.
 
 Fraction-valued settings (`fractions`, `outlier_fraction`) are given as
 PERCENTAGES in files and flags (e.g. ``fractions = 5,10,20``) and stored
@@ -19,9 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-
-from .factorization import ALSConfig
-from .ridge import RidgeConfig
 
 
 class Algorithm(str, enum.Enum):
@@ -122,15 +120,14 @@ class RunConfig:
     protocol: str = _tunable("in_groups_plus_regression", choices=_PROTOCOLS,
                              help="clique protocol for complete, evaluate, "
                              "sweep and outliers")
-    ridge_lambda: float = _tunable(RidgeConfig.lam, float)
-    ridge_min_training_rows: int = _tunable(RidgeConfig.min_training_rows,
-                                            int)
+    ridge_lambda: float = _tunable(1e-2, float)
+    ridge_min_training_rows: int = _tunable(3, int)
     clique_threshold: float = _tunable(0.97, float)
     clique_min_overlap: int = _tunable(3, int)
-    als_k: int = _tunable(ALSConfig.k, int)
-    als_lambda: float = _tunable(ALSConfig.lam, float)
-    als_max_iters: int = _tunable(ALSConfig.max_iters, int)
-    als_tol: float = _tunable(ALSConfig.tol, float)
+    als_k: int = _tunable(1, int)
+    als_lambda: float = _tunable(1e-2, float)
+    als_max_iters: int = _tunable(200, int)
+    als_tol: float = _tunable(1e-6, float)
     svd_k: int = _tunable(1, int)
     ensemble: tuple[str, ...] = _tunable(
         ("ridge", "cliques", "als"), parse_ensemble,
@@ -147,11 +144,25 @@ class RunConfig:
     threads: int = _tunable(1, int)  # ignored; predictions run serially
 
     def __post_init__(self):
-        self.ridge, self.als  # built to run their own checks
         for f in fields(self):
             if f.metadata["choices"]:  # checked as its flag and file value
                 f.metadata["parse"](getattr(self, f.name))
         for ok, problem in [
+            # ridge's: at 0, rank-deficient cells have no one answer, and
+            # at inf, a solve gives NaN
+            (0 < self.ridge_lambda < float("inf"), f"ridge_lambda must be "
+             f"positive and finite, got {self.ridge_lambda}"),
+            (self.ridge_min_training_rows >= 2, f"ridge_min_training_rows "
+             f"must be at least 2, got {self.ridge_min_training_rows}"),
+            (self.als_k >= 1, f"als_k must be >= 1, got {self.als_k}"),
+            # ALS's: at 0, a row seen fewer than K times is singular, and
+            # at inf, every factor is 0
+            (0 < self.als_lambda < float("inf"), f"als_lambda must be "
+             f"positive and finite, got {self.als_lambda}"),
+            (self.als_max_iters >= 1,
+             f"als_max_iters must be >= 1, got {self.als_max_iters}"),
+            (0 < self.als_tol < float("inf"),
+             f"als_tol must be positive and finite, got {self.als_tol}"),
             (self.seed >= 0, f"seed must be nonnegative, got {self.seed}"),
             (self.repeats >= 1, f"repeats must be >= 1, got {self.repeats}"),
             (bool(self.fractions), "fractions must not be empty"),
@@ -175,15 +186,6 @@ class RunConfig:
             if not ok:
                 raise ValueError(problem)
         distinct(self.ensemble, "ensemble members")
-
-    @property
-    def ridge(self) -> RidgeConfig:
-        return RidgeConfig(self.ridge_lambda, self.ridge_min_training_rows)
-
-    @property
-    def als(self) -> ALSConfig:
-        return ALSConfig(self.als_k, self.als_lambda, self.als_max_iters,
-                         self.als_tol, self.seed)
 
 
 def read_config_file(path) -> dict:

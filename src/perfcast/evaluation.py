@@ -92,15 +92,15 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
     UnfactorableError leaves every cell uncovered and is that error.
     """
     if alg is Algorithm.RIDGE:
-        return (*ridge_block(train, rows, cols, cfg.ridge), None)
+        return (*ridge_block(train, rows, cols, cfg), None)
     if alg is Algorithm.CLIQUES:
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
         return (*clique_block(train, grouping, rows, cols), None)
     if refit:
-        return als_refits(train, rows, cols, cfg.als)
+        return als_refits(train, rows, cols, cfg)
     try:
-        model = (als_fit(train, cfg.als) if alg is Algorithm.ALS
+        model = (als_fit(train, cfg) if alg is Algorithm.ALS
                  else svd_fit(train, cfg.svd_k))
     except UnfactorableError as exc:  # every cell is uncovered
         reasons = dict.fromkeys(range(rows.size), exc)

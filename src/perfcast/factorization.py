@@ -11,8 +11,11 @@ RMSE comes from sums the column half-step already holds, unless those
 sums cancel down to rounding, and a refit yields only the prediction of
 its left-out cell; the plain fit gathers its residuals and becomes a
 FactorModel. Rank 1 is the default and has a useful side effect:
-positive scalar embeddings put a total performance order on machines. A
-simpler impute-and-decompose SVD is a baseline that only sweeps score.
+positive scalar embeddings put a total performance order on machines.
+ALS reads `als_k`, `als_lambda`, `als_max_iters`, `als_tol` and `seed`
+from the `RunConfig` it is given. A simpler impute-and-decompose SVD,
+with its rank and step cap as arguments, is a baseline that only sweeps
+score.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .matrix import PREDICTION_FLOOR
 
 # elements per ALS stack: bounds its stacked per-row and per-column
@@ -36,26 +40,6 @@ class UnfactorableError(ValueError):
     """A fully empty row or column leaves a factor unconstrained."""
 
 
-@dataclass(frozen=True)
-class ALSConfig:
-    k: int = 1
-    lam: float = 1e-2
-    max_iters: int = 200
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"rank must be positive, got {self.k}")
-        if not self.lam > 0:  # at 0, a row seen fewer than K times is singular
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not np.isfinite(self.lam):  # at inf, every factor is 0
-            raise ValueError(f"lambda must be finite, got {self.lam}")
-        if self.max_iters < 1 or not 0 < self.tol < np.inf:
-            raise ValueError(f"max_iters must be >= 1 and tol positive and "
-                             f"finite, got {self.max_iters} and {self.tol}")
-
-
 @dataclass(frozen=True, eq=False)
 class FactorModel:
     k: int
@@ -67,6 +51,12 @@ class FactorModel:
     config: dict
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"factor model rank must be at least 1, "
+                             f"got {self.k}")
+        if not self.row_keys or not self.col_keys:  # as a PCMatrix's
+            raise ValueError("factor model needs at least one program and "
+                             "one machine")
         rf = np.array(self.row_factors, dtype=np.float64)
         # column-major, whatever the source: each column's K factors are
         # contiguous, so a BLAS dot sums them in one order on every path
@@ -171,7 +161,7 @@ def _gathered_sse(U, V, obs_rows, obs_cols, targets, left_out=None):
     return sse
 
 
-def _fit_stack(m, cfg: ALSConfig, left_out=None):
+def _fit_stack(m, cfg: RunConfig, left_out=None):
     """Run a stack of ALS fits that share m's mask, each to its own stop.
 
     left_out is None for the one fit on every observed cell, or an index
@@ -195,7 +185,7 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None):
     mask = m.present_mask
     values = m.values
     n, mm = values.shape
-    k = cfg.k
+    k = cfg.als_k
 
     # same cells and order as values[mask], far cheaper to gather
     observed = np.flatnonzero(mask)
@@ -222,9 +212,9 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None):
     U_out, V_out = np.empty((fits, n, k)), np.empty((fits, k, mm))
     iters = np.empty(fits, dtype=np.intp)
     trail, prev = [], None
-    for it in range(1, cfg.max_iters + 1):
-        U, _ = _half_step(V, M, X0, cfg.lam, skipped)
-        Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, cfg.lam,
+    for it in range(1, cfg.als_max_iters + 1):
+        U, _ = _half_step(V, M, X0, cfg.als_lambda, skipped)
+        Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, cfg.als_lambda,
                            None if skipped is None else skipped[::-1])
         V = Vt.swapaxes(1, 2)
         if skipped is None:
@@ -232,7 +222,7 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None):
         else:
             fit_sumsq = sumsq[live]
             sse = (fit_sumsq - np.einsum("fck,fck->f", Vt, b)
-                   - cfg.lam * np.einsum("fck,fck->f", Vt, Vt))
+                   - cfg.als_lambda * np.einsum("fck,fck->f", Vt, Vt))
             near = np.flatnonzero(sse < _EXACT * fit_sumsq)
             if near.size:
                 sse[near] = _gathered_sse(U[near], V[near], obs_rows,
@@ -241,13 +231,14 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None):
         # A rounded difference can dip below zero; sqrt would warn.
         rmse = np.sqrt(np.maximum(sse, 0.0) / count)
         trail.append(rmse)
-        if it == cfg.max_iters:
+        if it == cfg.als_max_iters:
             done = np.ones(len(live), dtype=bool)
         elif prev is None:
             done = np.zeros(len(live), dtype=bool)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                done = (prev == 0.0) | (np.abs(prev - rmse) / prev < cfg.tol)
+                done = ((prev == 0.0)
+                        | (np.abs(prev - rmse) / prev < cfg.als_tol))
         stopped = live[done]
         U_out[stopped], V_out[stopped], iters[stopped] = U[done], V[done], it
         if done.all():
@@ -259,7 +250,7 @@ def _fit_stack(m, cfg: ALSConfig, left_out=None):
     return U_out, V_out, iters, trail
 
 
-def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
+def als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
     """Factor the observed cells of the matrix into rank-K embeddings.
 
     Alternates exact regularized solves (rows, then columns), each
@@ -273,13 +264,14 @@ def als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     U, V, _, trail = _fit_stack(m, cfg)
     U, V = U[0], V[0]
     _sign_normalize(U, V)
-    config = {"algorithm": "als", "k": cfg.k, "lambda": cfg.lam,
-              "max_iters": cfg.max_iters, "tol": cfg.tol, "seed": cfg.seed}
-    return FactorModel(cfg.k, m.row_keys, m.col_keys, U, V,
+    config = {"algorithm": "als", "k": cfg.als_k, "lambda": cfg.als_lambda,
+              "max_iters": cfg.als_max_iters, "tol": cfg.als_tol,
+              "seed": cfg.seed}
+    return FactorModel(cfg.als_k, m.row_keys, m.col_keys, U, V,
                        tuple(rmse.item() for rmse in trail), config)
 
 
-def als_refits(m, rows, cols, cfg: ALSConfig = ALSConfig()):
+def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
     """Predict each observed cell (rows[i], cols[i]) from its own fit, as
     predict(als_fit(m.with_cell_missing(rows[i], cols[i]), cfg), rows[i],
     cols[i]) would; returns (values, reasons, iters): values[i] the
@@ -305,7 +297,7 @@ def als_refits(m, rows, cols, cfg: ALSConfig = ALSConfig()):
 
     values = np.full(len(rows), np.nan)
     iters = np.zeros(len(rows), dtype=np.intp)
-    k = cfg.k
+    k = cfg.als_k
     per_stack = max(1, _STACK // ((m.n_rows + m.n_cols) * (k * k + 2 * k)))
     for start in range(0, covered.size, per_stack):
         stack = covered[start:start + per_stack]

@@ -17,7 +17,7 @@ every feature of its row by one. The shrink step then runs top down on
 packed row bitsets. A cell starts from its candidate rows, the other
 rows that observe its target column, and takes on its row's features
 from the last dropped: each ANDs in the rows that observe it, while at
-least min_training_rows rows remain. The first feature that would leave
+least ridge_min_training_rows rows remain. The first feature that would leave
 fewer ends the walk, so the kept features are a suffix of the drop order
 and the last bitset holds the training rows. The cells pass a bounded
 number at a time, each keeping only the indices of its kept features and
@@ -25,36 +25,20 @@ training rows. Cells of one shape (training rows, kept features) are
 solved as one stack, primal or dual by that shape; a cell that keeps no
 feature predicts the mean of its column's other observed rows, and one
 with no such row is uncovered.
-`ridge_predict` is the block of one.
+`ridge_predict` is the block of one. Both read `ridge_lambda` and
+`ridge_min_training_rows` from the `RunConfig` they are given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .matrix import PREDICTION_FLOOR
 
 
 class NoBasisError(ValueError):
     """Nothing to regress on: no observed values support a prediction."""
-
-
-@dataclass(frozen=True)
-class RidgeConfig:
-    lam: float = 1e-2
-    min_training_rows: int = 3
-
-    def __post_init__(self):
-        if not self.lam > 0:  # at 0, rank-deficient cells have no one answer
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not np.isfinite(self.lam):  # at inf, a solve gives NaN
-            raise ValueError(f"lambda must be finite, got {self.lam}")
-        if self.min_training_rows < 2:
-            raise ValueError(
-                f"min_training_rows must be at least 2, got {self.min_training_rows}"
-            )
 
 
 # Most training values (cells x rows x features) in one stacked solve.
@@ -64,7 +48,8 @@ _STACK = 2**12
 _SPAN = 2**16
 
 
-def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> float:
+def ridge_predict(m, row: int, col: int,
+                  cfg: RunConfig = RunConfig()) -> float:
     """Predict the (row, col) cell from the rest of the matrix.
 
     The target cell is treated as missing whatever it currently holds, so
@@ -81,7 +66,7 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
     return float(values[0])
 
 
-def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
+def ridge_block(m, rows, cols, cfg: RunConfig = RunConfig()):
     """ridge_predict for each cell (rows[i], cols[i]) in one pass; returns
     (values, reasons): values[i] is the prediction, NaN where there is
     none, and reasons maps each such i to the NoBasisError that says
@@ -89,8 +74,8 @@ def ridge_block(m, rows, cols, cfg: RidgeConfig = RidgeConfig()):
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     n, k, train, kept = _shrink(m.present_mask, rows, cols,
-                                cfg.min_training_rows)
-    values = _solve(m.values, rows, cols, n, k, train, kept, cfg.lam)
+                                cfg.ridge_min_training_rows)
+    values = _solve(m.values, rows, cols, n, k, train, kept, cfg.ridge_lambda)
     np.maximum(values, PREDICTION_FLOOR, out=values)
     # A cell trains on no row only when no other row observes its column.
     reasons = {i: NoBasisError(f"no basis for prediction: column "

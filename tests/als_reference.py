@@ -3,16 +3,17 @@
 This is the original implementation of ``perfcast.factorization.als_fit``,
 kept as the oracle that the batched kernel is tested against. Its branches
 for lambda 0 (a least-squares solve, a zero denominator) are gone, since
-``ALSConfig`` refuses a lambda that is not positive.
+``RunConfig`` refuses an ``als_lambda`` that is not positive.
 """
 
 import numpy as np
 
-from perfcast.factorization import (ALSConfig, FactorModel, _check_factorable,
+from perfcast.config import RunConfig
+from perfcast.factorization import (FactorModel, _check_factorable,
                                     _sign_normalize)
 
 
-def reference_als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
+def reference_als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
     """Factor the observed cells of the matrix into rank-K embeddings.
 
     Alternates exact regularized solves (rows, then columns) until the
@@ -24,7 +25,7 @@ def reference_als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     _check_factorable(mask)
     values = m.values
     n, mm = values.shape
-    k = cfg.k
+    k = cfg.als_k
 
     rng = np.random.default_rng(cfg.seed)
     scale = np.sqrt(values[mask].mean() / k)
@@ -32,15 +33,15 @@ def reference_als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
     V = rng.uniform(0.5, 1.5, (k, mm)) * scale
     X0 = np.where(mask, values, 0.0)
 
-    eye = cfg.lam * np.eye(k)
+    eye = cfg.als_lambda * np.eye(k)
     history: list[float] = []
     prev = None
-    for _ in range(cfg.max_iters):
+    for _ in range(cfg.als_max_iters):
         if k == 1:
             v = V[0]
-            U[:, 0] = (X0 @ v) / (mask @ (v * v) + cfg.lam)
+            U[:, 0] = (X0 @ v) / (mask @ (v * v) + cfg.als_lambda)
             u = U[:, 0]
-            V[0] = (u @ X0) / ((u * u) @ mask + cfg.lam)
+            V[0] = (u @ X0) / ((u * u) @ mask + cfg.als_lambda)
         else:
             for i in range(n):
                 obs = np.flatnonzero(mask[i])
@@ -56,11 +57,13 @@ def reference_als_fit(m, cfg: ALSConfig = ALSConfig()) -> FactorModel:
         resid = (U @ V)[mask] - values[mask]
         rmse = float(np.sqrt(np.mean(resid * resid)))
         history.append(rmse)
-        if prev is not None and (prev == 0.0 or abs(prev - rmse) / prev < cfg.tol):
+        if prev is not None and (prev == 0.0
+                                 or abs(prev - rmse) / prev < cfg.als_tol):
             break
         prev = rmse
 
     _sign_normalize(U, V)
-    config = {"algorithm": "als", "k": cfg.k, "lambda": cfg.lam,
-              "max_iters": cfg.max_iters, "tol": cfg.tol, "seed": cfg.seed}
+    config = {"algorithm": "als", "k": cfg.als_k, "lambda": cfg.als_lambda,
+              "max_iters": cfg.als_max_iters, "tol": cfg.als_tol,
+              "seed": cfg.seed}
     return FactorModel(k, m.row_keys, m.col_keys, U, V, tuple(history), config)

@@ -26,8 +26,9 @@ import numpy as np
 from ridge_reference import ridge_predict
 
 from perfcast.cliques import Grouping, PairSums, pair_sums
+from perfcast.config import RunConfig
 from perfcast.evaluation import ColdRowError
-from perfcast.ridge import NoBasisError, RidgeConfig
+from perfcast.ridge import NoBasisError
 
 
 def pearson(m, col_a: int, col_b: int, min_overlap: int = 3) -> float | None:
@@ -130,7 +131,7 @@ def group_estimates(m, grouping: Grouping, row: int, col: int) -> list[float]:
 
 
 def clique_predict(m, grouping: Grouping, row: int, col: int,
-                   ridge_cfg: RidgeConfig = RidgeConfig(),
+                   cfg: RunConfig = RunConfig(),
                    fallback: bool = True) -> tuple[float, str]:
     """Predict a cell as the mean of its group-mate estimates.
 
@@ -150,7 +151,7 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     row_mask[col] = False
     if not row_mask.any():
         raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
-    return ridge_predict(m, row, col, ridge_cfg), "ridge"
+    return ridge_predict(m, row, col, cfg), "ridge"
 
 
 def grid_slopes(m, sums: PairSums, rows, cols):

@@ -36,17 +36,17 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
     model = None
     if Algorithm.ALS in members:
         try:
-            model = als_fit(m, cfg.als)
+            model = als_fit(m, cfg)
         except UnfactorableError as exc:
             model = exc
 
     def predict_one(alg, row, col):
         """(value, mechanism) of one base algorithm, or its error."""
         if alg is Algorithm.RIDGE:
-            return ridge_predict(m, row, col, cfg.ridge), "ridge"
+            return ridge_predict(m, row, col, cfg), "ridge"
         if alg is Algorithm.CLIQUES:
             fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
-            return clique_predict(m, grouping, row, col, cfg.ridge, fallback)
+            return clique_predict(m, grouping, row, col, cfg, fallback)
         if isinstance(model, UnfactorableError):
             raise model
         return predict(model, row, col), alg.value

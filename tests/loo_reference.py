@@ -157,7 +157,7 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
             try:
                 if alg is Algorithm.RIDGE:
                     out[alg] = ridge_predict(train, cell.row, cell.col,
-                                             cfg.ridge)
+                                             cfg)
                 elif alg is Algorithm.CLIQUES:
                     if protocol is CliqueProtocol.IN_GROUPS:
                         ests = group_estimates(train, grouping, cell.row,
@@ -165,12 +165,12 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
                         out[alg] = sum(ests) / len(ests) if ests else None
                     else:
                         value, mechanism = clique_predict(
-                            train, grouping, cell.row, cell.col, cfg.ridge)
+                            train, grouping, cell.row, cell.col, cfg)
                         own = (algorithm is not Algorithm.ENSEMBLE
                                or mechanism == alg.value)
                         out[alg] = value if own else None
                 elif alg is Algorithm.ALS:
-                    model = als_fit(train, cfg.als)
+                    model = als_fit(train, cfg)
                     out[alg] = predict(model, cell.row, cell.col)
             except (NoBasisError, ColdRowError, UnfactorableError):
                 out[alg] = None

@@ -16,8 +16,9 @@ the same values and dtypes.
 
 import numpy as np
 
+from perfcast.config import RunConfig
 from perfcast.matrix import PREDICTION_FLOOR
-from perfcast.ridge import NoBasisError, RidgeConfig
+from perfcast.ridge import NoBasisError
 
 
 def _solve_standardized(X, y, x0, lam):
@@ -50,7 +51,8 @@ def drop_positions(mask, features, candidates):
     return drop_pos
 
 
-def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> float:
+def ridge_predict(m, row: int, col: int,
+                  cfg: RunConfig = RunConfig()) -> float:
     """Predict the (row, col) cell from the rest of the matrix.
 
     The target cell is treated as missing whatever it currently holds, so
@@ -65,7 +67,7 @@ def ridge_predict(m, row: int, col: int, cfg: RidgeConfig = RidgeConfig()) -> fl
 
 
 def predict_with_features(m, row: int, col: int,
-                          cfg: RidgeConfig = RidgeConfig()):
+                          cfg: RunConfig = RunConfig()):
     """(ridge_predict's value, the indices of the features it kept)."""
     mask = m.present_mask
     values = m.values
@@ -89,7 +91,7 @@ def predict_with_features(m, row: int, col: int,
 
     candidates = np.flatnonzero(mask[:, col])
     candidates = candidates[candidates != row]
-    if candidates.size < cfg.min_training_rows:
+    if candidates.size < cfg.ridge_min_training_rows:
         return column_mean()
 
     # Shrink order is fixed up front: co-observation counts between a
@@ -99,7 +101,7 @@ def predict_with_features(m, row: int, col: int,
 
     # A candidate row becomes usable once every feature it lacks is dropped.
     steps_needed = np.where(~cand_feat, drop_pos[None, :] + 1, 0).max(axis=1)
-    s = int(np.sort(steps_needed)[cfg.min_training_rows - 1])
+    s = int(np.sort(steps_needed)[cfg.ridge_min_training_rows - 1])
     if s >= features.size:
         return column_mean()
 
@@ -108,7 +110,7 @@ def predict_with_features(m, row: int, col: int,
     X = values[np.ix_(train_rows, kept)]
     y = values[train_rows, col]
     x0 = values[row, kept]
-    pred = _solve_standardized(X, y, x0, cfg.lam)
+    pred = _solve_standardized(X, y, x0, cfg.ridge_lambda)
     return max(pred, PREDICTION_FLOOR), kept
 
 

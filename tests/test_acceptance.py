@@ -22,7 +22,7 @@ from perfcast.cli import main as cli_main
 from perfcast.cliques import build_graph, correlations, find_cliques
 from perfcast.config import Algorithm, CliqueProtocol, RunConfig
 from perfcast.evaluation import leave_one_out, masking_sweep
-from perfcast.factorization import ALSConfig, FactorModel, als_fit, predict
+from perfcast.factorization import FactorModel, als_fit, predict
 from perfcast.matrix import (MaskSpec, PCMatrix, mask_random,
                              read_matrix_csv, write_matrix_csv)
 from perfcast.placement import greedy_place, schedule_batch
@@ -72,7 +72,7 @@ def test_c2_planted_rank1_recovery():
     t0 = time.perf_counter()
     m, _, _ = planted_rank1(13, 50, seed=2)  # weights drawn in (0.5, 5)
     masked, held = mask_random(m, MaskSpec(0.5, seed=3))
-    model = als_fit(masked, ALSConfig(k=1, lam=1e-6, seed=4))
+    model = als_fit(masked, RunConfig(als_k=1, als_lambda=1e-6, seed=4))
     total = sum(prediction_error(predict(model, r, c), m.values[r, c])
                 for r, c in held.tolist()) / len(held)
     elapsed = time.perf_counter() - t0

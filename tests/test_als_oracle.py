@@ -7,7 +7,7 @@ from conftest import predict_all, sparse_matrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from perfcast import ALSConfig, PCMatrix, UnfactorableError, als_fit
+from perfcast import PCMatrix, RunConfig, UnfactorableError, als_fit
 from perfcast import factorization
 from perfcast.factorization import (_fit_stack, _half_step, als_refits,
                                     predict)
@@ -32,7 +32,8 @@ def test_fit_matches_reference(k, lam, shape, density, seed, max_iters):
     # test_half_step_solves_normal_equations covers those draws.
     assume(k == 1 or lam == 1e-2
            or min(mask.sum(axis=1).min(), mask.sum(axis=0).min()) > k)
-    cfg = ALSConfig(k=k, lam=lam, max_iters=max_iters, seed=seed % 1000)
+    cfg = RunConfig(als_k=k, als_lambda=lam, als_max_iters=max_iters,
+                    seed=seed % 1000)
     got, want = als_fit(mat, cfg), reference_als_fit(mat, cfg)
 
     scale = float(np.nanmean(mat.values))
@@ -80,7 +81,8 @@ def test_refits_match_per_cell_fits(k, lam, shape, density, seed, max_iters,
     if blank == "column":
         vals[:, 0] = np.nan
     mat = PCMatrix(mat.row_keys, mat.col_keys, vals)
-    cfg = ALSConfig(k=k, lam=lam, max_iters=max_iters, seed=seed % 1000)
+    cfg = RunConfig(als_k=k, als_lambda=lam, als_max_iters=max_iters,
+                    seed=seed % 1000)
     assert_refits_match_per_cell_fits(mat, cfg, rtol=1e-9, atol=1e-9 * scale,
                                       rounding=1e-12 * scale)
 
@@ -155,7 +157,7 @@ def test_refits_near_their_targets_match_per_cell_fits(rank, lam, tol):
     # 87 of the 86-odd refits per case stopped elsewhere, with predictions
     # off by up to 5.9e-6 relative.
     mat = sparse_matrix((12, 8), 0.9, 17, rank=rank)
-    cfg = ALSConfig(k=rank, lam=lam, tol=tol)
+    cfg = RunConfig(als_k=rank, als_lambda=lam, als_tol=tol)
     targets = mat.values[mat.present_mask]
     for r, c in np.argwhere(mat.present_mask)[::5].tolist():
         want = als_fit(mat.with_cell_missing(r, c), cfg)
@@ -180,14 +182,14 @@ def test_rmse_from_sums_matches_gathered_rmse(k, monkeypatch):
     targets = mat.values[mat.present_mask]
     left_out = np.arange(targets.size)
     sumsq = targets @ targets - targets ** 2
-    cfg = ALSConfig(k=k, max_iters=30, tol=1e-9)
+    cfg = RunConfig(als_k=k, als_max_iters=30, als_tol=1e-9)
     _, _, iters, trail = _fit_stack(mat, cfg, left_out)
     exact = factorization._EXACT
     monkeypatch.setattr(factorization, "_EXACT", np.inf)  # gather them all
     _, _, want_iters, want_trail = _fit_stack(mat, cfg, left_out)
     # every fit runs to the cap, so each trail entry holds every fit
-    assert (iters == cfg.max_iters).all()
-    assert (want_iters == cfg.max_iters).all()
+    assert (iters == cfg.als_max_iters).all()
+    assert (want_iters == cfg.als_max_iters).all()
     eps = np.finfo(float).eps
     for rmse, want in zip(trail, want_trail, strict=True):
         ratio = want ** 2 * (targets.size - 1) / sumsq

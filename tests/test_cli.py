@@ -810,6 +810,12 @@ class TestRankAndPlace:
          "key ['c02'] is not made of strings"),
         (in_model(lambda d: d["programs"][1].update(args=1)),
          "key ('p01', 1) is not made of strings"),
+        # a matrix has at least one row and one column; rank once printed
+        # nothing and exited 0
+        (in_model(lambda d: d.update(programs=[])),
+         "factor model needs at least one program and one machine"),
+        (in_model(lambda d: d.update(machines=[])),
+         "factor model needs at least one program and one machine"),
     ], ids=["k", "k-fraction", "k-string", "k-true", "k-zero", "programs",
             "factors", "one-long-row", "all-long-columns",
             "top-level-list", "top-level-string", "top-level-number",
@@ -817,7 +823,7 @@ class TestRankAndPlace:
             "factors-null", "factors-nan", "factors-infinity",
             "factors-huge-int", "config-list", "history-number",
             "history-strings", "machine-repeated", "program-repeated",
-            "machine-list", "args-number"])
+            "machine-list", "args-number", "no-programs", "no-machines"])
     def test_malformed_model_is_an_error(self, matrix_csv, tmp_path, capsys,
                                          edit, message):
         model, done = self.make_model(tmp_path, matrix_csv)

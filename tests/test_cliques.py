@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import (Algorithm, ColdRowError, NoBasisError, PCMatrix,
-                      RidgeConfig, RunConfig, build_graph, clique_predict,
+                      RunConfig, build_graph, clique_predict,
                       cliques, complete_matrix, correlations, evaluation,
                       find_cliques, group_estimates, leave_one_out)
 from perfcast.cliques import clique_block, pair_sums
@@ -357,7 +357,7 @@ class TestCliquePrediction:
         grouping = find_cliques(build_graph(m))
         assert mates(grouping, 2) == []
         from perfcast import ridge_predict
-        expected = ridge_predict(m, 5, 2, RidgeConfig())
+        expected = ridge_predict(m, 5, 2, RunConfig())
         cfg = RunConfig(algorithm="cliques")
         completed, (rows, cols, (codes, names)), _ = complete_matrix(m, cfg)
         assert (rows.tolist(), cols.tolist()) == ([5], [2])
@@ -367,7 +367,7 @@ class TestCliquePrediction:
         full = m.with_values(completed.values)
         res = leave_one_out(full, cfg).results[0]
         i = ((res.rows == 5) & (res.cols == 2)).argmax()
-        assert res.predicted[i] == ridge_predict(full, 5, 2, RidgeConfig())
+        assert res.predicted[i] == ridge_predict(full, 5, 2, RunConfig())
         assert res.labels[res.mechanism[i]] == ("ridge", ())
         with pytest.raises(NoBasisError, match="no group estimate"):
             complete_matrix(m, RunConfig(algorithm="cliques",
@@ -456,7 +456,7 @@ class TestBlockKernel:
         # completion
         grouping = find_cliques(build_graph(m, threshold, min_overlap))
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
-        cfg = RidgeConfig()
+        cfg = RunConfig()
         if fallback:
             values, reasons, mechanisms = cliques_alone(m, threshold,
                                                         min_overlap)

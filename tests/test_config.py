@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from perfcast import ALSConfig, RidgeConfig, RunConfig, build_graph
+from perfcast import RunConfig, build_graph
 from perfcast.cli import main
 from perfcast.config import parse_algorithms
 
@@ -185,33 +185,42 @@ BAD_SETTINGS = [
     ("complete", ["--clique-threshold", "1.5"],
      "clique_threshold must be in (0, 1], got 1.5"),
     ("outliers", ["--ridge-lambda", "-1"],
-     "lambda must be positive, got -1.0"),
+     "ridge_lambda must be positive and finite, got -1.0"),
     ("evaluate", ["--ridge-min-training-rows", "1"],
-     "min_training_rows must be at least 2, got 1"),
-    ("evaluate", ["--als-k", "0"], "rank must be positive, got 0"),
-    ("sweep", ["--als-lambda", "-1"], "lambda must be positive, got -1.0"),
-    ("complete", ["--als-max-iters", "0"], "max_iters must be >= 1"),
+     "ridge_min_training_rows must be at least 2, got 1"),
+    ("evaluate", ["--als-k", "0"], "als_k must be >= 1, got 0"),
+    ("sweep", ["--als-lambda", "-1"],
+     "als_lambda must be positive and finite, got -1.0"),
+    ("complete", ["--als-max-iters", "0"],
+     "als_max_iters must be >= 1, got 0"),
     ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
     ("complete", ["--ensemble", "cliques,cliques,als"],
      "ensemble members must be distinct, got cliques, cliques, als"),
-    ("evaluate", ["--ridge-lambda", "0"], "lambda must be positive, got 0.0"),
+    ("evaluate", ["--ridge-lambda", "0"],
+     "ridge_lambda must be positive and finite, got 0.0"),
     ("evaluate", ["--clique-min-overlap", "1"],
      "clique_min_overlap must be at least 2, got 1"),
     ("sweep", ["--clique-min-overlap", "-5"],
      "clique_min_overlap must be at least 2, got -5"),
-    ("complete", ["--als-lambda", "0"], "lambda must be positive, got 0.0"),
-    ("complete", ["--ridge-lambda", "inf"], "lambda must be finite, got inf"),
+    ("complete", ["--als-lambda", "0"],
+     "als_lambda must be positive and finite, got 0.0"),
+    ("complete", ["--ridge-lambda", "inf"],
+     "ridge_lambda must be positive and finite, got inf"),
     ("complete", ["--algorithm", "als", "--als-lambda", "inf"],
-     "lambda must be finite, got inf"),
+     "als_lambda must be positive and finite, got inf"),
     ("evaluate", ["--als-tol", "nan"],
-     "tol positive and finite, got 200 and nan"),
+     "als_tol must be positive and finite, got nan"),
     ("evaluate", ["--als-tol", "inf"],
-     "tol positive and finite, got 200 and inf"),
+     "als_tol must be positive and finite, got inf"),
     ("outliers", ["--outlier-hi", "inf"],
      "outlier interval must be finite with 0 <= outlier_lo < outlier_hi, "
      "got [0.0, inf]"),
     ("sweep", ["--outlier-lo", "nan"],
      "0 <= outlier_lo < outlier_hi, got [nan, 4.0]"),
+    ("sweep", ["--als-tol", "0"],
+     "als_tol must be positive and finite, got 0.0"),
+    ("outliers", ["--ridge-lambda", "nan"],
+     "ridge_lambda must be positive and finite, got nan"),
 ]
 
 
@@ -223,6 +232,25 @@ def test_bad_setting_fails_before_the_input_is_read(tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert message in err and "No such file" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_each_lambda_error_names_its_key(tmp_path, capsys, source):
+    # both once failed with the one line "lambda must be positive, got 0.0"
+    errors = []
+    for key in ("ridge_lambda", "als_lambda"):
+        if source == "flag":
+            setting = ["--" + key.replace("_", "-"), "0"]
+        else:
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = 0\n")
+            setting = ["--config", str(cfg)]
+        assert main(["evaluate", str(tmp_path / "missing.csv"),
+                     *COMMANDS["evaluate"], *setting]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == [
+        "error: ridge_lambda must be positive and finite, got 0.0\n",
+        "error: als_lambda must be positive and finite, got 0.0\n"]
 
 
 @pytest.mark.parametrize("setting", [{"fractions": (0.1, 1.5)},
@@ -267,9 +295,9 @@ def test_svd_max_outer_is_no_key(tmp_path, capsys, command):
 
 
 def test_kernel_defaults_are_the_kernels_own():
-    # RunConfig starts from the defaults of the kernels it configures
+    # the ridge and ALS kernels take RunConfig itself; the clique settings
+    # start from build_graph's own defaults
     cfg = RunConfig()
-    assert cfg.ridge == RidgeConfig() and cfg.als == ALSConfig()
     graph = inspect.signature(build_graph).parameters
     assert cfg.clique_threshold == graph["threshold"].default
     assert cfg.clique_min_overlap == graph["min_overlap"].default
@@ -300,7 +328,8 @@ def test_empty_ensemble_rejected():
 def test_als_lambda_must_be_positive():
     # as ridge_lambda: at 0 a row or column seen fewer than als_k times
     # leaves its factor without one solution
-    with pytest.raises(ValueError, match="lambda must be positive, got 0.0"):
+    with pytest.raises(ValueError, match="als_lambda must be positive "
+                       "and finite, got 0.0"):
         RunConfig(als_lambda=0.0)
 
 

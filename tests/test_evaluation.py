@@ -378,8 +378,8 @@ class TestCompleteMatrix:
         cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
         completed, ((row,), (col,), mechanism), _ = complete_matrix(m, cfg)
         predicted = completed.values[row, col]
-        ridge = ridge_predict(m, 3, 2, cfg.ridge)
-        als = factorization.predict(als_fit(m, cfg.als), 3, 2)
+        ridge = ridge_predict(m, 3, 2, cfg)
+        als = factorization.predict(als_fit(m, cfg), 3, 2)
         assert (row, col) == (3, 2)
         assert decoded(mechanism) == ["ensemble:ridge+als"]
         assert predicted == ensemble_predict([ridge, als])

@@ -7,7 +7,7 @@ from conftest import grid, planted_rank1, predict_all
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (ALSConfig, FactorModel, MaskSpec, UnfactorableError,
+from perfcast import (FactorModel, MaskSpec, RunConfig, UnfactorableError,
                       als_fit, mask_random, model_from_json, model_to_json,
                       rank_machines, svd_fit)
 from perfcast.factorization import als_refits, predict, predict_cells
@@ -30,35 +30,35 @@ def manual_model(row_factors, col_factors, col_keys=None):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = ALSConfig()
-        assert (cfg.k, cfg.lam, cfg.max_iters, cfg.tol, cfg.seed) == (
-            1, 1e-2, 200, 1e-6, 0)
+        cfg = RunConfig()
+        assert (cfg.als_k, cfg.als_lambda, cfg.als_max_iters, cfg.als_tol,
+                cfg.seed) == (1, 1e-2, 200, 1e-6, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ALSConfig(k=0)
-        with pytest.raises(ValueError):
-            ALSConfig(lam=-1)
-        with pytest.raises(ValueError):
-            ALSConfig(tol=0)
+        with pytest.raises(ValueError, match="als_k must be >= 1, got 0"):
+            RunConfig(als_k=0)
+        with pytest.raises(ValueError, match="als_lambda .* got -1"):
+            RunConfig(als_lambda=-1)
+        with pytest.raises(ValueError, match="als_tol .* got 0"):
+            RunConfig(als_tol=0)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_lambda_must_be_positive(self, lam):
         # at 0 a row or column seen fewer than K times has no one solution
-        with pytest.raises(ValueError,
-                           match=f"lambda must be positive, got {lam}"):
-            ALSConfig(lam=lam)
+        with pytest.raises(ValueError, match=f"als_lambda must be positive "
+                           f"and finite, got {lam}"):
+            RunConfig(als_lambda=lam)
 
 
 class TestAlsFit:
     def test_rank1_full_reconstruction(self):
-        model = als_fit(rank1_2x2(), ALSConfig(k=1, lam=1e-9))
+        model = als_fit(rank1_2x2(), RunConfig(als_k=1, als_lambda=1e-9))
         recon = predict_all(model)
         assert np.allclose(recon, rank1_2x2().values, rtol=1e-6)
 
     def test_rank1_completion(self):
         m = grid([[2.0, 4.0], [3.0, None]])
-        model = als_fit(m, ALSConfig(k=1, lam=1e-9))
+        model = als_fit(m, RunConfig(als_k=1, als_lambda=1e-9))
         assert predict(model, 1, 1) == pytest.approx(6.0, abs=1e-4)
 
     def test_empty_row_unfactorable(self):
@@ -74,11 +74,11 @@ class TestAlsFit:
     def test_deterministic(self):
         m, _, _ = planted_rank1(8, 6, seed=3)
         masked, _ = mask_random(m, MaskSpec(0.3, 4))
-        a = als_fit(masked, ALSConfig(seed=11))
-        b = als_fit(masked, ALSConfig(seed=11))
+        a = als_fit(masked, RunConfig(seed=11))
+        b = als_fit(masked, RunConfig(seed=11))
         assert np.array_equal(a.row_factors, b.row_factors)
         assert np.array_equal(a.col_factors, b.col_factors)
-        c = als_fit(masked, ALSConfig(seed=12))
+        c = als_fit(masked, RunConfig(seed=12))
         assert not np.array_equal(a.row_factors, c.row_factors)
 
     def test_rmse_history_non_increasing(self):
@@ -88,8 +88,9 @@ class TestAlsFit:
         for seed in range(12):
             m, _, _ = planted_rank1(9, 7, seed=seed)
             masked, _ = mask_random(m, MaskSpec(0.35, seed))
-            hist = als_fit(masked, ALSConfig(k=1, lam=1e-8, seed=seed,
-                                             tol=1e-10)).train_rmse_history
+            hist = als_fit(masked, RunConfig(
+                als_k=1, als_lambda=1e-8, seed=seed,
+                als_tol=1e-10)).train_rmse_history
             assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_regularized_objective_non_increasing(self):
@@ -108,14 +109,15 @@ class TestAlsFit:
                 float((model.row_factors ** 2).sum())
                 + float((model.col_factors ** 2).sum()))
 
-        history = [objective(als_fit(masked, ALSConfig(
-            k=2, lam=lam, max_iters=it, tol=1e-30, seed=1)))
+        history = [objective(als_fit(masked, RunConfig(
+            als_k=2, als_lambda=lam, als_max_iters=it, als_tol=1e-30,
+            seed=1)))
             for it in range(1, 30)]
         assert all(a >= b - 1e-12 for a, b in zip(history, history[1:]))
 
     def test_k1_factors_strictly_positive(self):
         m, _, _ = planted_rank1(7, 5, seed=9)
-        model = als_fit(m, ALSConfig(k=1))
+        model = als_fit(m, RunConfig(als_k=1))
         assert (model.row_factors > 0).all()
         assert (model.col_factors > 0).all()
 
@@ -128,8 +130,9 @@ class TestAlsFit:
         V = rng.uniform(0.5, 3, (k, mm))
         m = grid((U @ V).tolist())
         masked, held = mask_random(m, MaskSpec(0.5, 21))
-        model = als_fit(masked, ALSConfig(k=k, lam=1e-8, tol=1e-12,
-                                          max_iters=500, seed=0))
+        model = als_fit(masked, RunConfig(als_k=k, als_lambda=1e-8,
+                                          als_tol=1e-12, als_max_iters=500,
+                                          seed=0))
         errs = [abs(predict(model, r, c) - m.values[r, c]) / m.values[r, c]
                 for r, c in held.tolist()]
         assert max(errs) < 1e-3
@@ -140,7 +143,8 @@ class TestAlsFit:
             list(als_refits(m, np.array([1, 0]), np.array([1, 1])))
 
     def test_config_echo(self):
-        model = als_fit(rank1_2x2(), ALSConfig(k=1, lam=0.5, seed=3))
+        model = als_fit(rank1_2x2(),
+                        RunConfig(als_k=1, als_lambda=0.5, seed=3))
         assert model.config["algorithm"] == "als"
         assert model.config["lambda"] == 0.5
         assert model.config["seed"] == 3
@@ -168,7 +172,7 @@ class TestPredict:
     def test_all_predictions_positive_after_fit(self):
         m, _, _ = planted_rank1(10, 8, seed=13)
         masked, _ = mask_random(m, MaskSpec(0.4, 14))
-        model = als_fit(masked, ALSConfig(k=1))
+        model = als_fit(masked, RunConfig(als_k=1))
         assert (predict_all(model) > 0).all()
 
     @given(st.integers(0, 10 ** 6), st.floats(0.001, 1000))
@@ -204,7 +208,7 @@ class TestRankMachines:
         u = rng.uniform(0.5, 5, 9)
         m = grid(np.outer(u, [4.0, 2.0, 8.0]).tolist(),
                  col_keys=("C1", "C2", "C3"))
-        model = als_fit(m, ALSConfig(k=1, lam=1e-9))
+        model = als_fit(m, RunConfig(als_k=1, als_lambda=1e-9))
         assert rank_machines(model) == ["C2", "C1", "C3"]
 
     def test_invariant_under_row_permutation(self):
@@ -213,8 +217,8 @@ class TestRankMachines:
         shuffled = grid(m.values[perm].tolist(),
                         row_keys=[m.row_keys[i] for i in perm],
                         col_keys=m.col_keys)
-        assert rank_machines(als_fit(m, ALSConfig(k=1))) == rank_machines(
-            als_fit(shuffled, ALSConfig(k=1)))
+        assert rank_machines(als_fit(m, RunConfig(als_k=1))) == rank_machines(
+            als_fit(shuffled, RunConfig(als_k=1)))
 
 
 class TestSvdFit:
@@ -242,11 +246,23 @@ class TestSvdFit:
 
 
 class TestModelJson:
+    @pytest.mark.parametrize("k,rows,cols,message", [
+        (0, [("p", "")], ["c"], "rank must be at least 1, got 0"),
+        (1, [], ["c"], "needs at least one program and one machine"),
+        (1, [("p", "")], [], "needs at least one program and one machine"),
+    ], ids=["rank-zero", "no-programs", "no-machines"])
+    def test_model_needs_a_rank_and_keys(self, k, rows, cols, message):
+        # as a PCMatrix needs a row and a column
+        with pytest.raises(ValueError, match=message):
+            FactorModel(k, tuple(rows), tuple(cols),
+                         np.ones((len(rows), k)), np.ones((k, len(cols))),
+                         (), {})
+
     def test_roundtrip_bit_exact(self):
         import json
         m, _, _ = planted_rank1(5, 4, seed=23)
         masked, _ = mask_random(m, MaskSpec(0.25, 2))
-        model = als_fit(masked, ALSConfig(k=2, lam=1e-3))
+        model = als_fit(masked, RunConfig(als_k=2, als_lambda=1e-3))
         data = json.loads(json.dumps(model_to_json(model)))
         back = model_from_json(data)
         assert back.k == model.k
@@ -267,7 +283,7 @@ class TestModelJson:
         masked, _ = mask_random(m, MaskSpec(0.3, 4))
         rows, cols = np.divmod(np.arange(m.values.size), m.n_cols)
         for model in (svd_fit(masked, k=4),
-                      als_fit(masked, ALSConfig(k=4, max_iters=20))):
+                      als_fit(masked, RunConfig(als_k=4, als_max_iters=20))):
             back = model_from_json(json.loads(json.dumps(
                 model_to_json(model))))
             row_major = manual_model(model.row_factors,

@@ -9,7 +9,7 @@ from conftest import grid, sparse_matrix, sparse_matrices
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfcast import (NoBasisError, PCMatrix, RidgeConfig, ridge,
+from perfcast import (NoBasisError, PCMatrix, RunConfig, ridge,
                       ridge_predict)
 from perfcast.ridge import ridge_block
 
@@ -23,29 +23,31 @@ def linear_two_columns():
 
 class TestConfig:
     def test_defaults(self):
-        cfg = RidgeConfig()
-        assert cfg.lam == 1e-2 and cfg.min_training_rows == 3
+        cfg = RunConfig()
+        assert cfg.ridge_lambda == 1e-2 and cfg.ridge_min_training_rows == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RidgeConfig(lam=-1)
-        with pytest.raises(ValueError):
-            RidgeConfig(lam=float("nan"))
-        with pytest.raises(ValueError):
-            RidgeConfig(min_training_rows=1)
+        with pytest.raises(ValueError, match="ridge_lambda .* got -1"):
+            RunConfig(ridge_lambda=-1)
+        with pytest.raises(ValueError, match="ridge_lambda .* got nan"):
+            RunConfig(ridge_lambda=float("nan"))
+        with pytest.raises(ValueError, match="ridge_min_training_rows must "
+                           "be at least 2, got 1"):
+            RunConfig(ridge_min_training_rows=1)
 
 
 class TestExactRelation:
     def test_doubled_column(self):
         m = linear_two_columns()
-        got = ridge_predict(m, 5, 1, RidgeConfig(lam=1e-8))
+        got = ridge_predict(m, 5, 1, RunConfig(ridge_lambda=1e-8))
         assert got == pytest.approx(14.0, rel=1e-6)
 
     def test_lambda_zero_refused(self):
         # at lambda 0 a cell with as many features as training rows has no
         # one answer, so the value is refused where the config is made
-        with pytest.raises(ValueError, match="lambda must be positive, got 0"):
-            RidgeConfig(lam=0.0)
+        with pytest.raises(ValueError, match="ridge_lambda must be positive "
+                           "and finite, got 0.0"):
+            RunConfig(ridge_lambda=0.0)
 
     def test_multifeature_exact_combination(self):
         # target = 3*f1 + 0.5*f2 + 1; independent lstsq oracle
@@ -60,7 +62,7 @@ class TestExactRelation:
         A = np.column_stack([X, np.ones(len(X))])
         coef = np.linalg.lstsq(A, y, rcond=None)[0]
         oracle = coef[0] * 2.0 + coef[1] * 5.0 + coef[2]
-        got = ridge_predict(m, 8, 2, RidgeConfig(lam=1e-10))
+        got = ridge_predict(m, 8, 2, RunConfig(ridge_lambda=1e-10))
         assert got == pytest.approx(oracle, rel=1e-6)
 
 
@@ -96,7 +98,7 @@ class TestFallbacks:
             [4.0, None, 12.0],
             [5.0, 1.0, None],
         ])
-        got = ridge_predict(m, 4, 2, RidgeConfig(lam=1e-9))
+        got = ridge_predict(m, 4, 2, RunConfig(ridge_lambda=1e-9))
         assert got == pytest.approx(15.0, rel=1e-6)
 
 
@@ -115,12 +117,12 @@ class TestInvariants:
         train_mean = float(np.mean([2.0, 6.0, 8.0, 11.0, 18.0]))
         dists = []
         for lam in [1e-8, 0.1, 1.0, 10.0, 1000.0]:
-            pred = ridge_predict(m, 5, 1, RidgeConfig(lam=lam))
+            pred = ridge_predict(m, 5, 1, RunConfig(ridge_lambda=lam))
             dists.append(abs(pred - train_mean))
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
         # and the large-lambda limit is the mean itself
-        assert ridge_predict(m, 5, 1, RidgeConfig(lam=1e12)) == pytest.approx(
-            train_mean)
+        got = ridge_predict(m, 5, 1, RunConfig(ridge_lambda=1e12))
+        assert got == pytest.approx(train_mean)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
@@ -137,7 +139,7 @@ class TestInvariants:
         target = np.concatenate([x0, [np.nan]])
         m_vals = np.vstack([vals, target])
         m = grid(np.where(np.isnan(m_vals), None, m_vals).tolist())
-        got = ridge_predict(m, n, k, RidgeConfig(lam=1e-10))
+        got = ridge_predict(m, n, k, RunConfig(ridge_lambda=1e-10))
         expected = float(x0 @ w + b)
         assert got == pytest.approx(expected, rel=1e-6)
 
@@ -150,7 +152,7 @@ class TestInvariants:
             [7.0, 4.0],
             [20.0, None],
         ])
-        got = ridge_predict(m, 4, 1, RidgeConfig(lam=1e-9))
+        got = ridge_predict(m, 4, 1, RunConfig(ridge_lambda=1e-9))
         assert got == 1e-9
 
 
@@ -190,7 +192,7 @@ def assert_block_matches_reference(m, rows, cols, cfg):
         want, kept = want
         assert values[i] >= 1e-9
         if kept.size:
-            assert values[i] == pytest.approx(want, rel=RTOL[cfg.lam])
+            assert values[i] == pytest.approx(want, rel=RTOL[cfg.ridge_lambda])
         else:  # the zero-feature solve is the column mean, bit for bit
             assert values[i] == want
     assert reasons.keys() == uncovered
@@ -205,8 +207,8 @@ class TestBlockKernel:
         # every cell: observed ones as in leave-one-out, missing ones as in
         # completion
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
-        assert_block_matches_reference(m, rows, cols,
-                                       RidgeConfig(lam, min_rows))
+        cfg = RunConfig(ridge_lambda=lam, ridge_min_training_rows=min_rows)
+        assert_block_matches_reference(m, rows, cols, cfg)
 
     @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([1e-2, 10.0]))
     @settings(max_examples=10, deadline=None)
@@ -222,7 +224,8 @@ class TestBlockKernel:
         m = grid(values.tolist())
         rows = np.repeat(np.arange(3), 60)
         cols = np.tile(np.arange(60), 3)
-        assert_block_matches_reference(m, rows, cols, RidgeConfig(lam, 3))
+        assert_block_matches_reference(m, rows, cols,
+                                       RunConfig(ridge_lambda=lam))
 
     @pytest.mark.parametrize("span,stack", [(16, 1), (100, 60)])
     @pytest.mark.parametrize("lam", [1e-6, 1e-2])
@@ -257,7 +260,8 @@ class TestBlockKernel:
         values[5] = np.nan  # a cold row
         m = grid(values.tolist())
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
-        assert_block_matches_reference(m, rows, cols, RidgeConfig(lam, 3))
+        assert_block_matches_reference(m, rows, cols,
+                                       RunConfig(ridge_lambda=lam))
         # _SPAN bounds each span's bytes of row bitsets, one 8-byte word
         # per cell for 30 rows. Each stack has one (n, k) shape, and
         # _STACK bounds its training values (n for a featureless cell)
@@ -287,7 +291,7 @@ class TestBlockKernel:
         seen = m.present_mask[rows, cols]
         assert seen[:40].any() and not seen[:40].all()
         assert np.unique(cols[:20]).size >= 5
-        assert_block_matches_reference(m, rows, cols, RidgeConfig(1e-2, 3))
+        assert_block_matches_reference(m, rows, cols, RunConfig())
 
     def test_memory_stays_bounded(self):
         # the shrink step's spans and the solve's stacks bound the
@@ -316,7 +320,7 @@ class TestBlockKernel:
         m = grid([[2.0 * (r + 1), 3.0 * (r + 1) if r % 2 else None]
                   for r in range(n_rows)])
         rows, cols = np.nonzero(np.ones(m.values.shape, dtype=bool))
-        cfg = RidgeConfig(min_training_rows=max(n_rows, 2))
+        cfg = RunConfig(ridge_min_training_rows=max(n_rows, 2))
         assert_block_matches_reference(m, rows, cols, cfg)
         assert_block_matches_reference(m, [], [], cfg)
         values, reasons = ridge_block(m, rows, cols, cfg)
