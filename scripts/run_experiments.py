@@ -24,17 +24,17 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from perfcast import (Algorithm, CliqueProtocol, RunConfig, density,
-                      leave_one_out, masking_sweep, outlier_sweep,
-                      read_matrix_csv, write_reports_csv,
+from perfcast import (RunConfig, density, leave_one_out, masking_sweep,
+                      outlier_sweep, read_matrix_csv, write_reports_csv,
                       write_reports_json)
 from perfcast.cli import arg_type
 from perfcast.config import (parse_algorithms, parse_percent,
                              parse_percent_list)
 
-# the algorithms RunConfig.algorithm accepts: svd is scored by the sweeps
-LOO_ALGORITHMS = RunConfig.__dataclass_fields__["algorithm"].metadata[
-    "choices"]
+# the algorithms RunConfig.algorithm accepts (svd is scored by the
+# sweeps), and the clique protocols RunConfig.protocol accepts
+LOO_ALGORITHMS, PROTOCOLS = (RunConfig.__dataclass_fields__[name].metadata[
+    "choices"] for name in ("algorithm", "protocol"))
 
 
 def summarize(tag: str, reports) -> None:
@@ -79,10 +79,8 @@ def main(argv=None) -> int:
     # 1. leave-one-out; the clique predictor is scored under each protocol
     loo_reports, runs = [], []
     for algorithm in [a for a in args.algorithms if a in LOO_ALGORITHMS]:
-        cliques = algorithm == Algorithm.CLIQUES
-        protocols = ([p.value for p in CliqueProtocol] if cliques
-                     else [cfg.protocol])
-        for protocol in protocols:
+        cliques = algorithm == "cliques"
+        for protocol in PROTOCOLS if cliques else [cfg.protocol]:
             report = leave_one_out(m, replace(cfg, algorithm=algorithm,
                                               protocol=protocol))
             loo_reports.append(report)

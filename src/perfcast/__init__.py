@@ -9,7 +9,7 @@ small application layer turns a completed matrix into placement decisions.
 
 from .cliques import (Grouping, build_graph, clique_predict, correlations,
                       find_cliques, group_estimates)
-from .config import Algorithm, CliqueProtocol, RunConfig, read_config_file
+from .config import RunConfig, read_config_file
 from .evaluation import (AlgorithmResult, ColdRowError, EvalReport,
                          complete_matrix, leave_one_out, masking_sweep,
                          outlier_sweep, report_to_json, write_reports_csv,
@@ -20,17 +20,15 @@ from .factorization import (FactorModel, UnfactorableError, als_fit,
 from .matrix import (MaskInfeasibleError, MaskSpec, Observation, PCMatrix,
                      build_matrix, density, inject_outliers, mask_random,
                      read_matrix_csv, read_observations_csv, write_matrix_csv)
-from .placement import (PlacementDecision, Rationale, greedy_place,
-                        schedule_batch)
+from .placement import PlacementDecision, greedy_place, schedule_batch
 from .ridge import NoBasisError, ridge_predict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algorithm", "AlgorithmResult", "CliqueProtocol", "ColdRowError",
-    "EvalReport", "FactorModel", "Grouping", "MaskInfeasibleError",
-    "MaskSpec", "NoBasisError", "Observation", "PCMatrix",
-    "PlacementDecision", "Rationale", "RunConfig", "UnfactorableError",
+    "AlgorithmResult", "ColdRowError", "EvalReport", "FactorModel", "Grouping",
+    "MaskInfeasibleError", "MaskSpec", "NoBasisError", "Observation",
+    "PCMatrix", "PlacementDecision", "RunConfig", "UnfactorableError",
     "als_fit", "build_graph", "build_matrix", "clique_predict",
     "complete_matrix", "correlations", "density", "find_cliques",
     "greedy_place", "group_estimates", "inject_outliers", "leave_one_out",

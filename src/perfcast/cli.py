@@ -253,8 +253,8 @@ def cmd_place(args) -> int:
                                  sort_keys=True))
         print(json.dumps({"makespan": makespan}, sort_keys=True))
         return 0
-    for r in rows:
-        decision = greedy_place(m, r, ranking)
+    # decide every row before printing any: one that fails leaves stdout empty
+    for decision in [greedy_place(m, r, ranking) for r in rows]:
         print(json.dumps(decision.to_json(), sort_keys=True))
     return 0
 

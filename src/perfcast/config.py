@@ -3,13 +3,13 @@ a key=value text file with CLI flags taking precedence.
 
 Each tunable is declared once, as a `RunConfig` field whose metadata holds
 the parser for its flag and config-file value, the names it accepts (if it
-is a choice) and its flag help; the CLI flags, the config-file keys and
-every echo of the settings in an output file come from these fields.
+is a choice: one tuple of plain strings) and its flag help; the CLI flags,
+the config-file keys and every echo of the settings come from these fields.
 `RunConfig` is also the one settings record the evaluation drivers and
 the ridge and ALS kernels take: each reads the fields it needs by their
-flag names. Every setting is checked when a `RunConfig` is made, and an
-out-of-range value's message names its key, so a bad value fails before
-any input is read.
+flag names. Every setting's type and range are checked when a `RunConfig`
+is made, and the message names its key, so a bad value fails before any
+input is read. `check_algorithms` holds a sweep's list to the same rules.
 
 Fraction-valued settings (`fractions`, `outlier_fraction`) are given as
 PERCENTAGES in files and flags (e.g. ``fractions = 5,10,20``) and stored
@@ -18,28 +18,8 @@ internally in [0, 1). Everything else is passed through as typed.
 
 from __future__ import annotations
 
-import enum
+import numbers
 from dataclasses import dataclass, field, fields
-
-
-class Algorithm(str, enum.Enum):
-    RIDGE = "ridge"
-    CLIQUES = "cliques"
-    ALS = "als"
-    SVD = "svd"
-    ENSEMBLE = "ensemble"
-
-
-class CliqueProtocol(str, enum.Enum):
-    """Variants of the clique algorithm scored on its own (leave-one-out,
-    sweeps, completion); an ensemble's clique member adds only its
-    in-group estimates. IN_GROUPS predicts only cells the group-scaling
-    step can reach: everything else is uncovered, and completion stops at
-    the first such cell. IN_GROUPS_PLUS_REGRESSION falls back to ridge
-    where the row observes another machine (`evaluation._predict_cells`).
-    """
-    IN_GROUPS = "in_groups"
-    IN_GROUPS_PLUS_REGRESSION = "in_groups_plus_regression"
 
 
 def parse_percent_list(text: str) -> tuple[float, ...]:
@@ -73,11 +53,11 @@ def parse_name_list(text: str) -> tuple[str, ...]:
     return names
 
 
-_ALGORITHMS = tuple(a.value for a in Algorithm)
+_ALGORITHMS = ("ridge", "cliques", "als", "svd", "ensemble")
 # svd is a sweep-only baseline: complete, evaluate and ensemble refuse it
-_FILLERS = tuple(a for a in _ALGORITHMS if a != Algorithm.SVD)
-_MEMBERS = tuple(a for a in _FILLERS if a != Algorithm.ENSEMBLE)
-_PROTOCOLS = tuple(p.value for p in CliqueProtocol)
+_FILLERS = tuple(a for a in _ALGORITHMS if a != "svd")
+_MEMBERS = tuple(a for a in _FILLERS if a != "ensemble")
+_PROTOCOLS = ("in_groups", "in_groups_plus_regression")
 
 
 def _one_of(names: tuple[str, ...]):
@@ -95,16 +75,37 @@ def distinct(names, what: str):
     return names
 
 
+def check_algorithms(names) -> tuple[str, ...]:
+    """names as a tuple of distinct algorithms, at least one: the rules of
+    --algorithms, which the library sweeps apply to their list too."""
+    names = tuple(map(_one_of(_ALGORITHMS), names))
+    if not names:
+        raise ValueError("empty algorithm list")
+    return distinct(names, "algorithms")
+
+
 def parse_algorithms(text: str) -> tuple[str, ...]:
     """"ridge,ensemble" -> ("ridge", "ensemble"): distinct algorithms."""
-    return distinct(tuple(map(_one_of(_ALGORITHMS), parse_name_list(text))),
-                    "algorithms")
+    return check_algorithms(parse_name_list(text))
 
 
 def parse_ensemble(text: str) -> tuple[str, ...]:
     """"ridge,als" -> ("ridge", "als"); each must be ridge, cliques or
     als."""
     return tuple(map(_one_of(_MEMBERS), parse_name_list(text)))
+
+
+def _typed(kind: str, value) -> bool:
+    """Whether value fits a RunConfig annotation: a bool is no number, and
+    a bare string or number is no tuple."""
+    item = kind.removeprefix("tuple[").removesuffix(", ...]")
+    if item != kind:
+        return (isinstance(value, (tuple, list))
+                and all(_typed(item, v) for v in value))
+    if kind == "str":
+        return isinstance(value, str)
+    return (isinstance(value, numbers.Integral if kind == "int"
+                       else numbers.Real) and not isinstance(value, bool))
 
 
 def _tunable(default, parse=None, choices=None, help=None):
@@ -117,9 +118,13 @@ def _tunable(default, parse=None, choices=None, help=None):
 @dataclass(frozen=True)
 class RunConfig:
     algorithm: str = _tunable("ensemble", choices=_FILLERS)
-    protocol: str = _tunable("in_groups_plus_regression", choices=_PROTOCOLS,
-                             help="clique protocol for complete, evaluate, "
-                             "sweep and outliers")
+    # an ensemble's clique member adds only its in-group estimates
+    protocol: str = _tunable(
+        "in_groups_plus_regression", choices=_PROTOCOLS,
+        help="how cliques, scored on its own, treats a cell group scaling "
+        "cannot reach: in_groups leaves it uncovered (complete stops at "
+        "it); in_groups_plus_regression gives it ridge's value where its "
+        "row observes another machine")
     ridge_lambda: float = _tunable(1e-2, float)
     ridge_min_training_rows: int = _tunable(3, int)
     clique_threshold: float = _tunable(0.97, float)
@@ -145,6 +150,9 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if not _typed(f.type, getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got "
+                                 f"{getattr(self, f.name)!r}")
             if f.metadata["choices"]:  # checked as its flag and file value
                 f.metadata["parse"](getattr(self, f.name))
         for ok, problem in [

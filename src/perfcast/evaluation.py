@@ -12,11 +12,12 @@ values; after it, a clique algorithm scored on its own under
 none. Completion raises the reason of the first uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
-it. A report holds only what varies by report: its fraction, a note when
-the fraction was skipped or held nothing out, and per algorithm its
-scored cells as columns, their mean and a tally of the cells it could not
-cover. The settings are the caller's to record, once per file: the
-report JSON states them in its `run_config`.
+it; algorithms and protocols are compared and stored by their names. A
+report holds only what varies by report: its fraction, a note when the
+fraction was skipped or held nothing out, and per algorithm its scored
+cells as columns, their mean and a tally of the cells it could not cover.
+The settings are the caller's to record, once per file: the report JSON
+states them in its `run_config`.
 
 Leave-one-out scores one masking of the matrix and a sweep one per
 repeat, all through `_score`, by relative error |predicted - target| /
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliques import build_graph, clique_block, find_cliques
-from .config import Algorithm, CliqueProtocol, RunConfig, distinct
+from .config import _ALGORITHMS, RunConfig, check_algorithms
 from .factorization import (FactorModel, UnfactorableError, als_fit,
                             als_refits, predict_cells, svd_fit)
 from .jsonfile import ABSENT, Table, write_json
@@ -81,7 +82,7 @@ class EvalReport:
     capped_fits: tuple[int, int] = (0, 0)
 
 
-def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
+def _fit_predict(alg: str, train: PCMatrix, rows, cols,
                  cfg: RunConfig, refit: bool):
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (values, reasons, fit).
@@ -91,16 +92,16 @@ def _fit_predict(alg: Algorithm, train: PCMatrix, rows, cols,
     ALS refits (0 where uncovered), else None; a shared fit that raises
     UnfactorableError leaves every cell uncovered and is that error.
     """
-    if alg is Algorithm.RIDGE:
+    if alg == "ridge":
         return (*ridge_block(train, rows, cols, cfg), None)
-    if alg is Algorithm.CLIQUES:
+    if alg == "cliques":
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
         return (*clique_block(train, grouping, rows, cols), None)
     if refit:
         return als_refits(train, rows, cols, cfg)
     try:
-        model = (als_fit(train, cfg) if alg is Algorithm.ALS
+        model = (als_fit(train, cfg) if alg == "als"
                  else svd_fit(train, cfg.svd_k))
     except UnfactorableError as exc:  # every cell is uncovered
         reasons = dict.fromkeys(range(rows.size), exc)
@@ -125,10 +126,9 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
     code = 2 ** np.arange(len(members)) @ covered
     labels = []
     for subset in range(2 ** len(members)):
-        names = [mem.value for j, mem in enumerate(members)
-                 if subset >> j & 1]
+        names = [mem for j, mem in enumerate(members) if subset >> j & 1]
         labels.append(("ensemble:" + "+".join(names), tuple(
-            mem.value for mem in members if mem.value not in names)))
+            mem for mem in members if mem not in names)))
     reasons = {i: ValueError(
         f"no ensemble member could predict cell "
         f"({train.row_label(rows[i])}, {train.col_keys[cols[i]]})")
@@ -149,8 +149,8 @@ def _plus_regression(train: PCMatrix, rows, cols, cfg: RunConfig, column):
                                f"no observations")
                for i in lone[cold].tolist()}
     lone = lone[~cold]
-    values[lone], missed, _ = _fit_predict(Algorithm.RIDGE, train,
-                                           rows[lone], cols[lone], cfg, False)
+    values[lone], missed, _ = _fit_predict("ridge", train, rows[lone],
+                                           cols[lone], cfg, False)
     reasons.update(zip(lone[list(missed)].tolist(), missed.values()))
     code[lone] = 1
     return values, reasons, code, (*labels, ("ridge", ()))
@@ -171,22 +171,19 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     # With no cells the shared fit is still made: complete_matrix returns
     # the model.
     refit = rows.size > 0 and bool(train.present_mask[rows, cols].all())
-    members = (list(map(Algorithm, cfg.ensemble))
-               if Algorithm.ENSEMBLE in algorithms else [])
-    base = {*algorithms, *members} - {Algorithm.ENSEMBLE}
+    members = list(cfg.ensemble) if "ensemble" in algorithms else []
+    base = {*algorithms, *members} - {"ensemble"}
     columns, fits = {}, {}
-    for alg in [a for a in Algorithm if a in base]:
+    for alg in [a for a in _ALGORITHMS if a in base]:
         values, reasons, fits[alg] = _fit_predict(alg, train, rows, cols,
                                                   cfg, refit)
         columns[alg] = (values, reasons, np.zeros(rows.size, np.intp),
-                        ((alg.value, ()),))
+                        ((alg, ()),))
     if members:
-        columns[Algorithm.ENSEMBLE] = _ensemble(train, rows, cols, members,
-                                                columns)
-    if (Algorithm.CLIQUES in algorithms
-            and cfg.protocol != CliqueProtocol.IN_GROUPS):
-        columns[Algorithm.CLIQUES] = _plus_regression(
-            train, rows, cols, cfg, columns[Algorithm.CLIQUES])
+        columns["ensemble"] = _ensemble(train, rows, cols, members, columns)
+    if "cliques" in algorithms and cfg.protocol != "in_groups":
+        columns["cliques"] = _plus_regression(train, rows, cols, cfg,
+                                              columns["cliques"])
     return columns, fits
 
 
@@ -204,7 +201,7 @@ def _score(maskings, algorithms, cfg: RunConfig):
     capped = total = 0
     for train, rows, cols, targets in maskings:
         columns, fits = _predict_cells(train, rows, cols, algorithms, cfg)
-        iters = fits.get(Algorithm.ALS)
+        iters = fits.get("als")
         if isinstance(iters, FactorModel):  # one shared fit
             iters = np.array([len(iters.train_rmse_history)])
         if isinstance(iters, np.ndarray):  # 0 where a refit raised
@@ -221,7 +218,7 @@ def _score(maskings, algorithms, cfg: RunConfig):
         rows, cols, predicted, target, mechanism = map(np.concatenate,
                                                        zip(*scored[alg]))
         results.append(AlgorithmResult(
-            alg.value, rows, cols, predicted, target,
+            alg, rows, cols, predicted, target,
             np.abs(predicted - target) / target, mechanism, labels[alg],
             uncovered[alg]))
     return tuple(results), (capped, total)
@@ -238,7 +235,7 @@ def leave_one_out(m: PCMatrix, cfg: RunConfig = RunConfig()) -> EvalReport:
     """
     rows, cols = np.nonzero(m.present_mask)
     results, capped = _score([(m, rows, cols, m.values[rows, cols])],
-                             [Algorithm(cfg.algorithm)], cfg)
+                             [cfg.algorithm], cfg)
     return EvalReport(0.0, results, capped_fits=capped)
 
 
@@ -248,7 +245,7 @@ def _child_seed(seed: int, tag: int, fraction_index: int, repeat: int) -> int:
 
 
 def _sweep(m, algorithms, cfg: RunConfig, corrupt=None) -> list[EvalReport]:
-    algorithms = distinct([Algorithm(a) for a in algorithms], "algorithms")
+    algorithms = check_algorithms(algorithms)
     reports = []
     for fi, fraction in enumerate(cfg.fractions):
         maskings, note = [], None
@@ -316,16 +313,15 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     first cell in row-major order that cannot be predicted raises its
     reason.
     """
-    algorithm = Algorithm(cfg.algorithm)
     rows, cols = np.nonzero(~m.present_mask)
-    columns, fits = _predict_cells(m, rows, cols, [algorithm], cfg)
-    values, reasons, code, labels = columns[algorithm]
+    columns, fits = _predict_cells(m, rows, cols, [cfg.algorithm], cfg)
+    values, reasons, code, labels = columns[cfg.algorithm]
     if reasons:
         raise reasons[min(reasons)]
     vals = np.array(m.values)
     vals[rows, cols] = values
     return (m.with_values(vals), (rows, cols, (code, [n for n, _ in labels])),
-            fits.get(Algorithm.ALS))
+            fits.get("als"))
 
 
 # ---------------------------------------------------------------------------

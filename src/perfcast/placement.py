@@ -1,20 +1,15 @@
 """Consumers of a completed matrix: pick a machine per program, or pack a
 batch of programs onto machines with a simple list-scheduling heuristic.
+A decision's rationale is a plain string, as its JSON line prints it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix import PCMatrix
-
-
-class Rationale(str, enum.Enum):
-    MIN_PREDICTED = "min_predicted"
-    COLD_ROW_RANKED_FASTEST = "cold_row_ranked_fastest"
 
 
 @dataclass(frozen=True)
@@ -23,13 +18,13 @@ class PlacementDecision:
     args: str
     machine: str
     predicted: float | None  # unknown for cold rows placed by ranking
-    rationale: Rationale
+    rationale: str  # "min_predicted" or "cold_row_ranked_fastest"
 
     def to_json(self) -> dict:
         return {"program": self.program, "args": self.args,
                 "machine": self.machine,
                 "predicted_seconds": self.predicted,
-                "rationale": self.rationale.value}
+                "rationale": self.rationale}
 
 
 def _by_key(m: PCMatrix) -> np.ndarray:
@@ -63,14 +58,14 @@ def greedy_place(
             raise ValueError(f"ranked machine {machine!r} is not a column "
                              f"of the matrix")
         return PlacementDecision(program, args, machine, None,
-                                 Rationale.COLD_ROW_RANKED_FASTEST)
+                                 "cold_row_ranked_fastest")
     if not present.all():
         raise ValueError(f"row {completed.row_label(row)} is only partially "
                          f"predicted; complete the matrix first")
     by_key = _by_key(completed)
     best = by_key[np.argmin(times[by_key])]
     return PlacementDecision(program, args, completed.col_keys[best],
-                             float(times[best]), Rationale.MIN_PREDICTED)
+                             float(times[best]), "min_predicted")
 
 
 def schedule_batch(

@@ -16,7 +16,7 @@ from loo_reference import ensemble_predict, predict
 from ridge_reference import ridge_predict
 
 from perfcast.cliques import build_graph, find_cliques
-from perfcast.config import Algorithm, CliqueProtocol, RunConfig
+from perfcast.config import RunConfig
 from perfcast.evaluation import ColdRowError
 from perfcast.factorization import UnfactorableError, als_fit
 from perfcast.ridge import NoBasisError
@@ -27,14 +27,13 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
     cfg.protocol); returns (completed values, fills), a fill being
     (row, col, predicted, mechanism) in row-major order. The first cell
     that cannot be predicted raises its reason."""
-    algorithm = Algorithm(cfg.algorithm)
-    protocol = CliqueProtocol(cfg.protocol)
-    members = (list(map(Algorithm, cfg.ensemble))
-               if algorithm is Algorithm.ENSEMBLE else [algorithm])
+    algorithm, protocol = cfg.algorithm, cfg.protocol
+    members = (list(cfg.ensemble) if algorithm == "ensemble"
+               else [algorithm])
     grouping = find_cliques(build_graph(m, cfg.clique_threshold,
                                         cfg.clique_min_overlap))
     model = None
-    if Algorithm.ALS in members:
+    if "als" in members:
         try:
             model = als_fit(m, cfg)
         except UnfactorableError as exc:
@@ -42,19 +41,19 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
 
     def predict_one(alg, row, col):
         """(value, mechanism) of one base algorithm, or its error."""
-        if alg is Algorithm.RIDGE:
+        if alg == "ridge":
             return ridge_predict(m, row, col, cfg), "ridge"
-        if alg is Algorithm.CLIQUES:
-            fallback = protocol is CliqueProtocol.IN_GROUPS_PLUS_REGRESSION
+        if alg == "cliques":
+            fallback = protocol == "in_groups_plus_regression"
             return clique_predict(m, grouping, row, col, cfg, fallback)
         if isinstance(model, UnfactorableError):
             raise model
-        return predict(model, row, col), alg.value
+        return predict(model, row, col), alg
 
     values = np.array(m.values)
     fills = []
     for row, col in np.argwhere(~m.present_mask).tolist():
-        if algorithm is not Algorithm.ENSEMBLE:
+        if algorithm != "ensemble":
             value, mechanism = predict_one(algorithm, row, col)
         else:
             got = []
@@ -63,8 +62,8 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
                     value, mechanism = predict_one(mem, row, col)
                 except (NoBasisError, ColdRowError, UnfactorableError):
                     continue
-                if mechanism == mem.value:
-                    got.append((mem.value, value))
+                if mechanism == mem:
+                    got.append((mem, value))
             if not got:
                 raise ValueError(f"no ensemble member could predict cell "
                                  f"({m.row_label(row)}, {m.col_keys[col]})")

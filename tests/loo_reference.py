@@ -26,7 +26,7 @@ from cliques_reference import clique_predict, group_estimates
 from ridge_reference import ridge_predict
 
 from perfcast.cliques import build_graph, find_cliques
-from perfcast.config import Algorithm, CliqueProtocol, RunConfig
+from perfcast.config import RunConfig
 from perfcast.evaluation import ColdRowError, EvalReport
 from perfcast.factorization import UnfactorableError, als_fit
 from perfcast.matrix import PREDICTION_FLOOR
@@ -86,10 +86,10 @@ class AlgorithmResult:
     n_uncovered: int
 
 
-def _base_algorithms(algorithms, ensemble) -> set[Algorithm]:
+def _base_algorithms(algorithms, ensemble) -> set[str]:
     needed = set()
     for alg in algorithms:
-        if alg is Algorithm.ENSEMBLE:
+        if alg == "ensemble":
             needed.update(ensemble)
         else:
             needed.add(alg)
@@ -98,15 +98,15 @@ def _base_algorithms(algorithms, ensemble) -> set[Algorithm]:
 
 def _assemble(algorithms, cells, preds, ensemble):
     """Fold raw per-cell predictions into per-algorithm scored rows."""
-    rows: dict[Algorithm, list[CellPrediction]] = {a: [] for a in algorithms}
+    rows: dict[str, list[CellPrediction]] = {a: [] for a in algorithms}
     uncovered = {a: 0 for a in algorithms}
     for i, cell in enumerate(cells):
         for alg in algorithms:
             excluded: tuple[str, ...] = ()
-            if alg is Algorithm.ENSEMBLE:
+            if alg == "ensemble":
                 avail = [preds[mem][i] for mem in ensemble
                          if preds[mem][i] is not None]
-                excluded = tuple(mem.value for mem in ensemble
+                excluded = tuple(mem for mem in ensemble
                                  if preds[mem][i] is None)
                 value = ensemble_predict(avail) if avail else None
             else:
@@ -116,7 +116,7 @@ def _assemble(algorithms, cells, preds, ensemble):
                 continue
             rows[alg].append(CellPrediction(
                 cell.row, cell.col, value, cell.true_time,
-                prediction_error(value, cell.true_time), alg.value, excluded))
+                prediction_error(value, cell.true_time), alg, excluded))
     return rows, uncovered
 
 
@@ -125,7 +125,7 @@ def _finish(algorithms, rows, uncovered) -> tuple[AlgorithmResult, ...]:
     for alg in algorithms:
         cells = tuple(rows[alg])
         total = (sum(c.error for c in cells) / len(cells)) if cells else None
-        out.append(AlgorithmResult(alg.value, cells, total, uncovered[alg]))
+        out.append(AlgorithmResult(alg, cells, total, uncovered[alg]))
     return tuple(out)
 
 
@@ -139,14 +139,13 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
     mask = m.present_mask
     cells = [HeldOutCell(int(r), int(c), float(m.values[r, c]))
              for r, c in np.argwhere(mask)]
-    algorithm = Algorithm(cfg.algorithm)
-    protocol = CliqueProtocol(cfg.protocol)
-    ensemble = tuple(map(Algorithm, cfg.ensemble))
+    algorithm, protocol = cfg.algorithm, cfg.protocol
+    ensemble = tuple(cfg.ensemble)
     algorithms = [algorithm]
     needed = _base_algorithms(algorithms, ensemble)
 
     grouping = None
-    if Algorithm.CLIQUES in needed:
+    if "cliques" in needed:
         grouping = find_cliques(build_graph(m, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
 
@@ -155,21 +154,21 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
         out = {}
         for alg in needed:
             try:
-                if alg is Algorithm.RIDGE:
+                if alg == "ridge":
                     out[alg] = ridge_predict(train, cell.row, cell.col,
                                              cfg)
-                elif alg is Algorithm.CLIQUES:
-                    if protocol is CliqueProtocol.IN_GROUPS:
+                elif alg == "cliques":
+                    if protocol == "in_groups":
                         ests = group_estimates(train, grouping, cell.row,
                                                cell.col)
                         out[alg] = sum(ests) / len(ests) if ests else None
                     else:
                         value, mechanism = clique_predict(
                             train, grouping, cell.row, cell.col, cfg)
-                        own = (algorithm is not Algorithm.ENSEMBLE
-                               or mechanism == alg.value)
+                        own = (algorithm != "ensemble"
+                               or mechanism == alg)
                         out[alg] = value if own else None
-                elif alg is Algorithm.ALS:
+                elif alg == "als":
                     model = als_fit(train, cfg)
                     out[alg] = predict(model, cell.row, cell.col)
             except (NoBasisError, ColdRowError, UnfactorableError):

@@ -20,7 +20,7 @@ from loo_reference import prediction_error
 
 from perfcast.cli import main as cli_main
 from perfcast.cliques import build_graph, correlations, find_cliques
-from perfcast.config import Algorithm, CliqueProtocol, RunConfig
+from perfcast.config import RunConfig
 from perfcast.evaluation import leave_one_out, masking_sweep
 from perfcast.factorization import FactorModel, als_fit, predict
 from perfcast.matrix import (MaskSpec, PCMatrix, mask_random,
@@ -116,8 +116,8 @@ def test_c4_dataset_group_structure_and_errors():
         return rep.results[0].total_error
 
     reg = total(algorithm="ridge")  # the regression baseline
-    in_groups = total(protocol=CliqueProtocol.IN_GROUPS.value)
-    combined = total(protocol=CliqueProtocol.IN_GROUPS_PLUS_REGRESSION.value)
+    in_groups = total(protocol="in_groups")
+    combined = total(protocol="in_groups_plus_regression")
 
     ok = (41 <= n_groups <= 51
           and 22 <= singles <= 32
@@ -133,7 +133,7 @@ def test_c5_dataset_sparse_regime():
     name = "dataset sparse regime: factorization vs regression"
     m = _load_dataset(5, name)
     cfg = RunConfig(fractions=(0.15, 0.30, 0.50, 0.80), repeats=3, seed=0)
-    reports = masking_sweep(m, [Algorithm.ALS, Algorithm.RIDGE], cfg)
+    reports = masking_sweep(m, ["als", "ridge"], cfg)
 
     ok = True
     summary = []

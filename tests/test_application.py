@@ -8,7 +8,7 @@ from conftest import grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import Rationale, greedy_place, schedule_batch
+from perfcast import greedy_place, schedule_batch
 
 
 def completed(values, col_keys=None):
@@ -20,7 +20,7 @@ class TestGreedyPlace:
         m = completed([[5.0, 3.0, 9.0]], col_keys=("C1", "C2", "C3"))
         d = greedy_place(m, 0)
         assert (d.machine, d.predicted) == ("C2", 3.0)
-        assert d.rationale is Rationale.MIN_PREDICTED
+        assert d.rationale == "min_predicted"
 
     def test_tie_goes_to_smallest_id(self):
         m = completed([[3.0, 3.0]], col_keys=("C1", "C2"))
@@ -34,7 +34,7 @@ class TestGreedyPlace:
         d = greedy_place(m, 1, ranking=["C3", "C1", "C2"])
         assert d.machine == "C3"
         assert d.predicted is None
-        assert d.rationale is Rationale.COLD_ROW_RANKED_FASTEST
+        assert d.rationale == "cold_row_ranked_fastest"
 
     def test_cold_row_without_ranking(self):
         m = completed([[1.0, 2.0], [None, None]])

@@ -693,6 +693,21 @@ class TestRankAndPlace:
         assert decision["machine"] == "C1"  # C1 column is the fast one
         assert decision["predicted_seconds"] is None
 
+    @pytest.mark.parametrize("last,message", [
+        ([None, None], "error: cold row q::a: no predictions and no machine "
+                       "ranking supplied\n"),
+        ([3.0, None], "error: row q::a is only partially predicted; "
+                      "complete the matrix first\n"),
+    ], ids=["cold", "partial"])
+    def test_place_prints_nothing_when_a_row_fails(self, tmp_path, capsys,
+                                                   last, message):
+        # the full row p::a comes first, and no decision of it is printed
+        m = grid([[1.0, 2.0], last], row_keys=[("p", "a"), ("q", "a")])
+        src = tmp_path / "m.csv"
+        write_matrix_csv(m, src)
+        assert main(["place", str(src)]) == 1
+        assert capsys.readouterr() == ("", message)
+
     def test_place_schedule(self, matrix_csv, tmp_path, capsys):
         _, done = self.make_model(tmp_path, matrix_csv)
         capsys.readouterr()

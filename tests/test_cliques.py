@@ -10,10 +10,10 @@ from conftest import grid, planted_rank1, sparse_matrix, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (Algorithm, ColdRowError, NoBasisError, PCMatrix,
-                      RunConfig, build_graph, clique_predict,
-                      cliques, complete_matrix, correlations, evaluation,
-                      find_cliques, group_estimates, leave_one_out)
+from perfcast import (ColdRowError, NoBasisError, PCMatrix, RunConfig,
+                      build_graph, clique_predict, cliques, complete_matrix,
+                      correlations, evaluation, find_cliques,
+                      group_estimates, leave_one_out)
 from perfcast.cliques import clique_block, pair_sums
 
 
@@ -438,8 +438,8 @@ def cliques_alone(m, threshold=0.97, min_overlap=3):
     mechanisms = [None] * rows.size
     for cells in (np.flatnonzero(observed), np.flatnonzero(~observed)):
         columns, _ = evaluation._predict_cells(
-            m, rows[cells], cols[cells], [Algorithm.CLIQUES], cfg)
-        got, why, code, labels = columns[Algorithm.CLIQUES]
+            m, rows[cells], cols[cells], ["cliques"], cfg)
+        got, why, code, labels = columns["cliques"]
         values[cells] = got
         reasons.update(zip(cells[list(why)].tolist(), why.values()))
         for i, k in zip(cells.tolist(), code.tolist()):

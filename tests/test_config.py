@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from perfcast import RunConfig, build_graph
@@ -278,6 +279,46 @@ def test_every_choice_checked_when_built(setting, message):
     # a RunConfig made in code fails as its flag or file value would
     with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(**setting)
+
+
+@pytest.mark.parametrize("setting,message", [
+    # these once failed inside numpy with a bare TypeError, or not at all
+    ({"als_k": 2.5}, "als_k must be of type int, got 2.5"),
+    ({"als_max_iters": 3.5}, "als_max_iters must be of type int, got 3.5"),
+    ({"ridge_min_training_rows": 2.5},
+     "ridge_min_training_rows must be of type int, got 2.5"),
+    ({"clique_min_overlap": 2.5},
+     "clique_min_overlap must be of type int, got 2.5"),
+    ({"svd_k": 1.5}, "svd_k must be of type int, got 1.5"),
+    ({"repeats": 2.0}, "repeats must be of type int, got 2.0"),
+    # a bool is no number, as model_from_json holds it
+    ({"seed": True}, "seed must be of type int, got True"),
+    ({"ridge_lambda": False}, "ridge_lambda must be of type float, got False"),
+    ({"als_tol": "1e-6"}, "als_tol must be of type float, got '1e-6'"),
+    ({"algorithm": 1}, "algorithm must be of type str, got 1"),
+    # a bare name or number is no list of them
+    ({"ensemble": "ridge"},
+     "ensemble must be of type tuple[str, ...], got 'ridge'"),
+    ({"ensemble": ("ridge", 1)},
+     "ensemble must be of type tuple[str, ...], got ('ridge', 1)"),
+    ({"fractions": 0.1},
+     "fractions must be of type tuple[float, ...], got 0.1"),
+    ({"fractions": "10"},
+     "fractions must be of type tuple[float, ...], got '10'"),
+])
+def test_wrong_type_refused_naming_its_key(setting, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(**setting)
+
+
+@pytest.mark.parametrize("setting", [
+    {"als_k": np.int64(2)}, {"seed": np.uint32(3)}, {"repeats": np.int8(2)},
+    {"ridge_lambda": 1}, {"clique_threshold": np.float32(0.5)},
+    {"fractions": [0.1, np.float64(0.2)]}, {"ensemble": ["ridge", "als"]},
+])
+def test_numpy_numbers_and_lists_taken(setting):
+    (key, value), = setting.items()
+    assert getattr(RunConfig(**setting), key) is value
 
 
 @pytest.mark.parametrize("command", ["complete", "evaluate"])

@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 from complete_reference import complete_matrix as reference_complete_matrix
 from loo_reference import ensemble_predict, prediction_error
 
-from perfcast import (Algorithm, CliqueProtocol, RunConfig, cliques,
-                      evaluation, MaskSpec, als_fit, complete_matrix,
-                      factorization, leave_one_out, mask_random,
-                      masking_sweep, outlier_sweep, report_to_json,
-                      ridge_predict, write_reports_csv, write_reports_json)
+from perfcast import (RunConfig, cliques, evaluation, MaskSpec, als_fit,
+                      complete_matrix, factorization, leave_one_out,
+                      mask_random, masking_sweep, outlier_sweep,
+                      report_to_json, ridge_predict, write_reports_csv,
+                      write_reports_json)
+from perfcast.config import parse_algorithms
 from perfcast.ridge import ridge_block
+
+ALGORITHMS = ["ridge", "cliques", "als", "svd", "ensemble"]
+PROTOCOLS = ["in_groups", "in_groups_plus_regression"]
 
 
 def cell_keys(res):
@@ -158,12 +162,12 @@ class TestMaskingSweep:
     def test_bad_svd_rank_raises(self):
         m = proportional_matrix(6, 4, seed=2)
         with pytest.raises(ValueError, match="rank must be in"):
-            masking_sweep(m, [Algorithm.SVD], small_cfg(
+            masking_sweep(m, ["svd"], small_cfg(
                 fractions=(0.3,), repeats=1, seed=1, svd_k=5))
 
     def test_fraction_zero_flagged(self):
         m = proportional_matrix(6, 4, seed=2)
-        (report,) = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
+        (report,) = masking_sweep(m, ["ridge"], small_cfg(
             fractions=(0.0,), repeats=2, seed=1))
         assert report.note == "no held-out cells"
         assert report.results[0].total_error is None
@@ -171,14 +175,14 @@ class TestMaskingSweep:
 
     def test_planted_rank1_als_accurate_at_all_fractions(self):
         m, _, _ = planted_rank1(10, 8, seed=4)
-        reports = masking_sweep(m, [Algorithm.ALS], small_cfg(
+        reports = masking_sweep(m, ["als"], small_cfg(
             fractions=(0.1, 0.3, 0.5), repeats=2, seed=3))
         for report in reports:
             assert report.results[0].total_error < 1e-3
 
     def test_deterministic(self):
         m, _, _ = planted_rank1(8, 6, seed=5)
-        algorithms = [Algorithm.RIDGE, Algorithm.ALS]
+        algorithms = ["ridge", "als"]
 
         def sweep(seed):
             return masking_sweep(m, algorithms, small_cfg(
@@ -196,12 +200,31 @@ class TestMaskingSweep:
         with pytest.raises(ValueError,
                            match="algorithms must be distinct, got ridge, "
                                  "als, ridge"):
-            sweep(m, ["ridge", Algorithm.ALS, "ridge"],
+            sweep(m, ["ridge", "als", "ridge"],
                   small_cfg(fractions=(0.3,), repeats=1))
+
+    @pytest.mark.parametrize("sweep", [masking_sweep, outlier_sweep])
+    @pytest.mark.parametrize("algorithms", [["magic"],
+                                            ["ridge", "svd", "magic"]])
+    def test_algorithm_list_refused_as_the_flag_refuses_it(self, sweep,
+                                                           algorithms):
+        m = proportional_matrix(6, 4, seed=2)
+        with pytest.raises(ValueError) as flag:
+            parse_algorithms(",".join(algorithms))
+        with pytest.raises(ValueError) as got:
+            sweep(m, algorithms, small_cfg(fractions=(0.3,), repeats=1))
+        assert str(got.value) == str(flag.value)
+
+    @pytest.mark.parametrize("sweep", [masking_sweep, outlier_sweep])
+    def test_empty_algorithm_list_refused(self, sweep):
+        # it once gave reports with no results
+        m = proportional_matrix(6, 4, seed=2)
+        with pytest.raises(ValueError, match="^empty algorithm list$"):
+            sweep(m, [], small_cfg(fractions=(0.3,), repeats=1))
 
     def test_algorithms_share_the_mask(self):
         m, _, _ = planted_rank1(8, 6, seed=6)
-        (report,) = masking_sweep(m, [Algorithm.RIDGE, Algorithm.ALS],
+        (report,) = masking_sweep(m, ["ridge", "als"],
                                   small_cfg(fractions=(0.3,), repeats=1,
                                             seed=2))
         cells_of = {res.algorithm: set(cell_keys(res))
@@ -210,7 +233,7 @@ class TestMaskingSweep:
 
     def test_infeasible_fraction_warning_entry(self):
         m = grid([[1, 2], [3, 4]])
-        reports = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
+        reports = masking_sweep(m, ["ridge"], small_cfg(
             fractions=(0.25, 0.75), repeats=1, seed=0))
         assert reports[0].note is None
         assert "infeasible" in reports[1].note
@@ -218,7 +241,7 @@ class TestMaskingSweep:
 
     def test_pooled_mean_over_repeats(self):
         m, _, _ = planted_rank1(8, 6, seed=7)
-        (report,) = masking_sweep(m, [Algorithm.RIDGE], small_cfg(
+        (report,) = masking_sweep(m, ["ridge"], small_cfg(
             fractions=(0.2,), repeats=3, seed=4))
         res = report.results[0]
         assert res.rows.size == 3 * round(0.2 * 48)
@@ -231,13 +254,12 @@ class TestMaskingSweep:
 
     def test_no_cells_at_zero_and_infeasible_fractions(self):
         m, _, _ = planted_rank1(8, 6, seed=7)
-        reports = masking_sweep(m, list(Algorithm), small_cfg(
+        reports = masking_sweep(m, ALGORITHMS, small_cfg(
             fractions=(0, 0.99), repeats=2, seed=4))
         assert reports[0].note == "no held-out cells"
         assert "infeasible" in reports[1].note
         for report in reports:
-            assert [res.algorithm for res in report.results] == [
-                a.value for a in Algorithm]
+            assert [res.algorithm for res in report.results] == ALGORITHMS
             for res in report.results:
                 assert res.rows.size == res.cols.size == 0
                 assert res.rows.dtype == res.cols.dtype == np.intp
@@ -253,7 +275,7 @@ class TestMaskingSweep:
 class TestOutlierSweep:
     def test_zero_fraction_matches_masking_sweep(self):
         m, _, _ = planted_rank1(8, 6, seed=9)
-        algorithms = [Algorithm.RIDGE, Algorithm.ALS]
+        algorithms = ["ridge", "als"]
         cfg = small_cfg(fractions=(0.2, 0.4), repeats=2, seed=5,
                         outlier_fraction=0.0, outlier_lo=0, outlier_hi=4)
         masked = masking_sweep(m, algorithms, cfg)
@@ -267,7 +289,7 @@ class TestOutlierSweep:
     def test_targets_stay_clean(self):
         # corrupt heavily; the recorded targets must equal the original cells
         m, _, _ = planted_rank1(8, 6, seed=10)
-        reports = outlier_sweep(m, [Algorithm.RIDGE], small_cfg(
+        reports = outlier_sweep(m, ["ridge"], small_cfg(
             fractions=(0.25,), repeats=1, seed=7, outlier_fraction=0.5,
             outlier_lo=0, outlier_hi=10))
         res = reports[0].results[0]
@@ -281,7 +303,7 @@ class TestOutlierSweep:
         cfg = small_cfg(fractions=(0.2,), repeats=1, seed=8,
                         outlier_fraction=0.1, outlier_lo=0, outlier_hi=4)
         path = tmp_path / "r.json"
-        write_reports_json(outlier_sweep(m, [Algorithm.RIDGE], cfg), path,
+        write_reports_json(outlier_sweep(m, ["ridge"], cfg), path,
                            asdict(cfg))
         data = json.loads(path.read_text())
         assert [set(r) for r in data["reports"]] == [
@@ -339,19 +361,19 @@ class TestCompleteMatrix:
     NOT_A_FILLER = "'svd' is not one of ridge, cliques, als, ensemble"
 
     @pytest.mark.parametrize("values,algorithm,expected", [
-        (EMPTY_COLUMN, Algorithm.RIDGE,
+        (EMPTY_COLUMN, "ridge",
          "raise:no basis for prediction: column 'C3'"),
-        (EMPTY_COLUMN, Algorithm.CLIQUES,
+        (EMPTY_COLUMN, "cliques",
          "raise:no basis for prediction: column 'C3'"),
-        (EMPTY_COLUMN, Algorithm.ALS, "raise:unfactorable matrix: a column"),
-        (EMPTY_COLUMN, Algorithm.SVD, f"raise:{NOT_A_FILLER}"),
-        (EMPTY_COLUMN, Algorithm.ENSEMBLE,
+        (EMPTY_COLUMN, "als", "raise:unfactorable matrix: a column"),
+        (EMPTY_COLUMN, "svd", f"raise:{NOT_A_FILLER}"),
+        (EMPTY_COLUMN, "ensemble",
          "raise:no ensemble member could predict cell (p0::a, C3)"),
-        (COLD_ROW, Algorithm.RIDGE, "fill:ridge"),
-        (COLD_ROW, Algorithm.CLIQUES, "raise:cold row: p2::a"),
-        (COLD_ROW, Algorithm.ALS, "raise:unfactorable matrix: a row"),
-        (COLD_ROW, Algorithm.SVD, f"raise:{NOT_A_FILLER}"),
-        (COLD_ROW, Algorithm.ENSEMBLE, "fill:ensemble:ridge"),
+        (COLD_ROW, "ridge", "fill:ridge"),
+        (COLD_ROW, "cliques", "raise:cold row: p2::a"),
+        (COLD_ROW, "als", "raise:unfactorable matrix: a row"),
+        (COLD_ROW, "svd", f"raise:{NOT_A_FILLER}"),
+        (COLD_ROW, "ensemble", "fill:ensemble:ridge"),
     ])
     def test_outcome_on_empty_column_and_cold_row(self, values, algorithm,
                                                   expected):
@@ -359,15 +381,15 @@ class TestCompleteMatrix:
         kind, _, detail = expected.partition(":")
         if kind == "raise":
             with pytest.raises(ValueError) as exc:
-                complete_matrix(m, small_cfg(algorithm=algorithm.value))
+                complete_matrix(m, small_cfg(algorithm=algorithm))
             assert str(exc.value).startswith(detail)
         else:
             completed, (_, _, mechanism), _ = complete_matrix(
-                m, small_cfg(algorithm=algorithm.value))
+                m, small_cfg(algorithm=algorithm))
             assert completed.present_mask.all()
             assert set(decoded(mechanism)) == {detail}
 
-    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_ensemble_leaves_out_clique_fallback(self, protocol):
         # C3 is in no clique, so the clique member has no estimate of its
         # own there: the mean is ridge's and als's alone, under either
@@ -375,7 +397,7 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol)
         completed, ((row,), (col,), mechanism), _ = complete_matrix(m, cfg)
         predicted = completed.values[row, col]
         ridge = ridge_predict(m, 3, 2, cfg)
@@ -405,7 +427,7 @@ class TestCompleteMatrix:
                         decoded(mechanism))) == [
             (0.1, "ensemble:ridge+cliques+als")]
 
-    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_ensemble_solves_ridge_once_per_cell(self, monkeypatch,
                                                  protocol):
         # Only the ridge member solves ridge: the clique member, scored
@@ -421,7 +443,7 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        cfg = small_cfg(algorithm="ensemble", protocol=protocol.value)
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol)
         _, (_, _, mechanism), _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
         assert decoded(mechanism) == ["ensemble:ridge+als"]
@@ -489,12 +511,12 @@ class TestEnsembleMembersStandAlone:
     """The ensemble averages only what each member made by its own
     mechanism, so a clique member adds its in-group estimates alone."""
 
-    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_ensemble_column_ignores_what_else_is_scored(self, protocol):
         # the same bytes alone, beside its members, and under in_groups
         m = fallback_matrix()
         cfg = small_cfg(fractions=(0.2, 0.4), repeats=2, seed=3,
-                        protocol=protocol.value)
+                        protocol=protocol)
 
         def ensemble_results(algorithms, cfg):
             return [json.dumps(report_to_json(rep)["results"][-1])
@@ -508,7 +530,7 @@ class TestEnsembleMembersStandAlone:
         # the clique member out there
         (report, _) = masking_sweep(m, ["cliques", "ensemble"], cfg)
         fell_back = (report.results[0].cols == 4).any()
-        assert fell_back == (protocol is not CliqueProtocol.IN_GROUPS)
+        assert fell_back == (protocol != "in_groups")
         ens = report.results[1]
         assert (ens.cols == 4).any()
         assert all("cliques" in excluded for col, (_, excluded) in
@@ -516,14 +538,14 @@ class TestEnsembleMembersStandAlone:
                                                    ens.labels)))
                    if col == 4)
 
-    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_pooled_sweep_codes_match_reference(self, protocol):
         # A sweep pools its repeats' cells in order. Each cell's code
         # decodes to the members that predicted it on its own masking's
         # train, as the per-cell reference completion of that train says.
         m = fallback_matrix()
         cfg = small_cfg(fractions=(0.2, 0.4), repeats=2, seed=3,
-                        protocol=protocol.value, algorithm="ensemble")
+                        protocol=protocol, algorithm="ensemble")
         reports = masking_sweep(m, ["cliques", "ensemble"], cfg)
         for fi, (fraction, report) in enumerate(zip(cfg.fractions,
                                                     reports)):
@@ -544,7 +566,7 @@ class TestEnsembleMembersStandAlone:
                 ens.rows.tolist(), ens.cols.tolist(), got)] == want
             assert any(excluded == ("cliques",) for _, excluded in got)
 
-    @pytest.mark.parametrize("protocol", list(CliqueProtocol))
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_ensemble_only_run_makes_no_clique_fallback_solve(
             self, monkeypatch, protocol):
         # The only ridge solves are the ridge member's: one per masking,
@@ -557,7 +579,7 @@ class TestEnsembleMembersStandAlone:
         monkeypatch.setattr(evaluation, "ridge_block", counting)
         m = fallback_matrix()
         holed = m.with_cell_missing(3, 4)
-        cfg = small_cfg(algorithm="ensemble", protocol=protocol.value,
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol,
                         fractions=(0.3,), repeats=2)
         complete_matrix(holed, cfg)
         leave_one_out(m, cfg)
@@ -573,13 +595,13 @@ class TestEnsembleMembersStandAlone:
         # scored on its own, the clique algorithm falls back to ridge
         # under in_groups_plus_regression
         masking_sweep(m, ["cliques"], cfg)
-        assert (sum(calls) > 0) == (protocol is not CliqueProtocol.IN_GROUPS)
+        assert (sum(calls) > 0) == (protocol != "in_groups")
 
 
 class TestReportFiles:
     def make_reports(self):
         m, _, _ = planted_rank1(7, 5, seed=19)
-        return masking_sweep(m, [Algorithm.RIDGE, Algorithm.ALS], small_cfg(
+        return masking_sweep(m, ["ridge", "als"], small_cfg(
             fractions=(0.2, 0.4), repeats=1, seed=11))
 
     def test_csv_layout(self, tmp_path):
