@@ -77,7 +77,12 @@ def distinct(names, what: str):
 
 def check_algorithms(names) -> tuple[str, ...]:
     """names as a tuple of distinct algorithms, at least one: the rules of
-    --algorithms, which the library sweeps apply to their list too."""
+    --algorithms, which the library sweeps apply to their list too. As
+    with RunConfig's ensemble, a bare string is refused by its type, not
+    read letter by letter."""
+    if not _typed("tuple[str, ...]", names):
+        raise ValueError(f"algorithms must be of type tuple[str, ...], got "
+                         f"{names!r}")
     names = tuple(map(_one_of(_ALGORITHMS), names))
     if not names:
         raise ValueError("empty algorithm list")
@@ -150,11 +155,16 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not _typed(f.type, getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if not _typed(f.type, value):
                 raise ValueError(f"{f.name} must be of type {f.type}, got "
-                                 f"{getattr(self, f.name)!r}")
+                                 f"{value!r}")
+            if isinstance(value, list):
+                # stored as the tuple it is typed as: hashable, and equal
+                # to the same settings given as a tuple
+                object.__setattr__(self, f.name, tuple(value))
             if f.metadata["choices"]:  # checked as its flag and file value
-                f.metadata["parse"](getattr(self, f.name))
+                f.metadata["parse"](value)
         for ok, problem in [
             # ridge's: at 0, rank-deficient cells have no one answer, and
             # at inf, a solve gives NaN

@@ -6,22 +6,27 @@ problem over that row's (column's) observed cells, and one batched solve
 answers all of them, for every K. The kernel runs a stack of fits that
 share one mask: leave-one-out refits many at once, each leaving out its
 own cell, with its own initial scale, RMSE, stop and coverage, as a cold
-fit without that cell would; a plain fit is the stack of one. A refit's
-RMSE comes from sums the column half-step already holds, unless those
-sums cancel down to rounding, and a refit yields only the prediction of
-its left-out cell; the plain fit gathers its residuals and becomes a
-FactorModel. Rank 1 is the default and has a useful side effect:
-positive scalar embeddings put a total performance order on machines.
-ALS reads `als_k`, `als_lambda`, `als_max_iters`, `als_tol` and `seed`
-from the `RunConfig` it is given. A simpler impute-and-decompose SVD,
-with its rank and step cap as arguments, is a baseline that only sweeps
-score.
+fit without that cell would; a plain fit is the stack of one. What every
+fit of a matrix reads (observed cells, zero-filled times and mask, seeded
+initial draws) is made once per matrix, and each refit's row and column
+without its left-out cell once per stack; an iteration runs the two
+half-steps and the RMSEs, and only where fits stop are they copied out
+and the stack cut down. A refit's RMSE comes from sums the column
+half-step already holds, unless those sums cancel down to rounding, and
+a refit yields only the prediction of its left-out cell; the plain fit
+gathers its residuals and becomes a FactorModel. Rank 1 is the default
+and has a useful side effect: positive scalar embeddings put a total
+performance order on machines. ALS reads `als_k`, `als_lambda`,
+`als_max_iters`, `als_tol` and `seed` from the `RunConfig` it is given.
+A simpler impute-and-decompose SVD, with its rank and step cap as
+arguments, is a baseline that only sweeps score.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,16 +102,58 @@ def _sign_normalize(U, V):
             U[:, k] *= -1.0
 
 
-def _half_step(F, M, X0, lam, skipped=None):
+class _Problem(NamedTuple):
+    """What every ALS fit on one matrix reads, made once per matrix: its
+    observed cells in row-major order (flat indices, rows, columns and
+    times), the mask M as 0.0/1.0, the times X0 with 0.0 where unobserved,
+    and the seeded initial column factors (K, cols) before each fit's
+    scale."""
+
+    observed: np.ndarray
+    obs_rows: np.ndarray
+    obs_cols: np.ndarray
+    targets: np.ndarray
+    M: np.ndarray
+    X0: np.ndarray
+    draws: np.ndarray
+
+
+def _problem(m, cfg: RunConfig) -> _Problem:
+    mask = m.present_mask
+    values = m.values
+    # same cells and order as values[mask], far cheaper to gather
+    observed = np.flatnonzero(mask)
+    obs_rows, obs_cols = np.divmod(observed, m.n_cols)
+    rng = np.random.default_rng(cfg.seed)
+    # row draws: the first half-step sets U
+    rng.uniform(0.5, 1.5, (m.n_rows, cfg.als_k))
+    return _Problem(observed, obs_rows, obs_cols, values.ravel()[observed],
+                    mask.astype(np.float64), np.where(mask, values, 0.0),
+                    rng.uniform(0.5, 1.5, (cfg.als_k, m.n_cols)))
+
+
+def _left_out_rows(M, X0, rows, cols):
+    """(rows, M[rows], X0[rows]) with entry (b, cols[b]) of both zeroed:
+    for each fit b, the row that holds the cell (rows[b], cols[b]) it
+    leaves out, without that cell."""
+    fit = np.arange(rows.size)
+    m_rows, x_rows = M[rows], X0[rows]
+    m_rows[fit, cols] = 0.0
+    x_rows[fit, cols] = 0.0
+    return rows, m_rows, x_rows
+
+
+def _half_step(F, M, X0, lam_eye, left=None):
     """Exact regularized least-squares solve for every row of every fit.
 
     F is (fits, K, cols): each fit's factors, held fixed. Row i of fit b
-    minimizes sum_j M[i, j] * (X0[i, j] - u . F[b, :, j])**2 + lam * |u|**2.
-    All K x K Gram matrices, every fit's, come from one matmul against the
-    stacked outer products of F's columns. skipped, when given, is the
-    (rows, cols) pair of index arrays of the cell each fit leaves out: that
-    row's system is rebuilt from M and X0 with the cell zeroed, since
-    subtracting the cell's term from the full sum cancels badly.
+    minimizes sum_j M[i, j] * (X0[i, j] - u . F[b, :, j])**2 + lam * |u|**2,
+    with lam_eye = lam times the K x K identity. All K x K Gram matrices,
+    every fit's, come from one matmul against the stacked outer products
+    of F's columns. left, when given, is _left_out_rows's (rows, M_rows,
+    X0_rows) for the cells the fits leave out: the system of fit b's row
+    rows[b] is rebuilt from M_rows[b] and X0_rows[b], since subtracting
+    the cell's term from the full sum cancels badly.
 
     Returns (x, b), both (fits, rows, K): the solutions and the right-hand
     sides sum_j M[i, j] * X0[i, j] * F[b, :, j] they solve for.
@@ -117,15 +164,13 @@ def _half_step(F, M, X0, lam, skipped=None):
     # reads without a copy; the results are returned as (fits, rows, K).
     A = (M @ FF.reshape(-1, cols).T).reshape(-1, fits, k, k)
     b = (X0 @ F.reshape(-1, cols).T).reshape(-1, fits, k)
-    if skipped is not None:
-        rows, skip = skipped
+    if left is not None:
+        rows, m_rows, x_rows = left
         stack = np.arange(fits)
-        m_row, x_row = M[rows], X0[rows]
-        m_row[stack, skip] = 0.0
-        x_row[stack, skip] = 0.0
-        A[rows, stack] = (m_row[:, None] @ FF.swapaxes(1, 2)).reshape(-1, k, k)
-        b[rows, stack] = (x_row[:, None] @ F.swapaxes(1, 2))[:, 0]
-    A += lam * np.eye(k)
+        A[rows, stack] = (m_rows[:, None]
+                          @ FF.swapaxes(1, 2)).reshape(-1, k, k)
+        b[rows, stack] = (x_rows[:, None] @ F.swapaxes(1, 2))[:, 0]
+    A += lam_eye
     if k == 1:  # the 1 x 1 solve, over A, without a LAPACK call per row
         x = np.divide(b, A[..., 0], out=A[..., 0])
     else:
@@ -133,10 +178,10 @@ def _half_step(F, M, X0, lam, skipped=None):
     return x.swapaxes(0, 1), b.swapaxes(0, 1)
 
 
-def _gathered_sse(U, V, obs_rows, obs_cols, targets, left_out=None):
-    """Each fit's sum of squared residuals over its observed cells, from
-    the gathered predictions: the cells (obs_rows[j], obs_cols[j]) with
-    targets[j], fit b's left-out cell left_out[b] counted as zero.
+def _gathered_sse(U, V, p: _Problem, left_out=None):
+    """Each fit's sum of squared residuals over p's observed cells, from
+    the gathered predictions, fit b's left-out cell left_out[b] (an index
+    into p.observed) counted as zero.
 
     The fits go in chunks of at most _STACK gathered elements: at K = 1
     one product per cell, without forming U @ V, and at K > 1 each fit's
@@ -144,16 +189,15 @@ def _gathered_sse(U, V, obs_rows, obs_cols, targets, left_out=None):
     """
     fits, n, k = U.shape
     cols = V.shape[2]
-    observed = obs_rows * cols + obs_cols
-    step = max(1, _STACK // (observed.size if k == 1 else n * cols))
+    step = max(1, _STACK // (p.observed.size if k == 1 else n * cols))
     sse = np.empty(fits)
     for s in range(0, fits, step):
         if k == 1:
-            r = U[s:s + step, obs_rows, 0] * V[s:s + step, 0, obs_cols]
+            r = U[s:s + step, p.obs_rows, 0] * V[s:s + step, 0, p.obs_cols]
         else:
             r = (U[s:s + step] @ V[s:s + step]).reshape(-1, n * cols)
-            r = r[:, observed]
-        r -= targets
+            r = r[:, p.observed]
+        r -= p.targets
         r *= r
         if left_out is not None:
             r[np.arange(len(r)), left_out[s:s + step]] = 0.0
@@ -161,15 +205,17 @@ def _gathered_sse(U, V, obs_rows, obs_cols, targets, left_out=None):
     return sse
 
 
-def _fit_stack(m, cfg: RunConfig, left_out=None):
-    """Run a stack of ALS fits that share m's mask, each to its own stop.
+def _fit_stack(p: _Problem, cfg: RunConfig, left_out=None):
+    """Run a stack of ALS fits on one matrix, each to its own stop.
 
-    left_out is None for the one fit on every observed cell, or an index
-    array into the row-major observed cells: fit b then leaves out cell
-    left_out[b], as a cold fit on m without it would. Each fit starts from
-    the same seeded draws scaled by its own mean, and its RMSE and tol
-    stop are over its own cells. A fit that stops leaves the stack and the
-    rest go on. Every fit must be factorable.
+    p is _problem(m, cfg) for the matrix m. left_out is None for the one
+    fit on every observed cell, or an index array into p.observed: fit b
+    then leaves out cell left_out[b], as a cold fit on m without it
+    would. Each fit starts from the same seeded draws scaled by its own
+    mean, and its RMSE and tol stop are over its own cells. The rows and
+    columns that hold the left-out cells are built once, without them;
+    on an iteration where fits stop, those fits are copied out and leave
+    the stack, and the rest go on. Every fit must be factorable.
 
     The one fit's RMSE is gathered from its residuals. A refit's comes
     from the column half-step's sums instead: since (A_c + lam I) v_c =
@@ -182,51 +228,41 @@ def _fit_stack(m, cfg: RunConfig, left_out=None):
     K) and (fits, K, cols), its iteration count, and per iteration the
     RMSE of the fits still running, in stack order.
     """
-    mask = m.present_mask
-    values = m.values
-    n, mm = values.shape
+    M, X0, targets = p.M, p.X0, p.targets
+    n, mm = M.shape
     k = cfg.als_k
-
-    # same cells and order as values[mask], far cheaper to gather
-    observed = np.flatnonzero(mask)
-    obs_rows, obs_cols = np.divmod(observed, mm)
-    targets = values.ravel()[observed]
-    X0 = np.where(mask, values, 0.0)
-    M = mask.astype(np.float64)
+    lam_eye = cfg.als_lambda * np.eye(k)
     if left_out is None:
-        fits, skipped, count = 1, None, observed.size
+        fits, by_row, by_col, count = 1, None, None, targets.size
         total = targets.sum(keepdims=True)
     else:
-        fits, count = len(left_out), observed.size - 1
-        skipped = (obs_rows[left_out], obs_cols[left_out])
+        fits, count = len(left_out), targets.size - 1
+        rows, cols = p.obs_rows[left_out], p.obs_cols[left_out]
+        by_row = _left_out_rows(M, X0, rows, cols)
+        by_col = _left_out_rows(M.T, X0.T, cols, rows)
         x_left = targets[left_out]
         total = targets.sum() - x_left
+        # each running fit's sum x**2, cut down with the stack
         sumsq = targets @ targets - x_left * x_left
     scale = np.sqrt(total / count / k)
-
-    rng = np.random.default_rng(cfg.seed)
-    rng.uniform(0.5, 1.5, (n, k))  # row draws: the first half-step sets U
-    V = rng.uniform(0.5, 1.5, (k, mm)) * scale[:, None, None]
+    V = p.draws * scale[:, None, None]
 
     live = np.arange(fits)  # stack position -> fit
     U_out, V_out = np.empty((fits, n, k)), np.empty((fits, k, mm))
     iters = np.empty(fits, dtype=np.intp)
     trail, prev = [], None
     for it in range(1, cfg.als_max_iters + 1):
-        U, _ = _half_step(V, M, X0, cfg.als_lambda, skipped)
-        Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, cfg.als_lambda,
-                           None if skipped is None else skipped[::-1])
+        U, _ = _half_step(V, M, X0, lam_eye, by_row)
+        Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, lam_eye, by_col)
         V = Vt.swapaxes(1, 2)
-        if skipped is None:
-            sse = _gathered_sse(U, V, obs_rows, obs_cols, targets)
+        if left_out is None:
+            sse = _gathered_sse(U, V, p)
         else:
-            fit_sumsq = sumsq[live]
-            sse = (fit_sumsq - np.einsum("fck,fck->f", Vt, b)
+            sse = (sumsq - np.einsum("fck,fck->f", Vt, b)
                    - cfg.als_lambda * np.einsum("fck,fck->f", Vt, Vt))
-            near = np.flatnonzero(sse < _EXACT * fit_sumsq)
+            near = np.flatnonzero(sse < _EXACT * sumsq)
             if near.size:
-                sse[near] = _gathered_sse(U[near], V[near], obs_rows,
-                                          obs_cols, targets,
+                sse[near] = _gathered_sse(U[near], V[near], p,
                                           left_out[live[near]])
         # A rounded difference can dip below zero; sqrt would warn.
         rmse = np.sqrt(np.maximum(sse, 0.0) / count)
@@ -239,14 +275,22 @@ def _fit_stack(m, cfg: RunConfig, left_out=None):
             with np.errstate(divide="ignore", invalid="ignore"):
                 done = ((prev == 0.0)
                         | (np.abs(prev - rmse) / prev < cfg.als_tol))
+        if not done.any():
+            # laid out as V[going] below lays it out, each fit's (cols, K)
+            # block in one piece: the operands the next row half-step
+            # hands BLAS, and so its rounding, are the same on both paths
+            V, prev = np.ascontiguousarray(Vt).swapaxes(1, 2), rmse
+            continue
         stopped = live[done]
         U_out[stopped], V_out[stopped], iters[stopped] = U[done], V[done], it
         if done.all():
             break
         going = ~done
         live, V, prev = live[going], V[going], rmse[going]
-        if skipped is not None:
-            skipped = (skipped[0][going], skipped[1][going])
+        if left_out is not None:
+            by_row = tuple(a[going] for a in by_row)
+            by_col = tuple(a[going] for a in by_col)
+            sumsq = sumsq[going]
     return U_out, V_out, iters, trail
 
 
@@ -261,7 +305,7 @@ def als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
     fit that leaves no cell out.
     """
     _check_factorable(m.present_mask)
-    U, V, _, trail = _fit_stack(m, cfg)
+    U, V, _, trail = _fit_stack(_problem(m, cfg), cfg)
     U, V = U[0], V[0]
     _sign_normalize(U, V)
     config = {"algorithm": "als", "k": cfg.als_k, "lambda": cfg.als_lambda,
@@ -283,7 +327,6 @@ def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
     per-column systems: _STACK // ((rows + cols) * (K**2 + 2K)) fits.
     """
     mask = m.present_mask
-    observed = np.flatnonzero(mask)
     if not mask[rows, cols].all():
         raise ValueError("als_refits leaves out observed cells only")
     row_counts, col_counts = mask.sum(axis=1), mask.sum(axis=0)
@@ -293,7 +336,8 @@ def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
     reasons = {i: UnfactorableError(_EMPTY_ROW if no_row[i] else _EMPTY_COL)
                for i in np.flatnonzero(no_row | no_col).tolist()}
     covered = np.flatnonzero(~(no_row | no_col))
-    left_out = np.searchsorted(observed, rows * m.n_cols + cols)
+    p = _problem(m, cfg)
+    left_out = np.searchsorted(p.observed, rows * m.n_cols + cols)
 
     values = np.full(len(rows), np.nan)
     iters = np.zeros(len(rows), dtype=np.intp)
@@ -301,7 +345,7 @@ def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
     per_stack = max(1, _STACK // ((m.n_rows + m.n_cols) * (k * k + 2 * k)))
     for start in range(0, covered.size, per_stack):
         stack = covered[start:start + per_stack]
-        U, V, iters[stack], _ = _fit_stack(m, cfg, left_out[stack])
+        U, V, iters[stack], _ = _fit_stack(p, cfg, left_out[stack])
         fit = np.arange(stack.size)
         values[stack] = (U[fit, rows[stack]][:, None, :]
                          @ V[fit, :, cols[stack]][:, :, None])[:, 0, 0]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from perfcast import PCMatrix, RunConfig, UnfactorableError, als_fit
 from perfcast import factorization
-from perfcast.factorization import (_fit_stack, _half_step, als_refits,
-                                    predict)
+from perfcast.factorization import (_fit_stack, _half_step, _left_out_rows,
+                                    _problem, als_refits, predict)
 from perfcast.matrix import PREDICTION_FLOOR
 
 ranks = st.integers(1, 4)
@@ -119,8 +119,8 @@ def assert_refits_match_per_cell_fits(mat, cfg, rtol, atol, rounding):
     # _fit_stack numbers them
     covered = np.array([i for i in range(rows.size) if i not in reasons],
                        dtype=np.intp)
-    U, V, stack_iters, _ = (_fit_stack(mat, cfg, covered) if covered.size
-                            else (None, None, None, None))
+    U, V, stack_iters, _ = (_fit_stack(_problem(mat, cfg), cfg, covered)
+                            if covered.size else (None, None, None, None))
     fit = dict(zip(covered.tolist(), range(covered.size)))
     for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
         held = mat.with_cell_missing(r, c)
@@ -169,6 +169,36 @@ def test_refits_near_their_targets_match_per_cell_fits(rank, lam, tol):
                                       rounding=0.0)
 
 
+@pytest.mark.parametrize("rank,tol,seed", [(1, 1e-3, 2), (2, 1e-2, 0)])
+def test_refits_that_stop_apart_match_stacks_of_one(rank, tol, seed):
+    # Noiseless data and a tol stop: the refits of one stack stop at
+    # several iterations, so the stack runs iterations where no fit stops,
+    # where some leave it and where its last fits stop. Each refit against
+    # the stack of the one fit that leaves out the same cell.
+    mat = sparse_matrix((8, 6), 0.8, seed, rank=rank)
+    cfg = RunConfig(als_k=rank, als_lambda=1e-3, als_tol=tol,
+                    als_max_iters=60)
+    rows, cols = np.nonzero(mat.present_mask)
+    values, reasons, iters = als_refits(mat, rows, cols, cfg)
+    assert not reasons
+    problem = _problem(mat, cfg)
+    left_out = np.arange(rows.size)  # one stack, in the refits' order
+    _, _, stack_iters, trail = _fit_stack(problem, cfg, left_out)
+    assert np.array_equal(stack_iters, iters)
+    assert np.unique(iters).size >= 3
+    assert 2 < iters.min() and iters.max() < cfg.als_max_iters
+    # each iteration's RMSEs are those of the fits still running
+    assert [r.size for r in trail] == [
+        np.count_nonzero(iters >= it) for it in range(1, iters.max() + 1)]
+    scale = float(np.nanmean(mat.values))
+    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        U, V, one_iters, _ = _fit_stack(problem, cfg, left_out[i:i + 1])
+        assert one_iters[0] == iters[i]
+        want = max(U[0, r] @ V[0, :, c], PREDICTION_FLOOR)
+        np.testing.assert_allclose(values[i], want, rtol=1e-9,
+                                   atol=1e-9 * scale)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_rmse_from_sums_matches_gathered_rmse(k, monkeypatch):
     # Noisy data keeps every refit's SSE above _EXACT of its sum x**2, so
@@ -183,10 +213,11 @@ def test_rmse_from_sums_matches_gathered_rmse(k, monkeypatch):
     left_out = np.arange(targets.size)
     sumsq = targets @ targets - targets ** 2
     cfg = RunConfig(als_k=k, als_max_iters=30, als_tol=1e-9)
-    _, _, iters, trail = _fit_stack(mat, cfg, left_out)
+    problem = _problem(mat, cfg)
+    _, _, iters, trail = _fit_stack(problem, cfg, left_out)
     exact = factorization._EXACT
     monkeypatch.setattr(factorization, "_EXACT", np.inf)  # gather them all
-    _, _, want_iters, want_trail = _fit_stack(mat, cfg, left_out)
+    _, _, want_iters, want_trail = _fit_stack(problem, cfg, left_out)
     # every fit runs to the cap, so each trail entry holds every fit
     assert (iters == cfg.als_max_iters).all()
     assert (want_iters == cfg.als_max_iters).all()
@@ -211,10 +242,10 @@ def test_half_step_solves_normal_equations(k, lam, shape, density, seed,
     mask = mat.present_mask
     rng = np.random.default_rng(seed)
     V = rng.uniform(0.5, 1.5, (2, k, shape[1]))
-    X0 = np.where(mask, mat.values, 0.0)
+    M, X0 = mask.astype(float), np.where(mask, mat.values, 0.0)
     cells = np.argwhere(mask)[rng.integers(0, mask.sum(), 2)]
-    skipped = (cells[:, 0], cells[:, 1]) if skip else None
-    stack, rhs = _half_step(V, mask.astype(float), X0, lam, skipped)
+    left = _left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
+    stack, rhs = _half_step(V, M, X0, lam * np.eye(k), left)
     eps = np.finfo(float).eps
     for fit, (U, B, F) in enumerate(zip(stack, rhs, V)):
         fit_mask = mask.copy()

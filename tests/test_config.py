@@ -318,7 +318,23 @@ def test_wrong_type_refused_naming_its_key(setting, message):
 ])
 def test_numpy_numbers_and_lists_taken(setting):
     (key, value), = setting.items()
-    assert getattr(RunConfig(**setting), key) is value
+    got = getattr(RunConfig(**setting), key)
+    if isinstance(value, list):  # stored as a tuple of the same items
+        assert type(got) is tuple
+        assert all(g is v for g, v in zip(got, value, strict=True))
+    else:
+        assert got is value
+
+
+@pytest.mark.parametrize("key,value", [("fractions", [0.2, 0.4]),
+                                       ("ensemble", ["ridge", "als"])])
+def test_list_settings_hash_and_compare_as_tuples(key, value):
+    # a list kept as it was made the frozen record unhashable, and unequal
+    # to the same settings given as a tuple
+    from_list = RunConfig(**{key: value})
+    from_tuple = RunConfig(**{key: tuple(value)})
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
 
 
 @pytest.mark.parametrize("command", ["complete", "evaluate"])

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -214,6 +215,16 @@ class TestMaskingSweep:
         with pytest.raises(ValueError) as got:
             sweep(m, algorithms, small_cfg(fractions=(0.3,), repeats=1))
         assert str(got.value) == str(flag.value)
+
+    @pytest.mark.parametrize("sweep", [masking_sweep, outlier_sweep])
+    def test_bare_algorithm_name_refused(self, sweep, monkeypatch):
+        # it was read letter by letter: "'r' is not one of ..."; refused
+        # by its type, as RunConfig refuses a bare ensemble, before any fit
+        m = proportional_matrix(6, 4, seed=2)
+        monkeypatch.setattr(evaluation, "_score", None)  # no fit may start
+        with pytest.raises(ValueError, match=re.escape(
+                "algorithms must be of type tuple[str, ...], got 'ridge'")):
+            sweep(m, "ridge", small_cfg(fractions=(0.3,), repeats=1))
 
     @pytest.mark.parametrize("sweep", [masking_sweep, outlier_sweep])
     def test_empty_algorithm_list_refused(self, sweep):

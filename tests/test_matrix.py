@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import grid, planted_rank1
+from conftest import grid, planted_rank1, sparse_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +202,37 @@ class TestMaskRandom:
         vals[rows, cols] = m.values[rows, cols]
         np.testing.assert_array_equal(vals, m.values)
         assert masked.count_present == m.count_present - k
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.95, 0.97])
+    def test_walk_matches_the_per_cell_loop(self, fraction):
+        # 2,133 cells, so the walk can cross slices of the permutation; at
+        # 0.95 rows and columns run low and 20 picks are re-drawn, and at
+        # 0.97 the walk reaches the end and the mask is infeasible
+        m = sparse_matrix((60, 50), 0.7, 3)
+        present = np.argwhere(m.present_mask)
+        k = math.floor(fraction * len(present) + 0.5)
+        order = np.random.default_rng(5).permutation(len(present))
+        rows, cols = m.present_mask.sum(axis=1), m.present_mask.sum(axis=0)
+        drawn, walked = [], 0
+        for idx in order:
+            if len(drawn) == k:
+                break
+            walked += 1
+            r, c = present[idx]
+            if rows[r] < 2 or cols[c] < 2:
+                continue
+            drawn.append(idx)
+            rows[r] -= 1
+            cols[c] -= 1
+        if len(drawn) < k:
+            with pytest.raises(MaskInfeasibleError,
+                               match=f"only {len(drawn)} can be removed"):
+                mask_random(m, MaskSpec(fraction, 5))
+            return
+        if fraction > 0.5:
+            assert walked > max(k, 1024)
+        _, held = mask_random(m, MaskSpec(fraction, 5))
+        np.testing.assert_array_equal(held, present[drawn])
 
     def test_heldout_values_true(self):
         m = grid([[1, 2], [3, 4]])
