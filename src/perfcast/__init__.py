@@ -7,8 +7,7 @@ ensemble of the three; an evaluation harness scores the predictions and a
 small application layer turns a completed matrix into placement decisions.
 """
 
-from .cliques import (Grouping, build_graph, clique_predict, correlations,
-                      find_cliques, group_estimates)
+from .cliques import Grouping, build_graph, correlations, find_cliques
 from .config import RunConfig, read_config_file
 from .evaluation import (AlgorithmResult, ColdRowError, EvalReport,
                          complete_matrix, leave_one_out, masking_sweep,
@@ -21,7 +20,7 @@ from .matrix import (MaskInfeasibleError, MaskSpec, Observation, PCMatrix,
                      build_matrix, density, inject_outliers, mask_random,
                      read_matrix_csv, read_observations_csv, write_matrix_csv)
 from .placement import PlacementDecision, greedy_place, schedule_batch
-from .ridge import NoBasisError, ridge_predict
+from .ridge import NoBasisError
 
 __version__ = "0.1.0"
 
@@ -29,12 +28,11 @@ __all__ = [
     "AlgorithmResult", "ColdRowError", "EvalReport", "FactorModel", "Grouping",
     "MaskInfeasibleError", "MaskSpec", "NoBasisError", "Observation",
     "PCMatrix", "PlacementDecision", "RunConfig", "UnfactorableError",
-    "als_fit", "build_graph", "build_matrix", "clique_predict",
-    "complete_matrix", "correlations", "density", "find_cliques",
-    "greedy_place", "group_estimates", "inject_outliers", "leave_one_out",
-    "mask_random", "masking_sweep", "model_from_json", "model_to_json",
-    "outlier_sweep", "rank_machines", "read_config_file", "read_matrix_csv",
-    "read_observations_csv", "report_to_json", "ridge_predict",
-    "schedule_batch", "svd_fit", "write_matrix_csv", "write_reports_csv",
-    "write_reports_json",
+    "als_fit", "build_graph", "build_matrix", "complete_matrix",
+    "correlations", "density", "find_cliques", "greedy_place",
+    "inject_outliers", "leave_one_out", "mask_random", "masking_sweep",
+    "model_from_json", "model_to_json", "outlier_sweep", "rank_machines",
+    "read_config_file", "read_matrix_csv", "read_observations_csv",
+    "report_to_json", "schedule_batch", "svd_fit", "write_matrix_csv",
+    "write_reports_csv", "write_reports_json",
 ]

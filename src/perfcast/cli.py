@@ -53,12 +53,16 @@ def arg_type(parse):
     return convert
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, omit=()) -> None:
+    """A flag per RunConfig field not in omit (its file key stays valid)."""
+    parser.set_defaults(**dict.fromkeys(omit))  # as a flag not given
     g = parser.add_argument_group(
         "configuration", "defaults < --config file < explicit flags")
     g.add_argument("--config", metavar="FILE",
                    help="flat key=value config file")
     for f in fields(RunConfig):
+        if f.name in omit:
+            continue
         g.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                        type=arg_type(f.metadata["parse"]),
                        choices=f.metadata["choices"],
@@ -299,14 +303,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sweep", "mask increasing fractions and score predictions"),
         ("outliers", "sweep with corrupted training cells, clean targets"),
     ]:
-        p = sub.add_parser(name, help=help_text)
+        # no abbreviations: --algorithm would be read as --algorithms
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("matrix")
         p.add_argument("--algorithms", type=arg_type(parse_algorithms),
                        default=("ridge", "cliques", "als", "ensemble"),
                        help="comma-separated algorithms to compare")
         p.add_argument("--out-json")
         p.add_argument("--out-csv")
-        _add_config_flags(p)
+        _add_config_flags(p, omit=("algorithm",))
         p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rank",

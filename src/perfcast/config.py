@@ -9,7 +9,8 @@ the config-file keys and every echo of the settings come from these fields.
 the ridge and ALS kernels take: each reads the fields it needs by their
 flag names. Every setting's type and range are checked when a `RunConfig`
 is made, and the message names its key, so a bad value fails before any
-input is read. `check_algorithms` holds a sweep's list to the same rules.
+input is read. A list of names, `ensemble` or a sweep's algorithms, keeps
+one rule (`_name_list`): known names, at least one, none twice.
 
 Fraction-valued settings (`fractions`, `outlier_fraction`) are given as
 PERCENTAGES in files and flags (e.g. ``fractions = 5,10,20``) and stored
@@ -47,10 +48,8 @@ def parse_percent(text: str) -> float:
 
 
 def parse_name_list(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not names:
-        raise ValueError("empty name list")
-    return names
+    """"ridge, als" -> ("ridge", "als"), for a name list's check."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 _ALGORITHMS = ("ridge", "cliques", "als", "svd", "ensemble")
@@ -68,36 +67,32 @@ def _one_of(names: tuple[str, ...]):
     return choice
 
 
-def distinct(names, what: str):
-    """names, which must hold no name twice: one would count twice."""
-    if len(set(names)) < len(names):
-        raise ValueError(f"{what} must be distinct, got {', '.join(names)}")
-    return names
+def _name_list(known: tuple[str, ...], what: str):
+    """The check of a list of names from known: at least one, none twice
+    (it would count twice), and no bare string (read letter by letter)."""
+    def check(names) -> tuple[str, ...]:
+        if not _typed("tuple[str, ...]", names):
+            raise ValueError(f"{what}s must be of type tuple[str, ...], "
+                             f"got {names!r}")
+        names = tuple(map(_one_of(known), names))
+        if not names:
+            raise ValueError(f"empty {what} list")
+        if len(set(names)) < len(names):
+            raise ValueError(f"{what}s must be distinct, got "
+                             f"{', '.join(names)}")
+        return names
+    return check
 
 
-def check_algorithms(names) -> tuple[str, ...]:
-    """names as a tuple of distinct algorithms, at least one: the rules of
-    --algorithms, which the library sweeps apply to their list too. As
-    with RunConfig's ensemble, a bare string is refused by its type, not
-    read letter by letter."""
-    if not _typed("tuple[str, ...]", names):
-        raise ValueError(f"algorithms must be of type tuple[str, ...], got "
-                         f"{names!r}")
-    names = tuple(map(_one_of(_ALGORITHMS), names))
-    if not names:
-        raise ValueError("empty algorithm list")
-    return distinct(names, "algorithms")
+# the rules of --algorithms, which the library sweeps apply to their list
+# too, and of --ensemble, which RunConfig applies to its ensemble
+check_algorithms = _name_list(_ALGORITHMS, "algorithm")
+_check_ensemble = _name_list(_MEMBERS, "ensemble member")
 
 
 def parse_algorithms(text: str) -> tuple[str, ...]:
     """"ridge,ensemble" -> ("ridge", "ensemble"): distinct algorithms."""
     return check_algorithms(parse_name_list(text))
-
-
-def parse_ensemble(text: str) -> tuple[str, ...]:
-    """"ridge,als" -> ("ridge", "als"); each must be ridge, cliques or
-    als."""
-    return tuple(map(_one_of(_MEMBERS), parse_name_list(text)))
 
 
 def _typed(kind: str, value) -> bool:
@@ -113,11 +108,14 @@ def _typed(kind: str, value) -> bool:
                        else numbers.Real) and not isinstance(value, bool))
 
 
-def _tunable(default, parse=None, choices=None, help=None):
+def _tunable(default, parse=None, choices=None, help=None, check=None):
     """A RunConfig field: its default, the parser of its flag and file value
-    (by default: one of `choices`), and its flag help."""
+    (by default: one of `choices`), its flag help, and the check of a value
+    made in code (by default, that of a choice)."""
+    check = check or (choices and _one_of(choices))
     return field(default=default, metadata={
-        "parse": parse or _one_of(choices), "choices": choices, "help": help})
+        "parse": parse or check, "choices": choices, "help": help,
+        "check": check})
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,9 @@ class RunConfig:
     als_tol: float = _tunable(1e-6, float)
     svd_k: int = _tunable(1, int)
     ensemble: tuple[str, ...] = _tunable(
-        ("ridge", "cliques", "als"), parse_ensemble,
-        help="comma-separated ensemble members")
+        ("ridge", "cliques", "als"),
+        lambda text: _check_ensemble(parse_name_list(text)),
+        help="comma-separated ensemble members", check=_check_ensemble)
     seed: int = _tunable(0, int)
     repeats: int = _tunable(5, int)
     fractions: tuple[float, ...] = _tunable(
@@ -163,8 +162,8 @@ class RunConfig:
                 # stored as the tuple it is typed as: hashable, and equal
                 # to the same settings given as a tuple
                 object.__setattr__(self, f.name, tuple(value))
-            if f.metadata["choices"]:  # checked as its flag and file value
-                f.metadata["parse"](value)
+            if f.metadata["check"]:  # checked as its flag and file value
+                f.metadata["check"](value)
         for ok, problem in [
             # ridge's: at 0, rank-deficient cells have no one answer, and
             # at inf, a solve gives NaN
@@ -196,14 +195,10 @@ class RunConfig:
             (0 <= self.outlier_lo < self.outlier_hi < float("inf"),
              f"outlier interval must be finite with 0 <= outlier_lo < "
              f"outlier_hi, got [{self.outlier_lo}, {self.outlier_hi}]"),
-            (bool(self.ensemble) and all(a in _MEMBERS for a in self.ensemble),
-             f"ensemble members must be some of {', '.join(_MEMBERS)}, got "
-             f"{', '.join(self.ensemble) or 'none'}"),
             (self.threads >= 1, f"threads must be >= 1, got {self.threads}"),
         ]:
             if not ok:
                 raise ValueError(problem)
-        distinct(self.ensemble, "ensemble members")
 
 
 def read_config_file(path) -> dict:

@@ -559,12 +559,40 @@ def test_long_json_files_are_the_stdlib_rendering(tmp_path, monkeypatch):
     (["--algorithms", "ridge,ridge"], "algorithms must be distinct"),
     (["--protocol", "regression"], "'regression' is not one of"),
     (["--fractions", "200"], "percentage out of range"),
+    # the rule of --algorithms: a member would count twice in the mean
+    (["--ensemble", "cliques,cliques,als"],
+     "ensemble members must be distinct, got cliques, cliques, als"),
 ])
 def test_usage_error_keeps_the_reason(matrix_csv, capsys, flags, reason):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", str(matrix_csv), *flags])
     assert exc.value.code == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "outliers"])
+def test_sweeps_take_no_algorithm_flag(matrix_csv, capsys, command):
+    # --algorithms names what a sweep scores; --algorithm, or an
+    # abbreviation of --algorithms, is refused before any work
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(matrix_csv), "--algorithm", "ridge",
+              "--algorithms", "als"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --algorithm ridge"
+            in capsys.readouterr().err)
+
+
+def test_sweep_accepts_algorithm_in_a_config_file(matrix_csv, tmp_path):
+    # one file may serve complete, evaluate and the sweeps alike
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algorithm = ridge\n")
+    out = tmp_path / "r.json"
+    assert main(["sweep", str(matrix_csv), "--config", str(cfg),
+                 "--algorithms", "als", "--fractions", "20", "--repeats",
+                 "1", "--out-json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert "algorithm" not in data["run_config"]
+    assert [r["algorithm"] for r in data["reports"][0]["results"]] == ["als"]
 
 
 # svd is a baseline of the sweeps only: complete and evaluate refuse it,

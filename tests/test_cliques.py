@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcast import (ColdRowError, NoBasisError, PCMatrix, RunConfig,
-                      build_graph, clique_predict, cliques, complete_matrix,
-                      correlations, evaluation, find_cliques,
-                      group_estimates, leave_one_out)
-from perfcast.cliques import clique_block, pair_sums
+                      build_graph, cliques, complete_matrix, correlations,
+                      evaluation, find_cliques, leave_one_out)
+from perfcast.cliques import (clique_block, clique_predict, group_estimates,
+                              pair_sums)
 
 
 def pearson_oracle(x, y):
@@ -356,7 +356,7 @@ class TestCliquePrediction:
                      ("C1", "C2", "C3"), vals)
         grouping = find_cliques(build_graph(m))
         assert mates(grouping, 2) == []
-        from perfcast import ridge_predict
+        from perfcast.ridge import ridge_predict
         expected = ridge_predict(m, 5, 2, RunConfig())
         cfg = RunConfig(algorithm="cliques")
         completed, (rows, cols, (codes, names)), _ = complete_matrix(m, cfg)

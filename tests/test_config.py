@@ -195,8 +195,9 @@ BAD_SETTINGS = [
     ("complete", ["--als-max-iters", "0"],
      "als_max_iters must be >= 1, got 0"),
     ("sweep", ["--seed", "-1"], "seed must be nonnegative, got -1"),
-    ("complete", ["--ensemble", "cliques,cliques,als"],
-     "ensemble members must be distinct, got cliques, cliques, als"),
+    # a repeated --ensemble member is a usage error (test_cli.py)
+    ("complete", ["--als-tol", "-1"],
+     "als_tol must be positive and finite, got -1.0"),
     ("evaluate", ["--ridge-lambda", "0"],
      "ridge_lambda must be positive and finite, got 0.0"),
     ("evaluate", ["--clique-min-overlap", "1"],
@@ -367,7 +368,9 @@ def test_repeated_algorithm_rejected(text):
 
 
 def test_ensemble_cannot_nest():
-    with pytest.raises(ValueError, match="ensemble members"):
+    # the message of --ensemble ridge,ensemble
+    with pytest.raises(ValueError, match="^'ensemble' is not one of ridge, "
+                       "cliques, als$"):
         RunConfig(ensemble=("ridge", "ensemble"))
 
 
@@ -378,7 +381,7 @@ def test_ensemble_members_are_distinct():
 
 
 def test_empty_ensemble_rejected():
-    with pytest.raises(ValueError, match="ensemble members"):
+    with pytest.raises(ValueError, match="^empty ensemble member list$"):
         RunConfig(ensemble=())
 
 

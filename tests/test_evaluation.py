@@ -18,10 +18,9 @@ from loo_reference import ensemble_predict, prediction_error
 from perfcast import (RunConfig, cliques, evaluation, MaskSpec, als_fit,
                       complete_matrix, factorization, leave_one_out,
                       mask_random, masking_sweep, outlier_sweep,
-                      report_to_json, ridge_predict, write_reports_csv,
-                      write_reports_json)
+                      report_to_json, write_reports_csv, write_reports_json)
 from perfcast.config import parse_algorithms
-from perfcast.ridge import ridge_block
+from perfcast.ridge import ridge_block, ridge_predict
 
 ALGORITHMS = ["ridge", "cliques", "als", "svd", "ensemble"]
 PROTOCOLS = ["in_groups", "in_groups_plus_regression"]

@@ -9,9 +9,8 @@ from conftest import grid, sparse_matrix, sparse_matrices
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfcast import (NoBasisError, PCMatrix, RunConfig, ridge,
-                      ridge_predict)
-from perfcast.ridge import ridge_block
+from perfcast import NoBasisError, PCMatrix, RunConfig, ridge
+from perfcast.ridge import ridge_block, ridge_predict
 
 
 def linear_two_columns():
