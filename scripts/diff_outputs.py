@@ -38,8 +38,10 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
-# cliques fill log, an `in_groups` report or an outlier sweep, or refuses
-# a setting (whose stderr and exit status are compared).
+# cliques fill log, an `in_groups` report, an outlier sweep or a
+# leave-one-out ALS report at the default iteration budget, or refuses a
+# setting or an abbreviated flag (whose stderr and exit status are
+# compared).
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
       "--out-json", "loo.json", "--out-csv", "loo.csv"], None],
@@ -64,6 +66,11 @@ EXTRA = {"complete-place": [
     [["sweep", INPUT_CSV, "--algorithms", "cliques,ensemble", "--protocol",
       "in_groups", "--fractions", "10,30", "--repeats", "2",
       "--out-json", "sweep.json", "--out-csv", "sweep.csv"], None],
+], "loo-als1": [
+    [["evaluate", INPUT_CSV, "--algorithm", "als",
+      "--out-json", "defaults.json", "--out-csv", "defaults.csv"], None],
+    # --model is place's flag, not an abbreviation of --model-out
+    [["complete", INPUT_CSV, "--out", "c.csv", "--model", "m.json"], None],
 ]}
 
 # Run in a subprocess with the tree's src/ first on sys.path; reads

@@ -272,17 +272,21 @@ def cmd_place(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="perfcast",
+        prog="perfcast", allow_abbrev=False,
         description="Predict program execution times on machines they never "
                     "ran on, by completing a sparse timing matrix.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: on `complete` --model would be read as
+    # --model-out, on `sweep` --algorithm as --algorithms.
+    add_parser = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser,
+        allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="observations CSV -> matrix CSV")
+    p = add_parser("ingest", help="observations CSV -> matrix CSV")
     p.add_argument("csv", help="CSV with header program,args,machine,seconds")
     p.add_argument("--out", required=True, help="matrix CSV to write")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("complete", help="fill every missing matrix cell")
+    p = add_parser("complete", help="fill every missing matrix cell")
     p.add_argument("matrix", help="matrix CSV")
     p.add_argument("--out", required=True, help="completed matrix CSV")
     p.add_argument("--fills-out", help="JSON log of per-cell fills")
@@ -291,8 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_complete)
 
-    p = sub.add_parser("evaluate",
-                       help="leave-one-out evaluation of one algorithm")
+    p = add_parser("evaluate",
+                   help="leave-one-out evaluation of one algorithm")
     p.add_argument("matrix")
     p.add_argument("--out-json")
     p.add_argument("--out-csv")
@@ -303,8 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sweep", "mask increasing fractions and score predictions"),
         ("outliers", "sweep with corrupted training cells, clean targets"),
     ]:
-        # no abbreviations: --algorithm would be read as --algorithms
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p = add_parser(name, help=help_text)
         p.add_argument("matrix")
         p.add_argument("--algorithms", type=arg_type(parse_algorithms),
                        default=("ridge", "cliques", "als", "ensemble"),
@@ -314,13 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p, omit=("algorithm",))
         p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rank",
-                       help="order machines fastest-first from a K=1 model")
+    p = add_parser("rank",
+                   help="order machines fastest-first from a K=1 model")
     p.add_argument("model", help="factor model JSON")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("place",
-                       help="choose machines for programs (JSON lines)")
+    p = add_parser("place",
+                   help="choose machines for programs (JSON lines)")
     p.add_argument("completed", help="completed matrix CSV")
     p.add_argument("--rows", help="comma-separated program" + ROW_KEY_SEP +
                                   "args keys (default: all rows)")

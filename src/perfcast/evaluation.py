@@ -87,7 +87,8 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (values, reasons, fit).
 
-    With refit, ALS is fit once per cell without that cell. fit is the
+    With refit, ALS is fit once per cell without that cell, each refit
+    started from the full matrix's fit (als_refits). fit is the
     FactorModel of the shared als/svd fit, each cell's iteration count for
     ALS refits (0 where uncovered), else None; a shared fit that raises
     UnfactorableError leaves every cell uncovered and is that error.

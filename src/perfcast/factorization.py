@@ -1,23 +1,26 @@
 """Low-rank completion: rank-K embeddings whose inner product is a time.
 
 Alternating least squares is the workhorse: holding one side fixed, each
-program (then each machine) factor is the exact solution of a small ridge
-problem over that row's (column's) observed cells, and one batched solve
-answers all of them, for every K. The kernel runs a stack of fits that
-share one mask: leave-one-out refits many at once, each leaving out its
-own cell, with its own initial scale, RMSE, stop and coverage, as a cold
-fit without that cell would; a plain fit is the stack of one. What every
-fit of a matrix reads (observed cells, zero-filled times and mask, seeded
-initial draws) is made once per matrix, and each refit's row and column
-without its left-out cell once per stack; an iteration runs the two
-half-steps and the RMSEs, and only where fits stop are they copied out
-and the stack cut down. A refit's RMSE comes from sums the column
-half-step already holds, unless those sums cancel down to rounding, and
-a refit yields only the prediction of its left-out cell; the plain fit
-gathers its residuals and becomes a FactorModel. Rank 1 is the default
-and has a useful side effect: positive scalar embeddings put a total
-performance order on machines. ALS reads `als_k`, `als_lambda`,
-`als_max_iters`, `als_tol` and `seed` from the `RunConfig` it is given.
+program (then each machine) factor is the exact solution of a small
+ridge problem over that row's (column's) observed cells, and one batched
+solve answers all of them, for every K. The kernel runs a stack of fits
+that share one mask: a plain fit is the stack of one, from seeded draws.
+Leave-one-out fits the full matrix once that way, then refits every cell
+without it, each refit started from the full fit's column factors (one
+cell away from its own answer) and run to its own RMSE, stop and
+coverage. The refits are one queue through a stack of slots: what every
+fit of a matrix reads (observed cells, zero-filled times and mask,
+seeded initial draws) is made once per matrix, and a refit's row and
+column without its left-out cell once, when it takes a slot; an
+iteration runs the two half-steps and the RMSEs, and where fits stop
+they are handed out and the next fits of the queue take their slots. A
+refit's RMSE comes from sums the column half-step already holds, unless
+those sums cancel down to rounding, and a refit yields only the
+prediction of its left-out cell; the plain fit gathers its residuals and
+becomes a FactorModel. Rank 1 is the default and has a useful side
+effect: positive scalar embeddings put a total performance order on
+machines. ALS reads `als_k`, `als_lambda`, `als_max_iters`, `als_tol`
+and `seed` from the `RunConfig` it is given.
 A simpler impute-and-decompose SVD, with its rank and step cap as
 arguments, is a baseline that only sweeps score.
 """
@@ -35,7 +38,7 @@ from .matrix import PREDICTION_FLOOR
 
 # elements per ALS stack: bounds its stacked per-row and per-column
 # systems, and each chunk of gathered residuals
-_STACK = 2 ** 15
+_STACK = 2 ** 16
 # below this share of its sum of squared targets, a refit's SSE from sums
 # is recomputed from its gathered residuals (see _fit_stack)
 _EXACT = 1e-5
@@ -106,7 +109,7 @@ class _Problem(NamedTuple):
     """What every ALS fit on one matrix reads, made once per matrix: its
     observed cells in row-major order (flat indices, rows, columns and
     times), the mask M as 0.0/1.0, the times X0 with 0.0 where unobserved,
-    and the seeded initial column factors (K, cols) before each fit's
+    and the seeded initial column factors (K, cols) before the full fit's
     scale."""
 
     observed: np.ndarray
@@ -205,17 +208,19 @@ def _gathered_sse(U, V, p: _Problem, left_out=None):
     return sse
 
 
-def _fit_stack(p: _Problem, cfg: RunConfig, left_out=None):
-    """Run a stack of ALS fits on one matrix, each to its own stop.
+def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
+    """Run ALS fits on one matrix, each to its own stop, from the column
+    factors start (K, cols); a generator.
 
     p is _problem(m, cfg) for the matrix m. left_out is None for the one
-    fit on every observed cell, or an index array into p.observed: fit b
-    then leaves out cell left_out[b], as a cold fit on m without it
-    would. Each fit starts from the same seeded draws scaled by its own
-    mean, and its RMSE and tol stop are over its own cells. The rows and
-    columns that hold the left-out cells are built once, without them;
-    on an iteration where fits stop, those fits are copied out and leave
-    the stack, and the rest go on. Every fit must be factorable.
+    fit on every observed cell, or an index array into p.observed, a
+    queue of refits: fit b leaves out cell left_out[b], and its RMSE and
+    tol stop are over its own cells. The queue runs in a stack of
+    _STACK // ((rows + cols) * (K**2 + 2K)) slots of per-row and
+    per-column systems. When fits stop, the next fits of the queue take
+    their slots, and only their rows and columns that hold the left-out
+    cells, without them, are built; the stack shrinks once the queue is
+    empty. Every fit must be factorable.
 
     The one fit's RMSE is gathered from its residuals. A refit's comes
     from the column half-step's sums instead: since (A_c + lam I) v_c =
@@ -224,34 +229,39 @@ def _fit_stack(p: _Problem, cfg: RunConfig, left_out=None):
     closes in on its targets, so a refit whose SSE falls below _EXACT of
     its sum x**2 is gathered too.
 
-    Returns (U, V, iters, trail): each fit's final factors, (fits, rows,
-    K) and (fits, K, cols), its iteration count, and per iteration the
-    RMSE of the fits still running, in stack order.
+    Yields, per iteration, (rmse, fits, iters, U, V): the RMSE of each
+    fit in the stack, in stack order, then the fits that stopped (their
+    indices into left_out, [0] for the one fit), their iteration counts
+    and final factors, (stopped, rows, K) and (stopped, K, cols).
     """
     M, X0, targets = p.M, p.X0, p.targets
     n, mm = M.shape
     k = cfg.als_k
     lam_eye = cfg.als_lambda * np.eye(k)
     if left_out is None:
-        fits, by_row, by_col, count = 1, None, None, targets.size
-        total = targets.sum(keepdims=True)
+        queue = slots = 1
+        by_row = by_col = None
+        count = targets.size
     else:
-        fits, count = len(left_out), targets.size - 1
-        rows, cols = p.obs_rows[left_out], p.obs_cols[left_out]
-        by_row = _left_out_rows(M, X0, rows, cols)
-        by_col = _left_out_rows(M.T, X0.T, cols, rows)
-        x_left = targets[left_out]
-        total = targets.sum() - x_left
-        # each running fit's sum x**2, cut down with the stack
-        sumsq = targets @ targets - x_left * x_left
-    scale = np.sqrt(total / count / k)
-    V = p.draws * scale[:, None, None]
+        queue, count = len(left_out), targets.size - 1
+        slots = min(queue, max(1, _STACK // ((n + mm) * (k * k + 2 * k))))
+        total_sq = targets @ targets
 
-    live = np.arange(fits)  # stack position -> fit
-    U_out, V_out = np.empty((fits, n, k)), np.empty((fits, k, mm))
-    iters = np.empty(fits, dtype=np.intp)
-    trail, prev = [], None
-    for it in range(1, cfg.als_max_iters + 1):
+        def load(fits):
+            """The left-out rows and columns and sum x**2 of fits."""
+            cells = left_out[fits]
+            rows, cols = p.obs_rows[cells], p.obs_cols[cells]
+            x = targets[cells]
+            return (_left_out_rows(M, X0, rows, cols),
+                    _left_out_rows(M.T, X0.T, cols, rows), total_sq - x * x)
+
+        by_row, by_col, sumsq = load(np.arange(slots))
+    live = np.arange(slots)  # stack slot -> fit
+    age = np.zeros(slots, dtype=np.intp)
+    prev = np.full(slots, np.nan)  # no RMSE yet: no stop
+    V = np.repeat(start[None], slots, axis=0)
+    loaded = slots
+    while live.size:
         U, _ = _half_step(V, M, X0, lam_eye, by_row)
         Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, lam_eye, by_col)
         V = Vt.swapaxes(1, 2)
@@ -266,32 +276,50 @@ def _fit_stack(p: _Problem, cfg: RunConfig, left_out=None):
                                           left_out[live[near]])
         # A rounded difference can dip below zero; sqrt would warn.
         rmse = np.sqrt(np.maximum(sse, 0.0) / count)
-        trail.append(rmse)
-        if it == cfg.als_max_iters:
-            done = np.ones(len(live), dtype=bool)
-        elif prev is None:
-            done = np.zeros(len(live), dtype=bool)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                done = ((prev == 0.0)
-                        | (np.abs(prev - rmse) / prev < cfg.als_tol))
+        age += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            done = ((age == cfg.als_max_iters) | (prev == 0.0)
+                    | (np.abs(prev - rmse) / prev < cfg.als_tol))
+        # each fit's (cols, K) block in one piece, as the refill and the
+        # cut below keep it: the operands the next row half-step hands
+        # BLAS, and so its rounding, do not depend on where fits stopped
+        Vc = np.ascontiguousarray(Vt)
+        yield rmse, live[done], age[done], U[done], V[done]
         if not done.any():
-            # laid out as V[going] below lays it out, each fit's (cols, K)
-            # block in one piece: the operands the next row half-step
-            # hands BLAS, and so its rounding, are the same on both paths
-            V, prev = np.ascontiguousarray(Vt).swapaxes(1, 2), rmse
+            V, prev = Vc.swapaxes(1, 2), rmse
             continue
-        stopped = live[done]
-        U_out[stopped], V_out[stopped], iters[stopped] = U[done], V[done], it
-        if done.all():
-            break
-        going = ~done
-        live, V, prev = live[going], V[going], rmse[going]
-        if left_out is not None:
-            by_row = tuple(a[going] for a in by_row)
-            by_col = tuple(a[going] for a in by_col)
-            sumsq = sumsq[going]
-    return U_out, V_out, iters, trail
+        if left_out is None:  # the one fit stopped
+            return
+        free = np.flatnonzero(done)
+        fill, prev = free[:queue - loaded], rmse.copy()
+        if fill.size:
+            fits = np.arange(loaded, loaded + fill.size)
+            loaded += fill.size
+            live[fill], age[fill], prev[fill] = fits, 0, np.nan
+            Vc[fill] = start.T
+            new_rows, new_cols, sumsq[fill] = load(fits)
+            for held, new in zip(by_row + by_col, new_rows + new_cols):
+                held[fill] = new
+        if fill.size < free.size:  # the queue is empty
+            keep = ~done
+            keep[fill] = True
+            live, age, prev, Vc = live[keep], age[keep], prev[keep], Vc[keep]
+            by_row = tuple(a[keep] for a in by_row)
+            by_col = tuple(a[keep] for a in by_col)
+            sumsq = sumsq[keep]
+        V = Vc.swapaxes(1, 2)
+
+
+def _full_fit(p: _Problem, cfg: RunConfig):
+    """The one fit on every observed cell, from the seeded draws scaled so
+    that initial predictions land near the mean observed time: its row
+    factors (rows, K), column factors (K, cols) and RMSE per iteration."""
+    t = p.targets
+    trail = []
+    for rmse, _, _, U, V in _fit_stack(
+            p, cfg, p.draws * np.sqrt(t.sum() / t.size / cfg.als_k)):
+        trail.append(rmse.item())
+    return U[0], V[0], trail
 
 
 def als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
@@ -305,26 +333,27 @@ def als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
     fit that leaves no cell out.
     """
     _check_factorable(m.present_mask)
-    U, V, _, trail = _fit_stack(_problem(m, cfg), cfg)
-    U, V = U[0], V[0]
+    U, V, trail = _full_fit(_problem(m, cfg), cfg)
     _sign_normalize(U, V)
     config = {"algorithm": "als", "k": cfg.als_k, "lambda": cfg.als_lambda,
               "max_iters": cfg.als_max_iters, "tol": cfg.als_tol,
               "seed": cfg.seed}
     return FactorModel(cfg.als_k, m.row_keys, m.col_keys, U, V,
-                       tuple(rmse.item() for rmse in trail), config)
+                       tuple(trail), config)
 
 
 def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
-    """Predict each observed cell (rows[i], cols[i]) from its own fit, as
-    predict(als_fit(m.with_cell_missing(rows[i], cols[i]), cfg), rows[i],
-    cols[i]) would; returns (values, reasons, iters): values[i] the
-    floored prediction, NaN where the fit raises, reasons mapping each
-    such i to its UnfactorableError, and iters[i] the fit's iteration
-    count, 0 where the fit raises.
+    """Predict each observed cell (rows[i], cols[i]) from its own fit on
+    m without that cell, started from the column factors of als_fit(m,
+    cfg); returns (values, reasons, iters): values[i] the floored
+    prediction, NaN where the fit raises, reasons mapping each such i to
+    its UnfactorableError, and iters[i] the fit's iteration count, 0
+    where the fit raises.
 
-    The fits run in stacks of about _STACK elements of their per-row and
-    per-column systems: _STACK // ((rows + cols) * (K**2 + 2K)) fits.
+    The full matrix is fit once, as als_fit fits it; every refit then
+    starts from its column factors, one cell away from the refit's own
+    answer, and runs to its own stop. The refits are one queue through
+    _fit_stack's stack of slots.
     """
     mask = m.present_mask
     if not mask[rows, cols].all():
@@ -336,19 +365,18 @@ def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
     reasons = {i: UnfactorableError(_EMPTY_ROW if no_row[i] else _EMPTY_COL)
                for i in np.flatnonzero(no_row | no_col).tolist()}
     covered = np.flatnonzero(~(no_row | no_col))
-    p = _problem(m, cfg)
-    left_out = np.searchsorted(p.observed, rows * m.n_cols + cols)
-
     values = np.full(len(rows), np.nan)
     iters = np.zeros(len(rows), dtype=np.intp)
-    k = cfg.als_k
-    per_stack = max(1, _STACK // ((m.n_rows + m.n_cols) * (k * k + 2 * k)))
-    for start in range(0, covered.size, per_stack):
-        stack = covered[start:start + per_stack]
-        U, V, iters[stack], _ = _fit_stack(p, cfg, left_out[stack])
-        fit = np.arange(stack.size)
-        values[stack] = (U[fit, rows[stack]][:, None, :]
-                         @ V[fit, :, cols[stack]][:, :, None])[:, 0, 0]
+    if covered.size:  # then m has no empty row or column
+        p = _problem(m, cfg)
+        _, start, _ = _full_fit(p, cfg)
+        left_out = np.searchsorted(p.observed, rows[covered] * m.n_cols
+                                   + cols[covered])
+        for _, fits, n_iters, U, V in _fit_stack(p, cfg, start, left_out):
+            cells, fit = covered[fits], np.arange(fits.size)
+            iters[cells] = n_iters
+            values[cells] = (U[fit, rows[cells]][:, None, :]
+                             @ V[fit, :, cols[cells]][:, :, None])[:, 0, 0]
     return np.maximum(values, PREDICTION_FLOOR), reasons, iters
 
 

@@ -3,7 +3,9 @@
 This is the original implementation of ``perfcast.factorization.als_fit``,
 kept as the oracle that the batched kernel is tested against. Its branches
 for lambda 0 (a least-squares solve, a zero denominator) are gone, since
-``RunConfig`` refuses an ``als_lambda`` that is not positive.
+``RunConfig`` refuses an ``als_lambda`` that is not positive. Given start
+column factors, it is also the oracle of a leave-one-out refit, which
+starts from the full matrix's fit.
 """
 
 import numpy as np
@@ -13,13 +15,15 @@ from perfcast.factorization import (FactorModel, _check_factorable,
                                     _sign_normalize)
 
 
-def reference_als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
+def reference_als_fit(m, cfg: RunConfig = RunConfig(),
+                      start=None) -> FactorModel:
     """Factor the observed cells of the matrix into rank-K embeddings.
 
     Alternates exact regularized solves (rows, then columns) until the
     relative change in training RMSE drops below tol or max_iters is hit.
     Initialization is seeded uniform noise in (0.5, 1.5) scaled so initial
-    predictions land near the mean observed time.
+    predictions land near the mean observed time, or the column factors
+    start (K x cols) when given; the first solve sets the row factors.
     """
     mask = m.present_mask
     _check_factorable(mask)
@@ -31,6 +35,8 @@ def reference_als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
     scale = np.sqrt(values[mask].mean() / k)
     U = rng.uniform(0.5, 1.5, (n, k)) * scale
     V = rng.uniform(0.5, 1.5, (k, mm)) * scale
+    if start is not None:
+        V = np.array(start, dtype=np.float64)
     X0 = np.where(mask, values, 0.0)
 
     eye = cfg.als_lambda * np.eye(k)

@@ -3,7 +3,9 @@
 This is the earlier `leave_one_out` of perfcast.evaluation, kept verbatim
 (serial instead of a thread pool) as the oracle for the driver that fits
 ridge and cliques once on the full matrix. Every base algorithm here sees
-`with_cell_missing`, and the `in_groups` mean is `sum / len`. An
+`with_cell_missing`, and the `in_groups` mean is `sum / len`. ALS refits
+each cell with the reference loop (`als_reference`), started from the
+column factors of the reference fit on the full matrix. An
 ensemble member counts only a value it made by its own mechanism: the
 clique member's ridge fallback is left out under either protocol. Ridge and
 the clique estimates come from the per-cell references
@@ -22,13 +24,14 @@ renderings checks the driver's columns-to-JSON path as well.
 from dataclasses import dataclass
 
 import numpy as np
+from als_reference import reference_als_fit
 from cliques_reference import clique_predict, group_estimates
 from ridge_reference import ridge_predict
 
 from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import RunConfig
 from perfcast.evaluation import ColdRowError, EvalReport
-from perfcast.factorization import UnfactorableError, als_fit
+from perfcast.factorization import UnfactorableError
 from perfcast.matrix import PREDICTION_FLOOR
 from perfcast.ridge import NoBasisError
 
@@ -148,6 +151,12 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
     if "cliques" in needed:
         grouping = find_cliques(build_graph(m, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
+    start = None  # where m is unfactorable, so is every per-cell copy
+    if "als" in needed:
+        try:
+            start = reference_als_fit(m, cfg).col_factors
+        except UnfactorableError:
+            pass
 
     def predict_one(cell):
         train = m.with_cell_missing(cell.row, cell.col)
@@ -169,7 +178,7 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
                                or mechanism == alg)
                         out[alg] = value if own else None
                 elif alg == "als":
-                    model = als_fit(train, cfg)
+                    model = reference_als_fit(train, cfg, start)
                     out[alg] = predict(model, cell.row, cell.col)
             except (NoBasisError, ColdRowError, UnfactorableError):
                 out[alg] = None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from als_reference import reference_als_fit
-from conftest import predict_all, sparse_matrix
+from conftest import grid, predict_all, sparse_matrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -55,17 +55,19 @@ def test_fit_matches_reference(k, lam, shape, density, seed, max_iters):
        max_iters=st.integers(1, 30),
        blank=st.sampled_from([None, "row", "column"]))
 @settings(max_examples=200, deadline=None)
-# Column 2 holds exactly K observations: the refit without (0, 8) misses
-# rtol at entry (6, 2) by 6.4e-9 relative, and 1-ulp changes of its inputs
-# move the per-cell fit there by up to 2.3e-8.
+# Column 2 holds exactly K observations. Started cold, the refit without
+# (0, 8) missed rtol at entry (6, 2) by 6.4e-9 relative, and 1-ulp changes
+# of its inputs moved the per-cell fit there by up to 2.3e-8. From the full
+# fit's factors the worst entry is off by 1.9e-11.
 @example(k=3, lam=0.01, shape=(10, 10), density=0.375, seed=927,
          max_iters=5, blank=None)
 def test_refits_match_per_cell_fits(k, lam, shape, density, seed, max_iters,
                                     blank):
-    # The stacked leave-one-out fits against one cold als_fit per cell on
-    # the matrix without it. Low densities leave rows and columns seen
-    # once, whose cell is uncovered; blank empties the first row or
-    # column, which leaves every cell uncovered.
+    # The stacked leave-one-out fits against one reference fit per cell on
+    # the matrix without it, started from the full fit's column factors.
+    # Low densities leave rows and columns seen once, whose cell is
+    # uncovered; blank empties the first row or column, which leaves every
+    # cell uncovered.
     # At K > 1 and lam = 1e-3 a factor of a row or column seen once is
     # fixed only to about |v|^2 / lam: a 1-ulp change in its inputs moves
     # predictions by up to 3e-9 relative (measured at K = 3), in the
@@ -87,25 +89,46 @@ def test_refits_match_per_cell_fits(k, lam, shape, density, seed, max_iters,
                                       rounding=1e-12 * scale)
 
 
-def ulp_spread(mat, cfg, want, draws=8):
-    """Entry by entry, how far als_fit on mat moves from want's
-    reconstruction, and from its prediction of each cell, when every
-    observed time is moved by one ulp up or down: the largest difference
-    over a few seeded draws. It measures the fit's own conditioning."""
+def stacked(mat, cfg, left_out):
+    """_fit_stack's refits of mat, each leaving out its cell left_out[b]
+    (an index into the observed cells in row-major order), started as
+    als_refits starts them, from the full fit's column factors: each
+    fit's final factors (fits, rows, K) and (fits, K, cols), its
+    iteration count, and per iteration the RMSEs of the stack."""
+    start = als_fit(mat, cfg).col_factors
+    n = len(left_out)
+    U = np.empty((n, mat.n_rows, cfg.als_k))
+    V = np.empty((n, cfg.als_k, mat.n_cols))
+    iters, trail = np.zeros(n, dtype=np.intp), []
+    for rmse, fits, n_iters, u, v in _fit_stack(_problem(mat, cfg), cfg,
+                                                start, left_out):
+        trail.append(rmse)
+        U[fits], V[fits], iters[fits] = u, v, n_iters
+    return U, V, iters, trail
+
+
+def ulp_spread(mat, cfg, want, start, draws=8):
+    """Entry by entry, how far the reference fit on mat from start moves
+    from want's reconstruction, and from its prediction of each cell,
+    when every observed time is moved by one ulp up or down: the largest
+    difference over a few seeded draws. It measures the fit's own
+    conditioning."""
     rng = np.random.default_rng(0)
     full = predict_all(want)
     spread = np.zeros_like(full)
     for _ in range(draws):
         vals = np.nextafter(mat.values, rng.choice([-np.inf, np.inf],
                                                    mat.values.shape))
-        fit = als_fit(PCMatrix(mat.row_keys, mat.col_keys, vals), cfg)
+        fit = reference_als_fit(PCMatrix(mat.row_keys, mat.col_keys, vals),
+                                cfg, start)
         spread = np.maximum(spread, np.abs(predict_all(fit) - full))
     return spread
 
 
 def assert_refits_match_per_cell_fits(mat, cfg, rtol, atol, rounding):
     """als_refits and the stacked fits behind it, cell by cell, against
-    als_fit on the matrix without that cell: the same cells are
+    the reference fit on the matrix without that cell, started from the
+    column factors of als_fit on the whole matrix: the same cells are
     uncovered, with the same error; every covered cell's full
     reconstruction matches at rtol/atol, and so does its prediction; its
     iteration count matches unless the training RMSE ended below
@@ -119,13 +142,15 @@ def assert_refits_match_per_cell_fits(mat, cfg, rtol, atol, rounding):
     # _fit_stack numbers them
     covered = np.array([i for i in range(rows.size) if i not in reasons],
                        dtype=np.intp)
-    U, V, stack_iters, _ = (_fit_stack(_problem(mat, cfg), cfg, covered)
+    # a covered cell means every row and column is observed
+    start = als_fit(mat, cfg).col_factors if covered.size else None
+    U, V, stack_iters, _ = (stacked(mat, cfg, covered)
                             if covered.size else (None, None, None, None))
     fit = dict(zip(covered.tolist(), range(covered.size)))
     for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
         held = mat.with_cell_missing(r, c)
         try:
-            want = als_fit(held, cfg)
+            want = reference_als_fit(held, cfg, start)
         except UnfactorableError as exc:
             assert i in reasons and np.isnan(values[i]) and iters[i] == 0
             assert isinstance(reasons[i], UnfactorableError)
@@ -139,7 +164,7 @@ def assert_refits_match_per_cell_fits(mat, cfg, rtol, atol, rounding):
         ref = np.append(predict_all(want), predict(want, r, c))
         off = ~np.isclose(got, ref, rtol=rtol, atol=atol)
         if off.any():
-            spread = ulp_spread(held, cfg, want)
+            spread = ulp_spread(held, cfg, want, start)
             bound = 2 * np.append(spread, spread[r, c])
             np.testing.assert_array_less(np.abs(got - ref)[off], bound[off])
         if want.train_rmse_history[-1] > rounding:
@@ -150,17 +175,20 @@ def assert_refits_match_per_cell_fits(mat, cfg, rtol, atol, rounding):
 @pytest.mark.parametrize("rank,lam", [(1, 1e-4), (2, 1e-3)])
 def test_refits_near_their_targets_match_per_cell_fits(rank, lam, tol):
     # Noiseless rank-1 and rank-2 data: every refit closes in on its
-    # targets until only lambda's shrinkage is left, with an SSE of 1e-11
-    # to 1e-8 of sum x**2, where the SSE from the half-step sums is
+    # targets until only lambda's shrinkage is left, with an SSE of 3e-11
+    # to 4e-9 of sum x**2, where the SSE from the half-step sums is
     # rounding noise. Below _EXACT the refits gather their residuals, so
     # each stops where the per-cell fit stops. From the sums alone, up to
-    # 87 of the 86-odd refits per case stopped elsewhere, with predictions
-    # off by up to 5.9e-6 relative.
+    # 92 of the 93 rank-1 refits stopped elsewhere, with predictions off
+    # by up to 4.9e-9 relative; the rank-2 refits run all 200 iterations
+    # either way. (Started cold, up to 87 refits per case stopped
+    # elsewhere, off by up to 5.9e-6.)
     mat = sparse_matrix((12, 8), 0.9, 17, rank=rank)
     cfg = RunConfig(als_k=rank, als_lambda=lam, als_tol=tol)
     targets = mat.values[mat.present_mask]
+    start = als_fit(mat, cfg).col_factors
     for r, c in np.argwhere(mat.present_mask)[::5].tolist():
-        want = als_fit(mat.with_cell_missing(r, c), cfg)
+        want = reference_als_fit(mat.with_cell_missing(r, c), cfg, start)
         sse = want.train_rmse_history[-1] ** 2 * (targets.size - 1)
         assert sse < factorization._EXACT * (
             targets @ targets - mat.values[r, c] ** 2)
@@ -181,22 +209,83 @@ def test_refits_that_stop_apart_match_stacks_of_one(rank, tol, seed):
     rows, cols = np.nonzero(mat.present_mask)
     values, reasons, iters = als_refits(mat, rows, cols, cfg)
     assert not reasons
-    problem = _problem(mat, cfg)
     left_out = np.arange(rows.size)  # one stack, in the refits' order
-    _, _, stack_iters, trail = _fit_stack(problem, cfg, left_out)
+    _, _, stack_iters, trail = stacked(mat, cfg, left_out)
+    assert len(trail[0]) == rows.size
     assert np.array_equal(stack_iters, iters)
     assert np.unique(iters).size >= 3
-    assert 2 < iters.min() and iters.max() < cfg.als_max_iters
+    assert iters.max() < cfg.als_max_iters
     # each iteration's RMSEs are those of the fits still running
     assert [r.size for r in trail] == [
         np.count_nonzero(iters >= it) for it in range(1, iters.max() + 1)]
+    assert_matches_stacks_of_one(mat, cfg, values, iters)
+
+
+def assert_matches_stacks_of_one(mat, cfg, values, iters):
+    """Each refit of als_refits(mat) against the stack of the one fit
+    that leaves out the same cell: the same iteration count, and its
+    prediction at rtol 1e-9."""
+    rows, cols = np.nonzero(mat.present_mask)
     scale = float(np.nanmean(mat.values))
     for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
-        U, V, one_iters, _ = _fit_stack(problem, cfg, left_out[i:i + 1])
+        U, V, one_iters, _ = stacked(mat, cfg, np.array([i]))
         assert one_iters[0] == iters[i]
         want = max(U[0, r] @ V[0, :, c], PREDICTION_FLOOR)
         np.testing.assert_allclose(values[i], want, rtol=1e-9,
                                    atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("rank,tol,seed", [(1, 1e-3, 2), (2, 1e-2, 0)])
+def test_refilled_slots_match_stacks_of_one(rank, tol, seed, monkeypatch):
+    # A stack of three slots: as fits stop, the next cells of the queue
+    # take their slots, and the stack shrinks only once the queue is empty.
+    mat = sparse_matrix((8, 6), 0.8, seed, rank=rank)
+    cfg = RunConfig(als_k=rank, als_lambda=1e-3, als_tol=tol,
+                    als_max_iters=60)
+    monkeypatch.setattr(factorization, "_STACK",
+                        3 * (8 + 6) * (rank * rank + 2 * rank))
+    rows, cols = np.nonzero(mat.present_mask)
+    values, reasons, iters = als_refits(mat, rows, cols, cfg)
+    assert not reasons
+    _, _, stack_iters, trail = stacked(mat, cfg, np.arange(rows.size))
+    assert np.array_equal(stack_iters, iters)
+    assert np.unique(iters).size >= 3
+    # Each fit holds a slot for each of its iterations, and the stack
+    # shrinks only at the end: in batches of three, it would grow back to
+    # three after each batch.
+    sizes = [r.size for r in trail]
+    assert sum(sizes) == iters.sum() and sizes[0] == 3 < rows.size
+    assert sizes == sorted(sizes, reverse=True)
+    assert_matches_stacks_of_one(mat, cfg, values, iters)
+
+
+def test_warm_refits_near_converged_per_cell_fits():
+    # A refit starts one cell away from its answer, so at a small budget
+    # it lands closer to the converged fit than a cold fit does. Rank-1
+    # times with 5% noise, 40x20 at density 0.6; the budget is the
+    # benchmark's leave-one-out one (6 iterations, tol 1e-9). The cold
+    # per-cell fits at tol 1e-10 stop after at most 12 iterations.
+    # Measured: the warm refits are at most 5.3e-6 relative from them, the
+    # cold fits at the same budget up to 2.7e-5.
+    rng = np.random.default_rng(2)
+    vals = np.outer(rng.uniform(0.5, 5, 40), rng.uniform(0.5, 5, 20))
+    vals *= np.exp(rng.normal(0, 0.05, vals.shape))
+    vals[rng.random(vals.shape) >= 0.6] = np.nan
+    mat = grid(vals.tolist())
+    cfg = RunConfig(als_max_iters=6, als_tol=1e-9)
+    rows, cols = np.nonzero(mat.present_mask)
+    values, reasons, _ = als_refits(mat, rows, cols, cfg)
+    assert not reasons
+    warm, cold = [], []
+    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        held = mat.with_cell_missing(r, c)
+        fit = als_fit(held, RunConfig(als_tol=1e-10))
+        assert len(fit.train_rmse_history) < 20
+        want = predict(fit, r, c)
+        warm.append(abs(values[i] - want) / want)
+        cold.append(abs(predict(als_fit(held, cfg), r, c) - want) / want)
+    assert max(warm) < 1e-5
+    assert max(warm) < max(cold)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -213,11 +302,12 @@ def test_rmse_from_sums_matches_gathered_rmse(k, monkeypatch):
     left_out = np.arange(targets.size)
     sumsq = targets @ targets - targets ** 2
     cfg = RunConfig(als_k=k, als_max_iters=30, als_tol=1e-9)
-    problem = _problem(mat, cfg)
-    _, _, iters, trail = _fit_stack(problem, cfg, left_out)
+    # one stack of every fit, so each trail entry is in the fits' order
+    monkeypatch.setattr(factorization, "_STACK", 2 ** 30)
+    _, _, iters, trail = stacked(mat, cfg, left_out)
     exact = factorization._EXACT
     monkeypatch.setattr(factorization, "_EXACT", np.inf)  # gather them all
-    _, _, want_iters, want_trail = _fit_stack(problem, cfg, left_out)
+    _, _, want_iters, want_trail = stacked(mat, cfg, left_out)
     # every fit runs to the cap, so each trail entry holds every fit
     assert (iters == cfg.als_max_iters).all()
     assert (want_iters == cfg.als_max_iters).all()

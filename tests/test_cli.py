@@ -582,6 +582,23 @@ def test_sweeps_take_no_algorithm_flag(matrix_csv, capsys, command):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command,flags,refused", [
+    # --model is place's input flag, not an abbreviation of --model-out
+    ("complete", ["--out", "c.csv", "--model", "m.json", "--algorithm",
+                  "als"], "--model m.json"),
+    ("evaluate", ["--algo", "als", "--out-j", "r.json", "--als-max", "6"],
+     "--algo als --out-j r.json --als-max 6"),
+])
+def test_abbreviated_flags_are_refused(matrix_csv, tmp_path, monkeypatch,
+                                       capsys, command, flags, refused):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(matrix_csv), *flags])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {refused}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv"]
+
+
 def test_sweep_accepts_algorithm_in_a_config_file(matrix_csv, tmp_path):
     # one file may serve complete, evaluate and the sweeps alike
     cfg = tmp_path / "run.cfg"

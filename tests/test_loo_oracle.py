@@ -27,12 +27,13 @@ CASES += [("ensemble", p) for p in PROTOCOLS]
 # relative to an error near 0 it can be any size. total_error, a mean of
 # errors, inherits the same absolute bound.
 IN_GROUPS_RTOL = 1e-14
-# ALS refits run stacked (factorization.als_refits): a fit's Gram matrices
-# come out of one larger matmul, its initial scale subtracts the left-out
-# cell from the full sum, and its RMSE comes from the column half-step's
-# sums (gathered, with the left-out cell as an exact zero, where those
-# sums would cancel), so predictions differ from the per-cell refit at
-# rounding level (at most 1.8e-15 relative over 1,500 draws). Ridge and
+# ALS refits run stacked (factorization.als_refits), each started, as the
+# reference's are, from the full fit's column factors: a fit's Gram
+# matrices come out of one larger matmul, and its RMSE comes from the
+# column half-step's sums (gathered, with the left-out cell as an exact
+# zero, where those sums would cancel), so predictions differ from the
+# per-cell refit at rounding level (at most 1.7e-15 relative over two runs
+# of 1,500 draws). Ridge and
 # the clique estimates run as block kernels (ridge.ridge_block,
 # cliques.clique_block) over zero-padded stacks and downdated pair sums:
 # at the default lambda they differ from the per-cell references by at
