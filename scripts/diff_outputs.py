@@ -39,9 +39,11 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
 # cliques fill log, an `in_groups` report, an outlier sweep or a
-# leave-one-out ALS report at the default iteration budget, or refuses a
-# setting or an abbreviated flag (whose stderr and exit status are
-# compared).
+# leave-one-out ALS report at the default iteration budget, places or
+# schedules a subset of rows or with a model, or refuses a setting, a
+# partly predicted row or an abbreviated flag (whose stderr and exit
+# status are compared).
+PLACED_ROWS = "bench003::default,bench001::default"  # not in row order
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
       "--out-json", "loo.json", "--out-csv", "loo.csv"], None],
@@ -57,6 +59,11 @@ EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--ridge-lambda", "0"], None],
     [["evaluate", INPUT_CSV, "--als-lambda", "0"], None],
     [["sweep", INPUT_CSV, "--als-tol", "nan"], None],
+    [["place", "completed.csv", "--rows", PLACED_ROWS], "rows.jsonl"],
+    [["place", "completed.csv", "--rows", PLACED_ROWS, "--schedule"],
+     "rows_schedule.jsonl"],
+    [["place", "als.csv", "--model", "model.json"], "als_place.jsonl"],
+    [["place", INPUT_CSV], None],  # refused: partly predicted rows
 ], "loo-cliques": [
     [["complete", INPUT_CSV, "--out", "cliques.csv", "--algorithm", "cliques",
       "--fills-out", "fills.json"], None],

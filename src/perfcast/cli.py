@@ -34,7 +34,7 @@ from .factorization import (FactorModel, UnfactorableError, model_from_json,
 from .jsonfile import Table, write_json
 from .matrix import (PREDICTION_FLOOR, ROW_KEY_SEP, build_matrix,
                      read_matrix_csv, read_observations_csv, write_matrix_csv)
-from .placement import greedy_place, schedule_batch
+from .placement import place_rows, schedule_batch
 
 
 def _warn(message: str) -> None:
@@ -248,18 +248,19 @@ def cmd_place(args) -> int:
               f"below the prediction floor {PREDICTION_FLOOR:g} s")
     if args.schedule:
         assignment, makespan = schedule_batch(m, rows)
-        for j, machine in enumerate(m.col_keys):
-            for r in assignment[machine]:
-                program, prog_args = m.row_keys[r]
-                print(json.dumps({"program": program, "args": prog_args,
-                                  "machine": machine,
-                                  "predicted_seconds": float(m.values[r, j])},
-                                 sort_keys=True))
-        print(json.dumps({"makespan": makespan}, sort_keys=True))
-        return 0
-    # decide every row before printing any: one that fails leaves stdout empty
-    for decision in [greedy_place(m, r, ranking) for r in rows]:
-        print(json.dumps(decision.to_json(), sort_keys=True))
+        lines = [{"program": m.row_keys[r][0], "args": m.row_keys[r][1],
+                  "machine": machine,
+                  "predicted_seconds": float(m.values[r, j])}
+                 for j, machine in enumerate(m.col_keys)
+                 for r in assignment[machine]]
+        lines.append({"makespan": makespan})
+    else:
+        # every row is decided before any is printed: one that fails
+        # leaves stdout empty
+        lines = [d.to_json() for d in place_rows(m, rows, ranking)]
+    encode = json.JSONEncoder(sort_keys=True).encode
+    # one call, with no joined copy of the whole output
+    sys.stdout.writelines(encode(line) + "\n" for line in lines)
     return 0
 
 

@@ -363,13 +363,52 @@ def write_matrix_csv(m: PCMatrix, path) -> None:
                     + "\r\n")
 
 
+def _cell_refusal(path, line: int, cells) -> str | None:
+    """The refusal of the first of a row's cells that is neither empty nor
+    a finite float, or None."""
+    for cell in cells:
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"{path}:{line}: cannot parse cell value {cell!r}"
+        if not math.isfinite(value):
+            return (f"{path}:{line}: non-finite cell value {cell!r}; leave "
+                    f"missing cells empty")
+    return None
+
+
+def _non_finite_refusal(path, values, empty, lines) -> str | None:
+    """The refusal of the first row read whose values hold a NaN that is
+    not an empty cell, or an infinity, or None. values are the rows read,
+    NaN where empty; empty counts each row's empty cells and lines gives
+    each row's line. The row's text is read again from path to name the
+    cell as written."""
+    if not values.size:
+        return None
+    finite = np.isfinite(values).sum(axis=1)
+    bad = np.flatnonzero(finite + np.array(empty) != values.shape[1])
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    with open(path, newline="", encoding="utf-8") as f:
+        records = filter(None, itertools.islice(csv.reader(f), 1, None))
+        rec = next(itertools.islice(records, i, None))
+    return _cell_refusal(path, lines[i], rec[1:])
+
+
 def read_matrix_csv(path) -> PCMatrix:
     """Read a matrix written by write_matrix_csv.
 
     Row keys are split on the first ``::``, so program ids must not
-    contain that separator. Missing cells are empty; a non-finite value is
-    an error, and so is a repeated row key or machine column, named with
-    its line.
+    contain that separator. Missing cells are empty. Every refusal names
+    path, and the line of the row at fault: a cell that is not a float, a
+    non-finite value (the text nan too), a repeated row key or machine
+    column, and, once the file is read, a time that is not positive or a
+    matrix without rows or machines. Rows are converted one at a time;
+    the finiteness of their values is checked once, over the whole
+    matrix, or over the rows before a refused line.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -387,37 +426,45 @@ def read_matrix_csv(path) -> PCMatrix:
             repeat = next(k for i, k in enumerate(col_keys)
                           if k in col_keys[:i])
             raise ValueError(f"{path}:1: duplicate machine column {repeat!r}")
+        width = len(col_keys) + 1
         key_line = {}  # each row key's line, in file order
-        rows = []
+        rows = []  # each row's values, NaN where the cell is empty
+        empty = []  # each row's count of empty cells
+
+        def refuse(message):
+            """Raise message, unless a row before holds a non-finite value,
+            which comes first in the file."""
+            raise ValueError(_non_finite_refusal(
+                path, np.array(rows), empty, list(key_line.values()))
+                or message)
+
         for rec in reader:
             if not rec:
                 continue
             line = reader.line_num
-            if len(rec) != len(col_keys) + 1:
-                raise ValueError(
-                    f"{path}:{line}: expected {len(col_keys) + 1} fields, got {len(rec)}"
-                )
+            if len(rec) != width:
+                refuse(f"{path}:{line}: expected {width} fields, "
+                       f"got {len(rec)}")
             if ROW_KEY_SEP not in rec[0]:
-                raise ValueError(f"{path}:{line}: row key {rec[0]!r} lacks "
-                                 f"{ROW_KEY_SEP!r} separator")
+                refuse(f"{path}:{line}: row key {rec[0]!r} lacks "
+                       f"{ROW_KEY_SEP!r} separator")
             key = tuple(rec[0].split(ROW_KEY_SEP, 1))
             if key_line.setdefault(key, line) != line:
-                raise ValueError(f"{path}:{line}: duplicate row key "
-                                 f"{rec[0]!r}, first on line {key_line[key]}")
-            vals = []
-            for cell in rec[1:]:
-                if cell == "":
-                    vals.append(np.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line}: cannot parse cell value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{line}: non-finite cell value "
-                                     f"{cell!r}; leave missing cells empty")
-                vals.append(value)
-            rows.append(vals)
-    return PCMatrix(tuple(key_line), col_keys, np.array(rows))
+                refuse(f"{path}:{line}: duplicate row key {rec[0]!r}, "
+                       f"first on line {key_line[key]}")
+            try:
+                rows.append([float(c) if c else math.nan for c in rec[1:]])
+            except ValueError:
+                refuse(_cell_refusal(path, line, rec[1:]))
+            empty.append(rec.count(""))
+    values = np.array(rows)
+    lines = list(key_line.values())
+    problem = _non_finite_refusal(path, values, empty, lines)
+    if problem:
+        raise ValueError(problem)
+    try:
+        return PCMatrix(tuple(key_line), col_keys, values)
+    except ValueError as exc:  # no rows or machines, or a time not above 0
+        bad = np.flatnonzero((values <= 0).any(axis=-1))
+        raise ValueError(f"{path}:{lines[bad[0]]}: {exc}" if bad.size
+                         else f"{path}: {exc}") from None

@@ -33,6 +33,65 @@ def _by_key(m: PCMatrix) -> np.ndarray:
     return np.array(sorted(range(m.n_cols), key=m.col_keys.__getitem__))
 
 
+def _check_rows(m: PCMatrix, rows) -> None:
+    """Refuse a row index that is repeated, negative or out of range."""
+    seen = set()
+    for r in rows:
+        if not 0 <= r < m.n_rows:
+            raise ValueError(f"row {r} is out of range for a matrix of "
+                             f"{m.n_rows} rows")
+        if r in seen:
+            raise ValueError(f"row {m.row_label(r)} ({r}) is listed twice")
+        seen.add(r)
+
+
+def place_rows(
+    completed: PCMatrix,
+    rows: list[int],
+    ranking: list[str] | None = None,
+) -> list[PlacementDecision]:
+    """Choose a machine for each of rows, in order, by greedy_place's rule.
+
+    Every fully predicted row is decided by one argmin over the rows'
+    times in machine-id order. The first row in order that cannot be
+    placed raises, so no decision is returned unless all can be made; so
+    does a row index listed twice, negative or out of range.
+    """
+    _check_rows(completed, rows)
+    index = np.asarray(rows, dtype=np.intp)
+    present = completed.present_mask[index]
+    full = present.all(axis=1)
+    fallback = ranking[0] if ranking else None
+    for i in np.flatnonzero(~full).tolist():
+        label = completed.row_label(rows[i])
+        if present[i].any():
+            raise ValueError(f"row {label} is only partially predicted; "
+                             f"complete the matrix first")
+        if fallback is None:
+            raise ValueError(f"cold row {label}: no predictions and no "
+                             f"machine ranking supplied")
+        if fallback not in completed.col_keys:
+            raise ValueError(f"ranked machine {fallback!r} is not a column "
+                             f"of the matrix")
+    by_key = _by_key(completed)
+    placed = index[full]
+    times = completed.values[np.ix_(placed, by_key)]  # machine-id order
+    best = by_key[np.argmin(times, axis=1)]
+    chosen = zip([completed.col_keys[b] for b in best.tolist()],
+                 completed.values[placed, best].tolist())
+    decisions = []
+    for r, decided in zip(rows, full.tolist()):
+        program, args = completed.row_keys[r]
+        if decided:
+            machine, predicted = next(chosen)
+            decisions.append(PlacementDecision(program, args, machine,
+                                               predicted, "min_predicted"))
+        else:
+            decisions.append(PlacementDecision(program, args, fallback, None,
+                                               "cold_row_ranked_fastest"))
+    return decisions
+
+
 def greedy_place(
     completed: PCMatrix,
     row: int,
@@ -43,29 +102,10 @@ def greedy_place(
     Ties go to the lexicographically smallest machine id. A row with no
     predictions at all (cold) falls back to the first machine of the
     supplied performance ranking; a partially filled row is rejected since
-    the comparison would be incomplete.
+    the comparison would be incomplete, and so is a negative or
+    out-of-range row index.
     """
-    times = completed.values[row]
-    present = completed.present_mask[row]
-    program, args = completed.row_keys[row]
-    if not present.any():
-        if not ranking:
-            raise ValueError(
-                f"cold row {completed.row_label(row)}: no predictions and "
-                f"no machine ranking supplied")
-        machine = ranking[0]
-        if machine not in completed.col_keys:
-            raise ValueError(f"ranked machine {machine!r} is not a column "
-                             f"of the matrix")
-        return PlacementDecision(program, args, machine, None,
-                                 "cold_row_ranked_fastest")
-    if not present.all():
-        raise ValueError(f"row {completed.row_label(row)} is only partially "
-                         f"predicted; complete the matrix first")
-    by_key = _by_key(completed)
-    best = by_key[np.argmin(times[by_key])]
-    return PlacementDecision(program, args, completed.col_keys[best],
-                             float(times[best]), "min_predicted")
+    return place_rows(completed, [row], ranking)[0]
 
 
 def schedule_batch(
@@ -78,22 +118,26 @@ def schedule_batch(
     predicted) time; each goes to the machine where current load plus its
     predicted time is smallest, ties to the smaller machine id. Returns
     the per-machine row lists (in assignment order) and the makespan.
-    Heuristic: the exact minimum-makespan problem is NP-hard.
+    Heuristic: the exact minimum-makespan problem is NP-hard. A row index
+    listed twice, negative or out of range is refused.
     """
-    for r in rows:
-        if not completed.present_mask[r].all():
-            raise ValueError(f"row {completed.row_label(r)} is not fully "
-                             f"predicted")
+    _check_rows(completed, rows)
+    index = np.asarray(rows, dtype=np.intp)
+    full = completed.present_mask[index].all(axis=1)
+    if not full.all():
+        r = rows[int(full.argmin())]
+        raise ValueError(f"row {completed.row_label(r)} is not fully "
+                         f"predicted")
     assignment: dict[str, list[int]] = {c: [] for c in completed.col_keys}
     if not rows:
         return assignment, 0.0
 
     by_key = _by_key(completed)
-    times = completed.values[:, by_key]  # columns in machine-id order
-    order = sorted(rows, key=lambda r: -float(np.min(times[r])))
+    times = completed.values[np.ix_(index, by_key)]  # machine-id order
     loads = np.zeros(completed.n_cols)
-    for r in order:
-        k = np.argmin(loads + times[r])
-        loads[k] += times[r, k]
-        assignment[completed.col_keys[by_key[k]]].append(r)
+    # stable, so rows of equal minimum keep their order in rows
+    for i in np.argsort(-times.min(axis=1), kind="stable").tolist():
+        k = np.argmin(loads + times[i])
+        loads[k] += times[i, k]
+        assignment[completed.col_keys[by_key[k]]].append(rows[i])
     return assignment, float(loads.max())

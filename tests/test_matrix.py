@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import perfcast
 from perfcast import (MaskInfeasibleError, MaskSpec, Observation, PCMatrix,
                       build_matrix, density, inject_outliers, mask_random,
                       read_matrix_csv, read_observations_csv, write_matrix_csv)
-from perfcast.matrix import MATRIX_CSV_HEADER
+from perfcast.matrix import MATRIX_CSV_HEADER, ROW_KEY_SEP
 
 
 def obs(p, a, c, t):
@@ -413,6 +414,82 @@ def row_write_matrix_csv(m, path):
                 repr(v) if math.isfinite(v) else "" for v in values)])
 
 
+def reference_read_matrix_csv(path):
+    """The earlier reader, which parsed and checked one cell at a time;
+    the oracle for the reader that converts a row at once. The refusals
+    once left to PCMatrix (no rows or machines, a time not above 0) name
+    the path, and the cell's line."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if not header or header[0] != MATRIX_CSV_HEADER:
+            raise ValueError(
+                f"{path}: expected first header cell {MATRIX_CSV_HEADER!r}, "
+                f"got {header[0]!r}" if header else f"{path}: empty header"
+            )
+        col_keys = tuple(header[1:])
+        if len(set(col_keys)) != len(col_keys):
+            repeat = next(k for i, k in enumerate(col_keys)
+                          if k in col_keys[:i])
+            raise ValueError(f"{path}:1: duplicate machine column {repeat!r}")
+        key_line = {}
+        rows = []
+        for rec in reader:
+            if not rec:
+                continue
+            line = reader.line_num
+            if len(rec) != len(col_keys) + 1:
+                raise ValueError(f"{path}:{line}: expected "
+                                 f"{len(col_keys) + 1} fields, got {len(rec)}")
+            if ROW_KEY_SEP not in rec[0]:
+                raise ValueError(f"{path}:{line}: row key {rec[0]!r} lacks "
+                                 f"{ROW_KEY_SEP!r} separator")
+            key = tuple(rec[0].split(ROW_KEY_SEP, 1))
+            if key_line.setdefault(key, line) != line:
+                raise ValueError(f"{path}:{line}: duplicate row key "
+                                 f"{rec[0]!r}, first on line {key_line[key]}")
+            vals = []
+            for cell in rec[1:]:
+                if cell == "":
+                    vals.append(np.nan)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{line}: cannot parse cell value {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{line}: non-finite cell value "
+                                     f"{cell!r}; leave missing cells empty")
+                vals.append(value)
+            rows.append(vals)
+    if not rows or not col_keys:
+        raise ValueError(f"{path}: matrix needs at least one row and one "
+                         f"column")
+    for (key, line), vals in zip(key_line.items(), rows):
+        for col, value in zip(col_keys, vals):
+            if value <= 0:
+                raise ValueError(
+                    f"{path}:{line}: cell ({ROW_KEY_SEP.join(key)}, {col}) "
+                    f"holds {value!r}; execution times must be positive and "
+                    f"finite, NaN if missing")
+    return PCMatrix(tuple(key_line), col_keys, np.array(rows))
+
+
+def read_outcome(read, path):
+    """read(path)'s keys and value bits, or the type and message it
+    raises."""
+    try:
+        m = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.row_keys, m.col_keys, m.values.tobytes()
+
+
 # Label text that csv quotes: commas, quotes and line breaks.
 label_text = st.text(st.sampled_from('ab ,"\'\r\n;:\\'), max_size=6)
 
@@ -462,6 +539,63 @@ class TestMatrixCsv:
         row_write_matrix_csv(m, d / "want.csv")
         assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
 
+    @given(data=st.data(), n_rows=st.integers(1, 4),
+           n_cols=st.integers(0, 4), newline=st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_reader_matches_the_per_cell_reference(
+            self, tmp_path_factory, data, n_rows, n_cols, newline):
+        # NaN holes, quoted keys, blank lines, either line ending, and up
+        # to three corrupted cells, a short row or a repeated key: the
+        # same matrix bit for bit, or the same first refusal
+        values = data.draw(st.lists(
+            st.lists(cell_values, min_size=n_cols, max_size=n_cols),
+            min_size=n_rows, max_size=n_rows))
+        programs = label_text.filter(lambda p: "::" not in p
+                                     and not p.endswith(":"))
+        text = [[f"{i}{data.draw(programs)}::{data.draw(label_text)}",
+                 *("" if math.isnan(v) else repr(v) for v in row)]
+                for i, row in enumerate(values)]
+        if n_cols:
+            for _ in range(data.draw(st.integers(0, 3))):
+                r = data.draw(st.integers(0, n_rows - 1))
+                c = data.draw(st.integers(1, n_cols))
+                text[r][c] = data.draw(st.sampled_from(
+                    ["nan", "inf", "1e999", "abc", "0", "-1", "-nan"]))
+        fault = data.draw(st.sampled_from([None, "short", "key"]))
+        if fault and n_rows > 1:
+            r = data.draw(st.integers(1, n_rows - 1))
+            if fault == "short":
+                text[r].pop()
+            else:
+                text[r][0] = text[r - 1][0]
+        lines = []
+        writer = csv.writer(SimpleNamespace(write=lines.append),
+                            lineterminator=newline)
+        writer.writerow([MATRIX_CSV_HEADER,
+                         *(f"host {j}" for j in range(n_cols))])
+        for rec in text:
+            if data.draw(st.booleans()):
+                lines.append(newline)  # a blank line
+            writer.writerow(rec)
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes("".join(lines).encode())
+        assert (read_outcome(read_matrix_csv, path)
+                == read_outcome(reference_read_matrix_csv, path))
+
+    @pytest.mark.parametrize("text,message", [
+        ("program::args,C1\n", r"m\.csv: matrix needs at least one row"),
+        ("program::args\nP1::a1\n", r"m\.csv: matrix needs at least one row"),
+        ("program::args,m1,m2\na::x,1.0,\nb::y,2.0,0\n",
+         r"m\.csv:3: cell \(b::y, m2\) holds 0\.0; execution times"),
+        ("program::args,m1,m2\na::x,-1,1.0\n",
+         r"m\.csv:2: cell \(a::x, m1\) holds -1\.0; execution times"),
+    ])
+    def test_refusal_names_the_path_and_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_matrix_csv(path)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         m, _, _ = planted_rank1(6, 4, seed=8)
         masked, _ = mask_random(m, MaskSpec(0.25, 3))
@@ -502,7 +636,7 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match=message):
             read_matrix_csv(path)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_cell_reports_line_number(self, tmp_path, cell):
         path = tmp_path / "m.csv"
         path.write_text(f"program::args,C1,C2\nP1::a1,2.0,\nP2::a1,{cell},1.0\n")
