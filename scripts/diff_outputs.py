@@ -39,10 +39,10 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
 # cliques fill log, an `in_groups` report, an outlier sweep or a
-# leave-one-out ALS report at the default iteration budget, places or
-# schedules a subset of rows or with a model, or refuses a setting, a
-# partly predicted row or an abbreviated flag (whose stderr and exit
-# status are compared).
+# leave-one-out ALS report at the default iteration budget, completes
+# with ridge among the ensemble's members, places or schedules a subset
+# of rows or with a model, or refuses a setting, a partly predicted row
+# or an abbreviated flag (whose stderr and exit status are compared).
 PLACED_ROWS = "bench003::default,bench001::default"  # not in row order
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
@@ -52,6 +52,8 @@ EXTRA = {"complete-place": [
       "--out-json", "sweep.json", "--out-csv", "sweep.csv"], None],
     [["complete", INPUT_CSV, "--out", "als.csv", "--algorithm", "als",
       "--model-out", "model.json"], None],
+    [["complete", INPUT_CSV, "--ensemble", "ridge,cliques,als",
+      "--out", "three.csv", "--fills-out", "three.json"], None],
     [["rank", "model.json"], "rank.jsonl"],
     [["outliers", INPUT_CSV, "--algorithms", "ridge,cliques,als,svd,ensemble",
       "--fractions", "10,30", "--repeats", "2",

@@ -3,7 +3,8 @@
 The data model is a sparse "programs x machines" matrix of observed
 execution times. Missing cells are predicted by per-cell ridge regression,
 correlation-clique scaling, low-rank factorization, or an averaging
-ensemble of the three; an evaluation harness scores the predictions and a
+ensemble (by default of cliques and factorization, with ridge for the
+cells neither predicts); an evaluation harness scores the predictions and a
 small application layer turns a completed matrix into placement decisions.
 """
 

@@ -239,8 +239,12 @@ def cmd_place(args) -> int:
     if args.schedule and args.model:
         raise ValueError("--model ranks machines only without --schedule")
     m = read_matrix_csv(args.completed)
-    ranking = rank_machines(_load_model(args.model)) if args.model else None
+    model = _load_model(args.model) if args.model else None
     rows = _resolve_rows(m, args.rows)
+    # the ranking places cold rows only, so a model is ranked (K=1 only)
+    # only when a requested row is cold
+    cold = not m.present_mask[rows].any(axis=1).all()
+    ranking = rank_machines(model) if model is not None and cold else None
     floored = m.values[rows] <= PREDICTION_FLOOR
     if floored.any():
         _warn(f"{int(floored.sum())} predicted time(s) in "

@@ -11,9 +11,9 @@ not an exact maximum-clique enumeration: it guarantees at least one
 clique per vertex and runs in at most cubic time.
 
 `clique_block` predicts every cell it is given in one call and returns
-arrays, as `ridge_block` does: the values (NaN where no group mate has an
-estimate) and the reasons for the uncovered cells. It computes only the
-(cell, mate) pairs whose mate the cell's row observes. Every slope comes
+what `ridge_block` returns first: the values (NaN where no group mate
+has an estimate) and the reasons for the uncovered cells. It computes only
+the (cell, mate) pairs whose mate the cell's row observes. Every slope comes
 from the pair sums of that call (`pair_sums`: three matmuls over the
 zero-filled matrix), less the cell's own row where it observes both
 columns, summed again directly where that term is as large as what
@@ -193,9 +193,9 @@ def clique_predict(m, grouping: Grouping, row: int, col: int) -> float:
 
 def clique_block(m, grouping: Grouping, rows, cols):
     """clique_predict for each cell (rows[i], cols[i]) in one pass; returns
-    (values, reasons) as ridge_block does. The pair sums of m are computed
-    once per call, so a caller passes all its cells at once; the estimates
-    run _SPAN // n_cols cells at a time."""
+    (values, reasons) as the first two of ridge_block's. The pair sums of
+    m are computed once per call, so a caller passes all its cells at
+    once; the estimates run _SPAN // n_cols cells at a time."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     sums = pair_sums(m)

@@ -137,10 +137,12 @@ class RunConfig:
     als_max_iters: int = _tunable(200, int)
     als_tol: float = _tunable(1e-6, float)
     svd_k: int = _tunable(1, int)
+    # a cell no member predicts takes ridge's value, unless ridge is one
     ensemble: tuple[str, ...] = _tunable(
-        ("ridge", "cliques", "als"),
+        ("cliques", "als"),
         lambda text: _check_ensemble(parse_name_list(text)),
-        help="comma-separated ensemble members", check=_check_ensemble)
+        help="comma-separated ensemble members; a cell none of them "
+        "predicts takes ridge's value", check=_check_ensemble)
     seed: int = _tunable(0, int)
     repeats: int = _tunable(5, int)
     fractions: tuple[float, ...] = _tunable(

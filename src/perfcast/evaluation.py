@@ -7,9 +7,13 @@ base algorithm is fit once by `_fit_predict` and predicts every cell in
 one kernel call, which gives a column of arrays: the values, NaN where a
 cell is uncovered, the reasons for the uncovered cells, and a per-cell
 code for the mechanism. The ensemble is one masked mean over its members'
-values; after it, a clique algorithm scored on its own under
-`in_groups_plus_regression` takes ridge's value where group scaling has
-none. Completion raises the reason of the first uncovered cell.
+values, by default cliques' and als'; a cell that none of them predicts
+takes ridge's value, unless ridge is a member. After it, a clique
+algorithm scored on its own under `in_groups_plus_regression` takes
+ridge's value where group scaling has none. Both fallbacks are one
+composition (`_plus_ridge`), which names a cell that took its column's
+mean `ridge:column_mean`. Completion raises the reason of the first
+uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
 it; algorithms and protocols are compared and stored by their names. A
@@ -85,7 +89,10 @@ class EvalReport:
 def _fit_predict(alg: str, train: PCMatrix, rows, cols,
                  cfg: RunConfig, refit: bool):
     """Fit one base algorithm on train and predict every cell (rows[i],
-    cols[i]) in one kernel call; returns (values, reasons, fit).
+    cols[i]) in one kernel call; returns (column, fit), the column as
+    _predict_cells describes it. Its cells share the label (alg, ()),
+    but a ridge cell that predicts its column's mean is coded apart
+    (_plus_ridge).
 
     With refit, ALS is fit once per cell without that cell, each refit
     started from the full matrix's fit (als_refits). fit is the
@@ -93,21 +100,30 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
     ALS refits (0 where uncovered), else None; a shared fit that raises
     UnfactorableError leaves every cell uncovered and is that error.
     """
+    fit = None
     if alg == "ridge":
-        return (*ridge_block(train, rows, cols, cfg), None)
+        nothing = (np.full(rows.size, np.nan), {},
+                   np.zeros(rows.size, np.intp), ())
+        return _plus_ridge(train, rows, cols, cfg, nothing,
+                           np.arange(rows.size), ()), fit
     if alg == "cliques":
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
-        return (*clique_block(train, grouping, rows, cols), None)
-    if refit:
-        return als_refits(train, rows, cols, cfg)
-    try:
-        model = (als_fit(train, cfg) if alg == "als"
-                 else svd_fit(train, cfg.svd_k))
-    except UnfactorableError as exc:  # every cell is uncovered
-        reasons = dict.fromkeys(range(rows.size), exc)
-        return np.full(rows.size, np.nan), reasons, exc
-    return predict_cells(model, rows, cols), {}, model
+        values, reasons = clique_block(train, grouping, rows, cols)
+    elif refit:
+        values, reasons, fit = als_refits(train, rows, cols, cfg)
+    else:
+        try:
+            fit = (als_fit(train, cfg) if alg == "als"
+                   else svd_fit(train, cfg.svd_k))
+        except UnfactorableError as exc:  # every cell is uncovered
+            fit = exc
+            values = np.full(rows.size, np.nan)
+            reasons = dict.fromkeys(range(rows.size), exc)
+        else:
+            values, reasons = predict_cells(fit, rows, cols), {}
+    code = np.zeros(rows.size, np.intp)
+    return (values, reasons, code, ((alg, ()),)), fit
 
 
 def _ensemble(train: PCMatrix, rows, cols, members, columns):
@@ -137,24 +153,40 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
     return mean, reasons, code, tuple(labels)
 
 
+def _plus_ridge(train: PCMatrix, rows, cols, cfg: RunConfig, column, lone,
+                excluded):
+    """column with its cells lone (indices into rows) given ridge's
+    values, coded after its labels as ("ridge", excluded), or as
+    ("ridge:column_mean", excluded) where a cell kept no feature and
+    predicts its column's mean. The reasons are ridge's, for the cells of
+    lone it could not predict either. With no cell in lone, ridge is not
+    called. The values and codes change in place."""
+    values, _, code, labels = column
+    reasons = {}
+    if lone.size:
+        values[lone], missed, mean = ridge_block(train, rows[lone],
+                                                 cols[lone], cfg)
+        code[lone] = len(labels) + mean
+        reasons = dict(zip(lone[list(missed)].tolist(), missed.values()))
+    return values, reasons, code, (*labels, ("ridge", excluded),
+                                   ("ridge:column_mean", excluded))
+
+
 def _plus_regression(train: PCMatrix, rows, cols, cfg: RunConfig, column):
     """The clique column scored on its own under in_groups_plus_regression:
-    a cell without a group estimate takes ridge's value (code 1) where its
-    row observes another column, and ColdRowError where it does not. The
-    column changes in place; the ensemble has stacked its own copy."""
-    values, reasons, code, labels = column
-    lone = np.fromiter(reasons, np.intp, len(reasons))
+    a cell without a group estimate takes ridge's value (_plus_ridge)
+    where its row observes another column, and ColdRowError where it does
+    not. The column changes in place; the ensemble has stacked its own
+    copy."""
+    lone = np.fromiter(column[1], np.intp, len(column[1]))
     seen = train.present_mask[rows[lone]]
     cold = seen.sum(axis=1) == seen[np.arange(lone.size), cols[lone]]
-    reasons = {i: ColdRowError(f"cold row: {train.row_label(rows[i])} has "
-                               f"no observations")
-               for i in lone[cold].tolist()}
-    lone = lone[~cold]
-    values[lone], missed, _ = _fit_predict("ridge", train, rows[lone],
-                                           cols[lone], cfg, False)
-    reasons.update(zip(lone[list(missed)].tolist(), missed.values()))
-    code[lone] = 1
-    return values, reasons, code, (*labels, ("ridge", ()))
+    values, reasons, code, labels = _plus_ridge(train, rows, cols, cfg,
+                                                column, lone[~cold], ())
+    reasons.update((i, ColdRowError(f"cold row: {train.row_label(rows[i])} "
+                                    f"has no observations"))
+                   for i in lone[cold].tolist())
+    return values, reasons, code, labels
 
 
 def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
@@ -165,9 +197,14 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     prediction, NaN where there is none, reasons maps each such i to the
     error that says why, and labels[code[i]] is a covered cell's shared
     (mechanism, excluded) pair; the labels depend only on the algorithm
-    and cfg.ensemble. The cells are either all missing from train
-    (sweeps, completion) or all observed (leave-one-out), where ALS is
-    refit for each cell.
+    and cfg. The cells are either all missing from train (sweeps,
+    completion) or all observed (leave-one-out), where ALS is refit for
+    each cell.
+
+    An ensemble without ridge among its members gives a cell that no
+    member predicts ridge's value (_plus_ridge), with every member
+    excluded; a cell ridge cannot predict either keeps the ensemble's
+    reason.
     """
     # With no cells the shared fit is still made: complete_matrix returns
     # the model.
@@ -176,12 +213,16 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     base = {*algorithms, *members} - {"ensemble"}
     columns, fits = {}, {}
     for alg in [a for a in _ALGORITHMS if a in base]:
-        values, reasons, fits[alg] = _fit_predict(alg, train, rows, cols,
-                                                  cfg, refit)
-        columns[alg] = (values, reasons, np.zeros(rows.size, np.intp),
-                        ((alg, ()),))
+        columns[alg], fits[alg] = _fit_predict(alg, train, rows, cols, cfg,
+                                               refit)
     if members:
-        columns["ensemble"] = _ensemble(train, rows, cols, members, columns)
+        column = _ensemble(train, rows, cols, members, columns)
+        if "ridge" not in members:
+            lone = np.fromiter(column[1], np.intp, len(column[1]))
+            values, missed, code, labels = _plus_ridge(
+                train, rows, cols, cfg, column, lone, tuple(members))
+            column = values, {i: column[1][i] for i in missed}, code, labels
+        columns["ensemble"] = column
     if "cliques" in algorithms and cfg.protocol != "in_groups":
         columns["cliques"] = _plus_regression(train, rows, cols, cfg,
                                               columns["cliques"])
@@ -304,9 +345,10 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     cfg.protocol); returns (completed, (rows, cols, (codes, names)),
     model), the filled cells (rows[i], cols[i]) in row-major order.
 
-    names[codes[i]] names what produced cell i's value: the clique
-    algorithm reports "ridge" for the cells only ridge reached,
-    and the ensemble lists the members that contributed. model is the ALS
+    names[codes[i]] names what produced cell i's value: the ensemble
+    lists the members that contributed, and the clique algorithm and an
+    ensemble without ridge report "ridge" (or "ridge:column_mean") for
+    the cells only ridge reached. model is the ALS
     fit of als itself or of an ensemble's als member, else None; it is fit
     even when nothing is missing, since it also ranks machines for
     programs outside the matrix. Where that ALS fit could not be made,

@@ -24,7 +24,8 @@ number at a time, each keeping only the indices of its kept features and
 training rows. Cells of one shape (training rows, kept features) are
 solved as one stack, primal or dual by that shape; a cell that keeps no
 feature predicts the mean of its column's other observed rows, and one
-with no such row is uncovered.
+with no such row is uncovered. `ridge_block` says which cells took that
+column mean, so that their mechanism can be named apart from a solve.
 `ridge_predict` is the block of one. Both read `ridge_lambda` and
 `ridge_min_training_rows` from the `RunConfig` they are given.
 """
@@ -60,7 +61,7 @@ def ridge_predict(m, row: int, col: int,
     no features left, fall back to the target column's mean. Raises
     NoBasisError if the target column has no observed values at all.
     """
-    values, reasons = ridge_block(m, [row], [col], cfg)
+    values, reasons, _ = ridge_block(m, [row], [col], cfg)
     if reasons:
         raise reasons[0]
     return float(values[0])
@@ -68,9 +69,10 @@ def ridge_predict(m, row: int, col: int,
 
 def ridge_block(m, rows, cols, cfg: RunConfig = RunConfig()):
     """ridge_predict for each cell (rows[i], cols[i]) in one pass; returns
-    (values, reasons): values[i] is the prediction, NaN where there is
-    none, and reasons maps each such i to the NoBasisError that says
-    why."""
+    (values, reasons, mean): values[i] is the prediction, NaN where there
+    is none, reasons maps each such i to the NoBasisError that says why,
+    and mean[i] is True where the cell kept no feature and predicts its
+    column's mean."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     n, k, train, kept = _shrink(m.present_mask, rows, cols,
@@ -82,7 +84,7 @@ def ridge_block(m, rows, cols, cfg: RunConfig = RunConfig()):
                                f"{m.col_keys[cols[i]]!r} has no observed "
                                f"values")
                for i in np.flatnonzero(n == 0).tolist()}
-    return values, reasons
+    return values, reasons, (k == 0) & (n > 0)
 
 
 def _drop_order(mask):

@@ -11,7 +11,7 @@ masked gather, two means and three dot products.
 the earlier per-cell scaling, kept unchanged as the oracle that
 ``perfcast.cliques.clique_block`` is tested against. Each slope is a fresh
 dot product over the co-observed rows; the ridge fallback is the per-cell
-``ridge_reference.ridge_predict``.
+``ridge_reference.predict_with_mechanism``.
 
 ``grid_slopes``, ``grid_estimates`` and ``grid_block`` are the earlier
 block kernel, which computed a slope and an estimate for every entry of a
@@ -23,7 +23,7 @@ against: the same values bit for bit, and the same reasons.
 import math
 
 import numpy as np
-from ridge_reference import ridge_predict
+from ridge_reference import predict_with_mechanism
 
 from perfcast.cliques import Grouping, PairSums, pair_sums
 from perfcast.config import RunConfig
@@ -135,7 +135,8 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
                    fallback: bool = True) -> tuple[float, str]:
     """Predict a cell as the mean of its group-mate estimates.
 
-    Returns (value, mechanism), the mechanism being "cliques" or "ridge".
+    Returns (value, mechanism), the mechanism being "cliques" or, from the
+    fallback, "ridge" or "ridge:column_mean".
     The target cell is treated as missing. Machines outside any real group
     (or with no usable mate in this row) fall back to the regression
     baseline; a row with no observations at all raises ColdRowError. With
@@ -151,7 +152,7 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     row_mask[col] = False
     if not row_mask.any():
         raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
-    return ridge_predict(m, row, col, cfg), "ridge"
+    return predict_with_mechanism(m, row, col, cfg)
 
 
 def grid_slopes(m, sums: PairSums, rows, cols):

@@ -6,14 +6,18 @@ clique estimates come from the per-cell references (`ridge_reference`,
 `cliques_reference`), ALS is fit once and `predict`s one cell at a
 time, and the ensemble is `ensemble_predict` over the members that
 produced a value by their own mechanism (a clique member's ridge fallback
-is left out), in `cfg.ensemble` order; `predict` and
-`ensemble_predict` are `loo_reference`'s per-cell definitions.
+is left out), in `cfg.ensemble` order; a cell no member predicts
+takes ridge's value, unless ridge is a member. Ridge names a column mean
+"ridge:column_mean". `predict` and `ensemble_predict` are
+`loo_reference`'s per-cell definitions.
 """
+
+import contextlib
 
 import numpy as np
 from cliques_reference import clique_predict
 from loo_reference import ensemble_predict, predict
-from ridge_reference import ridge_predict
+from ridge_reference import predict_with_mechanism
 
 from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import RunConfig
@@ -42,7 +46,7 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
     def predict_one(alg, row, col):
         """(value, mechanism) of one base algorithm, or its error."""
         if alg == "ridge":
-            return ridge_predict(m, row, col, cfg), "ridge"
+            return predict_with_mechanism(m, row, col, cfg)
         if alg == "cliques":
             fallback = protocol == "in_groups_plus_regression"
             return clique_predict(m, grouping, row, col, cfg, fallback)
@@ -62,13 +66,20 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
                     value, mechanism = predict_one(mem, row, col)
                 except (NoBasisError, ColdRowError, UnfactorableError):
                     continue
-                if mechanism == mem:
+                if mechanism.partition(":")[0] == mem:
                     got.append((mem, value))
-            if not got:
+            fallback = None
+            if not got and "ridge" not in members:
+                with contextlib.suppress(NoBasisError):
+                    fallback = predict_one("ridge", row, col)
+            if got:
+                value = ensemble_predict([v for _, v in got])
+                mechanism = "ensemble:" + "+".join(name for name, _ in got)
+            elif fallback:
+                value, mechanism = fallback
+            else:
                 raise ValueError(f"no ensemble member could predict cell "
                                  f"({m.row_label(row)}, {m.col_keys[col]})")
-            value = ensemble_predict([v for _, v in got])
-            mechanism = "ensemble:" + "+".join(name for name, _ in got)
         values[row, col] = value
         fills.append((row, col, value, mechanism))
     return values, fills

@@ -7,7 +7,9 @@ ridge and cliques once on the full matrix. Every base algorithm here sees
 each cell with the reference loop (`als_reference`), started from the
 column factors of the reference fit on the full matrix. An
 ensemble member counts only a value it made by its own mechanism: the
-clique member's ridge fallback is left out under either protocol. Ridge and
+clique member's ridge fallback is left out under either protocol. A cell
+that no member predicts takes ridge's value, with every member excluded,
+unless ridge is a member. Ridge and
 the clique estimates come from the per-cell references
 (`ridge_reference`, `cliques_reference`), not from the block kernels that
 the `leave_one_out` under test runs. So do the factorizations' cell
@@ -94,6 +96,7 @@ def _base_algorithms(algorithms, ensemble) -> set[str]:
     for alg in algorithms:
         if alg == "ensemble":
             needed.update(ensemble)
+            needed.add("ridge")  # the fallback of an ensemble without it
         else:
             needed.add(alg)
     return needed
@@ -112,6 +115,8 @@ def _assemble(algorithms, cells, preds, ensemble):
                 excluded = tuple(mem for mem in ensemble
                                  if preds[mem][i] is None)
                 value = ensemble_predict(avail) if avail else None
+                if value is None and "ridge" not in ensemble:
+                    value, excluded = preds["ridge"][i], ensemble
             else:
                 value = preds[alg][i]
             if value is None:

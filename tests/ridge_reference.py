@@ -6,7 +6,8 @@ This is the earlier ``perfcast.ridge.ridge_predict`` with its
 ``np.ix_`` gather and one small solve. Its per-cell drop order is
 ``drop_positions``, which the block kernel's per-column drop orders are
 tested against. ``predict_with_features`` also says which features a
-prediction kept, none for the column mean.
+prediction kept, none for the column mean, and ``predict_with_mechanism``
+names the mechanism as the package's fill log does.
 
 ``shrink`` is the block kernel's earlier shrink step, a matmul over a
 bounded span of cells per 52-rank window, kept as the oracle that
@@ -64,6 +65,14 @@ def ridge_predict(m, row: int, col: int,
     NoBasisError if the target column has no observed values at all.
     """
     return predict_with_features(m, row, col, cfg)[0]
+
+
+def predict_with_mechanism(m, row: int, col: int,
+                           cfg: RunConfig = RunConfig()) -> tuple[float, str]:
+    """(ridge_predict's value, "ridge:column_mean" where it kept no
+    feature, else "ridge")."""
+    value, kept = predict_with_features(m, row, col, cfg)
+    return value, "ridge" if kept.size else "ridge:column_mean"
 
 
 def predict_with_features(m, row: int, col: int,

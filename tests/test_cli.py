@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -58,7 +59,74 @@ class TestIngest:
         assert not out.exists()
 
 
+# p3::a3 is cold, so the ALS member cannot be fit: every fill is ridge's,
+# cliques' or their mean.
+PINNED_INPUT = [[1.0, 2.1, 2.9, 8.0], [2.0, 4.2, None, 5.5],
+                [3.0, None, 9.1, 7.0], [None, None, None, None],
+                [5.0, 10.3, 14.8, None], [6.0, 12.2, 18.1, 2.5],
+                [7.0, 14.1, None, 6.0]]
+# `complete --fills-out` on PINNED_INPUT when the default ensemble was
+# ridge, cliques and als: (row, column, predicted_seconds, algorithm) per
+# fill record. --ensemble ridge,cliques,als gives it still.
+PINNED_FILLS = [
+    (1, 2, 6.076593431887803, "ensemble:ridge+cliques"),
+    (2, 1, 6.139074792176747, "ensemble:ridge+cliques"),
+    (3, 0, 4.0, "ensemble:ridge"),
+    (3, 1, 8.58, "ensemble:ridge"),
+    (3, 2, 11.225000000000001, "ensemble:ridge"),
+    (3, 3, 5.8, "ensemble:ridge"),
+    (4, 3, 4.934257795895919, "ensemble:ridge"),
+    (6, 2, 20.86562964370878, "ensemble:ridge+cliques"),
+]
+
+
 class TestComplete:
+    def test_three_member_ensemble_fills_as_the_old_default(
+            self, tmp_path, monkeypatch):
+        # The values are pinned to 1e-12, for a BLAS that rounds apart;
+        # the rest of each record, and the completed CSV's agreement with
+        # the log, exactly.
+        monkeypatch.chdir(tmp_path)
+        m = grid(PINNED_INPUT)
+        write_matrix_csv(m, "in.csv")
+
+        def run(*flags):
+            assert main(["complete", "in.csv", "--out", "completed.csv",
+                         "--fills-out", "fills.json", *flags]) == 0
+            log = json.loads((tmp_path / "fills.json").read_text())
+            completed = read_matrix_csv("completed.csv")
+            fills = []
+            for f in log["fills"]:
+                r = m.row_keys.index((f["program"], f["args"]))
+                c = m.col_keys.index(f["machine"])
+                assert completed.values[r, c] == f["predicted_seconds"]
+                fills.append((r, c, f["predicted_seconds"], f["algorithm"]))
+            assert completed.present_mask.all()
+            assert np.array_equal(completed.values[m.present_mask],
+                                  m.values[m.present_mask])
+            return log["run_config"], fills
+
+        echo, fills = run("--ensemble", "ridge,cliques,als")
+        assert echo == json.loads(json.dumps({**asdict(RunConfig(
+            ensemble=("ridge", "cliques", "als"))), "input": "in.csv",
+            "output": "completed.csv"}))
+        assert [f[:2] + f[3:] for f in fills] == [
+            f[:2] + f[3:] for f in PINNED_FILLS]
+        for (*_, got, _), (*_, want, _) in zip(fills, PINNED_FILLS):
+            assert math.isclose(got, want, rel_tol=1e-12)
+        # the default fills the same cells; where only ridge reached a
+        # cell it has ridge's value and names it, a cold row's cells as
+        # its column's mean
+        echo, default = run()
+        assert echo["ensemble"] == ["cliques", "als"]
+        assert [f[:2] for f in default] == [f[:2] for f in fills]
+        for (r, _, want, name), (*_, value, got) in zip(fills, default):
+            if name == "ensemble:ridge":
+                assert value == want
+                assert got == ("ridge:column_mean" if r == 3 else "ridge")
+            else:
+                assert got == "ensemble:cliques"
+
     def test_full_matrix_roundtrip_identity(self, tmp_path, capsys):
         m, _, _ = planted_rank1(5, 4, seed=2)
         src = tmp_path / "full.csv"
@@ -195,11 +263,11 @@ class TestComplete:
                    "in_groups_plus_regression") == (default, log)
         # an ensemble's clique member adds only its in-group estimates,
         # under either protocol
-        ensemble = run("--algorithm", "ensemble")
+        three = ("--algorithm", "ensemble", "--ensemble", "ridge,cliques,als")
+        ensemble = run(*three)
         assert ensemble[1] == (["ensemble:ridge+cliques+als"] * 2
                                + ["ensemble:ridge+als"] * 2)
-        assert run("--algorithm", "ensemble", "--protocol",
-                   "in_groups") == ensemble
+        assert run(*three, "--protocol", "in_groups") == ensemble
         capsys.readouterr()
         assert run("--algorithm", "cliques", "--protocol", "in_groups") is None
         assert "no group estimate for cell" in capsys.readouterr().err
@@ -737,6 +805,41 @@ class TestRankAndPlace:
         assert decision["rationale"] == "cold_row_ranked_fastest"
         assert decision["machine"] == "C1"  # C1 column is the fast one
         assert decision["predicted_seconds"] is None
+
+    def test_place_with_k2_model_and_no_cold_row(self, matrix_csv, tmp_path,
+                                                 capsys):
+        # the ranking places cold rows only: with every requested row
+        # predicted, a K=2 model is loaded and checked but not ranked, and
+        # the lines are those of a run without --model (it was refused
+        # with "ordering defined only for K=1")
+        model, done = self.make_model(tmp_path, matrix_csv, k=2)
+        capsys.readouterr()
+        for rows in ([], ["--rows", "p03::a03,p00::a00"]):
+            assert main(["place", str(done), *rows]) == 0
+            plain = capsys.readouterr()
+            assert plain.out and plain.err == ""
+            assert main(["place", str(done), *rows,
+                         "--model", str(model)]) == 0
+            assert capsys.readouterr() == plain
+
+    def test_place_cold_row_with_k2_model_errors(self, matrix_csv, tmp_path,
+                                                 capsys):
+        # a requested cold row needs the ranking, which K=2 does not give
+        model, done = self.make_model(tmp_path, matrix_csv, k=2)
+        m = read_matrix_csv(done)
+        cold = grid(m.values.tolist() + [[None] * m.n_cols],
+                    row_keys=[*m.row_keys, ("new", "x")], col_keys=m.col_keys)
+        src = tmp_path / "cold.csv"
+        write_matrix_csv(cold, src)
+        capsys.readouterr()
+        assert main(["place", str(src), "--rows", "p00::a00",
+                     "--model", str(model)]) == 0
+        capsys.readouterr()
+        for rows in ([], ["--rows", "new::x"]):
+            assert main(["place", str(src), *rows,
+                         "--model", str(model)]) == 1
+            assert capsys.readouterr() == (
+                "", "error: ordering defined only for K=1\n")
 
     @pytest.mark.parametrize("last,message", [
         ([None, None], "error: cold row q::a: no predictions and no machine "

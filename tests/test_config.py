@@ -51,7 +51,7 @@ DEFAULT_ECHO = {
     "als_max_iters": 200,
     "als_tol": 1e-06,
     "svd_k": 1,
-    "ensemble": ["ridge", "cliques", "als"],
+    "ensemble": ["cliques", "als"],
     "seed": 0,
     "repeats": 5,
     "fractions": [0.05, 0.1, 0.2, 0.3, 0.4, 0.5],

@@ -9,7 +9,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from conftest import decoded, ensemble_cells, grid, planted_rank1
+from conftest import (decoded, ensemble_cells, grid, planted_rank1,
+                      sparse_matrices)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from complete_reference import complete_matrix as reference_complete_matrix
@@ -24,6 +25,8 @@ from perfcast.ridge import ridge_block, ridge_predict
 
 ALGORITHMS = ["ridge", "cliques", "als", "svd", "ensemble"]
 PROTOCOLS = ["in_groups", "in_groups_plus_regression"]
+# the default ensemble before ridge left it: ridge a member, no fallback
+THREE = ("ridge", "cliques", "als")
 
 
 def cell_keys(res):
@@ -379,11 +382,11 @@ class TestCompleteMatrix:
         (EMPTY_COLUMN, "svd", f"raise:{NOT_A_FILLER}"),
         (EMPTY_COLUMN, "ensemble",
          "raise:no ensemble member could predict cell (p0::a, C3)"),
-        (COLD_ROW, "ridge", "fill:ridge"),
+        (COLD_ROW, "ridge", "fill:ridge:column_mean"),
         (COLD_ROW, "cliques", "raise:cold row: p2::a"),
         (COLD_ROW, "als", "raise:unfactorable matrix: a row"),
         (COLD_ROW, "svd", f"raise:{NOT_A_FILLER}"),
-        (COLD_ROW, "ensemble", "fill:ensemble:ridge"),
+        (COLD_ROW, "ensemble", "fill:ridge:column_mean"),
     ])
     def test_outcome_on_empty_column_and_cold_row(self, values, algorithm,
                                                   expected):
@@ -407,7 +410,8 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        cfg = small_cfg(algorithm="ensemble", protocol=protocol)
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol,
+                        ensemble=THREE)
         completed, ((row,), (col,), mechanism), _ = complete_matrix(m, cfg)
         predicted = completed.values[row, col]
         ridge = ridge_predict(m, 3, 2, cfg)
@@ -425,14 +429,14 @@ class TestCompleteMatrix:
             return np.full(len(rows), 0.1)
         def in_groups(m, grouping, rows, *_):
             return tenth(m, rows), {}
-        monkeypatch.setattr(evaluation, "ridge_block",
-                            lambda *args: (tenth(*args), {}))
+        monkeypatch.setattr(evaluation, "ridge_block", lambda *args: (
+            tenth(*args), {}, np.zeros(len(args[1]), bool)))
         monkeypatch.setattr(evaluation, "clique_block", in_groups)
         monkeypatch.setattr(evaluation, "predict_cells", tenth)
         assert sum([0.1] * 3) / 3 != 0.1
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
         completed, (rows, cols, mechanism), _ = complete_matrix(
-            m, small_cfg(algorithm="ensemble"))
+            m, small_cfg(algorithm="ensemble", ensemble=THREE))
         assert list(zip(completed.values[rows, cols].tolist(),
                         decoded(mechanism))) == [
             (0.1, "ensemble:ridge+cliques+als")]
@@ -453,7 +457,8 @@ class TestCompleteMatrix:
         base = [1.0, 2.0, 3.0, 4.0, 5.0]
         noise = [3.0, 1.0, 3.5, None, 2.5]
         m = grid([[b, 2 * b, x] for b, x in zip(base, noise)])
-        cfg = small_cfg(algorithm="ensemble", protocol=protocol)
+        cfg = small_cfg(algorithm="ensemble", protocol=protocol,
+                        ensemble=THREE)
         _, (_, _, mechanism), _ = complete_matrix(m, cfg)
         assert calls == [(3, 2)]
         assert decoded(mechanism) == ["ensemble:ridge+als"]
@@ -480,7 +485,7 @@ class TestCompleteMatrix:
         masked, held = mask_random(m, MaskSpec(0.5, 24))
         assert len(held) > 512
         _, (rows, _, _), _ = complete_matrix(masked, small_cfg(
-            algorithm="ensemble"))
+            algorithm="ensemble", ensemble=THREE))
         assert rows.size == len(held)
         assert calls == {"ridge": 1, "cliques": 1}
 
@@ -502,7 +507,7 @@ class TestCompleteMatrix:
         m, _, _ = planted_rank1(12, 6, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.4, 18))
         _, (rows, _, (codes, names)), _ = complete_matrix(
-            masked, small_cfg(algorithm="ensemble"))
+            masked, small_cfg(algorithm="ensemble", ensemble=THREE))
         assert codes.dtype == np.intp and codes.size == rows.size > 10
         assert len(names) == len(set(names)) == 2 ** 3
         assert names[codes[0]] == "ensemble:ridge+cliques+als"
@@ -590,7 +595,7 @@ class TestEnsembleMembersStandAlone:
         m = fallback_matrix()
         holed = m.with_cell_missing(3, 4)
         cfg = small_cfg(algorithm="ensemble", protocol=protocol,
-                        fractions=(0.3,), repeats=2)
+                        fractions=(0.3,), repeats=2, ensemble=THREE)
         complete_matrix(holed, cfg)
         leave_one_out(m, cfg)
         assert calls == [1, m.count_present]
@@ -606,6 +611,121 @@ class TestEnsembleMembersStandAlone:
         # under in_groups_plus_regression
         masking_sweep(m, ["cliques"], cfg)
         assert (sum(calls) > 0) == (protocol != "in_groups")
+
+
+class TestRidgeFallback:
+    """The default ensemble, cliques and als, gives a cell that neither
+    predicts ridge's value, with both members excluded. So it fills
+    exactly the cells that the three-member ensemble (THREE) fills, and
+    where ridge has no value either it raises the same first reason."""
+
+    @staticmethod
+    def without_ridge(name):
+        """The default's mechanism for a cell THREE names name."""
+        members = name.removeprefix("ensemble:").split("+")
+        return "ensemble:" + "+".join(mem for mem in members
+                                      if mem != "ridge")
+
+    @given(m=sparse_matrices(), threshold=st.sampled_from([0.5, 0.9, 0.97]),
+           protocol=st.sampled_from(PROTOCOLS))
+    @settings(max_examples=80, deadline=None)
+    def test_completion_covers_what_three_members_cover(self, m, threshold,
+                                                        protocol):
+        cfg = RunConfig(algorithm="ensemble", protocol=protocol,
+                        als_max_iters=20, clique_threshold=threshold)
+        assert cfg.ensemble == ("cliques", "als")
+        try:
+            three, (rows, cols, names), _ = complete_matrix(
+                m, replace(cfg, ensemble=THREE))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                complete_matrix(m, cfg)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        completed, (got_rows, got_cols, got_names), _ = complete_matrix(m,
+                                                                        cfg)
+        assert completed.present_mask.all()
+        assert got_rows.tolist() == rows.tolist()
+        assert got_cols.tolist() == cols.tolist()
+        for name, got, want, value in zip(
+                decoded(names), decoded(got_names),
+                three.values[rows, cols].tolist(),
+                completed.values[rows, cols].tolist()):
+            if name == "ensemble:ridge":  # ridge's value in both
+                assert got in ("ridge", "ridge:column_mean")
+                assert value == want
+            else:
+                assert got == self.without_ridge(name)
+
+    @given(m=sparse_matrices(), protocol=st.sampled_from(PROTOCOLS))
+    @settings(max_examples=40, deadline=None)
+    def test_leave_one_out_scores_what_three_members_score(self, m,
+                                                           protocol):
+        # the same cells scored and uncovered; a cell only ridge reached
+        # has ridge's value and lacks both members in either report
+        cfg = RunConfig(algorithm="ensemble", protocol=protocol,
+                        als_max_iters=20)
+        (three,) = leave_one_out(m, replace(cfg, ensemble=THREE)).results
+        (got,) = leave_one_out(m, cfg).results
+        assert cell_keys(got) == cell_keys(three)
+        assert got.n_uncovered == three.n_uncovered
+        for (name, excluded), (got_name, got_excluded), want, value in zip(
+                decoded((three.mechanism, three.labels)),
+                decoded((got.mechanism, got.labels)),
+                three.predicted.tolist(), got.predicted.tolist()):
+            if name == "ensemble:ridge":
+                assert got_name in ("ridge", "ridge:column_mean")
+                assert got_excluded == excluded == ("cliques", "als")
+                assert value == want
+            else:
+                assert got_name == self.without_ridge(name)
+                assert got_excluded == tuple(mem for mem in excluded
+                                             if mem != "ridge")
+
+    def test_ridge_runs_only_on_cells_no_member_predicts(self, monkeypatch):
+        # ALS covers every cell of a matrix with no empty row or column,
+        # so ridge is not called at all; a cold row makes ALS unfactorable,
+        # and ridge then sees only the cells cliques left, once
+        calls = []
+
+        def counting(m, rows, cols, cfg):
+            calls.append(list(zip(rows.tolist(), cols.tolist())))
+            return ridge_block(m, rows, cols, cfg)
+        monkeypatch.setattr(evaluation, "ridge_block", counting)
+        m, _, _ = planted_rank1(10, 6, seed=23)
+        masked, _ = mask_random(m, MaskSpec(0.3, 24))
+        _, (_, _, mechanism), model = complete_matrix(
+            masked, small_cfg(algorithm="ensemble"))
+        assert calls == [] and model is not None
+        assert set(decoded(mechanism)) <= {"ensemble:cliques+als",
+                                           "ensemble:als"}
+        values = masked.values.copy()
+        values[4] = np.nan
+        cold = masked.with_values(values)
+        _, (rows, cols, mechanism), model = complete_matrix(
+            cold, small_cfg(algorithm="ensemble"))
+        assert isinstance(model, factorization.UnfactorableError)
+        names = decoded(mechanism)
+        lone = [(r, c) for r, c, name in zip(rows.tolist(), cols.tolist(),
+                                              names)
+                if not name.startswith("ensemble:")]
+        assert calls == [lone]
+        assert {(4, c) for c in range(6)} <= set(lone)
+        assert all(name == "ridge:column_mean" for (r, _), name in zip(
+            zip(rows.tolist(), cols.tolist()), names) if r == 4)
+
+    def test_fallback_labels_follow_the_members(self):
+        # the fallback's two labels come after the members' subsets and
+        # lack every member; an ensemble with ridge has no fallback
+        m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
+        for ensemble, extra in [(("cliques", "als"), 2), (THREE, 0),
+                                (("als",), 2)]:
+            _, (_, _, (_, names)), _ = complete_matrix(m, small_cfg(
+                algorithm="ensemble", ensemble=ensemble))
+            assert len(names) == 2 ** len(ensemble) + extra
+            if extra:
+                assert names[-2:] == ["ridge", "ridge:column_mean"]
 
 
 class TestReportFiles:

@@ -163,7 +163,8 @@ class TestInvariants:
 # shape and so sums each cell's terms as the reference does. The bounds
 # leave room for a BLAS that orders those sums otherwise; a column mean
 # must match exactly. Coverage, the fallbacks and every NoBasisError
-# message matched exactly.
+# message matched exactly, and a cell is flagged as its column's mean
+# exactly where the reference kept no feature.
 RTOL = {10.0: 1e-13, 1e-2: 1e-10, 1e-6: 1e-8}
 
 
@@ -177,8 +178,9 @@ def reference(m, row, col, cfg):
 
 
 def assert_block_matches_reference(m, rows, cols, cfg):
-    values, reasons = ridge_block(m, rows, cols, cfg)
+    values, reasons, mean = ridge_block(m, rows, cols, cfg)
     assert values.dtype == np.float64 and values.shape == (len(rows),)
+    assert mean.dtype == bool and mean.shape == (len(rows),)
     uncovered = set()
     for i, (row, col) in enumerate(zip(rows, cols)):
         want = reference(m, row, col, cfg)
@@ -187,8 +189,10 @@ def assert_block_matches_reference(m, rows, cols, cfg):
             assert np.isnan(values[i])
             assert type(reasons[i]) is NoBasisError
             assert str(reasons[i]) == str(want)
+            assert not mean[i]
             continue
         want, kept = want
+        assert mean[i] == (kept.size == 0)
         assert values[i] >= 1e-9
         if kept.size:
             assert values[i] == pytest.approx(want, rel=RTOL[cfg.ridge_lambda])
@@ -300,7 +304,7 @@ class TestBlockKernel:
         assert rows.size > 6900
         tracemalloc.start()
         try:
-            values, reasons = ridge_block(m, rows, cols)
+            values, reasons, _ = ridge_block(m, rows, cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -308,8 +312,8 @@ class TestBlockKernel:
         assert peak < 1_000_000
 
     def test_empty_block(self):
-        values, reasons = ridge_block(linear_two_columns(), [], [])
-        assert values.shape == (0,) and reasons == {}
+        values, reasons, mean = ridge_block(linear_two_columns(), [], [])
+        assert values.shape == mean.shape == (0,) and reasons == {}
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 4])
     def test_no_more_rows_than_min_training_rows(self, n_rows):
@@ -322,14 +326,16 @@ class TestBlockKernel:
         cfg = RunConfig(ridge_min_training_rows=max(n_rows, 2))
         assert_block_matches_reference(m, rows, cols, cfg)
         assert_block_matches_reference(m, [], [], cfg)
-        values, reasons = ridge_block(m, rows, cols, cfg)
+        values, reasons, mean = ridge_block(m, rows, cols, cfg)
         for i, (r, c) in enumerate(zip(rows, cols)):
             others = np.delete(m.values[:, c], r)
             others = others[~np.isnan(others)]
             if others.size:
                 assert values[i] == others.mean() and i not in reasons
+                assert mean[i]
             else:
                 assert np.isnan(values[i]) and i in reasons
+                assert not mean[i]
 
 
 @given(m=sparse_matrices(max_rows=12, max_cols=8, max_holes=0.6))
