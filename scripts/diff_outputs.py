@@ -39,10 +39,12 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
 # cliques fill log, an `in_groups` report, an outlier sweep or a
-# leave-one-out ALS report at the default iteration budget, completes
-# with ridge among the ensemble's members, places or schedules a subset
-# of rows or with a model, or refuses a setting, a partly predicted row
-# or an abbreviated flag (whose stderr and exit status are compared).
+# leave-one-out ALS report at the default iteration budget, fits ALS at
+# K > 1 outside a sweep (a leave-one-out at K = 2, a K = 4 completion and
+# its model), completes with ridge among the ensemble's members, places
+# or schedules a subset of rows or with a model, or refuses a setting, a
+# partly predicted row or an abbreviated flag (whose stderr and exit
+# status are compared).
 PLACED_ROWS = "bench003::default,bench001::default"  # not in row order
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
@@ -66,6 +68,8 @@ EXTRA = {"complete-place": [
      "rows_schedule.jsonl"],
     [["place", "als.csv", "--model", "model.json"], "als_place.jsonl"],
     [["place", INPUT_CSV], None],  # refused: partly predicted rows
+    [["complete", INPUT_CSV, "--out", "als4.csv", "--algorithm", "als",
+      "--als-k", "4", "--model-out", "m4.json"], None],
 ], "loo-cliques": [
     [["complete", INPUT_CSV, "--out", "cliques.csv", "--algorithm", "cliques",
       "--fills-out", "fills.json"], None],
@@ -80,6 +84,8 @@ EXTRA = {"complete-place": [
       "--out-json", "defaults.json", "--out-csv", "defaults.csv"], None],
     # --model is place's flag, not an abbreviation of --model-out
     [["complete", INPUT_CSV, "--out", "c.csv", "--model", "m.json"], None],
+    [["evaluate", INPUT_CSV, "--algorithm", "als", "--als-k", "2",
+      "--out-json", "k2.json", "--out-csv", "k2.csv"], None],
 ]}
 
 # Run in a subprocess with the tree's src/ first on sys.path; reads

@@ -2,9 +2,11 @@
 
 Alternating least squares is the workhorse: holding one side fixed, each
 program (then each machine) factor is the exact solution of a small
-ridge problem over that row's (column's) observed cells, and one batched
-solve answers all of them, for every K. The kernel runs a stack of fits
-that share one mask: a plain fit is the stack of one, from seeded draws.
+ridge problem over that row's (column's) observed cells, and one K-major
+Gaussian elimination, unpivoted as the systems are positive definite,
+answers all of them (at K = 1, one divide); factors that overflow are
+refused. The kernel runs a stack of fits that share one mask: a plain
+fit is the stack of one, from seeded draws.
 Leave-one-out fits the full matrix once that way, then refits every cell
 without it, each refit started from the full fit's column factors (one
 cell away from its own answer) and run to its own RMSE, stop and
@@ -36,8 +38,8 @@ import numpy as np
 from .config import RunConfig
 from .matrix import PREDICTION_FLOOR
 
-# elements per ALS stack: bounds its stacked per-row and per-column
-# systems, and each chunk of gathered residuals
+# elements per ALS stack, counted as (rows + cols) * (K + 2) per slot
+# (see _fit_stack), and per chunk of gathered residuals
 _STACK = 2 ** 16
 # below this share of its sum of squared targets, a refit's SSE from sums
 # is recomputed from its gathered residuals (see _fit_stack)
@@ -45,11 +47,15 @@ _EXACT = 1e-5
 
 
 class UnfactorableError(ValueError):
-    """A fully empty row or column leaves a factor unconstrained."""
+    """A row or column with no observations, or factors that overflow."""
 
 
 @dataclass(frozen=True, eq=False)
 class FactorModel:
+    """Rank-k factors, row_factors C-ordered (rows, k), col_factors F-ordered
+    (k, cols): each row's and column's k factors in one piece, summed by a
+    BLAS dot in one order on every path."""
+
     k: int
     row_keys: tuple[tuple[str, str], ...]
     col_keys: tuple[str, ...]
@@ -65,9 +71,7 @@ class FactorModel:
         if not self.row_keys or not self.col_keys:  # as a PCMatrix's
             raise ValueError("factor model needs at least one program and "
                              "one machine")
-        rf = np.array(self.row_factors, dtype=np.float64)
-        # column-major, whatever the source: each column's K factors are
-        # contiguous, so a BLAS dot sums them in one order on every path
+        rf = np.array(self.row_factors, dtype=np.float64, order="C")
         cf = np.array(self.col_factors, dtype=np.float64, order="F")
         if rf.shape != (len(self.row_keys), self.k):
             raise ValueError(f"row factor shape {rf.shape} does not match "
@@ -87,6 +91,7 @@ class FactorModel:
 
 _EMPTY_ROW = "unfactorable matrix: a row has no observations"
 _EMPTY_COL = "unfactorable matrix: a column has no observations"
+_OVERFLOW = "unfactorable matrix: the fit's factors overflow to inf or nan"
 
 
 def _check_factorable(mask):
@@ -146,39 +151,53 @@ def _left_out_rows(M, X0, rows, cols):
     return rows, m_rows, x_rows
 
 
-def _half_step(F, M, X0, lam_eye, left=None):
+def _half_step(F, M, X0, lam, left=None):
     """Exact regularized least-squares solve for every row of every fit.
 
-    F is (fits, K, cols): each fit's factors, held fixed. Row i of fit b
-    minimizes sum_j M[i, j] * (X0[i, j] - u . F[b, :, j])**2 + lam * |u|**2,
-    with lam_eye = lam times the K x K identity. All K x K Gram matrices,
-    every fit's, come from one matmul against the stacked outer products
-    of F's columns. left, when given, is _left_out_rows's (rows, M_rows,
-    X0_rows) for the cells the fits leave out: the system of fit b's row
-    rows[b] is rebuilt from M_rows[b] and X0_rows[b], since subtracting
-    the cell's term from the full sum cancels badly.
+    F is (K, fits, cols): each fit's factors, held fixed. Row i of fit b
+    minimizes sum_j M[i, j] * (X0[i, j] - u . F[:, b, j])**2 + lam * |u|**2,
+    so solves (A + lam I) u = r. One matmul against the stacked outer
+    products of F's columns gives every A, and one against F every r, laid
+    out K-major: (K, K, fits, rows) and (K, fits, rows). left, when given,
+    is _left_out_rows's (rows, M_rows, X0_rows) for the cells the fits
+    leave out: the system of fit b's row rows[b] is rebuilt from M_rows[b]
+    and X0_rows[b], since subtracting the cell's term from the full sum
+    cancels badly.
 
-    Returns (x, b), both (fits, rows, K): the solutions and the right-hand
-    sides sum_j M[i, j] * X0[i, j] * F[b, :, j] they solve for.
+    Gaussian elimination over K and back substitution solve every system
+    at once, each step one operation over all fits and rows (at K = 1, one
+    divide). lam > 0 makes A + lam I symmetric positive definite: its
+    pivots stay positive, and elimination is stable without pivoting.
+
+    Returns (x, r), both (K, fits, rows): the solutions, which are the next
+    half-step's F, and the right-hand sides.
     """
-    fits, k, cols = F.shape
-    FF = (F[:, :, None, :] * F[:, None, :, :]).reshape(fits, k * k, cols)
-    # Kept (rows, fits, ...) as the matmuls lay them out, which the solve
-    # reads without a copy; the results are returned as (fits, rows, K).
-    A = (M @ FF.reshape(-1, cols).T).reshape(-1, fits, k, k)
-    b = (X0 @ F.reshape(-1, cols).T).reshape(-1, fits, k)
+    k, fits, cols = F.shape
+    FF = (F[:, None] * F).reshape(-1, cols)  # (K, K, fits) outer products
+    if k == 1:  # (rows, fits) as the matmuls lay them out, seen K-major
+        A, r = (M @ FF.T).T[None, None], (X0 @ F[0].T).T[None]
+    else:
+        A = (FF @ M.T).reshape(k, k, fits, -1)
+        r = (F.reshape(-1, cols) @ X0.T).reshape(k, fits, -1)
     if left is not None:
         rows, m_rows, x_rows = left
         stack = np.arange(fits)
-        A[rows, stack] = (m_rows[:, None]
-                          @ FF.swapaxes(1, 2)).reshape(-1, k, k)
-        b[rows, stack] = (x_rows[:, None] @ F.swapaxes(1, 2))[:, 0]
-    A += lam_eye
-    if k == 1:  # the 1 x 1 solve, over A, without a LAPACK call per row
-        x = np.divide(b, A[..., 0], out=A[..., 0])
-    else:
-        x = np.linalg.solve(A, b[..., None])[..., 0]
-    return x.swapaxes(0, 1), b.swapaxes(0, 1)
+        FF = FF.reshape(-1, fits, cols).transpose(1, 2, 0)
+        A[..., stack, rows] = (m_rows[:, None] @ FF)[:, 0].T.reshape(k, k, -1)
+        r[..., stack, rows] = (x_rows[:, None] @ F.transpose(1, 2, 0))[:, 0].T
+    for j in range(k):
+        A[j, j] += lam
+    if k == 1:
+        return np.divide(r, A[0], out=A[0]), r
+    x = r.copy()
+    for j in range(1, k):  # clear column j - 1 below the diagonal
+        f = A[j:, j - 1] / A[j - 1, j - 1]
+        A[j:, j:] -= f[:, None] * A[j - 1, j:]
+        x[j:] -= f * x[j - 1]
+    for j in reversed(range(k)):
+        x[j] /= A[j, j]
+        x[:j] -= A[:j, j] * x[j]
+    return x, r
 
 
 def _gathered_sse(U, V, p: _Problem, left_out=None):
@@ -216,11 +235,13 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
     fit on every observed cell, or an index array into p.observed, a
     queue of refits: fit b leaves out cell left_out[b], and its RMSE and
     tol stop are over its own cells. The queue runs in a stack of
-    _STACK // ((rows + cols) * (K**2 + 2K)) slots of per-row and
-    per-column systems. When fits stop, the next fits of the queue take
-    their slots, and only their rows and columns that hold the left-out
-    cells, without them, are built; the stack shrinks once the queue is
-    empty. Every fit must be factorable.
+    _STACK // ((rows + cols) * (K + 2)) slots of per-row and per-column
+    systems, (rows + cols) * (K**2 + 2K) elements each: every elimination
+    step has a fixed cost, which more fits per stack amortize as K grows.
+    When fits stop, the next fits of the queue take their slots, and only
+    their rows and columns that hold the left-out cells, without them, are
+    built; the stack shrinks once the queue is empty. Every fit must be
+    factorable; one with a NaN RMSE stops.
 
     The one fit's RMSE is gathered from its residuals. A refit's comes
     from the column half-step's sums instead: since (A_c + lam I) v_c =
@@ -236,15 +257,14 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
     """
     M, X0, targets = p.M, p.X0, p.targets
     n, mm = M.shape
-    k = cfg.als_k
-    lam_eye = cfg.als_lambda * np.eye(k)
+    k, lam = cfg.als_k, cfg.als_lambda
     if left_out is None:
         queue = slots = 1
         by_row = by_col = None
         count = targets.size
     else:
         queue, count = len(left_out), targets.size - 1
-        slots = min(queue, max(1, _STACK // ((n + mm) * (k * k + 2 * k))))
+        slots = min(queue, max(1, _STACK // ((n + mm) * (k + 2))))
         total_sq = targets @ targets
 
         def load(fits):
@@ -259,34 +279,33 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
     live = np.arange(slots)  # stack slot -> fit
     age = np.zeros(slots, dtype=np.intp)
     prev = np.full(slots, np.nan)  # no RMSE yet: no stop
-    V = np.repeat(start[None], slots, axis=0)
+    V = np.repeat(start[:, None], slots, axis=1)  # (K, fits, cols)
     loaded = slots
     while live.size:
-        U, _ = _half_step(V, M, X0, lam_eye, by_row)
-        Vt, b = _half_step(U.swapaxes(1, 2), M.T, X0.T, lam_eye, by_col)
-        V = Vt.swapaxes(1, 2)
+        Ut, _ = _half_step(V, M, X0, lam, by_row)
+        V, b = _half_step(Ut, M.T, X0.T, lam, by_col)
+        U, Vf = Ut.transpose(1, 2, 0), V.swapaxes(0, 1)
         if left_out is None:
-            sse = _gathered_sse(U, V, p)
+            sse = _gathered_sse(U, Vf, p)
         else:
-            sse = (sumsq - np.einsum("fck,fck->f", Vt, b)
-                   - cfg.als_lambda * np.einsum("fck,fck->f", Vt, Vt))
+            sse = (sumsq - np.einsum("kfc,kfc->f", V, b)
+                   - lam * np.einsum("kfc,kfc->f", V, V))
             near = np.flatnonzero(sse < _EXACT * sumsq)
             if near.size:
-                sse[near] = _gathered_sse(U[near], V[near], p,
+                sse[near] = _gathered_sse(U[near], Vf[near], p,
                                           left_out[live[near]])
         # A rounded difference can dip below zero; sqrt would warn.
         rmse = np.sqrt(np.maximum(sse, 0.0) / count)
         age += 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            done = ((age == cfg.als_max_iters) | (prev == 0.0)
+            done = ((age == cfg.als_max_iters) | (prev == 0.0) | np.isnan(rmse)
                     | (np.abs(prev - rmse) / prev < cfg.als_tol))
-        # each fit's (cols, K) block in one piece, as the refill and the
-        # cut below keep it: the operands the next row half-step hands
-        # BLAS, and so its rounding, do not depend on where fits stopped
-        Vc = np.ascontiguousarray(Vt)
-        yield rmse, live[done], age[done], U[done], V[done]
+        # C-ordered, as the solve lays it out at K > 1: the next row
+        # half-step hands BLAS the same operands wherever fits stopped
+        V = np.ascontiguousarray(V)
+        yield rmse, live[done], age[done], U[done], Vf[done]
         if not done.any():
-            V, prev = Vc.swapaxes(1, 2), rmse
+            prev = rmse
             continue
         if left_out is None:  # the one fit stopped
             return
@@ -296,18 +315,17 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
             fits = np.arange(loaded, loaded + fill.size)
             loaded += fill.size
             live[fill], age[fill], prev[fill] = fits, 0, np.nan
-            Vc[fill] = start.T
+            V[:, fill] = start[:, None]
             new_rows, new_cols, sumsq[fill] = load(fits)
             for held, new in zip(by_row + by_col, new_rows + new_cols):
                 held[fill] = new
         if fill.size < free.size:  # the queue is empty
             keep = ~done
             keep[fill] = True
-            live, age, prev, Vc = live[keep], age[keep], prev[keep], Vc[keep]
+            live, age, prev, V = live[keep], age[keep], prev[keep], V[:, keep]
             by_row = tuple(a[keep] for a in by_row)
             by_col = tuple(a[keep] for a in by_col)
             sumsq = sumsq[keep]
-        V = Vc.swapaxes(1, 2)
 
 
 def _full_fit(p: _Problem, cfg: RunConfig):
@@ -316,9 +334,10 @@ def _full_fit(p: _Problem, cfg: RunConfig):
     factors (rows, K), column factors (K, cols) and RMSE per iteration."""
     t = p.targets
     trail = []
-    for rmse, _, _, U, V in _fit_stack(
-            p, cfg, p.draws * np.sqrt(t.sum() / t.size / cfg.als_k)):
-        trail.append(rmse.item())
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check
+        for rmse, _, _, U, V in _fit_stack(
+                p, cfg, p.draws * np.sqrt(t.sum() / t.size / cfg.als_k)):
+            trail.append(rmse.item())
     return U[0], V[0], trail
 
 
@@ -334,6 +353,8 @@ def als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
     """
     _check_factorable(m.present_mask)
     U, V, trail = _full_fit(_problem(m, cfg), cfg)
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        raise UnfactorableError(_OVERFLOW)
     _sign_normalize(U, V)
     config = {"algorithm": "als", "k": cfg.als_k, "lambda": cfg.als_lambda,
               "max_iters": cfg.als_max_iters, "tol": cfg.als_tol,
@@ -372,11 +393,15 @@ def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
         _, start, _ = _full_fit(p, cfg)
         left_out = np.searchsorted(p.observed, rows[covered] * m.n_cols
                                    + cols[covered])
-        for _, fits, n_iters, U, V in _fit_stack(p, cfg, start, left_out):
-            cells, fit = covered[fits], np.arange(fits.size)
-            iters[cells] = n_iters
-            values[cells] = (U[fit, rows[cells]][:, None, :]
-                             @ V[fit, :, cols[cells]][:, :, None])[:, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for _, fits, n_iters, U, V in _fit_stack(p, cfg, start, left_out):
+                cells, fit = covered[fits], np.arange(fits.size)
+                iters[cells] = n_iters
+                values[cells] = (U[fit, rows[cells]][:, None, :]
+                                 @ V[fit, :, cols[cells]][:, :, None])[:, 0, 0]
+        over = covered[~np.isfinite(values[covered])]  # the fit overflowed
+        reasons |= dict.fromkeys(over.tolist(), UnfactorableError(_OVERFLOW))
+        values[over], iters[over] = np.nan, 0
     return np.maximum(values, PREDICTION_FLOOR), reasons, iters
 
 

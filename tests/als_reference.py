@@ -6,6 +6,9 @@ for lambda 0 (a least-squares solve, a zero denominator) are gone, since
 ``RunConfig`` refuses an ``als_lambda`` that is not positive. Given start
 column factors, it is also the oracle of a leave-one-out refit, which
 starts from the full matrix's fit.
+
+``reference_half_step`` is the batched half-step that the elimination in
+``_half_step`` replaced: one ``np.linalg.solve`` over every K x K system.
 """
 
 import numpy as np
@@ -73,3 +76,25 @@ def reference_als_fit(m, cfg: RunConfig = RunConfig(),
               "max_iters": cfg.als_max_iters, "tol": cfg.als_tol,
               "seed": cfg.seed}
     return FactorModel(k, m.row_keys, m.col_keys, U, V, tuple(history), config)
+
+
+def reference_half_step(F, M, X0, lam, left=None):
+    """_half_step's systems, built in (rows, fits) layout and solved by one
+    np.linalg.solve: an LU factorization with partial pivoting, one
+    LAPACK call per system. Same arguments and results as _half_step: F
+    is (K, fits, cols), and the solutions and right-hand sides are
+    returned as (K, fits, rows)."""
+    k, fits, cols = F.shape
+    F = F.swapaxes(0, 1)
+    FF = (F[:, :, None, :] * F[:, None, :, :]).reshape(fits, k * k, cols)
+    A = (M @ FF.reshape(-1, cols).T).reshape(-1, fits, k, k)
+    b = (X0 @ F.reshape(-1, cols).T).reshape(-1, fits, k)
+    if left is not None:
+        rows, m_rows, x_rows = left
+        stack = np.arange(fits)
+        A[rows, stack] = (m_rows[:, None]
+                          @ FF.swapaxes(1, 2)).reshape(-1, k, k)
+        b[rows, stack] = (x_rows[:, None] @ F.swapaxes(1, 2))[:, 0]
+    A += lam * np.eye(k)
+    x = np.linalg.solve(A, b[..., None])[..., 0]
+    return x.transpose(2, 1, 0), b.transpose(2, 1, 0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from als_reference import reference_als_fit
+from als_reference import reference_als_fit, reference_half_step
 from conftest import grid, predict_all, sparse_matrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -242,8 +242,7 @@ def test_refilled_slots_match_stacks_of_one(rank, tol, seed, monkeypatch):
     mat = sparse_matrix((8, 6), 0.8, seed, rank=rank)
     cfg = RunConfig(als_k=rank, als_lambda=1e-3, als_tol=tol,
                     als_max_iters=60)
-    monkeypatch.setattr(factorization, "_STACK",
-                        3 * (8 + 6) * (rank * rank + 2 * rank))
+    monkeypatch.setattr(factorization, "_STACK", 3 * (8 + 6) * (rank + 2))
     rows, cols = np.nonzero(mat.present_mask)
     values, reasons, iters = als_refits(mat, rows, cols, cfg)
     assert not reasons
@@ -335,9 +334,10 @@ def test_half_step_solves_normal_equations(k, lam, shape, density, seed,
     M, X0 = mask.astype(float), np.where(mask, mat.values, 0.0)
     cells = np.argwhere(mask)[rng.integers(0, mask.sum(), 2)]
     left = _left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
-    stack, rhs = _half_step(V, M, X0, lam * np.eye(k), left)
+    stack, rhs = _half_step(V.swapaxes(0, 1), M, X0, lam, left)
     eps = np.finfo(float).eps
-    for fit, (U, B, F) in enumerate(zip(stack, rhs, V)):
+    for fit, (U, B, F) in enumerate(zip(stack.transpose(1, 2, 0),
+                                        rhs.transpose(1, 2, 0), V)):
         fit_mask = mask.copy()
         if skip:
             fit_mask[tuple(cells[fit])] = False
@@ -354,3 +354,53 @@ def test_half_step_solves_normal_equations(k, lam, shape, density, seed,
             resid = np.linalg.norm(A @ u - b) / (
                 np.linalg.norm(A) * np.linalg.norm(u) + np.linalg.norm(b))
             assert resid <= 16 * eps
+
+
+def norms(a, axes):
+    """2-norms of a over axes, each taken on a rescaled copy so that no
+    square overflows or underflows."""
+    top = np.abs(a).max(axis=axes, keepdims=True)
+    top = np.where(top > 0, top, 1.0)
+    return np.sqrt(((a / top) ** 2).sum(axis=axes)) * top.squeeze(axes)
+
+
+@given(k=st.sampled_from([2, 3, 4, 8]), fits=st.integers(1, 8), lam=lams,
+       shape=shapes, density=densities, seed=seeds,
+       scale=st.sampled_from([1e-150, 1.0, 1e150]), skip=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_half_step_matches_batched_solve(k, fits, lam, shape, density, seed,
+                                         scale, skip):
+    # The elimination against reference_half_step's np.linalg.solve, every
+    # draw included: low densities leave rows seen fewer than K times,
+    # whose systems at lam 1e-8 are nearly singular, and the times are
+    # scaled far from 1. With skip, each fit leaves out its own cell.
+    mat = sparse_matrix(shape, density, seed)
+    mask = mat.present_mask
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(0.5, 1.5, (k, fits, shape[1]))
+    M, X0 = mask.astype(float), np.where(mask, mat.values * scale, 0.0)
+    cells = np.argwhere(mask)[rng.integers(0, mask.sum(), fits)]
+    left = _left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
+    x, r = _half_step(F, M, X0, lam, left)
+    want_x, want_r = reference_half_step(F, M, X0, lam, left)
+    assert np.isfinite(x).all()
+    np.testing.assert_allclose(r, want_r, rtol=1e-13)
+    # each fit's systems, built cell by cell: (fits, rows, K, K) and
+    # (fits, rows, K)
+    fit_mask = np.repeat(M[None], fits, axis=0)
+    if skip:
+        fit_mask[np.arange(fits), cells[:, 0], cells[:, 1]] = 0.0
+    A = np.einsum("fic,afc,bfc->fiab", fit_mask, F, F) + lam * np.eye(k)
+    b = np.einsum("fic,afc->fia", fit_mask * X0, F)
+    u, want_u = x.transpose(1, 2, 0), want_x.transpose(1, 2, 0)
+    empty = ~fit_mask.any(axis=2)  # only the left-out cell: no data, u = 0
+    assert not u[empty].any()
+    A, b, u, want_u = A[~empty], b[~empty], u[~empty], want_u[~empty]
+    eps = np.finfo(float).eps
+    resid = norms(np.einsum("sab,sb->sa", A, u) - b, 1) / (
+        norms(A, (1, 2)) * norms(u, 1) + norms(b, 1))
+    assert (resid <= 16 * eps).all()
+    # Both solvers are backward stable, so they agree to the systems'
+    # conditioning.
+    gap = norms(u - want_u, 1)
+    assert (gap <= 32 * eps * np.linalg.cond(A) * norms(want_u, 1)).all()

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,15 @@ from perfcast.config import make_run_config
 
 def write_obs(path, rows, header="program,args,machine,seconds"):
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
+
+
+def scaled_csv(matrix_csv, tmp_path, factor):
+    """matrix_csv's matrix with every time multiplied by factor, written
+    to a CSV of its own."""
+    m = read_matrix_csv(matrix_csv)
+    path = tmp_path / "scaled.csv"
+    write_matrix_csv(m.with_values(m.values * factor), path)
+    return path
 
 
 class TestIngest:
@@ -232,6 +243,49 @@ class TestComplete:
         assert main(["complete", str(src), "--out", str(outputs[0]),
                      "--ensemble", members]) == 0
         assert outputs[0].exists()
+
+    @pytest.mark.parametrize("k", ["1", "4"])
+    def test_als_refuses_factors_that_overflow(self, matrix_csv, tmp_path,
+                                               capsys, k):
+        # Times near the top of the float range: X0 @ F overflows, and the
+        # fit is refused instead of filling with NaN; nothing is written.
+        src = scaled_csv(matrix_csv, tmp_path, 1e300)
+        outputs = [tmp_path / "c.csv", tmp_path / "f.json"]
+        rc = main(["complete", str(src), "--out", str(outputs[0]),
+                   "--fills-out", str(outputs[1]), "--algorithm", "als",
+                   "--als-k", k])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: unfactorable matrix: the fit's factors overflow to inf "
+            "or nan\n")
+        assert not any(path.exists() for path in outputs)
+
+    def test_ensemble_without_als_whose_factors_overflow(
+            self, matrix_csv, tmp_path, capsys):
+        # The default ensemble at x1e300: its als member is refused, so no
+        # model is written, and every fill comes from another member.
+        # Cliques and ridge overflow too, and warn; the factorization,
+        # which checks its own factors, does not.
+        src = scaled_csv(matrix_csv, tmp_path, 1e300)
+        out, fills = tmp_path / "c.csv", tmp_path / "f.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["complete", str(src), "--out", str(out),
+                       "--model-out", str(tmp_path / "m.json")])
+            assert rc == 1
+            assert "(unfactorable matrix: the fit's factors overflow to " \
+                   "inf or nan)" in capsys.readouterr().err
+            assert main(["complete", str(src), "--out", str(out),
+                         "--fills-out", str(fills)]) == 0
+        assert {Path(w.filename).name for w in caught} <= {"cliques.py",
+                                                           "ridge.py"}
+        assert "NaN" not in fills.read_text()
+        records = json.loads(fills.read_text())["fills"]
+        assert len(records) == 3
+        for record in records:
+            assert math.isfinite(record["predicted_seconds"])
+            assert "als" not in record["algorithm"]
+        assert read_matrix_csv(out).present_mask.all()
 
     def test_protocol_shapes_the_clique_fills(self, tmp_path, capsys):
         # C5 follows no other column, so no group estimate reaches its

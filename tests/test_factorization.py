@@ -71,6 +71,22 @@ class TestAlsFit:
         with pytest.raises(UnfactorableError, match="unfactorable"):
             als_fit(m)
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_factors_that_overflow_are_refused(self, k):
+        # At x1e300, X0 @ F overflows. The fit raises, and each refit
+        # leaves its cell uncovered with that reason.
+        m, _, _ = planted_rank1(8, 6, seed=3)
+        big = m.with_values(m.values * 1e300)
+        cfg = RunConfig(als_k=k)
+        with pytest.raises(UnfactorableError, match="factors overflow"):
+            als_fit(big, cfg)
+        rows, cols = np.nonzero(big.present_mask)
+        values, reasons, iters = als_refits(big, rows, cols, cfg)
+        assert np.isnan(values).all() and not iters.any()
+        assert sorted(reasons) == list(range(rows.size))
+        assert {str(e) for e in reasons.values()} == {
+            "unfactorable matrix: the fit's factors overflow to inf or nan"}
+
     def test_deterministic(self):
         m, _, _ = planted_rank1(8, 6, seed=3)
         masked, _ = mask_random(m, MaskSpec(0.3, 4))

@@ -134,4 +134,4 @@ def test_diff_outputs_finds_no_difference_in_one_tree(capsys):
         [str(ROOT), str(ROOT), "--seeds", "0", "--workloads", "loo-als1"])
     assert rc == 0
     assert capsys.readouterr().out == (
-        "0 of 88 outputs differ (8 inputs, seeds 0)\n")
+        "0 of 120 outputs differ (8 inputs, seeds 0)\n")
