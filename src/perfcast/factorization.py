@@ -12,17 +12,18 @@ without it, each refit started from the full fit's column factors (one
 cell away from its own answer) and run to its own RMSE, stop and
 coverage. The refits are one queue through a stack of slots: what every
 fit of a matrix reads (observed cells, zero-filled times and mask,
-seeded initial draws) is made once per matrix, and a refit's row and
-column without its left-out cell once, when it takes a slot; an
-iteration runs the two half-steps and the RMSEs, and where fits stop
-they are handed out and the next fits of the queue take their slots. A
-refit's RMSE comes from sums the column half-step already holds, unless
-those sums cancel down to rounding, and a refit yields only the
-prediction of its left-out cell; the plain fit gathers its residuals and
-becomes a FactorModel. Rank 1 is the default and has a useful side
-effect: positive scalar embeddings put a total performance order on
-machines. ALS reads `als_k`, `als_lambda`, `als_max_iters`, `als_tol`
-and `seed` from the `RunConfig` it is given.
+seeded initial draws) is made once per matrix, the mask and times side
+by side once per queue, and a refit's row and column without its
+left-out cell, gathered from those, when it takes a slot. An iteration
+runs the two half-steps and the RMSEs; where fits stop, the caller
+reads them by slot from the stack's factors, and the next fits of the
+queue take their slots. A refit's RMSE comes from sums the column
+half-step already holds, unless those sums cancel down to rounding, and
+a refit yields only the prediction of its left-out cell; the plain fit
+gathers its residuals and becomes a FactorModel. Rank 1 is the default
+and has a useful side effect: positive scalar embeddings put a total
+performance order on machines. ALS reads `als_k`, `als_lambda`,
+`als_max_iters`, `als_tol` and `seed` from the `RunConfig` it is given.
 A simpler impute-and-decompose SVD, with its rank and step cap as
 arguments, is a baseline that only sweeps score.
 """
@@ -140,17 +141,6 @@ def _problem(m, cfg: RunConfig) -> _Problem:
                     rng.uniform(0.5, 1.5, (cfg.als_k, m.n_cols)))
 
 
-def _left_out_rows(M, X0, rows, cols):
-    """(rows, M[rows], X0[rows]) with entry (b, cols[b]) of both zeroed:
-    for each fit b, the row that holds the cell (rows[b], cols[b]) it
-    leaves out, without that cell."""
-    fit = np.arange(rows.size)
-    m_rows, x_rows = M[rows], X0[rows]
-    m_rows[fit, cols] = 0.0
-    x_rows[fit, cols] = 0.0
-    return rows, m_rows, x_rows
-
-
 def _half_step(F, M, X0, lam, left=None):
     """Exact regularized least-squares solve for every row of every fit.
 
@@ -159,10 +149,10 @@ def _half_step(F, M, X0, lam, left=None):
     so solves (A + lam I) u = r. One matmul against the stacked outer
     products of F's columns gives every A, and one against F every r, laid
     out K-major: (K, K, fits, rows) and (K, fits, rows). left, when given,
-    is _left_out_rows's (rows, M_rows, X0_rows) for the cells the fits
-    leave out: the system of fit b's row rows[b] is rebuilt from M_rows[b]
-    and X0_rows[b], since subtracting the cell's term from the full sum
-    cancels badly.
+    is (rows, M_rows, X0_rows): fit b leaves out a cell of row rows[b], and
+    M_rows[b] and X0_rows[b] are that row of M and X0 without the cell.
+    The system of that row is rebuilt from them, since subtracting the
+    cell's term from the full sum cancels badly.
 
     Gaussian elimination over K and back substitution solve every system
     at once, each step one operation over all fits and rows (at K = 1, one
@@ -238,10 +228,13 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
     _STACK // ((rows + cols) * (K + 2)) slots of per-row and per-column
     systems, (rows + cols) * (K**2 + 2K) elements each: every elimination
     step has a fixed cost, which more fits per stack amortize as K grows.
-    When fits stop, the next fits of the queue take their slots, and only
-    their rows and columns that hold the left-out cells, without them, are
-    built; the stack shrinks once the queue is empty. Every fit must be
-    factorable; one with a NaN RMSE stops.
+    When fits stop, the next fits of the queue take their slots; the stack
+    shrinks once the queue is empty. Each fit's left-out row and column,
+    and its sum x**2, come from arrays made once per queue: a fit that
+    takes a slot gathers its row of the mask and times side by side,
+    (rows, 2 cols), and its column of their transpose, and zeroes its
+    cell in both. Every fit must be factorable; one with a NaN RMSE
+    stops.
 
     The one fit's RMSE is gathered from its residuals. A refit's comes
     from the column half-step's sums instead: since (A_c + lam I) v_c =
@@ -250,50 +243,61 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
     closes in on its targets, so a refit whose SSE falls below _EXACT of
     its sum x**2 is gathered too.
 
-    Yields, per iteration, (rmse, fits, iters, U, V): the RMSE of each
-    fit in the stack, in stack order, then the fits that stopped (their
-    indices into left_out, [0] for the one fit), their iteration counts
-    and final factors, (stopped, rows, K) and (stopped, K, cols).
+    Yields, per iteration, (rmse, fits, iters, slots, Ut, V): the RMSE of
+    each fit in the stack, in stack order, then the fits that stopped
+    (their indices into left_out, [0] for the one fit), their iteration
+    counts and their slots in the stack's factors Ut (K, stack, rows) and
+    V (K, stack, cols), which hold until the generator resumes.
     """
     M, X0, targets = p.M, p.X0, p.targets
     n, mm = M.shape
     k, lam = cfg.als_k, cfg.als_lambda
-    if left_out is None:
+    refit = left_out is not None
+    if refit:
+        queue, count = len(left_out), targets.size - 1
+        slots = min(queue, max(1, _STACK // ((n + mm) * (k + 2))))
+        cell_rows, cell_cols = p.obs_rows[left_out], p.obs_cols[left_out]
+        cell_sumsq = targets @ targets - targets[left_out] ** 2
+        # the mask and times side by side: (rows, 2 cols), (cols, 2 rows)
+        row_mx = np.concatenate((M, X0), axis=1)
+        col_mx = np.concatenate((M.T, X0.T), axis=1)
+        held_r, held_c = np.empty((slots, 2 * mm)), np.empty((slots, 2 * n))
+    else:
         queue = slots = 1
         by_row = by_col = None
         count = targets.size
-    else:
-        queue, count = len(left_out), targets.size - 1
-        slots = min(queue, max(1, _STACK // ((n + mm) * (k + 2))))
-        total_sq = targets @ targets
-
-        def load(fits):
-            """The left-out rows and columns and sum x**2 of fits."""
-            cells = left_out[fits]
-            rows, cols = p.obs_rows[cells], p.obs_cols[cells]
-            x = targets[cells]
-            return (_left_out_rows(M, X0, rows, cols),
-                    _left_out_rows(M.T, X0.T, cols, rows), total_sq - x * x)
-
-        by_row, by_col, sumsq = load(np.arange(slots))
-    live = np.arange(slots)  # stack slot -> fit
-    age = np.zeros(slots, dtype=np.intp)
+    live = np.empty(slots, dtype=np.intp)  # stack slot -> fit
+    age = np.empty(slots, dtype=np.intp)
     prev = np.full(slots, np.nan)  # no RMSE yet: no stop
-    V = np.repeat(start[:, None], slots, axis=1)  # (K, fits, cols)
-    loaded = slots
+    V = np.empty((k, slots, mm))  # (K, stack, cols)
+    loaded, fill = 0, np.arange(slots)  # every slot takes a fit
     while live.size:
+        if fill.size:  # the next fits of the queue take slots fill
+            fits = np.arange(loaded, loaded + fill.size)
+            loaded += fill.size
+            live[fill], age[fill], V[:, fill] = fits, 0, start[:, None]
+            if refit:  # their left-out rows and columns, without the cells
+                r, c = cell_rows[fits], cell_cols[fits]
+                held_r[fill], held_c[fill] = row_mx[r], col_mx[c]
+                held_r[fill[:, None], c[:, None] + (0, mm)] = 0.0
+                held_c[fill[:, None], r[:, None] + (0, n)] = 0.0
+        if refit:
+            rows, cols = cell_rows[live], cell_cols[live]
+            by_row = rows, held_r[:, :mm], held_r[:, mm:]
+            by_col = cols, held_c[:, :n], held_c[:, n:]
+            sumsq = cell_sumsq[live]
         Ut, _ = _half_step(V, M, X0, lam, by_row)
         V, b = _half_step(Ut, M.T, X0.T, lam, by_col)
-        U, Vf = Ut.transpose(1, 2, 0), V.swapaxes(0, 1)
-        if left_out is None:
-            sse = _gathered_sse(U, Vf, p)
-        else:
+        if refit:
             sse = (sumsq - np.einsum("kfc,kfc->f", V, b)
                    - lam * np.einsum("kfc,kfc->f", V, V))
-            near = np.flatnonzero(sse < _EXACT * sumsq)
+            near = (sse < _EXACT * sumsq).nonzero()[0]
             if near.size:
-                sse[near] = _gathered_sse(U[near], Vf[near], p,
+                sse[near] = _gathered_sse(Ut.transpose(1, 2, 0)[near],
+                                          V.swapaxes(0, 1)[near], p,
                                           left_out[live[near]])
+        else:
+            sse = _gathered_sse(Ut.transpose(1, 2, 0), V.swapaxes(0, 1), p)
         # A rounded difference can dip below zero; sqrt would warn.
         rmse = np.sqrt(np.maximum(sse, 0.0) / count)
         age += 1
@@ -303,29 +307,18 @@ def _fit_stack(p: _Problem, cfg: RunConfig, start, left_out=None):
         # C-ordered, as the solve lays it out at K > 1: the next row
         # half-step hands BLAS the same operands wherever fits stopped
         V = np.ascontiguousarray(V)
-        yield rmse, live[done], age[done], U[done], Vf[done]
-        if not done.any():
-            prev = rmse
-            continue
-        if left_out is None:  # the one fit stopped
+        stop = done.nonzero()[0]
+        yield rmse, live[stop], age[stop], stop, Ut, V
+        if not refit and stop.size:  # the one fit stopped
             return
-        free = np.flatnonzero(done)
-        fill, prev = free[:queue - loaded], rmse.copy()
-        if fill.size:
-            fits = np.arange(loaded, loaded + fill.size)
-            loaded += fill.size
-            live[fill], age[fill], prev[fill] = fits, 0, np.nan
-            V[:, fill] = start[:, None]
-            new_rows, new_cols, sumsq[fill] = load(fits)
-            for held, new in zip(by_row + by_col, new_rows + new_cols):
-                held[fill] = new
-        if fill.size < free.size:  # the queue is empty
+        # a stopped slot is refilled, with no RMSE yet, or dropped
+        fill, prev = stop[:queue - loaded], np.where(done, np.nan, rmse)
+        if fill.size < stop.size:  # the queue is empty
             keep = ~done
             keep[fill] = True
             live, age, prev, V = live[keep], age[keep], prev[keep], V[:, keep]
-            by_row = tuple(a[keep] for a in by_row)
-            by_col = tuple(a[keep] for a in by_col)
-            sumsq = sumsq[keep]
+            held_r, held_c = held_r[keep], held_c[keep]
+            fill = np.cumsum(keep)[fill] - 1  # where those slots moved
 
 
 def _full_fit(p: _Problem, cfg: RunConfig):
@@ -334,11 +327,11 @@ def _full_fit(p: _Problem, cfg: RunConfig):
     factors (rows, K), column factors (K, cols) and RMSE per iteration."""
     t = p.targets
     trail = []
-    with np.errstate(over="ignore", invalid="ignore"):  # callers check
-        for rmse, _, _, U, V in _fit_stack(
+    with np.errstate(all="ignore"):  # callers check
+        for rmse, _, _, _, Ut, V in _fit_stack(
                 p, cfg, p.draws * np.sqrt(t.sum() / t.size / cfg.als_k)):
             trail.append(rmse.item())
-    return U[0], V[0], trail
+    return Ut[:, 0].T, V[:, 0], trail
 
 
 def als_fit(m, cfg: RunConfig = RunConfig()) -> FactorModel:
@@ -393,12 +386,15 @@ def als_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
         _, start, _ = _full_fit(p, cfg)
         left_out = np.searchsorted(p.observed, rows[covered] * m.n_cols
                                    + cols[covered])
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for _, fits, n_iters, U, V in _fit_stack(p, cfg, start, left_out):
-                cells, fit = covered[fits], np.arange(fits.size)
+        with np.errstate(all="ignore"):  # checked below
+            for _, fits, n_iters, stop, Ut, V in _fit_stack(p, cfg, start,
+                                                            left_out):
+                cells = covered[fits]
                 iters[cells] = n_iters
-                values[cells] = (U[fit, rows[cells]][:, None, :]
-                                 @ V[fit, :, cols[cells]][:, :, None])[:, 0, 0]
+                # each cell's factors, K contiguous: one BLAS dot apiece
+                u = Ut.transpose(1, 2, 0)[stop, rows[cells]]
+                v = V.swapaxes(0, 1)[stop, :, cols[cells]]
+                values[cells] = (u[:, None] @ v[:, :, None])[:, 0, 0]
         over = covered[~np.isfinite(values[covered])]  # the fit overflowed
         reasons |= dict.fromkeys(over.tolist(), UnfactorableError(_OVERFLOW))
         values[over], iters[over] = np.nan, 0
@@ -440,6 +436,7 @@ def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
     wide = m.n_rows < m.n_cols
     A = X.T if wide else X
     history: list[float] = []
+    old = flat[missing]
     for _ in range(max_outer):
         P = np.linalg.eigh(A.T @ A)[1][:, :-k - 1:-1]  # top k, descending
         AP = A @ P
@@ -450,11 +447,13 @@ def svd_fit(m, k: int, max_outer: int = 50) -> FactorModel:
         history.append(float(np.sqrt(np.mean(resid * resid))))
         if not missing.size:
             break
-        old = flat[missing]
         new = recon.take(missing)
         flat[missing] = new
-        if np.all(np.abs(new - old) <= 1e-12 * (np.abs(old) + 1e-30)):
+        # one cell first: the full test runs once that cell has settled
+        if (abs(new[0] - old[0]) <= 1e-12 * (abs(old[0]) + 1e-30) and
+                np.all(np.abs(new - old) <= 1e-12 * (np.abs(old) + 1e-30))):
             break
+        old = new
 
     s = np.linalg.norm(AP, axis=0)
     root = np.sqrt(s)

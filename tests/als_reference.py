@@ -9,13 +9,25 @@ starts from the full matrix's fit.
 
 ``reference_half_step`` is the batched half-step that the elimination in
 ``_half_step`` replaced: one ``np.linalg.solve`` over every K x K system.
+
+``reference_refits`` is ``als_refits`` as it was before its stack kept
+each slot's left-out row and column in one array of the mask and times
+side by side and handed out stopped fits by slot: the loop that built
+each refit's row and column with ``left_out_rows`` and copied out every
+stopped fit's factors. The refits run the same arithmetic, so the two
+agree bit for bit. Like als_refits, it ignores every floating-point
+error of the fits, whose factors are checked after them.
 """
 
 import numpy as np
 
+from perfcast import factorization
 from perfcast.config import RunConfig
-from perfcast.factorization import (FactorModel, _check_factorable,
-                                    _sign_normalize)
+from perfcast.factorization import (_EMPTY_COL, _EMPTY_ROW, _OVERFLOW,
+                                    FactorModel, UnfactorableError,
+                                    _check_factorable, _gathered_sse,
+                                    _half_step, _problem, _sign_normalize)
+from perfcast.matrix import PREDICTION_FLOOR
 
 
 def reference_als_fit(m, cfg: RunConfig = RunConfig(),
@@ -98,3 +110,143 @@ def reference_half_step(F, M, X0, lam, left=None):
     A += lam * np.eye(k)
     x = np.linalg.solve(A, b[..., None])[..., 0]
     return x.transpose(2, 1, 0), b.transpose(2, 1, 0)
+
+
+def left_out_rows(M, X0, rows, cols):
+    """(rows, M[rows], X0[rows]) with entry (b, cols[b]) of both zeroed:
+    for each fit b, the row that holds the cell (rows[b], cols[b]) it
+    leaves out, without that cell."""
+    fit = np.arange(rows.size)
+    m_rows, x_rows = M[rows], X0[rows]
+    m_rows[fit, cols] = 0.0
+    x_rows[fit, cols] = 0.0
+    return rows, m_rows, x_rows
+
+
+def _reference_stack(p, cfg: RunConfig, start, left_out=None):
+    """_fit_stack before slots were handed out by index: the same fits, but
+    each fit that takes a slot builds its row and column without its cell
+    through load, and the factors of every stopped fit are copied out.
+
+    Yields, per iteration, (rmse, fits, iters, U, V): the RMSE of each
+    fit in the stack, in stack order, then the fits that stopped (their
+    indices into left_out, [0] for the one fit), their iteration counts
+    and final factors, (stopped, rows, K) and (stopped, K, cols).
+    """
+    M, X0, targets = p.M, p.X0, p.targets
+    n, mm = M.shape
+    k, lam = cfg.als_k, cfg.als_lambda
+    if left_out is None:
+        queue = slots = 1
+        by_row = by_col = None
+        count = targets.size
+    else:
+        queue, count = len(left_out), targets.size - 1
+        slots = min(queue, max(1, factorization._STACK
+                               // ((n + mm) * (k + 2))))
+        total_sq = targets @ targets
+
+        def load(fits):
+            """The left-out rows and columns and sum x**2 of fits."""
+            cells = left_out[fits]
+            rows, cols = p.obs_rows[cells], p.obs_cols[cells]
+            x = targets[cells]
+            return (left_out_rows(M, X0, rows, cols),
+                    left_out_rows(M.T, X0.T, cols, rows), total_sq - x * x)
+
+        by_row, by_col, sumsq = load(np.arange(slots))
+    live = np.arange(slots)  # stack slot -> fit
+    age = np.zeros(slots, dtype=np.intp)
+    prev = np.full(slots, np.nan)  # no RMSE yet: no stop
+    V = np.repeat(start[:, None], slots, axis=1)  # (K, fits, cols)
+    loaded = slots
+    while live.size:
+        Ut, _ = _half_step(V, M, X0, lam, by_row)
+        V, b = _half_step(Ut, M.T, X0.T, lam, by_col)
+        U, Vf = Ut.transpose(1, 2, 0), V.swapaxes(0, 1)
+        if left_out is None:
+            sse = _gathered_sse(U, Vf, p)
+        else:
+            sse = (sumsq - np.einsum("kfc,kfc->f", V, b)
+                   - lam * np.einsum("kfc,kfc->f", V, V))
+            near = np.flatnonzero(sse < factorization._EXACT * sumsq)
+            if near.size:
+                sse[near] = _gathered_sse(U[near], Vf[near], p,
+                                          left_out[live[near]])
+        # A rounded difference can dip below zero; sqrt would warn.
+        rmse = np.sqrt(np.maximum(sse, 0.0) / count)
+        age += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            done = ((age == cfg.als_max_iters) | (prev == 0.0) | np.isnan(rmse)
+                    | (np.abs(prev - rmse) / prev < cfg.als_tol))
+        # C-ordered, as the solve lays it out at K > 1: the next row
+        # half-step hands BLAS the same operands wherever fits stopped
+        V = np.ascontiguousarray(V)
+        yield rmse, live[done], age[done], U[done], Vf[done]
+        if not done.any():
+            prev = rmse
+            continue
+        if left_out is None:  # the one fit stopped
+            return
+        free = np.flatnonzero(done)
+        fill, prev = free[:queue - loaded], rmse.copy()
+        if fill.size:
+            fits = np.arange(loaded, loaded + fill.size)
+            loaded += fill.size
+            live[fill], age[fill], prev[fill] = fits, 0, np.nan
+            V[:, fill] = start[:, None]
+            new_rows, new_cols, sumsq[fill] = load(fits)
+            for held, new in zip(by_row + by_col, new_rows + new_cols):
+                held[fill] = new
+        if fill.size < free.size:  # the queue is empty
+            keep = ~done
+            keep[fill] = True
+            live, age, prev, V = live[keep], age[keep], prev[keep], V[:, keep]
+            by_row = tuple(a[keep] for a in by_row)
+            by_col = tuple(a[keep] for a in by_col)
+            sumsq = sumsq[keep]
+
+
+def _reference_full_fit(p, cfg: RunConfig):
+    """_full_fit through _reference_stack."""
+    t = p.targets
+    trail = []
+    with np.errstate(all="ignore"):  # callers check
+        for rmse, _, _, U, V in _reference_stack(
+                p, cfg, p.draws * np.sqrt(t.sum() / t.size / cfg.als_k)):
+            trail.append(rmse.item())
+    return U[0], V[0], trail
+
+
+def reference_refits(m, rows, cols, cfg: RunConfig = RunConfig()):
+    """als_refits through _reference_stack: the same (values, reasons,
+    iters), each stopped fit's prediction taken from its copied-out
+    factors."""
+    mask = m.present_mask
+    if not mask[rows, cols].all():
+        raise ValueError("als_refits leaves out observed cells only")
+    row_counts, col_counts = mask.sum(axis=1), mask.sum(axis=0)
+    # without its cell, a fit has an empty row or column
+    no_row = (row_counts == 0).any() | (row_counts[rows] == 1)
+    no_col = (col_counts == 0).any() | (col_counts[cols] == 1)
+    reasons = {i: UnfactorableError(_EMPTY_ROW if no_row[i] else _EMPTY_COL)
+               for i in np.flatnonzero(no_row | no_col).tolist()}
+    covered = np.flatnonzero(~(no_row | no_col))
+    values = np.full(len(rows), np.nan)
+    iters = np.zeros(len(rows), dtype=np.intp)
+    if covered.size:  # then m has no empty row or column
+        p = _problem(m, cfg)
+        _, start, _ = _reference_full_fit(p, cfg)
+        left_out = np.searchsorted(p.observed, rows[covered] * m.n_cols
+                                   + cols[covered])
+        with np.errstate(all="ignore"):  # checked below
+            for _, fits, n_iters, U, V in _reference_stack(p, cfg, start,
+                                                             left_out):
+                cells, fit = covered[fits], np.arange(fits.size)
+                iters[cells] = n_iters
+                values[cells] = (U[fit, rows[cells]][:, None, :]
+                                 @ V[fit, :, cols[cells]][:, :, None])[:, 0, 0]
+        over = covered[~np.isfinite(values[covered])]  # the fit overflowed
+        reasons |= dict.fromkeys(over.tolist(), UnfactorableError(_OVERFLOW))
+        values[over], iters[over] = np.nan, 0
+    return np.maximum(values, PREDICTION_FLOOR), reasons, iters

@@ -1,16 +1,19 @@
 """The batched ALS kernel against the per-row/per-column reference loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from als_reference import reference_als_fit, reference_half_step
+from als_reference import (left_out_rows, reference_als_fit,
+                           reference_half_step, reference_refits)
 from conftest import grid, predict_all, sparse_matrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perfcast import PCMatrix, RunConfig, UnfactorableError, als_fit
 from perfcast import factorization
-from perfcast.factorization import (_fit_stack, _half_step, _left_out_rows,
-                                    _problem, als_refits, predict)
+from perfcast.factorization import (_fit_stack, _half_step, _problem,
+                                    als_refits, predict)
 from perfcast.matrix import PREDICTION_FLOOR
 
 ranks = st.integers(1, 4)
@@ -100,10 +103,11 @@ def stacked(mat, cfg, left_out):
     U = np.empty((n, mat.n_rows, cfg.als_k))
     V = np.empty((n, cfg.als_k, mat.n_cols))
     iters, trail = np.zeros(n, dtype=np.intp), []
-    for rmse, fits, n_iters, u, v in _fit_stack(_problem(mat, cfg), cfg,
-                                                start, left_out):
+    for rmse, fits, n_iters, stop, Ut, Vs in _fit_stack(_problem(mat, cfg),
+                                                        cfg, start, left_out):
         trail.append(rmse)
-        U[fits], V[fits], iters[fits] = u, v, n_iters
+        U[fits] = Ut[:, stop].transpose(1, 2, 0)
+        V[fits], iters[fits] = Vs[:, stop].swapaxes(0, 1), n_iters
     return U, V, iters, trail
 
 
@@ -258,6 +262,45 @@ def test_refilled_slots_match_stacks_of_one(rank, tol, seed, monkeypatch):
     assert_matches_stacks_of_one(mat, cfg, values, iters)
 
 
+@given(k=st.integers(1, 3), shape=shapes, density=densities, seed=seeds,
+       lam=st.floats(1e-8, 1.0), tol=st.floats(1e-12, 1e-1),
+       max_iters=st.integers(1, 30), slots=st.integers(1, 4),
+       scale=st.sampled_from([1.0, 1e300]))
+@settings(max_examples=200, deadline=None)
+@example(k=2, shape=(8, 6), density=0.5, seed=3, lam=1e-2, tol=1e-6,
+         max_iters=20, slots=2, scale=1e300)
+# the full fit divides by a zero pivot
+@example(k=3, shape=(3, 4), density=0.0, seed=0, lam=1.0, tol=0.0625,
+         max_iters=1, slots=1, scale=1e300)
+def test_refits_match_reference_stack_bit_for_bit(k, shape, density, seed,
+                                                  lam, tol, max_iters, slots,
+                                                  scale):
+    # als_refits against reference_refits, the loop it replaced, which
+    # builds each refit's row and column by itself and copies out every
+    # stopped fit's factors: the same arithmetic, so the same bits, on a
+    # subset of the observed cells in random order. One to four slots
+    # make fits refill their slots and the stack shrink; low densities
+    # leave rows and columns seen once, whose refits are unfactorable, and
+    # times scaled by 1e300 make the refits overflow.
+    mat = sparse_matrix(shape, density, seed)
+    mat = PCMatrix(mat.row_keys, mat.col_keys, mat.values * scale)
+    rows, cols = np.nonzero(mat.present_mask)
+    rng = np.random.default_rng(seed)
+    pick = rng.permutation(rows.size)[:rng.integers(1, rows.size + 1)]
+    rows, cols = rows[pick], cols[pick]
+    cfg = RunConfig(als_k=k, als_lambda=lam, als_tol=tol,
+                    als_max_iters=max_iters, seed=seed % 1000)
+    with mock.patch.object(factorization, "_STACK",
+                           slots * sum(shape) * (k + 2)):
+        values, reasons, iters = als_refits(mat, rows, cols, cfg)
+        want_values, want_reasons, want_iters = reference_refits(
+            mat, rows, cols, cfg)
+    assert values.tobytes() == want_values.tobytes()
+    assert ({i: (type(e), str(e)) for i, e in reasons.items()}
+            == {i: (type(e), str(e)) for i, e in want_reasons.items()})
+    assert np.array_equal(iters, want_iters)
+
+
 def test_warm_refits_near_converged_per_cell_fits():
     # A refit starts one cell away from its answer, so at a small budget
     # it lands closer to the converged fit than a cold fit does. Rank-1
@@ -333,7 +376,7 @@ def test_half_step_solves_normal_equations(k, lam, shape, density, seed,
     V = rng.uniform(0.5, 1.5, (2, k, shape[1]))
     M, X0 = mask.astype(float), np.where(mask, mat.values, 0.0)
     cells = np.argwhere(mask)[rng.integers(0, mask.sum(), 2)]
-    left = _left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
+    left = left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
     stack, rhs = _half_step(V.swapaxes(0, 1), M, X0, lam, left)
     eps = np.finfo(float).eps
     for fit, (U, B, F) in enumerate(zip(stack.transpose(1, 2, 0),
@@ -380,7 +423,7 @@ def test_half_step_matches_batched_solve(k, fits, lam, shape, density, seed,
     F = rng.uniform(0.5, 1.5, (k, fits, shape[1]))
     M, X0 = mask.astype(float), np.where(mask, mat.values * scale, 0.0)
     cells = np.argwhere(mask)[rng.integers(0, mask.sum(), fits)]
-    left = _left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
+    left = left_out_rows(M, X0, cells[:, 0], cells[:, 1]) if skip else None
     x, r = _half_step(F, M, X0, lam, left)
     want_x, want_r = reference_half_step(F, M, X0, lam, left)
     assert np.isfinite(x).all()

@@ -3,7 +3,7 @@
 import loo_reference
 import numpy as np
 import pytest
-from conftest import grid, planted_rank1, predict_all
+from conftest import grid, planted_rank1, predict_all, sparse_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +86,20 @@ class TestAlsFit:
         assert sorted(reasons) == list(range(rows.size))
         assert {str(e) for e in reasons.values()} == {
             "unfactorable matrix: the fit's factors overflow to inf or nan"}
+
+    def test_factors_that_divide_by_zero_are_refused(self):
+        # At K = 3 and x1e300, the elimination of this fit divides by a
+        # zero pivot. No warning escapes (the suite turns them into
+        # errors): the fit raises, as one that overflows does.
+        m = sparse_matrix((3, 4), 0.0, 0)
+        big = m.with_values(m.values * 1e300)
+        cfg = RunConfig(als_k=3, als_lambda=1.0, als_max_iters=1)
+        with pytest.raises(UnfactorableError, match="factors overflow"):
+            als_fit(big, cfg)
+        rows, cols = np.nonzero(big.present_mask)
+        values, reasons, _ = als_refits(big, rows, cols, cfg)
+        assert np.isnan(values).all() and sorted(reasons) == list(
+            range(rows.size))
 
     def test_deterministic(self):
         m, _, _ = planted_rank1(8, 6, seed=3)

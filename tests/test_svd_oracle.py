@@ -6,7 +6,7 @@ import numpy as np
 from conftest import grid, planted_rank1, predict_all, sparse_matrix
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from svd_reference import reference_svd_fit
+from svd_reference import gram_svd_fit, reference_svd_fit
 
 from perfcast import MaskSpec, mask_random, svd_fit
 
@@ -96,6 +96,41 @@ def test_stop_step_matches_reference():
         assert len(got.train_rmse_history) == steps
         np.testing.assert_allclose(predict_all(got), predict_all(want),
                                    rtol=1e-12)
+
+
+def assert_same_bits(got, want):
+    """Two fits with the same factors, bit for bit, and the same RMSE
+    history."""
+    assert got.row_factors.tobytes() == want.row_factors.tobytes()
+    assert got.col_factors.tobytes() == want.col_factors.tobytes()
+    assert got.train_rmse_history == want.train_rmse_history
+
+
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       rank=st.sampled_from([None, 1, 2, 3]), k_draw=st.integers(1, 12),
+       max_outer=st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+@example(shape=(10, 10), density=0.0625, seed=8086, rank=2, k_draw=9,
+         max_outer=3)
+def test_fit_matches_gram_loop_bit_for_bit(shape, density, seed, rank,
+                                           k_draw, max_outer):
+    # svd_fit against the loop before its settle test looked at one cell
+    # first: the same steps, so the same bits, whether the fit settles or
+    # runs to max_outer.
+    mat = sparse_matrix(shape, density, seed, rank)
+    k = min(k_draw, *shape)
+    assert_same_bits(svd_fit(mat, k, max_outer),
+                     gram_svd_fit(mat, k, max_outer))
+
+
+def test_settle_step_matches_gram_loop_bit_for_bit():
+    # test_stop_step_matches_reference's inputs, which settle after ~190
+    # steps, tall and wide
+    for mat in (holed_rank1(), transposed(holed_rank1())):
+        got = svd_fit(mat, 1, 1000)
+        assert len(got.train_rmse_history) < 1000
+        assert_same_bits(got, gram_svd_fit(mat, 1, 1000))
 
 
 def assert_matches_reference(mat, k):
