@@ -14,7 +14,10 @@ through that tree's `perfcast.cli.main`, in a directory of its own, and
 keeps each step's stdout (in the file the workload names, else
 `stdout<k>.txt`), its stderr (`stderr<k>.txt`) and,
 when it is not 0, its exit status (`status<k>.txt`). Relative paths are
-the same in both runs, so the paths each file records are too.
+the same in both runs, so the paths each file records are too. Beside
+each groups input the EXTRA steps also read two CSVs derived from it:
+`cold.csv`, its row 0 blanked, and `lone.csv`, its row 0 cut to its
+first time. Inputs are written the same for both trees and not compared.
 
 Every output that differs, or that only one tree wrote, is printed, then
 a count. The exit status is 1 when an output differs, else 0.
@@ -30,6 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
@@ -38,13 +43,13 @@ from workloads import (INPUT_CSV, WORKLOADS, input_seeds,  # noqa: E402
 
 # Steps beyond the benchmark's, after a workload's own: no benchmark step
 # writes an ensemble's `excluded` cells, a model JSON, a ranking, a
-# cliques fill log, an `in_groups` report, an outlier sweep or a
+# cliques or ridge fill log, an `in_groups` report, an outlier sweep or a
 # leave-one-out ALS report at the default iteration budget, fits ALS at
 # K > 1 outside a sweep (a leave-one-out at K = 2, a K = 4 completion and
-# its model), completes with ridge among the ensemble's members, places
-# or schedules a subset of rows or with a model, or refuses a setting, a
-# partly predicted row or an abbreviated flag (whose stderr and exit
-# status are compared).
+# its model), completes with ridge among the ensemble's members, fills a
+# cold row or scores a row with one time, places or schedules a subset of
+# rows or with a model, or refuses a setting, a partly predicted row or
+# an abbreviated flag (whose stderr and exit status are compared).
 PLACED_ROWS = "bench003::default,bench001::default"  # not in row order
 EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "ensemble",
@@ -70,9 +75,18 @@ EXTRA = {"complete-place": [
     [["place", INPUT_CSV], None],  # refused: partly predicted rows
     [["complete", INPUT_CSV, "--out", "als4.csv", "--algorithm", "als",
       "--als-k", "4", "--model-out", "m4.json"], None],
+    [["complete", INPUT_CSV, "--out", "ridge.csv", "--algorithm", "ridge",
+      "--fills-out", "ridge.json"], None],
 ], "loo-cliques": [
     [["complete", INPUT_CSV, "--out", "cliques.csv", "--algorithm", "cliques",
       "--fills-out", "fills.json"], None],
+    [["complete", "cold.csv", "--out", "cold_cliques.csv", "--algorithm",
+      "cliques", "--fills-out", "cold_cliques.json"], None],
+    [["complete", "cold.csv", "--out", "cold_ensemble.csv", "--fills-out",
+      "cold_ensemble.json"], None],
+    [["evaluate", "lone.csv", "--algorithm", "cliques",
+      "--out-json", "lone_report.json", "--out-csv", "lone_report.csv"],
+     None],
     [["evaluate", INPUT_CSV, "--algorithm", "cliques", "--protocol",
       "in_groups", "--out-json", "in_groups.json", "--out-csv",
       "in_groups.csv"], None],
@@ -87,6 +101,12 @@ EXTRA = {"complete-place": [
     [["evaluate", INPUT_CSV, "--algorithm", "als", "--als-k", "2",
       "--out-json", "k2.json", "--out-csv", "k2.csv"], None],
 ]}
+
+
+# The CSVs the EXTRA steps read besides a groups input (derived()); like
+# the input itself, written the same for both trees and not compared.
+DERIVED = ("cold.csv", "lone.csv")
+
 
 # Run in a subprocess with the tree's src/ first on sys.path; reads
 # [[directory, [[argv, stdout name or null], ...]], ...] from stdin.
@@ -114,6 +134,15 @@ for directory, steps in json.load(sys.stdin):
 """
 
 
+def derived(m) -> dict:
+    """m with its row 0 blanked (cold.csv) and with its row 0 cut to its
+    first time (lone.csv)."""
+    cold, lone = np.array(m.values), np.array(m.values)
+    cold[0] = np.nan
+    lone[0, np.flatnonzero(m.present_mask[0])[1:]] = np.nan
+    return dict(zip(DERIVED, (m.with_values(cold), m.with_values(lone))))
+
+
 def write_inputs(work: Path, seeds, names) -> list:
     """Write each (seed, workload, input) CSV under work/<tree>/ for both
     trees; return the runner's [directory, steps] jobs, relative to a
@@ -131,10 +160,14 @@ def write_inputs(work: Path, seeds, names) -> list:
                 key = (workload.input, input_seed)
                 if key not in made:
                     made[key] = make_input(workload.input, input_seed)[1]
+                inputs = {INPUT_CSV: made[key]}
+                if workload.input.structure == "groups":
+                    inputs.update(derived(made[key]))
                 rel = f"seed{seed}/{name}/m{j}"
                 for tree in ("old", "new"):
                     (work / tree / rel).mkdir(parents=True)
-                    write_matrix_csv(made[key], work / tree / rel / INPUT_CSV)
+                    for csv_name, matrix in inputs.items():
+                        write_matrix_csv(matrix, work / tree / rel / csv_name)
                 jobs.append([rel, steps])
     return jobs
 
@@ -151,7 +184,7 @@ def run_tree(tree: Path, base: Path, jobs) -> None:
 def differences(old: Path, new: Path) -> tuple[list[str], int]:
     """(one line per output that differs, number of outputs compared)."""
     files = {p.relative_to(tree) for tree in (old, new)
-             for p in tree.rglob("*") if p.is_file() and p.name != INPUT_CSV}
+             for p in tree.rglob("*") if p.is_file() and p.name not in (INPUT_CSV, *DERIVED)}
     lines = []
     for rel in sorted(files, key=str):
         a, b = old / rel, new / rel

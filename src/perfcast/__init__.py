@@ -10,9 +10,9 @@ small application layer turns a completed matrix into placement decisions.
 
 from .cliques import Grouping, build_graph, correlations, find_cliques
 from .config import RunConfig, read_config_file
-from .evaluation import (AlgorithmResult, ColdRowError, EvalReport,
-                         complete_matrix, leave_one_out, masking_sweep,
-                         outlier_sweep, report_to_json, write_reports_csv,
+from .evaluation import (AlgorithmResult, EvalReport, complete_matrix,
+                         leave_one_out, masking_sweep, outlier_sweep,
+                         report_to_json, write_reports_csv,
                          write_reports_json)
 from .factorization import (FactorModel, UnfactorableError, als_fit,
                             model_from_json, model_to_json, rank_machines,
@@ -26,7 +26,7 @@ from .ridge import NoBasisError
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmResult", "ColdRowError", "EvalReport", "FactorModel", "Grouping",
+    "AlgorithmResult", "EvalReport", "FactorModel", "Grouping",
     "MaskInfeasibleError", "MaskSpec", "NoBasisError", "Observation",
     "PCMatrix", "PlacementDecision", "RunConfig", "UnfactorableError",
     "als_fit", "build_graph", "build_matrix", "complete_matrix",

@@ -126,8 +126,7 @@ class RunConfig:
         "in_groups_plus_regression", choices=_PROTOCOLS,
         help="how cliques, scored on its own, treats a cell group scaling "
         "cannot reach: in_groups leaves it uncovered (complete stops at "
-        "it); in_groups_plus_regression gives it ridge's value where its "
-        "row observes another machine")
+        "it); in_groups_plus_regression gives it ridge's value")
     ridge_lambda: float = _tunable(1e-2, float)
     ridge_min_training_rows: int = _tunable(3, int)
     clique_threshold: float = _tunable(0.97, float)
@@ -137,7 +136,7 @@ class RunConfig:
     als_max_iters: int = _tunable(200, int)
     als_tol: float = _tunable(1e-6, float)
     svd_k: int = _tunable(1, int)
-    # a cell no member predicts takes ridge's value, unless ridge is one
+    # a cell no member predicts takes ridge's value
     ensemble: tuple[str, ...] = _tunable(
         ("cliques", "als"),
         lambda text: _check_ensemble(parse_name_list(text)),

@@ -7,13 +7,13 @@ base algorithm is fit once by `_fit_predict` and predicts every cell in
 one kernel call, which gives a column of arrays: the values, NaN where a
 cell is uncovered, the reasons for the uncovered cells, and a per-cell
 code for the mechanism. The ensemble is one masked mean over its members'
-values, by default cliques' and als'; a cell that none of them predicts
-takes ridge's value, unless ridge is a member. After it, a clique
-algorithm scored on its own under `in_groups_plus_regression` takes
-ridge's value where group scaling has none. Both fallbacks are one
-composition (`_plus_ridge`), which names a cell that took its column's
-mean `ridge:column_mean`. Completion raises the reason of the first
-uncovered cell.
+values, by default cliques' and als'. One rule fills what a column leaves
+uncovered: ridge alone, the ensemble and cliques under
+`in_groups_plus_regression` give those cells ridge's value (`_plus_ridge`),
+which names a cell that took its column's mean `ridge:column_mean`, and a
+cell ridge cannot predict either keeps ridge's reason. A program with no
+time at all gets its column means from all three. Completion raises the
+reason of the first uncovered cell.
 
 Every driver takes one `RunConfig` and reads the settings it needs from
 it; algorithms and protocols are compared and stored by their names. A
@@ -45,11 +45,6 @@ from .jsonfile import ABSENT, Table, write_json
 from .matrix import (MaskInfeasibleError, MaskSpec, PCMatrix,
                      inject_outliers, mask_random)
 from .ridge import ridge_block
-
-
-class ColdRowError(ValueError):
-    """The program has no observed time anywhere; per-cell prediction is
-    impossible and the caller should fall back to machine ranking."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +85,8 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
                  cfg: RunConfig, refit: bool):
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (column, fit), the column as
-    _predict_cells describes it. Its cells share the label (alg, ()),
-    but a ridge cell that predicts its column's mean is coded apart
-    (_plus_ridge).
+    _predict_cells describes it. Its cells share the label (alg, ()).
+    Ridge's column is all NaN here: _predict_cells fills it (_plus_ridge).
 
     With refit, ALS is fit once per cell without that cell, each refit
     started from the full matrix's fit (als_refits). fit is the
@@ -100,13 +94,10 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
     ALS refits (0 where uncovered), else None; a shared fit that raises
     UnfactorableError leaves every cell uncovered and is that error.
     """
-    fit = None
+    fit, reasons = None, {}
     if alg == "ridge":
-        nothing = (np.full(rows.size, np.nan), {},
-                   np.zeros(rows.size, np.intp), ())
-        return _plus_ridge(train, rows, cols, cfg, nothing,
-                           np.arange(rows.size), ()), fit
-    if alg == "cliques":
+        values = np.full(rows.size, np.nan)
+    elif alg == "cliques":
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
         values, reasons = clique_block(train, grouping, rows, cols)
@@ -121,13 +112,14 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
             values = np.full(rows.size, np.nan)
             reasons = dict.fromkeys(range(rows.size), exc)
         else:
-            values, reasons = predict_cells(fit, rows, cols), {}
+            values = predict_cells(fit, rows, cols)
     code = np.zeros(rows.size, np.intp)
     return (values, reasons, code, ((alg, ()),)), fit
 
 
-def _ensemble(train: PCMatrix, rows, cols, members, columns):
-    """The ensemble's column from its members' columns.
+def _ensemble(members, columns):
+    """The ensemble's column from its members' columns, NaN where no
+    member gave a value and with no reasons: _predict_cells fills it.
 
     A cell's value is the mean of its members' values, summed in members
     order, and exactly their value where they all agree. Its code has bit
@@ -136,7 +128,7 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
     values = np.stack([columns[mem][0] for mem in members])
     covered = ~np.isnan(values)
     total = sum(np.where(covered, values, 0.0))
-    first = values[covered.argmax(axis=0), np.arange(rows.size)]
+    first = values[covered.argmax(axis=0), np.arange(values.shape[1])]
     agree = ((values == first) | ~covered).all(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(agree, first, total / covered.sum(axis=0))
@@ -146,22 +138,19 @@ def _ensemble(train: PCMatrix, rows, cols, members, columns):
         names = [mem for j, mem in enumerate(members) if subset >> j & 1]
         labels.append(("ensemble:" + "+".join(names), tuple(
             mem for mem in members if mem not in names)))
-    reasons = {i: ValueError(
-        f"no ensemble member could predict cell "
-        f"({train.row_label(rows[i])}, {train.col_keys[cols[i]]})")
-        for i in np.flatnonzero(code == 0).tolist()}
-    return mean, reasons, code, tuple(labels)
+    return mean, {}, code, tuple(labels)
 
 
-def _plus_ridge(train: PCMatrix, rows, cols, cfg: RunConfig, column, lone,
+def _plus_ridge(train: PCMatrix, rows, cols, cfg: RunConfig, column,
                 excluded):
-    """column with its cells lone (indices into rows) given ridge's
-    values, coded after its labels as ("ridge", excluded), or as
-    ("ridge:column_mean", excluded) where a cell kept no feature and
-    predicts its column's mean. The reasons are ridge's, for the cells of
-    lone it could not predict either. With no cell in lone, ridge is not
-    called. The values and codes change in place."""
+    """column with its NaN cells given ridge's values, coded after its
+    labels as ("ridge", excluded), or as ("ridge:column_mean", excluded)
+    where a cell kept no feature and predicts its column's mean. The
+    reasons are ridge's, for the cells it could not predict either. With
+    no NaN cell, ridge is not called. The values and codes change in
+    place."""
     values, _, code, labels = column
+    lone = np.flatnonzero(np.isnan(values))
     reasons = {}
     if lone.size:
         values[lone], missed, mean = ridge_block(train, rows[lone],
@@ -170,23 +159,6 @@ def _plus_ridge(train: PCMatrix, rows, cols, cfg: RunConfig, column, lone,
         reasons = dict(zip(lone[list(missed)].tolist(), missed.values()))
     return values, reasons, code, (*labels, ("ridge", excluded),
                                    ("ridge:column_mean", excluded))
-
-
-def _plus_regression(train: PCMatrix, rows, cols, cfg: RunConfig, column):
-    """The clique column scored on its own under in_groups_plus_regression:
-    a cell without a group estimate takes ridge's value (_plus_ridge)
-    where its row observes another column, and ColdRowError where it does
-    not. The column changes in place; the ensemble has stacked its own
-    copy."""
-    lone = np.fromiter(column[1], np.intp, len(column[1]))
-    seen = train.present_mask[rows[lone]]
-    cold = seen.sum(axis=1) == seen[np.arange(lone.size), cols[lone]]
-    values, reasons, code, labels = _plus_ridge(train, rows, cols, cfg,
-                                                column, lone[~cold], ())
-    reasons.update((i, ColdRowError(f"cold row: {train.row_label(rows[i])} "
-                                    f"has no observations"))
-                   for i in lone[cold].tolist())
-    return values, reasons, code, labels
 
 
 def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
@@ -201,10 +173,12 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     completion) or all observed (leave-one-out), where ALS is refit for
     each cell.
 
-    An ensemble without ridge among its members gives a cell that no
-    member predicts ridge's value (_plus_ridge), with every member
-    excluded; a cell ridge cannot predict either keeps the ensemble's
-    reason.
+    Ridge, the ensemble and cliques under in_groups_plus_regression give
+    the cells their column leaves uncovered ridge's value (_plus_ridge),
+    the ensemble's with every member excluded; a cell ridge cannot
+    predict either keeps ridge's reason. Ridge's column is filled before
+    the ensemble stacks it, cliques' after: the ensemble averages only
+    what each member made by its own mechanism.
     """
     # With no cells the shared fit is still made: complete_matrix returns
     # the model.
@@ -215,17 +189,16 @@ def _predict_cells(train: PCMatrix, rows, cols, algorithms, cfg: RunConfig):
     for alg in [a for a in _ALGORITHMS if a in base]:
         columns[alg], fits[alg] = _fit_predict(alg, train, rows, cols, cfg,
                                                refit)
+    if "ridge" in columns:
+        columns["ridge"] = _plus_ridge(train, rows, cols, cfg,
+                                       columns["ridge"], ())
     if members:
-        column = _ensemble(train, rows, cols, members, columns)
-        if "ridge" not in members:
-            lone = np.fromiter(column[1], np.intp, len(column[1]))
-            values, missed, code, labels = _plus_ridge(
-                train, rows, cols, cfg, column, lone, tuple(members))
-            column = values, {i: column[1][i] for i in missed}, code, labels
-        columns["ensemble"] = column
+        columns["ensemble"] = _plus_ridge(train, rows, cols, cfg,
+                                          _ensemble(members, columns),
+                                          tuple(members))
     if "cliques" in algorithms and cfg.protocol != "in_groups":
-        columns["cliques"] = _plus_regression(train, rows, cols, cfg,
-                                              columns["cliques"])
+        columns["cliques"] = _plus_ridge(train, rows, cols, cfg,
+                                         columns["cliques"], ())
     return columns, fits
 
 
@@ -346,15 +319,14 @@ def complete_matrix(m: PCMatrix, cfg: RunConfig = RunConfig()):
     model), the filled cells (rows[i], cols[i]) in row-major order.
 
     names[codes[i]] names what produced cell i's value: the ensemble
-    lists the members that contributed, and the clique algorithm and an
-    ensemble without ridge report "ridge" (or "ridge:column_mean") for
-    the cells only ridge reached. model is the ALS
-    fit of als itself or of an ensemble's als member, else None; it is fit
-    even when nothing is missing, since it also ranks machines for
-    programs outside the matrix. Where that ALS fit could not be made,
-    model is the UnfactorableError that says why. The
-    first cell in row-major order that cannot be predicted raises its
-    reason.
+    lists the members that contributed, and ridge, the clique algorithm
+    and the ensemble report "ridge" (or "ridge:column_mean") for the
+    cells only ridge reached. model is the ALS fit of als itself or of an
+    ensemble's als member, else None; it is fit even when nothing is
+    missing, since it also ranks machines for programs outside the
+    matrix. Where that ALS fit could not be made, model is the
+    UnfactorableError that says why. The first cell in row-major order
+    that cannot be predicted raises its reason.
     """
     rows, cols = np.nonzero(~m.present_mask)
     columns, fits = _predict_cells(m, rows, cols, [cfg.algorithm], cfg)

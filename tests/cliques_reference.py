@@ -27,7 +27,6 @@ from ridge_reference import predict_with_mechanism
 
 from perfcast.cliques import Grouping, PairSums, pair_sums
 from perfcast.config import RunConfig
-from perfcast.evaluation import ColdRowError
 from perfcast.ridge import NoBasisError
 
 
@@ -139,7 +138,7 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     fallback, "ridge" or "ridge:column_mean".
     The target cell is treated as missing. Machines outside any real group
     (or with no usable mate in this row) fall back to the regression
-    baseline; a row with no observations at all raises ColdRowError. With
+    baseline, a row with no other observation to its column's mean. With
     fallback False such a cell raises NoBasisError instead.
     """
     estimates = group_estimates(m, grouping, row, col)
@@ -148,10 +147,6 @@ def clique_predict(m, grouping: Grouping, row: int, col: int,
     if not fallback:
         raise NoBasisError(f"no group estimate for cell ({m.row_label(row)}, "
                            f"{m.col_keys[col]})")
-    row_mask = m.present_mask[row].copy()
-    row_mask[col] = False
-    if not row_mask.any():
-        raise ColdRowError(f"cold row: {m.row_label(row)} has no observations")
     return predict_with_mechanism(m, row, col, cfg)
 
 

@@ -7,12 +7,10 @@ clique estimates come from the per-cell references (`ridge_reference`,
 time, and the ensemble is `ensemble_predict` over the members that
 produced a value by their own mechanism (a clique member's ridge fallback
 is left out), in `cfg.ensemble` order; a cell no member predicts
-takes ridge's value, unless ridge is a member. Ridge names a column mean
+takes ridge's value, or raises ridge's error. Ridge names a column mean
 "ridge:column_mean". `predict` and `ensemble_predict` are
 `loo_reference`'s per-cell definitions.
 """
-
-import contextlib
 
 import numpy as np
 from cliques_reference import clique_predict
@@ -21,7 +19,6 @@ from ridge_reference import predict_with_mechanism
 
 from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import RunConfig
-from perfcast.evaluation import ColdRowError
 from perfcast.factorization import UnfactorableError, als_fit
 from perfcast.ridge import NoBasisError
 
@@ -64,22 +61,15 @@ def complete_matrix(m, cfg: RunConfig = RunConfig()):
             for mem in members:
                 try:
                     value, mechanism = predict_one(mem, row, col)
-                except (NoBasisError, ColdRowError, UnfactorableError):
+                except (NoBasisError, UnfactorableError):
                     continue
                 if mechanism.partition(":")[0] == mem:
                     got.append((mem, value))
-            fallback = None
-            if not got and "ridge" not in members:
-                with contextlib.suppress(NoBasisError):
-                    fallback = predict_one("ridge", row, col)
             if got:
                 value = ensemble_predict([v for _, v in got])
                 mechanism = "ensemble:" + "+".join(name for name, _ in got)
-            elif fallback:
-                value, mechanism = fallback
             else:
-                raise ValueError(f"no ensemble member could predict cell "
-                                 f"({m.row_label(row)}, {m.col_keys[col]})")
+                value, mechanism = predict_one("ridge", row, col)
         values[row, col] = value
         fills.append((row, col, value, mechanism))
     return values, fills

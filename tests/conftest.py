@@ -75,9 +75,8 @@ def ensemble_cells(*member_values):
     nothing, and at least one value per cell."""
     values = np.array(member_values, dtype=float)
     members = ["ridge", "cliques", "als", "svd", "ensemble"][:len(values)]
-    cells = np.zeros(values.shape[1], dtype=np.intp)
     columns = {mem: (v,) for mem, v in zip(members, values)}
-    return evaluation._ensemble(None, cells, cells, members, columns)[0]
+    return evaluation._ensemble(members, columns)[0]
 
 
 @st.composite

@@ -9,7 +9,7 @@ column factors of the reference fit on the full matrix. An
 ensemble member counts only a value it made by its own mechanism: the
 clique member's ridge fallback is left out under either protocol. A cell
 that no member predicts takes ridge's value, with every member excluded,
-unless ridge is a member. Ridge and
+where ridge has one. Ridge and
 the clique estimates come from the per-cell references
 (`ridge_reference`, `cliques_reference`), not from the block kernels that
 the `leave_one_out` under test runs. So do the factorizations' cell
@@ -32,7 +32,7 @@ from ridge_reference import ridge_predict
 
 from perfcast.cliques import build_graph, find_cliques
 from perfcast.config import RunConfig
-from perfcast.evaluation import ColdRowError, EvalReport
+from perfcast.evaluation import EvalReport
 from perfcast.factorization import UnfactorableError
 from perfcast.matrix import PREDICTION_FLOOR
 from perfcast.ridge import NoBasisError
@@ -96,7 +96,7 @@ def _base_algorithms(algorithms, ensemble) -> set[str]:
     for alg in algorithms:
         if alg == "ensemble":
             needed.update(ensemble)
-            needed.add("ridge")  # the fallback of an ensemble without it
+            needed.add("ridge")  # the ensemble's fallback
         else:
             needed.add(alg)
     return needed
@@ -115,7 +115,7 @@ def _assemble(algorithms, cells, preds, ensemble):
                 excluded = tuple(mem for mem in ensemble
                                  if preds[mem][i] is None)
                 value = ensemble_predict(avail) if avail else None
-                if value is None and "ridge" not in ensemble:
+                if value is None:
                     value, excluded = preds["ridge"][i], ensemble
             else:
                 value = preds[alg][i]
@@ -185,7 +185,7 @@ def leave_one_out(m, cfg: RunConfig = RunConfig()) -> EvalReport:
                 elif alg == "als":
                     model = reference_als_fit(train, cfg, start)
                     out[alg] = predict(model, cell.row, cell.col)
-            except (NoBasisError, ColdRowError, UnfactorableError):
+            except (NoBasisError, UnfactorableError):
                 out[alg] = None
         return out
 

@@ -10,7 +10,7 @@ from conftest import grid, planted_rank1, sparse_matrix, sparse_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast import (ColdRowError, NoBasisError, PCMatrix, RunConfig,
+from perfcast import (NoBasisError, PCMatrix, RunConfig,
                       build_graph, cliques, complete_matrix, correlations,
                       evaluation, find_cliques, leave_one_out)
 from perfcast.cliques import (clique_block, clique_predict, group_estimates,
@@ -375,16 +375,18 @@ class TestCliquePrediction:
         with pytest.raises(NoBasisError, match="no group estimate"):
             clique_predict(m, grouping, 5, 2)
 
-    def test_cold_row_error(self):
-        m = grid([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [None, None]])
-        cfg = RunConfig(algorithm="cliques", clique_min_overlap=2)
-        with pytest.raises(ColdRowError, match="cold row"):
-            complete_matrix(m, cfg)
-        # a row whose one observation is the cell left out is cold as well
+    def test_row_with_one_time_takes_column_mean(self):
+        # left out, a row's only time leaves the row cold: no mate
+        # estimates it, and ridge gives it its column's mean, as it gives
+        # every cell of a cold row in completion
         one = grid([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [None, 9.0]])
+        cfg = RunConfig(algorithm="cliques", clique_min_overlap=2)
         res = leave_one_out(one, cfg).results[0]
-        assert res.n_uncovered == 1
-        assert (3, 1) not in zip(res.rows.tolist(), res.cols.tolist())
+        assert res.n_uncovered == 0
+        i = ((res.rows == 3) & (res.cols == 1)).argmax()
+        assert (res.rows[i], res.cols[i]) == (3, 1)
+        assert res.labels[res.mechanism[i]] == ("ridge:column_mean", ())
+        assert res.predicted[i] == (2.0 + 4.0 + 6.0) / 3
 
     def test_target_row_excluded_from_slope(self):
         # the held-out row's own (corrupt) value in the mate column must

@@ -25,7 +25,8 @@ from perfcast.ridge import ridge_block, ridge_predict
 
 ALGORITHMS = ["ridge", "cliques", "als", "svd", "ensemble"]
 PROTOCOLS = ["in_groups", "in_groups_plus_regression"]
-# the default ensemble before ridge left it: ridge a member, no fallback
+# the default ensemble before ridge left it: ridge a member, so the
+# fallback fills nothing
 THREE = ("ridge", "cliques", "als")
 
 
@@ -381,9 +382,9 @@ class TestCompleteMatrix:
         (EMPTY_COLUMN, "als", "raise:unfactorable matrix: a column"),
         (EMPTY_COLUMN, "svd", f"raise:{NOT_A_FILLER}"),
         (EMPTY_COLUMN, "ensemble",
-         "raise:no ensemble member could predict cell (p0::a, C3)"),
+         "raise:no basis for prediction: column 'C3'"),
         (COLD_ROW, "ridge", "fill:ridge:column_mean"),
-        (COLD_ROW, "cliques", "raise:cold row: p2::a"),
+        (COLD_ROW, "cliques", "fill:ridge:column_mean"),
         (COLD_ROW, "als", "raise:unfactorable matrix: a row"),
         (COLD_ROW, "svd", f"raise:{NOT_A_FILLER}"),
         (COLD_ROW, "ensemble", "fill:ridge:column_mean"),
@@ -501,15 +502,15 @@ class TestCompleteMatrix:
         assert model is None
 
     def test_ensemble_mechanisms_are_shared(self):
-        # One string per distinct set of contributing members and an
-        # integer code per cell, not one string per cell: the fill log
-        # writes that coded column as it is.
+        # One string per distinct set of contributing members, then the
+        # two fallback labels, and an integer code per cell, not one
+        # string per cell: the fill log writes that coded column as it is.
         m, _, _ = planted_rank1(12, 6, seed=17)
         masked, _ = mask_random(m, MaskSpec(0.4, 18))
         _, (rows, _, (codes, names)), _ = complete_matrix(
             masked, small_cfg(algorithm="ensemble", ensemble=THREE))
         assert codes.dtype == np.intp and codes.size == rows.size > 10
-        assert len(names) == len(set(names)) == 2 ** 3
+        assert len(names) == len(set(names)) == 2 ** 3 + 2
         assert names[codes[0]] == "ensemble:ridge+cliques+als"
 
 
@@ -717,15 +718,91 @@ class TestRidgeFallback:
 
     def test_fallback_labels_follow_the_members(self):
         # the fallback's two labels come after the members' subsets and
-        # lack every member; an ensemble with ridge has no fallback
+        # lack every member; an ensemble with ridge lists them too, but
+        # no cell uses them
         m = proportional_matrix(6, 4, seed=16).with_cell_missing(2, 1)
-        for ensemble, extra in [(("cliques", "als"), 2), (THREE, 0),
-                                (("als",), 2)]:
-            _, (_, _, (_, names)), _ = complete_matrix(m, small_cfg(
+        for ensemble in [("cliques", "als"), THREE, ("als",)]:
+            _, (_, _, (codes, names)), _ = complete_matrix(m, small_cfg(
                 algorithm="ensemble", ensemble=ensemble))
-            assert len(names) == 2 ** len(ensemble) + extra
-            if extra:
-                assert names[-2:] == ["ridge", "ridge:column_mean"]
+            assert len(names) == 2 ** len(ensemble) + 2
+            assert names[-2:] == ["ridge", "ridge:column_mean"]
+            if "ridge" in ensemble:
+                assert (codes < 2 ** len(ensemble)).all()
+
+
+class TestOneFallbackRule:
+    """Ridge, cliques under in_groups_plus_regression and the ensemble give
+    the cells their column leaves uncovered ridge's value, and a cell ridge
+    cannot predict keeps ridge's reason. So in completion, leave-one-out
+    and a sweep, each of the three leaves a cell uncovered exactly when no
+    other row observes its column, and a cold row's cells (no other time
+    in their row) get the same column mean from all three."""
+
+    FILLED = ["ridge", "cliques", "ensemble"]
+
+    def check(self, train, rows, cols, outcomes):
+        """outcomes[alg] maps i to (value, mechanism) for each cell
+        (rows[i], cols[i]) that alg covered; the cells are all missing
+        from train or all observed in it."""
+        own = train.present_mask[rows, cols]
+        others = train.present_mask[:, cols].sum(axis=0) - own
+        cold = train.present_mask[rows].sum(axis=1) - own == 0
+        for alg in self.FILLED:
+            assert set(outcomes[alg]) == set(np.flatnonzero(others > 0)
+                                             .tolist()), alg
+        for i in np.flatnonzero(cold & (others > 0)).tolist():
+            got = {outcomes[alg][i] for alg in self.FILLED}
+            assert len(got) == 1
+            assert got.pop()[1] == "ridge:column_mean"
+
+    @staticmethod
+    def outcome(res, rows, cols):
+        """An AlgorithmResult's covered cells as check's outcomes."""
+        index = {cell: i for i, cell in enumerate(zip(rows.tolist(),
+                                                      cols.tolist()))}
+        names = [name for name, _ in decoded((res.mechanism, res.labels))]
+        return {index[cell]: (value, name) for cell, value, name in zip(
+            cell_keys(res), res.predicted.tolist(), names)}
+
+    @given(m=sparse_matrices(), threshold=st.sampled_from([0.5, 0.9, 0.97]))
+    @settings(max_examples=40, deadline=None)
+    def test_uncovered_and_cold_cells_alike(self, m, threshold):
+        cfg = RunConfig(als_max_iters=20, clique_threshold=threshold,
+                        fractions=(0.3,), repeats=1)
+        assert cfg.protocol == "in_groups_plus_regression"
+        # completion: every missing cell in one call, as complete_matrix
+        # makes it; an uncovered cell's reason is ridge's
+        rows, cols = np.nonzero(~m.present_mask)
+        columns, _ = evaluation._predict_cells(m, rows, cols, self.FILLED,
+                                               cfg)
+        outcomes = {}
+        for alg in self.FILLED:
+            values, reasons, code, labels = columns[alg]
+            covered = ~np.isnan(values)
+            assert sorted(reasons) == np.flatnonzero(~covered).tolist()
+            assert all(str(exc).startswith("no basis for prediction: column")
+                       for exc in reasons.values())
+            outcomes[alg] = {i: (values[i], labels[code[i]][0])
+                             for i in np.flatnonzero(covered).tolist()}
+        self.check(m, rows, cols, outcomes)
+        # leave-one-out: every observed cell, left out of m
+        rows, cols = np.nonzero(m.present_mask)
+        outcomes = {}
+        for alg in self.FILLED:
+            (res,) = leave_one_out(m, replace(cfg, algorithm=alg)).results
+            outcomes[alg] = self.outcome(res, rows, cols)
+            assert res.n_uncovered == rows.size - len(outcomes[alg])
+        self.check(m, rows, cols, outcomes)
+        # a sweep: the held-out cells of its one masking, missing from its
+        # train
+        (report,) = masking_sweep(m, self.FILLED, cfg)
+        if report.note is None:
+            train, held = mask_random(m, MaskSpec(
+                0.3, evaluation._child_seed(cfg.seed, 0, 0, 0)))
+            rows, cols = held.T
+            self.check(train, rows, cols, {
+                res.algorithm: self.outcome(res, rows, cols)
+                for res in report.results})
 
 
 class TestReportFiles:
