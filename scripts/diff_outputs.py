@@ -184,7 +184,8 @@ def run_tree(tree: Path, base: Path, jobs) -> None:
 def differences(old: Path, new: Path) -> tuple[list[str], int]:
     """(one line per output that differs, number of outputs compared)."""
     files = {p.relative_to(tree) for tree in (old, new)
-             for p in tree.rglob("*") if p.is_file() and p.name not in (INPUT_CSV, *DERIVED)}
+             for p in tree.rglob("*")
+             if p.is_file() and p.name not in (INPUT_CSV, *DERIVED)}
     lines = []
     for rel in sorted(files, key=str):
         a, b = old / rel, new / rel

@@ -85,8 +85,9 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
                  cfg: RunConfig, refit: bool):
     """Fit one base algorithm on train and predict every cell (rows[i],
     cols[i]) in one kernel call; returns (column, fit), the column as
-    _predict_cells describes it. Its cells share the label (alg, ()).
-    Ridge's column is all NaN here: _predict_cells fills it (_plus_ridge).
+    _predict_cells describes it. Its cells share the label (alg, ()),
+    but ridge's column is all NaN here, with no label: _predict_cells
+    fills it (_plus_ridge).
 
     With refit, ALS is fit once per cell without that cell, each refit
     started from the full matrix's fit (als_refits). fit is the
@@ -94,10 +95,10 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
     ALS refits (0 where uncovered), else None; a shared fit that raises
     UnfactorableError leaves every cell uncovered and is that error.
     """
-    fit, reasons = None, {}
+    fit, reasons, code = None, {}, np.zeros(rows.size, np.intp)
     if alg == "ridge":
-        values = np.full(rows.size, np.nan)
-    elif alg == "cliques":
+        return (np.full(rows.size, np.nan), reasons, code, ()), fit
+    if alg == "cliques":
         grouping = find_cliques(build_graph(train, cfg.clique_threshold,
                                             cfg.clique_min_overlap))
         values, reasons = clique_block(train, grouping, rows, cols)
@@ -113,7 +114,6 @@ def _fit_predict(alg: str, train: PCMatrix, rows, cols,
             reasons = dict.fromkeys(range(rows.size), exc)
         else:
             values = predict_cells(fit, rows, cols)
-    code = np.zeros(rows.size, np.intp)
     return (values, reasons, code, ((alg, ()),)), fit
 
 

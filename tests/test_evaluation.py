@@ -728,6 +728,11 @@ class TestRidgeFallback:
             assert names[-2:] == ["ridge", "ridge:column_mean"]
             if "ridge" in ensemble:
                 assert (codes < 2 ** len(ensemble)).all()
+        # ridge alone has those two labels only
+        _, (_, _, (codes, names)), _ = complete_matrix(m, small_cfg(
+            algorithm="ridge"))
+        assert names == ["ridge", "ridge:column_mean"]
+        assert codes.tolist() == [0]
 
 
 class TestOneFallbackRule:

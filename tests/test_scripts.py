@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import planted_rank1
 
-from perfcast import RunConfig, write_matrix_csv
+from perfcast import RunConfig, read_matrix_csv, write_matrix_csv
 from perfcast.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -135,3 +135,38 @@ def test_diff_outputs_finds_no_difference_in_one_tree(capsys):
     assert rc == 0
     assert capsys.readouterr().out == (
         "0 of 120 outputs differ (8 inputs, seeds 0)\n")
+
+
+def test_diff_outputs_derives_cold_and_lone_inputs(capsys, tmp_path):
+    # on the groups inputs, cold.csv blanks row 0 and lone.csv keeps only
+    # its first time; the steps on them run, and fill that row, or score
+    # its one time, with ridge's column means
+    script = load_script("diff_outputs")
+    assert script.main([str(ROOT), str(ROOT), "--seeds", "0",
+                        "--workloads", "loo-cliques"]) == 0
+    assert capsys.readouterr().out == (
+        "0 of 224 outputs differ (8 inputs, seeds 0)\n")
+    jobs = script.write_inputs(tmp_path, [0], ["loo-cliques"])
+    script.run_tree(ROOT, tmp_path / "new", jobs[:1])
+    out = tmp_path / "new" / jobs[0][0]
+    m, cold, lone = (read_matrix_csv(out / name)
+                     for name in ("in.csv", "cold.csv", "lone.csv"))
+    seen = m.present_mask
+    assert not cold.present_mask[0].any() and lone.present_mask[0].sum() == 1
+    assert lone.present_mask[0, seen[0].argmax()]
+    for derived in (cold, lone):
+        assert (derived.present_mask[1:] == seen[1:]).all()
+    assert not list(out.glob("status*.txt"))
+    cold_fills = []
+    for name in ("cold_cliques.json", "cold_ensemble.json"):
+        fills = json.loads((out / name).read_text())["fills"]
+        cold_fills.append({f["machine"]: (f["predicted_seconds"],
+                                          f["algorithm"])
+                           for f in fills if f["program"] == m.row_keys[0][0]})
+    row0 = cold_fills[0]
+    assert cold_fills[1] == row0 and len(row0) == m.n_cols
+    assert {alg for _, alg in row0.values()} == {"ridge:column_mean"}
+    (res,) = json.loads((out / "lone_report.json").read_text())[
+        "reports"][0]["results"]
+    (cell,) = [c for c in res["cells"] if c["row"] == 0]
+    assert cell["predicted"] == row0[m.col_keys[cell["col"]]][0]
